@@ -431,7 +431,7 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 	}))
 
 	// --- run ---------------------------------------------------------------
-	if err := eng.RunUntil(endAt); err != nil {
+	if err := eng.Run(endAt); err != nil {
 		return nil, fmt.Errorf("scenario: engine: %w", err)
 	}
 	for _, stop := range stops {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -15,14 +14,16 @@ type Time = time.Duration
 
 // Event is a scheduled callback. Fn runs when the virtual clock reaches At.
 //
-// Event structs are pooled: once an event has fired or been canceled, the
-// engine may reuse its struct for a later ScheduleAt. A holder that keeps
-// an *Event across the fire (the Every ticker, a self-rescheduling
-// process) must therefore clear or reassign its pointer inside the
-// callback, before control returns to the engine loop, and must never
-// Cancel a pointer whose event already fired or was already canceled once
-// any new event has been scheduled since — the struct may by then be a
-// different live event.
+// Event structs are pooled: the engine returns a struct to its free list
+// as soon as its event is canceled, and right after its callback returns
+// once it fires, so a later ScheduleAt may hand the same struct out as a
+// different live event. A holder that keeps an *Event (the Every ticker,
+// a self-rescheduling process, a server's pending completion) must
+// therefore clear or reassign its pointer when it Cancels it and, for a
+// pointer held across the fire, inside the callback before control
+// returns to the engine loop. It must never Cancel a pointer whose event
+// already fired or was already canceled once any new event has been
+// scheduled since: that Cancel would remove the struct's new event.
 type Event struct {
 	// At is the virtual time at which the event fires.
 	At Time
@@ -32,107 +33,25 @@ type Event struct {
 	Name string
 
 	seq   uint64 // insertion order, for stable FIFO among equal times
-	index int    // queue position; -1 once popped or canceled
+	index int    // heap position; -1 once fired or canceled
 }
 
 // Canceled reports whether the event was canceled or has already fired.
 func (e *Event) Canceled() bool { return e.index < 0 }
 
-// eventHeap orders events by (At, seq).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+// eventBefore is the queue's total order: (At, seq) ascending. seq is
+// unique per engine, so the order is strict and the pop sequence is a
+// pure function of the schedule.
+func eventBefore(a, b *Event) bool {
+	if a.At != b.At {
+		return a.At < b.At
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // ErrStopped is returned by Run when the simulation was halted with Stop
 // before the event queue drained or the horizon was reached.
 var ErrStopped = errors.New("sim: engine stopped")
-
-// eventQueue is the engine's pending-event store. Both implementations —
-// the binary heap and the bucketed timer wheel (wheel.go) — pop events in
-// identical (At, seq) order, so swapping one for the other never changes
-// a run's results, only its speed.
-type eventQueue interface {
-	push(*Event)
-	// peek returns the earliest pending event without removing it, or
-	// nil when the queue is empty.
-	peek() *Event
-	// pop removes and returns the earliest pending event (nil if empty),
-	// setting its index to -1.
-	pop() *Event
-	// remove cancels a queued event and reports whether the caller may
-	// recycle the struct immediately (the wheel keeps lazily-canceled
-	// ring entries referenced until their bucket is swept).
-	remove(*Event) bool
-	size() int
-}
-
-// heapQueue adapts eventHeap to the eventQueue interface — the reference
-// implementation the timer wheel is differentially tested against.
-type heapQueue struct{ h eventHeap }
-
-func (q *heapQueue) push(ev *Event) { heap.Push(&q.h, ev) }
-
-func (q *heapQueue) peek() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-
-func (q *heapQueue) pop() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*Event)
-}
-
-func (q *heapQueue) remove(ev *Event) bool {
-	heap.Remove(&q.h, ev.index)
-	ev.index = -1
-	return true
-}
-
-func (q *heapQueue) size() int { return len(q.h) }
-
-// QueueKind selects the engine's pending-event store.
-type QueueKind int
-
-// Queue kinds. The wheel is the default: on DES-dense workloads it pops
-// in near-O(1) where the heap pays O(log n) per operation (see
-// BenchmarkEngineStep); the heap is kept as the reference fallback.
-const (
-	QueueWheel QueueKind = iota
-	QueueHeap
-)
 
 // maxFreeEvents caps the engine's event free list. The list only grows
 // to the peak number of concurrently pending events, but a cap keeps a
@@ -144,38 +63,28 @@ const maxFreeEvents = 1 << 16
 // Engines are not safe for concurrent use; a simulation is a single logical
 // thread of control in which event callbacks schedule further events.
 type Engine struct {
-	now     Time
-	queue   eventQueue
+	now Time
+	// queue is a 4-ary min-heap on eventBefore: the children of slot i
+	// are slots 4i+1 to 4i+4, and each event's index is its slot. Four
+	// children halve a binary heap's depth, so a sift moves half as many
+	// events for about the same number of comparisons.
+	queue   []*Event
 	nextSeq uint64
 	rng     *RNG
 	stopped bool
 	drained bool
 	fired   uint64
 	// free recycles fired and canceled Event structs (see the Event
-	// pooling contract). Events are freed only after their callback
+	// pooling contract). Fired events are freed only after their callback
 	// returns, so pointers retained across the fire stay valid for the
 	// duration of the callback that must clear them.
 	free []*Event
 }
 
 // NewEngine returns an engine whose root random stream is seeded with
-// seed, using the default timer-wheel event queue.
+// seed.
 func NewEngine(seed uint64) *Engine {
-	return NewEngineWithQueue(seed, QueueWheel)
-}
-
-// NewEngineWithQueue returns an engine with an explicit event-queue
-// implementation. Results are byte-identical across queue kinds; the
-// choice only affects speed.
-func NewEngineWithQueue(seed uint64, kind QueueKind) *Engine {
-	e := &Engine{rng: NewRNG(seed)}
-	switch kind {
-	case QueueHeap:
-		e.queue = &heapQueue{}
-	default:
-		e.queue = &timerWheel{recycle: e.freeEvent}
-	}
-	return e
+	return &Engine{rng: NewRNG(seed)}
 }
 
 // freeEvent returns a fired or canceled event struct to the free list.
@@ -187,6 +96,69 @@ func (e *Engine) freeEvent(ev *Event) {
 	}
 }
 
+// siftUp files ev into the hole at slot i, moving later parents down
+// until ev's parent precedes it.
+func (e *Engine) siftUp(ev *Event, i int) {
+	q := e.queue
+	for i > 0 {
+		p := (i - 1) / 4
+		if !eventBefore(ev, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// siftDown files ev into the hole at slot i, moving the earliest child up
+// while it precedes ev.
+func (e *Engine) siftDown(ev *Event, i int) {
+	q := e.queue
+	n := len(q)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		best := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if eventBefore(q[c], q[best]) {
+				best = c
+			}
+		}
+		if !eventBefore(q[best], ev) {
+			break
+		}
+		q[i] = q[best]
+		q[i].index = i
+		i = best
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// remove takes the event at slot i out of the queue, refills the hole
+// with the last event and returns the removed one with index -1.
+func (e *Engine) remove(i int) *Event {
+	ev := e.queue[i]
+	n := len(e.queue) - 1
+	last := e.queue[n]
+	e.queue[n] = nil
+	e.queue = e.queue[:n]
+	if i < n {
+		if i > 0 && eventBefore(last, e.queue[(i-1)/4]) {
+			e.siftUp(last, i)
+		} else {
+			e.siftDown(last, i)
+		}
+	}
+	ev.index = -1
+	return ev
+}
+
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
@@ -194,7 +166,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return e.queue.size() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // RNG returns the engine's root random stream.
 func (e *Engine) RNG() *RNG { return e.rng }
@@ -233,21 +205,21 @@ func (e *Engine) ScheduleAt(at Time, name string, fn func()) *Event {
 	}
 	*ev = Event{At: at, Fn: fn, Name: name, seq: e.nextSeq}
 	e.nextSeq++
-	e.queue.push(ev)
+	e.queue = append(e.queue, ev)
+	e.siftUp(ev, len(e.queue)-1)
 	return ev
 }
 
-// Cancel removes a pending event from the queue. Canceling an event that
-// already fired (or was already canceled) is a no-op — but see Event's
-// pooling contract: a pointer held past its event's fire or cancel must
-// not be Canceled again once any newer event has been scheduled.
+// Cancel removes a pending event from the queue and recycles its struct at
+// once. Canceling an event that already fired (or was already canceled) is
+// a no-op — but see Event's pooling contract: a pointer held past its
+// event's fire or cancel must not be Canceled again once any newer event
+// has been scheduled.
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.index < 0 {
 		return
 	}
-	if e.queue.remove(ev) {
-		e.freeEvent(ev)
-	}
+	e.freeEvent(e.remove(ev.index))
 }
 
 // Stop halts the run loop after the currently executing event returns.
@@ -258,10 +230,10 @@ func (e *Engine) Stop() { e.stopped = true }
 // after its callback returns, so any retained pointer to it must be
 // cleared or reassigned inside the callback (see Event).
 func (e *Engine) Step() bool {
-	ev := e.queue.pop()
-	if ev == nil {
+	if len(e.queue) == 0 {
 		return false
 	}
+	ev := e.remove(0)
 	if ev.At > e.now {
 		e.now = ev.At
 	}
@@ -281,15 +253,11 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run(horizon Time) error {
 	e.stopped = false
 	e.drained = false
-	for {
-		next := e.queue.peek()
-		if next == nil {
-			break
-		}
+	for len(e.queue) > 0 {
 		if e.stopped {
 			return ErrStopped
 		}
-		if horizon > 0 && next.At > horizon {
+		if horizon > 0 && e.queue[0].At > horizon {
 			e.now = horizon
 			return nil
 		}
@@ -302,17 +270,13 @@ func (e *Engine) Run(horizon Time) error {
 	return nil
 }
 
-// Drained reports whether the most recent Run (or RunUntil) returned
-// because the event queue emptied, as opposed to stopping at the horizon
-// with future-dated events still queued or being halted by Stop. It is
-// false before the first Run. Note that Pending alone cannot distinguish
+// Drained reports whether the most recent Run returned because the event
+// queue emptied, as opposed to stopping at the horizon with future-dated
+// events still queued or being halted by Stop. It is false before the
+// first Run. Note that Pending alone cannot distinguish
 // the cases: a periodic Every ticker keeps the queue non-empty forever,
 // and a queue may also drain exactly at the horizon.
 func (e *Engine) Drained() bool { return e.drained }
-
-// RunUntil is shorthand for Run with an absolute horizon; it always leaves
-// the clock at exactly horizon unless stopped early.
-func (e *Engine) RunUntil(horizon Time) error { return e.Run(horizon) }
 
 // Every schedules fn to run periodically, first after period, then every
 // period thereafter, until the returned stop function is called or the
@@ -370,7 +334,7 @@ func (e *Engine) Import(s State) error {
 	if s.Now < 0 {
 		return fmt.Errorf("sim: Import with negative clock %v", s.Now)
 	}
-	if e.now != 0 || e.nextSeq != 0 || e.fired != 0 || e.queue.size() != 0 {
+	if e.now != 0 || e.nextSeq != 0 || e.fired != 0 || len(e.queue) != 0 {
 		return errors.New("sim: Import into a non-fresh engine (events scheduled, fired, or clock moved)")
 	}
 	e.now = s.Now

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -251,5 +252,294 @@ func TestFiredCounts(t *testing.T) {
 	}
 	if e.Fired() != 7 {
 		t.Fatalf("Fired = %d, want 7", e.Fired())
+	}
+}
+
+// TestPendingExactAfterCancel checks that Pending counts only live events
+// as soon as a batch of cancels returns, and that no canceled event fires.
+func TestPendingExactAfterCancel(t *testing.T) {
+	e := NewEngine(3)
+	rng := NewRNG(17)
+	events := make([]*Event, 100)
+	for i := range events {
+		at := Time(rng.Intn(int(40 * time.Second)))
+		events[i] = e.ScheduleAt(at, "x", func() {})
+	}
+	for i := 0; i < 37; i++ {
+		e.Cancel(events[i])
+	}
+	if got := e.Pending(); got != 63 {
+		t.Fatalf("Pending after cancels = %d, want 63", got)
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := e.Fired(); got != 63 {
+		t.Fatalf("Fired = %d, want 63", got)
+	}
+}
+
+// TestWheelEqualTimeFIFO pins FIFO among equal-time events: they fire in
+// scheduling order even when one is scheduled at the same instant while
+// that instant is being drained. (The name predates the single queue.)
+func TestWheelEqualTimeFIFO(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	at := 5 * time.Millisecond
+	for _, name := range []string{"first", "second", "third"} {
+		name := name
+		e.ScheduleAt(at, name, func() {
+			got = append(got, name)
+			if name == "first" {
+				e.ScheduleAt(at, "nested", func() { got = append(got, "nested") })
+			}
+		})
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := []string{"first", "second", "third", "nested"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fire order = %v, want %v", got, want)
+	}
+}
+
+// TestWheelHorizon checks the peek path: Run fires the event inside the
+// horizon, leaves the later one pending and parks the clock at the
+// horizon. (The name predates the single queue.)
+func TestWheelHorizon(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	e.Schedule(time.Second, "near", func() { fired++ })
+	e.Schedule(10*time.Second, "far", func() { fired++ })
+	if err := e.Run(5 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if fired != 1 || e.Pending() != 1 || e.Now() != 5*time.Second {
+		t.Fatalf("fired=%d pending=%d now=%v", fired, e.Pending(), e.Now())
+	}
+}
+
+// TestEventFreeList pins struct reuse: both a fired and a canceled
+// event's struct must come back from the free list for the next schedule.
+func TestEventFreeList(t *testing.T) {
+	e := NewEngine(1)
+	ev1 := e.Schedule(time.Millisecond, "a", func() {})
+	if !e.Step() {
+		t.Fatal("Step returned false")
+	}
+	ev2 := e.Schedule(time.Millisecond, "b", func() {})
+	if ev1 != ev2 {
+		t.Fatal("fired event struct was not reused from the free list")
+	}
+	e.Cancel(ev2)
+	if !ev2.Canceled() {
+		t.Fatal("canceled event not marked canceled")
+	}
+	ev3 := e.Schedule(time.Millisecond, "c", func() {})
+	if ev3 != ev2 {
+		t.Fatal("canceled event struct was not reused from the free list")
+	}
+}
+
+// queueModel is what queueDriver needs from an event queue, so the same
+// randomized workload can drive the engine and the brute-force reference.
+type queueModel interface {
+	schedule(d Time, name string, fn func()) (cancel func())
+	now() Time
+	fired() uint64
+	run() error
+}
+
+type engineModel struct{ e *Engine }
+
+func (m engineModel) schedule(d Time, name string, fn func()) func() {
+	ev := m.e.Schedule(d, name, fn)
+	return func() { m.e.Cancel(ev) }
+}
+
+func (m engineModel) now() Time     { return m.e.Now() }
+func (m engineModel) fired() uint64 { return m.e.Fired() }
+func (m engineModel) run() error    { return m.e.Run(0) }
+
+// refQueue is the reference queue: an unordered slice, scanned in full
+// for the minimum (at, seq) on every pop.
+type refQueue struct {
+	clock   Time
+	seq     uint64
+	n       uint64
+	pending []*refEvent
+}
+
+type refEvent struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
+func (r *refQueue) schedule(d Time, _ string, fn func()) func() {
+	ev := &refEvent{at: r.clock + d, seq: r.seq, fn: fn}
+	r.seq++
+	r.pending = append(r.pending, ev)
+	return func() {
+		for i, p := range r.pending {
+			if p == ev {
+				r.pending = append(r.pending[:i], r.pending[i+1:]...)
+				return
+			}
+		}
+	}
+}
+
+func (r *refQueue) now() Time     { return r.clock }
+func (r *refQueue) fired() uint64 { return r.n }
+
+func (r *refQueue) run() error {
+	for len(r.pending) > 0 {
+		b := 0
+		for i, p := range r.pending {
+			q := r.pending[b]
+			if p.at < q.at || p.at == q.at && p.seq < q.seq {
+				b = i
+			}
+		}
+		ev := r.pending[b]
+		r.pending = append(r.pending[:b], r.pending[b+1:]...)
+		r.clock = ev.at
+		r.n++
+		ev.fn()
+	}
+	return nil
+}
+
+// queueDriver runs a randomized schedule/cancel workload against one
+// queue and records the exact fire/cancel sequence. It honors the Event
+// pooling contract: the driver forgets a handle the moment its event
+// fires or is canceled, so it never Cancels a recycled struct.
+type queueDriver struct {
+	q       queueModel
+	rng     *RNG
+	log     []string
+	pending []pendingEvent
+	next    int
+}
+
+type pendingEvent struct {
+	name   string
+	cancel func()
+}
+
+func (d *queueDriver) forget(name string) {
+	for i, p := range d.pending {
+		if p.name == name {
+			d.pending = append(d.pending[:i], d.pending[i+1:]...)
+			return
+		}
+	}
+}
+
+// randomDelay mixes zero delays (ties with the event firing now), near
+// delays that sift a few levels, and far ones that sink to the leaves.
+func (d *queueDriver) randomDelay() Time {
+	switch d.rng.Intn(10) {
+	case 0:
+		return 0
+	case 1, 2, 3:
+		return Time(d.rng.Intn(int(50 * time.Millisecond)))
+	case 4, 5, 6, 7:
+		return Time(d.rng.Intn(int(2 * time.Second)))
+	case 8:
+		return Time(d.rng.Intn(int(40 * time.Second)))
+	default:
+		return Time(d.rng.Intn(int(5 * time.Minute)))
+	}
+}
+
+func (d *queueDriver) schedule() {
+	d.next++
+	name := fmt.Sprintf("ev%d", d.next)
+	cancel := d.q.schedule(d.randomDelay(), name, func() {
+		d.forget(name)
+		d.log = append(d.log, fmt.Sprintf("%s@%d", name, d.q.now()))
+		if d.q.fired() < 20000 {
+			for i, n := 0, d.rng.Intn(4); i < n; i++ {
+				d.schedule()
+			}
+		}
+		if len(d.pending) > 0 && d.rng.Float64() < 0.25 {
+			victim := d.pending[d.rng.Intn(len(d.pending))]
+			d.log = append(d.log, "cancel:"+victim.name)
+			d.forget(victim.name)
+			victim.cancel()
+		}
+	})
+	d.pending = append(d.pending, pendingEvent{name, cancel})
+}
+
+// TestQueueMatchesReference is the queue's differential test: the engine
+// must fire and cancel a randomized workload in exactly the order the
+// brute-force reference does — the (At, seq) order every golden rests on.
+func TestQueueMatchesReference(t *testing.T) {
+	run := func(q queueModel) *queueDriver {
+		d := &queueDriver{q: q, rng: NewRNG(99)}
+		for i := 0; i < 64; i++ {
+			d.schedule()
+		}
+		if err := q.run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return d
+	}
+	eng := NewEngine(7)
+	got, want := run(engineModel{eng}), run(&refQueue{})
+	if len(got.log) != len(want.log) {
+		t.Fatalf("log length: engine %d, reference %d", len(got.log), len(want.log))
+	}
+	for i := range got.log {
+		if got.log[i] != want.log[i] {
+			t.Fatalf("logs diverge at %d: engine %q, reference %q", i, got.log[i], want.log[i])
+		}
+	}
+	if len(got.log) < 20000 {
+		t.Fatalf("workload too small to be meaningful: %d entries", len(got.log))
+	}
+	if got.q.fired() != want.q.fired() || got.q.now() != want.q.now() {
+		t.Fatalf("engine fired %d by %v, reference %d by %v",
+			got.q.fired(), got.q.now(), want.q.fired(), want.q.now())
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("Pending = %d after drain", eng.Pending())
+	}
+}
+
+// BenchmarkEngineStep measures the event hot loop in the two regimes the
+// simulator's workloads split on: dense, 4096 self-rescheduling chains
+// with 1–100 ms delays (a large MOOC run's pending set), and sparse, 16
+// chains with 1–60 min delays (a week-long run's timers and failure
+// processes).
+func BenchmarkEngineStep(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		chains int
+		lo, hi Time
+	}{
+		{"dense", 4096, time.Millisecond, 100 * time.Millisecond},
+		{"sparse", 16, time.Minute, time.Hour},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := NewEngine(1)
+			rng := NewRNG(2)
+			delay := func() Time { return bc.lo + Time(rng.Intn(int(bc.hi-bc.lo))) }
+			for i := 0; i < bc.chains; i++ {
+				var fn func()
+				fn = func() { e.Schedule(delay(), "tick", fn) }
+				e.Schedule(delay(), "tick", fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }
