@@ -1,15 +1,11 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"elearncloud/internal/benchrec"
 )
 
 // repoGolden is the committed golden store, relative to this package.
@@ -17,7 +13,7 @@ const repoGolden = "../../testdata/golden"
 
 // fastIDs are the artifacts cheap enough for the -short tier-1 lane
 // (analytic or fluid-only, each well under ~1.5s on one core); the full
-// run verifies all 19.
+// run verifies all 22.
 var fastIDs = []string{
 	"table1", "table7", "table8",
 	"figure1", "figure3", "figure4", "figure7", "figure8",
@@ -28,7 +24,7 @@ var fastIDs = []string{
 // committed testdata/golden bytes exactly, so a PR that silently
 // changes an artifact fails tier-1 instead of rotting the goldens. In
 // -short mode only the cheap subset runs; the full test (and the CI
-// golden job, at -parallel 1 and 4) covers all 19.
+// golden job, at -parallel 1 and 4) covers all 22.
 func TestGoldenArtifacts(t *testing.T) {
 	if !testing.Short() {
 		if err := run([]string{"-verify", "-golden", repoGolden, "-parallel", "2"}, io.Discard); err != nil {
@@ -81,7 +77,7 @@ func TestGoldenVerifyDetectsDrift(t *testing.T) {
 // artifacts so it stays instant.
 func TestGoldenOrphanDetection(t *testing.T) {
 	dir := t.TempDir()
-	arts := []artifact{{id: "table1", title: "t", text: "A\n"}}
+	arts := []artifact{{id: "table1", text: "A\n"}}
 	if err := updateGolden(io.Discard, arts, dir, true); err != nil {
 		t.Fatal(err)
 	}
@@ -110,70 +106,15 @@ func TestGoldenOrphanDetection(t *testing.T) {
 	}
 }
 
-// TestJSONRecord checks the -json suite record is schema-stable and
-// carries real accounting: per-experiment jobs attributed through the
-// metered pool view, artifact hashes, and nonzero pool telemetry.
-func TestJSONRecord(t *testing.T) {
-	var buf bytes.Buffer
-	// figure3 is fluid-only (fast) but fans 32 jobs through the pool.
-	if err := run([]string{"-json", "-id", "figure3", "-parallel", "4"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var rec benchrec.SuiteRecord
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatalf("record is not valid JSON: %v", err)
-	}
-	if rec.Schema != benchrec.Schema {
-		t.Errorf("schema = %q", rec.Schema)
-	}
-	if rec.Seed != 1 || rec.Parallel != 4 {
-		t.Errorf("seed/parallel = %d/%d, want 1/4", rec.Seed, rec.Parallel)
-	}
-	if len(rec.Experiments) != 1 {
-		t.Fatalf("experiments = %d, want 1", len(rec.Experiments))
-	}
-	e := rec.Experiments[0]
-	if e.ID != "figure3" || e.Jobs != 32 {
-		t.Errorf("experiment %q ran %d jobs, want figure3 with 32", e.ID, e.Jobs)
-	}
-	if len(e.SHA256) != 64 || e.SHA256 != rec.ArtifactSHA256 {
-		t.Errorf("single-artifact sha %q must equal suite sha %q", e.SHA256, rec.ArtifactSHA256)
-	}
-	if e.Bytes <= 0 || e.WallMS <= 0 {
-		t.Errorf("empty accounting: bytes=%d wall=%v", e.Bytes, e.WallMS)
-	}
-	// 33 = 32 scenario jobs + the experiment-level ForEach body.
-	if rec.Pool.JobsRun != 33 || rec.Pool.Workers != 4 {
-		t.Errorf("pool = %+v, want 33 jobs on 4 workers", rec.Pool)
-	}
-	if rec.Pool.PeakConcurrent < 1 {
-		t.Errorf("PeakConcurrent = %d", rec.Pool.PeakConcurrent)
-	}
-}
-
 // TestModeFlagConflicts: the output modes are mutually exclusive, -csv
 // is plain-text only, and the golden store is pinned at seed 1.
 func TestModeFlagConflicts(t *testing.T) {
 	for _, args := range [][]string{
-		{"-json", "-verify"},
 		{"-verify", "-update"},
-		{"-csv", "-json"},
 		{"-csv", "-update"},
 		{"-verify", "-seed", "2"},
 		{"-update", "-seed", "2"},
-		{"-compare", "-json", "a.json", "b.json"},
-		{"-compare", "-csv", "a.json", "b.json"},
-		{"-compare", "-id", "table1", "a.json", "b.json"},
-		{"-compare", "-seed", "2", "a.json", "b.json"},     // generation flags rejected...
-		{"-compare", "-parallel", "8", "a.json", "b.json"}, // ...not silently ignored
-		{"-compare", "-golden", "dir", "a.json", "b.json"},
-		{"-compare-strict"},              // compare-* flags require -compare
-		{"-compare-threshold", "1.5"},    // ditto
-		{"-compare", "only-one.json"},    // needs exactly two paths
-		{"-compare", "a.json", "b.json"}, // neither record exists
-		{"-list", "-json"},               // -list is a mode like the others...
-		{"-list", "-verify"},
-		{"-list", "-compare", "a.json", "b.json"},
+		{"-list", "-verify"},       // -list is a mode like the others...
 		{"-list", "-id", "table1"}, // ...and rejects generation flags
 		{"-list", "-csv"},
 		{"-list", "-parallel", "2"},

@@ -7,18 +7,16 @@
 //	elbench -id table10 -shards 8       # render a sharded variant at an explicit shard count
 //	elbench -id table11 -fidelity des   # render a fidelity variant (auto|fluid|des)
 //	elbench -list                       # print experiment ids and titles, run nothing
-//	elbench -json                       # machine-readable perf record
 //	elbench -verify [-golden DIR]       # diff artifacts against the golden store
 //	elbench -update [-golden DIR]       # regenerate the golden store
-//	elbench -compare old.json new.json  # diff two perf records, fail on regression
 //
 // With -id, only the named experiment runs; with -csv the table is
 // emitted as CSV instead of aligned text. -shards renders the -id
 // experiment's shards-parameterized variant (experiments.ShardedVariant)
 // at an explicit shard count — the knob CI's scale lane turns to pin
 // that a fixed-shard-count artifact is byte-identical across -parallel
-// values. It is plain-text/CSV only: the golden store and perf records
-// pin the registry defaults. -fidelity renders the -id experiment's
+// values. It is plain-text/CSV only: the golden store pins the registry
+// defaults. -fidelity renders the -id experiment's
 // fidelity-parameterized variant (experiments.FidelityVariant): auto is
 // the registry-default hybrid comparison, fluid and des force one
 // model. -shards cannot combine with -fidelity fluid — the fluid model
@@ -32,24 +30,9 @@
 // scenario job's randomness is fixed at submission by its config and
 // seed, and batch results are collected in submission order.
 //
-// -json replaces the artifact text with one JSON suite record
-// (internal/benchrec's SuiteRecord, schema elearncloud/bench/v1): per
-// experiment the wall-clock, jobs run (attributed via scenario.Meter),
-// artifact size and SHA-256; plus the shared pool's realized-execution
-// telemetry (scenario.PoolStats) and the SHA-256 of the concatenated
-// artifact bytes. BENCH_PR9.json at the repo root is the committed
-// baseline new runs are compared against (BENCH_PR3.json through
-// BENCH_PR8.json are its predecessors, kept for the trajectory).
-//
-// -compare loads two such records and reports per-experiment
-// wall-clock deltas, artifact output drift, experiments added/removed,
-// and pool-utilization drift (see ARCHITECTURE.md's "Comparing perf
-// records"). It exits non-zero only on a wall-clock regression — new
-// wall strictly above -compare-threshold × old and strictly more than
-// -compare-floor-ms slower — or, with -compare-strict, on output
-// drift. -compare-report-only prints the same report but always exits
-// zero (how the noisy-runner CI job uses it), and -compare-format
-// picks text (default), markdown, or json.
+// elbench generates and verifies artifacts only; it takes no timings.
+// The performance record is bench/elperf (bash bench/run.sh, see
+// bench/README.md).
 //
 // -verify re-renders every artifact and diffs it byte-for-byte against
 // testdata/golden/<id>.txt, failing on any drift; -update rewrites the
@@ -63,7 +46,6 @@
 package main
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -71,11 +53,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"time"
 
-	"elearncloud/internal/benchrec"
 	"elearncloud/internal/experiments"
 	"elearncloud/internal/metrics"
 	"elearncloud/internal/scenario"
@@ -88,12 +67,10 @@ func main() {
 	}
 }
 
-// artifact is one regenerated experiment plus its accounting.
+// artifact is one regenerated experiment.
 type artifact struct {
-	id, title string
-	text      string // exactly the bytes the plain text mode prints
-	wall      time.Duration
-	jobs      uint64
+	id   string
+	text string // exactly the bytes the plain text mode prints
 }
 
 func run(args []string, w io.Writer) error {
@@ -103,23 +80,10 @@ func run(args []string, w io.Writer) error {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	parallel := fs.Int("parallel", scenario.DefaultWorkers(),
 		"global worker cap shared across and within experiments (results are identical for any value)")
-	jsonOut := fs.Bool("json", false, "emit a machine-readable perf record instead of artifact text")
 	verify := fs.Bool("verify", false, "diff regenerated artifacts against the golden store and fail on drift")
 	update := fs.Bool("update", false, "rewrite the golden store from regenerated artifacts")
 	golden := fs.String("golden", filepath.Join("testdata", "golden"),
 		"golden artifact directory used by -verify and -update")
-	compare := fs.Bool("compare", false,
-		"compare two perf records (elbench -compare old.json new.json) and fail on wall-clock regression")
-	compareThreshold := fs.Float64("compare-threshold", 1.25,
-		"wall-clock ratio a -compare experiment must strictly exceed to count as a regression")
-	compareFloor := fs.Float64("compare-floor-ms", 250,
-		"noise floor for -compare: deltas at or under this many ms never regress, whatever the ratio")
-	compareStrict := fs.Bool("compare-strict", false,
-		"make -compare fail on artifact SHA drift too (output drift is otherwise report-only)")
-	compareReportOnly := fs.Bool("compare-report-only", false,
-		"print the -compare report but always exit zero (for noisy CI runners)")
-	compareFormat := fs.String("compare-format", "text",
-		"-compare report format: text, markdown or json")
 	listMode := fs.Bool("list", false,
 		"print registered experiment ids, titles and tags (tab-separated) and exit without running anything")
 	tagFilter := fs.String("tag", "",
@@ -131,17 +95,6 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if !*compare {
-		var orphan []string
-		fs.Visit(func(f *flag.Flag) {
-			if strings.HasPrefix(f.Name, "compare-") {
-				orphan = append(orphan, "-"+f.Name)
-			}
-		})
-		if len(orphan) > 0 {
-			return fmt.Errorf("%s only apply with -compare", strings.Join(orphan, ", "))
-		}
-	}
 	// Seed 0 is the batch runner's "derive from (seed, job name)"
 	// sentinel: batched jobs would be silently reseeded while direct
 	// runs kept raw 0, so refuse the ambiguity outright.
@@ -149,26 +102,26 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-seed 0 is reserved (zero means \"derive\" inside scenario batches); pass a nonzero seed")
 	}
 	modes := 0
-	for _, on := range []bool{*jsonOut, *verify, *update, *compare, *listMode} {
+	for _, on := range []bool{*verify, *update, *listMode} {
 		if on {
 			modes++
 		}
 	}
 	if modes > 1 {
-		return fmt.Errorf("-json, -verify, -update, -compare and -list are mutually exclusive")
+		return fmt.Errorf("-verify, -update and -list are mutually exclusive")
 	}
 	if *tagFilter != "" && !*listMode {
 		return fmt.Errorf("-tag filters the registry listing and only applies with -list")
 	}
 	// -shards renders a one-off artifact at an explicit shard count; the
-	// golden store and perf records pin the registry defaults, so it is
-	// plain-text/CSV only and needs a single named experiment.
+	// golden store pins the registry defaults, so it is plain-text/CSV
+	// only and needs a single named experiment.
 	if *shards != 0 {
 		if *shards < 0 {
 			return fmt.Errorf("-shards %d: shard count must be positive", *shards)
 		}
 		if modes > 0 {
-			return fmt.Errorf("-shards does not combine with -json, -verify, -update, -compare or -list")
+			return fmt.Errorf("-shards does not combine with -verify, -update or -list")
 		}
 		if *id == "" {
 			return fmt.Errorf("-shards needs -id naming the experiment to render")
@@ -185,7 +138,7 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("-shards and -fidelity are separate variants and do not combine")
 		}
 		if modes > 0 {
-			return fmt.Errorf("-fidelity does not combine with -json, -verify, -update, -compare or -list")
+			return fmt.Errorf("-fidelity does not combine with -verify, -update or -list")
 		}
 		if *id == "" {
 			return fmt.Errorf("-fidelity needs -id naming the experiment to render")
@@ -193,8 +146,8 @@ func run(args []string, w io.Writer) error {
 	}
 	if *listMode {
 		// Pure registry enumeration: nothing is simulated, so the
-		// generation flags have nothing to act on (same policy as
-		// -compare).
+		// generation flags have nothing to act on; reject them rather
+		// than silently ignoring an explicit setting.
 		var gen []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
@@ -232,37 +185,11 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 	if *csv && modes > 0 {
-		return fmt.Errorf("-csv applies only to plain text output (the golden store and perf records are text-mode)")
+		return fmt.Errorf("-csv applies only to plain text output (the golden store is text-mode)")
 	}
 	if (*verify || *update) && *seed != 1 {
 		return fmt.Errorf("the golden store is pinned at seed 1; -verify/-update with -seed %d would always drift", *seed)
 	}
-	if *compare {
-		// Compare is pure record arithmetic — nothing is simulated, so
-		// the generation flags have nothing to act on; reject them
-		// rather than silently ignoring an explicit setting.
-		var gen []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "seed", "id", "parallel", "golden":
-				gen = append(gen, "-"+f.Name)
-			}
-		})
-		if len(gen) > 0 {
-			return fmt.Errorf("%s: artifact-generation flags do not apply to -compare, which only reads records", strings.Join(gen, ", "))
-		}
-		return runCompare(w, fs.Args(), compareOptions{
-			thresholds: benchrec.Thresholds{
-				Ratio:    *compareThreshold,
-				FloorMS:  *compareFloor,
-				IdleFrac: benchrec.DefaultThresholds().IdleFrac,
-			},
-			strict:     *compareStrict,
-			reportOnly: *compareReportOnly,
-			format:     *compareFormat,
-		})
-	}
-
 	var list []experiments.Experiment
 	if *id != "" {
 		e, err := experiments.Find(*id)
@@ -300,16 +227,11 @@ func run(args []string, w io.Writer) error {
 	// experiment's internal batch, so the -parallel tokens span both
 	// nesting levels: when the across-experiments loop drains (e.g.
 	// through figure3's 32-job tail), its freed cores go straight to
-	// whichever inner batches still hold work. Each experiment runs
-	// through a metered view of the pool, so the suite record can
-	// attribute jobs per experiment while the cap stays global.
+	// whichever inner batches still hold work.
 	pool := scenario.NewPool(*parallel)
 	arts := make([]artifact, len(list))
-	suiteStart := time.Now()
 	err := pool.ForEach(len(list), func(i int) error {
-		var m scenario.Meter
-		start := time.Now()
-		tbl, err := list[i].Run(*seed, pool.WithMeter(&m))
+		tbl, err := list[i].Run(*seed, pool)
 		if err != nil {
 			return fmt.Errorf("%s: %w", list[i].ID, err)
 		}
@@ -317,23 +239,14 @@ func run(args []string, w io.Writer) error {
 		if *csv {
 			text = tbl.CSV()
 		}
-		arts[i] = artifact{
-			id:    list[i].ID,
-			title: list[i].Title,
-			text:  text,
-			wall:  time.Since(start),
-			jobs:  m.Jobs(),
-		}
+		arts[i] = artifact{id: list[i].ID, text: text}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	suiteWall := time.Since(suiteStart)
 
 	switch {
-	case *jsonOut:
-		return emitRecord(w, arts, *seed, *parallel, suiteWall, pool.Stats())
 	case *verify:
 		// A full run (no -id filter) also polices the store itself:
 		// goldens with no matching experiment are drift too.
@@ -352,114 +265,6 @@ func run(args []string, w io.Writer) error {
 func sha256Hex(s string) string {
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:])
-}
-
-// compareOptions carries the -compare-* flag values into runCompare.
-type compareOptions struct {
-	thresholds benchrec.Thresholds
-	strict     bool
-	reportOnly bool
-	format     string
-}
-
-// runCompare loads the two record paths left as positional args, diffs
-// them with internal/benchrec, writes the report in the chosen format,
-// and decides the exit status: wall-clock regressions fail, output
-// drift fails only under -compare-strict, and -compare-report-only
-// never fails. The report is written before the verdict error so a
-// failing CI step still shows what regressed.
-func runCompare(w io.Writer, paths []string, opts compareOptions) error {
-	if len(paths) != 2 {
-		return fmt.Errorf("-compare needs exactly two record paths (old.json new.json), got %d", len(paths))
-	}
-	switch opts.format {
-	case "text", "markdown", "json":
-	default:
-		// Checked before any record is loaded so a typo fails fast.
-		return fmt.Errorf("unknown -compare-format %q (want text, markdown or json)", opts.format)
-	}
-	old, err := benchrec.Load(paths[0])
-	if err != nil {
-		return err
-	}
-	new, err := benchrec.Load(paths[1])
-	if err != nil {
-		return err
-	}
-	rep, err := benchrec.Compare(old, new, opts.thresholds)
-	if err != nil {
-		return err
-	}
-	rep.OldLabel, rep.NewLabel = paths[0], paths[1]
-	switch opts.format {
-	case "text":
-		if _, err := io.WriteString(w, rep.Text()); err != nil {
-			return err
-		}
-	case "markdown":
-		if _, err := io.WriteString(w, rep.Markdown()); err != nil {
-			return err
-		}
-	default: // json; the format set was validated before loading
-		out, err := rep.JSON()
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(out); err != nil {
-			return err
-		}
-	}
-	if opts.reportOnly {
-		return nil
-	}
-	if rep.HasRegression() {
-		return fmt.Errorf("perf regression vs %s: %s", paths[0], rep.Summary())
-	}
-	if opts.strict && rep.HasOutputDrift() {
-		return fmt.Errorf("artifact output drift vs %s (fatal under -compare-strict): %s", paths[0], rep.Summary())
-	}
-	return nil
-}
-
-// emitRecord writes the -json suite record: per-experiment accounting
-// plus the shared pool's telemetry, in benchrec's schema-stable form.
-func emitRecord(w io.Writer, arts []artifact, seed uint64, parallel int,
-	suiteWall time.Duration, stats scenario.PoolStats) error {
-	rec := benchrec.SuiteRecord{
-		Schema:      benchrec.Schema,
-		Seed:        seed,
-		Parallel:    parallel,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		GoVersion:   runtime.Version(),
-		SuiteWallMS: float64(suiteWall) / float64(time.Millisecond),
-		Pool: benchrec.PoolRecord{
-			Workers:          stats.Workers,
-			JobsRun:          stats.JobsRun,
-			HelperRecruits:   stats.HelperRecruits,
-			Handoffs:         stats.Handoffs,
-			Donations:        stats.Donations,
-			PeakConcurrent:   stats.PeakConcurrent,
-			TokenIdleMS:      float64(stats.TokenIdle) / float64(time.Millisecond),
-			Shards:           stats.Shards,
-			ShardEvents:      stats.ShardEvents,
-			HybridFluidHours: stats.HybridFluidHours,
-			HybridDESHours:   stats.HybridDESHours,
-		},
-	}
-	var all bytes.Buffer
-	for _, a := range arts {
-		all.WriteString(a.text)
-		rec.Experiments = append(rec.Experiments, benchrec.ExperimentRecord{
-			ID:     a.id,
-			Title:  a.title,
-			WallMS: float64(a.wall) / float64(time.Millisecond),
-			Jobs:   a.jobs,
-			Bytes:  len(a.text),
-			SHA256: sha256Hex(a.text),
-		})
-	}
-	rec.ArtifactSHA256 = sha256Hex(all.String())
-	return rec.Encode(w)
 }
 
 // orphanedGoldens lists .txt files in the store with no matching

@@ -157,7 +157,7 @@ func TestRunFidelityFlagValidation(t *testing.T) {
 		want string
 	}{
 		{"no id", []string{"-fidelity", "des"}, "-fidelity needs -id"},
-		{"with mode", []string{"-id", "table11", "-fidelity", "des", "-json"}, "does not combine"},
+		{"with mode", []string{"-id", "table11", "-fidelity", "des", "-update"}, "does not combine"},
 		{"with verify", []string{"-id", "table11", "-fidelity", "auto", "-verify"}, "does not combine"},
 		{"shards+fluid", []string{"-id", "table11", "-fidelity", "fluid", "-shards", "4"}, "no event loop to shard"},
 		{"shards+des", []string{"-id", "table11", "-fidelity", "des", "-shards", "4"}, "do not combine"},

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -43,11 +44,18 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Config.defaults replaces a non-positive Duration with 6h, so a
+	// horizon that is not positive, is NaN or overflows time.Duration
+	// must fail here rather than silently run 6h.
+	horizon := *hours * float64(time.Hour)
+	if !(horizon >= 1) || horizon >= math.MaxInt64 {
+		return fmt.Errorf("-hours %v: want a positive number of hours that fits a time.Duration", *hours)
+	}
 
 	cfg := scenario.Config{
 		Seed:          *seed,
 		Students:      *students,
-		Duration:      time.Duration(*hours * float64(time.Hour)),
+		Duration:      time.Duration(horizon),
 		EnableThreats: *threats,
 		EnableCDN:     *useCDN,
 	}

@@ -7,10 +7,14 @@ import (
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := map[string][]string{
-		"bad model":  {"-model", "mainframe"},
-		"bad access": {"-access", "carrier-pigeon"},
-		"bad scaler": {"-scaler", "psychic"},
-		"bad flag":   {"-nonsense"},
+		"bad model":         {"-model", "mainframe"},
+		"bad access":        {"-access", "carrier-pigeon"},
+		"bad scaler":        {"-scaler", "psychic"},
+		"bad flag":          {"-nonsense"},
+		"zero hours":        {"-hours", "0"},
+		"negative hours":    {"-hours", "-3"},
+		"NaN hours":         {"-hours", "NaN"},
+		"overflowing hours": {"-hours", "1e300"},
 	}
 	for name, args := range cases {
 		if err := run(args); err == nil {

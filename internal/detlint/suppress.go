@@ -10,7 +10,7 @@ import (
 // finding is silenced by a directive on the finding's own line (a
 // trailing comment) or on the line directly above it:
 //
-//	//detlint:allow seedrule token timestamps are telemetry, not sim state
+//	//detlint:allow seedrule Stream IS the (seed, name) derivation rule
 //
 // The first field after the directive names the analyzer being
 // silenced; everything after it is the mandatory reason. Three ways a

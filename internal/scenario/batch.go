@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"elearncloud/internal/sim"
 )
@@ -64,23 +63,12 @@ func SeedFor(seed uint64, name string) uint64 { return sim.SeedFor(seed, name) }
 //
 // Acquire/Release are exported so side tasks can share the same global
 // concurrency cap; ForEach callers never need them.
-//
-// The pool also keeps lock-free execution telemetry — jobs run, helpers
-// recruited, cross-batch hand-offs, peak concurrency, token-idle time —
-// snapshotted by Stats and attributable per scope via WithMeter (see
-// telemetry.go). Telemetry never feeds back into scheduling, so it
-// cannot perturb the determinism contract above.
 type Pool struct {
-	// tokens carries free helper tokens, each stamped with the time it
-	// was parked so Stats can report cumulative token-idle time.
-	// Capacity exceeds the steady count (workers-1) so waiting callers
-	// can transiently donate their own slot without blocking.
-	tokens  chan time.Time
+	// tokens carries free helper tokens. Capacity exceeds the steady
+	// count (workers-1) so waiting callers can transiently donate their
+	// own slot without blocking.
+	tokens  chan struct{}
 	workers int
-	// stats is shared by every WithMeter view of the pool; meter, when
-	// non-nil, additionally attributes jobs run through this view.
-	stats *poolStats
-	meter *Meter
 }
 
 // NewPool returns a pool enforcing a global concurrency cap of workers
@@ -91,15 +79,9 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	p := &Pool{
-		tokens:  make(chan time.Time, 2*workers),
-		workers: workers,
-		stats:   &poolStats{},
-	}
-	//detlint:allow seedrule token-idle telemetry stamp; never reaches job results or RNG state
-	now := time.Now()
+	p := &Pool{tokens: make(chan struct{}, 2*workers), workers: workers}
 	for i := 0; i < workers-1; i++ {
-		p.tokens <- now
+		p.tokens <- struct{}{}
 	}
 	return p
 }
@@ -112,8 +94,7 @@ func (p *Pool) Workers() int { return p.workers }
 // paired with exactly one Release.
 func (p *Pool) Acquire(ctx context.Context) error {
 	select {
-	case parked := <-p.tokens:
-		p.stats.noteIdle(parked)
+	case <-p.tokens:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -123,8 +104,7 @@ func (p *Pool) Acquire(ctx context.Context) error {
 // TryAcquire takes a helper token if one is free right now.
 func (p *Pool) TryAcquire() bool {
 	select {
-	case parked := <-p.tokens:
-		p.stats.noteIdle(parked)
+	case <-p.tokens:
 		return true
 	default:
 		return false
@@ -136,7 +116,7 @@ func (p *Pool) TryAcquire() bool {
 // overfull pool panics.
 func (p *Pool) Release() {
 	select {
-	case p.tokens <- time.Now(): //detlint:allow seedrule token-idle telemetry stamp; never reaches job results or RNG state
+	case p.tokens <- struct{}{}:
 	default:
 		panic("scenario: Pool.Release without matching Acquire")
 	}
@@ -146,17 +126,10 @@ func (p *Pool) Release() {
 // blocks. It is best-effort: a full pool means nobody is starved, so
 // skipping the donation is fine.
 func (p *Pool) donate() bool {
-	// Park the donor in netActive BEFORE the token becomes visible: a
-	// racing recruiter can convert the token into a helper immediately,
-	// and that helper's peak sample must already see the donor's -1 or
-	// PeakConcurrent could read above the worker cap.
-	p.stats.netActive.Add(-1)
 	select {
-	case p.tokens <- time.Now(): //detlint:allow seedrule token-idle telemetry stamp; never reaches job results or RNG state
-		p.stats.donations.Add(1)
+	case p.tokens <- struct{}{}:
 		return true
 	default:
-		p.stats.netActive.Add(1)
 		return false
 	}
 }
@@ -180,8 +153,6 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	p.stats.inFlight.Add(1)
-	defer p.stats.inFlight.Add(-1)
 	errs := make([]error, n)
 	var minFailed atomic.Int64
 	minFailed.Store(int64(n)) // sentinel: nothing failed yet
@@ -192,9 +163,6 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 		if int64(i) > minFailed.Load() {
 			return
 		}
-		p.stats.jobs.Add(1)
-		p.meter.add()
-		p.stats.notePeak()
 		if err := fn(i); err != nil {
 			errs[i] = err
 			for {
@@ -236,19 +204,9 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 				}
 				spawned.Add(1)
 				helpers.Add(1)
-				p.stats.recruits.Add(1)
-				// A recruit while another batch shares the pool is a
-				// shared-capacity grant a static per-level budget could
-				// not have made; see PoolStats.Handoffs for semantics.
-				if p.stats.inFlight.Load() > 1 {
-					p.stats.handoffs.Add(1)
-				}
 				go func() {
 					defer helpers.Done()
 					defer p.Release()
-					p.stats.netActive.Add(1)
-					defer p.stats.netActive.Add(-1)
-					p.stats.notePeak()
 					for i := range idx {
 						run(i)
 					}
@@ -274,7 +232,6 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 	helpers.Wait()
 	if donated {
 		_ = p.Acquire(context.Background())
-		p.stats.netActive.Add(1)
 	}
 	for _, err := range errs {
 		if err != nil {

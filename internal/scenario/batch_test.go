@@ -187,8 +187,38 @@ func TestBatchResultLookup(t *testing.T) {
 // blocking on capacity it can never get.
 func TestPoolSerializesNestedBatches(t *testing.T) {
 	t.Parallel()
-	p := NewPool(1)
-	var active, maxActive, ran atomic.Int64
+	ran, peak := runNested(t, NewPool(1))
+	if ran != 12 {
+		t.Fatalf("ran %d of 12 nested jobs", ran)
+	}
+	if peak != 1 {
+		t.Fatalf("1-worker pool ran %d jobs concurrently", peak)
+	}
+}
+
+// TestPoolCapHoldsUnderNesting: on a multi-worker pool, nested levels
+// share one cap, so however the tokens move between the outer batch,
+// the inner batches and the donors, no more than workers jobs ever run
+// at once.
+func TestPoolCapHoldsUnderNesting(t *testing.T) {
+	t.Parallel()
+	for _, workers := range []int{2, 4} {
+		ran, peak := runNested(t, NewPool(workers))
+		if ran != 12 {
+			t.Fatalf("workers=%d: ran %d of 12 nested jobs", workers, ran)
+		}
+		if peak > int64(workers) {
+			t.Fatalf("workers=%d: %d jobs ran concurrently", workers, peak)
+		}
+	}
+}
+
+// runNested runs an outer ForEach(3) around an inner ForEach(4) on p,
+// each inner job sleeping briefly, and returns how many inner jobs ran
+// and the most that were ever running at once.
+func runNested(t *testing.T, p *Pool) (ran, peak int64) {
+	t.Helper()
+	var active, maxActive, done atomic.Int64
 	err := p.ForEach(3, func(i int) error {
 		return p.ForEach(4, func(j int) error {
 			a := active.Add(1)
@@ -200,19 +230,14 @@ func TestPoolSerializesNestedBatches(t *testing.T) {
 				}
 			}
 			time.Sleep(time.Millisecond)
-			ran.Add(1)
+			done.Add(1)
 			return nil
 		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ran.Load() != 12 {
-		t.Fatalf("ran %d of 12 nested jobs", ran.Load())
-	}
-	if maxActive.Load() != 1 {
-		t.Fatalf("1-worker pool ran %d jobs concurrently", maxActive.Load())
-	}
+	return done.Load(), maxActive.Load()
 }
 
 // TestPoolWorkConservingHandoff is the starvation/fairness test for the

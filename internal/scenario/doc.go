@@ -24,11 +24,4 @@
 // cmd/elbench suite loop and every experiment's internal batch share
 // one); tokens freed by a drained level are immediately claimed by any
 // other. See ARCHITECTURE.md for the token-flow diagram.
-//
-// The pool keeps lock-free telemetry of its own realized utilization —
-// jobs run, helpers recruited, cross-batch handoffs, peak concurrency,
-// token-idle time — snapshotted with Pool.Stats and attributable to a
-// scope (one experiment) via Pool.WithMeter; see telemetry.go and
-// ARCHITECTURE.md's Telemetry section. Telemetry never feeds back into
-// scheduling, so it cannot perturb determinism.
 package scenario

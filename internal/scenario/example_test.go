@@ -71,23 +71,3 @@ func ExamplePool() {
 	// Output:
 	// [10 20 30]
 }
-
-// ExamplePool_stats reads the pool's realized-utilization telemetry.
-// A one-worker pool is the serial reference path, so its counters are
-// deterministic: every job ran on the calling goroutine, nothing was
-// recruited or handed off, and concurrency peaked at one. WithMeter
-// carves a per-scope job count out of the shared pool — this is how
-// cmd/elbench attributes jobs to each experiment in its -json record.
-func ExamplePool_stats() {
-	pool := scenario.NewPool(1)
-	var exp1, exp2 scenario.Meter
-	_ = pool.WithMeter(&exp1).ForEach(3, func(int) error { return nil })
-	_ = pool.WithMeter(&exp2).ForEach(5, func(int) error { return nil })
-	s := pool.Stats()
-	fmt.Printf("jobs=%d recruits=%d handoffs=%d peak=%d\n",
-		s.JobsRun, s.HelperRecruits, s.Handoffs, s.PeakConcurrent)
-	fmt.Printf("exp1=%d exp2=%d\n", exp1.Jobs(), exp2.Jobs())
-	// Output:
-	// jobs=8 recruits=0 handoffs=0 peak=1
-	// exp1=3 exp2=5
-}

@@ -267,29 +267,8 @@ func (m *fluidModel) finish(acc *fluidAccum) (*FluidResult, error) {
 	// Private hosts sized exactly as deploy.Build would size them.
 	res.PrivateHosts = m.privateHosts()
 
-	months := cfg.Duration.Hours() / 730
-	u := cost.Usage{Months: months}
-	assets := fluidAssets(cfg)
-	switch cfg.Kind {
-	case deploy.Public:
-		u.VMHoursOnDemand = res.VMHoursPublic
-		u.EgressGB = res.EgressGB
-		u.CDNGB = res.CDNGB
-		u.StorageGBMonths = assets.BytesAt(lms.OnPublic) / 1e9 * months
-	case deploy.Private:
-		u.PrivateHosts = res.PrivateHosts
-	case deploy.Hybrid:
-		u.VMHoursOnDemand = res.VMHoursPublic
-		u.EgressGB = res.EgressGB
-		u.CDNGB = res.CDNGB
-		u.StorageGBMonths = assets.BytesAt(lms.OnPublic) / 1e9 * months
-		u.PrivateHosts = res.PrivateHosts
-		u.HybridMonths = months
-	case deploy.Desktop:
-		u.DesktopStudents = cfg.Students
-	}
 	var err error
-	res.Cost, err = cost.Bill(u, cost.DefaultRates())
+	res.Cost, err = billRun(cfg, fluidAssets(cfg), res.PrivateHosts, res.VMHoursPublic, res.EgressGB, res.CDNGB)
 	if err != nil {
 		return nil, err
 	}

@@ -141,7 +141,7 @@ func PlanFidelity(cfg Config) (*FidelityPlan, error) {
 // cover only the DES windows — the storm regimes, which are the ones
 // with latency worth measuring — while Served, VM-hours, egress and
 // Cost cover the whole horizon. Shards/ShardEvents stay zero (window
-// shard layouts are per-window; the pool telemetry records the
+// shard layouts are per-window; FluidSimHours/DESSimHours record the
 // fidelity split instead).
 func HybridRun(cfg Config, pool *Pool) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
@@ -178,14 +178,7 @@ func HybridRun(cfg Config, pool *Pool) (*Result, error) {
 		}
 	}
 
-	res, err := stitchHybrid(cfg, m, acc, des, results)
-	if err != nil {
-		return nil, err
-	}
-	if pool != nil {
-		pool.stats.noteHybrid(res.FluidSimHours, res.DESSimHours)
-	}
-	return res, nil
+	return stitchHybrid(cfg, m, acc, des, results)
 }
 
 // runHybridWindow executes one planned DES window with the seed and
@@ -311,7 +304,7 @@ func stitchHybrid(cfg Config, m *fluidModel, acc *fluidAccum, des []desWindow, w
 	res.P95Series = mergeByTime("p95-window", winP95)
 
 	var err error
-	res.Cost, err = billRun(cfg, fluidAssets(cfg), res.PrivateHosts, res)
+	res.Cost, err = billRun(cfg, fluidAssets(cfg), res.PrivateHosts, res.VMHoursPublic, res.EgressGB, res.CDNGB)
 	if err != nil {
 		return nil, err
 	}

@@ -359,21 +359,3 @@ func TestHybridDeterminismAcrossParallel(t *testing.T) {
 		}
 	}
 }
-
-// The pool telemetry must report the fidelity split of the most recent
-// hybrid run.
-func TestHybridTelemetrySplit(t *testing.T) {
-	cfg := stormyCfg(19)
-	pool := NewPool(2)
-	if _, err := HybridRun(cfg, pool); err != nil {
-		t.Fatal(err)
-	}
-	st := pool.Stats()
-	if st.HybridDESHours <= 0 || st.HybridFluidHours <= 0 {
-		t.Fatalf("fidelity split not recorded: fluid %.2f, DES %.2f", st.HybridFluidHours, st.HybridDESHours)
-	}
-	if math.Abs(st.HybridFluidHours+st.HybridDESHours-cfg.Duration.Hours()) > 1e-9 {
-		t.Fatalf("telemetry split %.4f + %.4f doesn't partition the horizon %.4f",
-			st.HybridFluidHours, st.HybridDESHours, cfg.Duration.Hours())
-	}
-}

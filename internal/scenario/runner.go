@@ -494,7 +494,7 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 		return res, nil
 	}
 
-	res.Cost, err = billRun(cfg, dep.Assets, dep.PrivateHosts, res)
+	res.Cost, err = billRun(cfg, dep.Assets, dep.PrivateHosts, res.VMHoursPublic, res.EgressGB, res.CDNGB)
 	if err != nil {
 		return nil, err
 	}
@@ -584,26 +584,27 @@ func startScaler(eng *sim.Engine, cfg Config, meanSvc float64, target scale.Targ
 	}
 }
 
-// billRun converts measured consumption into the itemized bill. assets
+// billRun converts measured consumption — public VM-hours, egress and
+// CDN gigabytes — into the itemized bill, for every run path. assets
 // and privateHosts come from the run's deployment on the direct path;
 // a sharded merge instead rebills against the full-scenario asset store
 // and the summed host count, because per-shard deployments each hold a
 // full asset copy that must be billed once, not K times.
-func billRun(cfg Config, assets *lms.AssetStore, privateHosts int, res *Result) (cost.Report, error) {
+func billRun(cfg Config, assets *lms.AssetStore, privateHosts int, vmHoursPublic, egressGB, cdnGB float64) (cost.Report, error) {
 	months := cfg.Duration.Hours() / 730
 	u := cost.Usage{Months: months}
 	switch cfg.Kind {
 	case deploy.Public:
-		u.VMHoursOnDemand = res.VMHoursPublic
-		u.EgressGB = res.EgressGB
-		u.CDNGB = res.CDNGB
+		u.VMHoursOnDemand = vmHoursPublic
+		u.EgressGB = egressGB
+		u.CDNGB = cdnGB
 		u.StorageGBMonths = assets.BytesAt(lms.OnPublic) / 1e9 * months
 	case deploy.Private:
 		u.PrivateHosts = privateHosts
 	case deploy.Hybrid:
-		u.VMHoursOnDemand = res.VMHoursPublic
-		u.EgressGB = res.EgressGB
-		u.CDNGB = res.CDNGB
+		u.VMHoursOnDemand = vmHoursPublic
+		u.EgressGB = egressGB
+		u.CDNGB = cdnGB
 		u.StorageGBMonths = assets.BytesAt(lms.OnPublic) / 1e9 * months
 		u.PrivateHosts = privateHosts
 		u.HybridMonths = months

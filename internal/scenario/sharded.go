@@ -112,14 +112,7 @@ func shardedRun(cfg Config, pool *Pool, win *desWindow) (*Result, error) {
 	if shards == 1 {
 		return results[0], nil
 	}
-	merged, err := mergeShards(cfg, results, win != nil)
-	if err != nil {
-		return nil, err
-	}
-	if pool != nil {
-		pool.stats.noteShards(shards, merged.ShardEvents)
-	}
-	return merged, nil
+	return mergeShards(cfg, results, win != nil)
 }
 
 // shardSlice splits a tracked-resource count of total across K shards:
@@ -269,7 +262,7 @@ func mergeShards(cfg Config, shards []*Result, window bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Cost, err = billRun(cfg, dep.Assets, res.PrivateHosts, res)
+	res.Cost, err = billRun(cfg, dep.Assets, res.PrivateHosts, res.VMHoursPublic, res.EgressGB, res.CDNGB)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@
 # reference breaks the build instead of rotting quietly.
 #
 # The docs also cite golden artifacts by path (ARCHITECTURE.md's
-# Telemetry section, README's -verify workflow), usually in backticks
+# golden-store paragraph, README's -verify workflow), usually in backticks
 # rather than markdown links — so every testdata/golden/... path
 # mentioned anywhere in the scanned docs is additionally checked
 # against the store, and a renamed or deleted golden file breaks the
