@@ -128,7 +128,7 @@ func MeasureInputs(cfg MeasureConfig) (*Inputs, error) {
 
 	for _, kind := range deploy.Kinds() {
 		// Cost: fluid semester.
-		fluid := runs.Fluid("fluid/" + kind.String())
+		fluid := runs.Result("fluid/" + kind.String())
 		in.CostPerStudentMonth[kind] = fluid.CostPerStudentMonth(cfg.Students)
 
 		// Performance: 2h of steady teaching load.
@@ -141,14 +141,7 @@ func MeasureInputs(cfg MeasureConfig) (*Inputs, error) {
 
 		// Security: analytic risk for the model's asset placement.
 		assets := lms.NewAssetStore(cfg.Students/25+1, cfg.Students)
-		switch kind {
-		case deploy.Public:
-			assets.PlaceAll(lms.OnPublic)
-		case deploy.Private:
-			assets.PlaceAll(lms.OnPrivate)
-		case deploy.Hybrid:
-			assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-		}
+		deploy.Place(assets, kind, deploy.DefaultHybridPolicy())
 		in.AnnualSensitiveRisk[kind] = security.ConfigFor(kind).AnnualSensitiveRisk(assets)
 
 		// Portability: cost of leaving.

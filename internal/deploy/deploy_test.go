@@ -147,6 +147,14 @@ func TestPrivateFleetCapacityMatchesPlan(t *testing.T) {
 	}
 }
 
+// placed returns baseSpec's asset inventory under kind's placement.
+func placed(kind Kind, policy HybridPolicy) *lms.AssetStore {
+	spec := baseSpec(kind)
+	assets := lms.NewAssetStore(spec.Courses, spec.Students)
+	Place(assets, kind, policy)
+	return assets
+}
+
 func baseSpec(kind Kind) Spec {
 	return Spec{
 		Kind:            kind,
@@ -166,7 +174,7 @@ func TestBuildPublic(t *testing.T) {
 	if d.PublicDC == nil || d.PrivateDC != nil {
 		t.Fatal("public deployment shape wrong")
 	}
-	if d.Assets.Count(lms.OnPrivate) != 0 {
+	if placed(Public, HybridPolicy{}).Count(lms.OnPrivate) != 0 {
 		t.Fatal("public deployment left assets in-house")
 	}
 	if d.ServersAtPeak != 3 { // 50*0.03/0.6 = 2.5 -> 3
@@ -187,7 +195,7 @@ func TestBuildPrivate(t *testing.T) {
 	if d.PrivateDC == nil || d.PublicDC != nil {
 		t.Fatal("private deployment shape wrong")
 	}
-	if d.Assets.Count(lms.OnPublic) != 0 {
+	if placed(Private, HybridPolicy{}).Count(lms.OnPublic) != 0 {
 		t.Fatal("private deployment put assets on public cloud")
 	}
 	if d.PrivateHosts < 1 {
@@ -222,10 +230,11 @@ func TestBuildHybrid(t *testing.T) {
 		t.Fatal("hybrid needs both sides")
 	}
 	// Sensitive assets pinned in-house, bulk content public.
-	if d.Assets.SensitiveCount(lms.OnPublic) != 0 {
+	assets := placed(Hybrid, spec.Policy)
+	if assets.SensitiveCount(lms.OnPublic) != 0 {
 		t.Fatal("hybrid leaked sensitive assets to public")
 	}
-	if d.Assets.Count(lms.OnPublic) == 0 {
+	if assets.Count(lms.OnPublic) == 0 {
 		t.Fatal("hybrid placed nothing on public side")
 	}
 	if len(d.Datacenters()) != 2 {
@@ -237,11 +246,10 @@ func TestBuildHybridWithoutPinning(t *testing.T) {
 	eng := sim.NewEngine(1)
 	spec := baseSpec(Hybrid)
 	spec.Policy = HybridPolicy{SensitivePrivate: false, PrivateBaseShare: 0.3}
-	d, err := Build(eng, spec)
-	if err != nil {
+	if _, err := Build(eng, spec); err != nil {
 		t.Fatal(err)
 	}
-	if d.Assets.SensitiveCount(lms.OnPublic) == 0 {
+	if placed(Hybrid, spec.Policy).SensitiveCount(lms.OnPublic) == 0 {
 		t.Fatal("unpinned hybrid should place sensitive assets publicly")
 	}
 }
@@ -297,5 +305,43 @@ func TestHybridPrivateSizedToShare(t *testing.T) {
 	if dHalf.PrivateHosts >= dFull.PrivateHosts {
 		t.Fatalf("hybrid private side (%d hosts) should be smaller than full private (%d)",
 			dHalf.PrivateHosts, dFull.PrivateHosts)
+	}
+}
+
+// Size is the plan Build provisions: Build's datacenters carry exactly
+// the Sizing that Size works out without an engine, the private fleet
+// is the whole peak for Private and its base share for Hybrid, and a
+// private datacenter exists exactly when there are owned hosts.
+func TestSizeMatchesBuild(t *testing.T) {
+	want := map[Kind]Sizing{
+		Public:  {ServersAtPeak: 20},
+		Private: {ServersAtPeak: 20, PrivateServers: 20, PrivateHosts: 5},
+		Hybrid:  {ServersAtPeak: 20, PrivateServers: 5, PrivateHosts: 2},
+		Desktop: {ServersAtPeak: 20},
+	}
+	for _, kind := range []Kind{Public, Private, Hybrid, Desktop} {
+		spec := baseSpec(kind)
+		spec.ExpectedPeakRPS = 400 // 400*0.03/0.6 = 20 servers
+		spec.Policy = HybridPolicy{SensitivePrivate: true, PrivateBaseShare: 0.25}
+		sz, err := Size(spec)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if sz != want[kind] {
+			t.Errorf("%v: Size = %+v, want %+v", kind, sz, want[kind])
+		}
+		d, err := Build(sim.NewEngine(1), spec)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if d.Sizing != sz {
+			t.Errorf("%v: Build sized %+v, Size %+v", kind, d.Sizing, sz)
+		}
+		if (d.PrivateDC != nil) != (sz.PrivateHosts > 0) {
+			t.Errorf("%v: private datacenter %v with %d planned hosts", kind, d.PrivateDC != nil, sz.PrivateHosts)
+		}
+	}
+	if _, err := Size(Spec{Kind: Kind(42), Students: 10}); err == nil {
+		t.Error("Size accepted an unknown kind")
 	}
 }

@@ -73,8 +73,6 @@ type Deployment struct {
 	// PrivateDC is the owned, fixed-capacity side (nil for public-only
 	// and desktop).
 	PrivateDC *cloud.Datacenter
-	// Assets is the institution's inventory, placed per the model.
-	Assets *lms.AssetStore
 	// InstanceType is the public flavor rented.
 	InstanceType InstanceType
 	// PrivateSpec is the VM flavor carved out of private hosts.
@@ -83,10 +81,22 @@ type Deployment struct {
 	Policy HybridPolicy
 	// Provider echoes the catalog used.
 	Provider *ProviderCatalog
-	// ServersAtPeak is the sizing result: app servers needed at peak.
+	// Sizing is the capacity plan the datacenters were built for.
+	Sizing
+}
+
+// Sizing is a deployment's capacity plan. Size works it out without an
+// engine and Build provisions it, so a flow-level model and a bill size
+// exactly the fleet a request-level run builds.
+type Sizing struct {
+	// ServersAtPeak is the number of app servers needed at peak.
 	ServersAtPeak int
-	// PrivateHosts is the number of owned hosts (0 unless private side
-	// exists).
+	// PrivateServers is the fixed private fleet: the whole peak for
+	// Private, the policy's PrivateBaseShare of it (at least one) for
+	// Hybrid, and zero otherwise. Bursts above it ride the public cloud.
+	PrivateServers int
+	// PrivateHosts is the number of owned hosts the private fleet packs
+	// onto (0 unless a private side exists).
 	PrivateHosts int
 }
 
@@ -130,21 +140,20 @@ func ServersForPeak(peakRPS, meanServiceSec, targetUtil float64) int {
 	return n
 }
 
-// Build realizes a Spec on the engine. It creates datacenters but does
-// not provision VMs — the autoscaler (or fixed-fleet bootstrap) in the
-// scenario package does that, because VM counts are a runtime concern.
-func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("deploy: Build with nil engine")
-	}
+// resolve validates spec, fills in its defaults and returns the public
+// flavor it rents.
+func (spec *Spec) resolve() (InstanceType, error) {
 	if spec.Students <= 0 {
-		return nil, fmt.Errorf("deploy: Students = %d, need > 0", spec.Students)
+		return InstanceType{}, fmt.Errorf("deploy: Students = %d, need > 0", spec.Students)
 	}
 	if spec.Courses < 0 {
-		return nil, fmt.Errorf("deploy: Courses = %d, need >= 0", spec.Courses)
+		return InstanceType{}, fmt.Errorf("deploy: Courses = %d, need >= 0", spec.Courses)
+	}
+	if spec.Kind < Public || spec.Kind > Desktop {
+		return InstanceType{}, fmt.Errorf("deploy: unknown kind %v", spec.Kind)
 	}
 	if err := spec.Policy.Validate(); err != nil {
-		return nil, err
+		return InstanceType{}, err
 	}
 	if spec.Provider == nil {
 		spec.Provider = DefaultProvider()
@@ -160,14 +169,75 @@ func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
 		// packing bottleneck, CPU is.
 		spec.PrivateHostCapacity = cloud.Resources{CPU: 16, Mem: 64, Disk: 8000}
 	}
-	itype, err := spec.Provider.Type(spec.InstanceTypeName)
+	return spec.Provider.Type(spec.InstanceTypeName)
+}
+
+// Size validates spec and works out its capacity plan: the one sizing
+// rule every run path shares.
+func Size(spec Spec) (Sizing, error) {
+	itype, err := spec.resolve()
+	if err != nil {
+		return Sizing{}, err
+	}
+	return spec.size(itype), nil
+}
+
+// size plans a resolved spec renting itype.
+func (spec *Spec) size(itype InstanceType) Sizing {
+	sz := Sizing{ServersAtPeak: ServersForPeak(spec.ExpectedPeakRPS, spec.MeanServiceSec, spec.TargetUtil)}
+	switch spec.Kind {
+	case Private:
+		sz.PrivateServers = sz.ServersAtPeak
+	case Hybrid:
+		// The private side is sized for its steady share only; bursts
+		// ride the public cloud.
+		sz.PrivateServers = max(1, int(math.Ceil(float64(sz.ServersAtPeak)*spec.Policy.PrivateBaseShare)))
+	}
+	if sz.PrivateServers > 0 {
+		// Pack by the bottleneck dimension, not just CPU: a flavor with
+		// outsized disk or memory demands must not oversubscribe hosts,
+		// or the "peak-sized" fleet silently comes up short.
+		perHost := VMsPerHost(spec.PrivateHostCapacity, itype.Res)
+		sz.PrivateHosts = (sz.PrivateServers + perHost - 1) / perHost
+	}
+	return sz
+}
+
+// Place moves assets to where a deployment of kind keeps them: all on
+// the public cloud for Public; all in-house for Private and for Desktop
+// (locally installed software on campus machines); for Hybrid, the
+// sensitive assets in-house when policy pins them and everything else
+// public.
+func Place(assets *lms.AssetStore, kind Kind, policy HybridPolicy) {
+	switch kind {
+	case Public:
+		assets.PlaceAll(lms.OnPublic)
+	case Private, Desktop:
+		assets.PlaceAll(lms.OnPrivate)
+	case Hybrid:
+		if policy.SensitivePrivate {
+			assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
+		} else {
+			assets.PlaceAll(lms.OnPublic)
+		}
+	}
+}
+
+// Build realizes a Spec on the engine: the datacenters its Sizing
+// needs. It does not provision VMs — the autoscaler (or fixed-fleet
+// bootstrap) in the scenario package does that, because VM counts are
+// a runtime concern — and it builds no asset store: Place applies the
+// model's placement wherever a bill or a threat model reads one.
+func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
+	if eng == nil {
+		return nil, fmt.Errorf("deploy: Build with nil engine")
+	}
+	itype, err := spec.resolve()
 	if err != nil {
 		return nil, err
 	}
-
 	d := &Deployment{
 		Kind:         spec.Kind,
-		Assets:       lms.NewAssetStore(spec.Courses, spec.Students),
 		InstanceType: itype,
 		Provider:     spec.Provider,
 		Policy:       spec.Policy,
@@ -179,11 +249,10 @@ func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
 			Res:       itype.Res,
 			BootDelay: sim.LogNormal(40, 0.3),
 		},
-		ServersAtPeak: ServersForPeak(spec.ExpectedPeakRPS, spec.MeanServiceSec, spec.TargetUtil),
+		Sizing: spec.size(itype),
 	}
-
-	newPublic := func() *cloud.Datacenter {
-		return cloud.NewDatacenter(eng, cloud.Config{
+	if spec.Kind == Public || spec.Kind == Hybrid {
+		d.PublicDC = cloud.NewDatacenter(eng, cloud.Config{
 			Name:         "public",
 			Hosts:        4, // grows elastically
 			HostCapacity: cloud.Resources{CPU: 32, Mem: 128, Disk: 4000},
@@ -192,20 +261,8 @@ func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
 			Elastic:      true,
 		})
 	}
-	hostsFor := func(servers int) int {
-		// Pack by the bottleneck dimension, not just CPU: a flavor with
-		// outsized disk or memory demands must not oversubscribe hosts,
-		// or the "peak-sized" fleet silently comes up short.
-		perHost := VMsPerHost(spec.PrivateHostCapacity, itype.Res)
-		h := (servers + perHost - 1) / perHost
-		if h < 1 {
-			h = 1
-		}
-		return h
-	}
-	newPrivate := func(servers int) *cloud.Datacenter {
-		d.PrivateHosts = hostsFor(servers)
-		return cloud.NewDatacenter(eng, cloud.Config{
+	if d.PrivateHosts > 0 {
+		d.PrivateDC = cloud.NewDatacenter(eng, cloud.Config{
 			Name:         "private",
 			Hosts:        d.PrivateHosts,
 			HostCapacity: spec.PrivateHostCapacity,
@@ -213,35 +270,6 @@ func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
 			MultiTenant:  false,
 			Elastic:      false,
 		})
-	}
-
-	switch spec.Kind {
-	case Public:
-		d.PublicDC = newPublic()
-		d.Assets.PlaceAll(lms.OnPublic)
-	case Private:
-		d.PrivateDC = newPrivate(d.ServersAtPeak)
-		d.Assets.PlaceAll(lms.OnPrivate)
-	case Hybrid:
-		d.PublicDC = newPublic()
-		// The private side is sized for its steady share only; bursts
-		// ride the public cloud.
-		privServers := int(math.Ceil(float64(d.ServersAtPeak) * spec.Policy.PrivateBaseShare))
-		if privServers < 1 {
-			privServers = 1
-		}
-		d.PrivateDC = newPrivate(privServers)
-		if spec.Policy.SensitivePrivate {
-			d.Assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-		} else {
-			d.Assets.PlaceAll(lms.OnPublic)
-		}
-	case Desktop:
-		// No datacenters: locally installed software. Assets live on
-		// campus machines (private).
-		d.Assets.PlaceAll(lms.OnPrivate)
-	default:
-		return nil, fmt.Errorf("deploy: unknown kind %v", spec.Kind)
 	}
 	return d, nil
 }

@@ -61,9 +61,9 @@ func Figure8CDN(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	var hitRatio float64
 	var crossover int
 	for _, n := range populations {
-		pub := runs.Fluid(fmt.Sprintf("public/%d", n))
-		pubCDN := runs.Fluid(fmt.Sprintf("public-cdn/%d", n))
-		priv := runs.Fluid(fmt.Sprintf("private/%d", n))
+		pub := runs.Result(fmt.Sprintf("public/%d", n))
+		pubCDN := runs.Result(fmt.Sprintf("public-cdn/%d", n))
+		priv := runs.Result(fmt.Sprintf("private/%d", n))
 		hitRatio = pubCDN.CDNHitRatio
 		costs := map[string]float64{
 			"public":     pub.CostPerStudentMonth(n),

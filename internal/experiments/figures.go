@@ -119,7 +119,7 @@ func Figure3CostCrossover(seed uint64, pool *scenario.Pool) (*metrics.Table, err
 	for _, n := range populations {
 		costs := make(map[deploy.Kind]float64, 4)
 		for _, kind := range allKinds {
-			res := runs.Fluid(fmt.Sprintf("%d/%s", n, kind))
+			res := runs.Result(fmt.Sprintf("%d/%s", n, kind))
 			costs[kind] = res.CostPerStudentMonth(n)
 		}
 		cheapest := deploy.Public
@@ -156,8 +156,8 @@ func Figure4Utilization(seed uint64, pool *scenario.Pool) (*metrics.Table, error
 	if err != nil {
 		return nil, err
 	}
-	priv := runs.Fluid("private-semester")
-	pub := runs.Fluid("public-semester")
+	priv := runs.Result("private-semester")
+	pub := runs.Result("public-semester")
 	week := 7 * 24 * time.Hour
 	privSeries := priv.Rate.Downsample(week).Points()
 	pubServers := pub.Servers.Downsample(week).Points()
@@ -294,14 +294,7 @@ func Figure6Security(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 		s := specs[i]
 		eng := sim.NewEngine(seed)
 		assets := lms.NewAssetStore(collegeStudents/25, collegeStudents)
-		switch s.kind {
-		case deploy.Public:
-			assets.PlaceAll(lms.OnPublic)
-		case deploy.Private:
-			assets.PlaceAll(lms.OnPrivate)
-		case deploy.Hybrid:
-			assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-		}
+		deploy.Place(assets, s.kind, deploy.DefaultHybridPolicy())
 		m, err := security.NewThreatModel(eng, eng.Stream("threat"), s.cfg, assets)
 		if err != nil {
 			return err

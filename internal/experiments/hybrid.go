@@ -78,9 +78,7 @@ func Table11HybridCourseAt(seed uint64, pool *scenario.Pool, fidelity string) (*
 			moocStudentsStart/1000, moocStudentsCap/1000, moocCourseWeeks),
 		"configuration", "plan", "peak servers", "VM-hours", "$/st/mo", "p95", "served", "events")
 
-	var hybrid *scenario.Result
-	var fluid *scenario.FluidResult
-	var spot *scenario.Result
+	var hybrid, fluid, spot *scenario.Result
 
 	switch fidelity {
 	case FidelityAuto:

@@ -94,9 +94,9 @@ func Table9GrowthModels(seed uint64, pool *scenario.Pool) (*metrics.Table, error
 		"configuration", "peak servers", "VM-hours", "$/st/mo", "vs on-demand", "p95", "errors")
 
 	// Section 1 — the whole course, per deployment model.
-	var pub *scenario.FluidResult
+	var pub *scenario.Result
 	for _, kind := range kinds {
-		res := runs.Fluid("course/" + kind.String())
+		res := runs.Result("course/" + kind.String())
 		if kind == deploy.Public {
 			pub = res
 		}
@@ -144,7 +144,7 @@ func Table9GrowthModels(seed uint64, pool *scenario.Pool) (*metrics.Table, error
 			metrics.FmtPercent(res.ErrorRate()))
 	}
 
-	priv := runs.Fluid("course/" + deploy.Private.String())
+	priv := runs.Result("course/" + deploy.Private.String())
 	t.AddNote("seed=%d; course rows: %d-week fluid run, logistic growth (midpoint week 4), global multi-timezone cohort, 8 req/student-h",
 		seed, moocCourseWeeks)
 	t.AddNote("private fleet is capacity-sized on day one and idles at %.0f%% mean utilization while enrollment catches up (§IV.B at MOOC scale)",

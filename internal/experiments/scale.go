@@ -45,9 +45,9 @@ func scaleRamp(seed uint64) scenario.Config {
 }
 
 // Table10ShardedRamp renders the default artifact: the 10^5-student
-// onboarding ramp at shards=1 and shards=8. The shards=1 row executes
-// the sharded path end to end and is byte-identical to a direct Run;
-// the shards=8 row is the same workload split across eight engines.
+// onboarding ramp at shards=1 and shards=8. The shards=1 row is the
+// direct engine — ShardedRun with one shard is Run — and the shards=8
+// row is the same workload split across eight engines.
 func Table10ShardedRamp(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	return tableForShards(seed, pool, []int{1, 8})
 }

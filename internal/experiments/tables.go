@@ -26,8 +26,8 @@ func Table1Merits(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cloudFluid := runs.Fluid("cloud-semester")
-	deskFluid := runs.Fluid("desktop-semester")
+	cloudFluid := runs.Result("cloud-semester")
+	deskFluid := runs.Result("desktop-semester")
 	cloudRun := runs.Result("cloud-steady")
 	deskRun := runs.Result("desktop-steady")
 
@@ -122,14 +122,7 @@ func Table2Risks(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	risk := make(map[deploy.Kind]string)
 	for _, kind := range deploy.Kinds() {
 		assets := lms.NewAssetStore(collegeStudents/25, collegeStudents)
-		switch kind {
-		case deploy.Public:
-			assets.PlaceAll(lms.OnPublic)
-		case deploy.Private:
-			assets.PlaceAll(lms.OnPrivate)
-		case deploy.Hybrid:
-			assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-		}
+		deploy.Place(assets, kind, deploy.DefaultHybridPolicy())
 		risk[kind] = fmt.Sprintf("%.2f/yr", security.ConfigFor(kind).AnnualSensitiveRisk(assets))
 	}
 	t.AddRow("security: sensitive-asset compromise rate",
@@ -139,12 +132,7 @@ func Table2Risks(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	mig := make(map[deploy.Kind]string)
 	for _, kind := range deploy.Kinds() {
 		assets := lms.NewAssetStore(collegeStudents/25, collegeStudents)
-		switch kind {
-		case deploy.Public:
-			assets.PlaceAll(lms.OnPublic)
-		case deploy.Hybrid:
-			assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-		}
+		deploy.Place(assets, kind, deploy.DefaultHybridPolicy())
 		plan, err := migrate.NewPlan(migrate.LockinProfile{
 			Index:      kind.DefaultLockinIndex(),
 			Components: 12,

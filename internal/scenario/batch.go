@@ -101,17 +101,7 @@ func (p *Pool) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a helper token if one is free right now.
-func (p *Pool) TryAcquire() bool {
-	select {
-	case <-p.tokens:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a token taken by Acquire or TryAcquire. Releasing
+// Release returns a token taken by Acquire. Releasing
 // more tokens than were acquired corrupts the concurrency cap, so an
 // overfull pool panics.
 func (p *Pool) Release() {
@@ -241,13 +231,6 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// ForEach runs fn(i) for every i in [0, n) on a one-off pool of workers
-// goroutines (<= 0 means DefaultWorkers); workers == 1 is the reference
-// serial path. See Pool.ForEach for the error contract.
-func ForEach(n, workers int, fn func(i int) error) error {
-	return NewPool(workers).ForEach(n, fn)
-}
-
 // Job is one named, independent scenario execution within a batch.
 type Job struct {
 	// Name identifies the job; names must be unique within a batch
@@ -261,12 +244,10 @@ type Job struct {
 	Fluid bool
 }
 
-// JobResult pairs a job name with its outcome. Exactly one of Res and
-// Fluid is non-nil, matching the job's fidelity.
+// JobResult pairs a job name with its outcome at the job's fidelity.
 type JobResult struct {
-	Name  string
-	Res   *Result
-	Fluid *FluidResult
+	Name string
+	Res  *Result
 }
 
 // RunAll executes jobs on the pool and returns their results in
@@ -289,15 +270,11 @@ func (p *Pool) RunAll(jobs []Job) ([]JobResult, error) {
 	err := p.ForEach(len(jobs), func(i int) error {
 		j := jobs[i]
 		out[i].Name = j.Name
+		run := Run
 		if j.Fluid {
-			r, err := FluidRun(j.Cfg)
-			if err != nil {
-				return fmt.Errorf("job %q: %w", j.Name, err)
-			}
-			out[i].Fluid = r
-			return nil
+			run = FluidRun
 		}
-		r, err := Run(j.Cfg)
+		r, err := run(j.Cfg)
 		if err != nil {
 			return fmt.Errorf("job %q: %w", j.Name, err)
 		}
@@ -310,13 +287,7 @@ func (p *Pool) RunAll(jobs []Job) ([]JobResult, error) {
 	return out, nil
 }
 
-// RunAll executes jobs on a one-off pool of workers goroutines; see
-// Pool.RunAll.
-func RunAll(jobs []Job, workers int) ([]JobResult, error) {
-	return NewPool(workers).RunAll(jobs)
-}
-
-// Batch accumulates named jobs and runs them through RunAll. The zero
+// Batch accumulates named jobs and runs them through Pool.RunAll. The zero
 // value is not usable; construct with NewBatch.
 type Batch struct {
 	seed uint64
@@ -368,12 +339,6 @@ func (b *Batch) RunOn(p *Pool) (*BatchResults, error) {
 	return &BatchResults{ordered: ordered, byName: byName}, nil
 }
 
-// Run executes every queued job on a one-off pool of workers goroutines
-// (<= 0 means DefaultWorkers) and returns the collected results.
-func (b *Batch) Run(workers int) (*BatchResults, error) {
-	return b.RunOn(NewPool(workers))
-}
-
 // BatchResults holds a batch's outcomes, addressable by submission order
 // or by job name.
 type BatchResults struct {
@@ -384,31 +349,13 @@ type BatchResults struct {
 // All returns every result in submission order.
 func (r *BatchResults) All() []JobResult { return r.ordered }
 
-// Result returns the request-level result of the named job. It panics if
-// the job does not exist or was a fluid job — both are programming
-// errors in the experiment declaring the batch.
+// Result returns the named job's result, at whichever fidelity the job
+// ran. It panics if the job does not exist — a programming error in the
+// experiment declaring the batch.
 func (r *BatchResults) Result(name string) *Result {
-	res := r.lookup(name)
-	if res.Res == nil {
-		panic(fmt.Sprintf("scenario: batch job %q is fluid, not request-level", name))
-	}
-	return res.Res
-}
-
-// Fluid returns the flow-level result of the named job. It panics if the
-// job does not exist or was a request-level job.
-func (r *BatchResults) Fluid(name string) *FluidResult {
-	res := r.lookup(name)
-	if res.Fluid == nil {
-		panic(fmt.Sprintf("scenario: batch job %q is request-level, not fluid", name))
-	}
-	return res.Fluid
-}
-
-func (r *BatchResults) lookup(name string) *JobResult {
 	i, ok := r.byName[name]
 	if !ok {
 		panic(fmt.Sprintf("scenario: no batch job named %q", name))
 	}
-	return &r.ordered[i]
+	return r.ordered[i].Res
 }

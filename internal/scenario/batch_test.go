@@ -55,12 +55,12 @@ func TestRunAllWorkerCountInvariant(t *testing.T) {
 		{Name: "public-fluid", Cfg: smallCfg(11, deploy.Public), Fluid: true},
 		{Name: "desktop", Cfg: smallCfg(11, deploy.Desktop)},
 	}
-	serial, err := RunAll(jobs, 1)
+	serial, err := NewPool(1).RunAll(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
-		par, err := RunAll(jobs, workers)
+		par, err := NewPool(workers).RunAll(jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,22 +72,10 @@ func TestRunAllWorkerCountInvariant(t *testing.T) {
 				t.Fatalf("workers=%d: slot %d holds %q, want %q (submission order broken)",
 					workers, i, par[i].Name, serial[i].Name)
 			}
-			if serial[i].Res != nil {
-				got, want := fingerprint(par[i].Res), fingerprint(serial[i].Res)
-				if got != want {
-					t.Fatalf("workers=%d job %q diverged:\n got %s\nwant %s",
-						workers, serial[i].Name, got, want)
-				}
-			}
-			if serial[i].Fluid != nil {
-				got := fmt.Sprintf("%v %v %v", par[i].Fluid.VMHoursPublic,
-					par[i].Fluid.Cost.Total(), par[i].Fluid.PeakServers)
-				want := fmt.Sprintf("%v %v %v", serial[i].Fluid.VMHoursPublic,
-					serial[i].Fluid.Cost.Total(), serial[i].Fluid.PeakServers)
-				if got != want {
-					t.Fatalf("workers=%d fluid job %q diverged: %s vs %s",
-						workers, serial[i].Name, got, want)
-				}
+			got, want := fingerprint(par[i].Res), fingerprint(serial[i].Res)
+			if got != want {
+				t.Fatalf("workers=%d job %q diverged:\n got %s\nwant %s",
+					workers, serial[i].Name, got, want)
 			}
 		}
 	}
@@ -106,7 +94,7 @@ func TestRunAllFirstErrorWins(t *testing.T) {
 		{Name: "bad-3", Cfg: bad},
 	}
 	for _, workers := range []int{1, 4} {
-		_, err := RunAll(jobs, workers)
+		_, err := NewPool(workers).RunAll(jobs)
 		if err == nil {
 			t.Fatalf("workers=%d: invalid job accepted", workers)
 		}
@@ -120,14 +108,14 @@ func TestRunAllFirstErrorWins(t *testing.T) {
 // addressing and seed derivation, so the batch refuses them up front.
 func TestRunAllRejectsBadNames(t *testing.T) {
 	t.Parallel()
-	if _, err := RunAll([]Job{{Name: "", Cfg: smallCfg(1, deploy.Public)}}, 1); err == nil {
+	if _, err := NewPool(1).RunAll([]Job{{Name: "", Cfg: smallCfg(1, deploy.Public)}}); err == nil {
 		t.Fatal("empty job name accepted")
 	}
 	dup := []Job{
 		{Name: "x", Cfg: smallCfg(1, deploy.Public)},
 		{Name: "x", Cfg: smallCfg(1, deploy.Private)},
 	}
-	if _, err := RunAll(dup, 4); err == nil {
+	if _, err := NewPool(4).RunAll(dup); err == nil {
 		t.Fatal("duplicate job name accepted")
 	}
 }
@@ -154,29 +142,31 @@ func TestBatchSeedDerivation(t *testing.T) {
 	}
 }
 
-// TestBatchResultLookup: results are reachable by name with the right
-// fidelity, and misuse panics loudly.
+// TestBatchResultLookup: results are reachable by name at the job's
+// fidelity, and a missing name panics loudly.
 func TestBatchResultLookup(t *testing.T) {
 	t.Parallel()
+	cfg := smallCfg(11, deploy.Public)
 	b := NewBatch(11).
-		Add("des", smallCfg(11, deploy.Public)).
-		AddFluid("fluid", smallCfg(11, deploy.Public))
-	res, err := b.Run(2)
+		Add("des", cfg).
+		AddFluid("fluid", cfg)
+	res, err := b.RunOn(NewPool(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Result("des").Served == 0 {
 		t.Fatal("DES job served nothing")
 	}
-	if res.Fluid("fluid").Cost.Total() <= 0 {
+	if res.Result("fluid").Cost.Total() <= 0 {
 		t.Fatal("fluid job billed nothing")
+	}
+	if fluid := res.Result("fluid"); fluid.FluidSimHours != cfg.Duration.Hours() || fluid.Events != 0 {
+		t.Fatalf("fluid job ran at the wrong fidelity: %v fluid hours, %d events", fluid.FluidSimHours, fluid.Events)
 	}
 	if len(res.All()) != 2 || res.All()[0].Name != "des" {
 		t.Fatalf("All() order wrong: %+v", res.All())
 	}
 	expectPanic(t, func() { res.Result("missing") })
-	expectPanic(t, func() { res.Result("fluid") })
-	expectPanic(t, func() { res.Fluid("des") })
 }
 
 // TestPoolSerializesNestedBatches: a one-worker pool has no helper
@@ -301,12 +291,7 @@ func TestPoolNestedBatchDeterminism(t *testing.T) {
 			}
 			var b strings.Builder
 			for _, r := range res {
-				if r.Res != nil {
-					fmt.Fprintf(&b, "%s: %s\n", r.Name, fingerprint(r.Res))
-				} else {
-					fmt.Fprintf(&b, "%s: fluid %v %v %v\n", r.Name,
-						r.Fluid.VMHoursPublic, r.Fluid.Cost.Total(), r.Fluid.PeakServers)
-				}
+				fmt.Fprintf(&b, "%s: %s\n", r.Name, fingerprint(r.Res))
 			}
 			out[g] = b.String()
 			return nil
@@ -328,9 +313,9 @@ func TestPoolNestedBatchDeterminism(t *testing.T) {
 	}
 }
 
-// TestPoolAcquireRelease: the exported semaphore surface — context
-// cancellation unblocks Acquire, TryAcquire never blocks, and tokens
-// round-trip.
+// TestPoolAcquireRelease: the exported semaphore surface — a pool
+// holds exactly workers-1 helper tokens, context cancellation unblocks
+// Acquire, and tokens round-trip.
 func TestPoolAcquireRelease(t *testing.T) {
 	t.Parallel()
 	p := NewPool(3) // two helper tokens
@@ -338,11 +323,11 @@ func TestPoolAcquireRelease(t *testing.T) {
 	if err := p.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !p.TryAcquire() {
-		t.Fatal("second helper token not available")
+	if err := p.Acquire(ctx); err != nil {
+		t.Fatal("second helper token not available:", err)
 	}
-	if p.TryAcquire() {
-		t.Fatal("acquired more helper tokens than workers-1")
+	if n := len(p.tokens); n != 0 {
+		t.Fatalf("%d helper tokens left after taking workers-1", n)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
@@ -374,7 +359,7 @@ func expectPanic(t *testing.T, fn func()) {
 func TestForEachSkipsAfterFailure(t *testing.T) {
 	t.Parallel()
 	var ran [8]bool
-	err := ForEach(8, 1, func(i int) error {
+	err := NewPool(1).ForEach(8, func(i int) error {
 		ran[i] = true
 		if i == 2 {
 			return fmt.Errorf("boom at %d", i)
@@ -387,7 +372,7 @@ func TestForEachSkipsAfterFailure(t *testing.T) {
 	if ran[3] || ran[7] {
 		t.Fatal("serial ForEach kept running after a failure")
 	}
-	if err := ForEach(0, 4, func(int) error { return fmt.Errorf("never") }); err != nil {
+	if err := NewPool(4).ForEach(0, func(int) error { return fmt.Errorf("never") }); err != nil {
 		t.Fatalf("empty ForEach returned %v", err)
 	}
 }

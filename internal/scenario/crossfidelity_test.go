@@ -119,31 +119,49 @@ func TestFluidTracksDESRandomConfigs(t *testing.T) {
 	}
 }
 
-// Same check for the private model, where both fidelities should agree
-// on the fixed fleet's host count exactly.
+// Both fidelities must size the fixed fleet and place the assets by
+// deploy's one rule, so the private model's host count and the hybrid's
+// storage bill agree exactly — including a hybrid whose policy leaves
+// sensitive assets public.
 func TestFluidTracksDESPrivateSizing(t *testing.T) {
-	cfg := Config{
-		Seed:              22,
-		Kind:              deploy.Private,
-		Students:          2000,
-		ReqPerStudentHour: 50,
-		Duration:          6 * time.Hour,
-		Diurnal:           workload.FlatDiurnal(),
+	cases := map[string]Config{
+		"private": {
+			Seed:              22,
+			Kind:              deploy.Private,
+			Students:          2000,
+			ReqPerStudentHour: 50,
+			Duration:          6 * time.Hour,
+			Diurnal:           workload.FlatDiurnal(),
+		},
+		"hybrid-unpinned": {
+			Seed:              23,
+			Kind:              deploy.Hybrid,
+			Students:          200,
+			ReqPerStudentHour: 50,
+			Duration:          24 * time.Hour,
+			HybridPolicy:      deploy.HybridPolicy{SensitivePrivate: false, PrivateBaseShare: 0.5},
+		},
 	}
-	des, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fluid, err := FluidRun(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if des.PrivateHosts != fluid.PrivateHosts {
-		t.Fatalf("host sizing diverged: DES %d vs fluid %d",
-			des.PrivateHosts, fluid.PrivateHosts)
-	}
-	// Identical fixed capacity means identical capex bills.
-	if des.Cost.Capex != fluid.Cost.Capex {
-		t.Fatalf("capex diverged: DES %v vs fluid %v", des.Cost.Capex, fluid.Cost.Capex)
+	for name, cfg := range cases {
+		des, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fluid, err := FluidRun(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if des.PrivateHosts != fluid.PrivateHosts {
+			t.Errorf("%s: host sizing diverged: DES %d vs fluid %d",
+				name, des.PrivateHosts, fluid.PrivateHosts)
+		}
+		// Identical fixed capacity means identical capex bills.
+		if des.Cost.Capex != fluid.Cost.Capex {
+			t.Errorf("%s: capex diverged: DES %v vs fluid %v", name, des.Cost.Capex, fluid.Cost.Capex)
+		}
+		// Identical placement means identical storage bills.
+		if des.Cost.Storage != fluid.Cost.Storage {
+			t.Errorf("%s: storage diverged: DES %v vs fluid %v", name, des.Cost.Storage, fluid.Cost.Storage)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package scenario binds every substrate into end-to-end experiments: a
 // deployment model serving the e-learning workload over a network, with
-// autoscaling, sessions, threats and cost accounting. It offers two
-// fidelities:
+// autoscaling, sessions, threats and cost accounting. It has four entry
+// points, all returning one Result type:
 //
 //   - Run: full request-level discrete-event simulation, for experiments
 //     where latency distributions and overload behavior matter (exam
@@ -9,9 +9,17 @@
 //   - FluidRun: a flow-level approximation that steps the arrival-rate
 //     curve and integrates capacity, utilization and cost, for
 //     semester-scale TCO and utilization studies where per-request
-//     queueing is irrelevant.
+//     queueing is irrelevant. Its Result has no latency samples.
+//   - ShardedRun: Run split across K per-shard engines on the pool
+//     (sharded.go); K ≤ 1 is Run itself.
+//   - HybridRun: fluid integration through the quiet stretches and
+//     request-level windows through the bursts, stitched at the seams
+//     (hybrid.go).
 //
-// Both are deterministic given (seed, config).
+// Every request-level path runs through one function, runEngine in
+// runner.go, and every fleet size, host count and asset placement comes
+// from internal/deploy's one rule. All four are deterministic given
+// (seed, config).
 //
 // The package also hosts the deterministic parallel batch runner
 // (batch.go): experiments declare independent scenario executions as

@@ -27,7 +27,7 @@ func ExampleBatch() {
 	runs, err := scenario.NewBatch(7).
 		Add("public", cfg(deploy.Public)).
 		Add("private", cfg(deploy.Private)).
-		Run(2)
+		RunOn(scenario.NewPool(2))
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -127,8 +127,3 @@ func (f *fleet) FailHost(hostID int) int {
 	f.entries = kept
 	return killed
 }
-
-// Shutdown retires everything immediately (end of run).
-func (f *fleet) Shutdown() {
-	f.ScaleTo(0)
-}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"elearncloud/internal/cdn"
-	"elearncloud/internal/cost"
 	"elearncloud/internal/deploy"
 	"elearncloud/internal/lms"
 	"elearncloud/internal/metrics"
@@ -18,54 +17,6 @@ import (
 // would, in the same order, accumulating the same floats.
 const fluidStep = 5 * time.Minute
 
-// FluidResult is the flow-level approximation's output: capacity, cost
-// and utilization over long horizons, without per-request latency.
-type FluidResult struct {
-	// Kind echoes the deployment model.
-	Kind deploy.Kind
-	// Duration is the simulated horizon.
-	Duration time.Duration
-
-	// VMHoursPublic integrates elastic fleet size over time.
-	VMHoursPublic float64
-	// VMHoursPrivate integrates the fixed private fleet (always on).
-	VMHoursPrivate float64
-	// PrivateHosts is the owned hardware count.
-	PrivateHosts int
-	// PeakServers is the largest instantaneous fleet.
-	PeakServers int
-	// MeanPrivateUtil is the average fraction of the private fleet doing
-	// useful work — §IV.B's underutilization argument made measurable.
-	MeanPrivateUtil float64
-	// OfferedRequests is the integrated arrival mass ∫rate·dt over the
-	// horizon — the requests the flow model assumes are all served. The
-	// hybrid stitcher uses the per-segment version of this integral as
-	// the fluid side's served count.
-	OfferedRequests float64
-	// Rate and Servers are downsampled series for figures.
-	Rate    *metrics.TimeSeries
-	Servers *metrics.TimeSeries
-	// ServerRankHours is the fleet's utilization duration curve:
-	// element k holds how many hours the (k+1)-th public server was
-	// running over the horizon. It feeds the reserved-instance
-	// purchase-mix optimization (Table 8).
-	ServerRankHours []float64
-	// EgressGB estimates data served out of the public cloud.
-	EgressGB float64
-	// CDNGB estimates edge-delivered data (zero when the CDN is off).
-	CDNGB float64
-	// CDNHitRatio is the analytic edge hit ratio used.
-	CDNHitRatio float64
-	// Cost is the itemized bill.
-	Cost cost.Report
-}
-
-// CostPerStudentMonth normalizes to USD/student/month.
-func (r *FluidResult) CostPerStudentMonth(students int) float64 {
-	months := r.Duration.Hours() / 730
-	return cost.PerStudentMonth(r.Cost, students, months)
-}
-
 // fluidModel is the flow-level integrator's fixed state: everything
 // derived from the config once, so integration can be applied to the
 // whole horizon (FluidRun) or resumed segment by segment around DES
@@ -75,10 +26,11 @@ type fluidModel struct {
 	gen         *workload.Generator
 	meanSvc     float64
 	meanPayload float64
-	// privServers is the fixed private fleet; pubShare is the fraction
-	// of served bytes leaving the public cloud.
-	privServers int
-	pubShare    float64
+	// size is deploy's capacity plan for the run: the same fixed
+	// private fleet and owned hosts a request-level run builds.
+	size deploy.Sizing
+	// pubShare is the fraction of served bytes leaving the public cloud.
+	pubShare float64
 	// videoByteShare and cdnHit parameterize the analytic CDN split.
 	videoByteShare float64
 	cdnHit         float64
@@ -87,7 +39,7 @@ type fluidModel struct {
 // newFluidModel derives the integrator's fixed state from a defaulted
 // config.
 func newFluidModel(cfg Config) (*fluidModel, error) {
-	cat, teaching := mixFor()
+	cat, teaching := lms.DefaultCatalog(), lms.TeachingMix()
 	gen, err := genFor(cfg)
 	if err != nil {
 		return nil, err
@@ -99,20 +51,15 @@ func newFluidModel(cfg Config) (*fluidModel, error) {
 		meanPayload: teaching.MeanPayload(cat),
 		pubShare:    1.0,
 	}
-	peakServers := deploy.ServersForPeak(gen.MaxRate(), m.meanSvc, cfg.TargetUtil)
+	if m.size, err = deploy.Size(specFor(cfg, gen.MaxRate(), m.meanSvc)); err != nil {
+		return nil, err
+	}
 	switch cfg.Kind {
-	case deploy.Private:
-		m.privServers = peakServers
+	case deploy.Private, deploy.Desktop:
 		m.pubShare = 0
 	case deploy.Hybrid:
-		m.privServers = int(math.Ceil(float64(peakServers) * cfg.HybridPolicy.PrivateBaseShare))
-		if m.privServers < 1 {
-			m.privServers = 1
-		}
 		// Sensitive traffic stays in-house; the rest serves publicly.
 		m.pubShare = 1 - teaching.SensitiveShare(cat)
-	case deploy.Desktop:
-		m.pubShare = 0
 	}
 	if cfg.EnableCDN {
 		m.videoByteShare = teaching.PayloadShare(cat, lms.VideoChunk)
@@ -131,21 +78,15 @@ func (m *fluidModel) neededAt(t time.Duration) int {
 	return needed
 }
 
-// split divides a server need between the public and private sides by
-// deployment kind.
+// split divides a server need between the public and private sides:
+// the fixed private fleet is always on, and the public side carries
+// the rest (all of it without a private side; none of it on a
+// private-only or desktop deployment).
 func (m *fluidModel) split(needed int) (pub, priv int) {
+	priv = m.size.PrivateServers
 	switch m.cfg.Kind {
-	case deploy.Public:
-		pub = needed
-	case deploy.Private:
-		priv = m.privServers // always on
-	case deploy.Hybrid:
-		priv = m.privServers
-		if needed > m.privServers {
-			pub = needed - m.privServers
-		}
-	case deploy.Desktop:
-		// no servers at all
+	case deploy.Public, deploy.Hybrid:
+		pub = max(0, needed-priv)
 	}
 	return pub, priv
 }
@@ -154,7 +95,7 @@ func (m *fluidModel) split(needed int) (pub, priv int) {
 // being built plus the scalar accumulators that only finalize once the
 // whole horizon is covered.
 type fluidAccum struct {
-	res         *FluidResult
+	res         *Result
 	egressBytes float64
 	cdnBytes    float64
 	utilAccum   float64
@@ -166,8 +107,9 @@ type fluidAccum struct {
 
 // newAccum starts an empty accumulator for one integration pass.
 func (m *fluidModel) newAccum() *fluidAccum {
-	return &fluidAccum{res: &FluidResult{
+	return &fluidAccum{res: &Result{
 		Kind:     m.cfg.Kind,
+		Scaler:   m.cfg.Scaler,
 		Duration: m.cfg.Duration,
 		Rate:     metrics.NewTimeSeries("rate-rps"),
 		Servers:  metrics.NewTimeSeries("servers"),
@@ -183,6 +125,7 @@ func (m *fluidModel) newAccum() *fluidAccum {
 func (m *fluidModel) integrate(acc *fluidAccum, from, to time.Duration) {
 	res := acc.res
 	stepHours := fluidStep.Hours()
+	privServers := m.size.PrivateServers
 	for t := from; t < to; t += fluidStep {
 		rate := m.gen.Rate(t)
 		needed := m.neededAt(t)
@@ -199,9 +142,9 @@ func (m *fluidModel) integrate(acc *fluidAccum, from, to time.Duration) {
 		if total := pub + priv; total > res.PeakServers {
 			res.PeakServers = total
 		}
-		if m.privServers > 0 {
-			busyPriv := math.Min(float64(needed), float64(m.privServers))
-			acc.utilAccum += busyPriv / float64(m.privServers)
+		if privServers > 0 {
+			busyPriv := math.Min(float64(needed), float64(privServers))
+			acc.utilAccum += busyPriv / float64(privServers)
 			acc.steps++
 		}
 		res.OfferedRequests += rate * fluidStep.Seconds()
@@ -220,66 +163,13 @@ func (m *fluidModel) integrate(acc *fluidAccum, from, to time.Duration) {
 	}
 }
 
-// privateHosts sizes the owned hardware exactly as deploy.Build would.
-func (m *fluidModel) privateHosts() int {
-	if m.privServers <= 0 {
-		return 0
-	}
-	hostCPU := 16.0
-	perHost := int(hostCPU / 4) // m.large-shaped VMs on 16-core hosts
-	if perHost < 1 {
-		perHost = 1
-	}
-	return (m.privServers + perHost - 1) / perHost
-}
-
-// fluidAssets builds the asset store with the placement the flow model
-// bills against (shared by FluidRun and the hybrid stitcher).
-func fluidAssets(cfg Config) *lms.AssetStore {
-	assets := lms.NewAssetStore(cfg.Courses, cfg.Students)
-	switch cfg.Kind {
-	case deploy.Public:
-		assets.PlaceAll(lms.OnPublic)
-	case deploy.Hybrid:
-		assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-	}
-	return assets
-}
-
-// finish seals an accumulator into the final FluidResult: derived
-// scalars, downsampled series, host sizing and the bill.
-func (m *fluidModel) finish(acc *fluidAccum) (*FluidResult, error) {
-	cfg := m.cfg
-	res := acc.res
-	if acc.steps > 0 {
-		res.MeanPrivateUtil = acc.utilAccum / float64(acc.steps)
-	}
-	res.EgressGB = acc.egressBytes / 1e9
-	res.CDNGB = acc.cdnBytes / 1e9
-	res.CDNHitRatio = m.cdnHit
-	downsampleTo := cfg.Duration / 500 // keep figure series plottable
-	if downsampleTo < fluidStep {
-		downsampleTo = fluidStep
-	}
-	res.Rate = res.Rate.Downsample(downsampleTo)
-	res.Servers = res.Servers.Downsample(downsampleTo)
-
-	// Private hosts sized exactly as deploy.Build would size them.
-	res.PrivateHosts = m.privateHosts()
-
-	var err error
-	res.Cost, err = billRun(cfg, fluidAssets(cfg), res.PrivateHosts, res.VMHoursPublic, res.EgressGB, res.CDNGB)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // FluidRun integrates the arrival-rate curve into capacity, utilization
 // and cost. Use it for semester- and year-scale questions (Figures 3-4);
 // use Run when latency distributions matter, and HybridRun when only
-// the bursty windows do.
-func FluidRun(cfg Config) (*FluidResult, error) {
+// the bursty windows do. The flow model has no requests, so the
+// Result's Latency, Utilization and P95Series are empty; its
+// FluidSimHours is the horizon.
+func FluidRun(cfg Config) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
@@ -289,5 +179,26 @@ func FluidRun(cfg Config) (*FluidResult, error) {
 	}
 	acc := m.newAccum()
 	m.integrate(acc, 0, cfg.Duration)
-	return m.finish(acc)
+
+	res := acc.res
+	if acc.steps > 0 {
+		res.MeanPrivateUtil = acc.utilAccum / float64(acc.steps)
+	}
+	res.EgressGB = acc.egressBytes / 1e9
+	res.CDNGB = acc.cdnBytes / 1e9
+	res.CDNHitRatio = m.cdnHit
+	downsampleTo := max(fluidStep, cfg.Duration/500) // keep figure series plottable
+	res.Rate = res.Rate.Downsample(downsampleTo)
+	res.Servers = res.Servers.Downsample(downsampleTo)
+	res.Latency = metrics.DefaultLatency()
+	res.Utilization = metrics.NewTimeSeries("load-per-server")
+	res.P95Series = metrics.NewTimeSeries("p95-window")
+	res.PrivateHosts = m.size.PrivateHosts
+	res.FluidSimHours = cfg.Duration.Hours()
+	// The flow model assumes the last mile is up.
+	res.NetAvailability = 1
+	if err := res.bill(cfg); err != nil {
+		return nil, err
+	}
+	return res, nil
 }

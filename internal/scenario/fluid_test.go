@@ -137,6 +137,12 @@ func TestFluidValidation(t *testing.T) {
 	if _, err := FluidRun(Config{}); err == nil {
 		t.Fatal("zero config accepted")
 	}
+	for _, bad := range badEnumCfgs() {
+		expectErrorNaming(t, "FluidRun", bad.cfg, func(c Config) error {
+			_, err := FluidRun(c)
+			return err
+		}, bad.value)
+	}
 }
 
 func TestFluidDeterminism(t *testing.T) {

@@ -51,7 +51,7 @@ import (
 )
 
 // desWindow is one planned DES window with its warm-start state: what
-// runShard needs to open the window as if the simulation had been
+// runEngine needs to open the window as if the simulation had been
 // running since t=0.
 type desWindow struct {
 	index      int
@@ -223,7 +223,7 @@ func stitchHybrid(cfg Config, m *fluidModel, acc *fluidAccum, des []desWindow, w
 		Scaler:        cfg.Scaler,
 		Duration:      cfg.Duration,
 		Latency:       metrics.DefaultLatency(),
-		PrivateHosts:  m.privateHosts(),
+		PrivateHosts:  m.size.PrivateHosts,
 		FluidSimHours: acc.hours,
 		// Fluid-side totals first; windows fold in below.
 		VMHoursPublic:  f.VMHoursPublic,
@@ -236,31 +236,13 @@ func stitchHybrid(cfg Config, m *fluidModel, acc *fluidAccum, des []desWindow, w
 	fluidCDNGB := res.CDNGB
 
 	for i, r := range wins {
-		res.Latency.Merge(r.Latency)
-		res.Arrivals += r.Arrivals
+		res.add(r)
 		// A window's in-flight handoff joins the served mass: the fluid
 		// side it returns to assumes all offered load completes.
 		res.Served += r.Served + uint64(r.CarriedOut)
-		res.Rejected += r.Rejected
-		res.Offline += r.Offline
-		res.PolicyViolations += r.PolicyViolations
-		res.VMHoursPublic += r.VMHoursPublic
-		res.VMHoursPrivate += r.VMHoursPrivate
-		res.EgressGB += r.EgressGB
-		res.CDNGB += r.CDNGB
-		res.KilledJobs += r.KilledJobs
-		res.LostWork += r.LostWork
-		res.Disconnects += r.Disconnects
-		res.Breaches += r.Breaches
-		res.SensitiveExposures += r.SensitiveExposures
-		res.DataLossEvents += r.DataLossEvents
-		res.BytesLost += r.BytesLost
-		res.CarriedIn += r.CarriedIn
-		res.CarriedOut += r.CarriedOut
-		res.Events += r.Events
-		if r.PeakServers > res.PeakServers {
-			res.PeakServers = r.PeakServers
-		}
+		// Windows and fluid segments are disjoint in time: the peak is
+		// the largest of theirs.
+		res.PeakServers = max(res.PeakServers, r.PeakServers)
 		res.DESSimHours += (des[i].end - des[i].start).Hours()
 	}
 
@@ -303,9 +285,7 @@ func stitchHybrid(cfg Config, m *fluidModel, acc *fluidAccum, des []desWindow, w
 	res.Utilization = mergeByTime("load-per-server", winUtil)
 	res.P95Series = mergeByTime("p95-window", winP95)
 
-	var err error
-	res.Cost, err = billRun(cfg, fluidAssets(cfg), res.PrivateHosts, res.VMHoursPublic, res.EgressGB, res.CDNGB)
-	if err != nil {
+	if err := res.bill(cfg); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -27,20 +27,10 @@ const desktopSlowdown = 1.4
 // Run executes a full request-level simulation of cfg and returns the
 // measured Result.
 func Run(cfg Config) (*Result, error) {
-	return runShard(cfg, nil)
-}
-
-// shardCtx tells runShard which slice of a sharded run it is: the
-// partition built from the parent config, and this run's shard index.
-// A nil shardCtx is the direct, unsharded path. win, when non-nil,
-// restricts the engine to one hybrid DES window: the clock is warped
-// to the window's start, the fleet warm-started at the fluid model's
-// size, the queue seeded with synthetic backlog, and the run cut off
-// at the window's end (see hybrid.go for the stitching rules).
-type shardCtx struct {
-	sh  *workload.Sharding
-	k   int
-	win *desWindow
+	if err := cfg.defaults(); err != nil {
+		return nil, err
+	}
+	return runEngine(cfg, nil, nil)
 }
 
 // genFor builds the workload generator for a defaulted config.
@@ -57,49 +47,10 @@ func genFor(cfg Config) (*workload.Generator, error) {
 	})
 }
 
-// runShard executes one simulation engine: the whole scenario when sc is
-// nil, or one shard's slice of it. A single-shard shardCtx multiplies
-// every rate and sizing input by a share of exactly 1.0 and draws users
-// from an identity member list, so its result is byte-identical to the
-// direct path — the property the sharded tests and the CI scale lane pin.
-func runShard(cfg Config, sc *shardCtx) (*Result, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine(cfg.Seed)
-	var win *desWindow
-	if sc != nil {
-		win = sc.win
-	}
-	// startAt/endAt delimit this engine's slice of the horizon: the
-	// whole run on the direct path, one DES window under HybridRun. The
-	// clock warp makes every absolute-time consumer (calendar lookups,
-	// diurnal shapes, scheduled scalers, the sampler) see true virtual
-	// time without knowing about windows.
-	startAt, endAt := time.Duration(0), cfg.Duration
-	if win != nil {
-		startAt, endAt = win.start, win.end
-		if err := eng.Import(sim.State{Now: startAt}); err != nil {
-			return nil, err
-		}
-	}
-	cat, teaching := mixFor()
-
-	gen, err := genFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The shard's fleet absorbs only its share of the peak; capacity is
-	// split proportionally to shard population (the documented
-	// approximation — see ShardedRun).
-	share := 1.0
-	peakRPS := gen.MaxRate()
-	if sc != nil {
-		share = sc.sh.CapShare(sc.k)
-		peakRPS = gen.MaxRate() * share
-	}
-	meanSvc := teaching.MeanService(cat)
-	dep, err := deploy.Build(eng, deploy.Spec{
+// specFor is the deployment of a defaulted cfg whose fleet absorbs
+// peakRPS requests per second of meanSvc seconds of work each.
+func specFor(cfg Config, peakRPS, meanSvc float64) deploy.Spec {
+	return deploy.Spec{
 		Kind:            cfg.Kind,
 		Students:        cfg.Students,
 		Courses:         cfg.Courses,
@@ -107,13 +58,122 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 		MeanServiceSec:  meanSvc,
 		TargetUtil:      cfg.TargetUtil,
 		Policy:          cfg.HybridPolicy,
-	})
-	if err != nil {
+	}
+}
+
+// assetsFor builds cfg's asset inventory under deploy's placement rule.
+// At 500k students one store is tens of megabytes, so it is built only
+// where a bill or the threat model reads it.
+func assetsFor(cfg Config) *lms.AssetStore {
+	assets := lms.NewAssetStore(cfg.Courses, cfg.Students)
+	deploy.Place(assets, cfg.Kind, cfg.HybridPolicy)
+	return assets
+}
+
+// engine is one request-level run: the substrates build wires, the
+// ledgers the request handlers keep, and what collect reads back.
+type engine struct {
+	cfg Config
+	eng *sim.Engine
+	// sh, when non-nil, makes the run one shard of a sharded run; win,
+	// when non-nil, confines it to one hybrid DES window.
+	sh  *shard
+	win *desWindow
+	// endAt is where the run stops: the horizon, or the window's end.
+	endAt time.Duration
+
+	cat      *lms.Catalog
+	dep      *deploy.Deployment
+	topo     *network.Topology
+	stream   *workload.ArrivalStream
+	edge     *cdn.Edge
+	threat   *security.ThreatModel
+	sessions []*lms.Session
+	stops    []func()
+
+	pubCluster, privCluster *lms.Cluster
+	pubFleet, privFleet     *fleet
+	growthFit               *scale.GrowthFit
+
+	svcRNG, payRNG, netRNG *sim.RNG
+
+	res         *Result
+	windowHist  *metrics.Histogram
+	egressBytes float64
+	// liveReqs counts real requests admitted to a cluster whose
+	// transfer has not yet completed — the queue mass a hybrid window
+	// hands back across its closing seam (CarriedOut). It is maintained
+	// independently of the outcome counters so the seam conservation
+	// identity is a genuine cross-check, not an echo.
+	liveReqs int
+}
+
+// runEngine executes one simulation engine over a defaulted cfg in
+// three steps: build wires the substrates and schedules the arrival
+// pump and the periodic processes, the engine runs, and collect reads
+// the ledgers back.
+//
+// sh, when non-nil, makes the engine one shard of a K ≥ 2 sharded run:
+// it draws only the shard's users and scales every rate and sizing
+// input by the shard's share. win, when non-nil, restricts the engine
+// to one hybrid DES window: the clock is warped to the window's start,
+// the fleet warm-started at the fluid model's size, the queue seeded
+// with synthetic backlog, and the run cut off at the window's end (see
+// hybrid.go for the stitching rules).
+func runEngine(cfg Config, sh *shard, win *desWindow) (*Result, error) {
+	e := &engine{cfg: cfg, eng: sim.NewEngine(cfg.Seed), sh: sh, win: win}
+	if err := e.build(); err != nil {
 		return nil, err
 	}
-	topo := network.BuildTopology(eng, cfg.Access)
+	if err := e.eng.Run(e.endAt); err != nil {
+		return nil, fmt.Errorf("scenario: engine: %w", err)
+	}
+	for _, stop := range e.stops {
+		stop()
+	}
+	return e.collect()
+}
 
-	res := &Result{
+// build wires the deployment, network, fleets, autoscaler, CDN,
+// sessions, failures and threats onto the engine and schedules the
+// first arrival.
+func (e *engine) build() error {
+	cfg, eng, sh, win := e.cfg, e.eng, e.sh, e.win
+	// startAt/endAt delimit this engine's slice of the horizon: the
+	// whole run on the direct path, one DES window under HybridRun. The
+	// clock warp makes every absolute-time consumer (calendar lookups,
+	// diurnal shapes, scheduled scalers, the sampler) see true virtual
+	// time without knowing about windows.
+	startAt := time.Duration(0)
+	e.endAt = cfg.Duration
+	if win != nil {
+		startAt, e.endAt = win.start, win.end
+		if err := eng.Import(sim.State{Now: startAt}); err != nil {
+			return err
+		}
+	}
+	e.cat = lms.DefaultCatalog()
+	meanSvc := lms.TeachingMix().MeanService(e.cat)
+
+	gen, err := genFor(cfg)
+	if err != nil {
+		return err
+	}
+	// A shard's fleet absorbs only its share of the peak; capacity is
+	// split proportionally to shard population (the documented
+	// approximation — see ShardedRun). Unsharded, the share is 1.
+	share := 1.0
+	if sh != nil {
+		share = sh.share
+	}
+	dep, err := deploy.Build(eng, specFor(cfg, gen.MaxRate()*share, meanSvc))
+	if err != nil {
+		return err
+	}
+	e.dep = dep
+	e.topo = network.BuildTopology(eng, cfg.Access)
+
+	e.res = &Result{
 		Kind:         cfg.Kind,
 		Scaler:       cfg.Scaler,
 		Duration:     cfg.Duration,
@@ -123,42 +183,22 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 		P95Series:    metrics.NewTimeSeries("p95-window"),
 		PrivateHosts: dep.PrivateHosts,
 	}
-	windowHist := metrics.DefaultLatency()
+	e.windowHist = metrics.DefaultLatency()
 
 	// --- fleets ---------------------------------------------------------
-	pubCluster := lms.NewCluster("public")
-	privCluster := lms.NewCluster("private")
-	var pubFleet, privFleet *fleet
-	var growthFit *scale.GrowthFit
-	var stops []func()
-
-	maxPublic := cfg.MaxPublicServers
-	if maxPublic <= 0 {
-		maxPublic = dep.ServersAtPeak * 4
-	}
-	privServers := dep.ServersAtPeak
-	if cfg.Kind == deploy.Hybrid {
-		privServers = int(math.Ceil(float64(dep.ServersAtPeak) * cfg.HybridPolicy.PrivateBaseShare))
-		if privServers < 1 {
-			privServers = 1
-		}
-	}
-
+	e.pubCluster = lms.NewCluster("public")
+	e.privCluster = lms.NewCluster("private")
 	if dep.PublicDC != nil {
-		pubFleet = newFleet(eng, dep.PublicDC, pubCluster, dep.InstanceType.Spec(), maxPublic)
-		pubTarget := dep.ServersAtPeak
-		if cfg.Kind == deploy.Hybrid {
-			pubTarget = dep.ServersAtPeak - privServers
-			if pubTarget < 1 {
-				pubTarget = 1
-			}
+		maxPublic := cfg.MaxPublicServers
+		if maxPublic <= 0 {
+			maxPublic = dep.ServersAtPeak * 4
 		}
-		initial := pubTarget
+		e.pubFleet = newFleet(eng, dep.PublicDC, e.pubCluster, dep.InstanceType.Spec(), maxPublic)
+		// The public side is sized for the peak the fixed private fleet
+		// does not carry.
+		initial := max(1, dep.ServersAtPeak-dep.PrivateServers)
 		if cfg.Scaler != ScalerFixed {
-			initial = (pubTarget + 3) / 4
-			if initial < 2 {
-				initial = 2
-			}
+			initial = max(2, (initial+3)/4)
 		}
 		// A hybrid DES window warm-starts at the fleet the fluid model
 		// was running when the window opened (its share of it, under
@@ -167,170 +207,49 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 		// itself is unchanged: the scaler may still scale in to it.
 		warm := initial
 		if win != nil && cfg.Scaler != ScalerFixed {
-			warm = int(math.Ceil(float64(win.initServers) * share))
-			if warm < initial {
-				warm = initial
-			}
-			if warm > maxPublic {
-				warm = maxPublic
-			}
+			warm = min(maxPublic, max(initial, int(math.Ceil(float64(win.initServers)*share))))
 		}
-		pubFleet.ScaleTo(warm)
+		e.pubFleet.ScaleTo(warm)
 		// The bootstrap size is also the scale-in floor: production
 		// fleets never drain below their baseline, or the first spike
 		// after a quiet night pays the full boot lag.
-		scaler, stop := startScaler(eng, cfg, meanSvc, pubFleet, initial, maxPublic, share)
-		if stop != nil {
-			stops = append(stops, stop)
+		scaler, stop, err := startScaler(eng, cfg, gen, meanSvc, e.pubFleet, initial, maxPublic, share)
+		if err != nil {
+			return err
 		}
-		growthFit, _ = scaler.(*scale.GrowthFit)
+		if stop != nil {
+			e.stops = append(e.stops, stop)
+		}
+		e.growthFit, _ = scaler.(*scale.GrowthFit)
 	}
 	if dep.PrivateDC != nil {
-		privFleet = newFleet(eng, dep.PrivateDC, privCluster, dep.PrivateSpec, 0)
-		privFleet.ScaleTo(privServers) // fixed fleet, sized up front
+		e.privFleet = newFleet(eng, dep.PrivateDC, e.privCluster, dep.PrivateSpec, 0)
+		e.privFleet.ScaleTo(dep.PrivateServers) // fixed fleet, sized up front
 	}
 
 	// --- CDN ---------------------------------------------------------------
-	var edge *cdn.Edge
 	if cfg.EnableCDN && dep.PublicDC != nil {
-		edge, err = cdn.NewEdge(cdn.DefaultConfig(cfg.Courses), eng.Stream("cdn"))
+		e.edge, err = cdn.NewEdge(cdn.DefaultConfig(cfg.Courses), eng.Stream("cdn"))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if win != nil {
 			// Mid-horizon windows see the cache warmth the fluid model's
 			// analytic hit ratio assumed, not a cold (all-miss) edge —
 			// the cold-CDN divergence regime PR 7's fuzzer pinned.
-			edge.Warm(win.cdnWarm)
+			e.edge.Warm(win.cdnWarm)
 		}
 	}
 
-	// --- request handling ------------------------------------------------
-	var (
-		svcRNG      = eng.Stream("service")
-		payRNG      = eng.Stream("payload")
-		netRNG      = eng.Stream("net")
-		egressBytes float64
-		// liveReqs counts real requests admitted to a cluster whose
-		// transfer has not yet completed — the queue mass a hybrid
-		// window hands back across its closing seam (CarriedOut). It is
-		// maintained independently of the outcome counters so the seam
-		// conservation identity is a genuine cross-check, not an echo.
-		liveReqs int
-	)
-	finish := func(path *network.Path, billEgress bool, payload float64, start sim.Time) func() {
-		return func() {
-			tt := path.TransferTime(netRNG, payload)
-			release := path.BeginTransfer()
-			eng.Schedule(sim.Seconds(tt), "transfer", func() {
-				release()
-				lat := sim.ToSeconds(eng.Now() - start)
-				res.Latency.Observe(lat)
-				windowHist.Observe(lat)
-				res.Served++
-				liveReqs--
-				if billEgress {
-					egressBytes += payload
-				}
-			})
-		}
-	}
-	// admit wraps Cluster.Submit for real (non-backlog) requests so
-	// liveReqs tracks every admission that finish will later settle.
-	admit := func(cluster *lms.Cluster, service float64, done func()) bool {
-		if cluster.Submit(service, done) {
-			liveReqs++
-			return true
-		}
-		return false
-	}
-	handle := func(a workload.Arrival) {
-		spec := cat.Spec(a.Class)
-		service := spec.Service.Sample(svcRNG)
-		payload := spec.Payload.Sample(payRNG)
-
-		if cfg.Kind == deploy.Desktop {
-			// Locally installed application: no network, no queueing
-			// across users, just a slower machine.
-			res.Latency.Observe(service * desktopSlowdown)
-			windowHist.Observe(service * desktopSlowdown)
-			res.Served++
-			return
-		}
-
-		path, cluster, public := topo.ToCloud, pubCluster, true
-		if cfg.Kind == deploy.Private || (cfg.Kind == deploy.Hybrid && spec.Sensitive) {
-			path, cluster, public = topo.ToCampus, privCluster, false
-		}
-		// Video served through the CDN: edge hits skip the backbone and
-		// bill at CDN rates; misses pay the origin trip. The edge does
-		// its own byte accounting either way.
-		if edge != nil && public && a.Class == lms.VideoChunk {
-			if !topo.ToEdge.Up() {
-				res.Offline++
-				return
-			}
-			hit := edge.Serve(payload)
-			videoPath := topo.ToEdge
-			if !hit {
-				videoPath = topo.ToCloud
-			}
-			if admit(cluster, service, finish(videoPath, false, payload, eng.Now())) {
-				return
-			}
-			res.Rejected++
-			return
-		}
-		// Relaxed hybrids divert sensitive work to the public side as
-		// soon as the private side runs hot (per-server pressure above
-		// the burst threshold), not only when admission fails — waiting
-		// for the 256-job wall would mean minutes of queueing first.
-		const burstLoad = 8
-		if cfg.Kind == deploy.Hybrid && spec.Sensitive && !cfg.StrictPinning &&
-			privCluster.Load() > burstLoad && topo.ToCloud.Up() {
-			if admit(pubCluster, service, finish(topo.ToCloud, true, payload, eng.Now())) {
-				res.PolicyViolations++
-				return
-			}
-		}
-		if !path.Up() {
-			res.Offline++
-			return
-		}
-		if admit(cluster, service, finish(path, public, payload, eng.Now())) {
-			return
-		}
-		// Admission failed. Hybrids may still burst sensitive work
-		// publicly unless pinning is strict (Table 4's policy knob).
-		if cfg.Kind == deploy.Hybrid && spec.Sensitive && !cfg.StrictPinning && topo.ToCloud.Up() {
-			if admit(pubCluster, service, finish(topo.ToCloud, true, payload, eng.Now())) {
-				res.PolicyViolations++
-				return
-			}
-		}
-		res.Rejected++
-	}
-
+	// --- arrivals ------------------------------------------------------------
+	e.svcRNG, e.payRNG, e.netRNG = eng.Stream("service"), eng.Stream("payload"), eng.Stream("net")
 	streamStart := startAt + bootGrace
-	var stream *workload.ArrivalStream
-	if sc != nil && sc.sh != nil {
-		stream = sc.sh.Shard(sc.k).Stream(eng.Stream("workload"), streamStart)
+	if sh != nil {
+		e.stream = sh.gen.Stream(eng.Stream("workload"), streamStart)
 	} else {
-		stream = gen.Stream(eng.Stream("workload"), streamStart)
+		e.stream = gen.Stream(eng.Stream("workload"), streamStart)
 	}
-	var pump func()
-	pump = func() {
-		a, ok := stream.Next(endAt)
-		if !ok {
-			return
-		}
-		eng.ScheduleAt(a.At, "arrival", func() {
-			res.Arrivals++
-			handle(a)
-			pump()
-		})
-	}
-	pump()
+	e.pump()
 
 	// --- hybrid window backlog seeding -------------------------------------
 	// The queue mass the fluid model says is in flight when the window
@@ -342,42 +261,41 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 	backlogDone := func() {} // shared no-op completion for synthetic jobs
 	if win != nil && cfg.Kind != deploy.Desktop {
 		n := int(math.Round(float64(win.backlog) * share))
-		backlogCluster := pubCluster
+		backlogCluster := e.pubCluster
 		if cfg.Kind == deploy.Private || dep.PublicDC == nil {
-			backlogCluster = privCluster
+			backlogCluster = e.privCluster
 		}
 		eng.ScheduleAt(startAt+bootGrace, "hybrid-backlog", func() {
 			for i := 0; i < n; i++ {
 				if backlogCluster.Submit(meanSvc, backlogDone) {
-					res.CarriedIn++
+					e.res.CarriedIn++
 				}
 			}
 		})
 	}
 
 	// --- sessions and lost work ------------------------------------------
-	var sessions []*lms.Session
 	if cfg.Kind != deploy.Desktop {
-		sessions = make([]*lms.Session, cfg.TrackedSessions)
-		for i := range sessions {
-			sessions[i] = lms.NewSession(i, 0)
+		e.sessions = make([]*lms.Session, cfg.TrackedSessions)
+		for i := range e.sessions {
+			e.sessions[i] = lms.NewSession(i, 0)
 		}
-		stops = append(stops, eng.Every(cfg.AutosaveEvery, "autosave", func() {
-			for _, s := range sessions {
+		e.stops = append(e.stops, eng.Every(cfg.AutosaveEvery, "autosave", func() {
+			for _, s := range e.sessions {
 				s.Autosave(eng.Now())
 			}
 		}))
-		if fp := topo.LastMile.Failure(); fp != nil {
+		if fp := e.topo.LastMile.Failure(); fp != nil {
 			fp.OnChange(func(up bool) {
 				now := eng.Now()
 				if up {
-					for _, s := range sessions {
+					for _, s := range e.sessions {
 						s.Reconnect(now)
 					}
 					return
 				}
-				res.Disconnects++
-				for _, s := range sessions {
+				e.res.Disconnects++
+				for _, s := range e.sessions {
 					s.Disconnect(now)
 				}
 			})
@@ -389,114 +307,227 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 	// opening after the failure instant must not see the event clamp to
 	// its warped clock and destroy a host that (per the plan) failed
 	// and recovered in fluid time.
-	if cfg.HostFailureAt > 0 && privFleet != nil && cfg.HostFailureAt >= startAt && cfg.HostFailureAt < endAt {
+	if cfg.HostFailureAt > 0 && e.privFleet != nil && cfg.HostFailureAt >= startAt && cfg.HostFailureAt < e.endAt {
 		eng.ScheduleAt(cfg.HostFailureAt, "host-failure", func() {
-			res.KilledJobs += privFleet.FailHost(0)
+			e.res.KilledJobs += e.privFleet.FailHost(0)
 			dep.PrivateDC.FailHost(0)
 			eng.Schedule(cfg.HostRecoveryAfter, "host-repair", func() {
 				dep.PrivateDC.RepairHost(0)
-				privFleet.ScaleTo(privServers)
+				e.privFleet.ScaleTo(dep.PrivateServers)
 			})
 		})
 	}
 
 	// --- threats ----------------------------------------------------------
-	var threat *security.ThreatModel
 	if cfg.EnableThreats {
-		threat, err = security.NewThreatModel(eng, eng.Stream("threat"), threatConfig(cfg.Kind), dep.Assets)
+		e.threat, err = security.NewThreatModel(eng, eng.Stream("threat"), security.ConfigFor(cfg.Kind), assetsFor(cfg))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		stops = append(stops, threat.Start())
+		e.stops = append(e.stops, e.threat.Start())
 	}
 
 	// --- periodic sampling -------------------------------------------------
-	stops = append(stops, eng.Every(time.Minute, "sample", func() {
-		servers := 0
-		load := 0.0
-		if pubFleet != nil {
-			servers += pubFleet.Desired()
-		}
-		if privFleet != nil {
-			servers += privFleet.Desired()
-		}
-		active := pubCluster.Active() + privCluster.Active()
-		if servers > 0 {
-			load = float64(active) / float64(servers)
-		}
-		res.Servers.Add(eng.Now(), float64(servers))
-		res.Utilization.Add(eng.Now(), load)
-		res.P95Series.Add(eng.Now(), windowHist.P95())
-		windowHist.Reset()
-	}))
+	e.stops = append(e.stops, eng.Every(time.Minute, "sample", e.sample))
+	return nil
+}
 
-	// --- run ---------------------------------------------------------------
-	if err := eng.Run(endAt); err != nil {
-		return nil, fmt.Errorf("scenario: engine: %w", err)
+// pump schedules the stream's next arrival; handling an arrival pumps
+// the one after it.
+func (e *engine) pump() {
+	a, ok := e.stream.Next(e.endAt)
+	if !ok {
+		return
 	}
-	for _, stop := range stops {
-		stop()
+	e.eng.ScheduleAt(a.At, "arrival", func() {
+		e.res.Arrivals++
+		e.handle(a)
+		e.pump()
+	})
+}
+
+// handle routes one arrival to a side of the deployment, or counts it
+// rejected or offline.
+func (e *engine) handle(a workload.Arrival) {
+	cfg, res, topo := &e.cfg, e.res, e.topo
+	spec := e.cat.Spec(a.Class)
+	service := spec.Service.Sample(e.svcRNG)
+	payload := spec.Payload.Sample(e.payRNG)
+
+	if cfg.Kind == deploy.Desktop {
+		// Locally installed application: no network, no queueing
+		// across users, just a slower machine.
+		res.Latency.Observe(service * desktopSlowdown)
+		e.windowHist.Observe(service * desktopSlowdown)
+		res.Served++
+		return
 	}
 
-	// --- finalize ------------------------------------------------------------
+	path, cluster, public := topo.ToCloud, e.pubCluster, true
+	if cfg.Kind == deploy.Private || (cfg.Kind == deploy.Hybrid && spec.Sensitive) {
+		path, cluster, public = topo.ToCampus, e.privCluster, false
+	}
+	now := e.eng.Now()
+	// Video served through the CDN: edge hits skip the backbone and
+	// bill at CDN rates; misses pay the origin trip. The edge does
+	// its own byte accounting either way.
+	if e.edge != nil && public && a.Class == lms.VideoChunk {
+		if !topo.ToEdge.Up() {
+			res.Offline++
+			return
+		}
+		hit := e.edge.Serve(payload)
+		videoPath := topo.ToEdge
+		if !hit {
+			videoPath = topo.ToCloud
+		}
+		if e.admit(cluster, service, e.finish(videoPath, false, payload, now)) {
+			return
+		}
+		res.Rejected++
+		return
+	}
+	// Relaxed hybrids divert sensitive work to the public side as
+	// soon as the private side runs hot (per-server pressure above
+	// the burst threshold), not only when admission fails — waiting
+	// for the 256-job wall would mean minutes of queueing first.
+	const burstLoad = 8
+	if cfg.Kind == deploy.Hybrid && spec.Sensitive && !cfg.StrictPinning &&
+		e.privCluster.Load() > burstLoad && topo.ToCloud.Up() {
+		if e.admit(e.pubCluster, service, e.finish(topo.ToCloud, true, payload, now)) {
+			res.PolicyViolations++
+			return
+		}
+	}
+	if !path.Up() {
+		res.Offline++
+		return
+	}
+	if e.admit(cluster, service, e.finish(path, public, payload, now)) {
+		return
+	}
+	// Admission failed. Hybrids may still burst sensitive work
+	// publicly unless pinning is strict (Table 4's policy knob).
+	if cfg.Kind == deploy.Hybrid && spec.Sensitive && !cfg.StrictPinning && topo.ToCloud.Up() {
+		if e.admit(e.pubCluster, service, e.finish(topo.ToCloud, true, payload, now)) {
+			res.PolicyViolations++
+			return
+		}
+	}
+	res.Rejected++
+}
+
+// admit wraps Cluster.Submit for real (non-backlog) requests so
+// liveReqs tracks every admission that finish will later settle.
+func (e *engine) admit(cluster *lms.Cluster, service float64, done func()) bool {
+	if cluster.Submit(service, done) {
+		e.liveReqs++
+		return true
+	}
+	return false
+}
+
+// finish returns a request's completion: the response transfers over
+// path, then the request's latency since start is observed and it
+// counts served.
+func (e *engine) finish(path *network.Path, billEgress bool, payload float64, start sim.Time) func() {
+	return func() {
+		tt := path.TransferTime(e.netRNG, payload)
+		release := path.BeginTransfer()
+		e.eng.Schedule(sim.Seconds(tt), "transfer", func() {
+			release()
+			lat := sim.ToSeconds(e.eng.Now() - start)
+			e.res.Latency.Observe(lat)
+			e.windowHist.Observe(lat)
+			e.res.Served++
+			e.liveReqs--
+			if billEgress {
+				e.egressBytes += payload
+			}
+		})
+	}
+}
+
+// sample records the minute's fleet size, load per server and P95.
+func (e *engine) sample() {
+	servers := 0
+	load := 0.0
+	if e.pubFleet != nil {
+		servers += e.pubFleet.Desired()
+	}
+	if e.privFleet != nil {
+		servers += e.privFleet.Desired()
+	}
+	active := e.pubCluster.Active() + e.privCluster.Active()
+	if servers > 0 {
+		load = float64(active) / float64(servers)
+	}
+	now := e.eng.Now()
+	e.res.Servers.Add(now, float64(servers))
+	e.res.Utilization.Add(now, load)
+	e.res.P95Series.Add(now, e.windowHist.P95())
+	e.windowHist.Reset()
+}
+
+// collect reads the substrates' ledgers into the Result, then bills a
+// direct run or, inside a hybrid window, records what the window
+// carries out. A shard is not billed: the merge bills the whole run.
+func (e *engine) collect() (*Result, error) {
+	res, dep := e.res, e.dep
 	if dep.PublicDC != nil {
 		res.VMHoursPublic = dep.PublicDC.VMHours()
 	}
 	if dep.PrivateDC != nil {
 		res.VMHoursPrivate = dep.PrivateDC.VMHours()
 	}
-	if pubFleet != nil {
-		res.PeakServers += pubFleet.Peak()
+	if e.pubFleet != nil {
+		res.PeakServers += e.pubFleet.Peak()
 	}
-	if privFleet != nil {
-		res.PeakServers += privFleet.Peak()
+	if e.privFleet != nil {
+		res.PeakServers += e.privFleet.Peak()
 	}
-	res.EgressGB = egressBytes / 1e9
-	if edge != nil {
-		res.EgressGB += edge.OriginGB()
-		res.CDNGB = edge.ServedGB()
-		res.CDNHitRatio = edge.Cache().HitRatio()
+	res.EgressGB = e.egressBytes / 1e9
+	if e.edge != nil {
+		res.EgressGB += e.edge.OriginGB()
+		res.CDNGB = e.edge.ServedGB()
+		res.CDNHitRatio = e.edge.Cache().HitRatio()
 	}
-	for _, s := range sessions {
+	for _, s := range e.sessions {
 		res.LostWork += s.LostWork()
 	}
 	res.NetAvailability = 1
-	if fp := topo.LastMile.Failure(); fp != nil {
+	if fp := e.topo.LastMile.Failure(); fp != nil {
 		res.NetAvailability = fp.Availability().Ratio()
 	}
-	if threat != nil {
-		res.Breaches = threat.Breaches()
-		res.SensitiveExposures = threat.SensitiveExposures()
-		res.DataLossEvents = threat.DataLossEvents()
-		res.BytesLost = threat.BytesLost()
+	if e.threat != nil {
+		res.Breaches = e.threat.Breaches()
+		res.SensitiveExposures = e.threat.SensitiveExposures()
+		res.DataLossEvents = e.threat.DataLossEvents()
+		res.BytesLost = e.threat.BytesLost()
 	}
 
-	res.Events = eng.Fired()
-	if growthFit != nil {
+	res.Events = e.eng.Fired()
+	if e.growthFit != nil {
 		// Prefer the last stable fit: a storm's decay phase destabilizes
 		// the trailing window, so the end-of-run Fit() rarely describes
 		// what the policy actually provisioned from.
-		fit := growthFit.LastStable()
+		fit := e.growthFit.LastStable()
 		if !fit.Stable {
-			fit = growthFit.Fit()
+			fit = e.growthFit.Fit()
 		}
 		res.Fit = &fit
 	}
 
-	if win != nil {
+	switch {
+	case e.win != nil:
 		// The requests still in flight at the closing seam are handed
 		// back to the fluid side; billing happens once at the hybrid
 		// level, over the whole horizon, not per window.
-		res.CarriedOut = liveReqs
-		if res.CarriedOut < 0 {
-			res.CarriedOut = 0
+		res.CarriedOut = max(0, e.liveReqs)
+	case e.sh == nil:
+		if err := res.bill(e.cfg); err != nil {
+			return nil, err
 		}
-		return res, nil
-	}
-
-	res.Cost, err = billRun(cfg, dep.Assets, dep.PrivateHosts, res.VMHoursPublic, res.EgressGB, res.CDNGB)
-	if err != nil {
-		return nil, err
 	}
 	return res, nil
 }
@@ -505,8 +536,9 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 // and returns it plus its stop function (both nil for the fixed
 // policy). min is the scale-in floor (the bootstrap size); share scales
 // the scheduled/oracle plan's rate down to this shard's slice of the
-// population (exactly 1.0 for unsharded runs).
-func startScaler(eng *sim.Engine, cfg Config, meanSvc float64, target scale.Target, min, maxPublic int, share float64) (scale.Autoscaler, func()) {
+// population (exactly 1.0 for unsharded runs). gen is the run's own
+// workload generator.
+func startScaler(eng *sim.Engine, cfg Config, gen *workload.Generator, meanSvc float64, target scale.Target, min, maxPublic int, share float64) (scale.Autoscaler, func(), error) {
 	switch cfg.Scaler {
 	case ScalerReactive:
 		s := scale.NewReactive(target, scale.ReactiveConfig{
@@ -518,7 +550,7 @@ func startScaler(eng *sim.Engine, cfg Config, meanSvc float64, target scale.Targ
 			Max:           maxPublic,
 			Cooldown:      2 * time.Minute,
 		})
-		return s, s.Start(eng)
+		return s, s.Start(eng), nil
 	case ScalerScheduled:
 		// The timetable knows the diurnal/calendar shape but not flash
 		// crowds, enrollment growth or deadline storms — a scheduled
@@ -531,13 +563,13 @@ func startScaler(eng *sim.Engine, cfg Config, meanSvc float64, target scale.Targ
 			Calendar:          cfg.Calendar,
 		})
 		if err != nil {
-			return nil, nil
+			return nil, nil, fmt.Errorf("scenario: scheduled scaler plan: %w", err)
 		}
 		plan := func(tod time.Duration) int {
 			return deploy.ServersForPeak(planGen.Rate(tod)*share, meanSvc, cfg.TargetUtil) + 1
 		}
 		s := scale.NewScheduled(target, plan, 5*time.Minute, 1, maxPublic)
-		return s, s.Start(eng)
+		return s, s.Start(eng), nil
 	case ScalerPredictive:
 		s := scale.NewPredictive(target, scale.PredictiveConfig{
 			Interval:  time.Minute,
@@ -546,7 +578,7 @@ func startScaler(eng *sim.Engine, cfg Config, meanSvc float64, target scale.Targ
 			Min:       min,
 			Max:       maxPublic,
 		})
-		return s, s.Start(eng)
+		return s, s.Start(eng), nil
 	case ScalerGrowthFit:
 		// Lead = one VM boot (bootGrace covers the fleet's boot
 		// distribution) plus a 5-minute guard, so projected capacity is
@@ -565,51 +597,48 @@ func startScaler(eng *sim.Engine, cfg Config, meanSvc float64, target scale.Targ
 				Cooldown:      2 * time.Minute,
 			},
 		})
-		return s, s.Start(eng)
+		return s, s.Start(eng), nil
 	case ScalerOracle:
 		// The oracle is scheduled from the true curve: the full
 		// generator, growth and storms included — everything the
 		// scheduled policy's timetable deliberately cannot see.
-		planGen, err := genFor(cfg)
-		if err != nil {
-			return nil, nil
-		}
 		plan := func(at time.Duration) int {
-			return deploy.ServersForPeak(planGen.Rate(at)*share, meanSvc, cfg.TargetUtil) + 1
+			return deploy.ServersForPeak(gen.Rate(at)*share, meanSvc, cfg.TargetUtil) + 1
 		}
 		s := scale.NewOracle(target, plan, time.Minute, bootGrace+5*time.Minute, min, maxPublic)
-		return s, s.Start(eng)
+		return s, s.Start(eng), nil
 	default:
-		return nil, nil
+		return nil, nil, nil
 	}
 }
 
-// billRun converts measured consumption — public VM-hours, egress and
-// CDN gigabytes — into the itemized bill, for every run path. assets
-// and privateHosts come from the run's deployment on the direct path;
-// a sharded merge instead rebills against the full-scenario asset store
-// and the summed host count, because per-shard deployments each hold a
-// full asset copy that must be billed once, not K times.
-func billRun(cfg Config, assets *lms.AssetStore, privateHosts int, vmHoursPublic, egressGB, cdnGB float64) (cost.Report, error) {
+// bill prices r's measured consumption — public VM-hours, egress and
+// CDN gigabytes, owned hosts — into its itemized Cost, for every run
+// path. Storage is billed on cfg's asset inventory, built here and
+// dropped after: shards split load, not content, so a merged run bills
+// storage (and desktop seats) once, not K times.
+func (r *Result) bill(cfg Config) error {
 	months := cfg.Duration.Hours() / 730
 	u := cost.Usage{Months: months}
 	switch cfg.Kind {
 	case deploy.Public:
-		u.VMHoursOnDemand = vmHoursPublic
-		u.EgressGB = egressGB
-		u.CDNGB = cdnGB
-		u.StorageGBMonths = assets.BytesAt(lms.OnPublic) / 1e9 * months
+		u.VMHoursOnDemand = r.VMHoursPublic
+		u.EgressGB = r.EgressGB
+		u.CDNGB = r.CDNGB
+		u.StorageGBMonths = assetsFor(cfg).BytesAt(lms.OnPublic) / 1e9 * months
 	case deploy.Private:
-		u.PrivateHosts = privateHosts
+		u.PrivateHosts = r.PrivateHosts
 	case deploy.Hybrid:
-		u.VMHoursOnDemand = vmHoursPublic
-		u.EgressGB = egressGB
-		u.CDNGB = cdnGB
-		u.StorageGBMonths = assets.BytesAt(lms.OnPublic) / 1e9 * months
-		u.PrivateHosts = privateHosts
+		u.VMHoursOnDemand = r.VMHoursPublic
+		u.EgressGB = r.EgressGB
+		u.CDNGB = r.CDNGB
+		u.StorageGBMonths = assetsFor(cfg).BytesAt(lms.OnPublic) / 1e9 * months
+		u.PrivateHosts = r.PrivateHosts
 		u.HybridMonths = months
 	case deploy.Desktop:
 		u.DesktopStudents = cfg.Students
 	}
-	return cost.Bill(u, cost.DefaultRates())
+	var err error
+	r.Cost, err = cost.Bill(u, cost.DefaultRates())
+	return err
 }

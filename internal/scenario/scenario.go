@@ -7,11 +7,9 @@ import (
 
 	"elearncloud/internal/cost"
 	"elearncloud/internal/deploy"
-	"elearncloud/internal/lms"
 	"elearncloud/internal/metrics"
 	"elearncloud/internal/network"
 	"elearncloud/internal/scale"
-	"elearncloud/internal/security"
 	"elearncloud/internal/workload"
 )
 
@@ -119,9 +117,10 @@ type Config struct {
 	// sizing × 4).
 	MaxPublicServers int
 	// Shards splits a ShardedRun into this many per-shard engines
-	// (default 0 and 1 both mean a single shard). Run ignores it; see
-	// ShardedRun for the partitioning and merge semantics. HybridRun's
-	// DES windows honor it too: each window runs as a K-shard merge.
+	// (default 0 and 1 both mean the direct engine; negative is an
+	// error). Run ignores it; see ShardedRun for the partitioning and
+	// merge semantics. HybridRun's DES windows honor it too: each
+	// window runs as a K-shard merge.
 	Shards int
 	// HybridIntensity is the fidelity planner's burst threshold: an
 	// envelope segment whose crowd/storm/join multiplier bound reaches
@@ -137,6 +136,18 @@ type Config struct {
 func (c *Config) defaults() error {
 	if c.Kind == 0 {
 		c.Kind = deploy.Public
+	}
+	if c.Kind < deploy.Public || c.Kind > deploy.Desktop {
+		return fmt.Errorf("scenario: Kind = %v, need public, private, hybrid or desktop", c.Kind)
+	}
+	if c.Scaler == 0 {
+		c.Scaler = ScalerReactive
+	}
+	if c.Scaler < ScalerFixed || c.Scaler > ScalerOracle {
+		return fmt.Errorf("scenario: Scaler = %v, need fixed, reactive, scheduled, predictive, growth-fit or oracle", c.Scaler)
+	}
+	if c.Shards < 0 {
+		return fmt.Errorf("scenario: Shards = %d, need >= 0", c.Shards)
 	}
 	if c.Growth != nil && c.Students <= 0 {
 		c.Students = int(math.Ceil(c.Growth.Max()))
@@ -158,9 +169,6 @@ func (c *Config) defaults() error {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 6 * time.Hour
-	}
-	if c.Scaler == 0 {
-		c.Scaler = ScalerReactive
 	}
 	if c.Kind == deploy.Hybrid && c.HybridPolicy == (deploy.HybridPolicy{}) {
 		c.HybridPolicy = deploy.DefaultHybridPolicy()
@@ -209,12 +217,30 @@ type Result struct {
 
 	// Servers tracks fleet size over time; Utilization tracks offered
 	// load over capacity; P95Series tracks the rolling per-minute P95
-	// latency (Figure 2's y-axis).
+	// latency (Figure 2's y-axis). A FluidRun leaves Latency,
+	// Utilization and P95Series empty: the flow model has no requests.
 	Servers     *metrics.TimeSeries
 	Utilization *metrics.TimeSeries
 	P95Series   *metrics.TimeSeries
 	// PeakServers is the largest fleet observed.
 	PeakServers int
+
+	// MeanPrivateUtil, OfferedRequests, Rate and ServerRankHours are
+	// the flow model's outputs; only FluidRun sets them.
+	//
+	// MeanPrivateUtil is the average fraction of the private fleet doing
+	// useful work — §IV.B's underutilization argument made measurable.
+	MeanPrivateUtil float64
+	// OfferedRequests is the integrated arrival mass ∫rate·dt over the
+	// horizon — the requests the flow model assumes are all served.
+	OfferedRequests float64
+	// Rate is the arrival-rate curve (req/s), downsampled for figures.
+	Rate *metrics.TimeSeries
+	// ServerRankHours is the fleet's utilization duration curve:
+	// element k holds how many hours the (k+1)-th public server was
+	// running over the horizon. It feeds the reserved-instance
+	// purchase-mix optimization (Table 8).
+	ServerRankHours []float64
 
 	// VMHoursPublic / VMHoursPrivate are compute consumption by side.
 	VMHoursPublic  float64
@@ -260,16 +286,17 @@ type Result struct {
 	// shards for a merged sharded run).
 	Events uint64
 	// Shards is the shard count of a ShardedRun merge; it stays zero
-	// for direct runs and single-shard runs, whose results are
-	// byte-identical to the direct path. ShardEvents, set only when
-	// Shards >= 2, holds per-shard event counts in shard-index order.
+	// for direct runs, which a single-shard ShardedRun is. ShardEvents,
+	// set only when Shards >= 2, holds per-shard event counts in
+	// shard-index order.
 	Shards      int
 	ShardEvents []uint64
 
-	// FluidSimHours and DESSimHours split a HybridRun's simulated
-	// horizon by fidelity: hours integrated by the fluid model versus
-	// hours simulated at request level. Both stay zero outside
-	// HybridRun; their sum there is the full horizon.
+	// FluidSimHours and DESSimHours split the simulated horizon by
+	// fidelity: hours integrated by the fluid model versus hours
+	// simulated at request level. Their sum is the full horizon under
+	// HybridRun; FluidRun sets FluidSimHours to the horizon, and Run and
+	// ShardedRun leave both zero.
 	FluidSimHours float64
 	DESSimHours   float64
 
@@ -300,12 +327,28 @@ func (r *Result) CostPerStudentMonth(students int) float64 {
 	return cost.PerStudentMonth(r.Cost, students, months)
 }
 
-// mixFor returns the catalog and steady mix used across runs.
-func mixFor() (*lms.Catalog, *lms.Mix) {
-	return lms.DefaultCatalog(), lms.TeachingMix()
-}
-
-// threatConfig builds the per-model threat environment.
-func threatConfig(kind deploy.Kind) security.Config {
-	return security.ConfigFor(kind)
+// add folds o's additive outcomes into r, in call order, so a float sum
+// over parts has one fixed evaluation order. It is the fold a shard
+// merge and a hybrid stitch share; Served, PeakServers, PrivateHosts
+// and the ratios follow each caller's own rule.
+func (r *Result) add(o *Result) {
+	r.Latency.Merge(o.Latency)
+	r.Rejected += o.Rejected
+	r.Offline += o.Offline
+	r.PolicyViolations += o.PolicyViolations
+	r.VMHoursPublic += o.VMHoursPublic
+	r.VMHoursPrivate += o.VMHoursPrivate
+	r.EgressGB += o.EgressGB
+	r.CDNGB += o.CDNGB
+	r.KilledJobs += o.KilledJobs
+	r.LostWork += o.LostWork
+	r.Disconnects += o.Disconnects
+	r.Breaches += o.Breaches
+	r.SensitiveExposures += o.SensitiveExposures
+	r.DataLossEvents += o.DataLossEvents
+	r.BytesLost += o.BytesLost
+	r.Arrivals += o.Arrivals
+	r.CarriedIn += o.CarriedIn
+	r.CarriedOut += o.CarriedOut
+	r.Events += o.Events
 }

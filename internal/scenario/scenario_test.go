@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -427,6 +428,56 @@ func TestRunValidation(t *testing.T) {
 	bad.ReqPerStudentHour = -5
 	if _, err := Run(bad); err == nil {
 		t.Fatal("negative rate accepted")
+	}
+	entries := map[string]func(Config) error{
+		"Run":        func(c Config) error { _, err := Run(c); return err },
+		"HybridRun":  func(c Config) error { _, err := HybridRun(c, NewPool(1)); return err },
+		"ShardedRun": func(c Config) error { _, err := ShardedRun(c, NewPool(1)); return err },
+		"PlanFidelity": func(c Config) error {
+			_, err := PlanFidelity(c)
+			return err
+		},
+	}
+	for _, bad := range badEnumCfgs() {
+		for name, run := range entries {
+			expectErrorNaming(t, name, bad.cfg, run, bad.value)
+		}
+	}
+}
+
+// badEnum is a config with one out-of-range enum or count, and how an
+// error must name that value.
+type badEnum struct {
+	cfg   Config
+	value string
+}
+
+// badEnumCfgs are the configs every entry point must reject with an
+// error naming the bad value, instead of running to a plausible-looking
+// result.
+func badEnumCfgs() []badEnum {
+	kind, scaler, shards := quickCfg(deploy.Public), quickCfg(deploy.Public), quickCfg(deploy.Public)
+	kind.Kind = deploy.Kind(9)
+	scaler.Scaler = ScalerKind(42)
+	shards.Shards = -3
+	return []badEnum{
+		{kind, "Kind(9)"},
+		{scaler, "ScalerKind(42)"},
+		{shards, "-3"},
+	}
+}
+
+// expectErrorNaming fails unless run rejects cfg with an error that
+// names value.
+func expectErrorNaming(t *testing.T, entry string, cfg Config, run func(Config) error, value string) {
+	t.Helper()
+	err := run(cfg)
+	if err == nil {
+		t.Errorf("%s accepted %s", entry, value)
+		return
+	}
+	if !strings.Contains(err.Error(), value) {
+		t.Errorf("%s: error %q does not name %s", entry, err, value)
 	}
 }
 

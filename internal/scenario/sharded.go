@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"elearncloud/internal/deploy"
 	"elearncloud/internal/metrics"
-	"elearncloud/internal/sim"
+	"elearncloud/internal/workload"
 )
 
 // This file shards a DES run into K per-shard engines so runs at
@@ -38,19 +37,25 @@ import (
 // metamorph invariant bounds the realized P95 drift against the
 // unsharded engine on overlap-regime configs. Scalar consumption
 // (VM-hours, egress, served counts) is unaffected by the split beyond
-// that queueing drift; storage and per-host billing are rebilled once
-// at merge so per-shard asset copies are not double-counted.
+// that queueing drift. Owned hosts add up across the shards' fleets,
+// and the merge bills the whole run once, so storage is not charged K
+// times.
 //
-// At K=1 every share is exactly 1.0, the member list is the identity,
-// and the seed is left untouched: the single "shard" consumes its RNG
-// streams identically to the direct path and ShardedRun returns its
-// result unmerged — byte-identical to Run. The CI scale lane and
+// Shards ≤ 1 is not a sharded run: ShardedRun hands it to the direct
+// engine, so it is Run. The golden table10 shards=1 row and
 // TestShardedOneEqualsRun pin this.
+
+// shard is one slice of a K ≥ 2 sharded run: the shard's view of the
+// population and its share of the fleet (workload.Sharding.CapShare).
+type shard struct {
+	gen   *workload.ShardGen
+	share float64
+}
 
 // ShardedRun executes cfg as cfg.Shards per-shard engines on the pool
 // and merges the results deterministically in shard-index order. Shards
-// of 0 or 1 runs a single shard and returns its result directly (byte-
-// identical to Run). A nil pool runs on a one-off DefaultWorkers pool.
+// of 0 or 1 runs the direct engine (it is Run). A nil pool runs on a
+// one-off DefaultWorkers pool.
 func ShardedRun(cfg Config, pool *Pool) (*Result, error) {
 	return shardedRun(cfg, pool, nil)
 }
@@ -63,44 +68,32 @@ func shardedRun(cfg Config, pool *Pool, win *desWindow) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
+	if cfg.Shards <= 1 {
+		return runEngine(cfg, nil, win)
 	}
 	gen, err := genFor(cfg)
 	if err != nil {
 		return nil, err
 	}
+	shards := cfg.Shards
 	sh := gen.ShardBy(shards)
-
-	subs := make([]Config, shards)
-	for k := range subs {
-		sub := cfg
-		sub.Shards = 0 // each shard is a plain single-engine run
-		if shards > 1 {
-			sub.Seed = SeedFor(cfg.Seed, fmt.Sprintf("shard/%d", k))
-			sub.TrackedSessions = shardSlice(cfg.TrackedSessions, k, shards)
-			if cfg.MaxPublicServers > 0 {
-				m := int(math.Ceil(sh.CapShare(k) * float64(cfg.MaxPublicServers)))
-				if m < 1 {
-					m = 1
-				}
-				sub.MaxPublicServers = m
-			}
-			// Singleton processes — the threat environment and the
-			// injected host failure — run on shard 0 only, not once per
-			// shard: the scenario models one institution, not K.
-			if k > 0 {
-				sub.EnableThreats = false
-				sub.HostFailureAt = 0
-			}
-		}
-		subs[k] = sub
-	}
-
 	results := make([]*Result, shards)
 	if err := pool.ForEach(shards, func(k int) error {
-		r, err := runShard(subs[k], &shardCtx{sh: sh, k: k, win: win})
+		sub := cfg
+		sub.Shards = 0
+		sub.Seed = SeedFor(cfg.Seed, fmt.Sprintf("shard/%d", k))
+		sub.TrackedSessions = shardSlice(cfg.TrackedSessions, k, shards)
+		if cfg.MaxPublicServers > 0 {
+			sub.MaxPublicServers = max(1, int(math.Ceil(sh.CapShare(k)*float64(cfg.MaxPublicServers))))
+		}
+		// Singleton processes — the threat environment and the injected
+		// host failure — run on shard 0 only, not once per shard: the
+		// scenario models one institution, not K.
+		if k > 0 {
+			sub.EnableThreats = false
+			sub.HostFailureAt = 0
+		}
+		r, err := runEngine(sub, &shard{gen: sh.Shard(k), share: sh.CapShare(k)}, win)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", k, err)
 		}
@@ -108,9 +101,6 @@ func shardedRun(cfg Config, pool *Pool, win *desWindow) (*Result, error) {
 		return nil
 	}); err != nil {
 		return nil, err
-	}
-	if shards == 1 {
-		return results[0], nil
 	}
 	return mergeShards(cfg, results, win != nil)
 }
@@ -141,28 +131,11 @@ func mergeShards(cfg Config, shards []*Result, window bool) (*Result, error) {
 		Shards:   len(shards),
 	}
 	for _, r := range shards {
-		res.Latency.Merge(r.Latency)
+		res.add(r)
 		res.Served += r.Served
-		res.Rejected += r.Rejected
-		res.Offline += r.Offline
-		res.PolicyViolations += r.PolicyViolations
+		// Fleets and owned hosts are per shard, so they add up.
 		res.PeakServers += r.PeakServers
-		res.VMHoursPublic += r.VMHoursPublic
-		res.VMHoursPrivate += r.VMHoursPrivate
 		res.PrivateHosts += r.PrivateHosts
-		res.EgressGB += r.EgressGB
-		res.CDNGB += r.CDNGB
-		res.KilledJobs += r.KilledJobs
-		res.LostWork += r.LostWork
-		res.Disconnects += r.Disconnects
-		res.Breaches += r.Breaches
-		res.SensitiveExposures += r.SensitiveExposures
-		res.DataLossEvents += r.DataLossEvents
-		res.BytesLost += r.BytesLost
-		res.Arrivals += r.Arrivals
-		res.CarriedIn += r.CarriedIn
-		res.CarriedOut += r.CarriedOut
-		res.Events += r.Events
 		res.ShardEvents = append(res.ShardEvents, r.Events)
 	}
 	// Hit ratio weighted by delivered bytes; availability as the mean of
@@ -234,36 +207,12 @@ func mergeShards(cfg Config, shards []*Result, window bool) (*Result, error) {
 		return sum / float64(len(vals))
 	}, p95...)
 
-	// A hybrid window merge stops here: no bill, no reference
-	// deployment — the stitcher bills the assembled horizon once.
+	// A hybrid window merge stops here: the stitcher bills the
+	// assembled horizon once.
 	if window {
 		return res, nil
 	}
-
-	// Rebill at the merged level. Each shard billed a deployment holding
-	// a full copy of the asset store (shards split load, not content),
-	// so summing shard bills would charge storage — and desktop seats —
-	// K times. Build the full scenario's reference deployment once for
-	// its asset placement, then bill the merged consumption against it.
-	gen, err := genFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cat, teaching := mixFor()
-	dep, err := deploy.Build(sim.NewEngine(sim.SeedFor(cfg.Seed, "shard/bill")), deploy.Spec{
-		Kind:            cfg.Kind,
-		Students:        cfg.Students,
-		Courses:         cfg.Courses,
-		ExpectedPeakRPS: gen.MaxRate(),
-		MeanServiceSec:  teaching.MeanService(cat),
-		TargetUtil:      cfg.TargetUtil,
-		Policy:          cfg.HybridPolicy,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Cost, err = billRun(cfg, dep.Assets, res.PrivateHosts, res.VMHoursPublic, res.EgressGB, res.CDNGB)
-	if err != nil {
+	if err := res.bill(cfg); err != nil {
 		return nil, err
 	}
 	return res, nil
