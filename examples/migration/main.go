@@ -25,12 +25,7 @@ func main() {
 		"re-engineering", "egress", "calendar time", "downtime")
 
 	for _, kind := range []deploy.Kind{deploy.Public, deploy.Hybrid} {
-		assets := lms.NewAssetStore(80, 2000)
-		if kind == deploy.Public {
-			assets.PlaceAll(lms.OnPublic)
-		} else {
-			assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-		}
+		assets := lms.NewInventory(80, 2000, deploy.Place(kind, deploy.DefaultHybridPolicy()))
 		plan, err := migrate.NewPlan(migrate.LockinProfile{
 			Index:      kind.DefaultLockinIndex(),
 			Components: 12,

@@ -139,12 +139,7 @@ func (c *Cache) Touch(id int) {
 	if c.capacity == 0 {
 		return
 	}
-	if len(c.entries) >= c.capacity {
-		c.evict()
-	}
-	n := &lruNode{id: id}
-	c.entries[id] = n
-	c.pushFront(n)
+	c.insert(id)
 }
 
 // Access looks up an object, inserting it on miss (evicting the least
@@ -159,13 +154,24 @@ func (c *Cache) Access(id int) bool {
 	if c.capacity == 0 {
 		return false
 	}
+	c.insert(id)
+	return false
+}
+
+// insert caches id as the most recently used object. A full cache
+// evicts its least recently used object and reuses that node, so a
+// miss on a full cache allocates nothing.
+func (c *Cache) insert(id int) {
+	var n *lruNode
 	if len(c.entries) >= c.capacity {
-		c.evict()
+		n = c.evict()
 	}
-	n := &lruNode{id: id}
+	if n == nil {
+		n = new(lruNode)
+	}
+	n.id = id
 	c.entries[id] = n
 	c.pushFront(n)
-	return false
 }
 
 func (c *Cache) moveToFront(n *lruNode) {
@@ -204,13 +210,16 @@ func (c *Cache) unlink(n *lruNode) {
 	n.prev, n.next = nil, nil
 }
 
-func (c *Cache) evict() {
+// evict removes the least recently used object and returns its
+// unlinked node, or nil when the cache is empty.
+func (c *Cache) evict() *lruNode {
 	lru := c.tail
 	if lru == nil {
-		return
+		return nil
 	}
 	c.unlink(lru)
 	delete(c.entries, lru.id)
+	return lru
 }
 
 // Edge binds a Config, a Cache and a popularity sampler into the object

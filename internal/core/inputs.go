@@ -140,8 +140,7 @@ func MeasureInputs(cfg MeasureConfig) (*Inputs, error) {
 		in.ExamErrorRate[kind] = exam.ErrorRate()
 
 		// Security: analytic risk for the model's asset placement.
-		assets := lms.NewAssetStore(cfg.Students/25+1, cfg.Students)
-		deploy.Place(assets, kind, deploy.DefaultHybridPolicy())
+		assets := lms.NewInventory(cfg.Students/25+1, cfg.Students, deploy.Place(kind, deploy.DefaultHybridPolicy()))
 		in.AnnualSensitiveRisk[kind] = security.ConfigFor(kind).AnnualSensitiveRisk(assets)
 
 		// Portability: cost of leaving.

@@ -148,11 +148,9 @@ func TestPrivateFleetCapacityMatchesPlan(t *testing.T) {
 }
 
 // placed returns baseSpec's asset inventory under kind's placement.
-func placed(kind Kind, policy HybridPolicy) *lms.AssetStore {
+func placed(kind Kind, policy HybridPolicy) lms.Inventory {
 	spec := baseSpec(kind)
-	assets := lms.NewAssetStore(spec.Courses, spec.Students)
-	Place(assets, kind, policy)
-	return assets
+	return lms.NewInventory(spec.Courses, spec.Students, Place(kind, policy))
 }
 
 func baseSpec(kind Kind) Spec {

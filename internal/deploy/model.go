@@ -203,31 +203,30 @@ func (spec *Spec) size(itype InstanceType) Sizing {
 	return sz
 }
 
-// Place moves assets to where a deployment of kind keeps them: all on
-// the public cloud for Public; all in-house for Private and for Desktop
+// Place returns where a deployment of kind keeps its assets: all on the
+// public cloud for Public; all in-house for Private and for Desktop
 // (locally installed software on campus machines); for Hybrid, the
 // sensitive assets in-house when policy pins them and everything else
 // public.
-func Place(assets *lms.AssetStore, kind Kind, policy HybridPolicy) {
+func Place(kind Kind, policy HybridPolicy) lms.Placement {
 	switch kind {
 	case Public:
-		assets.PlaceAll(lms.OnPublic)
-	case Private, Desktop:
-		assets.PlaceAll(lms.OnPrivate)
+		return lms.AllAt(lms.OnPublic)
 	case Hybrid:
 		if policy.SensitivePrivate {
-			assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-		} else {
-			assets.PlaceAll(lms.OnPublic)
+			return lms.Placement{Sensitive: lms.OnPrivate, Other: lms.OnPublic}
 		}
+		return lms.AllAt(lms.OnPublic)
+	default: // Private, Desktop
+		return lms.AllAt(lms.OnPrivate)
 	}
 }
 
 // Build realizes a Spec on the engine: the datacenters its Sizing
 // needs. It does not provision VMs — the autoscaler (or fixed-fleet
 // bootstrap) in the scenario package does that, because VM counts are
-// a runtime concern — and it builds no asset store: Place applies the
-// model's placement wherever a bill or a threat model reads one.
+// a runtime concern. Place gives the model's asset placement to
+// whatever bill or threat model reads an inventory.
 func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("deploy: Build with nil engine")

@@ -54,114 +54,100 @@ func (l Location) String() string {
 	}
 }
 
-// Asset is one stored object.
-type Asset struct {
-	ID    int
-	Kind  AssetKind
-	Bytes float64
+// Placement says where a deployment keeps its assets: every sensitive
+// kind at Sensitive, every other kind at Other.
+type Placement struct {
+	Sensitive, Other Location
 }
 
-// AssetStore is the institution's asset inventory with a placement map.
-// The hybrid deployment policy decides placements; the security model
-// scores sensitive exposure; the migration planner sums egress bytes.
-type AssetStore struct {
-	assets []Asset
-	loc    map[int]Location
+// AllAt places every asset kind at loc.
+func AllAt(loc Location) Placement { return Placement{Sensitive: loc, Other: loc} }
+
+// Of returns where p keeps assets of kind k.
+func (p Placement) Of(k AssetKind) Location {
+	if k.Sensitive() {
+		return p.Sensitive
+	}
+	return p.Other
 }
 
-// NewAssetStore builds an inventory representative of an institution with
-// the given number of courses and students: per course, bulk content and
-// an exam bundle; per student, a grade record and submissions.
-func NewAssetStore(courses, students int) *AssetStore {
+// stock is one row of an Inventory: every asset of one kind, each of
+// the same size, kept at one location.
+type stock struct {
+	kind  AssetKind
+	count int
+	bytes float64 // size of one asset
+	loc   Location
+}
+
+// Inventory is the institution's asset inventory in closed form: for
+// each kind, how many assets there are, the size of one and where they
+// are kept. The hybrid deployment policy decides placements; the
+// security model scores sensitive exposure; the migration planner sums
+// egress bytes. Every query is O(1) in the institution's size.
+type Inventory struct {
+	rows [4]stock
+}
+
+// NewInventory builds an inventory representative of an institution
+// with the given number of courses and students, placed by at: per
+// course, bulk content and an exam bundle; per student, a grade record
+// and submissions.
+func NewInventory(courses, students int, at Placement) Inventory {
 	if courses < 0 || students < 0 {
-		panic("lms: NewAssetStore with negative sizes")
+		panic("lms: NewInventory with negative sizes")
 	}
-	st := &AssetStore{loc: make(map[int]Location)}
-	id := 0
-	add := func(kind AssetKind, bytes float64) {
-		st.assets = append(st.assets, Asset{ID: id, Kind: kind, Bytes: bytes})
-		st.loc[id] = OnPrivate // everything starts in-house
-		id++
+	inv := Inventory{rows: [4]stock{
+		{kind: CourseContent, count: courses, bytes: 2e9},  // ~2 GB of video+slides per course
+		{kind: ExamQuestions, count: courses, bytes: 20e6}, // exam bundle
+		{kind: Grades, count: students, bytes: 1e6},
+		{kind: Submissions, count: students, bytes: 50e6},
+	}}
+	for i := range inv.rows {
+		inv.rows[i].loc = at.Of(inv.rows[i].kind)
 	}
-	for c := 0; c < courses; c++ {
-		add(CourseContent, 2e9)  // ~2 GB of video+slides per course
-		add(ExamQuestions, 20e6) // exam bundle
-	}
-	for s := 0; s < students; s++ {
-		add(Grades, 1e6)
-		add(Submissions, 50e6)
-	}
-	return st
+	return inv
 }
 
 // Len returns the number of assets.
-func (st *AssetStore) Len() int { return len(st.assets) }
-
-// Assets returns a copy of the inventory.
-func (st *AssetStore) Assets() []Asset {
-	return append([]Asset(nil), st.assets...)
-}
-
-// Place moves an asset to a location. Unknown IDs panic: placement bugs
-// must not silently drop assets.
-func (st *AssetStore) Place(id int, loc Location) {
-	if _, ok := st.loc[id]; !ok {
-		panic(fmt.Sprintf("lms: Place of unknown asset %d", id))
+func (inv Inventory) Len() int {
+	n := 0
+	for _, r := range inv.rows {
+		n += r.count
 	}
-	st.loc[id] = loc
-}
-
-// LocationOf returns an asset's current location.
-func (st *AssetStore) LocationOf(id int) Location { return st.loc[id] }
-
-// PlaceAll moves every asset to one location (public-only or private-only
-// deployments).
-func (st *AssetStore) PlaceAll(loc Location) {
-	for id := range st.loc {
-		st.loc[id] = loc
-	}
-}
-
-// PlaceSensitive pins all sensitive assets to pin and everything else to
-// rest — the hybrid "distribution of units" policy.
-func (st *AssetStore) PlaceSensitive(pin, rest Location) {
-	for _, a := range st.assets {
-		if a.Kind.Sensitive() {
-			st.loc[a.ID] = pin
-		} else {
-			st.loc[a.ID] = rest
-		}
-	}
+	return n
 }
 
 // Count returns how many assets are at loc.
-func (st *AssetStore) Count(loc Location) int {
+func (inv Inventory) Count(loc Location) int {
 	n := 0
-	for _, l := range st.loc {
-		if l == loc {
-			n++
+	for _, r := range inv.rows {
+		if r.loc == loc {
+			n += r.count
 		}
 	}
 	return n
 }
 
 // SensitiveCount returns how many sensitive assets are at loc.
-func (st *AssetStore) SensitiveCount(loc Location) int {
+func (inv Inventory) SensitiveCount(loc Location) int {
 	n := 0
-	for _, a := range st.assets {
-		if a.Kind.Sensitive() && st.loc[a.ID] == loc {
-			n++
+	for _, r := range inv.rows {
+		if r.kind.Sensitive() && r.loc == loc {
+			n += r.count
 		}
 	}
 	return n
 }
 
-// BytesAt sums the stored bytes at loc.
-func (st *AssetStore) BytesAt(loc Location) float64 {
+// BytesAt sums the stored bytes at loc. Every size is a whole number of
+// bytes, so each product and partial sum is an integer, exact in a
+// float64 below 2^53 bytes (9 PB).
+func (inv Inventory) BytesAt(loc Location) float64 {
 	var sum float64
-	for _, a := range st.assets {
-		if st.loc[a.ID] == loc {
-			sum += a.Bytes
+	for _, r := range inv.rows {
+		if r.loc == loc {
+			sum += float64(r.count) * r.bytes
 		}
 	}
 	return sum
@@ -169,15 +155,15 @@ func (st *AssetStore) BytesAt(loc Location) float64 {
 
 // SensitiveShare returns the fraction of sensitive assets located at loc
 // (0 when there are no sensitive assets).
-func (st *AssetStore) SensitiveShare(loc Location) float64 {
+func (inv Inventory) SensitiveShare(loc Location) float64 {
 	var total, at int
-	for _, a := range st.assets {
-		if !a.Kind.Sensitive() {
+	for _, r := range inv.rows {
+		if !r.kind.Sensitive() {
 			continue
 		}
-		total++
-		if st.loc[a.ID] == loc {
-			at++
+		total += r.count
+		if r.loc == loc {
+			at += r.count
 		}
 	}
 	if total == 0 {

@@ -15,31 +15,29 @@ func TestAssetKindSensitivity(t *testing.T) {
 }
 
 func TestAssetStoreInventory(t *testing.T) {
-	st := NewAssetStore(10, 100)
+	st := NewInventory(10, 100, AllAt(OnPrivate))
 	// 10 courses * 2 assets + 100 students * 2 assets.
 	if st.Len() != 220 {
 		t.Fatalf("Len = %d, want 220", st.Len())
 	}
-	// Everything starts private.
 	if st.Count(OnPrivate) != 220 || st.Count(OnPublic) != 0 {
-		t.Fatalf("initial placement wrong: private=%d public=%d",
+		t.Fatalf("all-private placement wrong: private=%d public=%d",
 			st.Count(OnPrivate), st.Count(OnPublic))
 	}
 }
 
 func TestAssetStorePlacementPolicies(t *testing.T) {
-	st := NewAssetStore(5, 50)
-	st.PlaceAll(OnPublic)
+	st := NewInventory(5, 50, AllAt(OnPublic))
 	if st.Count(OnPublic) != st.Len() {
-		t.Fatal("PlaceAll(OnPublic) incomplete")
+		t.Fatal("AllAt(OnPublic) incomplete")
 	}
 	if st.SensitiveShare(OnPublic) != 1 {
 		t.Fatalf("SensitiveShare(public) = %v, want 1", st.SensitiveShare(OnPublic))
 	}
 
-	st.PlaceSensitive(OnPrivate, OnPublic)
+	st = NewInventory(5, 50, Placement{Sensitive: OnPrivate, Other: OnPublic})
 	if st.SensitiveCount(OnPublic) != 0 {
-		t.Fatal("PlaceSensitive left sensitive assets public")
+		t.Fatal("pinning left sensitive assets public")
 	}
 	// 5 exam bundles + 50 grade records pinned private.
 	if got := st.SensitiveCount(OnPrivate); got != 55 {
@@ -55,7 +53,7 @@ func TestAssetStorePlacementPolicies(t *testing.T) {
 }
 
 func TestAssetStoreBytes(t *testing.T) {
-	st := NewAssetStore(1, 1)
+	st := NewInventory(1, 1, AllAt(OnPrivate))
 	// 2e9 (content) + 20e6 (exam) + 1e6 (grade) + 50e6 (submissions).
 	want := 2e9 + 20e6 + 1e6 + 50e6
 	if got := st.BytesAt(OnPrivate); math.Abs(got-want) > 1 {
@@ -66,38 +64,17 @@ func TestAssetStoreBytes(t *testing.T) {
 	}
 }
 
-func TestAssetStorePlaceSingle(t *testing.T) {
-	st := NewAssetStore(1, 0)
-	assets := st.Assets()
-	st.Place(assets[0].ID, OnPublic)
-	if st.LocationOf(assets[0].ID) != OnPublic {
-		t.Fatal("Place did not move asset")
-	}
-	if st.Count(OnPublic) != 1 {
-		t.Fatalf("Count(public) = %d", st.Count(OnPublic))
-	}
-}
-
-func TestAssetStorePlaceUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewAssetStore(1, 1).Place(9999, OnPublic)
-}
-
 func TestAssetStoreNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
 		}
 	}()
-	NewAssetStore(-1, 0)
+	NewInventory(-1, 0, AllAt(OnPrivate))
 }
 
 func TestAssetStoreEmptySensitiveShare(t *testing.T) {
-	st := NewAssetStore(0, 0)
+	st := NewInventory(0, 0, AllAt(OnPublic))
 	if st.SensitiveShare(OnPublic) != 0 {
 		t.Fatal("empty store SensitiveShare != 0")
 	}
@@ -124,11 +101,38 @@ func TestLocationAndKindStrings(t *testing.T) {
 	}
 }
 
-func TestAssetsReturnsCopy(t *testing.T) {
-	st := NewAssetStore(1, 1)
-	a := st.Assets()
-	a[0].Bytes = -1
-	if st.Assets()[0].Bytes == -1 {
-		t.Fatal("Assets exposed internal state")
+// The closed form must give the same float the per-asset inventory it
+// replaced summed in order (per course: content, exam; per student:
+// grade, submissions), or every storage bill would move.
+func TestInventoryBytesMatchPerAssetSum(t *testing.T) {
+	placements := []Placement{AllAt(OnPublic), AllAt(OnPrivate), {Sensitive: OnPrivate, Other: OnPublic}}
+	for _, size := range []struct{ courses, students int }{
+		{0, 0}, {1, 1}, {3, 7}, {80, 2000}, {4000, 100000}, {20000, 500000},
+	} {
+		for _, p := range placements {
+			for _, loc := range []Location{OnPublic, OnPrivate} {
+				var want float64
+				for c := 0; c < size.courses; c++ {
+					if p.Of(CourseContent) == loc {
+						want += 2e9
+					}
+					if p.Of(ExamQuestions) == loc {
+						want += 20e6
+					}
+				}
+				for s := 0; s < size.students; s++ {
+					if p.Of(Grades) == loc {
+						want += 1e6
+					}
+					if p.Of(Submissions) == loc {
+						want += 50e6
+					}
+				}
+				inv := NewInventory(size.courses, size.students, p)
+				if got := inv.BytesAt(loc); got != want {
+					t.Errorf("%+v %+v BytesAt(%v) = %v, per-asset sum %v", size, p, loc, got, want)
+				}
+			}
+		}
 	}
 }

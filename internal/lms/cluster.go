@@ -1,9 +1,5 @@
 package lms
 
-import (
-	"elearncloud/internal/sim"
-)
-
 // Cluster is a load-balanced pool of application servers fronted by a
 // least-connections balancer. The autoscaler grows and shrinks it; the
 // scenario submits requests to it.
@@ -103,8 +99,10 @@ func (c *Cluster) Rejected() uint64 { return c.rejected }
 
 // Submit routes a job to the accepting server with the fewest in-flight
 // jobs (ties to the earliest-added server). It returns false if no server
-// can take the job — the client sees an overload error.
-func (c *Cluster) Submit(service float64, done func()) bool {
+// can take the job — the client sees an overload error. done behaves as
+// in AppServer.Submit; the cluster counts the job served when it
+// completes, even if its server was removed meanwhile.
+func (c *Cluster) Submit(service float64, done func(served bool)) bool {
 	c.arrivals++
 	var best *AppServer
 	for _, s := range c.servers {
@@ -119,26 +117,9 @@ func (c *Cluster) Submit(service float64, done func()) bool {
 		c.rejected++
 		return false
 	}
-	wrapped := func() {
-		c.served++
-		if done != nil {
-			done()
-		}
-	}
-	if !best.Submit(service, wrapped) {
+	if !best.submit(service, done, c) {
 		c.rejected++
 		return false
 	}
 	return true
-}
-
-// SubmitTimed routes a job like Submit and reports the sojourn time to
-// done via the engine clock.
-func (c *Cluster) SubmitTimed(eng *sim.Engine, service float64, done func(sojourn float64)) bool {
-	start := eng.Now()
-	return c.Submit(service, func() {
-		if done != nil {
-			done(sim.ToSeconds(eng.Now() - start))
-		}
-	})
 }

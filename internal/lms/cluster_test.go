@@ -137,16 +137,25 @@ func TestClusterEmptyRejects(t *testing.T) {
 	}
 }
 
-func TestSubmitTimedReportsSojourn(t *testing.T) {
+// A server removed from the cluster drains its in-flight jobs; the
+// cluster still counts their completions.
+func TestClusterCountsDrainedCompletions(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c, _ := bootCluster(t, eng, 1, 0)
-	var sojourn float64
-	c.SubmitTimed(eng, 2.0, func(s float64) { sojourn = s })
+	c, servers := bootCluster(t, eng, 2, 0)
+	served := 0
+	for i := 0; i < 2; i++ {
+		c.Submit(1, func(ok bool) {
+			if ok {
+				served++
+			}
+		})
+	}
+	c.Remove(servers[0])
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(sojourn-2.0) > 1e-9 {
-		t.Fatalf("sojourn = %v, want 2", sojourn)
+	if c.Served() != 2 || served != 2 {
+		t.Fatalf("Served = %d, callbacks = %d; want 2 and 2", c.Served(), served)
 	}
 }
 

@@ -18,7 +18,8 @@
 //   - NewSession models one student's stateful session with periodic
 //     autosave — the unit of "lost work" when the network drops
 //     (figure5's §III risk).
-//   - NewAssetStore tracks where the institution's digital assets live
-//     (OnPublic/on-premise Locations), which is what the security
-//     package threatens and the migrate package has to move.
+//   - NewInventory counts the institution's digital assets by kind and
+//     says where each kind lives under a Placement (OnPublic/on-premise
+//     Locations), which is what the security package threatens and the
+//     migrate package has to move.
 package lms

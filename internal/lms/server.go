@@ -30,6 +30,11 @@ type AppServer struct {
 	lastUpdate sim.Time
 	lastSpeed  float64
 	completion *sim.Event
+	// completeFn is s.complete, bound once so that scheduling a
+	// completion allocates nothing.
+	completeFn func()
+	// free recycles the records of completed jobs.
+	free []*psJob
 
 	retired bool
 	onIdle  func()
@@ -41,7 +46,10 @@ type AppServer struct {
 type psJob struct {
 	id        int
 	threshold float64 // progress value at which the job completes
-	done      func()
+	done      func(served bool)
+	// owner is the cluster that routed the job, or nil. It counts the
+	// job's completion even after Cluster.Remove, while the server drains.
+	owner *Cluster
 }
 
 // jobHeap is a min-heap on (threshold, id).
@@ -74,13 +82,15 @@ func NewAppServer(eng *sim.Engine, vm *cloud.VM, maxJobs int) *AppServer {
 	if maxJobs <= 0 {
 		maxJobs = 256
 	}
-	return &AppServer{
+	s := &AppServer{
 		eng:        eng,
 		vm:         vm,
 		maxJobs:    maxJobs,
 		lastUpdate: eng.Now(),
 		lastSpeed:  vm.SpeedFactor(),
 	}
+	s.completeFn = s.complete
+	return s
 }
 
 // VM returns the server's virtual machine.
@@ -106,8 +116,14 @@ func (s *AppServer) Accepting() bool {
 // Submit admits a job with the given CPU service demand (seconds at
 // nominal speed) and returns true, or returns false if the server is
 // retired, its VM is not running, or the admission limit is reached.
-// done fires when the job completes.
-func (s *AppServer) Submit(service float64, done func()) bool {
+// done, if non-nil, fires once when the job leaves the server: with
+// served true when it completes, with false when Kill aborts it.
+func (s *AppServer) Submit(service float64, done func(served bool)) bool {
+	return s.submit(service, done, nil)
+}
+
+// submit is Submit for a job routed by owner (nil for a direct submit).
+func (s *AppServer) submit(service float64, done func(served bool), owner *Cluster) bool {
 	if !s.Accepting() {
 		s.rejected++
 		return false
@@ -116,7 +132,14 @@ func (s *AppServer) Submit(service float64, done func()) bool {
 		service = 1e-6
 	}
 	s.advance()
-	j := &psJob{id: s.nextJob, threshold: s.progress + service, done: done}
+	var j *psJob
+	if n := len(s.free); n > 0 {
+		j = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		j = new(psJob)
+	}
+	*j = psJob{id: s.nextJob, threshold: s.progress + service, done: done, owner: owner}
 	s.nextJob++
 	heap.Push(&s.jobs, j)
 	s.reschedule()
@@ -172,27 +195,38 @@ func (s *AppServer) reschedule() {
 		remaining = 0
 	}
 	wait := sim.Seconds(remaining * float64(len(s.jobs)) / speed)
-	s.completion = s.eng.Schedule(wait, "lms/complete", func() {
-		s.completion = nil
-		s.advance()
-		j := heap.Pop(&s.jobs).(*psJob)
-		s.served++
-		if j.done != nil {
-			j.done()
-		}
-		s.reschedule()
-	})
+	s.completion = s.eng.Schedule(wait, "lms/complete", s.completeFn)
 }
 
-// Kill aborts all in-flight jobs without invoking their callbacks and
-// returns how many were aborted. Used when a VM dies under the server
-// (host failure) — clients see these as errors.
+// complete finishes the job at the head of the threshold heap: advance,
+// pop, count, done, reschedule.
+func (s *AppServer) complete() {
+	s.completion = nil
+	s.advance()
+	j := heap.Pop(&s.jobs).(*psJob)
+	s.served++
+	if j.owner != nil {
+		j.owner.served++
+	}
+	done := j.done
+	*j = psJob{}
+	s.free = append(s.free, j)
+	if done != nil {
+		done(true)
+	}
+	s.reschedule()
+}
+
+// Kill aborts all in-flight jobs and returns how many were aborted. Each
+// aborted job's done fires with served false, which hands the job back
+// to its submitter. Used when a VM dies under the server (host failure)
+// — clients see these as errors.
 func (s *AppServer) Kill() int {
 	if s.completion != nil {
 		s.eng.Cancel(s.completion)
 		s.completion = nil
 	}
-	n := len(s.jobs)
+	killed := s.jobs
 	s.jobs = nil
 	s.retired = true
 	if s.onIdle != nil {
@@ -200,5 +234,10 @@ func (s *AppServer) Kill() int {
 		s.onIdle = nil
 		cb()
 	}
-	return n
+	for _, j := range killed {
+		if j.done != nil {
+			j.done(false)
+		}
+	}
+	return len(killed)
 }

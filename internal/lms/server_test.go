@@ -40,7 +40,7 @@ func TestSingleJobTakesServiceTime(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 0)
 	var doneAt sim.Time
-	if !s.Submit(2.0, func() { doneAt = eng.Now() }) {
+	if !s.Submit(2.0, func(bool) { doneAt = eng.Now() }) {
 		t.Fatal("Submit rejected")
 	}
 	if err := eng.Run(time.Minute); err != nil {
@@ -58,8 +58,8 @@ func TestProcessorSharingSlowsConcurrentJobs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 0)
 	var t1, t2 sim.Time
-	s.Submit(1.0, func() { t1 = eng.Now() })
-	s.Submit(1.0, func() { t2 = eng.Now() })
+	s.Submit(1.0, func(bool) { t1 = eng.Now() })
+	s.Submit(1.0, func(bool) { t2 = eng.Now() })
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +73,9 @@ func TestProcessorSharingShortJobOverlap(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 0)
 	var shortDone, longDone sim.Time
-	s.Submit(3.0, func() { longDone = eng.Now() })
+	s.Submit(3.0, func(bool) { longDone = eng.Now() })
 	eng.Schedule(time.Second, "short", func() {
-		s.Submit(0.5, func() { shortDone = eng.Now() })
+		s.Submit(0.5, func(bool) { shortDone = eng.Now() })
 	})
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
@@ -139,11 +139,20 @@ func TestRetireIdleServerSignalsImmediately(t *testing.T) {
 func TestKillAbortsJobs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 0)
-	completed := false
-	s.Submit(1.0, func() { completed = true })
+	completed, handedBack := false, 0
+	s.Submit(1.0, func(served bool) {
+		if served {
+			completed = true
+		} else {
+			handedBack++
+		}
+	})
 	s.Submit(1.0, nil)
 	if n := s.Kill(); n != 2 {
 		t.Fatalf("Kill aborted %d, want 2", n)
+	}
+	if handedBack != 1 {
+		t.Fatalf("Kill handed back %d jobs, want 1", handedBack)
 	}
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
@@ -183,7 +192,7 @@ func TestInterferenceSlowsService(t *testing.T) {
 	}
 	s := NewAppServer(eng, vm, 0)
 	var doneAt sim.Time
-	s.Submit(1.0, func() { doneAt = eng.Now() })
+	s.Submit(1.0, func(bool) { doneAt = eng.Now() })
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}

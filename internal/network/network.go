@@ -46,24 +46,6 @@ func (l *Link) Up() bool { return l.fail == nil || l.fail.Up() }
 // Failure returns the attached failure process, or nil.
 func (l *Link) Failure() *FailureProcess { return l.fail }
 
-// BeginTransfer registers a flow on the link and returns a release
-// function. Concurrency degrades effective bandwidth for everyone
-// (fair-share approximation).
-func (l *Link) BeginTransfer() (release func()) {
-	l.transfers++
-	released := false
-	return func() {
-		if released {
-			return
-		}
-		released = true
-		l.transfers--
-		if l.transfers < 0 {
-			panic(fmt.Sprintf("network: link %q transfer count went negative", l.Name))
-		}
-	}
-}
-
 // ActiveTransfers returns the number of flows currently on the link.
 func (l *Link) ActiveTransfers() int { return l.transfers }
 
@@ -143,16 +125,23 @@ func (p *Path) TransferTime(rng *sim.RNG, payloadBytes float64) float64 {
 	return lat + bits/(p.BottleneckMbps()*1e6)
 }
 
-// BeginTransfer registers a flow on every link of the path; the returned
-// release frees all of them.
-func (p *Path) BeginTransfer() (release func()) {
-	releases := make([]func(), len(p.links))
-	for i, l := range p.links {
-		releases[i] = l.BeginTransfer()
+// Begin registers a flow on every link of the path. Concurrency
+// degrades effective bandwidth for everyone (fair-share approximation)
+// until End removes the flow again.
+func (p *Path) Begin() {
+	for _, l := range p.links {
+		l.transfers++
 	}
-	return func() {
-		for _, r := range releases {
-			r()
+}
+
+// End removes one flow Begin registered from every link of the path. It
+// panics if a link's flow count goes negative: an End without its Begin
+// is a bookkeeping bug.
+func (p *Path) End() {
+	for _, l := range p.links {
+		l.transfers--
+		if l.transfers < 0 {
+			panic(fmt.Sprintf("network: link %q transfer count went negative", l.Name))
 		}
 	}
 }

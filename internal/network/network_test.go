@@ -36,20 +36,20 @@ func TestLinkConstructorPanics(t *testing.T) {
 
 func TestLinkBandwidthSharing(t *testing.T) {
 	l := NewLink("shared", sim.Constant(0.001), 100)
-	r1 := l.BeginTransfer()
-	r2 := l.BeginTransfer()
+	p := NewPath("p", l)
+	p.Begin()
+	p.Begin()
 	if l.ActiveTransfers() != 2 {
 		t.Fatalf("ActiveTransfers = %d", l.ActiveTransfers())
 	}
 	if l.EffectiveMbps() != 50 {
 		t.Fatalf("EffectiveMbps = %v, want 50 with 2 flows", l.EffectiveMbps())
 	}
-	r1()
-	r1() // double release is a no-op
+	p.End()
 	if l.ActiveTransfers() != 1 {
 		t.Fatalf("ActiveTransfers = %d after release", l.ActiveTransfers())
 	}
-	r2()
+	p.End()
 	if l.EffectiveMbps() != 100 {
 		t.Fatalf("EffectiveMbps = %v after all released", l.EffectiveMbps())
 	}
@@ -58,13 +58,14 @@ func TestLinkBandwidthSharing(t *testing.T) {
 func TestDedicatedLinkIgnoresConcurrency(t *testing.T) {
 	l := NewLink("dsl", sim.Constant(0.01), 20)
 	l.Dedicated = true
-	r1 := l.BeginTransfer()
-	r2 := l.BeginTransfer()
+	p := NewPath("p", l)
+	p.Begin()
+	p.Begin()
 	if l.EffectiveMbps() != 20 {
 		t.Fatalf("dedicated EffectiveMbps = %v, want full 20", l.EffectiveMbps())
 	}
-	r1()
-	r2()
+	p.End()
+	p.End()
 }
 
 func TestBuildTopologyLastMileIsDedicated(t *testing.T) {
@@ -107,13 +108,13 @@ func TestPathBeginTransferTouchesAllLinks(t *testing.T) {
 	a := NewLink("a", sim.Constant(0.01), 100)
 	b := NewLink("b", sim.Constant(0.01), 100)
 	p := NewPath("p", a, b)
-	release := p.BeginTransfer()
+	p.Begin()
 	if a.ActiveTransfers() != 1 || b.ActiveTransfers() != 1 {
-		t.Fatal("BeginTransfer missed a link")
+		t.Fatal("Begin missed a link")
 	}
-	release()
+	p.End()
 	if a.ActiveTransfers() != 0 || b.ActiveTransfers() != 0 {
-		t.Fatal("release missed a link")
+		t.Fatal("End missed a link")
 	}
 }
 
@@ -249,4 +250,14 @@ func TestAccessProfilesDistinct(t *testing.T) {
 	if UrbanBroadband.MTBF <= RuralDSL.MTBF {
 		t.Fatal("urban connections must fail less often than rural")
 	}
+}
+
+func TestPathEndWithoutBeginPanics(t *testing.T) {
+	p := NewPath("p", NewLink("a", sim.Constant(0.01), 100))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("End without Begin did not panic")
+		}
+	}()
+	p.End()
 }

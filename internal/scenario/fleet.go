@@ -109,15 +109,14 @@ func (f *fleet) retireOne() {
 }
 
 // FailHost destroys every server on the given host: in-flight jobs are
-// aborted without callbacks (clients see them vanish), the servers leave
-// the cluster, and the VMs terminate. It returns the aborted job count.
-// Callers mark the host failed on the datacenter afterward.
-func (f *fleet) FailHost(hostID int) int {
-	killed := 0
+// aborted and handed back to their submitters (AppServer.Kill), the
+// servers leave the cluster, and the VMs terminate. Callers mark the
+// host failed on the datacenter afterward.
+func (f *fleet) FailHost(hostID int) {
 	kept := f.entries[:0]
 	for _, e := range f.entries {
 		if h := e.vm.Host(); h != nil && h.ID == hostID {
-			killed += e.srv.Kill()
+			e.srv.Kill()
 			f.cluster.Remove(e.srv)
 			f.dc.Terminate(e.vm)
 			continue
@@ -125,5 +124,4 @@ func (f *fleet) FailHost(hostID int) int {
 		kept = append(kept, e)
 	}
 	f.entries = kept
-	return killed
 }

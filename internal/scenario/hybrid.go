@@ -35,10 +35,11 @@ package scenario
 // service approximation; and the in-flight handoff at close (≈ rate ×
 // meanService requests counted served without latency samples). The
 // boundary property tests in hybrid_test.go pin the conservation
-// identity Arrivals == Served + Rejected + Offline + CarriedOut inside
-// every window, VM-hour additivity across seams, the exact-FluidRun
-// identity for empty plans, and the cross-fidelity band for all-DES
-// plans; the hybrid metamorph family fuzzes the agreement against Run.
+// identity Arrivals == Served + Rejected + Offline + KilledJobs +
+// CarriedOut inside every window, VM-hour additivity across seams, the
+// exact-FluidRun identity for empty plans, and the cross-fidelity band
+// for all-DES plans; the hybrid metamorph family fuzzes the agreement
+// against Run.
 
 import (
 	"fmt"

@@ -71,11 +71,23 @@ func TestHybridPlanIsPureAndAligned(t *testing.T) {
 // Every DES window must conserve requests across its seams: nothing is
 // created or destroyed at a boundary, so arrivals inside the window
 // are exactly the requests that completed, were rejected, were lost
-// offline, or were carried out still in flight. The identity is a
-// genuine cross-check because CarriedOut comes from an independent
-// in-flight counter (admissions minus completions), not from
-// rearranging the same tallies.
+// offline, were killed by a host failure, or were carried out still in
+// flight. The identity is a genuine cross-check because CarriedOut
+// comes from an independent in-flight counter (admissions minus
+// completions and kills), not from rearranging the same tallies.
 func TestHybridWindowSeamConservation(t *testing.T) {
+	conserved := func(label string, r *Result) {
+		t.Helper()
+		if r.Arrivals == 0 {
+			t.Fatalf("%s: no arrivals", label)
+		}
+		got := r.Served + r.Rejected + r.Offline + uint64(r.KilledJobs) + uint64(r.CarriedOut)
+		if got != r.Arrivals {
+			t.Errorf("%s: conservation broken: %d arrivals vs %d served + %d rejected + %d offline + %d killed + %d carried-out = %d",
+				label, r.Arrivals, r.Served, r.Rejected, r.Offline, r.KilledJobs, r.CarriedOut, got)
+		}
+	}
+
 	cfg := stormyCfg(3)
 	if err := cfg.defaults(); err != nil {
 		t.Fatal(err)
@@ -94,18 +106,38 @@ func TestHybridWindowSeamConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Arrivals == 0 {
-				t.Fatalf("shards=%d window %d: no arrivals", shards, w.index)
-			}
-			got := r.Served + r.Rejected + r.Offline + uint64(r.CarriedOut)
-			if got != r.Arrivals {
-				t.Errorf("shards=%d window %d: conservation broken: %d arrivals vs %d served + %d rejected + %d offline + %d carried-out = %d",
-					shards, w.index, r.Arrivals, r.Served, r.Rejected, r.Offline, r.CarriedOut, got)
-			}
+			conserved(fmt.Sprintf("shards=%d window %d", shards, w.index), r)
 			if r.CarriedIn == 0 && w.backlog > 0 {
 				t.Errorf("shards=%d window %d: backlog of %d planned but no CarriedIn recorded", shards, w.index, w.backlog)
 			}
 		}
+	}
+
+	// A host failure inside a private window kills requests. They leave
+	// the in-flight count as they die, so none is also carried out (and
+	// stitched in as served) at the closing seam.
+	priv := stormyCfg(3)
+	priv.Kind = deploy.Private
+	priv.HostFailureAt = 2*time.Hour + 7*time.Minute + 30*time.Second
+	priv.HostRecoveryAfter = 10 * time.Minute
+	if err := priv.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	pm, err := newFluidModel(priv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := pm.desWindows()[0]
+	if priv.HostFailureAt < w.start || priv.HostFailureAt >= w.end {
+		t.Fatalf("private window 0 [%v, %v) does not hold the host failure at %v", w.start, w.end, priv.HostFailureAt)
+	}
+	r, err := runHybridWindow(priv, nil, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conserved("private host-failure window", r)
+	if r.KilledJobs == 0 {
+		t.Error("private host-failure window killed no request")
 	}
 }
 

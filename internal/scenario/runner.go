@@ -61,13 +61,9 @@ func specFor(cfg Config, peakRPS, meanSvc float64) deploy.Spec {
 	}
 }
 
-// assetsFor builds cfg's asset inventory under deploy's placement rule.
-// At 500k students one store is tens of megabytes, so it is built only
-// where a bill or the threat model reads it.
-func assetsFor(cfg Config) *lms.AssetStore {
-	assets := lms.NewAssetStore(cfg.Courses, cfg.Students)
-	deploy.Place(assets, cfg.Kind, cfg.HybridPolicy)
-	return assets
+// assetsFor is cfg's asset inventory under deploy's placement rule.
+func assetsFor(cfg Config) lms.Inventory {
+	return lms.NewInventory(cfg.Courses, cfg.Students, deploy.Place(cfg.Kind, cfg.HybridPolicy))
 }
 
 // engine is one request-level run: the substrates build wires, the
@@ -97,15 +93,40 @@ type engine struct {
 
 	svcRNG, payRNG, netRNG *sim.RNG
 
+	// next is the one pending arrival, which arriveFn (e.arrive, bound
+	// once) handles when it fires.
+	next     workload.Arrival
+	arriveFn func()
+	// free recycles request records (see request).
+	free []*request
+
 	res         *Result
 	windowHist  *metrics.Histogram
 	egressBytes float64
-	// liveReqs counts real requests admitted to a cluster whose
-	// transfer has not yet completed — the queue mass a hybrid window
+	// liveReqs counts real requests admitted to a cluster that have
+	// neither been delivered nor killed — the queue mass a hybrid window
 	// hands back across its closing seam (CarriedOut). It is maintained
 	// independently of the outcome counters so the seam conservation
 	// identity is a genuine cross-check, not an echo.
 	liveReqs int
+}
+
+// request is the record of one admitted request, from admission to
+// delivery. Records are pooled per engine, and each carries its
+// callbacks as method values bound once when the record is created, so
+// a request allocates nothing on its way through the engine. A record
+// returns to the pool when admission is refused, when its response is
+// delivered, or when a host failure kills it; one still in flight when
+// a hybrid window closes is dropped with the window's engine.
+type request struct {
+	e       *engine
+	path    *network.Path
+	egress  bool // bill the payload as public egress
+	payload float64
+	start   sim.Time
+
+	doneFn    func(served bool) // r.done
+	deliverFn func()            // r.deliver
 }
 
 // runEngine executes one simulation engine over a defaulted cfg in
@@ -249,6 +270,7 @@ func (e *engine) build() error {
 	} else {
 		e.stream = gen.Stream(eng.Stream("workload"), streamStart)
 	}
+	e.arriveFn = e.arrive
 	e.pump()
 
 	// --- hybrid window backlog seeding -------------------------------------
@@ -258,7 +280,7 @@ func (e *engine) build() error {
 	// latency observation, no Served count, no egress — so the window's
 	// statistics describe real requests, while its queues start at the
 	// fluid state instead of empty.
-	backlogDone := func() {} // shared no-op completion for synthetic jobs
+	backlogDone := func(bool) {} // shared no-op completion for synthetic jobs
 	if win != nil && cfg.Kind != deploy.Desktop {
 		n := int(math.Round(float64(win.backlog) * share))
 		backlogCluster := e.pubCluster
@@ -309,7 +331,9 @@ func (e *engine) build() error {
 	// and recovered in fluid time.
 	if cfg.HostFailureAt > 0 && e.privFleet != nil && cfg.HostFailureAt >= startAt && cfg.HostFailureAt < e.endAt {
 		eng.ScheduleAt(cfg.HostFailureAt, "host-failure", func() {
-			e.res.KilledJobs += e.privFleet.FailHost(0)
+			// Killed requests are counted as Kill hands them back
+			// (request.done); killed synthetic backlog jobs are not.
+			e.privFleet.FailHost(0)
 			dep.PrivateDC.FailHost(0)
 			eng.Schedule(cfg.HostRecoveryAfter, "host-repair", func() {
 				dep.PrivateDC.RepairHost(0)
@@ -339,11 +363,15 @@ func (e *engine) pump() {
 	if !ok {
 		return
 	}
-	e.eng.ScheduleAt(a.At, "arrival", func() {
-		e.res.Arrivals++
-		e.handle(a)
-		e.pump()
-	})
+	e.next = a
+	e.eng.ScheduleAt(a.At, "arrival", e.arriveFn)
+}
+
+// arrive handles the pending arrival and pumps the next one.
+func (e *engine) arrive() {
+	e.res.Arrivals++
+	e.handle(e.next)
+	e.pump()
 }
 
 // handle routes one arrival to a side of the deployment, or counts it
@@ -381,7 +409,7 @@ func (e *engine) handle(a workload.Arrival) {
 		if !hit {
 			videoPath = topo.ToCloud
 		}
-		if e.admit(cluster, service, e.finish(videoPath, false, payload, now)) {
+		if e.admit(cluster, service, videoPath, false, payload, now) {
 			return
 		}
 		res.Rejected++
@@ -394,7 +422,7 @@ func (e *engine) handle(a workload.Arrival) {
 	const burstLoad = 8
 	if cfg.Kind == deploy.Hybrid && spec.Sensitive && !cfg.StrictPinning &&
 		e.privCluster.Load() > burstLoad && topo.ToCloud.Up() {
-		if e.admit(e.pubCluster, service, e.finish(topo.ToCloud, true, payload, now)) {
+		if e.admit(e.pubCluster, service, topo.ToCloud, true, payload, now) {
 			res.PolicyViolations++
 			return
 		}
@@ -403,13 +431,13 @@ func (e *engine) handle(a workload.Arrival) {
 		res.Offline++
 		return
 	}
-	if e.admit(cluster, service, e.finish(path, public, payload, now)) {
+	if e.admit(cluster, service, path, public, payload, now) {
 		return
 	}
 	// Admission failed. Hybrids may still burst sensitive work
 	// publicly unless pinning is strict (Table 4's policy knob).
 	if cfg.Kind == deploy.Hybrid && spec.Sensitive && !cfg.StrictPinning && topo.ToCloud.Up() {
-		if e.admit(e.pubCluster, service, e.finish(topo.ToCloud, true, payload, now)) {
+		if e.admit(e.pubCluster, service, topo.ToCloud, true, payload, now) {
 			res.PolicyViolations++
 			return
 		}
@@ -417,35 +445,63 @@ func (e *engine) handle(a workload.Arrival) {
 	res.Rejected++
 }
 
-// admit wraps Cluster.Submit for real (non-backlog) requests so
-// liveReqs tracks every admission that finish will later settle.
-func (e *engine) admit(cluster *lms.Cluster, service float64, done func()) bool {
-	if cluster.Submit(service, done) {
+// admit submits a real (non-backlog) request to cluster on a pooled
+// record whose response will travel over path, and counts it in
+// liveReqs if admitted. billEgress marks a public-side response.
+func (e *engine) admit(cluster *lms.Cluster, service float64, path *network.Path, billEgress bool, payload float64, start sim.Time) bool {
+	var r *request
+	if n := len(e.free); n > 0 {
+		r = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		r = &request{e: e}
+		r.doneFn, r.deliverFn = r.done, r.deliver
+	}
+	r.path, r.egress, r.payload, r.start = path, billEgress, payload, start
+	if cluster.Submit(service, r.doneFn) {
 		e.liveReqs++
 		return true
 	}
+	e.release(r)
 	return false
 }
 
-// finish returns a request's completion: the response transfers over
-// path, then the request's latency since start is observed and it
-// counts served.
-func (e *engine) finish(path *network.Path, billEgress bool, payload float64, start sim.Time) func() {
-	return func() {
-		tt := path.TransferTime(e.netRNG, payload)
-		release := path.BeginTransfer()
-		e.eng.Schedule(sim.Seconds(tt), "transfer", func() {
-			release()
-			lat := sim.ToSeconds(e.eng.Now() - start)
-			e.res.Latency.Observe(lat)
-			e.windowHist.Observe(lat)
-			e.res.Served++
-			e.liveReqs--
-			if billEgress {
-				e.egressBytes += payload
-			}
-		})
+// release returns a request record to its engine's pool.
+func (e *engine) release(r *request) {
+	r.path = nil
+	e.free = append(e.free, r)
+}
+
+// done is a request's server-side outcome. Served, the response starts
+// its transfer over the path; killed by a host failure, the request
+// leaves the in-flight count and counts killed.
+func (r *request) done(served bool) {
+	e := r.e
+	if !served {
+		e.res.KilledJobs++
+		e.liveReqs--
+		e.release(r)
+		return
 	}
+	tt := r.path.TransferTime(e.netRNG, r.payload)
+	r.path.Begin()
+	e.eng.Schedule(sim.Seconds(tt), "transfer", r.deliverFn)
+}
+
+// deliver completes a request's transfer: its latency since start is
+// observed and it counts served.
+func (r *request) deliver() {
+	e := r.e
+	r.path.End()
+	lat := sim.ToSeconds(e.eng.Now() - r.start)
+	e.res.Latency.Observe(lat)
+	e.windowHist.Observe(lat)
+	e.res.Served++
+	e.liveReqs--
+	if r.egress {
+		e.egressBytes += r.payload
+	}
+	e.release(r)
 }
 
 // sample records the minute's fleet size, load per server and P95.

@@ -272,7 +272,7 @@ type Result struct {
 
 	// Arrivals counts generated request arrivals before routing — the
 	// left-hand side of the seam conservation identity
-	// Arrivals == Served + Rejected + Offline + CarriedOut.
+	// Arrivals == Served + Rejected + Offline + KilledJobs + CarriedOut.
 	Arrivals uint64
 	// CarriedIn and CarriedOut are a hybrid DES window's seam state:
 	// synthetic backlog requests injected at the window's opening

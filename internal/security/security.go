@@ -121,16 +121,16 @@ type ThreatModel struct {
 	eng    *sim.Engine
 	rng    *sim.RNG
 	cfg    Config
-	assets *lms.AssetStore
+	assets lms.Inventory
 
 	incidents []Incident
 	stops     []func()
 }
 
 // NewThreatModel validates cfg and builds a model over the assets.
-func NewThreatModel(eng *sim.Engine, rng *sim.RNG, cfg Config, assets *lms.AssetStore) (*ThreatModel, error) {
-	if eng == nil || rng == nil || assets == nil {
-		return nil, fmt.Errorf("security: nil engine, rng or assets")
+func NewThreatModel(eng *sim.Engine, rng *sim.RNG, cfg Config, assets lms.Inventory) (*ThreatModel, error) {
+	if eng == nil || rng == nil {
+		return nil, fmt.Errorf("security: nil engine or rng")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -299,7 +299,7 @@ func (m *ThreatModel) ExpectedDataLossPerYear() float64 {
 // of sensitive assets at each location, plus unrecoverable physical loss
 // of in-house sensitive data. It is the deterministic risk index the
 // advisor's security scores are built from.
-func (c Config) AnnualSensitiveRisk(assets *lms.AssetStore) float64 {
+func (c Config) AnnualSensitiveRisk(assets lms.Inventory) float64 {
 	attacksPerYear := c.AttackRatePerMonth * 12
 	risk := attacksPerYear * (c.PublicBreachProb*assets.SensitiveShare(lms.OnPublic) +
 		c.PrivateBreachProb*assets.SensitiveShare(lms.OnPrivate))

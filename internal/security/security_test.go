@@ -12,12 +12,10 @@ import (
 
 const simYears = 40 // long horizon to tighten stochastic estimates
 
-func runThreat(t *testing.T, cfg Config, place func(*lms.AssetStore)) *ThreatModel {
+func runThreat(t *testing.T, cfg Config, place lms.Placement) *ThreatModel {
 	t.Helper()
 	eng := sim.NewEngine(77)
-	assets := lms.NewAssetStore(20, 500)
-	place(assets)
-	m, err := NewThreatModel(eng, eng.Stream("threat"), cfg, assets)
+	m, err := NewThreatModel(eng, eng.Stream("threat"), cfg, lms.NewInventory(20, 500, place))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +29,7 @@ func runThreat(t *testing.T, cfg Config, place func(*lms.AssetStore)) *ThreatMod
 
 func TestBreachRateMatchesAnalytic(t *testing.T) {
 	cfg := DefaultConfig()
-	m := runThreat(t, cfg, func(a *lms.AssetStore) { a.PlaceAll(lms.OnPublic) })
+	m := runThreat(t, cfg, lms.AllAt(lms.OnPublic))
 	months := float64(simYears * 12)
 	want := m.ExpectedBreachesPerMonth() * months
 	got := float64(m.Breaches())
@@ -45,8 +43,8 @@ func TestBreachRateMatchesAnalytic(t *testing.T) {
 
 func TestPublicPlacementBreachesMoreThanPrivate(t *testing.T) {
 	cfg := DefaultConfig()
-	pub := runThreat(t, cfg, func(a *lms.AssetStore) { a.PlaceAll(lms.OnPublic) })
-	priv := runThreat(t, cfg, func(a *lms.AssetStore) { a.PlaceAll(lms.OnPrivate) })
+	pub := runThreat(t, cfg, lms.AllAt(lms.OnPublic))
+	priv := runThreat(t, cfg, lms.AllAt(lms.OnPrivate))
 	if pub.Breaches() <= priv.Breaches() {
 		t.Fatalf("public breaches (%d) should exceed private (%d) — paper §IV.A",
 			pub.Breaches(), priv.Breaches())
@@ -62,8 +60,8 @@ func TestPublicPlacementBreachesMoreThanPrivate(t *testing.T) {
 
 func TestHybridPinningLimitsSensitiveExposure(t *testing.T) {
 	cfg := DefaultConfig()
-	allPub := runThreat(t, cfg, func(a *lms.AssetStore) { a.PlaceAll(lms.OnPublic) })
-	pinned := runThreat(t, cfg, func(a *lms.AssetStore) { a.PlaceSensitive(lms.OnPrivate, lms.OnPublic) })
+	allPub := runThreat(t, cfg, lms.AllAt(lms.OnPublic))
+	pinned := runThreat(t, cfg, lms.Placement{Sensitive: lms.OnPrivate, Other: lms.OnPublic})
 	// With sensitive assets pinned private, public breaches expose zero
 	// sensitive assets; exposures come only from rarer private breaches.
 	if pinned.SensitiveExposures() >= allPub.SensitiveExposures() {
@@ -75,7 +73,7 @@ func TestHybridPinningLimitsSensitiveExposure(t *testing.T) {
 func TestOffsiteBackupPreventsByteLoss(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OffsiteBackup = true
-	m := runThreat(t, cfg, func(a *lms.AssetStore) { a.PlaceAll(lms.OnPrivate) })
+	m := runThreat(t, cfg, lms.AllAt(lms.OnPrivate))
 	if m.BytesLost() != 0 {
 		t.Fatalf("BytesLost = %v with offsite backup", m.BytesLost())
 	}
@@ -87,7 +85,7 @@ func TestOffsiteBackupPreventsByteLoss(t *testing.T) {
 func TestDataLossRateMatchesAnalytic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AttackRatePerMonth = 0 // isolate the damage process
-	m := runThreat(t, cfg, func(a *lms.AssetStore) { a.PlaceAll(lms.OnPrivate) })
+	m := runThreat(t, cfg, lms.AllAt(lms.OnPrivate))
 	want := m.ExpectedDataLossPerYear() * simYears
 	got := float64(m.DataLossEvents())
 	if math.Abs(got-want)/want > 0.8 { // few events: loose bound
@@ -115,15 +113,12 @@ func TestConfigValidation(t *testing.T) {
 
 func TestNewThreatModelNilArgs(t *testing.T) {
 	eng := sim.NewEngine(1)
-	assets := lms.NewAssetStore(1, 1)
+	assets := lms.NewInventory(1, 1, lms.AllAt(lms.OnPrivate))
 	if _, err := NewThreatModel(nil, eng.Stream("x"), DefaultConfig(), assets); err == nil {
 		t.Fatal("nil engine accepted")
 	}
 	if _, err := NewThreatModel(eng, nil, DefaultConfig(), assets); err == nil {
 		t.Fatal("nil rng accepted")
-	}
-	if _, err := NewThreatModel(eng, eng.Stream("x"), DefaultConfig(), nil); err == nil {
-		t.Fatal("nil assets accepted")
 	}
 }
 
@@ -140,8 +135,7 @@ func TestConfigForDesktopIsRiskier(t *testing.T) {
 
 func TestStopHaltsProcesses(t *testing.T) {
 	eng := sim.NewEngine(5)
-	assets := lms.NewAssetStore(5, 50)
-	assets.PlaceAll(lms.OnPublic)
+	assets := lms.NewInventory(5, 50, lms.AllAt(lms.OnPublic))
 	m, err := NewThreatModel(eng, eng.Stream("threat"), DefaultConfig(), assets)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +161,7 @@ func TestIncidentKindString(t *testing.T) {
 }
 
 func TestIncidentsReturnsCopy(t *testing.T) {
-	m := runThreat(t, DefaultConfig(), func(a *lms.AssetStore) { a.PlaceAll(lms.OnPublic) })
+	m := runThreat(t, DefaultConfig(), lms.AllAt(lms.OnPublic))
 	ins := m.Incidents()
 	if len(ins) == 0 {
 		t.Skip("no incidents this seed")

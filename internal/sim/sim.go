@@ -24,6 +24,11 @@ type Time = time.Duration
 // returns to the engine loop. It must never Cancel a pointer whose event
 // already fired or was already canceled once any new event has been
 // scheduled since: that Cancel would remove the struct's new event.
+//
+// Only the struct is pooled, not its callback. Fn may be a method value
+// built once and scheduled many times (a server's completion, a pooled
+// request's delivery): scheduling it then allocates nothing, and the
+// rules above for a holder's *Event do not change.
 type Event struct {
 	// At is the virtual time at which the event fires.
 	At Time
