@@ -106,7 +106,8 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkAppServerThroughput measures processor-sharing queue ops.
+// BenchmarkAppServerThroughput measures processor-sharing queue ops on
+// one server, submitted through a one-server cluster.
 func BenchmarkAppServerThroughput(b *testing.B) {
 	eng := sim.NewEngine(1)
 	dc := cloud.NewDatacenter(eng, cloud.Config{
@@ -121,13 +122,14 @@ func BenchmarkAppServerThroughput(b *testing.B) {
 	}
 	eng.Step() // boot
 	srv := lms.NewAppServer(eng, vm, 1<<20)
+	c := lms.NewCluster("b")
+	c.Add(srv)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv.Submit(0.001, nil)
+		c.Submit(0.001, nil)
 		if srv.Active() > 64 {
-			for eng.Pending() > 0 && srv.Active() > 32 {
-				eng.Step()
+			for srv.Active() > 32 && eng.Step() {
 			}
 		}
 	}

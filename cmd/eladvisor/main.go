@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -50,6 +51,9 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *students < 0 {
+		return fmt.Errorf("-students %d: want a positive population (0 keeps the profile's)", *students)
 	}
 	if *forecast {
 		return runForecast(*growthKind, *growFrom, *growTo, *growOver, *horizon, *sloMillis, *budget, *seed)
@@ -100,11 +104,29 @@ func run(args []string) error {
 // projected curve, print the evaluated points with the Pareto frontier
 // marked, and answer the SLO (and optional budget) question.
 func runForecast(growthKind string, from, to int, over, horizon time.Duration, sloMillis, budget float64, seed uint64) error {
+	switch {
+	case from <= 0:
+		return fmt.Errorf("-from %d: want a positive starting enrollment", from)
+	case over <= 0:
+		return fmt.Errorf("-over %v: want a positive timescale", over)
+	case horizon <= 0:
+		return fmt.Errorf("-horizon %v: want a positive horizon", horizon)
+	case !(sloMillis > 0) || math.IsInf(sloMillis, 1):
+		return fmt.Errorf("-slo %v: want a positive, finite P95 target in milliseconds", sloMillis)
+	case !(budget >= 0) || math.IsInf(budget, 1):
+		return fmt.Errorf("-budget %v: want a non-negative, finite USD amount (0 asks no budget question)", budget)
+	}
 	var growth *workload.Growth
 	switch growthKind {
 	case "logistic":
+		if from >= to-from {
+			return fmt.Errorf("-from %d -to %d: logistic growth needs from < to/2 (the midpoint is the half-capacity crossing)", from, to)
+		}
 		growth = workload.LogisticGrowth(from, to, over)
 	case "linear":
+		if to < from {
+			return fmt.Errorf("-from %d -to %d: linear growth needs from <= to", from, to)
+		}
 		growth = workload.LinearGrowth(from, to, over)
 	default:
 		return fmt.Errorf("unknown growth shape %q (want logistic or linear)", growthKind)

@@ -40,9 +40,7 @@ func main() {
 		eng := sim.NewEngine(1)
 		var result migrate.Result
 		migrate.Execute(eng, plan, func(r migrate.Result) { result = r })
-		if err := eng.Run(0); err != nil {
-			log.Fatal(err)
-		}
+		eng.Run(0)
 
 		tbl.AddRow(kind.String(),
 			plan.ComponentsToPort,

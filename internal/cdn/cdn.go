@@ -19,9 +19,6 @@ type Config struct {
 	// ZipfS is the popularity skew (≈1 for course content: everyone
 	// watches this week's lectures).
 	ZipfS float64
-	// PricePerGB is the CDN delivery price (2013: ~$0.06/GB at volume,
-	// versus $0.12/GB raw egress).
-	PricePerGB float64
 	// EdgeLatency is the user-to-edge one-way latency in seconds
 	// (edges sit close; the origin round trip is what a miss adds).
 	EdgeLatency float64
@@ -39,7 +36,6 @@ func DefaultConfig(courses int) Config {
 		ObjectBytes:    2e6,
 		CacheObjects:   catalog / 4,
 		ZipfS:          1.0,
-		PricePerGB:     0.06,
 		EdgeLatency:    0.008,
 	}
 }
@@ -55,8 +51,8 @@ func (c Config) Validate() error {
 	if c.ZipfS <= 0 {
 		return fmt.Errorf("cdn: Zipf exponent must be positive")
 	}
-	if c.PricePerGB < 0 || c.ObjectBytes <= 0 || c.EdgeLatency < 0 {
-		return fmt.Errorf("cdn: bad price, object size or latency")
+	if c.ObjectBytes <= 0 || c.EdgeLatency < 0 {
+		return fmt.Errorf("cdn: bad object size or latency")
 	}
 	return nil
 }
@@ -107,15 +103,6 @@ func NewCache(capacity int) *Cache {
 	}
 	return &Cache{capacity: capacity, entries: make(map[int]*lruNode, capacity)}
 }
-
-// Len returns the number of cached objects.
-func (c *Cache) Len() int { return len(c.entries) }
-
-// Hits and Misses return the access counters.
-func (c *Cache) Hits() uint64 { return c.hits }
-
-// Misses returns the miss counter.
-func (c *Cache) Misses() uint64 { return c.misses }
 
 // HitRatio returns hits/(hits+misses), 0 before any access.
 func (c *Cache) HitRatio() float64 {
@@ -245,9 +232,6 @@ func NewEdge(cfg Config, rng *sim.RNG) (*Edge, error) {
 	}, nil
 }
 
-// Config returns the edge's configuration.
-func (e *Edge) Config() Config { return e.cfg }
-
 // Cache exposes the underlying cache for inspection.
 func (e *Edge) Cache() *Cache { return e.cache }
 
@@ -283,14 +267,8 @@ func (e *Edge) Serve(bytes float64) (hit bool) {
 	return hit
 }
 
-// ServedGB returns all CDN-delivered gigabytes (billed at PricePerGB).
+// ServedGB returns all CDN-delivered gigabytes (billed at the CDN rate).
 func (e *Edge) ServedGB() float64 { return e.servedBytes / 1e9 }
 
 // OriginGB returns origin-fetched gigabytes (billed as provider egress).
 func (e *Edge) OriginGB() float64 { return e.originBytes / 1e9 }
-
-// DeliveryCostUSD prices the edge's traffic: CDN delivery plus origin
-// egress on misses.
-func (e *Edge) DeliveryCostUSD(egressPerGB float64) float64 {
-	return e.ServedGB()*e.cfg.PricePerGB + e.OriginGB()*egressPerGB
-}

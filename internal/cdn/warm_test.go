@@ -10,11 +10,11 @@ func TestTouchDoesNotCount(t *testing.T) {
 	c := NewCache(2)
 	c.Touch(1)
 	c.Touch(2)
-	if c.Hits() != 0 || c.Misses() != 0 {
-		t.Fatalf("Touch counted: hits=%d misses=%d", c.Hits(), c.Misses())
+	if c.hits != 0 || c.misses != 0 {
+		t.Fatalf("Touch counted: hits=%d misses=%d", c.hits, c.misses)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d after two touches, want 2", c.Len())
+	if len(c.entries) != 2 {
+		t.Fatalf("Len = %d after two touches, want 2", len(c.entries))
 	}
 	if !c.Access(1) || !c.Access(2) {
 		t.Fatal("touched objects should hit")
@@ -38,8 +38,8 @@ func TestTouchRefreshesRecency(t *testing.T) {
 func TestTouchZeroCapacityNoop(t *testing.T) {
 	c := NewCache(0)
 	c.Touch(1)
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d on zero-capacity cache", c.Len())
+	if len(c.entries) != 0 {
+		t.Fatalf("Len = %d on zero-capacity cache", len(c.entries))
 	}
 }
 
@@ -48,8 +48,8 @@ func TestTouchRespectsCapacity(t *testing.T) {
 	for id := 0; id < 10; id++ {
 		c.Touch(id)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want capacity 3", c.Len())
+	if len(c.entries) != 3 {
+		t.Fatalf("Len = %d, want capacity 3", len(c.entries))
 	}
 }
 
@@ -60,11 +60,11 @@ func TestWarmApproachesAnalyticHitRatio(t *testing.T) {
 		t.Fatalf("NewEdge: %v", err)
 	}
 	edge.Warm(3 * cfg.CacheObjects)
-	if edge.Cache().Hits() != 0 || edge.Cache().Misses() != 0 {
+	if edge.Cache().hits != 0 || edge.Cache().misses != 0 {
 		t.Fatal("Warm polluted the hit/miss counters")
 	}
-	if edge.Cache().Len() != cfg.CacheObjects {
-		t.Fatalf("warm cache holds %d of %d", edge.Cache().Len(), cfg.CacheObjects)
+	if len(edge.Cache().entries) != cfg.CacheObjects {
+		t.Fatalf("warm cache holds %d of %d", len(edge.Cache().entries), cfg.CacheObjects)
 	}
 	// A warmed edge's early hit ratio should sit near the analytic
 	// steady state rather than near zero (the cold-start regime the

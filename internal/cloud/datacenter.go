@@ -44,9 +44,7 @@ type Datacenter struct {
 	nextID int
 	vms    map[int]*VM
 
-	vmHours    float64 // accumulated at termination
-	peakVMs    int
-	stopResamp func()
+	vmHours float64 // accumulated at termination
 }
 
 // NewDatacenter builds a datacenter and, for multi-tenant configurations,
@@ -77,23 +75,13 @@ func NewDatacenter(eng *sim.Engine, cfg Config) *Datacenter {
 		dc.hosts = append(dc.hosts, NewHost(i, cfg.HostCapacity))
 	}
 	if cfg.MultiTenant {
-		dc.stopResamp = eng.Every(cfg.InterferenceEvery, cfg.Name+"/interference", dc.resampleInterference)
+		eng.Every(cfg.InterferenceEvery, cfg.Name+"/interference", dc.resampleInterference)
 	}
 	return dc
 }
 
 // Name returns the datacenter's configured name.
 func (dc *Datacenter) Name() string { return dc.cfg.Name }
-
-// Hosts returns the host list (the slice is shared; callers must not
-// mutate it).
-func (dc *Datacenter) Hosts() []*Host { return dc.hosts }
-
-// NumRunning returns the count of VMs not yet terminated.
-func (dc *Datacenter) NumRunning() int { return len(dc.vms) }
-
-// PeakVMs returns the maximum simultaneous VM count observed.
-func (dc *Datacenter) PeakVMs() int { return dc.peakVMs }
 
 // Provision places and boots a VM of the given spec. The ready callback
 // (optional) fires when the VM finishes booting. If capacity is exhausted
@@ -123,9 +111,6 @@ func (dc *Datacenter) Provision(spec InstanceSpec, ready func(*VM)) (*VM, error)
 	dc.nextID++
 	host.place(vm)
 	dc.vms[vm.ID] = vm
-	if n := len(dc.vms); n > dc.peakVMs {
-		dc.peakVMs = n
-	}
 	boot := sim.Time(0)
 	if spec.BootDelay != nil {
 		boot = sim.Seconds(spec.BootDelay.Sample(dc.rng))
@@ -135,7 +120,6 @@ func (dc *Datacenter) Provision(spec InstanceSpec, ready func(*VM)) (*VM, error)
 			return // terminated while booting
 		}
 		vm.state = VMRunning
-		vm.bootComplete = dc.eng.Now()
 		if dc.cfg.MultiTenant {
 			vm.setInterference(dc.cfg.InterferenceDist.Sample(dc.rng))
 		}
@@ -161,18 +145,6 @@ func (dc *Datacenter) Terminate(vm *VM) {
 	delete(dc.vms, vm.ID)
 }
 
-// Shutdown terminates all VMs and stops background activity. The
-// datacenter cannot be used afterward.
-func (dc *Datacenter) Shutdown() {
-	for _, vm := range dc.RunningVMs() {
-		dc.Terminate(vm)
-	}
-	if dc.stopResamp != nil {
-		dc.stopResamp()
-		dc.stopResamp = nil
-	}
-}
-
 // RunningVMs returns non-terminated VMs ordered by ID (deterministic).
 func (dc *Datacenter) RunningVMs() []*VM {
 	out := make([]*VM, 0, len(dc.vms))
@@ -196,18 +168,6 @@ func (dc *Datacenter) VMHours() float64 {
 		total += vm.RunningHours(dc.eng.Now())
 	}
 	return total
-}
-
-// Utilization returns the mean bottleneck utilization across hosts.
-func (dc *Datacenter) Utilization() float64 {
-	if len(dc.hosts) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, h := range dc.hosts {
-		sum += h.Utilization()
-	}
-	return sum / float64(len(dc.hosts))
 }
 
 // FailHost marks a host failed and terminates its VMs, modeling the

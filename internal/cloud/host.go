@@ -25,20 +25,11 @@ func NewHost(id int, capacity Resources) *Host {
 	return &Host{ID: id, Capacity: capacity, vms: make(map[int]*VM)}
 }
 
-// Allocated returns the resources currently reserved by placed VMs.
-func (h *Host) Allocated() Resources { return h.allocated }
-
 // Free returns remaining capacity.
 func (h *Host) Free() Resources { return h.Capacity.Sub(h.allocated) }
 
 // Utilization returns the bottleneck utilization fraction in [0, 1].
 func (h *Host) Utilization() float64 { return h.allocated.Dominant(h.Capacity) }
-
-// NumVMs returns the count of VMs placed on this host.
-func (h *Host) NumVMs() int { return len(h.vms) }
-
-// Failed reports whether the host is marked failed (e.g. physical damage).
-func (h *Host) Failed() bool { return h.failed }
 
 // CanFit reports whether a demand fits in the remaining capacity of a
 // healthy host.

@@ -103,8 +103,8 @@ func TestPlacementFeasibilityProperty(t *testing.T) {
 				break
 			}
 			h := NewHost(i, cap)
-			used := cap.Scale(float64(l%100) / 100)
-			h.allocated = used
+			f := float64(l%100) / 100
+			h.allocated = Resources{CPU: cap.CPU * f, Mem: cap.Mem * f, Disk: cap.Disk * f}
 			hs = append(hs, h)
 		}
 		if len(hs) == 0 {

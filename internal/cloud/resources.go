@@ -31,11 +31,6 @@ func (r Resources) IsZero() bool { return r == Resources{} }
 // Valid reports whether all components are non-negative.
 func (r Resources) Valid() bool { return r.CPU >= 0 && r.Mem >= 0 && r.Disk >= 0 }
 
-// Scale returns r with every component multiplied by f.
-func (r Resources) Scale(f float64) Resources {
-	return Resources{CPU: r.CPU * f, Mem: r.Mem * f, Disk: r.Disk * f}
-}
-
 // Dominant returns the largest utilization fraction of r relative to
 // capacity c (the bottleneck dimension). Zero-capacity dimensions with
 // nonzero demand report 1.

@@ -51,13 +51,6 @@ func TestResourcesFlags(t *testing.T) {
 	}
 }
 
-func TestResourcesScale(t *testing.T) {
-	r := Resources{CPU: 2, Mem: 4, Disk: 8}.Scale(0.5)
-	if r != (Resources{CPU: 1, Mem: 2, Disk: 4}) {
-		t.Fatalf("Scale = %v", r)
-	}
-}
-
 func TestResourcesDominant(t *testing.T) {
 	cap := Resources{CPU: 10, Mem: 100, Disk: 1000}
 	used := Resources{CPU: 5, Mem: 90, Disk: 100}

@@ -149,9 +149,6 @@ func TestBuildScorecardNormalization(t *testing.T) {
 			}
 		}
 	}
-	if sc.Raw() != in {
-		t.Fatal("Raw() lost the inputs")
-	}
 }
 
 func TestScorecardPaperWinners(t *testing.T) {

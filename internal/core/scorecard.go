@@ -13,7 +13,6 @@ import (
 // model on each requirement — the paper's comparison matrix.
 type Scorecard struct {
 	scores map[deploy.Kind]map[Requirement]float64
-	raw    *Inputs
 }
 
 // BuildScorecard normalizes raw measurements into scores. Every metric
@@ -30,7 +29,7 @@ func BuildScorecard(in *Inputs) (*Scorecard, error) {
 	if in == nil {
 		return nil, fmt.Errorf("core: BuildScorecard with nil inputs")
 	}
-	sc := &Scorecard{scores: make(map[deploy.Kind]map[Requirement]float64), raw: in}
+	sc := &Scorecard{scores: make(map[deploy.Kind]map[Requirement]float64)}
 	for _, k := range deploy.Kinds() {
 		sc.scores[k] = make(map[Requirement]float64)
 	}
@@ -107,9 +106,6 @@ func minMax(vals map[deploy.Kind]float64) (lo, hi float64) {
 func (sc *Scorecard) Score(k deploy.Kind, r Requirement) float64 {
 	return sc.scores[k][r]
 }
-
-// Raw returns the measurements behind the scores.
-func (sc *Scorecard) Raw() *Inputs { return sc.raw }
 
 // Table renders the matrix as a metrics.Table (the paper's Table 3).
 func (sc *Scorecard) Table() *metrics.Table {

@@ -113,10 +113,6 @@ func TestReportTotalAndAdd(t *testing.T) {
 	if a.Total() != 45 {
 		t.Fatalf("Total = %v", a.Total())
 	}
-	b := a.Add(a)
-	if b.Total() != 90 {
-		t.Fatalf("Add Total = %v", b.Total())
-	}
 	if s := a.String(); len(s) == 0 {
 		t.Fatal("empty String")
 	}

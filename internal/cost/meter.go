@@ -69,22 +69,6 @@ func (r Report) Total() float64 {
 		r.Staff + r.Maintenance + r.Integration + r.Desktop
 }
 
-// Add returns the component-wise sum of two reports.
-func (r Report) Add(o Report) Report {
-	return Report{
-		Compute:     r.Compute + o.Compute,
-		Egress:      r.Egress + o.Egress,
-		CDN:         r.CDN + o.CDN,
-		Storage:     r.Storage + o.Storage,
-		Capex:       r.Capex + o.Capex,
-		Power:       r.Power + o.Power,
-		Staff:       r.Staff + o.Staff,
-		Maintenance: r.Maintenance + o.Maintenance,
-		Integration: r.Integration + o.Integration,
-		Desktop:     r.Desktop + o.Desktop,
-	}
-}
-
 // String renders the breakdown compactly.
 func (r Report) String() string {
 	return fmt.Sprintf(

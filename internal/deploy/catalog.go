@@ -88,21 +88,3 @@ func (c *ProviderCatalog) Type(name string) (InstanceType, error) {
 	}
 	return InstanceType{}, fmt.Errorf("deploy: provider %q has no instance type %q", c.Provider, name)
 }
-
-// Cheapest returns the lowest-price flavor that fits demand.
-func (c *ProviderCatalog) Cheapest(demand cloud.Resources) (InstanceType, error) {
-	var best InstanceType
-	found := false
-	for _, t := range c.Types {
-		if !demand.Fits(t.Res) {
-			continue
-		}
-		if !found || t.OnDemandHourly < best.OnDemandHourly {
-			best, found = t, true
-		}
-	}
-	if !found {
-		return InstanceType{}, fmt.Errorf("deploy: no instance type fits %v", demand)
-	}
-	return best, nil
-}

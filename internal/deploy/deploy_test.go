@@ -77,20 +77,6 @@ func TestCatalogLookup(t *testing.T) {
 	}
 }
 
-func TestCatalogCheapest(t *testing.T) {
-	c := DefaultProvider()
-	it, err := c.Cheapest(cloud.Resources{CPU: 2, Mem: 3, Disk: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it.Name != "m.medium" {
-		t.Fatalf("Cheapest = %s, want m.medium", it.Name)
-	}
-	if _, err := c.Cheapest(cloud.Resources{CPU: 999}); err == nil {
-		t.Fatal("impossible demand satisfied")
-	}
-}
-
 func TestServersForPeak(t *testing.T) {
 	tests := []struct {
 		rps, svc, util float64
@@ -178,10 +164,6 @@ func TestBuildPublic(t *testing.T) {
 	if d.ServersAtPeak != 3 { // 50*0.03/0.6 = 2.5 -> 3
 		t.Fatalf("ServersAtPeak = %d, want 3", d.ServersAtPeak)
 	}
-	if len(d.Datacenters()) != 1 {
-		t.Fatal("Datacenters() wrong")
-	}
-	d.Shutdown()
 }
 
 func TestBuildPrivate(t *testing.T) {
@@ -235,9 +217,6 @@ func TestBuildHybrid(t *testing.T) {
 	if assets.Count(lms.OnPublic) == 0 {
 		t.Fatal("hybrid placed nothing on public side")
 	}
-	if len(d.Datacenters()) != 2 {
-		t.Fatal("Datacenters() wrong")
-	}
 }
 
 func TestBuildHybridWithoutPinning(t *testing.T) {
@@ -260,9 +239,6 @@ func TestBuildDesktop(t *testing.T) {
 	}
 	if d.PublicDC != nil || d.PrivateDC != nil {
 		t.Fatal("desktop baseline must have no datacenters")
-	}
-	if len(d.Datacenters()) != 0 {
-		t.Fatal("Datacenters() wrong")
 	}
 }
 

@@ -272,25 +272,3 @@ func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
 	}
 	return d, nil
 }
-
-// Shutdown tears down both datacenters.
-func (d *Deployment) Shutdown() {
-	if d.PublicDC != nil {
-		d.PublicDC.Shutdown()
-	}
-	if d.PrivateDC != nil {
-		d.PrivateDC.Shutdown()
-	}
-}
-
-// Datacenters returns the non-nil datacenters, public first.
-func (d *Deployment) Datacenters() []*cloud.Datacenter {
-	var out []*cloud.Datacenter
-	if d.PublicDC != nil {
-		out = append(out, d.PublicDC)
-	}
-	if d.PrivateDC != nil {
-		out = append(out, d.PrivateDC)
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"math"
 	"sort"
 	"strconv"
@@ -120,20 +121,20 @@ func TestAllExperimentsRegenerate(t *testing.T) {
 			if tbl.NumRows() == 0 {
 				t.Fatalf("%s produced an empty table", e.ID)
 			}
-			if tbl.Title() == "" {
+			// A titled table renders the title underlined with '='.
+			if lines := strings.SplitN(tbl.String(), "\n", 3); len(lines) < 2 || !strings.HasPrefix(lines[1], "=") {
 				t.Fatalf("%s has no title", e.ID)
 			}
-			width := -1
-			for _, row := range tbl.Rows() {
-				if width == -1 {
-					width = len(row)
-				}
-				if len(row) != width {
+			r := csv.NewReader(strings.NewReader(tbl.CSV()))
+			r.FieldsPerRecord = -1
+			records, err := r.ReadAll()
+			if err != nil || len(records) < 2 {
+				t.Fatalf("%s CSV has no data rows (err %v)", e.ID, err)
+			}
+			for _, row := range records[1:] {
+				if len(row) != len(records[1]) {
 					t.Fatalf("%s has ragged rows", e.ID)
 				}
-			}
-			if tbl.CSV() == "" {
-				t.Fatalf("%s CSV empty", e.ID)
 			}
 		})
 	}

@@ -109,15 +109,6 @@ func NewInventory(courses, students int, at Placement) Inventory {
 	return inv
 }
 
-// Len returns the number of assets.
-func (inv Inventory) Len() int {
-	n := 0
-	for _, r := range inv.rows {
-		n += r.count
-	}
-	return n
-}
-
 // Count returns how many assets are at loc.
 func (inv Inventory) Count(loc Location) int {
 	n := 0

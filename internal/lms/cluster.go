@@ -8,8 +8,6 @@ type Cluster struct {
 	servers []*AppServer
 
 	arrivals uint64
-	served   uint64
-	rejected uint64
 }
 
 // NewCluster returns an empty cluster.
@@ -39,23 +37,6 @@ func (c *Cluster) Remove(s *AppServer) {
 	}
 }
 
-// Servers returns the current pool (shared slice; do not mutate).
-func (c *Cluster) Servers() []*AppServer { return c.servers }
-
-// Size returns the number of registered servers.
-func (c *Cluster) Size() int { return len(c.servers) }
-
-// AcceptingSize returns how many servers are currently accepting work.
-func (c *Cluster) AcceptingSize() int {
-	n := 0
-	for _, s := range c.servers {
-		if s.Accepting() {
-			n++
-		}
-	}
-	return n
-}
-
 // Active returns total in-flight jobs across servers.
 func (c *Cluster) Active() int {
 	n := 0
@@ -83,25 +64,17 @@ func (c *Cluster) Load() float64 {
 }
 
 // Arrivals returns the cluster-wide submission count: every Submit call,
-// accepted or rejected, increments it exactly once. Unlike the derived
-// sum Served()+Rejected()+Active(), it is monotone by construction —
-// gracefully draining servers leave Active() while their jobs are still
-// unfinished, and killed jobs never reach Served() — which is the
-// contract scale.ArrivalMeter consumers difference against.
+// accepted or rejected, increments it exactly once. It is monotone by
+// construction, even while gracefully draining servers take their
+// unfinished jobs out of Active() — which is the contract
+// scale.ArrivalMeter consumers difference against.
 func (c *Cluster) Arrivals() uint64 { return c.arrivals }
-
-// Served returns the cluster-wide completed-job count.
-func (c *Cluster) Served() uint64 { return c.served }
-
-// Rejected returns the cluster-wide rejected-job count (no server could
-// admit the request).
-func (c *Cluster) Rejected() uint64 { return c.rejected }
 
 // Submit routes a job to the accepting server with the fewest in-flight
 // jobs (ties to the earliest-added server). It returns false if no server
-// can take the job — the client sees an overload error. done behaves as
-// in AppServer.Submit; the cluster counts the job served when it
-// completes, even if its server was removed meanwhile.
+// can take the job — the client sees an overload error. done, if non-nil,
+// fires once when the job leaves its server: with served true when it
+// completes, with false when Kill aborts it.
 func (c *Cluster) Submit(service float64, done func(served bool)) bool {
 	c.arrivals++
 	var best *AppServer
@@ -114,12 +87,8 @@ func (c *Cluster) Submit(service float64, done func(served bool)) bool {
 		}
 	}
 	if best == nil {
-		c.rejected++
 		return false
 	}
-	if !best.submit(service, done, c) {
-		c.rejected++
-		return false
-	}
+	best.submit(service, done)
 	return true
 }

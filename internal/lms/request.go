@@ -18,7 +18,6 @@ const (
 	QuizSubmit
 	Upload
 	ForumPost
-	numClasses = ForumPost
 )
 
 // String returns the class name.
@@ -41,15 +40,6 @@ func (c Class) String() string {
 	default:
 		return fmt.Sprintf("Class(%d)", int(c))
 	}
-}
-
-// Classes lists every class in declaration order.
-func Classes() []Class {
-	out := make([]Class, 0, numClasses)
-	for c := Login; c <= ForumPost; c++ {
-		out = append(out, c)
-	}
-	return out
 }
 
 // ClassSpec describes one request class's resource behavior.

@@ -38,18 +38,12 @@ type AppServer struct {
 
 	retired bool
 	onIdle  func()
-
-	served   uint64
-	rejected uint64
 }
 
 type psJob struct {
 	id        int
 	threshold float64 // progress value at which the job completes
 	done      func(served bool)
-	// owner is the cluster that routed the job, or nil. It counts the
-	// job's completion even after Cluster.Remove, while the server drains.
-	owner *Cluster
 }
 
 // jobHeap is a min-heap on (threshold, id).
@@ -93,41 +87,19 @@ func NewAppServer(eng *sim.Engine, vm *cloud.VM, maxJobs int) *AppServer {
 	return s
 }
 
-// VM returns the server's virtual machine.
-func (s *AppServer) VM() *cloud.VM { return s.vm }
-
 // Active returns the number of in-flight jobs.
 func (s *AppServer) Active() int { return len(s.jobs) }
-
-// Served returns the number of completed jobs.
-func (s *AppServer) Served() uint64 { return s.served }
-
-// Rejected returns the number of admission-rejected jobs.
-func (s *AppServer) Rejected() uint64 { return s.rejected }
-
-// Retired reports whether the server has stopped accepting work.
-func (s *AppServer) Retired() bool { return s.retired }
 
 // Accepting reports whether a new job would be admitted right now.
 func (s *AppServer) Accepting() bool {
 	return !s.retired && s.vm.State() == cloud.VMRunning && len(s.jobs) < s.maxJobs
 }
 
-// Submit admits a job with the given CPU service demand (seconds at
-// nominal speed) and returns true, or returns false if the server is
-// retired, its VM is not running, or the admission limit is reached.
-// done, if non-nil, fires once when the job leaves the server: with
-// served true when it completes, with false when Kill aborts it.
-func (s *AppServer) Submit(service float64, done func(served bool)) bool {
-	return s.submit(service, done, nil)
-}
-
-// submit is Submit for a job routed by owner (nil for a direct submit).
-func (s *AppServer) submit(service float64, done func(served bool), owner *Cluster) bool {
-	if !s.Accepting() {
-		s.rejected++
-		return false
-	}
+// submit admits a job with the given CPU service demand (seconds at
+// nominal speed); the caller has checked Accepting. done, if non-nil,
+// fires once when the job leaves the server: with served true when it
+// completes, with false when Kill aborts it.
+func (s *AppServer) submit(service float64, done func(served bool)) {
 	if service <= 0 {
 		service = 1e-6
 	}
@@ -139,11 +111,10 @@ func (s *AppServer) submit(service float64, done func(served bool), owner *Clust
 	} else {
 		j = new(psJob)
 	}
-	*j = psJob{id: s.nextJob, threshold: s.progress + service, done: done, owner: owner}
+	*j = psJob{id: s.nextJob, threshold: s.progress + service, done: done}
 	s.nextJob++
 	heap.Push(&s.jobs, j)
 	s.reschedule()
-	return true
 }
 
 // Retire stops the server from accepting new jobs. onIdle (optional)
@@ -199,15 +170,11 @@ func (s *AppServer) reschedule() {
 }
 
 // complete finishes the job at the head of the threshold heap: advance,
-// pop, count, done, reschedule.
+// pop, done, reschedule.
 func (s *AppServer) complete() {
 	s.completion = nil
 	s.advance()
 	j := heap.Pop(&s.jobs).(*psJob)
-	s.served++
-	if j.owner != nil {
-		j.owner.served++
-	}
 	done := j.done
 	*j = psJob{}
 	s.free = append(s.free, j)

@@ -1,6 +1,7 @@
 package lms
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -24,9 +25,7 @@ func bootServer(t *testing.T, eng *sim.Engine, maxJobs int) *AppServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(eng.Now()); err != nil { // instant boot (nil BootDelay)
-		t.Fatal(err)
-	}
+	eng.Run(eng.Now()) // instant boot (nil BootDelay)
 	if vm.State() != cloud.VMRunning {
 		// Drain the boot event scheduled at now.
 		if !eng.Step() {
@@ -36,21 +35,42 @@ func bootServer(t *testing.T, eng *sim.Engine, maxJobs int) *AppServer {
 	return NewAppServer(eng, vm, maxJobs)
 }
 
+// offer submits a job the way Cluster.Submit does: only to a server
+// that is accepting work. It reports whether the job was admitted.
+func offer(s *AppServer, service float64, done func(served bool)) bool {
+	if !s.Accepting() {
+		return false
+	}
+	s.submit(service, done)
+	return true
+}
+
+// fixed is a degenerate distribution: every draw is its value.
+type fixed float64
+
+func (d fixed) Sample(*sim.RNG) float64 { return float64(d) }
+func (d fixed) Mean() float64           { return float64(d) }
+func (d fixed) String() string          { return fmt.Sprintf("fixed(%g)", float64(d)) }
+
 func TestSingleJobTakesServiceTime(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 0)
 	var doneAt sim.Time
-	if !s.Submit(2.0, func(bool) { doneAt = eng.Now() }) {
+	served := 0
+	if !offer(s, 2.0, func(ok bool) {
+		doneAt = eng.Now()
+		if ok {
+			served++
+		}
+	}) {
 		t.Fatal("Submit rejected")
 	}
-	if err := eng.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(time.Minute)
 	if got := sim.ToSeconds(doneAt); math.Abs(got-2.0) > 1e-9 {
 		t.Fatalf("single job finished at %vs, want 2s", got)
 	}
-	if s.Served() != 1 {
-		t.Fatalf("Served = %d", s.Served())
+	if served != 1 {
+		t.Fatalf("served = %d", served)
 	}
 }
 
@@ -58,11 +78,9 @@ func TestProcessorSharingSlowsConcurrentJobs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 0)
 	var t1, t2 sim.Time
-	s.Submit(1.0, func(bool) { t1 = eng.Now() })
-	s.Submit(1.0, func(bool) { t2 = eng.Now() })
-	if err := eng.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	offer(s, 1.0, func(bool) { t1 = eng.Now() })
+	offer(s, 1.0, func(bool) { t2 = eng.Now() })
+	eng.Run(time.Minute)
 	// Two equal jobs sharing the processor both finish at ~2s.
 	if math.Abs(sim.ToSeconds(t1)-2.0) > 1e-6 || math.Abs(sim.ToSeconds(t2)-2.0) > 1e-6 {
 		t.Fatalf("PS finish times = %v, %v; want both ~2s", t1, t2)
@@ -73,13 +91,11 @@ func TestProcessorSharingShortJobOverlap(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 0)
 	var shortDone, longDone sim.Time
-	s.Submit(3.0, func(bool) { longDone = eng.Now() })
+	offer(s, 3.0, func(bool) { longDone = eng.Now() })
 	eng.Schedule(time.Second, "short", func() {
-		s.Submit(0.5, func(bool) { shortDone = eng.Now() })
+		offer(s, 0.5, func(bool) { shortDone = eng.Now() })
 	})
-	if err := eng.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(time.Minute)
 	// Long job runs alone 0..1s (1s of work done), then shares.
 	// Short job: needs 0.5s of work at half speed = 1s wall -> done at 2s.
 	// Long job: remaining 2.0 at t=1; shares until t=2 (does 0.5), then
@@ -95,14 +111,11 @@ func TestProcessorSharingShortJobOverlap(t *testing.T) {
 func TestAdmissionLimitRejects(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 2)
-	if !s.Submit(10, nil) || !s.Submit(10, nil) {
+	if !offer(s, 10, nil) || !offer(s, 10, nil) {
 		t.Fatal("first two jobs rejected")
 	}
-	if s.Submit(10, nil) {
+	if offer(s, 10, nil) {
 		t.Fatal("third job admitted past limit")
-	}
-	if s.Rejected() != 1 {
-		t.Fatalf("Rejected = %d", s.Rejected())
 	}
 	if s.Active() != 2 {
 		t.Fatalf("Active = %d", s.Active())
@@ -112,15 +125,13 @@ func TestAdmissionLimitRejects(t *testing.T) {
 func TestRetireDrainsThenSignalsIdle(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 0)
-	s.Submit(1.0, nil)
+	offer(s, 1.0, nil)
 	idleAt := sim.Time(-1)
 	s.Retire(func() { idleAt = eng.Now() })
-	if s.Submit(1.0, nil) {
+	if offer(s, 1.0, nil) {
 		t.Fatal("retired server admitted a job")
 	}
-	if err := eng.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(time.Minute)
 	if got := sim.ToSeconds(idleAt); math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("idle at %v, want 1s", got)
 	}
@@ -140,23 +151,21 @@ func TestKillAbortsJobs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 0)
 	completed, handedBack := false, 0
-	s.Submit(1.0, func(served bool) {
+	offer(s, 1.0, func(served bool) {
 		if served {
 			completed = true
 		} else {
 			handedBack++
 		}
 	})
-	s.Submit(1.0, nil)
+	offer(s, 1.0, nil)
 	if n := s.Kill(); n != 2 {
 		t.Fatalf("Kill aborted %d, want 2", n)
 	}
 	if handedBack != 1 {
 		t.Fatalf("Kill handed back %d jobs, want 1", handedBack)
 	}
-	if err := eng.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(time.Minute)
 	if completed {
 		t.Fatal("killed job still completed")
 	}
@@ -173,7 +182,7 @@ func TestInterferenceSlowsService(t *testing.T) {
 		HostCapacity: cloud.Resources{CPU: 16, Mem: 64, Disk: 500},
 		MultiTenant:  true,
 		// High, constant interference so the effect is unambiguous.
-		InterferenceDist:  sim.Constant(0.5),
+		InterferenceDist:  fixed(0.5),
 		InterferenceEvery: time.Hour * 24 * 365,
 	})
 	vm, err := dc.Provision(cloud.InstanceSpec{
@@ -192,10 +201,8 @@ func TestInterferenceSlowsService(t *testing.T) {
 	}
 	s := NewAppServer(eng, vm, 0)
 	var doneAt sim.Time
-	s.Submit(1.0, func(bool) { doneAt = eng.Now() })
-	if err := eng.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	offer(s, 1.0, func(bool) { doneAt = eng.Now() })
+	eng.Run(time.Minute)
 	if got := sim.ToSeconds(doneAt); math.Abs(got-2.0) > 1e-6 {
 		t.Fatalf("job on half-speed VM finished at %v, want 2s", got)
 	}
@@ -219,15 +226,18 @@ func TestServerJobConservationProperty(t *testing.T) {
 		}
 		eng.Step() // boot
 		s := NewAppServer(eng, vm, 8)
-		accepted, rejected := 0, 0
+		accepted, served := 0, 0
+		done := func(ok bool) {
+			if ok {
+				served++
+			}
+		}
 		for _, d := range demands {
-			if s.Submit(float64(d%50)/100+0.01, nil) {
+			if offer(s, float64(d%50)/100+0.01, done) {
 				accepted++
-			} else {
-				rejected++
 			}
 			// Let some work drain between submissions.
-			if eng.Pending() > 0 && d%3 == 0 {
+			if d%3 == 0 {
 				eng.Step()
 			}
 		}
@@ -235,12 +245,9 @@ func TestServerJobConservationProperty(t *testing.T) {
 		if killAfter%2 == 0 {
 			killed = s.Kill()
 		} else {
-			if err := eng.Run(time.Hour); err != nil {
-				return false
-			}
+			eng.Run(time.Hour)
 		}
-		return uint64(accepted) == s.Served()+uint64(s.Active())+uint64(killed) &&
-			uint64(rejected) == s.Rejected()
+		return accepted == served+s.Active()+killed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -256,13 +263,13 @@ func TestSubmitToUnbootedVMRejected(t *testing.T) {
 	})
 	vm, err := dc.Provision(cloud.InstanceSpec{
 		Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
-		BootDelay: sim.Constant(120),
+		BootDelay: fixed(120),
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewAppServer(eng, vm, 0)
-	if s.Submit(1, nil) {
+	if offer(s, 1, nil) {
 		t.Fatal("job admitted to provisioning VM")
 	}
 }

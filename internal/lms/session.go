@@ -19,30 +19,19 @@ type Session struct {
 	// UserID identifies the learner.
 	UserID int
 
-	started   sim.Time
 	lastSave  sim.Time
 	lostWork  time.Duration
-	saves     int
 	connected bool
 }
 
 // NewSession starts a session at virtual time now, in the connected
 // state, with a savepoint taken at start.
 func NewSession(userID int, now sim.Time) *Session {
-	return &Session{UserID: userID, started: now, lastSave: now, connected: true}
+	return &Session{UserID: userID, lastSave: now, connected: true}
 }
-
-// Started returns the session start time.
-func (s *Session) Started() sim.Time { return s.started }
-
-// Saves returns the number of successful savepoints.
-func (s *Session) Saves() int { return s.saves }
 
 // LostWork returns the cumulative work destroyed by disconnects.
 func (s *Session) LostWork() time.Duration { return s.lostWork }
-
-// Connected reports the session's view of connectivity.
-func (s *Session) Connected() bool { return s.connected }
 
 // Autosave records a successful savepoint at time now. It returns false
 // (no save) while disconnected: saving requires the network.
@@ -51,7 +40,6 @@ func (s *Session) Autosave(now sim.Time) bool {
 		return false
 	}
 	s.lastSave = now
-	s.saves++
 	return true
 }
 

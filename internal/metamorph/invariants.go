@@ -38,17 +38,6 @@ type Report struct {
 	Results []CheckResult
 }
 
-// Violations returns the subset of results that actually failed.
-func (r Report) Violations() []CheckResult {
-	var out []CheckResult
-	for _, cr := range r.Results {
-		if cr.V != nil {
-			out = append(out, cr)
-		}
-	}
-	return out
-}
-
 // Options tunes a CheckCase pass.
 type Options struct {
 	// Lite restricts the suite to the generator-level invariants (no

@@ -452,20 +452,6 @@ func TestCrossFidelitySpikeRegression(t *testing.T) {
 	}
 }
 
-// TestViolationsFilter: Report.Violations returns exactly the failed
-// checks.
-func TestViolationsFilter(t *testing.T) {
-	rep := Report{Results: []CheckResult{
-		{Name: "a"},
-		{Name: "b", V: &Violation{Invariant: "b", Detail: "boom"}},
-		{Name: "c", Skipped: "because"},
-	}}
-	got := rep.Violations()
-	if len(got) != 1 || got[0].Name != "b" {
-		t.Fatalf("Violations() = %+v, want just b", got)
-	}
-}
-
 // TestFingerprintDiffLine: the determinism violation message names the
 // first drifting field.
 func TestFingerprintDiffLine(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement substrate for elearncloud
-// simulations: latency histograms with percentile queries, counters,
-// time series, an availability tracker, and plain-text/CSV table
+// simulations: latency histograms with percentile queries, time
+// series, an availability tracker, and plain-text/CSV table
 // rendering used by the benchmark harness to print the paper's tables
 // and figures.
 //
@@ -9,10 +9,10 @@
 //   - Histogram (NewHistogram; DefaultLatency for the standard
 //     request-latency bucketing) records samples into geometric
 //     buckets and answers Summarize → Summary (P50/P95/P99/Max — the
-//     figure2 columns); ExactQuantile is the unbucketed companion for
-//     small sample sets.
-//   - Counter, TimeSeries (of Point) and Availability accumulate the
-//     scalar, windowed and uptime views a scenario run reports.
+//     figure2 columns); ExactQuantile is the unbucketed reference the
+//     histogram's tests check its quantiles against.
+//   - TimeSeries (of Point) and Availability accumulate the windowed
+//     and uptime views a scenario run reports.
 //   - Table (NewTable → AddRow / AddNote → String or CSV) is the one
 //     renderer every artifact goes through: aligned plain text for the
 //     golden store, CSV under elbench -csv. Byte-stability of

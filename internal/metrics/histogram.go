@@ -104,14 +104,6 @@ func (h *Histogram) Max() float64 {
 	return h.maxSeen
 }
 
-// Min returns the smallest observation, or 0 with no observations.
-func (h *Histogram) Min() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.minSeen
-}
-
 // Quantile returns the approximate q-quantile (q in [0,1]). The result is
 // the upper bound of the bucket containing the target rank, so it
 // overestimates by at most the growth factor. Returns 0 with no
@@ -215,8 +207,8 @@ func (h *Histogram) Summarize() Summary {
 }
 
 // ExactQuantile computes an exact quantile over a raw sample slice. It is
-// used by tests to bound the histogram's approximation error and by small
-// analyses where keeping raw samples is fine. The input is not modified.
+// the reference the tests bound the histogram's approximation error
+// against. The input is not modified.
 func ExactQuantile(samples []float64, q float64) float64 {
 	if len(samples) == 0 {
 		return 0

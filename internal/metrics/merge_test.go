@@ -32,8 +32,8 @@ func sameDigest(t *testing.T, label string, a, b *Histogram, sumTol float64) {
 	if math.Abs(a.Sum()-b.Sum()) > sumTol*math.Abs(a.Sum()) {
 		t.Fatalf("%s: sums %v vs %v", label, a.Sum(), b.Sum())
 	}
-	if a.Min() != b.Min() || a.Max() != b.Max() {
-		t.Fatalf("%s: min/max (%v,%v) vs (%v,%v)", label, a.Min(), a.Max(), b.Min(), b.Max())
+	if a.minSeen != b.minSeen || a.Max() != b.Max() {
+		t.Fatalf("%s: min/max (%v,%v) vs (%v,%v)", label, a.minSeen, a.Max(), b.minSeen, b.Max())
 	}
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.95, 0.99, 1} {
 		if aq, bq := a.Quantile(q), b.Quantile(q); aq != bq {

@@ -2,7 +2,7 @@ package metrics
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"time"
 )
 
@@ -25,9 +25,6 @@ func NewTimeSeries(name string) *TimeSeries {
 	return &TimeSeries{name: name}
 }
 
-// Name returns the display name.
-func (ts *TimeSeries) Name() string { return ts.name }
-
 // Add appends a sample. It panics if t precedes the latest sample, which
 // would indicate a simulation ordering bug.
 func (ts *TimeSeries) Add(t time.Duration, v float64) {
@@ -41,64 +38,16 @@ func (ts *TimeSeries) Add(t time.Duration, v float64) {
 // Len returns the number of samples.
 func (ts *TimeSeries) Len() int { return len(ts.points) }
 
+// Grow makes room for n more samples, so a producer that knows its
+// sample count fills the series with one allocation instead of a chain
+// of append reallocations.
+func (ts *TimeSeries) Grow(n int) { ts.points = slices.Grow(ts.points, n) }
+
 // Points returns a copy of the samples.
 func (ts *TimeSeries) Points() []Point {
 	out := make([]Point, len(ts.points))
 	copy(out, ts.points)
 	return out
-}
-
-// Last returns the latest sample value, or 0 if empty.
-func (ts *TimeSeries) Last() float64 {
-	if len(ts.points) == 0 {
-		return 0
-	}
-	return ts.points[len(ts.points)-1].Value
-}
-
-// Max returns the largest sample value, or 0 if empty.
-func (ts *TimeSeries) Max() float64 {
-	max := math.Inf(-1)
-	for _, p := range ts.points {
-		if p.Value > max {
-			max = p.Value
-		}
-	}
-	if math.IsInf(max, -1) {
-		return 0
-	}
-	return max
-}
-
-// Mean returns the arithmetic mean of sample values, or 0 if empty.
-func (ts *TimeSeries) Mean() float64 {
-	if len(ts.points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range ts.points {
-		sum += p.Value
-	}
-	return sum / float64(len(ts.points))
-}
-
-// TimeMean returns the time-weighted mean of the series, treating each
-// sample value as holding until the next sample (step interpolation). It
-// returns the plain mean when fewer than two samples exist.
-func (ts *TimeSeries) TimeMean() float64 {
-	if len(ts.points) < 2 {
-		return ts.Mean()
-	}
-	var weighted, total float64
-	for i := 0; i < len(ts.points)-1; i++ {
-		dt := ts.points[i+1].At - ts.points[i].At
-		weighted += ts.points[i].Value * dt.Seconds()
-		total += dt.Seconds()
-	}
-	if total == 0 {
-		return ts.Mean()
-	}
-	return weighted / total
 }
 
 // Downsample returns a new series with one point per bucket of width w,
@@ -166,41 +115,18 @@ func MergeSeries(name string, combine func(vals []float64) float64, series ...*T
 	return out
 }
 
-// Counter is a monotonically increasing count with a name.
-type Counter struct {
-	name string
-	n    uint64
-}
-
-// NewCounter returns a zeroed counter.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta; negative deltas panic (counters are monotone).
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Name returns the counter's name.
-func (c *Counter) Name() string { return c.name }
-
 // Availability tracks up/down intervals of a component over virtual time
-// and reports the availability ratio and downtime.
+// and reports the availability ratio.
 type Availability struct {
 	up        bool
 	since     time.Duration
 	upTotal   time.Duration
 	downTotal time.Duration
-	outages   int
-	started   bool
 }
 
 // NewAvailability returns a tracker that is initially up from time zero.
 func NewAvailability() *Availability {
-	return &Availability{up: true, started: true}
+	return &Availability{up: true}
 }
 
 // SetState records a state transition at virtual time t. Repeated calls
@@ -214,9 +140,6 @@ func (a *Availability) SetState(t time.Duration, up bool) {
 	}
 	a.accumulate(t)
 	a.up = up
-	if !up {
-		a.outages++
-	}
 }
 
 func (a *Availability) accumulate(t time.Duration) {
@@ -244,9 +167,3 @@ func (a *Availability) Ratio() float64 {
 	}
 	return float64(a.upTotal) / float64(total)
 }
-
-// Downtime returns the accumulated down duration.
-func (a *Availability) Downtime() time.Duration { return a.downTotal }
-
-// Outages returns the number of up->down transitions.
-func (a *Availability) Outages() int { return a.outages }

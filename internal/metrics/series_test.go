@@ -9,8 +9,8 @@ import (
 
 func TestTimeSeriesBasics(t *testing.T) {
 	ts := NewTimeSeries("vms")
-	if ts.Name() != "vms" {
-		t.Fatalf("Name = %q", ts.Name())
+	if ts.name != "vms" {
+		t.Fatalf("name = %q", ts.name)
 	}
 	ts.Add(0, 1)
 	ts.Add(time.Minute, 3)
@@ -18,18 +18,15 @@ func TestTimeSeriesBasics(t *testing.T) {
 	if ts.Len() != 3 {
 		t.Fatalf("Len = %d", ts.Len())
 	}
-	if ts.Last() != 5 || ts.Max() != 5 {
-		t.Fatalf("Last/Max = %v/%v", ts.Last(), ts.Max())
-	}
-	if ts.Mean() != 3 {
-		t.Fatalf("Mean = %v", ts.Mean())
+	if last := ts.points[2]; last.At != 2*time.Minute || last.Value != 5 {
+		t.Fatalf("last point = %+v", last)
 	}
 }
 
 func TestTimeSeriesEmpty(t *testing.T) {
 	ts := NewTimeSeries("empty")
-	if ts.Last() != 0 || ts.Max() != 0 || ts.Mean() != 0 || ts.TimeMean() != 0 {
-		t.Fatal("empty series must report zeros")
+	if ts.Len() != 0 || len(ts.Points()) != 0 || ts.Downsample(time.Minute).Len() != 0 {
+		t.Fatal("empty series must hold no samples")
 	}
 }
 
@@ -42,18 +39,6 @@ func TestTimeSeriesOutOfOrderPanics(t *testing.T) {
 		}
 	}()
 	ts.Add(time.Second, 2)
-}
-
-func TestTimeSeriesTimeMean(t *testing.T) {
-	// Value 10 for 1s, then value 0 for 9s: time mean = 1.0.
-	ts := NewTimeSeries("tw")
-	ts.Add(0, 10)
-	ts.Add(time.Second, 0)
-	ts.Add(10*time.Second, 0)
-	got := ts.TimeMean()
-	if math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("TimeMean = %v, want 1.0", got)
-	}
 }
 
 func TestTimeSeriesDownsample(t *testing.T) {
@@ -72,6 +57,24 @@ func TestTimeSeriesDownsample(t *testing.T) {
 	}
 }
 
+func TestTimeSeriesGrow(t *testing.T) {
+	ts := NewTimeSeries("g")
+	ts.Add(0, 1)
+	ts.Grow(1000)
+	if ts.Len() != 1 || ts.points[0] != (Point{0, 1}) {
+		t.Fatalf("Grow changed the samples: %+v", ts.points)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 1; i <= 1000; i++ {
+			ts.Add(time.Duration(i)*time.Second, float64(i))
+		}
+		ts.points = ts.points[:1]
+	})
+	if allocs != 0 {
+		t.Fatalf("1000 Adds after Grow(1000) allocated %v times, want 0", allocs)
+	}
+}
+
 func TestTimeSeriesPointsIsCopy(t *testing.T) {
 	ts := NewTimeSeries("c")
 	ts.Add(0, 1)
@@ -79,18 +82,6 @@ func TestTimeSeriesPointsIsCopy(t *testing.T) {
 	pts[0].Value = 99
 	if ts.Points()[0].Value != 1 {
 		t.Fatal("Points exposed internal state")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter("requests")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("Value = %d", c.Value())
-	}
-	if c.Name() != "requests" {
-		t.Fatalf("Name = %q", c.Name())
 	}
 }
 
@@ -102,11 +93,8 @@ func TestAvailability(t *testing.T) {
 	if got := a.Ratio(); math.Abs(got-0.75) > 1e-9 {
 		t.Fatalf("Ratio = %v, want 0.75", got)
 	}
-	if a.Downtime() != 5*time.Second {
-		t.Fatalf("Downtime = %v", a.Downtime())
-	}
-	if a.Outages() != 1 {
-		t.Fatalf("Outages = %d", a.Outages())
+	if a.downTotal != 5*time.Second {
+		t.Fatalf("downtime = %v", a.downTotal)
 	}
 }
 
@@ -116,9 +104,6 @@ func TestAvailabilityRepeatedStateIgnored(t *testing.T) {
 	a.SetState(2*time.Second, false)
 	a.SetState(3*time.Second, false) // already down: no-op
 	a.Finish(4 * time.Second)
-	if a.Outages() != 1 {
-		t.Fatalf("Outages = %d, want 1", a.Outages())
-	}
 	if got := a.Ratio(); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("Ratio = %v, want 0.5", got)
 	}
@@ -126,7 +111,7 @@ func TestAvailabilityRepeatedStateIgnored(t *testing.T) {
 
 func TestAvailabilityAllUp(t *testing.T) {
 	a := NewAvailability().Finish(time.Hour)
-	if a.Ratio() != 1 || a.Outages() != 0 {
+	if a.Ratio() != 1 {
 		t.Fatal("untouched tracker must be fully available")
 	}
 }
@@ -159,16 +144,6 @@ func TestTableCSVQuoting(t *testing.T) {
 	}
 	if !strings.Contains(csv, `"x,y"`) {
 		t.Fatalf("comma quoting wrong:\n%s", csv)
-	}
-}
-
-func TestTableRowsIsCopy(t *testing.T) {
-	tb := NewTable("t", "a")
-	tb.AddRow("v")
-	rows := tb.Rows()
-	rows[0][0] = "mutated"
-	if tb.Cell(0, 0) != "v" {
-		t.Fatal("Rows exposed internal state")
 	}
 }
 

@@ -19,9 +19,6 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{title: title, headers: headers}
 }
 
-// Title returns the table's title.
-func (t *Table) Title() string { return t.title }
-
 // AddRow appends a row. Cells are formatted with %v; use Fmt for floats.
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
@@ -45,15 +42,6 @@ func (t *Table) AddNote(format string, args ...any) {
 
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
-
-// Rows returns a copy of the row data.
-func (t *Table) Rows() [][]string {
-	out := make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = append([]string(nil), r...)
-	}
-	return out
-}
 
 // Cell returns the cell at (row, col); it panics on out-of-range indices.
 func (t *Table) Cell(row, col int) string { return t.rows[row][col] }

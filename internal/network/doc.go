@@ -20,6 +20,6 @@
 //     Topology for a scenario run from Links (NewLink: latency
 //     distribution + bandwidth) joined into Paths (NewPath).
 //   - NewFailureProcess(engine, rng, mtbf, mttr) drives a link's
-//     up/down process on the virtual clock; Steady() is the
-//     never-fails instance for experiments that isolate other risks.
+//     up/down process on the virtual clock; a link with no process
+//     attached never fails.
 package network

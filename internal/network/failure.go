@@ -20,13 +20,10 @@ type FailureProcess struct {
 	up        bool
 	avail     *metrics.Availability
 	listeners []func(up bool)
-	next      *sim.Event
-	stopped   bool
 }
 
 // NewFailureProcess starts a process that is up at creation and schedules
 // its first failure. mtbf and mttr are in seconds and must be positive.
-// A process with mtbf = +Inf never fails; use Steady for that.
 func NewFailureProcess(eng *sim.Engine, rng *sim.RNG, mtbf, mttr float64) *FailureProcess {
 	if eng == nil || rng == nil {
 		panic("network: NewFailureProcess with nil engine or rng")
@@ -46,13 +43,6 @@ func NewFailureProcess(eng *sim.Engine, rng *sim.RNG, mtbf, mttr float64) *Failu
 	return f
 }
 
-// Steady returns a process that never fails: it reports Up forever. It
-// models campus LAN availability in baselines where outages are out of
-// scope.
-func Steady() *FailureProcess {
-	return &FailureProcess{up: true, avail: metrics.NewAvailability(), stopped: true}
-}
-
 // Up reports the current state.
 func (f *FailureProcess) Up() bool { return f.up }
 
@@ -63,43 +53,20 @@ func (f *FailureProcess) OnChange(fn func(up bool)) {
 	}
 }
 
-// Stop halts future transitions (the process stays in its current state).
-func (f *FailureProcess) Stop() {
-	f.stopped = true
-	if f.next != nil {
-		f.eng.Cancel(f.next)
-		f.next = nil
-	}
-}
-
 // Availability finalizes and returns the availability tracker as of now.
 func (f *FailureProcess) Availability() *metrics.Availability {
-	if f.eng != nil {
-		f.avail.Finish(f.eng.Now())
-	}
+	f.avail.Finish(f.eng.Now())
 	return f.avail
 }
 
-// ExpectedAvailability returns the analytic steady-state availability
-// MTBF/(MTBF+MTTR); tests compare the simulated ratio against it.
-func (f *FailureProcess) ExpectedAvailability() float64 {
-	if f.mtbf <= 0 {
-		return 1
-	}
-	return f.mtbf / (f.mtbf + f.mttr)
-}
-
 func (f *FailureProcess) scheduleTransition() {
-	if f.stopped {
-		return
-	}
 	var wait time.Duration
 	if f.up {
 		wait = sim.Seconds(f.rng.Exp(f.mtbf))
 	} else {
 		wait = sim.Seconds(f.rng.Exp(f.mttr))
 	}
-	f.next = f.eng.Schedule(wait, "failure-transition", func() {
+	f.eng.Schedule(wait, "failure-transition", func() {
 		f.up = !f.up
 		f.avail.SetState(f.eng.Now(), f.up)
 		for _, fn := range f.listeners {

@@ -46,9 +46,6 @@ func (l *Link) Up() bool { return l.fail == nil || l.fail.Up() }
 // Failure returns the attached failure process, or nil.
 func (l *Link) Failure() *FailureProcess { return l.fail }
 
-// ActiveTransfers returns the number of flows currently on the link.
-func (l *Link) ActiveTransfers() int { return l.transfers }
-
 // EffectiveMbps returns the per-flow bandwidth a new flow would get now.
 // Dedicated links always grant full line rate (concurrency on them comes
 // from different users' private lines, not contention).
@@ -78,9 +75,6 @@ func NewPath(name string, links ...*Link) *Path {
 	}
 	return &Path{Name: name, links: links}
 }
-
-// Links returns the path's links in order (shared slice; do not mutate).
-func (p *Path) Links() []*Link { return p.links }
 
 // Up reports whether every link on the path is up.
 func (p *Path) Up() bool {

@@ -1,6 +1,9 @@
 package network
 
 import (
+	"fmt"
+	"math"
+
 	"elearncloud/internal/sim"
 )
 
@@ -20,6 +23,28 @@ type AccessProfile struct {
 	// means the connection never fails.
 	MTBF float64
 	MTTR float64
+}
+
+// Validate rejects a profile BuildTopology cannot build or that would
+// silently model nothing: a bandwidth or latency mean that is not a
+// finite positive number, a negative or non-finite latency sigma, a
+// negative or non-finite MTBF, and a failing line (MTBF > 0) without a
+// finite positive MTTR.
+func (a AccessProfile) Validate() error {
+	finitePositive := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+	switch {
+	case !finitePositive(a.Mbps):
+		return fmt.Errorf("network: access profile %q Mbps = %v, need a finite value > 0", a.Name, a.Mbps)
+	case !finitePositive(a.LatencyMean):
+		return fmt.Errorf("network: access profile %q LatencyMean = %v, need a finite value > 0", a.Name, a.LatencyMean)
+	case !(a.LatencySigma >= 0) || math.IsInf(a.LatencySigma, 1):
+		return fmt.Errorf("network: access profile %q LatencySigma = %v, need a finite value >= 0", a.Name, a.LatencySigma)
+	case !(a.MTBF >= 0) || math.IsInf(a.MTBF, 1):
+		return fmt.Errorf("network: access profile %q MTBF = %v, need a finite value >= 0 (0 never fails)", a.Name, a.MTBF)
+	case a.MTBF > 0 && !finitePositive(a.MTTR):
+		return fmt.Errorf("network: access profile %q MTTR = %v, need a finite value > 0 when MTBF > 0", a.Name, a.MTTR)
+	}
+	return nil
 }
 
 // Standard access profiles used across experiments.

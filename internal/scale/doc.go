@@ -8,9 +8,9 @@
 //
 // Entry points: an Autoscaler observes a Target (the fleet's current
 // size and load — the scenario package's cluster satisfies it) and
-// decides the next fleet size. Four policies are provided:
+// decides the next fleet size. Three policies are provided; the
+// non-elastic baseline, a fleet sized once, runs no scaler at all:
 //
-//   - Fixed — the non-elastic baseline, a fleet sized once.
 //   - NewReactive — follow measured utilization up and down with
 //     configurable headroom and cooldown (ReactiveConfig).
 //   - NewScheduled — a clock-driven plan (capacity by time of day),
@@ -19,6 +19,6 @@
 //     (PredictiveConfig); it provisions ahead of the ramp but still
 //     overshoots a cliff-shaped crowd, which table5 makes visible.
 //
-// Describe(a) names a policy for table rendering. Scalers only decide
-// sizes; provisioning latency and cost live in cloud and cost.
+// Scalers only decide sizes; provisioning latency and cost live in
+// cloud and cost.
 package scale

@@ -1,7 +1,6 @@
 package scale
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -41,16 +40,6 @@ func clamp(n, min, max int) int {
 	}
 	return n
 }
-
-// Fixed is the no-op policy: the fleet stays at its bootstrap size. It is
-// the paper's private-cloud reality — capacity procured up front.
-type Fixed struct{}
-
-// Name implements Autoscaler.
-func (Fixed) Name() string { return "fixed" }
-
-// Start implements Autoscaler; it does nothing and returns a no-op stop.
-func (Fixed) Start(*sim.Engine) func() { return func() {} }
 
 // ReactiveConfig parameterizes the threshold scaler.
 type ReactiveConfig struct {
@@ -270,9 +259,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// String renders a short description for experiment notes.
-func Describe(a Autoscaler) string {
-	return fmt.Sprintf("autoscaler=%s", a.Name())
 }

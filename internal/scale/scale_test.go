@@ -18,28 +18,13 @@ func (f *fakeTarget) Desired() int  { return f.desired }
 func (f *fakeTarget) Load() float64 { return f.load }
 func (f *fakeTarget) ScaleTo(n int) { f.desired = n; f.calls = append(f.calls, n) }
 
-func TestFixedDoesNothing(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var fx Fixed
-	stop := fx.Start(eng)
-	if err := eng.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	stop()
-	if fx.Name() != "fixed" {
-		t.Fatal("name wrong")
-	}
-}
-
 func TestReactiveScalesOutUnderLoad(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ft := &fakeTarget{desired: 2, load: 20}
 	r := NewReactive(ft, ReactiveConfig{Interval: time.Minute, UpThreshold: 8, Step: 2, Max: 10})
 	stop := r.Start(eng)
 	defer stop()
-	if err := eng.Run(90 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(90 * time.Second)
 	if ft.desired != 4 {
 		t.Fatalf("desired = %d, want 4 after one scale-out", ft.desired)
 	}
@@ -53,9 +38,7 @@ func TestReactiveCooldownLimitsScaleOuts(t *testing.T) {
 	})
 	stop := r.Start(eng)
 	defer stop()
-	if err := eng.Run(9 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(9 * time.Minute)
 	if len(ft.calls) != 1 {
 		t.Fatalf("scale-outs = %d, want 1 within cooldown", len(ft.calls))
 	}
@@ -67,9 +50,7 @@ func TestReactiveScalesInWhenCold(t *testing.T) {
 	r := NewReactive(ft, ReactiveConfig{Interval: time.Minute, DownThreshold: 2, Min: 2})
 	stop := r.Start(eng)
 	defer stop()
-	if err := eng.Run(10 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(10 * time.Minute)
 	if ft.desired != 2 {
 		t.Fatalf("desired = %d, want scale-in to Min=2", ft.desired)
 	}
@@ -83,9 +64,7 @@ func TestReactiveRespectsMax(t *testing.T) {
 	})
 	stop := r.Start(eng)
 	defer stop()
-	if err := eng.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(time.Hour)
 	if ft.desired != 5 {
 		t.Fatalf("desired = %d, want clamped to 5", ft.desired)
 	}
@@ -97,9 +76,7 @@ func TestReactiveIdleBandHolds(t *testing.T) {
 	r := NewReactive(ft, ReactiveConfig{Interval: time.Minute, UpThreshold: 8, DownThreshold: 2})
 	stop := r.Start(eng)
 	defer stop()
-	if err := eng.Run(30 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(30 * time.Minute)
 	if len(ft.calls) != 0 {
 		t.Fatalf("scaler acted %d times in the dead band", len(ft.calls))
 	}
@@ -117,15 +94,11 @@ func TestScheduledFollowsPlan(t *testing.T) {
 	s := NewScheduled(ft, plan, 30*time.Minute, 1, 0)
 	stop := s.Start(eng)
 	defer stop()
-	if err := eng.Run(10 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(10 * time.Hour)
 	if ft.desired != 8 {
 		t.Fatalf("desired at 10:00 = %d, want 8", ft.desired)
 	}
-	if err := eng.Run(20 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(20 * time.Hour)
 	if ft.desired != 2 {
 		t.Fatalf("desired at 20:00 = %d, want 2", ft.desired)
 	}
@@ -147,9 +120,7 @@ func TestPredictiveTracksRamp(t *testing.T) {
 	// steep ramp.
 	rampStop := eng.Every(time.Minute, "ramp", func() { ft.load *= 1.5 })
 	defer rampStop()
-	if err := eng.Run(30 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(30 * time.Minute)
 	if ft.desired <= 1 {
 		t.Fatalf("predictive never scaled out (desired=%d)", ft.desired)
 	}
@@ -170,9 +141,7 @@ func TestPredictiveScalesInAfterPeak(t *testing.T) {
 	stop := p.Start(eng)
 	defer stop()
 	eng.Schedule(5*time.Minute, "quiet", func() { ft.load = 0.1 })
-	if err := eng.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run(time.Hour)
 	if ft.desired > 3 {
 		t.Fatalf("desired = %d, want scale-in toward Min after load vanished", ft.desired)
 	}
@@ -193,12 +162,6 @@ func TestConstructorsPanicOnNil(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	if Describe(Fixed{}) != "autoscaler=fixed" {
-		t.Fatal("Describe wrong")
 	}
 }
 

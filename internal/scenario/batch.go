@@ -86,9 +86,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers reports the pool's global concurrency cap.
-func (p *Pool) Workers() int { return p.workers }
-
 // Acquire blocks until a helper token is free or ctx is done, and
 // returns ctx.Err in the latter case. Every successful Acquire must be
 // paired with exactly one Release.
@@ -318,9 +315,6 @@ func (b *Batch) add(name string, cfg Config, fluid bool) *Batch {
 	return b
 }
 
-// Len returns the number of queued jobs.
-func (b *Batch) Len() int { return len(b.jobs) }
-
 // RunOn executes every queued job on the shared pool and returns the
 // collected results. This is how nested batches stay work-conserving:
 // an experiment handed the suite-wide pool runs its jobs on the same
@@ -345,9 +339,6 @@ type BatchResults struct {
 	ordered []JobResult
 	byName  map[string]int
 }
-
-// All returns every result in submission order.
-func (r *BatchResults) All() []JobResult { return r.ordered }
 
 // Result returns the named job's result, at whichever fidelity the job
 // ran. It panics if the job does not exist — a programming error in the

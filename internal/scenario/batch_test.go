@@ -126,8 +126,8 @@ func TestBatchSeedDerivation(t *testing.T) {
 	t.Parallel()
 	cfg := smallCfg(0, deploy.Public) // zero seed: derive
 	b := NewBatch(7).Add("a", cfg).Add("b", cfg)
-	if b.Len() != 2 {
-		t.Fatalf("Len = %d", b.Len())
+	if len(b.jobs) != 2 {
+		t.Fatalf("jobs = %d", len(b.jobs))
 	}
 	if got, want := b.jobs[0].Cfg.Seed, SeedFor(7, "a"); got != want {
 		t.Fatalf("derived seed = %d, want SeedFor(7, a) = %d", got, want)
@@ -163,8 +163,8 @@ func TestBatchResultLookup(t *testing.T) {
 	if fluid := res.Result("fluid"); fluid.FluidSimHours != cfg.Duration.Hours() || fluid.Events != 0 {
 		t.Fatalf("fluid job ran at the wrong fidelity: %v fluid hours, %d events", fluid.FluidSimHours, fluid.Events)
 	}
-	if len(res.All()) != 2 || res.All()[0].Name != "des" {
-		t.Fatalf("All() order wrong: %+v", res.All())
+	if len(res.ordered) != 2 || res.ordered[0].Name != "des" {
+		t.Fatalf("submission order wrong: %+v", res.ordered)
 	}
 	expectPanic(t, func() { res.Result("missing") })
 }
@@ -336,11 +336,11 @@ func TestPoolAcquireRelease(t *testing.T) {
 	}
 	p.Release()
 	p.Release()
-	if p.Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3", p.Workers())
+	if p.workers != 3 {
+		t.Fatalf("workers = %d, want 3", p.workers)
 	}
-	if got := NewPool(0).Workers(); got != DefaultWorkers() {
-		t.Fatalf("NewPool(0).Workers() = %d, want DefaultWorkers() = %d", got, DefaultWorkers())
+	if got := NewPool(0).workers; got != DefaultWorkers() {
+		t.Fatalf("NewPool(0) workers = %d, want DefaultWorkers() = %d", got, DefaultWorkers())
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // executes them on a worker pool. The jobs are added with a zero
 // Config.Seed, so each gets its own seed derived from (batch seed, job
 // name) — worker count changes only how fast the results arrive, never
-// what they are, and All() reports them in submission order.
+// what they are, and Result looks each one up by its job name.
 func ExampleBatch() {
 	cfg := func(kind deploy.Kind) scenario.Config {
 		return scenario.Config{
@@ -32,8 +32,8 @@ func ExampleBatch() {
 		fmt.Println("error:", err)
 		return
 	}
-	for _, r := range runs.All() {
-		fmt.Printf("%s served requests: %v\n", r.Name, r.Res.Served > 0)
+	for _, name := range []string{"public", "private"} {
+		fmt.Printf("%s served requests: %v\n", name, runs.Result(name).Served > 0)
 	}
 	// Output:
 	// public served requests: true

@@ -105,15 +105,21 @@ type fluidAccum struct {
 	hours float64
 }
 
-// newAccum starts an empty accumulator for one integration pass.
+// newAccum starts an empty accumulator for one integration pass. Its
+// series are sized for one sample per fluid step of the horizon, the
+// most any sequence of integrate calls adds.
 func (m *fluidModel) newAccum() *fluidAccum {
-	return &fluidAccum{res: &Result{
+	steps := int((m.cfg.Duration + fluidStep - 1) / fluidStep)
+	res := &Result{
 		Kind:     m.cfg.Kind,
 		Scaler:   m.cfg.Scaler,
 		Duration: m.cfg.Duration,
 		Rate:     metrics.NewTimeSeries("rate-rps"),
 		Servers:  metrics.NewTimeSeries("servers"),
-	}}
+	}
+	res.Rate.Grow(steps)
+	res.Servers.Grow(steps)
+	return &fluidAccum{res: res}
 }
 
 // integrate steps the flow model over [from, to), accumulating into

@@ -72,24 +72,8 @@ type desWindow struct {
 // DES windows, with everything outside them integrated by the fluid
 // model. It is exported for tests, table11's plan report and elbench.
 type FidelityPlan struct {
-	// Horizon is the planned span.
-	Horizon time.Duration
 	// Windows are the DES windows, sorted and disjoint.
 	Windows []workload.BurstWindow
-}
-
-// DESHours returns the request-level share of the horizon in hours.
-func (p *FidelityPlan) DESHours() float64 {
-	var h float64
-	for _, w := range p.Windows {
-		h += w.Duration().Hours()
-	}
-	return h
-}
-
-// FluidHours returns the flow-level share of the horizon in hours.
-func (p *FidelityPlan) FluidHours() float64 {
-	return p.Horizon.Hours() - p.DESHours()
 }
 
 // desWindows runs the planner and derives each window's warm-start
@@ -127,7 +111,6 @@ func PlanFidelity(cfg Config) (*FidelityPlan, error) {
 		return nil, err
 	}
 	return &FidelityPlan{
-		Horizon: cfg.Duration,
 		Windows: gen.BurstWindows(cfg.Duration, cfg.HybridIntensity, cfg.HybridGuard, fluidStep),
 	}, nil
 }
@@ -298,11 +281,14 @@ func stitchHybrid(cfg Config, m *fluidModel, acc *fluidAccum, des []desWindow, w
 func mergeByTime(name string, parts []*metrics.TimeSeries) *metrics.TimeSeries {
 	out := metrics.NewTimeSeries(name)
 	pts := make([][]metrics.Point, len(parts))
+	total := 0
 	for i, p := range parts {
 		if p != nil {
 			pts[i] = p.Points()
+			total += len(pts[i])
 		}
 	}
+	out.Grow(total)
 	idx := make([]int, len(parts))
 	for {
 		best := -1

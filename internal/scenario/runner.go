@@ -146,9 +146,7 @@ func runEngine(cfg Config, sh *shard, win *desWindow) (*Result, error) {
 	if err := e.build(); err != nil {
 		return nil, err
 	}
-	if err := e.eng.Run(e.endAt); err != nil {
-		return nil, fmt.Errorf("scenario: engine: %w", err)
-	}
+	e.eng.Run(e.endAt)
 	for _, stop := range e.stops {
 		stop()
 	}

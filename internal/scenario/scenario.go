@@ -161,11 +161,14 @@ func (c *Config) defaults() error {
 	if c.ReqPerStudentHour == 0 {
 		c.ReqPerStudentHour = 50
 	}
-	if c.ReqPerStudentHour < 0 {
-		return fmt.Errorf("scenario: negative ReqPerStudentHour")
+	if !(c.ReqPerStudentHour > 0) || math.IsInf(c.ReqPerStudentHour, 1) {
+		return fmt.Errorf("scenario: ReqPerStudentHour = %v, need a finite value >= 0 (0 picks 50)", c.ReqPerStudentHour)
 	}
 	if c.Access.Name == "" {
 		c.Access = network.UrbanBroadband
+	}
+	if err := c.Access.Validate(); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	if c.Duration <= 0 {
 		c.Duration = 6 * time.Hour
@@ -182,11 +185,17 @@ func (c *Config) defaults() error {
 	if c.TrackedSessions > c.Students {
 		c.TrackedSessions = c.Students
 	}
+	if math.IsNaN(c.TargetUtil) {
+		return fmt.Errorf("scenario: TargetUtil = %v, not a number", c.TargetUtil)
+	}
 	if c.TargetUtil <= 0 || c.TargetUtil > 1 {
 		c.TargetUtil = 0.6
 	}
 	if c.HostFailureAt > 0 && c.HostRecoveryAfter <= 0 {
 		c.HostRecoveryAfter = 4 * time.Hour
+	}
+	if math.IsNaN(c.HybridIntensity) {
+		return fmt.Errorf("scenario: HybridIntensity = %v, not a number", c.HybridIntensity)
 	}
 	if c.HybridIntensity <= 0 {
 		c.HybridIntensity = 1.5

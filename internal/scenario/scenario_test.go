@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -431,6 +432,7 @@ func TestRunValidation(t *testing.T) {
 	}
 	entries := map[string]func(Config) error{
 		"Run":        func(c Config) error { _, err := Run(c); return err },
+		"FluidRun":   func(c Config) error { _, err := FluidRun(c); return err },
 		"HybridRun":  func(c Config) error { _, err := HybridRun(c, NewPool(1)); return err },
 		"ShardedRun": func(c Config) error { _, err := ShardedRun(c, NewPool(1)); return err },
 		"PlanFidelity": func(c Config) error {
@@ -445,25 +447,53 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// badEnum is a config with one out-of-range enum or count, and how an
-// error must name that value.
+// badEnum is a config with one out-of-range enum, count or number, and
+// how an error must name that value.
 type badEnum struct {
 	cfg   Config
 	value string
 }
 
 // badEnumCfgs are the configs every entry point must reject with an
-// error naming the bad value, instead of running to a plausible-looking
-// result.
+// error naming the bad value, instead of panicking or running to a
+// plausible-looking result.
 func badEnumCfgs() []badEnum {
-	kind, scaler, shards := quickCfg(deploy.Public), quickCfg(deploy.Public), quickCfg(deploy.Public)
-	kind.Kind = deploy.Kind(9)
-	scaler.Scaler = ScalerKind(42)
-	shards.Shards = -3
+	with := func(edit func(*Config)) Config {
+		c := quickCfg(deploy.Public)
+		c.Seed, c.Students, c.ReqPerStudentHour, c.Duration = 1, 100, 10, 20*time.Minute
+		edit(&c)
+		return c
+	}
+	access := func(edit func(*network.AccessProfile)) Config {
+		return with(func(c *Config) {
+			c.Access = network.UrbanBroadband
+			c.Access.Name = "custom"
+			edit(&c.Access)
+		})
+	}
+	nan := math.NaN()
 	return []badEnum{
-		{kind, "Kind(9)"},
-		{scaler, "ScalerKind(42)"},
-		{shards, "-3"},
+		{with(func(c *Config) { c.Kind = deploy.Kind(9) }), "Kind(9)"},
+		{with(func(c *Config) { c.Scaler = ScalerKind(42) }), "ScalerKind(42)"},
+		{with(func(c *Config) { c.Shards = -3 }), "-3"},
+		{access(func(a *network.AccessProfile) { a.Mbps = 0 }), "Mbps = 0"},
+		{access(func(a *network.AccessProfile) { a.LatencyMean = 0 }), "LatencyMean = 0"},
+		{access(func(a *network.AccessProfile) { a.LatencySigma = -1 }), "LatencySigma = -1"},
+		{access(func(a *network.AccessProfile) { a.MTBF = -5 }), "MTBF = -5"},
+		{access(func(a *network.AccessProfile) { a.MTBF, a.MTTR = 100, 0 }), "MTTR = 0"},
+		{with(func(c *Config) { c.ReqPerStudentHour = nan }), "ReqPerStudentHour = NaN"},
+		{with(func(c *Config) { c.ReqPerStudentHour = math.Inf(1) }), "ReqPerStudentHour = +Inf"},
+		{with(func(c *Config) { c.TargetUtil = nan }), "TargetUtil = NaN"},
+		{with(func(c *Config) { c.HybridIntensity = nan }), "HybridIntensity = NaN"},
+		{with(func(c *Config) {
+			c.Crowds = []workload.FlashCrowd{{Start: 5 * time.Minute, End: 10 * time.Minute, Mult: nan}}
+		}), "Mult = NaN"},
+		{with(func(c *Config) {
+			c.Storms = []workload.DeadlineStorm{{Deadline: 15 * time.Minute, Ramp: 10 * time.Minute, PeakMult: nan}}
+		}), "PeakMult = NaN"},
+		{with(func(c *Config) {
+			c.Joins = []workload.JoinStorm{{Start: 5 * time.Minute, Window: 5 * time.Minute, PeakMult: nan}}
+		}), "PeakMult = NaN"},
 	}
 }
 

@@ -229,11 +229,6 @@ func (m *ThreatModel) physicalDamage() {
 	})
 }
 
-// Incidents returns a copy of all realized incidents.
-func (m *ThreatModel) Incidents() []Incident {
-	return append([]Incident(nil), m.incidents...)
-}
-
 // Breaches counts successful remote accesses.
 func (m *ThreatModel) Breaches() int { return m.countKind(Breach) }
 
@@ -270,27 +265,6 @@ func (m *ThreatModel) BytesLost() float64 {
 		sum += in.BytesLost
 	}
 	return sum
-}
-
-// ExpectedBreachesPerMonth returns the analytic breach rate for the
-// current asset placement: attacks/month × Σ per-location success.
-func (m *ThreatModel) ExpectedBreachesPerMonth() float64 {
-	rate := 0.0
-	if m.assets.Count(lms.OnPublic) > 0 {
-		rate += m.cfg.AttackRatePerMonth * m.cfg.PublicBreachProb
-	}
-	if m.assets.Count(lms.OnPrivate) > 0 {
-		rate += m.cfg.AttackRatePerMonth * m.cfg.PrivateBreachProb
-	}
-	return rate
-}
-
-// ExpectedDataLossPerYear returns the analytic physical-loss event rate.
-func (m *ThreatModel) ExpectedDataLossPerYear() float64 {
-	if m.cfg.PhysicalMTBFYears <= 0 || m.assets.Count(lms.OnPrivate) == 0 {
-		return 0
-	}
-	return 1 / m.cfg.PhysicalMTBFYears
 }
 
 // AnnualSensitiveRisk returns the analytic expected number of

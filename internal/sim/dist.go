@@ -18,43 +18,6 @@ type Dist interface {
 	String() string
 }
 
-type constDist struct{ v float64 }
-
-// Constant returns a degenerate distribution that always yields v.
-func Constant(v float64) Dist { return constDist{v} }
-
-func (d constDist) Sample(*RNG) float64 { return d.v }
-func (d constDist) Mean() float64       { return d.v }
-func (d constDist) String() string      { return fmt.Sprintf("Const(%g)", d.v) }
-
-type uniformDist struct{ lo, hi float64 }
-
-// Uniform returns a uniform distribution on [lo, hi). It panics if hi < lo.
-func Uniform(lo, hi float64) Dist {
-	if hi < lo {
-		panic("sim: Uniform with hi < lo")
-	}
-	return uniformDist{lo, hi}
-}
-
-func (d uniformDist) Sample(r *RNG) float64 { return d.lo + (d.hi-d.lo)*r.Float64() }
-func (d uniformDist) Mean() float64         { return (d.lo + d.hi) / 2 }
-func (d uniformDist) String() string        { return fmt.Sprintf("Uniform(%g,%g)", d.lo, d.hi) }
-
-type expDist struct{ mean float64 }
-
-// Exponential returns an exponential distribution with the given mean.
-func Exponential(mean float64) Dist {
-	if mean <= 0 {
-		panic("sim: Exponential with non-positive mean")
-	}
-	return expDist{mean}
-}
-
-func (d expDist) Sample(r *RNG) float64 { return r.Exp(d.mean) }
-func (d expDist) Mean() float64         { return d.mean }
-func (d expDist) String() string        { return fmt.Sprintf("Exp(mean=%g)", d.mean) }
-
 type lognormDist struct{ mu, sigma, mean float64 }
 
 // LogNormal returns a log-normal distribution parameterized directly by

@@ -5,69 +5,40 @@ import (
 	"time"
 )
 
-// TestDrainedDistinguishesHorizonStop is the regression test for the
-// drained-vs-horizon ambiguity: a Run that stops at the horizon with
-// future-dated events queued must not report Drained, while a Run that
-// empties its queue must — even when the clock lands on the horizon in
-// both cases.
+// TestDrainedDistinguishesHorizonStop: a Run that stops at the horizon
+// leaves its future-dated events queued, with the clock on the
+// horizon, while a Run that empties the queue leaves nothing behind —
+// even when the clock lands on the horizon in both cases.
 func TestDrainedDistinguishesHorizonStop(t *testing.T) {
 	eng := NewEngine(1)
-	if eng.Drained() {
-		t.Fatal("Drained() true before the first Run")
-	}
-
 	eng.Schedule(2*time.Hour, "future", func() {})
-	if err := eng.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Drained() {
-		t.Fatal("Drained() true after horizon stop with a pending event")
-	}
-	if eng.Pending() != 1 {
-		t.Fatalf("Pending() = %d after horizon stop, want 1", eng.Pending())
+	eng.Run(time.Hour)
+	if len(eng.queue) != 1 {
+		t.Fatalf("queued = %d after horizon stop, want 1", len(eng.queue))
 	}
 	if eng.Now() != time.Hour {
 		t.Fatalf("Now() = %v, want horizon", eng.Now())
 	}
 
 	// Resuming with no horizon drains the leftover event.
-	if err := eng.Run(0); err != nil {
-		t.Fatal(err)
+	eng.Run(0)
+	if len(eng.queue) != 0 {
+		t.Fatalf("queued = %d after drain, want 0", len(eng.queue))
 	}
-	if !eng.Drained() {
-		t.Fatal("Drained() false after the queue emptied")
-	}
-	if eng.Pending() != 0 {
-		t.Fatalf("Pending() = %d after drain, want 0", eng.Pending())
+	if eng.Fired() != 1 {
+		t.Fatalf("Fired() = %d after drain, want 1", eng.Fired())
 	}
 }
 
-// TestDrainedAtExactHorizon: draining exactly at the horizon still counts
-// as drained — Pending() is 0 in both that case and a pure horizon run
-// past an empty tail, so only Drained() can tell callers the queue ran
-// dry rather than the clock running out.
+// TestDrainedAtExactHorizon: an event dated exactly at the horizon
+// fires, so the queue drains; only events after the horizon stay.
 func TestDrainedAtExactHorizon(t *testing.T) {
 	eng := NewEngine(1)
 	eng.Schedule(time.Hour, "at-horizon", func() {})
-	if err := eng.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if !eng.Drained() {
-		t.Fatal("event at the horizon should fire and drain the queue")
-	}
-}
-
-// TestDrainedFalseAfterStop: halting with Stop is neither draining nor a
-// horizon stop.
-func TestDrainedFalseAfterStop(t *testing.T) {
-	eng := NewEngine(1)
-	eng.Schedule(time.Minute, "a", func() { eng.Stop() })
-	eng.Schedule(2*time.Minute, "b", func() {})
-	if err := eng.Run(time.Hour); err != ErrStopped {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	if eng.Drained() {
-		t.Fatal("Drained() true after Stop")
+	eng.Run(time.Hour)
+	if eng.Fired() != 1 || len(eng.queue) != 0 {
+		t.Fatalf("fired %d, queued %d; the event at the horizon should fire and drain the queue",
+			eng.Fired(), len(eng.queue))
 	}
 }
 

@@ -46,18 +46,6 @@ type NHPP struct {
 	accepted uint64
 }
 
-// NewNHPP builds a generator with a single global bound, starting at
-// virtual time start. maxRate must be a true upper bound on rate over
-// the generation horizon; violations silently under-generate, so callers
-// should size it generously. For nonstationary shapes whose peak is far
-// above the typical rate, prefer NewNHPPEnvelope.
-func NewNHPP(rng *RNG, rate RateFunc, maxRate float64, start Time) *NHPP {
-	if maxRate <= 0 {
-		panic("sim: NewNHPP with non-positive maxRate")
-	}
-	return NewNHPPEnvelope(rng, rate, ConstantEnvelope(maxRate), start)
-}
-
 // NewNHPPEnvelope builds a generator whose thinning bound is the
 // piecewise-constant envelope env. Each env segment's max must be a true
 // upper bound on rate over that segment (violations silently

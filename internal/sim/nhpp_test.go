@@ -9,7 +9,7 @@ import (
 func TestNHPPHomogeneousRateMatchesExpectation(t *testing.T) {
 	r := NewRNG(51)
 	const rate = 10.0 // arrivals/s
-	p := NewNHPP(r, func(Time) float64 { return rate }, rate, 0)
+	p := NewNHPPEnvelope(r, func(Time) float64 { return rate }, ConstantEnvelope(rate), 0)
 	horizon := 1000 * time.Second
 	n := p.GenerateInto(horizon, func(Time) {})
 	want := rate * ToSeconds(horizon)
@@ -20,7 +20,7 @@ func TestNHPPHomogeneousRateMatchesExpectation(t *testing.T) {
 
 func TestNHPPArrivalsStrictlyIncreaseAndRespectHorizon(t *testing.T) {
 	r := NewRNG(53)
-	p := NewNHPP(r, func(t Time) float64 { return 5 + 4*math.Sin(ToSeconds(t)/100) }, 10, 0)
+	p := NewNHPPEnvelope(r, func(t Time) float64 { return 5 + 4*math.Sin(ToSeconds(t)/100) }, ConstantEnvelope(10), 0)
 	horizon := 500 * time.Second
 	last := Time(-1)
 	p.GenerateInto(horizon, func(at Time) {
@@ -45,7 +45,7 @@ func TestNHPPTracksTimeVaryingRate(t *testing.T) {
 		}
 		return 2
 	}
-	p := NewNHPP(r, rate, 20, 0)
+	p := NewNHPPEnvelope(r, rate, ConstantEnvelope(20), 0)
 	var first, second int
 	p.GenerateInto(2*half, func(at Time) {
 		if at < half {
@@ -64,12 +64,12 @@ func TestNHPPZeroRatePeriodsProduceNoArrivals(t *testing.T) {
 	r := NewRNG(59)
 	// Zero rate everywhere except an active window.
 	active := func(t Time) bool { return t >= 100*time.Second && t < 200*time.Second }
-	p := NewNHPP(r, func(t Time) float64 {
+	p := NewNHPPEnvelope(r, func(t Time) float64 {
 		if active(t) {
 			return 10
 		}
 		return 0
-	}, 10, 0)
+	}, ConstantEnvelope(10), 0)
 	p.GenerateInto(300*time.Second, func(at Time) {
 		if !active(at) {
 			t.Fatalf("arrival at %v outside active window", at)
@@ -80,7 +80,7 @@ func TestNHPPZeroRatePeriodsProduceNoArrivals(t *testing.T) {
 func TestNHPPDeterminism(t *testing.T) {
 	gen := func() []Time {
 		r := NewRNG(61)
-		p := NewNHPP(r, func(Time) float64 { return 3 }, 3, 0)
+		p := NewNHPPEnvelope(r, func(Time) float64 { return 3 }, ConstantEnvelope(3), 0)
 		var out []Time
 		p.GenerateInto(100*time.Second, func(at Time) { out = append(out, at) })
 		return out
@@ -100,9 +100,8 @@ func TestNHPPPanics(t *testing.T) {
 	r := NewRNG(1)
 	rate := func(Time) float64 { return 1 }
 	for name, fn := range map[string]func(){
-		"nil rng":      func() { NewNHPP(nil, rate, 1, 0) },
-		"zero maxRate": func() { NewNHPP(r, rate, 0, 0) },
-		"nil rate":     func() { NewNHPP(r, nil, 1, 0) },
+		"nil rng":      func() { NewNHPPEnvelope(nil, rate, ConstantEnvelope(1), 0) },
+		"nil rate":     func() { NewNHPPEnvelope(r, nil, ConstantEnvelope(1), 0) },
 		"nil envelope": func() { NewNHPPEnvelope(r, rate, nil, 0) },
 		"stuck envelope": func() {
 			p := NewNHPPEnvelope(NewRNG(1), rate, func(t Time) (float64, Time) { return 1, t }, 0)

@@ -85,14 +85,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // Bernoulli returns true with probability p (clamped to [0, 1]).
 func (r *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {
@@ -150,42 +142,6 @@ func (r *RNG) Pareto(alpha, xm float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// Poisson returns a Poisson(lambda) sample. For small lambda it uses
-// Knuth's product method; for large lambda a normal approximation with
-// continuity correction, which is ample for workload counts.
-func (r *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	n := r.Norm(lambda, math.Sqrt(lambda))
-	if n < 0 {
-		return 0
-	}
-	return int(n + 0.5)
-}
-
-// Zipf returns a sample in [1, n] following a Zipf distribution with
-// exponent s (s > 0, typically near 1). Implemented by inverse-CDF over a
-// cached harmonic table would be faster, but workloads draw from modest n,
-// so rejection-free linear search on the CDF is acceptable and allocation
-// free when used through ZipfGen.
-func (r *RNG) Zipf(n int, s float64) int {
-	g := NewZipfGen(r, n, s)
-	return g.Sample()
-}
-
 // ZipfGen samples from a Zipf distribution over [1, n] with exponent s,
 // precomputing the normalization so repeated draws are O(log n).
 type ZipfGen struct {
@@ -223,15 +179,6 @@ func (z *ZipfGen) Sample() int {
 		}
 	}
 	return lo + 1
-}
-
-// Shuffle permutes the order of n elements using the Fisher–Yates
-// algorithm, invoking swap(i, j) for each exchange.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Pick returns a uniformly chosen index weighted by weights. Zero or

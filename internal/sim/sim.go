@@ -41,9 +41,6 @@ type Event struct {
 	index int    // heap position; -1 once fired or canceled
 }
 
-// Canceled reports whether the event was canceled or has already fired.
-func (e *Event) Canceled() bool { return e.index < 0 }
-
 // eventBefore is the queue's total order: (At, seq) ascending. seq is
 // unique per engine, so the order is strict and the pop sequence is a
 // pure function of the schedule.
@@ -53,10 +50,6 @@ func eventBefore(a, b *Event) bool {
 	}
 	return a.seq < b.seq
 }
-
-// ErrStopped is returned by Run when the simulation was halted with Stop
-// before the event queue drained or the horizon was reached.
-var ErrStopped = errors.New("sim: engine stopped")
 
 // maxFreeEvents caps the engine's event free list. The list only grows
 // to the peak number of concurrently pending events, but a cap keeps a
@@ -76,8 +69,6 @@ type Engine struct {
 	queue   []*Event
 	nextSeq uint64
 	rng     *RNG
-	stopped bool
-	drained bool
 	fired   uint64
 	// free recycles fired and canceled Event structs (see the Event
 	// pooling contract). Fired events are freed only after their callback
@@ -170,12 +161,6 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// RNG returns the engine's root random stream.
-func (e *Engine) RNG() *RNG { return e.rng }
-
 // Stream derives a named, independent random stream from the engine seed.
 // The same (seed, name) pair always yields the same stream.
 func (e *Engine) Stream(name string) *RNG { return e.rng.Stream(name) }
@@ -227,9 +212,6 @@ func (e *Engine) Cancel(ev *Event) {
 	e.freeEvent(e.remove(ev.index))
 }
 
-// Stop halts the run loop after the currently executing event returns.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Step executes the single earliest pending event, advancing the clock.
 // It reports false when the queue is empty. The event struct is recycled
 // after its callback returns, so any retained pointer to it must be
@@ -248,40 +230,22 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains, the virtual clock passes
-// horizon, or Stop is called. A zero horizon means "no horizon" (run until
-// the queue drains). It returns ErrStopped if halted by Stop.
-//
-// When Run returns nil the simulation either drained its queue or hit the
-// horizon with future-dated events still pending; Drained distinguishes
-// the two.
-func (e *Engine) Run(horizon Time) error {
-	e.stopped = false
-	e.drained = false
+// Run executes events until the queue drains or the virtual clock passes
+// horizon. A zero horizon means "no horizon" (run until the queue
+// drains). With a positive horizon the clock ends at the horizon, and
+// events dated after it stay queued for a later Run.
+func (e *Engine) Run(horizon Time) {
 	for len(e.queue) > 0 {
-		if e.stopped {
-			return ErrStopped
-		}
 		if horizon > 0 && e.queue[0].At > horizon {
 			e.now = horizon
-			return nil
+			return
 		}
 		e.Step()
 	}
-	e.drained = true
 	if horizon > 0 && e.now < horizon {
 		e.now = horizon
 	}
-	return nil
 }
-
-// Drained reports whether the most recent Run returned because the event
-// queue emptied, as opposed to stopping at the horizon with future-dated
-// events still queued or being halted by Stop. It is false before the
-// first Run. Note that Pending alone cannot distinguish
-// the cases: a periodic Every ticker keeps the queue non-empty forever,
-// and a queue may also drain exactly at the horizon.
-func (e *Engine) Drained() bool { return e.drained }
 
 // Every schedules fn to run periodically, first after period, then every
 // period thereafter, until the returned stop function is called or the
@@ -323,13 +287,10 @@ type State struct {
 	Now Time
 }
 
-// Export snapshots the engine's warm-start state at the current instant.
-func (e *Engine) Export() State { return State{Now: e.now} }
-
-// Import warps a fresh engine to a previously exported (or constructed)
-// state, so a DES window opening mid-horizon sees the true virtual time
-// — absolute-time schedules (ScheduleAt, calendar lookups) then land
-// where the fluid model left off instead of being clamped to zero.
+// Import warps a fresh engine to state s, so a DES window opening
+// mid-horizon sees the true virtual time — absolute-time schedules
+// (ScheduleAt, calendar lookups) then land where the fluid model left
+// off instead of being clamped to zero.
 //
 // Import is only valid on a pristine engine: nothing scheduled, nothing
 // fired, clock at zero. Importing into an engine that already has

@@ -13,9 +13,7 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e.Schedule(3*time.Second, "c", func() { got = append(got, 3) })
 	e.Schedule(1*time.Second, "a", func() { got = append(got, 1) })
 	e.Schedule(2*time.Second, "b", func() { got = append(got, 2) })
-	if err := e.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run(0)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -31,9 +29,7 @@ func TestEngineFIFOAmongSimultaneousEvents(t *testing.T) {
 		i := i
 		e.Schedule(time.Second, "same", func() { got = append(got, i) })
 	}
-	if err := e.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run(0)
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("FIFO violated: got %v", got)
@@ -45,9 +41,7 @@ func TestEngineClockAdvances(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
 	e.Schedule(5*time.Second, "probe", func() { at = e.Now() })
-	if err := e.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run(0)
 	if at != 5*time.Second {
 		t.Fatalf("Now at event = %v, want 5s", at)
 	}
@@ -60,17 +54,15 @@ func TestEngineHorizonStopsAndAdvancesClock(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
 	e.Schedule(10*time.Second, "late", func() { fired = true })
-	if err := e.Run(4 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run(4 * time.Second)
 	if fired {
 		t.Fatal("event beyond horizon fired")
 	}
 	if e.Now() != 4*time.Second {
 		t.Fatalf("Now = %v, want horizon 4s", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
+	if len(e.queue) != 1 {
+		t.Fatalf("queued = %d, want 1", len(e.queue))
 	}
 }
 
@@ -81,9 +73,7 @@ func TestEngineScheduleInPastClamps(t *testing.T) {
 		e.ScheduleAt(0, "past", func() { order = append(order, "past") })
 		e.Schedule(0, "now", func() { order = append(order, "now") })
 	})
-	if err := e.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run(0)
 	if len(order) != 2 || order[0] != "past" || order[1] != "now" {
 		t.Fatalf("order = %v", order)
 	}
@@ -97,41 +87,18 @@ func TestEngineCancel(t *testing.T) {
 	fired := false
 	ev := e.Schedule(time.Second, "x", func() { fired = true })
 	e.Cancel(ev)
-	if !ev.Canceled() {
+	if ev.index >= 0 {
 		t.Fatal("event not marked canceled")
 	}
-	if err := e.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run(0)
 	if fired {
 		t.Fatal("canceled event fired")
 	}
 	// Double-cancel and cancel-after-fire must be no-ops.
 	e.Cancel(ev)
 	ev2 := e.Schedule(time.Second, "y", func() {})
-	if err := e.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run(0)
 	e.Cancel(ev2)
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i)*time.Second, "n", func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	if err := e.Run(0); err != ErrStopped {
-		t.Fatalf("Run = %v, want ErrStopped", err)
-	}
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
 }
 
 func TestEngineEvery(t *testing.T) {
@@ -139,9 +106,7 @@ func TestEngineEvery(t *testing.T) {
 	ticks := 0
 	stop := e.Every(time.Second, "tick", func() { ticks++ })
 	e.Schedule(5500*time.Millisecond, "stop", func() { stop() })
-	if err := e.Run(10 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run(10 * time.Second)
 	if ticks != 5 {
 		t.Fatalf("ticks = %d, want 5", ticks)
 	}
@@ -167,9 +132,7 @@ func TestEngineDeterminism(t *testing.T) {
 				out = append(out, ToSeconds(e.Now()))
 			})
 		}
-		if err := e.Run(0); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		e.Run(0)
 		return out
 	}
 	a, b := run(42), run(42)
@@ -207,9 +170,7 @@ func TestEngineOrderingProperty(t *testing.T) {
 			d := Time(d) * time.Millisecond
 			e.Schedule(d, "p", func() { times = append(times, e.Now()) })
 		}
-		if err := e.Run(0); err != nil {
-			return false
-		}
+		e.Run(0)
 		if len(times) != len(delays) {
 			return false
 		}
@@ -247,16 +208,14 @@ func TestFiredCounts(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		e.Schedule(Time(i)*time.Millisecond, "n", func() {})
 	}
-	if err := e.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run(0)
 	if e.Fired() != 7 {
 		t.Fatalf("Fired = %d, want 7", e.Fired())
 	}
 }
 
-// TestPendingExactAfterCancel checks that Pending counts only live events
-// as soon as a batch of cancels returns, and that no canceled event fires.
+// TestPendingExactAfterCancel checks that the queue holds only live
+// events as soon as a batch of cancels returns, and that no canceled event fires.
 func TestPendingExactAfterCancel(t *testing.T) {
 	e := NewEngine(3)
 	rng := NewRNG(17)
@@ -268,12 +227,10 @@ func TestPendingExactAfterCancel(t *testing.T) {
 	for i := 0; i < 37; i++ {
 		e.Cancel(events[i])
 	}
-	if got := e.Pending(); got != 63 {
-		t.Fatalf("Pending after cancels = %d, want 63", got)
+	if got := len(e.queue); got != 63 {
+		t.Fatalf("queued after cancels = %d, want 63", got)
 	}
-	if err := e.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run(0)
 	if got := e.Fired(); got != 63 {
 		t.Fatalf("Fired = %d, want 63", got)
 	}
@@ -295,9 +252,7 @@ func TestWheelEqualTimeFIFO(t *testing.T) {
 			}
 		})
 	}
-	if err := e.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run(0)
 	want := []string{"first", "second", "third", "nested"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("fire order = %v, want %v", got, want)
@@ -312,11 +267,9 @@ func TestWheelHorizon(t *testing.T) {
 	fired := 0
 	e.Schedule(time.Second, "near", func() { fired++ })
 	e.Schedule(10*time.Second, "far", func() { fired++ })
-	if err := e.Run(5 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if fired != 1 || e.Pending() != 1 || e.Now() != 5*time.Second {
-		t.Fatalf("fired=%d pending=%d now=%v", fired, e.Pending(), e.Now())
+	e.Run(5 * time.Second)
+	if fired != 1 || len(e.queue) != 1 || e.Now() != 5*time.Second {
+		t.Fatalf("fired=%d pending=%d now=%v", fired, len(e.queue), e.Now())
 	}
 }
 
@@ -333,7 +286,7 @@ func TestEventFreeList(t *testing.T) {
 		t.Fatal("fired event struct was not reused from the free list")
 	}
 	e.Cancel(ev2)
-	if !ev2.Canceled() {
+	if ev2.index >= 0 {
 		t.Fatal("canceled event not marked canceled")
 	}
 	ev3 := e.Schedule(time.Millisecond, "c", func() {})
@@ -348,7 +301,7 @@ type queueModel interface {
 	schedule(d Time, name string, fn func()) (cancel func())
 	now() Time
 	fired() uint64
-	run() error
+	run()
 }
 
 type engineModel struct{ e *Engine }
@@ -360,7 +313,7 @@ func (m engineModel) schedule(d Time, name string, fn func()) func() {
 
 func (m engineModel) now() Time     { return m.e.Now() }
 func (m engineModel) fired() uint64 { return m.e.Fired() }
-func (m engineModel) run() error    { return m.e.Run(0) }
+func (m engineModel) run()          { m.e.Run(0) }
 
 // refQueue is the reference queue: an unordered slice, scanned in full
 // for the minimum (at, seq) on every pop.
@@ -394,7 +347,7 @@ func (r *refQueue) schedule(d Time, _ string, fn func()) func() {
 func (r *refQueue) now() Time     { return r.clock }
 func (r *refQueue) fired() uint64 { return r.n }
 
-func (r *refQueue) run() error {
+func (r *refQueue) run() {
 	for len(r.pending) > 0 {
 		b := 0
 		for i, p := range r.pending {
@@ -409,7 +362,6 @@ func (r *refQueue) run() error {
 		r.n++
 		ev.fn()
 	}
-	return nil
 }
 
 // queueDriver runs a randomized schedule/cancel workload against one
@@ -485,9 +437,7 @@ func TestQueueMatchesReference(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			d.schedule()
 		}
-		if err := q.run(); err != nil {
-			t.Fatalf("run: %v", err)
-		}
+		q.run()
 		return d
 	}
 	eng := NewEngine(7)
@@ -507,8 +457,8 @@ func TestQueueMatchesReference(t *testing.T) {
 		t.Fatalf("engine fired %d by %v, reference %d by %v",
 			got.q.fired(), got.q.now(), want.q.fired(), want.q.now())
 	}
-	if eng.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", eng.Pending())
+	if len(eng.queue) != 0 {
+		t.Fatalf("queued = %d after drain", len(eng.queue))
 	}
 }
 

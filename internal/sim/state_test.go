@@ -17,33 +17,12 @@ func TestImportWarpsFreshEngineClock(t *testing.T) {
 	// ScheduleAt clamps to the imported time, not to zero.
 	var firedAt Time
 	e.ScheduleAt(10*time.Minute, "past", func() { firedAt = e.Now() })
-	if err := e.Run(2 * time.Hour); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.Run(2 * time.Hour)
 	if firedAt != 90*time.Minute {
 		t.Fatalf("past event fired at %v, want clamp to 90m", firedAt)
 	}
 	if e.Now() != 2*time.Hour {
 		t.Fatalf("clock at %v after Run, want horizon", e.Now())
-	}
-}
-
-func TestExportRoundTrip(t *testing.T) {
-	src := NewEngine(7)
-	src.Schedule(42*time.Second, "tick", func() {})
-	if err := src.Run(42 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	st := src.Export()
-	if st.Now != 42*time.Second {
-		t.Fatalf("Export.Now = %v, want 42s", st.Now)
-	}
-	dst := NewEngine(7)
-	if err := dst.Import(st); err != nil {
-		t.Fatalf("Import: %v", err)
-	}
-	if dst.Now() != src.Now() {
-		t.Fatalf("imported clock %v != exported %v", dst.Now(), src.Now())
 	}
 }
 
@@ -58,9 +37,7 @@ func TestImportRejectsNonFreshEngine(t *testing.T) {
 
 	ran := NewEngine(1)
 	ran.Schedule(time.Second, "fired", func() {})
-	if err := ran.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	ran.Run(0)
 	if err := ran.Import(st); err == nil {
 		t.Fatal("Import into engine with history succeeded")
 	}
@@ -104,9 +81,7 @@ func TestImportDeterminismMatchesOffsetRun(t *testing.T) {
 			}
 		}
 		e.Schedule(time.Second, "step", step)
-		if err := e.Run(0); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		e.Run(0)
 		return e.Fired(), last
 	}
 	f0, l0 := run(0)

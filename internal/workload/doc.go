@@ -1,9 +1,8 @@
 // Package workload generates realistic e-learning traffic: diurnal
 // day-shapes, a semester calendar with teaching/exam/vacation weeks,
 // exam-day flash crowds, and a non-homogeneous Poisson arrival process
-// over the lms request mix. Traces can be recorded and replayed as
-// JSON for reproducible cross-model comparisons. figure1 plots the
-// shapes; every scenario run consumes them.
+// over the lms request mix. figure1 plots the shapes; every scenario
+// run consumes them.
 //
 // Entry points:
 //
@@ -31,6 +30,4 @@
 //     on those nonstationary shapes (BenchmarkMOOCAcceptance pins the
 //     acceptance rate at 10^5 students); table9, figure10 and
 //     examples/mooc consume them.
-//   - Trace / ReadTrace record and replay a generated arrival sequence
-//     as JSON, pinning one workload across deployment models.
 package workload

@@ -12,11 +12,11 @@ import (
 // Arrival is one generated request arrival.
 type Arrival struct {
 	// At is the arrival's virtual time.
-	At time.Duration `json:"at"`
+	At time.Duration
 	// Class is the LMS request class.
-	Class lms.Class `json:"class"`
+	Class lms.Class
 	// UserID identifies the issuing student in [0, Students).
-	UserID int `json:"user"`
+	UserID int
 }
 
 // Config parameterizes a Generator.
@@ -71,8 +71,8 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.Students <= 0 {
 		return nil, fmt.Errorf("workload: Students = %d, need > 0", cfg.Students)
 	}
-	if cfg.ReqPerStudentHour <= 0 {
-		return nil, fmt.Errorf("workload: ReqPerStudentHour = %v, need > 0", cfg.ReqPerStudentHour)
+	if !(cfg.ReqPerStudentHour > 0) || math.IsInf(cfg.ReqPerStudentHour, 1) {
+		return nil, fmt.Errorf("workload: ReqPerStudentHour = %v, need a finite value > 0", cfg.ReqPerStudentHour)
 	}
 	for _, c := range cfg.Crowds {
 		if err := c.sanity(); err != nil {
@@ -101,10 +101,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	}
 	return g, nil
 }
-
-// Students returns the configured population size (with Growth, the
-// user-ID space: at least the growth capacity).
-func (g *Generator) Students() int { return g.cfg.Students }
 
 // Population returns the active population at t: Growth.At(t) when a
 // growth curve is set, the constant Students otherwise.
@@ -397,13 +393,4 @@ func (s *ArrivalStream) Next(horizon time.Duration) (Arrival, bool) {
 // stay at or above ~50% (see BenchmarkMOOCAcceptance).
 func (s *ArrivalStream) Thinning() (proposed, accepted uint64) {
 	return s.proc.Proposed(), s.proc.Accepted()
-}
-
-// Record captures the arrivals on [start, horizon) as a Trace.
-func (g *Generator) Record(rng *sim.RNG, start, horizon time.Duration) *Trace {
-	tr := &Trace{Students: g.cfg.Students}
-	g.Generate(rng, start, horizon, func(a Arrival) {
-		tr.Arrivals = append(tr.Arrivals, a)
-	})
-	return tr
 }

@@ -242,8 +242,8 @@ func (s DeadlineStorm) sanity() error {
 	if s.Deadline < s.Ramp {
 		return fmt.Errorf("workload: deadline storm at %v starts before t=0 (ramp %v)", s.Deadline, s.Ramp)
 	}
-	if s.PeakMult < 1 {
-		return fmt.Errorf("workload: deadline storm peak multiplier %v must be >= 1", s.PeakMult)
+	if !(s.PeakMult >= 1) || math.IsInf(s.PeakMult, 1) {
+		return fmt.Errorf("workload: deadline storm PeakMult = %v, need a finite value >= 1", s.PeakMult)
 	}
 	if s.Tau < 0 {
 		return fmt.Errorf("workload: deadline storm tau %v must not be negative", s.Tau)
@@ -318,8 +318,8 @@ func (j JoinStorm) sanity() error {
 	if j.Start < 0 {
 		return fmt.Errorf("workload: join storm start %v must not be negative", j.Start)
 	}
-	if j.PeakMult < 1 {
-		return fmt.Errorf("workload: join storm peak multiplier %v must be >= 1", j.PeakMult)
+	if !(j.PeakMult >= 1) || math.IsInf(j.PeakMult, 1) {
+		return fmt.Errorf("workload: join storm PeakMult = %v, need a finite value >= 1", j.PeakMult)
 	}
 	if j.Decay < 0 {
 		return fmt.Errorf("workload: join storm decay %v must not be negative", j.Decay)

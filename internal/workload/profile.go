@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -201,8 +202,8 @@ func (f FlashCrowd) sanity() error {
 	if f.End <= f.Start {
 		return fmt.Errorf("workload: flash crowd ends (%v) before it starts (%v)", f.End, f.Start)
 	}
-	if f.Mult <= 0 {
-		return fmt.Errorf("workload: flash crowd multiplier %v must be positive", f.Mult)
+	if !(f.Mult > 0) || math.IsInf(f.Mult, 1) {
+		return fmt.Errorf("workload: flash crowd Mult = %v, need a finite value > 0", f.Mult)
 	}
 	return nil
 }

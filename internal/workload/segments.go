@@ -24,9 +24,6 @@ type BurstWindow struct {
 	PeakBound float64
 }
 
-// Duration returns the window's length.
-func (w BurstWindow) Duration() time.Duration { return w.End - w.Start }
-
 // BurstWindows walks the envelope segmentation over [0, horizon) and
 // returns the stretches where the crowd/storm/join multiplier bound
 // reaches factor, each padded by guard on both sides, aligned outward

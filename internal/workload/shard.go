@@ -62,13 +62,6 @@ func (g *Generator) ShardBy(shards int) *Sharding {
 	return &Sharding{gen: g, members: members}
 }
 
-// Shards returns the number of shards K.
-func (s *Sharding) Shards() int { return len(s.members) }
-
-// Members returns shard k's user IDs in ascending order. The slice is
-// shared, not copied.
-func (s *Sharding) Members(k int) []int { return s.members[k] }
-
 // CapShare returns shard k's share of the full population — the factor
 // by which a per-shard fleet's peak capacity should be scaled.
 func (s *Sharding) CapShare(k int) float64 {
@@ -98,13 +91,6 @@ func (sg *ShardGen) active(n int) int {
 func (sg *ShardGen) Rate(t time.Duration) float64 {
 	n := sg.g.users(t)
 	return sg.g.Rate(t) * (float64(sg.active(n)) / float64(n))
-}
-
-// MaxRate bounds the shard's rate over any horizon: the full bound
-// scaled by the shard's full-population share (active share never
-// exceeds it at the population peak that realizes MaxRate).
-func (sg *ShardGen) MaxRate() float64 {
-	return sg.g.MaxRate() * (float64(len(sg.members)) / float64(sg.g.cfg.Students))
 }
 
 // Envelope returns the shard's piecewise thinning bound: the full
@@ -145,20 +131,5 @@ func (sg *ShardGen) Stream(rng *sim.RNG, start time.Duration) *ArrivalStream {
 		classRNG: rng.Stream("classes"),
 		userRNG:  userRNG,
 		pickUser: sg.pickUser(userRNG),
-	}
-}
-
-// Generate produces the shard's arrivals on [start, horizon) in time
-// order, invoking fn for each, and returns the count.
-func (sg *ShardGen) Generate(rng *sim.RNG, start, horizon time.Duration, fn func(Arrival)) int {
-	s := sg.Stream(rng, start)
-	n := 0
-	for {
-		a, ok := s.Next(horizon)
-		if !ok {
-			return n
-		}
-		n++
-		fn(a)
 	}
 }

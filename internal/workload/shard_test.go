@@ -25,6 +25,14 @@ func shardTestConfig(t *testing.T) *Generator {
 	return g
 }
 
+// generate feeds fn the shard's arrivals on [0, horizon) in time order.
+func generate(sg *ShardGen, rng *sim.RNG, horizon time.Duration, fn func(Arrival)) {
+	s := sg.Stream(rng, 0)
+	for a, ok := s.Next(horizon); ok; a, ok = s.Next(horizon) {
+		fn(a)
+	}
+}
+
 // TestShardPartition checks the hash partition is a partition: every
 // user lands in exactly one shard, lists are ascending, and membership
 // is stable (pure function of ID and K).
@@ -32,14 +40,14 @@ func TestShardPartition(t *testing.T) {
 	g := shardTestConfig(t)
 	const K = 7
 	sh := g.ShardBy(K)
-	seen := make([]int, g.Students())
+	seen := make([]int, g.cfg.Students)
 	for i := range seen {
 		seen[i] = -1
 	}
 	total := 0
 	for k := 0; k < K; k++ {
 		prev := -1
-		for _, u := range sh.Members(k) {
+		for _, u := range sh.members[k] {
 			if u <= prev {
 				t.Fatalf("shard %d members not strictly ascending at %d", k, u)
 			}
@@ -54,8 +62,8 @@ func TestShardPartition(t *testing.T) {
 			}
 		}
 	}
-	if total != g.Students() {
-		t.Fatalf("partition covers %d of %d users", total, g.Students())
+	if total != g.cfg.Students {
+		t.Fatalf("partition covers %d of %d users", total, g.cfg.Students)
 	}
 	var share float64
 	for k := 0; k < K; k++ {
@@ -78,7 +86,7 @@ func TestShardOneIdentity(t *testing.T) {
 
 	sg := g.ShardBy(1).Shard(0)
 	var sharded []Arrival
-	sg.Generate(sim.NewRNG(42), 0, horizon, func(a Arrival) { sharded = append(sharded, a) })
+	generate(sg, sim.NewRNG(42), horizon, func(a Arrival) { sharded = append(sharded, a) })
 
 	if len(direct) != len(sharded) {
 		t.Fatalf("arrival counts: direct %d, sharded %d", len(direct), len(sharded))
@@ -132,13 +140,6 @@ func TestShardRateSuperposition(t *testing.T) {
 			t.Fatalf("t=%v shard rates sum to %v, full rate %v", tm, sum, full)
 		}
 	}
-	var peak float64
-	for k := range gens {
-		peak += gens[k].MaxRate()
-	}
-	if math.Abs(peak-g.MaxRate()) > 1e-9*g.MaxRate() {
-		t.Fatalf("shard MaxRates sum to %v, full %v", peak, g.MaxRate())
-	}
 }
 
 // TestShardArrivalsStayHome checks every generated arrival belongs to
@@ -151,12 +152,12 @@ func TestShardArrivalsStayHome(t *testing.T) {
 	total := 0
 	for k := 0; k < K; k++ {
 		sg := sh.Shard(k)
-		members := sh.Members(k)
+		members := sh.members[k]
 		own := make(map[int]bool, len(members))
 		for _, u := range members {
 			own[u] = true
 		}
-		sg.Generate(sim.NewRNG(7).Stream("shard-test"), 0, 90*time.Minute, func(a Arrival) {
+		generate(sg, sim.NewRNG(7).Stream("shard-test"), 90*time.Minute, func(a Arrival) {
 			total++
 			if !own[a.UserID] {
 				t.Fatalf("shard %d produced foreign user %d", k, a.UserID)

@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -208,69 +206,6 @@ func TestGeneratorDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("diverged at %d: %+v vs %+v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	g, err := NewGenerator(Config{Students: 20, ReqPerStudentHour: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := g.Record(sim.NewRNG(9), 0, time.Hour)
-	if tr.Len() == 0 {
-		t.Fatal("empty trace")
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != tr.Len() || back.Students != tr.Students {
-		t.Fatal("round trip changed trace")
-	}
-	count := 0
-	back.Replay(func(a Arrival) {
-		if a != tr.Arrivals[count] {
-			t.Fatalf("arrival %d differs", count)
-		}
-		count++
-	})
-	if count != tr.Len() {
-		t.Fatal("replay count mismatch")
-	}
-	if back.MeanRate() <= 0 {
-		t.Fatal("MeanRate should be positive")
-	}
-}
-
-func TestReadTraceRejectsCorrupt(t *testing.T) {
-	if _, err := ReadTrace(strings.NewReader("{not json")); err == nil {
-		t.Fatal("corrupt JSON accepted")
-	}
-	// Valid JSON, invalid ordering.
-	bad := `{"students":5,"arrivals":[{"at":100,"class":2,"user":0},{"at":50,"class":2,"user":0}]}`
-	if _, err := ReadTrace(strings.NewReader(bad)); err == nil {
-		t.Fatal("out-of-order trace accepted")
-	}
-	badUser := `{"students":5,"arrivals":[{"at":100,"class":2,"user":9}]}`
-	if _, err := ReadTrace(strings.NewReader(badUser)); err == nil {
-		t.Fatal("out-of-range user accepted")
-	}
-}
-
-func TestTraceEmpty(t *testing.T) {
-	tr := &Trace{Students: 5}
-	if tr.Duration() != 0 || tr.MeanRate() != 0 {
-		t.Fatal("empty trace stats wrong")
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
