@@ -9,6 +9,7 @@
 //	elbench -list                       # print experiment ids and titles, run nothing
 //	elbench -verify [-golden DIR]       # diff artifacts against the golden store
 //	elbench -update [-golden DIR]       # regenerate the golden store
+//	elbench -id table11 -cpuprofile cpu.prof -memprofile mem.prof
 //
 // With -id, only the named experiment runs; with -csv the table is
 // emitted as CSV instead of aligned text. -shards renders the -id
@@ -32,7 +33,9 @@
 //
 // elbench generates and verifies artifacts only; it takes no timings.
 // The performance record is bench/elperf (bash bench/run.sh, see
-// bench/README.md).
+// bench/README.md). -cpuprofile and -memprofile write the CPU and
+// allocation profiles of the artifact generation (go tool pprof reads
+// them) and leave the output unchanged.
 //
 // -verify re-renders every artifact and diffs it byte-for-byte against
 // testdata/golden/<id>.txt, failing on any drift; -update rewrites the
@@ -57,6 +60,7 @@ import (
 
 	"elearncloud/internal/experiments"
 	"elearncloud/internal/metrics"
+	"elearncloud/internal/profiling"
 	"elearncloud/internal/scenario"
 )
 
@@ -92,6 +96,8 @@ func run(args []string, w io.Writer) error {
 		"with -id: render the experiment's sharded variant at this shard count (the CI scale lane's knob)")
 	fidelity := fs.String("fidelity", "",
 		"with -id: render the experiment's fidelity variant (auto, fluid or des)")
+	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the artifact generation to this file")
+	memProf := fs.String("memprofile", "", "write an allocation profile of the artifact generation to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -151,7 +157,7 @@ func run(args []string, w io.Writer) error {
 		var gen []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "seed", "id", "parallel", "golden", "csv":
+			case "seed", "id", "parallel", "golden", "csv", "cpuprofile", "memprofile":
 				gen = append(gen, "-"+f.Name)
 			}
 		})
@@ -228,9 +234,13 @@ func run(args []string, w io.Writer) error {
 	// nesting levels: when the across-experiments loop drains (e.g.
 	// through figure3's 32-job tail), its freed cores go straight to
 	// whichever inner batches still hold work.
+	stop, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
 	pool := scenario.NewPool(*parallel)
 	arts := make([]artifact, len(list))
-	err := pool.ForEach(len(list), func(i int) error {
+	err = pool.ForEach(len(list), func(i int) error {
 		tbl, err := list[i].Run(*seed, pool)
 		if err != nil {
 			return fmt.Errorf("%s: %w", list[i].ID, err)
@@ -242,6 +252,9 @@ func run(args []string, w io.Writer) error {
 		arts[i] = artifact{id: list[i].ID, text: text}
 		return nil
 	})
+	if serr := stop(); err == nil {
+		err = serr
+	}
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -196,5 +198,44 @@ func TestRunFidelityFluid(t *testing.T) {
 	}
 	if strings.Contains(out, "hybrid (auto fidelity)") {
 		t.Fatalf("fluid variant rendered the hybrid row too:\n%s", out)
+	}
+}
+
+// TestRunProfileFlags: -cpuprofile and -memprofile write non-empty
+// profiles and leave the rendered artifact byte-identical.
+func TestRunProfileFlags(t *testing.T) {
+	args := []string{"-id", "table5", "-parallel", "1"}
+	var plain, profiled bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if err := run(append(args, "-cpuprofile", cpu, "-memprofile", mem), &profiled); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Fatalf("output changed under profiling:\n%s\nwant:\n%s", profiled.String(), plain.String())
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty (err %v)", p, err)
+		}
+	}
+}
+
+// TestRunProfileUnwritable: a profile path that cannot be created is an
+// error naming the flag, and nothing is rendered.
+func TestRunProfileUnwritable(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "x.prof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		var out bytes.Buffer
+		err := run([]string{"-id", "figure7", flag, missing}, &out)
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("%s %s: err = %v, want an error naming the flag", flag, missing, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: printed %q before failing", flag, out.String())
+		}
 	}
 }

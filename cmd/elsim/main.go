@@ -5,11 +5,16 @@
 //
 //	elsim -model hybrid -students 2000 -hours 6 -access rural-dsl \
 //	      -scaler reactive -exam -seed 7
+//
+// -cpuprofile and -memprofile write the run's CPU and allocation
+// profiles (go tool pprof reads them); the printed result does not
+// change.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
@@ -17,18 +22,19 @@ import (
 	"elearncloud/internal/deploy"
 	"elearncloud/internal/metrics"
 	"elearncloud/internal/network"
+	"elearncloud/internal/profiling"
 	"elearncloud/internal/scenario"
 	"elearncloud/internal/workload"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "elsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("elsim", flag.ContinueOnError)
 	var (
 		model    = fs.String("model", "public", "deployment model: public|private|hybrid|desktop")
@@ -40,6 +46,8 @@ func run(args []string) error {
 		threats  = fs.Bool("threats", false, "enable the security threat model")
 		useCDN   = fs.Bool("cdn", false, "serve video through an edge CDN")
 		seed     = fs.Uint64("seed", 1, "simulation seed")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write an allocation profile of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,40 +109,47 @@ func run(args []string) error {
 		}}
 	}
 
-	res, err := scenario.Run(cfg)
+	stop, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		return err
 	}
-	printResult(cfg, res)
+	res, err := scenario.Run(cfg)
+	if serr := stop(); err == nil {
+		err = serr
+	}
+	if err != nil {
+		return err
+	}
+	printResult(w, cfg, res)
 	return nil
 }
 
-func printResult(cfg scenario.Config, res *scenario.Result) {
-	fmt.Printf("model=%s scaler=%s students=%d horizon=%s seed=%d\n\n",
+func printResult(w io.Writer, cfg scenario.Config, res *scenario.Result) {
+	fmt.Fprintf(w, "model=%s scaler=%s students=%d horizon=%s seed=%d\n\n",
 		res.Kind, res.Scaler, cfg.Students, res.Duration, cfg.Seed)
 	s := res.Latency.Summarize()
-	fmt.Printf("requests: served=%d rejected=%d offline=%d (error rate %s)\n",
+	fmt.Fprintf(w, "requests: served=%d rejected=%d offline=%d (error rate %s)\n",
 		res.Served, res.Rejected, res.Offline, metrics.FmtPercent(res.ErrorRate()))
-	fmt.Printf("latency:  p50=%s p95=%s p99=%s max=%s\n",
+	fmt.Fprintf(w, "latency:  p50=%s p95=%s p99=%s max=%s\n",
 		metrics.FmtMillis(s.P50), metrics.FmtMillis(s.P95),
 		metrics.FmtMillis(s.P99), metrics.FmtMillis(s.Max))
-	fmt.Printf("fleet:    peak=%d servers, public %.1f VM-h, private %.1f VM-h on %d hosts\n",
+	fmt.Fprintf(w, "fleet:    peak=%d servers, public %.1f VM-h, private %.1f VM-h on %d hosts\n",
 		res.PeakServers, res.VMHoursPublic, res.VMHoursPrivate, res.PrivateHosts)
-	fmt.Printf("network:  availability=%s disconnects=%d lost work=%s egress=%.2f GB\n",
+	fmt.Fprintf(w, "network:  availability=%s disconnects=%d lost work=%s egress=%.2f GB\n",
 		metrics.FmtPercent(res.NetAvailability), res.Disconnects,
 		res.LostWork.Round(time.Second), res.EgressGB)
 	if res.CDNGB > 0 {
-		fmt.Printf("cdn:      %.2f GB delivered at %s hit ratio\n",
+		fmt.Fprintf(w, "cdn:      %.2f GB delivered at %s hit ratio\n",
 			res.CDNGB, metrics.FmtPercent(res.CDNHitRatio))
 	}
 	if res.PolicyViolations > 0 {
-		fmt.Printf("hybrid:   %d sensitive requests burst to public\n", res.PolicyViolations)
+		fmt.Fprintf(w, "hybrid:   %d sensitive requests burst to public\n", res.PolicyViolations)
 	}
 	if res.Breaches+res.DataLossEvents > 0 {
-		fmt.Printf("threats:  breaches=%d exposures=%d loss events=%d bytes lost=%.1f GB\n",
+		fmt.Fprintf(w, "threats:  breaches=%d exposures=%d loss events=%d bytes lost=%.1f GB\n",
 			res.Breaches, res.SensitiveExposures, res.DataLossEvents, res.BytesLost/1e9)
 	}
-	fmt.Printf("cost:     %s (%s per student-month)\n",
+	fmt.Fprintf(w, "cost:     %s (%s per student-month)\n",
 		metrics.FmtDollars(res.Cost.Total()),
 		metrics.FmtDollars(res.CostPerStudentMonth(cfg.Students)))
 }

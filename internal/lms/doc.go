@@ -14,7 +14,12 @@
 //   - NewAppServer binds a processor-sharing server to a cloud.VM;
 //     NewCluster load-balances a fleet of them. Together they are the
 //     serving path every request-level scenario run measures latency
-//     through.
+//     through. The least-connections pick is O(1): the cluster files
+//     each accepting server under its in-flight count, and a server
+//     re-files itself when it admits, completes, retires or is killed.
+//     A VM finishing its boot tells nobody, so the cluster keeps
+//     servers whose VM is still provisioning on a booting list and
+//     files those that now accept before each pick and each Load.
 //   - NewSession models one student's stateful session with periodic
 //     autosave — the unit of "lost work" when the network drops
 //     (figure5's §III risk).

@@ -58,7 +58,8 @@ type ClassSpec struct {
 // Catalog maps classes to their specs. A catalog is immutable after
 // construction and safe to share.
 type Catalog struct {
-	specs map[Class]ClassSpec
+	// specs is indexed by Class; the zero Class has no spec.
+	specs [ForumPost + 1]ClassSpec
 }
 
 // DefaultCatalog returns the canonical e-learning request catalog. Service
@@ -66,7 +67,7 @@ type Catalog struct {
 // log-normal for HTML/JSON and Pareto for user uploads (heavy-tailed
 // assignment files).
 func DefaultCatalog() *Catalog {
-	return &Catalog{specs: map[Class]ClassSpec{
+	return &Catalog{specs: [ForumPost + 1]ClassSpec{
 		Login:      {Service: sim.LogNormal(0.030, 0.4), Payload: sim.LogNormal(20e3, 0.3)},
 		PageView:   {Service: sim.LogNormal(0.020, 0.4), Payload: sim.LogNormal(150e3, 0.5)},
 		VideoChunk: {Service: sim.LogNormal(0.005, 0.3), Payload: sim.LogNormal(2e6, 0.4)},
@@ -80,11 +81,10 @@ func DefaultCatalog() *Catalog {
 // Spec returns the spec for a class; it panics on unknown classes, which
 // indicate a programming error in workload construction.
 func (cat *Catalog) Spec(c Class) ClassSpec {
-	s, ok := cat.specs[c]
-	if !ok {
+	if c < Login || c > ForumPost {
 		panic(fmt.Sprintf("lms: unknown class %v", c))
 	}
-	return s
+	return cat.specs[c]
 }
 
 // Mix is a probability distribution over request classes, describing what

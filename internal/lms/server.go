@@ -1,8 +1,6 @@
 package lms
 
 import (
-	"container/heap"
-
 	"elearncloud/internal/cloud"
 	"elearncloud/internal/sim"
 )
@@ -38,6 +36,13 @@ type AppServer struct {
 
 	retired bool
 	onIdle  func()
+
+	// cluster is the cluster the server is in (nil outside one), pos its
+	// position there, and filed the in-flight count the cluster files it
+	// under (-1 while it does not accept work). See Cluster.
+	cluster *Cluster
+	pos     int
+	filed   int
 }
 
 type psJob struct {
@@ -46,25 +51,63 @@ type psJob struct {
 	done      func(served bool)
 }
 
-// jobHeap is a min-heap on (threshold, id).
+// jobHeap is a binary min-heap on (threshold, id). It moves jobs the
+// way container/heap does, so its array order, which Kill walks, is the
+// same as container/heap's would be.
 type jobHeap []*psJob
 
-func (h jobHeap) Len() int { return len(h) }
-func (h jobHeap) Less(i, j int) bool {
-	if h[i].threshold != h[j].threshold {
-		return h[i].threshold < h[j].threshold
+// jobBefore is the heap's order: threshold, then admission order.
+func jobBefore(a, b *psJob) bool {
+	if a.threshold != b.threshold {
+		return a.threshold < b.threshold
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
-func (h jobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*psJob)) }
-func (h *jobHeap) Pop() any {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return j
+
+// push adds j to the heap.
+func (h *jobHeap) push(j *psJob) {
+	*h = append(*h, j)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !jobBefore(j, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = j
+}
+
+// pop removes and returns the earliest job; the heap must not be empty.
+func (h *jobHeap) pop() *psJob {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && jobBefore(q[r], q[c]) {
+			c = r
+		}
+		if !jobBefore(q[c], last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // NewAppServer attaches a server to a VM. maxJobs bounds concurrent
@@ -82,6 +125,7 @@ func NewAppServer(eng *sim.Engine, vm *cloud.VM, maxJobs int) *AppServer {
 		maxJobs:    maxJobs,
 		lastUpdate: eng.Now(),
 		lastSpeed:  vm.SpeedFactor(),
+		filed:      -1,
 	}
 	s.completeFn = s.complete
 	return s
@@ -113,8 +157,17 @@ func (s *AppServer) submit(service float64, done func(served bool)) {
 	}
 	*j = psJob{id: s.nextJob, threshold: s.progress + service, done: done}
 	s.nextJob++
-	heap.Push(&s.jobs, j)
+	s.jobs.push(j)
+	s.refile()
 	s.reschedule()
+}
+
+// refile tells the server's cluster, if any, that its in-flight count or
+// its accepting state may have changed.
+func (s *AppServer) refile() {
+	if s.cluster != nil {
+		s.cluster.refile(s)
+	}
 }
 
 // Retire stops the server from accepting new jobs. onIdle (optional)
@@ -123,6 +176,7 @@ func (s *AppServer) submit(service float64, done func(served bool)) {
 func (s *AppServer) Retire(onIdle func()) {
 	s.retired = true
 	s.onIdle = onIdle
+	s.refile()
 	if len(s.jobs) == 0 && s.onIdle != nil {
 		cb := s.onIdle
 		s.onIdle = nil
@@ -142,13 +196,11 @@ func (s *AppServer) advance() {
 	s.lastSpeed = s.vm.SpeedFactor()
 }
 
-// reschedule cancels any pending completion event and schedules the next
-// one for the head of the threshold heap.
+// reschedule dates the completion of the head of the threshold heap:
+// it moves the pending completion event in place, or schedules one if
+// none is pending. A completion is pending exactly while the server
+// holds jobs.
 func (s *AppServer) reschedule() {
-	if s.completion != nil {
-		s.eng.Cancel(s.completion)
-		s.completion = nil
-	}
 	if len(s.jobs) == 0 {
 		if s.retired && s.onIdle != nil {
 			cb := s.onIdle
@@ -165,8 +217,12 @@ func (s *AppServer) reschedule() {
 	if remaining < 0 {
 		remaining = 0
 	}
-	wait := sim.Seconds(remaining * float64(len(s.jobs)) / speed)
-	s.completion = s.eng.Schedule(wait, "lms/complete", s.completeFn)
+	at := s.eng.Now() + sim.Seconds(remaining*float64(len(s.jobs))/speed)
+	if s.completion != nil {
+		s.eng.Reschedule(s.completion, at)
+		return
+	}
+	s.completion = s.eng.ScheduleAt(at, "lms/complete", s.completeFn)
 }
 
 // complete finishes the job at the head of the threshold heap: advance,
@@ -174,7 +230,8 @@ func (s *AppServer) reschedule() {
 func (s *AppServer) complete() {
 	s.completion = nil
 	s.advance()
-	j := heap.Pop(&s.jobs).(*psJob)
+	j := s.jobs.pop()
+	s.refile()
 	done := j.done
 	*j = psJob{}
 	s.free = append(s.free, j)
@@ -196,6 +253,7 @@ func (s *AppServer) Kill() int {
 	killed := s.jobs
 	s.jobs = nil
 	s.retired = true
+	s.refile()
 	if s.onIdle != nil {
 		cb := s.onIdle
 		s.onIdle = nil

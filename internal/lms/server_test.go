@@ -1,6 +1,7 @@
 package lms
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"testing"
@@ -271,5 +272,46 @@ func TestSubmitToUnbootedVMRejected(t *testing.T) {
 	s := NewAppServer(eng, vm, 0)
 	if offer(s, 1, nil) {
 		t.Fatal("job admitted to provisioning VM")
+	}
+}
+
+// refJobHeap is container/heap's view of the job heap: the reference
+// the typed heap's array order is checked against.
+type refJobHeap []*psJob
+
+func (h refJobHeap) Len() int           { return len(h) }
+func (h refJobHeap) Less(i, j int) bool { return jobBefore(h[i], h[j]) }
+func (h refJobHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refJobHeap) Push(x any)        { *h = append(*h, x.(*psJob)) }
+func (h *refJobHeap) Pop() any {
+	old := *h
+	j := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return j
+}
+
+// TestJobHeapMatchesContainerHeap: the typed job heap pops the same
+// jobs as container/heap and keeps the same array order after every
+// push and pop, with threshold ties broken by id. Kill walks that array.
+func TestJobHeapMatchesContainerHeap(t *testing.T) {
+	rng := sim.NewRNG(3)
+	var typed jobHeap
+	var ref refJobHeap
+	for id := 0; id < 20000; id++ {
+		if len(typed) > 0 && rng.Intn(5) < 2 {
+			got, want := typed.pop(), heap.Pop(&ref).(*psJob)
+			if got != want {
+				t.Fatalf("step %d: popped job %d, container/heap pops %d", id, got.id, want.id)
+			}
+		} else {
+			j := &psJob{id: id, threshold: float64(rng.Intn(50))}
+			typed.push(j)
+			heap.Push(&ref, j)
+		}
+		for i := range typed {
+			if typed[i] != ref[i] {
+				t.Fatalf("step %d: array order differs at %d", id, i)
+			}
+		}
 	}
 }

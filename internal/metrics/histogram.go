@@ -49,12 +49,45 @@ func DefaultLatency() *Histogram { return NewHistogram(100e-6, 1.05) }
 // bucket is counted there, and Max still reports the true value.
 const maxBuckets = 1 << 14
 
-// Observe records one observation. Negative, NaN and +Inf values are
-// ignored (they indicate a caller bug but must not corrupt the histogram).
-func (h *Histogram) Observe(v float64) {
+// Observe records one observation in h and in each histogram of also,
+// computing its bucket once: a run's latency histogram and its
+// per-minute window see every delivery. Every histogram in also must
+// share h's min and growth; Observe panics otherwise. Negative, NaN and
+// +Inf values are ignored (they indicate a caller bug but must not
+// corrupt the histogram).
+func (h *Histogram) Observe(v float64, also ...*Histogram) {
+	for _, w := range also {
+		if h.min != w.min || h.growth != w.growth {
+			panic("metrics: Observe into differently configured histograms")
+		}
+	}
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 		return
 	}
+	idx := h.bucket(v)
+	h.record(v, idx)
+	for _, w := range also {
+		w.record(v, idx)
+	}
+}
+
+// bucket returns v's bucket index, or -1 below min.
+func (h *Histogram) bucket(v float64) int {
+	if v < h.min {
+		return -1
+	}
+	idx := int(math.Log(v/h.min) / h.logG)
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= maxBuckets {
+		idx = maxBuckets - 1
+	}
+	return idx
+}
+
+// record counts v, a valid observation whose bucket is idx.
+func (h *Histogram) record(v float64, idx int) {
 	h.total++
 	h.sum += v
 	if v > h.maxSeen {
@@ -63,16 +96,9 @@ func (h *Histogram) Observe(v float64) {
 	if v < h.minSeen {
 		h.minSeen = v
 	}
-	if v < h.min {
+	if idx < 0 {
 		h.under++
 		return
-	}
-	idx := int(math.Log(v/h.min) / h.logG)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= maxBuckets {
-		idx = maxBuckets - 1
 	}
 	if idx >= len(h.counts) {
 		grown := make([]uint64, idx+1)

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -123,6 +124,38 @@ func TestHistogramMergeMismatchPanics(t *testing.T) {
 		}
 	}()
 	NewHistogram(0.001, 1.1).Merge(NewHistogram(0.01, 1.1))
+}
+
+// TestHistogramObserveAlso: observing into h and also w with one bucket
+// computation leaves each exactly as observing into them one at a time
+// does, including values below min and values Observe ignores; a
+// differently configured histogram in also panics.
+func TestHistogramObserveAlso(t *testing.T) {
+	rng := sim.NewRNG(5)
+	h, w := DefaultLatency(), DefaultLatency()
+	wantH, wantW := DefaultLatency(), DefaultLatency()
+	vals := []float64{0, 50e-6, 100e-6, math.NaN(), -1, math.Inf(1), 1e300}
+	for i := 0; i < 5000; i++ {
+		vals = append(vals, rng.LogNormal(-3, 2))
+	}
+	for i, v := range vals {
+		if i == 2500 {
+			w.Reset()
+			wantW.Reset()
+		}
+		h.Observe(v, w)
+		wantH.Observe(v)
+		wantW.Observe(v)
+	}
+	if !reflect.DeepEqual(h, wantH) || !reflect.DeepEqual(w, wantW) {
+		t.Fatalf("Observe(v, w) differs from separate Observes:\n h %v\n want %v\n w %v\n want %v", h, wantH, w, wantW)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Observe into a differently configured histogram did not panic")
+		}
+	}()
+	h.Observe(0.1, NewHistogram(100e-6, 1.1))
 }
 
 func TestHistogramReset(t *testing.T) {

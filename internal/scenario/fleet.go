@@ -15,8 +15,11 @@ type serverEntry struct {
 
 // fleet manages a pool of (VM, app server) pairs on one datacenter and
 // implements scale.Target so autoscalers can drive it. The app server is
-// registered with the cluster immediately on provisioning; the cluster's
-// balancer skips it until the VM finishes booting.
+// registered with the cluster immediately on provisioning; the cluster
+// keeps it on its booting list, and its balancer skips it, until the VM
+// finishes booting. A server always leaves the cluster, or stops
+// accepting, before its VM terminates (retireOne, FailHost), as the
+// cluster requires.
 type fleet struct {
 	eng     *sim.Engine
 	dc      *cloud.Datacenter

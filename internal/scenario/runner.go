@@ -354,15 +354,16 @@ func (e *engine) build() error {
 	return nil
 }
 
-// pump schedules the stream's next arrival; handling an arrival pumps
-// the one after it.
+// pump schedules the stream's next arrival in the engine's slot, so no
+// arrival enters the event heap; handling an arrival pumps the one
+// after it.
 func (e *engine) pump() {
 	a, ok := e.stream.Next(e.endAt)
 	if !ok {
 		return
 	}
 	e.next = a
-	e.eng.ScheduleAt(a.At, "arrival", e.arriveFn)
+	e.eng.ScheduleSlot(a.At, "arrival", e.arriveFn)
 }
 
 // arrive handles the pending arrival and pumps the next one.
@@ -383,8 +384,7 @@ func (e *engine) handle(a workload.Arrival) {
 	if cfg.Kind == deploy.Desktop {
 		// Locally installed application: no network, no queueing
 		// across users, just a slower machine.
-		res.Latency.Observe(service * desktopSlowdown)
-		e.windowHist.Observe(service * desktopSlowdown)
+		res.Latency.Observe(service*desktopSlowdown, e.windowHist)
 		res.Served++
 		return
 	}
@@ -492,8 +492,7 @@ func (r *request) deliver() {
 	e := r.e
 	r.path.End()
 	lat := sim.ToSeconds(e.eng.Now() - r.start)
-	e.res.Latency.Observe(lat)
-	e.windowHist.Observe(lat)
+	e.res.Latency.Observe(lat, e.windowHist)
 	e.res.Served++
 	e.liveReqs--
 	if r.egress {

@@ -64,7 +64,10 @@ func NewNHPPEnvelope(rng *RNG, rate RateFunc, env EnvelopeFunc, start Time) *NHP
 }
 
 // Next returns the next arrival time strictly after the previous one, or
-// ok=false if no arrival occurs before horizon.
+// ok=false if no arrival occurs at or before horizon: the bound is
+// closed, so an arrival may fall exactly at horizon. Next evaluates the
+// rate at each candidate it proposes, and the last evaluation before it
+// returns an arrival is at the arrival's own time.
 func (p *NHPP) Next(horizon Time) (t Time, ok bool) {
 	for {
 		max, until := p.env(p.now)
@@ -118,17 +121,3 @@ func (p *NHPP) Proposed() uint64 { return p.proposed }
 // a low rate means the envelope is far above the typical rate and the
 // generator burns candidates.
 func (p *NHPP) Accepted() uint64 { return p.accepted }
-
-// GenerateInto repeatedly calls Next until horizon and invokes arrive for
-// each accepted arrival time. It returns the number of arrivals.
-func (p *NHPP) GenerateInto(horizon Time, arrive func(t Time)) int {
-	n := 0
-	for {
-		t, ok := p.Next(horizon)
-		if !ok {
-			return n
-		}
-		arrive(t)
-		n++
-	}
-}

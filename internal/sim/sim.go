@@ -29,6 +29,11 @@ type Time = time.Duration
 // built once and scheduled many times (a server's completion, a pooled
 // request's delivery): scheduling it then allocates nothing, and the
 // rules above for a holder's *Event do not change.
+//
+// Reschedule moves a pending event in place: the struct stays the
+// holder's, and the pointer stays valid, until the event fires or is
+// canceled. An event scheduled in the engine's slot (ScheduleSlot) is
+// never handed out, so no holder keeps a pointer to it.
 type Event struct {
 	// At is the virtual time at which the event fires.
 	At Time
@@ -66,7 +71,13 @@ type Engine struct {
 	// are slots 4i+1 to 4i+4, and each event's index is its slot. Four
 	// children halve a binary heap's depth, so a sift moves half as many
 	// events for about the same number of comparisons.
-	queue   []*Event
+	queue []*Event
+	// slot is a second place an event can wait, beside the heap, for a
+	// caller that keeps one event pending at a time (ScheduleSlot). It
+	// holds at most one event, pending while slotted is true, and that
+	// event takes its turn in the same (At, seq) order as the heap's.
+	slot    Event
+	slotted bool
 	nextSeq uint64
 	rng     *RNG
 	fired   uint64
@@ -200,6 +211,31 @@ func (e *Engine) ScheduleAt(at Time, name string, fn func()) *Event {
 	return ev
 }
 
+// ScheduleSlot schedules fn at absolute virtual time at, like
+// ScheduleAt, but in the engine's one-event slot instead of its heap.
+// The event takes its seq now and fires in the same (At, seq) order as
+// any other event, is counted by Fired, and stays pending past a Run
+// horizon like one in the heap; the slot only spares it the heap's push
+// and pop. It suits a caller that keeps exactly one such event pending
+// and schedules the next from the callback of the last, as the
+// scenario's arrival pump does. The slot event cannot be canceled or
+// rescheduled. ScheduleSlot panics on a nil fn or while the slot holds a
+// pending event.
+func (e *Engine) ScheduleSlot(at Time, name string, fn func()) {
+	if fn == nil {
+		panic("sim: ScheduleSlot with nil Fn")
+	}
+	if e.slotted {
+		panic("sim: ScheduleSlot while the slot holds a pending event")
+	}
+	if at < e.now {
+		at = e.now
+	}
+	e.slot = Event{At: at, Fn: fn, Name: name, seq: e.nextSeq, index: -1}
+	e.nextSeq++
+	e.slotted = true
+}
+
 // Cancel removes a pending event from the queue and recycles its struct at
 // once. Canceling an event that already fired (or was already canceled) is
 // a no-op — but see Event's pooling contract: a pointer held past its
@@ -212,31 +248,80 @@ func (e *Engine) Cancel(ev *Event) {
 	e.freeEvent(e.remove(ev.index))
 }
 
-// Step executes the single earliest pending event, advancing the clock.
-// It reports false when the queue is empty. The event struct is recycled
-// after its callback returns, so any retained pointer to it must be
-// cleared or reassigned inside the callback (see Event).
-func (e *Engine) Step() bool {
+// Reschedule moves the pending event ev to absolute virtual time at
+// (clamped to the current time) with a fresh seq, without taking it out
+// of the queue. The event then fires exactly where Cancel followed by
+// ScheduleAt with the same Fn would have put it, and the holder keeps
+// its pointer. Rescheduling an event that is not pending (fired,
+// canceled, or never scheduled) is a bug, and Reschedule panics.
+func (e *Engine) Reschedule(ev *Event, at Time) {
+	if ev == nil || ev.index < 0 {
+		panic("sim: Reschedule of an event that is not pending")
+	}
+	if at < e.now {
+		at = e.now
+	}
+	ev.At, ev.seq = at, e.nextSeq
+	e.nextSeq++
+	if i := ev.index; i > 0 && eventBefore(ev, e.queue[(i-1)/4]) {
+		e.siftUp(ev, i)
+	} else {
+		e.siftDown(ev, i)
+	}
+}
+
+// peek returns the earliest pending event, in the slot or at the heap's
+// root, or nil when none is pending.
+func (e *Engine) peek() *Event {
+	if e.slotted && (len(e.queue) == 0 || eventBefore(&e.slot, e.queue[0])) {
+		return &e.slot
+	}
 	if len(e.queue) == 0 {
+		return nil
+	}
+	return e.queue[0]
+}
+
+// Step executes the single earliest pending event, advancing the clock.
+// It reports false when no event is pending. A heap event's struct is
+// recycled after its callback returns, so any retained pointer to it
+// must be cleared or reassigned inside the callback (see Event). The
+// slot is emptied before its event's callback runs, so the callback may
+// fill it again.
+func (e *Engine) Step() bool {
+	ev := e.peek()
+	if ev == nil {
 		return false
 	}
-	ev := e.remove(0)
 	if ev.At > e.now {
 		e.now = ev.At
 	}
 	e.fired++
+	if ev == &e.slot {
+		fn := ev.Fn
+		ev.Fn = nil
+		e.slotted = false
+		fn()
+		return true
+	}
+	e.remove(0)
 	ev.Fn()
 	e.freeEvent(ev)
 	return true
 }
 
-// Run executes events until the queue drains or the virtual clock passes
+// Run executes events until none is pending or the virtual clock passes
 // horizon. A zero horizon means "no horizon" (run until the queue
-// drains). With a positive horizon the clock ends at the horizon, and
-// events dated after it stay queued for a later Run.
+// drains). With a positive horizon the clock ends at the horizon; an
+// event dated exactly at the horizon fires, and events dated after it
+// stay pending for a later Run.
 func (e *Engine) Run(horizon Time) {
-	for len(e.queue) > 0 {
-		if horizon > 0 && e.queue[0].At > horizon {
+	for {
+		ev := e.peek()
+		if ev == nil {
+			break
+		}
+		if horizon > 0 && ev.At > horizon {
 			e.now = horizon
 			return
 		}
@@ -292,15 +377,15 @@ type State struct {
 // (ScheduleAt, calendar lookups) then land where the fluid model left
 // off instead of being clamped to zero.
 //
-// Import is only valid on a pristine engine: nothing scheduled, nothing
-// fired, clock at zero. Importing into an engine that already has
-// history would silently reorder its (At, seq) stream, so that is an
-// error rather than a best-effort warp.
+// Import is only valid on a pristine engine: nothing scheduled (in the
+// heap or the slot), nothing fired, clock at zero. Importing into an
+// engine that already has history would silently reorder its (At, seq)
+// stream, so that is an error rather than a best-effort warp.
 func (e *Engine) Import(s State) error {
 	if s.Now < 0 {
 		return fmt.Errorf("sim: Import with negative clock %v", s.Now)
 	}
-	if e.now != 0 || e.nextSeq != 0 || e.fired != 0 || len(e.queue) != 0 {
+	if e.now != 0 || e.nextSeq != 0 || e.fired != 0 || len(e.queue) != 0 || e.slotted {
 		return errors.New("sim: Import into a non-fresh engine (events scheduled, fired, or clock moved)")
 	}
 	e.now = s.Now

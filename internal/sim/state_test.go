@@ -42,6 +42,12 @@ func TestImportRejectsNonFreshEngine(t *testing.T) {
 		t.Fatal("Import into engine with history succeeded")
 	}
 
+	slotted := NewEngine(1)
+	slotted.ScheduleSlot(time.Second, "arrival", func() {})
+	if err := slotted.Import(st); err == nil {
+		t.Fatal("Import into engine with a pending slot event succeeded")
+	}
+
 	warped := NewEngine(1)
 	if err := warped.Import(st); err != nil {
 		t.Fatalf("first Import: %v", err)

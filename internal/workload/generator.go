@@ -111,12 +111,13 @@ func (g *Generator) Population(t time.Duration) float64 {
 	return float64(g.cfg.Students)
 }
 
-// users returns the user-ID range active at t, at least 1.
-func (g *Generator) users(t time.Duration) int {
+// usersOf returns the user-ID range of an active population pop: at
+// least 1, and at most Students.
+func (g *Generator) usersOf(pop float64) int {
 	if g.cfg.Growth == nil {
 		return g.cfg.Students
 	}
-	n := int(math.Ceil(g.cfg.Growth.At(t)))
+	n := int(math.Ceil(pop))
 	if n < 1 {
 		n = 1
 	}
@@ -126,10 +127,24 @@ func (g *Generator) users(t time.Duration) int {
 	return n
 }
 
+// users returns the user-ID range active at t, at least 1.
+func (g *Generator) users(t time.Duration) int {
+	return g.usersOf(g.Population(t))
+}
+
 // Rate returns the instantaneous aggregate arrival rate (req/s) at t.
 func (g *Generator) Rate(t time.Duration) float64 {
-	base := g.Population(t) * g.cfg.ReqPerStudentHour / 3600
-	rate := base * g.cfg.Diurnal.At(t)
+	rate, _ := g.rateAt(t)
+	return rate
+}
+
+// rateAt returns the instantaneous aggregate arrival rate (req/s) at t
+// and the active population it scaled, so a caller that also needs the
+// population at t does not compute it twice.
+func (g *Generator) rateAt(t time.Duration) (rate, pop float64) {
+	pop = g.Population(t)
+	base := pop * g.cfg.ReqPerStudentHour / 3600
+	rate = base * g.cfg.Diurnal.At(t)
 	if g.cfg.Calendar != nil {
 		rate *= g.cfg.Calendar.WeekAt(t).Mult
 	}
@@ -144,7 +159,7 @@ func (g *Generator) Rate(t time.Duration) float64 {
 	for _, j := range g.cfg.Joins {
 		rate *= j.MultAt(t)
 	}
-	return rate
+	return rate, pop
 }
 
 // MaxRate returns a global upper bound on Rate over any horizon. It
@@ -241,13 +256,22 @@ func (g *Generator) MixAt(t time.Duration) *lms.Mix {
 // inside an active storm window, where the multiplier moves on minute
 // scales), using monotonicity of the growth curve and the storm shapes,
 // so thinning acceptance stays high while the population grows 10x.
+//
+// The returned function keeps its current segment's fixed factors (see
+// envSegment) and recomputes them only when a query falls outside that
+// segment, so a query costs the diurnal value at t and the join-storm
+// bounds, whatever order the queries come in. Each call returns its own
+// function; one function must not be shared across goroutines.
 func (g *Generator) Envelope() sim.EnvelopeFunc {
 	if g.cfg.Growth == nil && len(g.cfg.Storms) == 0 && len(g.cfg.Joins) == 0 {
 		return sim.ConstantEnvelope(g.MaxRate())
 	}
+	var seg envSegment // zero: [0, 0) holds no query
 	return func(t sim.Time) (float64, sim.Time) {
-		until := g.segmentEnd(t)
-		return g.segmentBound(t, until), until
+		if t < seg.start || t >= seg.until {
+			seg = g.segment(t, g.segmentEnd(t))
+		}
+		return g.segmentBound(&seg, t), seg.until
 	}
 }
 
@@ -285,67 +309,97 @@ func (g *Generator) segmentEnd(t time.Duration) time.Duration {
 	return until
 }
 
-// segmentBound returns the envelope's rate bound over [t, until):
-// the quiet bound scaled by the burst multiplier bound.
-func (g *Generator) segmentBound(t, until time.Duration) float64 {
-	return g.quietBound(t, until) * g.burstMult(t, until)
+// envSegment holds the factors of the envelope bound over a segment
+// [start, until) that do not depend on where in the segment the bound is
+// read. They are fixed because no segment straddles a window edge, an
+// hour mark or, while a storm is active, a minute mark (segmentEnd): a
+// crowd's Active state and the calendar week hold across the segment,
+// and a deadline storm's bound reads only the end of its overlap. Two
+// factors do move with t, so segmentBound computes them per query: the
+// diurnal value at t, and each join storm's bound, since a join storm
+// decays after its start.
+type envSegment struct {
+	start, until time.Duration
+	// base is the population at until × ReqPerStudentHour / 3600: the
+	// growth curve is monotone, so the segment's largest population is
+	// at its end.
+	base float64
+	// diurnalEnd is Diurnal.At(until). Diurnal is linear between hour
+	// anchors and the segment never crosses one, so the larger of its
+	// values at t and at until bounds it over [t, until).
+	diurnalEnd float64
+	// week is the calendar multiplier (1 without a calendar).
+	week float64
+	// crowdStorm is the product of the crowd and deadline-storm bounds.
+	crowdStorm float64
 }
 
-// quietBound bounds the rate over [t, until) ignoring crowd, storm and
-// join windows: population, diurnal shape and calendar only.
-func (g *Generator) quietBound(t, until time.Duration) float64 {
+// segment computes the fixed factors of the envelope bound over
+// [t, until).
+func (g *Generator) segment(t, until time.Duration) envSegment {
 	pop := float64(g.cfg.Students)
 	if g.cfg.Growth != nil {
-		pop = g.cfg.Growth.At(until) // monotone: segment max at the end
+		pop = g.cfg.Growth.At(until)
 	}
-	max := pop * g.cfg.ReqPerStudentHour / 3600
-	// Diurnal is linear between hour anchors and [t, until) never
-	// crosses one, so the endpoints bound the segment.
-	max *= math.Max(g.cfg.Diurnal.At(t), g.cfg.Diurnal.At(until))
+	seg := envSegment{
+		start:      t,
+		until:      until,
+		base:       pop * g.cfg.ReqPerStudentHour / 3600,
+		diurnalEnd: g.cfg.Diurnal.At(until),
+		week:       1,
+		crowdStorm: 1,
+	}
 	if g.cfg.Calendar != nil {
 		// Week boundaries fall on hour marks, never inside [t, until).
-		max *= g.cfg.Calendar.WeekAt(t).Mult
+		seg.week = g.cfg.Calendar.WeekAt(t).Mult
 	}
-	return max
-}
-
-// burstMult bounds the product of crowd/storm/join multipliers over
-// [t, until) — the factor by which the segment's bound exceeds its
-// quiet baseline. This is the quantity the hybrid fidelity planner
-// classifies on: a segment is "bursty" exactly when burstMult clears
-// the intensity threshold.
-func (g *Generator) burstMult(t, until time.Duration) float64 {
-	mult := 1.0
 	for _, c := range g.cfg.Crowds {
 		if c.Active(t) && c.Mult > 1 {
-			mult *= c.Mult
+			seg.crowdStorm *= c.Mult
 		}
 	}
 	for _, s := range g.cfg.Storms {
-		mult *= s.MaxOn(t, until)
+		seg.crowdStorm *= s.MaxOn(t, until)
 	}
+	return seg
+}
+
+// segmentBound returns the envelope's rate bound over [t, seg.until)
+// for t in seg: the quiet bound (population, diurnal shape and
+// calendar) scaled by the burst multiplier bound.
+func (g *Generator) segmentBound(seg *envSegment, t time.Duration) float64 {
+	quiet := seg.base * math.Max(g.cfg.Diurnal.At(t), seg.diurnalEnd) * seg.week
+	return quiet * g.burstMult(seg, t)
+}
+
+// burstMult bounds the product of crowd/storm/join multipliers over
+// [t, seg.until) — the factor by which the segment's bound exceeds its
+// quiet baseline. This is the quantity the hybrid fidelity planner
+// classifies on: a segment is "bursty" exactly when burstMult clears
+// the intensity threshold.
+func (g *Generator) burstMult(seg *envSegment, t time.Duration) float64 {
+	mult := seg.crowdStorm
 	for _, j := range g.cfg.Joins {
-		mult *= j.MaxOn(t, until)
+		mult *= j.MaxOn(t, seg.until)
 	}
 	return mult
 }
 
-// Generate produces arrivals on [start, horizon) in time order, invoking
-// fn for each, and returns the count. Identical (rng state, config)
-// produce identical streams.
+// Generate produces arrivals on [start, horizon] in time order, invoking
+// fn for each, and returns the count. It drives the same stream as
+// Stream, so identical (rng state, config) produce identical arrivals
+// either way.
 func (g *Generator) Generate(rng *sim.RNG, start, horizon time.Duration, fn func(Arrival)) int {
-	proc := sim.NewNHPPEnvelope(rng.Stream("arrivals"), func(t sim.Time) float64 {
-		return g.Rate(t)
-	}, g.Envelope(), start)
-	classRNG := rng.Stream("classes")
-	userRNG := rng.Stream("users")
-	return proc.GenerateInto(horizon, func(t sim.Time) {
-		fn(Arrival{
-			At:     t,
-			Class:  g.MixAt(t).Sample(classRNG),
-			UserID: userRNG.Intn(g.users(t)),
-		})
-	})
+	s := g.Stream(rng, start)
+	n := 0
+	for {
+		a, ok := s.Next(horizon)
+		if !ok {
+			return n
+		}
+		fn(a)
+		n++
+	}
 }
 
 // ArrivalStream produces arrivals one at a time, so simulations can
@@ -355,26 +409,47 @@ type ArrivalStream struct {
 	proc     *sim.NHPP
 	classRNG *sim.RNG
 	userRNG  *sim.RNG
-	// pickUser draws the arrival's user; the default draws uniformly
-	// from the active population, a ShardGen stream from its members.
-	pickUser func(t time.Duration) int
+	// rateAt is the stream's rate and the population it scaled: the
+	// generator's, or a shard's.
+	rateAt func(t time.Duration) (rate, pop float64)
+	// shard, for one shard's stream, holds the users it draws from;
+	// nil draws from the whole active population.
+	shard *ShardGen
+	// pop is the population at the last rate evaluation. The sampler
+	// evaluates the rate last at the candidate it accepts, so once Next
+	// has an arrival, pop is the population at the arrival's time.
+	pop float64
 }
 
 // Stream returns a lazy arrival stream starting at start.
 func (g *Generator) Stream(rng *sim.RNG, start time.Duration) *ArrivalStream {
+	return newStream(g, g.rateAt, g.Envelope(), nil, rng, start)
+}
+
+// newStream wires an arrival stream over rateAt and env: shard's when
+// shard is non-nil, the whole generator's otherwise.
+func newStream(g *Generator, rateAt func(time.Duration) (float64, float64), env sim.EnvelopeFunc, shard *ShardGen, rng *sim.RNG, start time.Duration) *ArrivalStream {
 	s := &ArrivalStream{
-		gen: g,
-		proc: sim.NewNHPPEnvelope(rng.Stream("arrivals"), func(t sim.Time) float64 {
-			return g.Rate(t)
-		}, g.Envelope(), start),
+		gen:      g,
 		classRNG: rng.Stream("classes"),
 		userRNG:  rng.Stream("users"),
+		rateAt:   rateAt,
+		shard:    shard,
 	}
-	s.pickUser = func(t time.Duration) int { return s.userRNG.Intn(s.gen.users(t)) }
+	s.proc = sim.NewNHPPEnvelope(rng.Stream("arrivals"), s.rate, env, start)
 	return s
 }
 
-// Next returns the next arrival strictly before horizon, or ok=false.
+// rate is the sampler's rate function: it records the population it
+// scaled for the user draw.
+func (s *ArrivalStream) rate(t time.Duration) float64 {
+	r, pop := s.rateAt(t)
+	s.pop = pop
+	return r
+}
+
+// Next returns the next arrival at or before horizon, or ok=false. An
+// arrival may fall exactly at horizon.
 func (s *ArrivalStream) Next(horizon time.Duration) (Arrival, bool) {
 	t, ok := s.proc.Next(horizon)
 	if !ok {
@@ -383,8 +458,20 @@ func (s *ArrivalStream) Next(horizon time.Duration) (Arrival, bool) {
 	return Arrival{
 		At:     t,
 		Class:  s.gen.MixAt(t).Sample(s.classRNG),
-		UserID: s.pickUser(t),
+		UserID: s.user(),
 	}, true
+}
+
+// user draws the arrival's user uniformly from the population active at
+// its time: the whole user-ID range, or a shard's members below it. At
+// K=1 members[i] == i, so a shard draw consumes the RNG and yields the
+// same value as the unsharded one.
+func (s *ArrivalStream) user() int {
+	n := s.gen.usersOf(s.pop)
+	if s.shard == nil {
+		return s.userRNG.Intn(n)
+	}
+	return s.shard.members[s.userRNG.Intn(s.shard.active(n))]
 }
 
 // Thinning reports the stream's sampler efficiency so far: candidate

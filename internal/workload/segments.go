@@ -48,8 +48,9 @@ func (g *Generator) BurstWindows(horizon time.Duration, factor float64, guard, g
 		if until > horizon {
 			until = horizon
 		}
-		if g.burstMult(t, until) >= factor {
-			bound := g.segmentBound(t, until)
+		seg := g.segment(t, until)
+		if g.burstMult(&seg, t) >= factor {
+			bound := g.segmentBound(&seg, t)
 			start, end := t-guard, until+guard
 			if n := len(wins); n > 0 && start <= wins[n-1].End {
 				if end > wins[n-1].End {

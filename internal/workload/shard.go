@@ -86,11 +86,13 @@ func (sg *ShardGen) active(n int) int {
 	return sort.SearchInts(sg.members, n)
 }
 
-// Rate returns the shard's instantaneous arrival rate at t: the full
-// rate times the fraction of active users the shard owns.
-func (sg *ShardGen) Rate(t time.Duration) float64 {
-	n := sg.g.users(t)
-	return sg.g.Rate(t) * (float64(sg.active(n)) / float64(n))
+// rateAt returns the shard's instantaneous arrival rate at t — the full
+// rate times the fraction of active users the shard owns — and the
+// active population it scaled.
+func (sg *ShardGen) rateAt(t time.Duration) (rate, pop float64) {
+	rate, pop = sg.g.rateAt(t)
+	n := sg.g.usersOf(pop)
+	return rate * (float64(sg.active(n)) / float64(n)), pop
 }
 
 // Envelope returns the shard's piecewise thinning bound: the full
@@ -109,27 +111,9 @@ func (sg *ShardGen) Envelope() sim.EnvelopeFunc {
 	}
 }
 
-// pickUser draws an arrival's user uniformly from the shard's active
-// members. At K=1 members[i] == i, so the draw consumes the RNG and
-// yields the same value as the unsharded Intn(n) path.
-func (sg *ShardGen) pickUser(userRNG *sim.RNG) func(t time.Duration) int {
-	return func(t time.Duration) int {
-		return sg.members[userRNG.Intn(sg.active(sg.g.users(t)))]
-	}
-}
-
 // Stream returns the shard's lazy arrival stream starting at start,
 // mirroring Generator.Stream with the shard's rate, envelope, and user
 // pool.
 func (sg *ShardGen) Stream(rng *sim.RNG, start time.Duration) *ArrivalStream {
-	userRNG := rng.Stream("users")
-	return &ArrivalStream{
-		gen: sg.g,
-		proc: sim.NewNHPPEnvelope(rng.Stream("arrivals"), func(t sim.Time) float64 {
-			return sg.Rate(t)
-		}, sg.Envelope(), start),
-		classRNG: rng.Stream("classes"),
-		userRNG:  userRNG,
-		pickUser: sg.pickUser(userRNG),
-	}
+	return newStream(sg.g, sg.rateAt, sg.Envelope(), sg, rng, start)
 }

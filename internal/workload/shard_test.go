@@ -25,7 +25,7 @@ func shardTestConfig(t *testing.T) *Generator {
 	return g
 }
 
-// generate feeds fn the shard's arrivals on [0, horizon) in time order.
+// generate feeds fn the shard's arrivals on [0, horizon] in time order.
 func generate(sg *ShardGen, rng *sim.RNG, horizon time.Duration, fn func(Arrival)) {
 	s := sg.Stream(rng, 0)
 	for a, ok := s.Next(horizon); ok; a, ok = s.Next(horizon) {
@@ -119,7 +119,7 @@ func TestShardRateSuperposition(t *testing.T) {
 		full := g.Rate(tm)
 		sum := 0.0
 		for k := range gens {
-			r := gens[k].Rate(tm)
+			r, _ := gens[k].rateAt(tm)
 			sum += r
 			max, until := envs[k](tm)
 			if r > max*(1+1e-12) {
@@ -131,7 +131,7 @@ func TestShardRateSuperposition(t *testing.T) {
 			}
 			// The bound must hold across the whole segment, not just at t.
 			for probe := tm; probe < until; probe += (until - tm) / 4 {
-				if pr := gens[k].Rate(probe); pr > max*(1+1e-12) {
+				if pr, _ := gens[k].rateAt(probe); pr > max*(1+1e-12) {
 					t.Fatalf("shard %d rate %v at %v exceeds segment bound %v from t=%v", k, pr, probe, max, tm)
 				}
 			}
