@@ -19,9 +19,6 @@ type Config struct {
 	// ZipfS is the popularity skew (≈1 for course content: everyone
 	// watches this week's lectures).
 	ZipfS float64
-	// EdgeLatency is the user-to-edge one-way latency in seconds
-	// (edges sit close; the origin round trip is what a miss adds).
-	EdgeLatency float64
 }
 
 // DefaultConfig sizes a CDN for an institution's course catalog: one
@@ -36,7 +33,6 @@ func DefaultConfig(courses int) Config {
 		ObjectBytes:    2e6,
 		CacheObjects:   catalog / 4,
 		ZipfS:          1.0,
-		EdgeLatency:    0.008,
 	}
 }
 
@@ -51,8 +47,8 @@ func (c Config) Validate() error {
 	if c.ZipfS <= 0 {
 		return fmt.Errorf("cdn: Zipf exponent must be positive")
 	}
-	if c.ObjectBytes <= 0 || c.EdgeLatency < 0 {
-		return fmt.Errorf("cdn: bad object size or latency")
+	if c.ObjectBytes <= 0 {
+		return fmt.Errorf("cdn: object size must be positive")
 	}
 	return nil
 }

@@ -105,7 +105,7 @@ func TestAnalyticHitRatioProperties(t *testing.T) {
 func TestLRUSimulatedMatchesAnalytic(t *testing.T) {
 	cfg := Config{
 		CatalogObjects: 1000, ObjectBytes: 2e6, CacheObjects: 250,
-		ZipfS: 1.0, EdgeLatency: 0.008,
+		ZipfS: 1.0,
 	}
 	edge, err := NewEdge(cfg, sim.NewRNG(7))
 	if err != nil {
@@ -126,7 +126,7 @@ func TestLRUSimulatedMatchesAnalytic(t *testing.T) {
 func TestEdgeAccounting(t *testing.T) {
 	cfg := Config{
 		CatalogObjects: 100, ObjectBytes: 1e6, CacheObjects: 100, // everything fits
-		ZipfS: 1.0, EdgeLatency: 0.008,
+		ZipfS: 1.0,
 	}
 	edge, err := NewEdge(cfg, sim.NewRNG(3))
 	if err != nil {

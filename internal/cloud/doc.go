@@ -17,8 +17,9 @@
 //   - Placer decides which Host receives a VM: FirstFit, BestFit and
 //     Spread are provided; ErrNoCapacity is the full-fleet signal the
 //     private model surfaces during exam crowds.
-//   - Resources / InstanceSpec describe CPU, memory and disk; VMsPerHost
-//     style sizing lives in the deploy package.
+//   - Resources / InstanceSpec describe CPU, memory and disk; the
+//     flavors a deployment runs, and how many of them fit a host, live
+//     in the deploy package.
 //
 // The package is deliberately application-agnostic: it knows about
 // CPU, memory and disk, but nothing about e-learning. The lms package

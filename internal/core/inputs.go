@@ -44,8 +44,6 @@ type MeasureConfig struct {
 	Students int
 	// DESStudents caps the request-level runs for speed (default 1000).
 	DESStudents int
-	// ExamMult is the flash-crowd multiplier (default 10).
-	ExamMult float64
 	// Pool is the shared worker pool the component simulations fan out
 	// on. Passing the caller's pool keeps nested measurement batches
 	// work-conserving: the nine component jobs claim any token the
@@ -67,10 +65,10 @@ func (c *MeasureConfig) defaults() {
 	if c.DESStudents > c.Students {
 		c.DESStudents = c.Students
 	}
-	if c.ExamMult <= 0 {
-		c.ExamMult = 10
-	}
 }
+
+// examMult is the flash-crowd multiplier of the exam runs.
+const examMult = 10
 
 // MeasureInputs runs the standard component-experiment recipe for the
 // three cloud models and returns the raw metric table. Deterministic
@@ -117,7 +115,7 @@ func MeasureInputs(cfg MeasureConfig) (*Inputs, error) {
 			Diurnal:           workload.FlatDiurnal(),
 			Crowds: []workload.FlashCrowd{{
 				Start: 30 * time.Minute, End: 90 * time.Minute,
-				Mult: cfg.ExamMult, ExamTraffic: true,
+				Mult: examMult, ExamTraffic: true,
 			}},
 		})
 	}

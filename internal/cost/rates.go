@@ -15,7 +15,10 @@ type PublicRates struct {
 	StoragePerGBMonth float64
 }
 
-// DefaultPublicRates matches the deploy.DefaultProvider "m.large" flavor.
+// DefaultPublicRates is the one 2013 public price sheet: the m.large
+// flavor deploy rents, on demand and reserved, its egress, CDN delivery
+// and object storage. Every bill and the migration model's egress price
+// read it.
 func DefaultPublicRates() PublicRates {
 	return PublicRates{
 		OnDemandHourly:    0.24,

@@ -1,7 +1,6 @@
 package deploy
 
 import (
-	"strings"
 	"testing"
 
 	"elearncloud/internal/cloud"
@@ -37,61 +36,45 @@ func TestLockinOrdering(t *testing.T) {
 	}
 }
 
-func TestDefaultProviderCatalog(t *testing.T) {
-	c := DefaultProvider()
-	if len(c.Types) < 3 {
-		t.Fatalf("too few instance types: %d", len(c.Types))
-	}
-	for _, it := range c.Types {
-		if it.OnDemandHourly <= 0 || it.ReservedHourly <= 0 {
-			t.Errorf("%s: non-positive price", it.Name)
-		}
-		if it.ReservedHourly >= it.OnDemandHourly {
-			t.Errorf("%s: reserved (%v) must undercut on-demand (%v)",
-				it.Name, it.ReservedHourly, it.OnDemandHourly)
-		}
-		if it.Res.IsZero() || !it.Res.Valid() {
-			t.Errorf("%s: bad resources %v", it.Name, it.Res)
-		}
-		spec := it.Spec()
-		if spec.BootDelay == nil {
-			t.Errorf("%s: nil boot delay", it.Name)
-		}
-	}
-	if c.EgressPerGB <= 0 || c.StoragePerGBMonth <= 0 {
-		t.Fatal("non-positive transfer/storage prices")
-	}
-}
-
-func TestCatalogLookup(t *testing.T) {
-	c := DefaultProvider()
-	it, err := c.Type("m.large")
+// TestRentedFlavor: the one public flavor is m.large, with a real
+// resource footprint and a boot delay, and private hosts carve VMs of
+// the same shape.
+func TestRentedFlavor(t *testing.T) {
+	d, err := Build(sim.NewEngine(1), baseSpec(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if it.Res.CPU != 4 {
-		t.Fatalf("m.large CPU = %v", it.Res.CPU)
+	pub, priv := d.PublicSpec, d.PrivateSpec
+	if pub.Name != "m.large" || pub.Res.CPU != 4 {
+		t.Fatalf("rented flavor = %s %v, want m.large with 4 cores", pub.Name, pub.Res)
 	}
-	if _, err := c.Type("nope"); err == nil || !strings.Contains(err.Error(), "nope") {
-		t.Fatalf("bad-type error = %v", err)
+	for _, spec := range []cloud.InstanceSpec{pub, priv} {
+		if spec.Res.IsZero() || !spec.Res.Valid() {
+			t.Errorf("%s: bad resources %v", spec.Name, spec.Res)
+		}
+		if spec.BootDelay == nil {
+			t.Errorf("%s: nil boot delay", spec.Name)
+		}
+	}
+	if priv.Res != pub.Res {
+		t.Errorf("private VM %v differs from the rented flavor %v", priv.Res, pub.Res)
 	}
 }
 
 func TestServersForPeak(t *testing.T) {
 	tests := []struct {
-		rps, svc, util float64
-		want           int
+		rps, svc float64
+		want     int
 	}{
-		{100, 0.03, 0.6, 5}, // 3 busy -> 5 at 60%
-		{0, 0.03, 0.6, 1},   // degenerate
-		{100, 0.03, 0, 5},   // default util
-		{1, 0.001, 0.6, 1},  // tiny load -> floor 1
-		{1000, 0.03, 0.5, 60},
+		{100, 0.03, 5}, // 3 busy -> 5 at 60%
+		{0, 0.03, 1},   // degenerate
+		{100, 0, 1},    // no work per request
+		{1, 0.001, 1},  // tiny load -> floor 1
+		{1000, 0.03, 50},
 	}
 	for _, tt := range tests {
-		if got := ServersForPeak(tt.rps, tt.svc, tt.util); got != tt.want {
-			t.Errorf("ServersForPeak(%v,%v,%v) = %d, want %d",
-				tt.rps, tt.svc, tt.util, got, tt.want)
+		if got := ServersForPeak(tt.rps, tt.svc); got != tt.want {
+			t.Errorf("ServersForPeak(%v,%v) = %d, want %d", tt.rps, tt.svc, got, tt.want)
 		}
 	}
 }
@@ -109,8 +92,8 @@ func TestVMsPerHost(t *testing.T) {
 		{cloud.Resources{CPU: 0, Mem: 0, Disk: 0}, 1 << 20}, // degenerate
 	}
 	for _, tt := range tests {
-		if got := VMsPerHost(host, tt.vm); got != tt.want {
-			t.Errorf("VMsPerHost(%v) = %d, want %d", tt.vm, got, tt.want)
+		if got := vmsPerHost(host, tt.vm); got != tt.want {
+			t.Errorf("vmsPerHost(%v) = %d, want %d", tt.vm, got, tt.want)
 		}
 	}
 }
@@ -133,17 +116,15 @@ func TestPrivateFleetCapacityMatchesPlan(t *testing.T) {
 	}
 }
 
-// placed returns baseSpec's asset inventory under kind's placement.
+// placed returns a 500-student, 20-course asset inventory under kind's
+// placement.
 func placed(kind Kind, policy HybridPolicy) lms.Inventory {
-	spec := baseSpec(kind)
-	return lms.NewInventory(spec.Courses, spec.Students, Place(kind, policy))
+	return lms.NewInventory(20, 500, Place(kind, policy))
 }
 
 func baseSpec(kind Kind) Spec {
 	return Spec{
 		Kind:            kind,
-		Students:        500,
-		Courses:         20,
 		ExpectedPeakRPS: 50,
 		MeanServiceSec:  0.03,
 	}
@@ -245,11 +226,8 @@ func TestBuildDesktop(t *testing.T) {
 func TestBuildValidation(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cases := map[string]Spec{
-		"zero students": {Kind: Public, Students: 0},
-		"neg courses":   {Kind: Public, Students: 10, Courses: -1},
-		"bad policy":    {Kind: Hybrid, Students: 10, Policy: HybridPolicy{PrivateBaseShare: 2}},
-		"bad kind":      {Kind: Kind(42), Students: 10},
-		"bad itype":     {Kind: Public, Students: 10, InstanceTypeName: "nope"},
+		"bad policy": {Kind: Hybrid, Policy: HybridPolicy{PrivateBaseShare: 2}},
+		"bad kind":   {Kind: Kind(42)},
 	}
 	for name, spec := range cases {
 		if _, err := Build(eng, spec); err == nil {
@@ -315,7 +293,7 @@ func TestSizeMatchesBuild(t *testing.T) {
 			t.Errorf("%v: private datacenter %v with %d planned hosts", kind, d.PrivateDC != nil, sz.PrivateHosts)
 		}
 	}
-	if _, err := Size(Spec{Kind: Kind(42), Students: 10}); err == nil {
+	if _, err := Size(Spec{Kind: Kind(42)}); err == nil {
 		t.Error("Size accepted an unknown kind")
 	}
 }

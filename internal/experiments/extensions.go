@@ -103,7 +103,7 @@ func Table8PurchaseMix(seed uint64, _ *scenario.Pool) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rates := costRates()
+	rates := cost.DefaultRates()
 	months := res.Duration.Hours() / 730
 	strategies := []struct {
 		name string
@@ -130,8 +130,6 @@ func Table8PurchaseMix(seed uint64, _ *scenario.Pool) (*metrics.Table, error) {
 	t.AddNote("reserve the base that runs all semester, burst the exam peaks on demand")
 	return t, nil
 }
-
-func costRates() cost.Rates { return cost.DefaultRates() }
 
 // Figure9HostFailure destroys private host 0 in the middle of an exam
 // crowd — the §IV.B "physical damage of the unit", at the worst possible

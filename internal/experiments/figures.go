@@ -173,7 +173,7 @@ func Figure4Utilization(seed uint64, pool *scenario.Pool) (*metrics.Table, error
 		if privCap > 0 {
 			// Utilization = servers' worth of offered work over the
 			// fixed fleet (same sizing arithmetic as the fluid model).
-			util = p.Value * meanSvc / 0.6 / privCap
+			util = p.Value * meanSvc / deploy.TargetUtil / privCap
 			if util > 1 {
 				util = 1
 			}

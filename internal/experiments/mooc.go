@@ -110,7 +110,7 @@ func Table9GrowthModels(seed uint64, pool *scenario.Pool) (*metrics.Table, error
 	// Section 2 — the public purchase mix on the course's utilization
 	// duration curve: under growth, most server ranks only run in the
 	// final weeks, so reserving for the end-state loses money.
-	rates := costRates()
+	rates := cost.DefaultRates()
 	months := pub.Duration.Hours() / 730
 	base := cost.AllOnDemandMix(pub.ServerRankHours)
 	baseUSD := base.ComputeUSD(rates.Public)

@@ -20,5 +20,6 @@
 // — federated vs. standalone hardware peaks, cost per member
 // (MemberOutcome, billed by usage share), and the savings each effect
 // contributes. Study is deterministic and analytic over the workload
-// calendar; it needs no discrete-event run.
+// calendar; it needs no discrete-event run. Every fleet, shared or
+// standalone, is sized by deploy.Size as a private deployment.
 package federate

@@ -2,10 +2,8 @@ package federate
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"elearncloud/internal/cloud"
 	"elearncloud/internal/cost"
 	"elearncloud/internal/deploy"
 	"elearncloud/internal/lms"
@@ -43,11 +41,10 @@ func (m Member) Validate() error {
 type Config struct {
 	// Members are the participating institutions.
 	Members []Member
-	// ReqPerStudentHour is the shared workload intensity (default 50).
-	ReqPerStudentHour float64
-	// TargetUtil is the sizing headroom (default 0.6).
-	TargetUtil float64
 }
+
+// reqPerStudentHour is every member's workload intensity.
+const reqPerStudentHour = 50
 
 // MemberOutcome compares one member's standalone cost to its federated
 // share.
@@ -100,13 +97,6 @@ func Study(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	if cfg.ReqPerStudentHour <= 0 {
-		cfg.ReqPerStudentHour = 50
-	}
-	if cfg.TargetUtil <= 0 || cfg.TargetUtil > 1 {
-		cfg.TargetUtil = 0.6
-	}
-
 	cat := lms.DefaultCatalog()
 	meanSvc := lms.TeachingMix().MeanService(cat)
 	sem := workload.StandardSemester()
@@ -118,7 +108,7 @@ func Study(cfg Config) (*Result, error) {
 	for i, m := range cfg.Members {
 		gen, err := workload.NewGenerator(workload.Config{
 			Students:          m.Students,
-			ReqPerStudentHour: cfg.ReqPerStudentHour,
+			ReqPerStudentHour: reqPerStudentHour,
 			Calendar:          shiftedCalendar(sem, m.CalendarShiftWeeks),
 		})
 		if err != nil {
@@ -140,7 +130,7 @@ func Study(cfg Config) (*Result, error) {
 			if r > memberPeakRPS[i] {
 				memberPeakRPS[i] = r
 			}
-			memberWork[i] += r * meanSvc / cfg.TargetUtil * step.Hours()
+			memberWork[i] += r * meanSvc / deploy.TargetUtil * step.Hours()
 		}
 		if total > sharedPeakRPS {
 			sharedPeakRPS = total
@@ -148,15 +138,14 @@ func Study(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{}
-	// Same host and flavor shapes deploy.Build uses for private sizing.
-	hostCap := deploy.VMsPerHost(
-		cloud.Resources{CPU: 16, Mem: 64, Disk: 8000},
-		cloud.Resources{CPU: 4, Mem: 7.5, Disk: 850})
 	rates := cost.DefaultRates()
 	months := horizon.Hours() / 730
 
-	res.SharedPeakServers = deploy.ServersForPeak(sharedPeakRPS, meanSvc, cfg.TargetUtil)
-	res.SharedHosts = hostsFor(res.SharedPeakServers, hostCap)
+	shared, err := privateSize(sharedPeakRPS, meanSvc)
+	if err != nil {
+		return nil, err
+	}
+	res.SharedPeakServers, res.SharedHosts = shared.ServersAtPeak, shared.PrivateHosts
 	sharedBill, err := cost.Bill(cost.Usage{Months: months, PrivateHosts: res.SharedHosts}, rates)
 	if err != nil {
 		return nil, err
@@ -168,9 +157,12 @@ func Study(cfg Config) (*Result, error) {
 		totalWork += w
 	}
 	for i, m := range cfg.Members {
-		peak := deploy.ServersForPeak(memberPeakRPS[i], meanSvc, cfg.TargetUtil)
-		res.SumMemberPeaks += peak
-		hosts := hostsFor(peak, hostCap)
+		alone, err := privateSize(memberPeakRPS[i], meanSvc)
+		if err != nil {
+			return nil, err
+		}
+		hosts := alone.PrivateHosts
+		res.SumMemberPeaks += alone.ServersAtPeak
 		res.SumStandaloneHosts += hosts
 		standalone, err := cost.Bill(cost.Usage{Months: months, PrivateHosts: hosts}, rates)
 		if err != nil {
@@ -233,13 +225,8 @@ func shiftedCalendar(base *workload.Calendar, shiftWeeks int) *workload.Calendar
 	return workload.NewCalendar(weeks)
 }
 
-func hostsFor(servers int, perHost int) int {
-	if perHost < 1 {
-		perHost = 1
-	}
-	h := int(math.Ceil(float64(servers) / float64(perHost)))
-	if h < 1 {
-		h = 1
-	}
-	return h
+// privateSize is deploy's plan for a private cloud that absorbs
+// peakRPS requests per second of meanSvc seconds of work each.
+func privateSize(peakRPS, meanSvc float64) (deploy.Sizing, error) {
+	return deploy.Size(deploy.Spec{Kind: deploy.Private, ExpectedPeakRPS: peakRPS, MeanServiceSec: meanSvc})
 }

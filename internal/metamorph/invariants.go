@@ -393,12 +393,7 @@ func checkCapacityMonotone(cfg scenario.Config, _ uint64) (*Violation, string) {
 	if err != nil {
 		return &Violation{"capacity-monotone", "generator rejected config: " + err.Error()}, ""
 	}
-	util := cfg.TargetUtil
-	if util == 0 {
-		util = 0.6
-	}
-	need := deploy.ServersForPeak(gen.MaxRate(),
-		lms.TeachingMix().MeanService(lms.DefaultCatalog()), util)
+	need := deploy.ServersForPeak(gen.MaxRate(), lms.TeachingMix().MeanService(lms.DefaultCatalog()))
 
 	tight := cfg
 	tight.MaxPublicServers = max(2, need/3)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"elearncloud/internal/cost"
 	"elearncloud/internal/sim"
 )
 
@@ -43,7 +44,8 @@ type CostModel struct {
 	ReengineerUSDPerComponent float64
 	// EngineerUSDPerWeek converts effort to calendar time (one team).
 	EngineerUSDPerWeek float64
-	// EgressPerGB is the provider's data-transfer-out price.
+	// EgressPerGB is the provider's data-transfer-out price;
+	// DefaultCostModel reads it from cost.DefaultPublicRates.
 	EgressPerGB float64
 	// TransferMbps is the sustained export bandwidth.
 	TransferMbps float64
@@ -60,7 +62,7 @@ func DefaultCostModel() CostModel {
 	return CostModel{
 		ReengineerUSDPerComponent: 12000,
 		EngineerUSDPerWeek:        4000,
-		EgressPerGB:               0.12,
+		EgressPerGB:               cost.DefaultPublicRates().EgressPerGB,
 		TransferMbps:              500,
 		CutoverHours:              8,
 		TestingFraction:           0.35,

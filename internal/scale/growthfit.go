@@ -11,6 +11,7 @@ import (
 	"math"
 	"time"
 
+	"elearncloud/internal/deploy"
 	"elearncloud/internal/sim"
 )
 
@@ -236,30 +237,30 @@ func relResidual(times, rates []float64, mean float64, f FitReport) float64 {
 	return math.Sqrt(sum/float64(len(times))) / mean
 }
 
+// The growth fitter retains fitWindow observations, enough history to
+// separate a logistic knee from a line. A fit is stable, and acted on,
+// once it rests on at least fitMinObservations of them and its relative
+// RMS residual is at most fitMaxResidual; until then the scaler stays
+// reactive.
+const (
+	fitWindow          = 45
+	fitMinObservations = 10
+	fitMaxResidual     = 0.15
+)
+
 // GrowthFitConfig parameterizes the growth-fitting scaler.
 type GrowthFitConfig struct {
 	// Interval between observations (default 1 minute).
 	Interval time.Duration
-	// Window is how many observations the fitter retains (default 45 —
-	// enough history to separate a logistic knee from a line).
-	Window int
-	// MinObservations gates acting on a fit (default 10).
-	MinObservations int
-	// MaxResidual is the stability threshold: a fit whose relative RMS
-	// residual exceeds it is distrusted and the scaler stays reactive
-	// (default 0.15).
-	MaxResidual float64
 	// Lead is how far ahead to provision — one VM boot plus a guard
 	// margin, so capacity is running before the projected demand lands
 	// (default 8 minutes).
 	Lead time.Duration
 	// MeanService converts observed in-flight demand to an arrival rate
-	// via Little's law (seconds; required, no useful default exists —
-	// zero panics in NewGrowthFit).
+	// via Little's law, and a projected rate to servers through
+	// deploy.ServersForPeak (seconds; required, no useful default
+	// exists — zero panics in NewGrowthFit).
 	MeanService float64
-	// Util is the per-server utilization the provisioning target aims at
-	// (default 0.6, matching deploy.ServersForPeak's default).
-	Util float64
 	// Min/Max fleet bounds.
 	Min, Max int
 	// Fallback parameterizes the reactive behavior used until the fit
@@ -271,23 +272,8 @@ func (c *GrowthFitConfig) defaults() {
 	if c.Interval <= 0 {
 		c.Interval = time.Minute
 	}
-	if c.Window <= 0 {
-		c.Window = 45
-	}
-	if c.MinObservations <= 0 {
-		c.MinObservations = 10
-	}
-	if c.MinObservations > c.Window {
-		c.MinObservations = c.Window
-	}
-	if c.MaxResidual <= 0 {
-		c.MaxResidual = 0.15
-	}
 	if c.Lead <= 0 {
 		c.Lead = 8 * time.Minute
-	}
-	if c.Util <= 0 || c.Util > 1 {
-		c.Util = 0.6
 	}
 	if c.Min <= 0 {
 		c.Min = 1
@@ -380,19 +366,19 @@ func (g *GrowthFit) tick(eng *sim.Engine) {
 	g.observe(sim.ToSeconds(eng.Now()), rate)
 
 	g.fit = FitGrowth(g.times, g.rates)
-	g.fit.Stable = g.fit.Observations >= g.cfg.MinObservations &&
-		g.fit.Residual <= g.cfg.MaxResidual
+	g.fit.Stable = g.fit.Observations >= fitMinObservations &&
+		g.fit.Residual <= fitMaxResidual
 	if !g.fit.Stable {
 		g.fallback.tick(eng)
 		return
 	}
 	g.stable = g.fit
 
-	// Provision for the projected rate a lead ahead at the target
+	// Provision for the projected rate a lead ahead at deploy's target
 	// utilization. No headroom server on top: the utilization target is
 	// the headroom, and the lead has already paid for the boot.
 	projected := g.fit.Rate(sim.ToSeconds(eng.Now() + g.cfg.Lead))
-	want := clamp(int(math.Ceil(projected*g.cfg.MeanService/g.cfg.Util)), g.cfg.Min, g.cfg.Max)
+	want := clamp(deploy.ServersForPeak(projected, g.cfg.MeanService), g.cfg.Min, g.cfg.Max)
 	cur := g.target.Desired()
 	// The projection never fights observed saturation: if the fleet is
 	// already hot and the model says shrink or hold, the reactive step
@@ -411,7 +397,7 @@ func (g *GrowthFit) tick(eng *sim.Engine) {
 func (g *GrowthFit) observe(t, rate float64) {
 	g.times = append(g.times, t)
 	g.rates = append(g.rates, rate)
-	if over := len(g.times) - g.cfg.Window; over > 0 {
+	if over := len(g.times) - fitWindow; over > 0 {
 		g.times = g.times[over:]
 		g.rates = g.rates[over:]
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"elearncloud/internal/deploy"
 	"elearncloud/internal/sim"
 	"elearncloud/internal/workload"
 )
@@ -251,7 +252,7 @@ func TestGrowthFitProvisionsAheadOfRamp(t *testing.T) {
 	const meanSvc = 0.1
 	g := NewGrowthFit(tgt, GrowthFitConfig{
 		Interval: time.Minute, Lead: 10 * time.Minute, MeanService: meanSvc,
-		Util: 0.6, Min: 1, Max: 1000,
+		Min: 1, Max: 1000,
 	})
 	stop := g.Start(eng)
 	defer stop()
@@ -267,7 +268,7 @@ func TestGrowthFitProvisionsAheadOfRamp(t *testing.T) {
 		t.Fatalf("fit did not stabilize on the ramp: %+v", fit)
 	}
 	nowRate := 10 + sim.ToSeconds(eng.Now())/60
-	nowNeed := int(math.Ceil(nowRate * meanSvc / 0.6))
+	nowNeed := deploy.ServersForPeak(nowRate, meanSvc)
 	if tgt.desired <= nowNeed {
 		t.Fatalf("desired = %d, want > %d (provisioned ahead of the ramp)", tgt.desired, nowNeed)
 	}

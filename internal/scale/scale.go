@@ -167,9 +167,6 @@ func (s *Scheduled) Start(eng *sim.Engine) func() {
 type PredictiveConfig struct {
 	// Interval between observations (default 1 minute).
 	Interval time.Duration
-	// Alpha and Beta are Holt's smoothing constants for level and trend
-	// (defaults 0.5 / 0.2).
-	Alpha, Beta float64
 	// Lead is how far ahead to provision for (default 5 minutes — about
 	// one VM boot time ahead, which is the point of predicting).
 	Lead time.Duration
@@ -184,12 +181,6 @@ func (c *PredictiveConfig) defaults() {
 	if c.Interval <= 0 {
 		c.Interval = time.Minute
 	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.5
-	}
-	if c.Beta <= 0 || c.Beta > 1 {
-		c.Beta = 0.2
-	}
 	if c.Lead <= 0 {
 		c.Lead = 5 * time.Minute
 	}
@@ -200,6 +191,10 @@ func (c *PredictiveConfig) defaults() {
 		c.Min = 1
 	}
 }
+
+// Holt's smoothing constants for the predictive scaler's level and
+// trend.
+const holtAlpha, holtBeta = 0.5, 0.2
 
 // Predictive forecasts total in-flight demand with Holt's linear
 // exponential smoothing and provisions ahead of the trend, absorbing VM
@@ -241,8 +236,8 @@ func (p *Predictive) Start(eng *sim.Engine) func() {
 			return
 		}
 		prevLevel := p.level
-		p.level = p.cfg.Alpha*observed + (1-p.cfg.Alpha)*(p.level+p.trend)
-		p.trend = p.cfg.Beta*(p.level-prevLevel) + (1-p.cfg.Beta)*p.trend
+		p.level = holtAlpha*observed + (1-holtAlpha)*(p.level+p.trend)
+		p.trend = holtBeta*(p.level-prevLevel) + (1-holtBeta)*p.trend
 		forecast := p.Forecast()
 		if forecast < 0 {
 			forecast = 0

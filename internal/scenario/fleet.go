@@ -25,7 +25,6 @@ type fleet struct {
 	dc      *cloud.Datacenter
 	cluster *lms.Cluster
 	spec    cloud.InstanceSpec
-	maxJobs int
 	max     int // 0 = unbounded
 
 	entries []*serverEntry
@@ -76,7 +75,7 @@ func (f *fleet) ScaleTo(n int) {
 		if err != nil {
 			return // datacenter full: fixed capacity reached
 		}
-		srv := lms.NewAppServer(f.eng, vm, f.maxJobs)
+		srv := lms.NewAppServer(f.eng, vm, 0) // 0: the default 256-job admission limit
 		f.cluster.Add(srv)
 		f.entries = append(f.entries, &serverEntry{vm: vm, srv: srv})
 		if len(f.entries) > f.peak {

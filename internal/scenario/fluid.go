@@ -69,15 +69,6 @@ func newFluidModel(cfg Config) (*fluidModel, error) {
 	return m, nil
 }
 
-// neededAt returns the total servers the flow model wants at t.
-func (m *fluidModel) neededAt(t time.Duration) int {
-	needed := int(math.Ceil(m.gen.Rate(t) * m.meanSvc / m.cfg.TargetUtil))
-	if needed < 1 {
-		needed = 1
-	}
-	return needed
-}
-
 // split divides a server need between the public and private sides:
 // the fixed private fleet is always on, and the public side carries
 // the rest (all of it without a private side; none of it on a
@@ -134,7 +125,7 @@ func (m *fluidModel) integrate(acc *fluidAccum, from, to time.Duration) {
 	privServers := m.size.PrivateServers
 	for t := from; t < to; t += fluidStep {
 		rate := m.gen.Rate(t)
-		needed := m.neededAt(t)
+		needed := deploy.ServersForPeak(rate, m.meanSvc)
 
 		pub, priv := m.split(needed)
 		res.VMHoursPublic += float64(pub) * stepHours

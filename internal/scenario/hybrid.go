@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"elearncloud/internal/cdn"
+	"elearncloud/internal/deploy"
 	"elearncloud/internal/metrics"
 	"elearncloud/internal/workload"
 )
@@ -87,7 +88,7 @@ func (m *fluidModel) desWindows() []desWindow {
 	}
 	des := make([]desWindow, len(wins))
 	for i, w := range wins {
-		pub, _ := m.split(m.neededAt(w.Start))
+		pub, _ := m.split(deploy.ServersForPeak(m.gen.Rate(w.Start), m.meanSvc))
 		des[i] = desWindow{
 			index:       i,
 			start:       w.Start,

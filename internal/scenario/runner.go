@@ -52,11 +52,8 @@ func genFor(cfg Config) (*workload.Generator, error) {
 func specFor(cfg Config, peakRPS, meanSvc float64) deploy.Spec {
 	return deploy.Spec{
 		Kind:            cfg.Kind,
-		Students:        cfg.Students,
-		Courses:         cfg.Courses,
 		ExpectedPeakRPS: peakRPS,
 		MeanServiceSec:  meanSvc,
-		TargetUtil:      cfg.TargetUtil,
 		Policy:          cfg.HybridPolicy,
 	}
 }
@@ -212,7 +209,7 @@ func (e *engine) build() error {
 		if maxPublic <= 0 {
 			maxPublic = dep.ServersAtPeak * 4
 		}
-		e.pubFleet = newFleet(eng, dep.PublicDC, e.pubCluster, dep.InstanceType.Spec(), maxPublic)
+		e.pubFleet = newFleet(eng, dep.PublicDC, e.pubCluster, dep.PublicSpec, maxPublic)
 		// The public side is sized for the peak the fixed private fleet
 		// does not carry.
 		initial := max(1, dep.ServersAtPeak-dep.PrivateServers)
@@ -585,6 +582,20 @@ func (e *engine) collect() (*Result, error) {
 	return res, nil
 }
 
+// reactivePolicy is the threshold control loop of the reactive scaler,
+// and growth-fit's fallback until its fit stabilizes: scale out 4
+// servers when the load per server passes 6, at most once per 2
+// minutes, and in by one below 1.5. Both policies read this one value,
+// so an unfittable workload costs growth-fit nothing over the reactive
+// loop. startScaler sets the fleet bounds.
+var reactivePolicy = scale.ReactiveConfig{
+	Interval:      time.Minute,
+	UpThreshold:   6,
+	DownThreshold: 1.5,
+	Step:          4,
+	Cooldown:      2 * time.Minute,
+}
+
 // startScaler attaches the configured autoscaler to the elastic fleet
 // and returns it plus its stop function (both nil for the fixed
 // policy). min is the scale-in floor (the bootstrap size); share scales
@@ -594,15 +605,9 @@ func (e *engine) collect() (*Result, error) {
 func startScaler(eng *sim.Engine, cfg Config, gen *workload.Generator, meanSvc float64, target scale.Target, min, maxPublic int, share float64) (scale.Autoscaler, func(), error) {
 	switch cfg.Scaler {
 	case ScalerReactive:
-		s := scale.NewReactive(target, scale.ReactiveConfig{
-			Interval:      time.Minute,
-			UpThreshold:   6,
-			DownThreshold: 1.5,
-			Step:          4,
-			Min:           min,
-			Max:           maxPublic,
-			Cooldown:      2 * time.Minute,
-		})
+		rc := reactivePolicy
+		rc.Min, rc.Max = min, maxPublic
+		s := scale.NewReactive(target, rc)
 		return s, s.Start(eng), nil
 	case ScalerScheduled:
 		// The timetable knows the diurnal/calendar shape but not flash
@@ -619,7 +624,7 @@ func startScaler(eng *sim.Engine, cfg Config, gen *workload.Generator, meanSvc f
 			return nil, nil, fmt.Errorf("scenario: scheduled scaler plan: %w", err)
 		}
 		plan := func(tod time.Duration) int {
-			return deploy.ServersForPeak(planGen.Rate(tod)*share, meanSvc, cfg.TargetUtil) + 1
+			return deploy.ServersForPeak(planGen.Rate(tod)*share, meanSvc) + 1
 		}
 		s := scale.NewScheduled(target, plan, 5*time.Minute, 1, maxPublic)
 		return s, s.Start(eng), nil
@@ -640,15 +645,9 @@ func startScaler(eng *sim.Engine, cfg Config, gen *workload.Generator, meanSvc f
 			Interval:    time.Minute,
 			Lead:        bootGrace + 5*time.Minute,
 			MeanService: meanSvc,
-			Util:        cfg.TargetUtil,
 			Min:         min,
 			Max:         maxPublic,
-			Fallback: scale.ReactiveConfig{
-				UpThreshold:   6,
-				DownThreshold: 1.5,
-				Step:          4,
-				Cooldown:      2 * time.Minute,
-			},
+			Fallback:    reactivePolicy,
 		})
 		return s, s.Start(eng), nil
 	case ScalerOracle:
@@ -656,7 +655,7 @@ func startScaler(eng *sim.Engine, cfg Config, gen *workload.Generator, meanSvc f
 		// generator, growth and storms included — everything the
 		// scheduled policy's timetable deliberately cannot see.
 		plan := func(at time.Duration) int {
-			return deploy.ServersForPeak(gen.Rate(at)*share, meanSvc, cfg.TargetUtil) + 1
+			return deploy.ServersForPeak(gen.Rate(at)*share, meanSvc) + 1
 		}
 		s := scale.NewOracle(target, plan, time.Minute, bootGrace+5*time.Minute, min, maxPublic)
 		return s, s.Start(eng), nil

@@ -111,8 +111,6 @@ type Config struct {
 	// TrackedSessions is how many user sessions to follow for lost-work
 	// accounting (default 50).
 	TrackedSessions int
-	// TargetUtil sizes fleets (default 0.6).
-	TargetUtil float64
 	// MaxPublicServers caps elastic growth (default 0: derived from peak
 	// sizing × 4).
 	MaxPublicServers int
@@ -184,12 +182,6 @@ func (c *Config) defaults() error {
 	}
 	if c.TrackedSessions > c.Students {
 		c.TrackedSessions = c.Students
-	}
-	if math.IsNaN(c.TargetUtil) {
-		return fmt.Errorf("scenario: TargetUtil = %v, not a number", c.TargetUtil)
-	}
-	if c.TargetUtil <= 0 || c.TargetUtil > 1 {
-		c.TargetUtil = 0.6
 	}
 	if c.HostFailureAt > 0 && c.HostRecoveryAfter <= 0 {
 		c.HostRecoveryAfter = 4 * time.Hour

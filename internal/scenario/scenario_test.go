@@ -483,7 +483,6 @@ func badEnumCfgs() []badEnum {
 		{access(func(a *network.AccessProfile) { a.MTBF, a.MTTR = 100, 0 }), "MTTR = 0"},
 		{with(func(c *Config) { c.ReqPerStudentHour = nan }), "ReqPerStudentHour = NaN"},
 		{with(func(c *Config) { c.ReqPerStudentHour = math.Inf(1) }), "ReqPerStudentHour = +Inf"},
-		{with(func(c *Config) { c.TargetUtil = nan }), "TargetUtil = NaN"},
 		{with(func(c *Config) { c.HybridIntensity = nan }), "HybridIntensity = NaN"},
 		{with(func(c *Config) {
 			c.Crowds = []workload.FlashCrowd{{Start: 5 * time.Minute, End: 10 * time.Minute, Mult: nan}}

@@ -95,17 +95,24 @@ func refUsers(g *Generator, t time.Duration) int {
 	return n
 }
 
+// refShardEnvelope is a shard's envelope with the active members at the
+// segment end counted again at every query.
+func refShardEnvelope(sg *ShardGen) sim.EnvelopeFunc {
+	g := sg.g
+	base := refEnvelope(g)
+	return func(t sim.Time) (float64, sim.Time) {
+		max, until := base(t)
+		share := float64(sg.active(refUsers(g, until))) / float64(refUsers(g, t))
+		return max * math.Min(1, share), until
+	}
+}
+
 // refShardStream is a shard's arrival stream as it was wired before the
 // stream reused the population: the shard's rate, envelope and user
 // pick each evaluate the growth curve themselves.
 func refShardStream(sg *ShardGen, rng *sim.RNG, start time.Duration) func(horizon time.Duration) (Arrival, bool) {
 	g := sg.g
-	base := refEnvelope(g)
-	env := func(t sim.Time) (float64, sim.Time) {
-		max, until := base(t)
-		share := float64(sg.active(refUsers(g, until))) / float64(refUsers(g, t))
-		return max * math.Min(1, share), until
-	}
+	env := refShardEnvelope(sg)
 	rate := func(t sim.Time) float64 {
 		n := refUsers(g, t)
 		return refRate(g, t) * (float64(sg.active(n)) / float64(n))
@@ -236,6 +243,50 @@ func TestEnvelopeMatchesPerCallFormulas(t *testing.T) {
 			}
 			for _, at := range ts {
 				check("random", shuffled, at)
+			}
+		})
+	}
+}
+
+// TestShardEnvelopeMatchesPerCallFormula: a shard's envelope, which
+// counts the segment end's active members once per segment, returns
+// exactly the per-call formula's bound and segment end for every shard
+// at K = 1, 3 and 8, queried in increasing and in random order.
+func TestShardEnvelopeMatchesPerCallFormula(t *testing.T) {
+	for name, cfg := range envelopeShapes() {
+		t.Run(name, func(t *testing.T) {
+			g, err := NewGenerator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := sim.NewRNG(37)
+			increasing := queryTimes(g, 0, horizonOf(name), rng)
+			random := append([]time.Duration(nil), increasing...)
+			for i := len(random) - 1; i > 0; i-- {
+				j := rng.Intn(i + 1)
+				random[i], random[j] = random[j], random[i]
+			}
+			orders := []struct {
+				name string
+				ts   []time.Duration
+			}{{"increasing", increasing}, {"random", random}}
+			for _, k := range []int{1, 3, 8} {
+				sh := g.ShardBy(k)
+				for i := 0; i < k; i++ {
+					sg := sh.Shard(i)
+					ref := refShardEnvelope(sg)
+					for _, order := range orders {
+						env := sg.Envelope()
+						for _, at := range order.ts {
+							max, until := env(at)
+							wantMax, wantUntil := ref(at)
+							if max != wantMax || until != wantUntil {
+								t.Fatalf("K=%d shard %d, %s order, t=%v: envelope (%v, %v), per-call formula (%v, %v)",
+									k, i, order.name, at, max, until, wantMax, wantUntil)
+							}
+						}
+					}
+				}
 			}
 		})
 	}

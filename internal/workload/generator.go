@@ -45,10 +45,6 @@ type Config struct {
 	// Joins adds live-session join storms: near-simultaneous arrivals
 	// at a lecture start, decaying as stragglers trickle in.
 	Joins []JoinStorm
-	// TeachingMix and ExamMix override the request mixes; nil uses the
-	// lms defaults.
-	TeachingMix *lms.Mix
-	ExamMix     *lms.Mix
 }
 
 // Generator produces a non-homogeneous Poisson stream of LMS arrivals.
@@ -92,14 +88,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.Diurnal == nil {
 		cfg.Diurnal = CampusDiurnal()
 	}
-	g := &Generator{cfg: cfg, teachingMix: cfg.TeachingMix, examMix: cfg.ExamMix}
-	if g.teachingMix == nil {
-		g.teachingMix = lms.TeachingMix()
-	}
-	if g.examMix == nil {
-		g.examMix = lms.ExamMix()
-	}
-	return g, nil
+	return &Generator{cfg: cfg, teachingMix: lms.TeachingMix(), examMix: lms.ExamMix()}, nil
 }
 
 // Population returns the active population at t: Growth.At(t) when a

@@ -102,11 +102,22 @@ func (sg *ShardGen) rateAt(t time.Duration) (rate, pop float64) {
 // 1/n nonincreasing — clamped to 1 since a share never exceeds one.
 // The clamp also makes K=1 exact: there c(n)=n, the ratio is >= 1, and
 // the factor is exactly 1.0, leaving the base bound bit-identical.
+//
+// c(n(until)) depends only on the segment end, so the function counts
+// it once per segment and recomputes only n(t) per query. Each call
+// returns its own function; one function must not be shared across
+// goroutines.
 func (sg *ShardGen) Envelope() sim.EnvelopeFunc {
 	base := sg.g.Envelope()
+	// endActive holds c(n(end)) for the segment ending at end; a segment
+	// never ends before time 0, so -1 marks none counted yet.
+	end, endActive := sim.Time(-1), 0.0
 	return func(t sim.Time) (float64, sim.Time) {
 		max, until := base(t)
-		share := float64(sg.active(sg.g.users(until))) / float64(sg.g.users(t))
+		if until != end {
+			end, endActive = until, float64(sg.active(sg.g.users(until)))
+		}
+		share := endActive / float64(sg.g.users(t))
 		return max * math.Min(1, share), until
 	}
 }
