@@ -30,7 +30,7 @@ func main() {
 			Index:      kind.DefaultLockinIndex(),
 			Components: 12,
 			DataBytes:  assets.BytesAt(lms.OnPublic),
-		}, migrate.DefaultCostModel())
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -113,8 +113,7 @@ func ForecastFrontier(cfg ForecastConfig) ([]cost.PlanPoint, error) {
 		return nil, fmt.Errorf("core: forecast grid: %w", err)
 	}
 
-	rates := cost.DefaultRates()
-	months := cfg.Duration.Hours() / 730
+	months := cfg.Duration.Hours() / cost.HoursPerMonth
 	var points []cost.PlanPoint
 
 	point := func(kind deploy.Kind, sk scenario.ScalerKind, res *scenario.Result) cost.PlanPoint {
@@ -134,7 +133,7 @@ func ForecastFrontier(cfg ForecastConfig) ([]cost.PlanPoint, error) {
 	// purchase knob is invisible to the queue.
 	for _, sk := range forecastScalers() {
 		res := runs.Result(deploy.Public.String() + "/" + sk.String())
-		rank := billedRankHours(res, rates.Public)
+		rank := billedRankHours(res)
 		base := point(deploy.Public, sk, res)
 		nonCompute := res.Cost.Total() - res.Cost.Compute
 		for _, m := range []struct {
@@ -142,13 +141,13 @@ func ForecastFrontier(cfg ForecastConfig) ([]cost.PlanPoint, error) {
 			mix  cost.PurchaseMix
 		}{
 			{"on-demand", cost.AllOnDemandMix(rank)},
-			{"reserved-mix", cost.OptimizeReservedMix(rank, months, rates.Public)},
+			{"reserved-mix", cost.OptimizeReservedMix(rank, months)},
 			{"all-reserved", cost.AllReservedMix(rank, months)},
 		} {
 			p := base
 			p.Mix = m.name
 			p.Reserved = m.mix.Reserved
-			p.USD = nonCompute + m.mix.ComputeUSD(rates.Public)
+			p.USD = nonCompute + m.mix.ComputeUSD()
 			points = append(points, p)
 		}
 	}
@@ -170,9 +169,9 @@ func ForecastFrontier(cfg ForecastConfig) ([]cost.PlanPoint, error) {
 // from the continuously-integrated bill (sampling granularity, boot
 // edges), and the public rows would be priced differently from the
 // hybrid/private rows that use res.Cost.Total() directly.
-func billedRankHours(res *scenario.Result, p cost.PublicRates) []float64 {
+func billedRankHours(res *scenario.Result) []float64 {
 	rank := rankHoursFromServers(res.Servers)
-	if od := cost.AllOnDemandMix(rank).ComputeUSD(p); od > 0 && res.Cost.Compute > 0 {
+	if od := cost.AllOnDemandMix(rank).ComputeUSD(); od > 0 && res.Cost.Compute > 0 {
 		scale := res.Cost.Compute / od
 		for k := range rank {
 			rank[k] *= scale

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"elearncloud/internal/cost"
 	"elearncloud/internal/deploy"
 	"elearncloud/internal/lms"
 	"elearncloud/internal/migrate"
@@ -138,7 +139,7 @@ func MeasureInputs(cfg MeasureConfig) (*Inputs, error) {
 		in.ExamErrorRate[kind] = exam.ErrorRate()
 
 		// Security: analytic risk for the model's asset placement.
-		assets := lms.NewInventory(cfg.Students/25+1, cfg.Students, deploy.Place(kind, deploy.DefaultHybridPolicy()))
+		assets := lms.NewInventory(scenario.CoursesFor(cfg.Students), cfg.Students, deploy.Place(kind, deploy.DefaultHybridPolicy()))
 		in.AnnualSensitiveRisk[kind] = security.ConfigFor(kind).AnnualSensitiveRisk(assets)
 
 		// Portability: cost of leaving.
@@ -146,14 +147,14 @@ func MeasureInputs(cfg MeasureConfig) (*Inputs, error) {
 			Index:      kind.DefaultLockinIndex(),
 			Components: 12,
 			DataBytes:  assets.BytesAt(lms.OnPublic) + 0.2*assets.BytesAt(lms.OnPrivate),
-		}, migrate.DefaultCostModel())
+		})
 		if err != nil {
 			return nil, fmt.Errorf("core: migrate %v: %w", kind, err)
 		}
 		in.MigrationUSD[kind] = plan.TotalUSD()
 
 		// Manageability: monthly staff + integration burden.
-		months := sem.Duration().Hours() / 730
+		months := sem.Duration().Hours() / cost.HoursPerMonth
 		in.OpsBurdenUSDMonth[kind] = (fluid.Cost.Staff + fluid.Cost.Integration) / months
 	}
 	return in, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"elearncloud/internal/cost"
 	"elearncloud/internal/deploy"
 )
 
@@ -61,7 +62,7 @@ func UpdatePropagation(kind deploy.Kind, students, technicians int) time.Duratio
 	if technicians < 1 {
 		technicians = 1
 	}
-	pcs := (students + 3) / 4 // lab sharing ratio from cost.DesktopRates
+	pcs := (students + cost.StudentsPerPC - 1) / cost.StudentsPerPC
 	days := float64(pcs) / float64(techPCsPerDay*technicians)
 	return time.Duration(days * 24 * float64(time.Hour))
 }

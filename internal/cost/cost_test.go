@@ -14,7 +14,7 @@ func TestBillPublicOnly(t *testing.T) {
 		EgressGB:        50,
 		StorageGBMonths: 1000,
 	}
-	r, err := Bill(u, DefaultRates())
+	r, err := Bill(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestBillPublicOnly(t *testing.T) {
 
 func TestBillPrivateOnly(t *testing.T) {
 	u := Usage{Months: 12, PrivateHosts: 10}
-	r, err := Bill(u, DefaultRates())
+	r, err := Bill(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestBillPrivateOnly(t *testing.T) {
 
 func TestBillMinAdminFloor(t *testing.T) {
 	u := Usage{Months: 12, PrivateHosts: 1}
-	r, err := Bill(u, DefaultRates())
+	r, err := Bill(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestBillMinAdminFloor(t *testing.T) {
 
 func TestBillHybridOverhead(t *testing.T) {
 	u := Usage{Months: 12, HybridMonths: 12}
-	r, err := Bill(u, DefaultRates())
+	r, err := Bill(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestBillHybridOverhead(t *testing.T) {
 
 func TestBillDesktopBaseline(t *testing.T) {
 	u := Usage{Months: 12, DesktopStudents: 400}
-	r, err := Bill(u, DefaultRates())
+	r, err := Bill(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +98,53 @@ func TestBillDesktopBaseline(t *testing.T) {
 	}
 }
 
+// TestBillBitExact pins every component of one bill per deployment
+// kind to the last bit. The other bill tests compare within a
+// tolerance, and no golden or benchmark digest shows a one-ulp change
+// in a price formula: folding the private kW factor to 0.72 instead of
+// the run-time 0.7200000000000001 moves none of them. The wanted values
+// are what each formula gives when every operation rounds to float64,
+// which typed price constants keep and untyped ones would not.
+func TestBillBitExact(t *testing.T) {
+	const months = 2688.0 / 730 // a 16-week semester
+	cases := []struct {
+		name string
+		u    Usage
+		want Report
+	}{
+		{"public", Usage{Months: months, VMHoursOnDemand: 1234.5, VMHoursReserved: 2190.25,
+			EgressGB: 321.7, CDNGB: 987.3, StorageGBMonths: 55.25},
+			Report{Compute: 594.154, Egress: 38.604, CDN: 59.23799999999999, Storage: 5.24875}},
+		{"private, 1 host (admin floor)", Usage{Months: months, PrivateHosts: 1},
+			Report{Capex: 613.6986301369863, Power: 193.53600000000003,
+				Staff: 4602.739726027397, Maintenance: 245.47945205479454}},
+		{"private, 10 hosts", Usage{Months: months, PrivateHosts: 10},
+			Report{Capex: 6136.986301369862, Power: 1935.3600000000004,
+				Staff: 9205.479452054795, Maintenance: 2454.794520547945}},
+		{"hybrid", Usage{Months: months, VMHoursOnDemand: 812.75, EgressGB: 140.2, CDNGB: 402.9,
+			StorageGBMonths: 23.1, PrivateHosts: 3, HybridMonths: months},
+			Report{Compute: 195.06, Egress: 16.823999999999998, CDN: 24.174, Storage: 2.1945,
+				Capex: 1841.0958904109589, Power: 580.6080000000001, Staff: 4602.739726027397,
+				Maintenance: 736.4383561643835, Integration: 7057.534246575343}},
+		{"desktop", Usage{Months: months, DesktopStudents: 1001},
+			Report{Desktop: 31962.958904109593}},
+	}
+	for _, c := range cases {
+		got, err := Bill(c.u)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got != c.want {
+			t.Errorf("%s:\n got %#v\nwant %#v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestBillRejectsNegativeUsage(t *testing.T) {
-	if _, err := Bill(Usage{Months: -1}, DefaultRates()); err == nil {
+	if _, err := Bill(Usage{Months: -1}); err == nil {
 		t.Fatal("negative months accepted")
 	}
-	if _, err := Bill(Usage{EgressGB: -5}, DefaultRates()); err == nil {
+	if _, err := Bill(Usage{EgressGB: -5}); err == nil {
 		t.Fatal("negative egress accepted")
 	}
 }
@@ -122,7 +164,6 @@ func TestReportTotalAndAdd(t *testing.T) {
 // for usages without the nonlinear components (admin floor, setup fee,
 // desktop ceil).
 func TestBillAdditivityProperty(t *testing.T) {
-	rates := DefaultRates()
 	f := func(h1, h2, e1, e2, s1, s2 uint16) bool {
 		u1 := Usage{Months: 1, VMHoursOnDemand: float64(h1), EgressGB: float64(e1), StorageGBMonths: float64(s1)}
 		u2 := Usage{Months: 1, VMHoursOnDemand: float64(h2), EgressGB: float64(e2), StorageGBMonths: float64(s2)}
@@ -131,9 +172,9 @@ func TestBillAdditivityProperty(t *testing.T) {
 			EgressGB:        u1.EgressGB + u2.EgressGB,
 			StorageGBMonths: u1.StorageGBMonths + u2.StorageGBMonths,
 		}
-		r1, err1 := Bill(u1, rates)
-		r2, err2 := Bill(u2, rates)
-		rs, err3 := Bill(sum, rates)
+		r1, err1 := Bill(u1)
+		r2, err2 := Bill(u2)
+		rs, err3 := Bill(sum)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}
@@ -146,17 +187,16 @@ func TestBillAdditivityProperty(t *testing.T) {
 
 // The paper's cost trade-off: at low sustained utilization public wins;
 // at high sustained utilization private wins. Verify the crossover
-// exists under default rates.
+// exists at the 2013 prices.
 func TestPublicPrivateCrossoverExists(t *testing.T) {
-	rates := DefaultRates()
 	monthly := func(servers float64, hosts int) (pub, priv float64) {
 		uPub := Usage{Months: 1, VMHoursOnDemand: servers * 730}
 		uPriv := Usage{Months: 1, PrivateHosts: hosts}
-		rp, err := Bill(uPub, rates)
+		rp, err := Bill(uPub)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rv, err := Bill(uPriv, rates)
+		rv, err := Bill(uPriv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,12 +226,11 @@ func TestPerStudentMonth(t *testing.T) {
 }
 
 func TestReservedCheaperThanOnDemand(t *testing.T) {
-	rates := DefaultRates()
-	od, err := Bill(Usage{Months: 1, VMHoursOnDemand: 730}, rates)
+	od, err := Bill(Usage{Months: 1, VMHoursOnDemand: 730})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := Bill(Usage{Months: 1, VMHoursReserved: 730}, rates)
+	rs, err := Bill(Usage{Months: 1, VMHoursReserved: 730})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,23 +240,18 @@ func TestReservedCheaperThanOnDemand(t *testing.T) {
 }
 
 func TestBreakevenMonthlyHours(t *testing.T) {
-	p := DefaultPublicRates()
-	h := BreakevenMonthlyHours(p)
+	h := BreakevenMonthlyHours()
 	// 730 * 0.136/0.24 ≈ 413.7 hours.
-	if math.Abs(h-730*p.ReservedHourly/p.OnDemandHourly) > 1e-9 {
+	if math.Abs(h-730*0.136/0.24) > 1e-9 {
 		t.Fatalf("breakeven = %v", h)
-	}
-	if !math.IsInf(BreakevenMonthlyHours(PublicRates{}), 1) {
-		t.Fatal("zero on-demand price should mean never breakeven")
 	}
 }
 
 func TestOptimizeReservedMix(t *testing.T) {
-	p := DefaultPublicRates()
 	// One always-on slot (730h), one half-time (365h), one rare (50h),
 	// over one month. Breakeven ≈ 414h: only the first is reserved.
 	curve := []float64{730, 365, 50}
-	mix := OptimizeReservedMix(curve, 1, p)
+	mix := OptimizeReservedMix(curve, 1)
 	if mix.Reserved != 1 {
 		t.Fatalf("Reserved = %d, want 1", mix.Reserved)
 	}
@@ -225,14 +259,14 @@ func TestOptimizeReservedMix(t *testing.T) {
 		t.Fatalf("hours = %v reserved / %v on-demand", mix.ReservedHours, mix.OnDemandHours)
 	}
 	// The optimum beats both pure strategies for this curve.
-	opt := mix.ComputeUSD(p)
-	od := AllOnDemandMix(curve).ComputeUSD(p)
-	ar := AllReservedMix(curve, 1).ComputeUSD(p)
+	opt := mix.ComputeUSD()
+	od := AllOnDemandMix(curve).ComputeUSD()
+	ar := AllReservedMix(curve, 1).ComputeUSD()
 	if opt > od || opt > ar {
 		t.Fatalf("optimal %v beaten by pure (%v / %v)", opt, od, ar)
 	}
 	// Degenerate months.
-	if m := OptimizeReservedMix(curve, 0, p); m.Reserved != 0 || m.OnDemandHours != 0 {
+	if m := OptimizeReservedMix(curve, 0); m.Reserved != 0 || m.OnDemandHours != 0 {
 		t.Fatal("zero-months mix not empty")
 	}
 }
@@ -247,7 +281,6 @@ func TestAllReservedSkipsUnusedRanks(t *testing.T) {
 // Property: the optimized mix never costs more than either pure
 // strategy, for any nonincreasing duration curve.
 func TestOptimizeReservedMixOptimalProperty(t *testing.T) {
-	p := DefaultPublicRates()
 	f := func(raw []uint16) bool {
 		// Build a nonincreasing curve within one month's hours.
 		curve := make([]float64, 0, len(raw))
@@ -260,9 +293,9 @@ func TestOptimizeReservedMixOptimalProperty(t *testing.T) {
 			curve = append(curve, h)
 			prev = h
 		}
-		opt := OptimizeReservedMix(curve, 1, p).ComputeUSD(p)
-		od := AllOnDemandMix(curve).ComputeUSD(p)
-		ar := AllReservedMix(curve, 1).ComputeUSD(p)
+		opt := OptimizeReservedMix(curve, 1).ComputeUSD()
+		od := AllOnDemandMix(curve).ComputeUSD()
+		ar := AllReservedMix(curve, 1).ComputeUSD()
 		return opt <= od+1e-9 && opt <= ar+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -271,17 +304,16 @@ func TestOptimizeReservedMixOptimalProperty(t *testing.T) {
 }
 
 func TestDefaultRatesSane(t *testing.T) {
-	r := DefaultRates()
-	if r.Private.PUE < 1 {
+	if pue < 1 {
 		t.Fatal("PUE below 1 is thermodynamically optimistic")
 	}
-	if r.Public.ReservedHourly >= r.Public.OnDemandHourly {
+	if reservedHourly >= onDemandHourly {
 		t.Fatal("reservations must discount")
 	}
-	if r.Hybrid.SetupUSD <= 0 || r.Hybrid.MonthlyUSD <= 0 {
+	if hybridSetupUSD <= 0 || hybridMonthlyUSD <= 0 {
 		t.Fatal("hybrid overhead must be positive (paper §IV.C)")
 	}
-	if r.Desktop.StudentsPerPC <= 0 {
+	if StudentsPerPC <= 0 {
 		t.Fatal("lab sharing ratio must be positive")
 	}
 }

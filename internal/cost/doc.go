@@ -9,14 +9,17 @@
 //
 // Entry points:
 //
-//   - Bill(Usage, Rates) is the single metering call: a scenario run
+//   - Bill(Usage) is the single metering call: a scenario run
 //     accumulates Usage (VM-hours by location, egress, storage, staff
 //     time) and Bill turns it into an itemized Report; Report.Total and
 //     PerStudentMonth are what the TCO artifacts (figure3, table7)
 //     plot.
-//   - DefaultRates bundles the 2013-era price book: DefaultPublicRates,
-//     DefaultPrivateRates, DefaultDesktopRates and
-//     DefaultHybridOverhead, each overridable per experiment.
+//   - rates.go is the 2013-era price book, one typed constant per
+//     price: the public, private, hybrid-overhead and desktop prices,
+//     and HoursPerMonth, the 730-hour month every monthly figure uses.
+//     Other packages read only HoursPerMonth, EgressPerGB (the
+//     migration model's export bill) and StudentsPerPC (the desktop
+//     lab's update rollout).
 //   - PurchaseMix models §IV.A's purchasing lever: AllOnDemandMix,
 //     AllReservedMix and OptimizeReservedMix pick reserved-instance
 //     coverage from a ranked VM-hours curve — the ablation table8

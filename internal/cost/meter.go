@@ -77,71 +77,49 @@ func (r Report) String() string {
 		r.Staff, r.Maintenance, r.Integration, r.Desktop)
 }
 
-// Rates bundles every price sheet a deployment might touch.
-type Rates struct {
-	Public  PublicRates
-	Private PrivateRates
-	Hybrid  HybridOverhead
-	Desktop DesktopRates
-}
-
-// DefaultRates returns all default price sheets.
-func DefaultRates() Rates {
-	return Rates{
-		Public:  DefaultPublicRates(),
-		Private: DefaultPrivateRates(),
-		Hybrid:  DefaultHybridOverhead(),
-		Desktop: DefaultDesktopRates(),
-	}
-}
-
-// Bill prices a Usage under the given rates.
-func Bill(u Usage, rates Rates) (Report, error) {
+// Bill prices a Usage at the 2013 price book.
+func Bill(u Usage) (Report, error) {
 	if err := u.Validate(); err != nil {
 		return Report{}, err
 	}
 	var r Report
 
 	// Public side.
-	r.Compute = u.VMHoursOnDemand*rates.Public.OnDemandHourly +
-		u.VMHoursReserved*rates.Public.ReservedHourly
-	r.Egress = u.EgressGB * rates.Public.EgressPerGB
-	r.CDN = u.CDNGB * rates.Public.CDNPerGB
-	r.Storage = u.StorageGBMonths * rates.Public.StoragePerGBMonth
+	r.Compute = u.VMHoursOnDemand*onDemandHourly +
+		u.VMHoursReserved*reservedHourly
+	r.Egress = u.EgressGB * EgressPerGB
+	r.CDN = u.CDNGB * cdnPerGB
+	r.Storage = u.StorageGBMonths * storagePerGBMonth
 
 	// Private side.
 	if u.PrivateHosts > 0 && u.Months > 0 {
 		hosts := float64(u.PrivateHosts)
-		monthlyCapex := rates.Private.HostCapexUSD / (rates.Private.AmortizationYears * 12)
+		monthlyCapex := hostCapexUSD / (hostAmortizationYears * 12)
 		r.Capex = hosts * monthlyCapex * u.Months
 
-		kw := rates.Private.HostPowerWatts / 1000 * rates.Private.PUE
-		hours := u.Months * 730 // mean hours per month
-		r.Power = hosts * kw * hours * rates.Private.PowerPerKWh
+		kw := hostPowerWatts / 1000 * pue
+		hours := u.Months * HoursPerMonth
+		r.Power = hosts * kw * hours * powerPerKWh
 
-		fte := hosts / rates.Private.AdminHostsPerFTE
-		if fte < rates.Private.MinAdminFTE {
-			fte = rates.Private.MinAdminFTE
+		fte := hosts / adminHostsPerFTE
+		if fte < minAdminFTE {
+			fte = minAdminFTE
 		}
-		r.Staff = fte * rates.Private.AdminSalaryYear / 12 * u.Months
+		r.Staff = fte * adminSalaryYear / 12 * u.Months
 
-		r.Maintenance = hosts * rates.Private.MaintenancePerHostYear / 12 * u.Months
+		r.Maintenance = hosts * maintenancePerHostYear / 12 * u.Months
 	}
 
 	// Hybrid overhead: governance plus the amortized setup engagement.
 	if u.HybridMonths > 0 {
-		amort := rates.Hybrid.SetupAmortMonths
-		if amort <= 0 {
-			amort = 36
-		}
-		r.Integration = u.HybridMonths * (rates.Hybrid.MonthlyUSD + rates.Hybrid.SetupUSD/amort)
+		r.Integration = u.HybridMonths * (hybridMonthlyUSD + hybridSetupUSD/hybridSetupAmortMonths)
 	}
 
 	// Desktop baseline.
 	if u.DesktopStudents > 0 && u.Months > 0 {
-		pcs := math.Ceil(float64(u.DesktopStudents) / rates.Desktop.StudentsPerPC)
-		monthlyPC := rates.Desktop.PCCapexUSD/(rates.Desktop.AmortizationYears*12) +
-			(rates.Desktop.LicensePerPCYear+rates.Desktop.SupportPerPCYear)/12
+		pcs := math.Ceil(float64(u.DesktopStudents) / StudentsPerPC)
+		monthlyPC := pcCapexUSD/(pcAmortizationYears*12) +
+			(licensePerPCYear+supportPerPCYear)/12
 		r.Desktop = pcs * monthlyPC * u.Months
 	}
 	return r, nil
@@ -159,11 +137,8 @@ func PerStudentMonth(r Report, students int, months float64) float64 {
 // a reserved instance undercuts on-demand for the same capacity: the
 // reservation's effective hourly price is charged around the clock, so
 // it pays off once utilization exceeds the price ratio.
-func BreakevenMonthlyHours(p PublicRates) float64 {
-	if p.OnDemandHourly <= 0 {
-		return math.Inf(1)
-	}
-	return 730 * p.ReservedHourly / p.OnDemandHourly
+func BreakevenMonthlyHours() float64 {
+	return HoursPerMonth * reservedHourly / onDemandHourly
 }
 
 // PurchaseMix is the result of optimizing the reserved/on-demand split
@@ -179,8 +154,8 @@ type PurchaseMix struct {
 }
 
 // ComputeUSD prices the mix.
-func (m PurchaseMix) ComputeUSD(p PublicRates) float64 {
-	return m.ReservedHours*p.ReservedHourly + m.OnDemandHours*p.OnDemandHourly
+func (m PurchaseMix) ComputeUSD() float64 {
+	return m.ReservedHours*reservedHourly + m.OnDemandHours*onDemandHourly
 }
 
 // OptimizeReservedMix chooses how many slots to reserve given the
@@ -189,16 +164,16 @@ func (m PurchaseMix) ComputeUSD(p PublicRates) float64 {
 // that run longer than the breakeven are reserved (and then billed for
 // the full period); the rest stay on-demand. The duration curve is
 // nonincreasing by construction, so the split is a prefix.
-func OptimizeReservedMix(rankHours []float64, months float64, p PublicRates) PurchaseMix {
+func OptimizeReservedMix(rankHours []float64, months float64) PurchaseMix {
 	if months <= 0 {
 		return PurchaseMix{}
 	}
-	breakeven := BreakevenMonthlyHours(p) * months
+	breakeven := BreakevenMonthlyHours() * months
 	var mix PurchaseMix
 	for _, h := range rankHours {
 		if h > breakeven {
 			mix.Reserved++
-			mix.ReservedHours += 730 * months
+			mix.ReservedHours += HoursPerMonth * months
 			continue
 		}
 		mix.OnDemandHours += h
@@ -221,7 +196,7 @@ func AllReservedMix(rankHours []float64, months float64) PurchaseMix {
 	for _, h := range rankHours {
 		if h > 0 {
 			mix.Reserved++
-			mix.ReservedHours += 730 * months
+			mix.ReservedHours += HoursPerMonth * months
 		}
 	}
 	return mix

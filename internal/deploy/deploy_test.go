@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"math"
 	"testing"
 
 	"elearncloud/internal/cloud"
@@ -225,13 +226,29 @@ func TestBuildDesktop(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	eng := sim.NewEngine(1)
+	withPeak := func(rps, svc float64) Spec {
+		s := baseSpec(Private)
+		s.ExpectedPeakRPS, s.MeanServiceSec = rps, svc
+		return s
+	}
 	cases := map[string]Spec{
-		"bad policy": {Kind: Hybrid, Policy: HybridPolicy{PrivateBaseShare: 2}},
-		"bad kind":   {Kind: Kind(42)},
+		"bad policy":     {Kind: Hybrid, Policy: HybridPolicy{PrivateBaseShare: 2}},
+		"NaN share":      {Kind: Hybrid, ExpectedPeakRPS: 1000, MeanServiceSec: 0.03, Policy: HybridPolicy{PrivateBaseShare: math.NaN()}},
+		"bad kind":       {Kind: Kind(42)},
+		"NaN peak":       withPeak(math.NaN(), 0.03),
+		"+Inf peak":      withPeak(math.Inf(1), 0.03),
+		"1e300 peak":     withPeak(1e300, 0.03),
+		"+Inf service":   withPeak(50, math.Inf(1)),
+		"negative peak":  withPeak(-50, 0.03),
+		"negative svc":   withPeak(50, -0.03),
+		"product to Inf": withPeak(1e200, 1e200),
 	}
 	for name, spec := range cases {
+		if sz, err := Size(spec); err == nil {
+			t.Errorf("%s: Size accepted, sized %+v", name, sz)
+		}
 		if _, err := Build(eng, spec); err == nil {
-			t.Errorf("%s: accepted", name)
+			t.Errorf("%s: Build accepted", name)
 		}
 	}
 	if _, err := Build(nil, baseSpec(Public)); err == nil {

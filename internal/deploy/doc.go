@@ -26,6 +26,6 @@
 //     request classes stay on the private side and which burst to
 //     public, the policy table4 ablates.
 //
-// Prices live in package cost: cost.DefaultPublicRates prices the rented
-// flavor, its egress and storage at 2013 list prices.
+// Prices live in package cost: its 2013 price book prices the rented
+// flavor, its egress and storage at list prices.
 package deploy

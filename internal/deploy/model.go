@@ -28,7 +28,7 @@ func DefaultHybridPolicy() HybridPolicy {
 
 // Validate checks policy ranges.
 func (p HybridPolicy) Validate() error {
-	if p.PrivateBaseShare < 0 || p.PrivateBaseShare > 1 {
+	if !(p.PrivateBaseShare >= 0 && p.PrivateBaseShare <= 1) {
 		return fmt.Errorf("deploy: PrivateBaseShare %v outside [0,1]", p.PrivateBaseShare)
 	}
 	return nil

@@ -14,7 +14,7 @@ import (
 const TargetUtil = 0.6
 
 // publicSpec is the one flavor the public cloud rents, m.large. Its
-// 2013 list prices are cost.DefaultPublicRates.
+// 2013 list prices are constants in package cost.
 var publicSpec = cloud.InstanceSpec{
 	Name:      "m.large",
 	Res:       cloud.Resources{CPU: 4, Mem: 7.5, Disk: 850},
@@ -69,7 +69,9 @@ func ServersForPeak(peakRPS, meanServiceSec float64) int {
 }
 
 // Size validates spec and works out its capacity plan: the one sizing
-// rule every run path, bill and federation study shares.
+// rule every run path, bill and federation study shares. A negative or
+// non-finite rate or service time, or a peak needing more servers than
+// an int counts, is an error, not a one-server fleet.
 func Size(spec Spec) (Sizing, error) {
 	if spec.Kind < Public || spec.Kind > Desktop {
 		return Sizing{}, fmt.Errorf("deploy: unknown kind %v", spec.Kind)
@@ -77,7 +79,14 @@ func Size(spec Spec) (Sizing, error) {
 	if err := spec.Policy.Validate(); err != nil {
 		return Sizing{}, err
 	}
-	sz := Sizing{ServersAtPeak: ServersForPeak(spec.ExpectedPeakRPS, spec.MeanServiceSec)}
+	rps, svc := spec.ExpectedPeakRPS, spec.MeanServiceSec
+	if !(rps >= 0 && svc >= 0) || math.IsInf(rps, 1) || math.IsInf(svc, 1) {
+		return Sizing{}, fmt.Errorf("deploy: ExpectedPeakRPS %v, MeanServiceSec %v: need finite values >= 0", rps, svc)
+	}
+	if rps*svc/TargetUtil >= math.MaxInt {
+		return Sizing{}, fmt.Errorf("deploy: ExpectedPeakRPS %v needs more servers than an int counts", rps)
+	}
+	sz := Sizing{ServersAtPeak: ServersForPeak(rps, svc)}
 	switch spec.Kind {
 	case Private:
 		sz.PrivateServers = sz.ServersAtPeak

@@ -103,22 +103,21 @@ func Table8PurchaseMix(seed uint64, _ *scenario.Pool) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rates := cost.DefaultRates()
-	months := res.Duration.Hours() / 730
+	months := res.Duration.Hours() / cost.HoursPerMonth
 	strategies := []struct {
 		name string
 		mix  cost.PurchaseMix
 	}{
 		{"all on-demand", cost.AllOnDemandMix(res.ServerRankHours)},
-		{"optimal mix", cost.OptimizeReservedMix(res.ServerRankHours, months, rates.Public)},
+		{"optimal mix", cost.OptimizeReservedMix(res.ServerRankHours, months)},
 		{"all reserved", cost.AllReservedMix(res.ServerRankHours, months)},
 	}
 	t := metrics.NewTable(
 		"Table 8: reserved vs on-demand purchase mix (public model, one semester)",
 		"strategy", "reserved slots", "compute cost", "vs on-demand")
-	base := strategies[0].mix.ComputeUSD(rates.Public)
+	base := strategies[0].mix.ComputeUSD()
 	for _, s := range strategies {
-		c := s.mix.ComputeUSD(rates.Public)
+		c := s.mix.ComputeUSD()
 		delta := "-"
 		if base > 0 {
 			delta = metrics.FmtPercent((c - base) / base)
@@ -126,7 +125,7 @@ func Table8PurchaseMix(seed uint64, _ *scenario.Pool) (*metrics.Table, error) {
 		t.AddRow(s.name, s.mix.Reserved, metrics.FmtDollars(c), delta)
 	}
 	t.AddNote("seed=%d; breakeven at %.0f h/month; duration curve from the semester fluid run",
-		seed, cost.BreakevenMonthlyHours(rates.Public))
+		seed, cost.BreakevenMonthlyHours())
 	t.AddNote("reserve the base that runs all semester, burst the exam peaks on demand")
 	return t, nil
 }

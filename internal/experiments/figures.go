@@ -326,7 +326,6 @@ func Figure7Lockin(seed uint64, _ *scenario.Pool) (*metrics.Table, error) {
 		"Figure 7: cost to bring the system back in-house vs lock-in index",
 		"lock-in index", "re-engineering", "egress", "total", "calendar time", "typical for")
 	assets := lms.NewInventory(collegeStudents/25, collegeStudents, lms.AllAt(lms.OnPublic))
-	model := migrate.DefaultCostModel()
 	typical := map[float64]string{
 		deploy.Private.DefaultLockinIndex(): "private",
 		deploy.Hybrid.DefaultLockinIndex():  "hybrid",
@@ -335,7 +334,7 @@ func Figure7Lockin(seed uint64, _ *scenario.Pool) (*metrics.Table, error) {
 	for _, idx := range []float64{0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0} {
 		plan, err := migrate.NewPlan(migrate.LockinProfile{
 			Index: idx, Components: 12, DataBytes: assets.BytesAt(lms.OnPublic),
-		}, model)
+		})
 		if err != nil {
 			return nil, err
 		}

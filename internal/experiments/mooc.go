@@ -110,19 +110,18 @@ func Table9GrowthModels(seed uint64, pool *scenario.Pool) (*metrics.Table, error
 	// Section 2 — the public purchase mix on the course's utilization
 	// duration curve: under growth, most server ranks only run in the
 	// final weeks, so reserving for the end-state loses money.
-	rates := cost.DefaultRates()
-	months := pub.Duration.Hours() / 730
+	months := pub.Duration.Hours() / cost.HoursPerMonth
 	base := cost.AllOnDemandMix(pub.ServerRankHours)
-	baseUSD := base.ComputeUSD(rates.Public)
+	baseUSD := base.ComputeUSD()
 	for _, s := range []struct {
 		name string
 		mix  cost.PurchaseMix
 	}{
 		{"all on-demand", base},
-		{"optimal reserved mix", cost.OptimizeReservedMix(pub.ServerRankHours, months, rates.Public)},
+		{"optimal reserved mix", cost.OptimizeReservedMix(pub.ServerRankHours, months)},
 		{"all reserved", cost.AllReservedMix(pub.ServerRankHours, months)},
 	} {
-		c := s.mix.ComputeUSD(rates.Public)
+		c := s.mix.ComputeUSD()
 		delta := "-"
 		if s.name != "all on-demand" && baseUSD > 0 {
 			delta = metrics.FmtPercent((c - baseUSD) / baseUSD)

@@ -134,7 +134,7 @@ func Table2Risks(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 			Index:      kind.DefaultLockinIndex(),
 			Components: 12,
 			DataBytes:  assets.BytesAt(lms.OnPublic) + 0.2*assets.BytesAt(lms.OnPrivate),
-		}, migrate.DefaultCostModel())
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -138,15 +138,14 @@ func Study(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{}
-	rates := cost.DefaultRates()
-	months := horizon.Hours() / 730
+	months := horizon.Hours() / cost.HoursPerMonth
 
 	shared, err := privateSize(sharedPeakRPS, meanSvc)
 	if err != nil {
 		return nil, err
 	}
 	res.SharedPeakServers, res.SharedHosts = shared.ServersAtPeak, shared.PrivateHosts
-	sharedBill, err := cost.Bill(cost.Usage{Months: months, PrivateHosts: res.SharedHosts}, rates)
+	sharedBill, err := cost.Bill(cost.Usage{Months: months, PrivateHosts: res.SharedHosts})
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +163,7 @@ func Study(cfg Config) (*Result, error) {
 		hosts := alone.PrivateHosts
 		res.SumMemberPeaks += alone.ServersAtPeak
 		res.SumStandaloneHosts += hosts
-		standalone, err := cost.Bill(cost.Usage{Months: months, PrivateHosts: hosts}, rates)
+		standalone, err := cost.Bill(cost.Usage{Months: months, PrivateHosts: hosts})
 		if err != nil {
 			return nil, err
 		}

@@ -64,7 +64,8 @@ func TestBalancerMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewAppServer(eng, vm, 2+rng.Intn(6))
+		s := NewAppServer(eng, vm)
+		s.maxJobs = 2 + rng.Intn(6)
 		c.Add(s)
 		members = append(members, s)
 	}

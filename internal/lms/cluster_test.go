@@ -26,7 +26,10 @@ func bootCluster(t *testing.T, eng *sim.Engine, n, maxJobs int) (*Cluster, []*Ap
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewAppServer(eng, vm, maxJobs)
+		s := NewAppServer(eng, vm)
+		if maxJobs > 0 {
+			s.maxJobs = maxJobs
+		}
 		servers = append(servers, s)
 		c.Add(s)
 	}

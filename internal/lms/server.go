@@ -110,19 +110,20 @@ func (h *jobHeap) pop() *psJob {
 	return top
 }
 
-// NewAppServer attaches a server to a VM. maxJobs bounds concurrent
-// admitted requests (the server's thread pool); non-positive means 256.
-func NewAppServer(eng *sim.Engine, vm *cloud.VM, maxJobs int) *AppServer {
+// admissionLimit bounds a server's concurrently admitted requests (its
+// thread pool).
+const admissionLimit = 256
+
+// NewAppServer attaches a server to a VM, admitting up to
+// admissionLimit concurrent requests.
+func NewAppServer(eng *sim.Engine, vm *cloud.VM) *AppServer {
 	if eng == nil || vm == nil {
 		panic("lms: NewAppServer with nil engine or vm")
-	}
-	if maxJobs <= 0 {
-		maxJobs = 256
 	}
 	s := &AppServer{
 		eng:        eng,
 		vm:         vm,
-		maxJobs:    maxJobs,
+		maxJobs:    admissionLimit,
 		lastUpdate: eng.Now(),
 		lastSpeed:  vm.SpeedFactor(),
 		filed:      -1,

@@ -33,7 +33,11 @@ func bootServer(t *testing.T, eng *sim.Engine, maxJobs int) *AppServer {
 			t.Fatal("no boot event pending")
 		}
 	}
-	return NewAppServer(eng, vm, maxJobs)
+	s := NewAppServer(eng, vm)
+	if maxJobs > 0 {
+		s.maxJobs = maxJobs
+	}
+	return s
 }
 
 // offer submits a job the way Cluster.Submit does: only to a server
@@ -200,7 +204,7 @@ func TestInterferenceSlowsService(t *testing.T) {
 	if vm.SpeedFactor() != 0.5 {
 		t.Fatalf("SpeedFactor = %v, want 0.5", vm.SpeedFactor())
 	}
-	s := NewAppServer(eng, vm, 0)
+	s := NewAppServer(eng, vm)
 	var doneAt sim.Time
 	offer(s, 1.0, func(bool) { doneAt = eng.Now() })
 	eng.Run(time.Minute)
@@ -226,7 +230,8 @@ func TestServerJobConservationProperty(t *testing.T) {
 			return false
 		}
 		eng.Step() // boot
-		s := NewAppServer(eng, vm, 8)
+		s := NewAppServer(eng, vm)
+		s.maxJobs = 8
 		accepted, served := 0, 0
 		done := func(ok bool) {
 			if ok {
@@ -269,7 +274,7 @@ func TestSubmitToUnbootedVMRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewAppServer(eng, vm, 0)
+	s := NewAppServer(eng, vm)
 	if offer(s, 1, nil) {
 		t.Fatal("job admitted to provisioning VM")
 	}

@@ -15,11 +15,11 @@
 // end-to-end).
 //
 // Entry points: describe where the institution stands as a
-// LockinProfile (proprietary components, data volume, lock-in index)
-// and price it with a CostModel (DefaultCostModel for the 2013
-// defaults); NewPlan validates the pair into a Plan, and Execute runs
-// the Plan on a sim.Engine — the phases advance on the virtual clock
-// and the done callback receives the Result (cost breakdown, calendar
-// time, downtime). Plan costing alone needs no engine; Execute exists
+// LockinProfile (proprietary components, data volume, lock-in index);
+// NewPlan validates it and prices it at the 2013 consulting, bandwidth
+// and egress prices into a Plan, and Execute runs the Plan on a
+// sim.Engine — the phases advance on the virtual clock and the done
+// callback receives the Result (cost breakdown, calendar time,
+// downtime). Plan costing alone needs no engine; Execute exists
 // so migrations can overlap live traffic in a scenario run.
 package migrate

@@ -37,37 +37,23 @@ func (p LockinProfile) Validate() error {
 	return nil
 }
 
-// CostModel prices migration work.
-type CostModel struct {
-	// ReengineerUSDPerComponent is the cost to port one
+// Migration prices: 2013-era consulting figures, a component port is
+// about three person-weeks at ~$4k/week. The provider's egress price is
+// cost.EgressPerGB.
+const (
+	// reengineerUSDPerComponent is the cost to port one
 	// proprietary-entangled component to a standard interface.
-	ReengineerUSDPerComponent float64
-	// EngineerUSDPerWeek converts effort to calendar time (one team).
-	EngineerUSDPerWeek float64
-	// EgressPerGB is the provider's data-transfer-out price;
-	// DefaultCostModel reads it from cost.DefaultPublicRates.
-	EgressPerGB float64
-	// TransferMbps is the sustained export bandwidth.
-	TransferMbps float64
-	// CutoverHours is the service freeze for the final switchover.
-	CutoverHours float64
-	// TestingFraction adds integration-testing effort proportional to
+	reengineerUSDPerComponent float64 = 12000
+	// engineerUSDPerWeek converts effort to calendar time (one team).
+	engineerUSDPerWeek float64 = 4000
+	// transferMbps is the sustained export bandwidth.
+	transferMbps float64 = 500
+	// cutoverHours is the service freeze for the final switchover.
+	cutoverHours float64 = 8
+	// testingFraction adds integration-testing effort proportional to
 	// the re-engineering bill.
-	TestingFraction float64
-}
-
-// DefaultCostModel returns 2013-era consulting prices: a component port
-// is about three person-weeks at ~$4k/week.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		ReengineerUSDPerComponent: 12000,
-		EngineerUSDPerWeek:        4000,
-		EgressPerGB:               cost.DefaultPublicRates().EgressPerGB,
-		TransferMbps:              500,
-		CutoverHours:              8,
-		TestingFraction:           0.35,
-	}
-}
+	testingFraction float64 = 0.35
+)
 
 // Plan is a priced migration.
 type Plan struct {
@@ -99,26 +85,20 @@ func (p Plan) CalendarTime() time.Duration {
 	return m + p.Downtime
 }
 
-// NewPlan prices a migration for a profile under a cost model.
-func NewPlan(profile LockinProfile, model CostModel) (Plan, error) {
+// NewPlan prices a migration for a profile at the 2013 prices.
+func NewPlan(profile LockinProfile) (Plan, error) {
 	if err := profile.Validate(); err != nil {
 		return Plan{}, err
 	}
-	if model.TransferMbps <= 0 {
-		return Plan{}, fmt.Errorf("migrate: non-positive transfer bandwidth")
-	}
 	ports := int(math.Ceil(profile.Index * float64(profile.Components)))
-	reeng := float64(ports) * model.ReengineerUSDPerComponent * (1 + model.TestingFraction)
+	reeng := float64(ports) * reengineerUSDPerComponent * (1 + testingFraction)
 
 	gb := profile.DataBytes / 1e9
-	egress := gb * model.EgressPerGB
+	egress := gb * cost.EgressPerGB
 
-	transferSec := profile.DataBytes * 8 / (model.TransferMbps * 1e6)
+	transferSec := profile.DataBytes * 8 / (transferMbps * 1e6)
 
-	engWeeks := 0.0
-	if model.EngineerUSDPerWeek > 0 {
-		engWeeks = reeng / model.EngineerUSDPerWeek
-	}
+	engWeeks := reeng / engineerUSDPerWeek
 
 	return Plan{
 		ComponentsToPort: ports,
@@ -126,7 +106,7 @@ func NewPlan(profile LockinProfile, model CostModel) (Plan, error) {
 		EgressUSD:        egress,
 		TransferTime:     sim.Seconds(transferSec),
 		EngineeringTime:  time.Duration(engWeeks * float64(7*24*time.Hour)),
-		Downtime:         time.Duration(model.CutoverHours * float64(time.Hour)),
+		Downtime:         time.Duration(cutoverHours * float64(time.Hour)),
 	}, nil
 }
 

@@ -10,14 +10,13 @@ import (
 )
 
 func TestPlanScalesWithLockin(t *testing.T) {
-	model := DefaultCostModel()
 	base := LockinProfile{Components: 10, DataBytes: 500e9}
 
 	var prev float64 = -1
 	for _, idx := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
 		p := base
 		p.Index = idx
-		plan, err := NewPlan(p, model)
+		plan, err := NewPlan(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,8 +28,7 @@ func TestPlanScalesWithLockin(t *testing.T) {
 }
 
 func TestPlanComponents(t *testing.T) {
-	model := DefaultCostModel()
-	plan, err := NewPlan(LockinProfile{Index: 0.7, Components: 10, DataBytes: 100e9}, model)
+	plan, err := NewPlan(LockinProfile{Index: 0.7, Components: 10, DataBytes: 100e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +67,12 @@ func TestPlanCalendarTimeOverlapsTransferAndEngineering(t *testing.T) {
 func TestPaperOrderingPublicWorstHybridBetter(t *testing.T) {
 	// §IV: public accumulates the most lock-in; hybrid decreases platform
 	// dependence; private barely locks in. Same data volume for fairness.
-	model := DefaultCostModel()
 	costFor := func(k deploy.Kind) float64 {
 		plan, err := NewPlan(LockinProfile{
 			Index:      k.DefaultLockinIndex(),
 			Components: 12,
 			DataBytes:  1e12,
-		}, model)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +85,6 @@ func TestPaperOrderingPublicWorstHybridBetter(t *testing.T) {
 }
 
 func TestPlanValidation(t *testing.T) {
-	model := DefaultCostModel()
 	bad := []LockinProfile{
 		{Index: -0.1, Components: 5},
 		{Index: 1.1, Components: 5},
@@ -96,19 +92,15 @@ func TestPlanValidation(t *testing.T) {
 		{Index: 0.5, Components: 5, DataBytes: -1},
 	}
 	for i, p := range bad {
-		if _, err := NewPlan(p, model); err == nil {
+		if _, err := NewPlan(p); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
-	}
-	model.TransferMbps = 0
-	if _, err := NewPlan(LockinProfile{Index: 0.5, Components: 5}, model); err == nil {
-		t.Error("zero bandwidth accepted")
 	}
 }
 
 func TestExecuteFiresAtCalendarTime(t *testing.T) {
 	eng := sim.NewEngine(1)
-	plan, err := NewPlan(LockinProfile{Index: 0.5, Components: 4, DataBytes: 10e9}, DefaultCostModel())
+	plan, err := NewPlan(LockinProfile{Index: 0.5, Components: 4, DataBytes: 10e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +129,7 @@ func TestExecuteNilEnginePanics(t *testing.T) {
 }
 
 func TestZeroLockinStillPaysEgressAndCutover(t *testing.T) {
-	plan, err := NewPlan(LockinProfile{Index: 0, Components: 10, DataBytes: 1e12}, DefaultCostModel())
+	plan, err := NewPlan(LockinProfile{Index: 0, Components: 10, DataBytes: 1e12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func (f *fleet) ScaleTo(n int) {
 		if err != nil {
 			return // datacenter full: fixed capacity reached
 		}
-		srv := lms.NewAppServer(f.eng, vm, 0) // 0: the default 256-job admission limit
+		srv := lms.NewAppServer(f.eng, vm)
 		f.cluster.Add(srv)
 		f.entries = append(f.entries, &serverEntry{vm: vm, srv: srv})
 		if len(f.entries) > f.peak {

@@ -63,7 +63,7 @@ func newFluidModel(cfg Config) (*fluidModel, error) {
 	}
 	if cfg.EnableCDN {
 		m.videoByteShare = teaching.PayloadShare(cat, lms.VideoChunk)
-		cdnCfg := cdn.DefaultConfig(cfg.Courses)
+		cdnCfg := cdn.DefaultConfig(CoursesFor(cfg.Students))
 		m.cdnHit = cdn.AnalyticHitRatio(cdnCfg.CatalogObjects, cdnCfg.CacheObjects, cdnCfg.ZipfS)
 	}
 	return m, nil

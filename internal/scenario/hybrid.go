@@ -84,7 +84,7 @@ func (m *fluidModel) desWindows() []desWindow {
 	wins := m.gen.BurstWindows(cfg.Duration, cfg.HybridIntensity, cfg.HybridGuard, fluidStep)
 	cdnWarm := 0
 	if cfg.EnableCDN {
-		cdnWarm = 3 * cdn.DefaultConfig(cfg.Courses).CacheObjects
+		cdnWarm = 3 * cdn.DefaultConfig(CoursesFor(cfg.Students)).CacheObjects
 	}
 	des := make([]desWindow, len(wins))
 	for i, w := range wins {

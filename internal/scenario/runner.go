@@ -60,7 +60,7 @@ func specFor(cfg Config, peakRPS, meanSvc float64) deploy.Spec {
 
 // assetsFor is cfg's asset inventory under deploy's placement rule.
 func assetsFor(cfg Config) lms.Inventory {
-	return lms.NewInventory(cfg.Courses, cfg.Students, deploy.Place(cfg.Kind, cfg.HybridPolicy))
+	return lms.NewInventory(CoursesFor(cfg.Students), cfg.Students, deploy.Place(cfg.Kind, cfg.HybridPolicy))
 }
 
 // engine is one request-level run: the substrates build wires, the
@@ -245,7 +245,7 @@ func (e *engine) build() error {
 
 	// --- CDN ---------------------------------------------------------------
 	if cfg.EnableCDN && dep.PublicDC != nil {
-		e.edge, err = cdn.NewEdge(cdn.DefaultConfig(cfg.Courses), eng.Stream("cdn"))
+		e.edge, err = cdn.NewEdge(cdn.DefaultConfig(CoursesFor(cfg.Students)), eng.Stream("cdn"))
 		if err != nil {
 			return err
 		}
@@ -670,7 +670,7 @@ func startScaler(eng *sim.Engine, cfg Config, gen *workload.Generator, meanSvc f
 // dropped after: shards split load, not content, so a merged run bills
 // storage (and desktop seats) once, not K times.
 func (r *Result) bill(cfg Config) error {
-	months := cfg.Duration.Hours() / 730
+	months := cfg.Duration.Hours() / cost.HoursPerMonth
 	u := cost.Usage{Months: months}
 	switch cfg.Kind {
 	case deploy.Public:
@@ -691,6 +691,6 @@ func (r *Result) bill(cfg Config) error {
 		u.DesktopStudents = cfg.Students
 	}
 	var err error
-	r.Cost, err = cost.Bill(u, cost.DefaultRates())
+	r.Cost, err = cost.Bill(u)
 	return err
 }

@@ -58,10 +58,10 @@ type Config struct {
 	Seed uint64
 	// Kind is the deployment model under test.
 	Kind deploy.Kind
-	// Students and Courses size the institution. With Growth set,
-	// Students may be zero (derived from the growth capacity).
+	// Students sizes the institution; it runs CoursesFor(Students)
+	// courses. With Growth set, Students may be zero (derived from the
+	// growth capacity).
 	Students int
-	Courses  int
 	// Growth makes the active population a curve instead of a constant
 	// — MOOC enrollment growth (workload.LogisticGrowth for a viral
 	// course, workload.LinearGrowth for a cohort ramp).
@@ -153,9 +153,6 @@ func (c *Config) defaults() error {
 	if c.Students <= 0 {
 		return fmt.Errorf("scenario: Students = %d, need > 0", c.Students)
 	}
-	if c.Courses <= 0 {
-		c.Courses = c.Students/25 + 1
-	}
 	if c.ReqPerStudentHour == 0 {
 		c.ReqPerStudentHour = 50
 	}
@@ -173,6 +170,9 @@ func (c *Config) defaults() error {
 	}
 	if c.Kind == deploy.Hybrid && c.HybridPolicy == (deploy.HybridPolicy{}) {
 		c.HybridPolicy = deploy.DefaultHybridPolicy()
+	}
+	if err := c.HybridPolicy.Validate(); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	if c.AutosaveEvery <= 0 {
 		c.AutosaveEvery = 5 * time.Minute
@@ -197,6 +197,11 @@ func (c *Config) defaults() error {
 	}
 	return nil
 }
+
+// CoursesFor is the number of courses an institution of the given size
+// runs: one per 25 students, plus one. It sizes the asset inventory and
+// the CDN catalog.
+func CoursesFor(students int) int { return students/25 + 1 }
 
 // Result is what one scenario run measured.
 type Result struct {
@@ -324,7 +329,7 @@ func (r *Result) ErrorRate() float64 {
 
 // CostPerStudentMonth normalizes cost to USD/student/month.
 func (r *Result) CostPerStudentMonth(students int) float64 {
-	months := r.Duration.Hours() / 730
+	months := r.Duration.Hours() / cost.HoursPerMonth
 	return cost.PerStudentMonth(r.Cost, students, months)
 }
 

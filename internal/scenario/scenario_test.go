@@ -485,6 +485,9 @@ func badEnumCfgs() []badEnum {
 		{with(func(c *Config) { c.ReqPerStudentHour = math.Inf(1) }), "ReqPerStudentHour = +Inf"},
 		{with(func(c *Config) { c.HybridIntensity = nan }), "HybridIntensity = NaN"},
 		{with(func(c *Config) {
+			c.Kind, c.HybridPolicy = deploy.Hybrid, deploy.HybridPolicy{SensitivePrivate: true, PrivateBaseShare: nan}
+		}), "PrivateBaseShare NaN"},
+		{with(func(c *Config) {
 			c.Crowds = []workload.FlashCrowd{{Start: 5 * time.Minute, End: 10 * time.Minute, Mult: nan}}
 		}), "Mult = NaN"},
 		{with(func(c *Config) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"elearncloud/internal/cost"
 	"elearncloud/internal/deploy"
 	"elearncloud/internal/lms"
 	"elearncloud/internal/sim"
@@ -161,7 +162,7 @@ func (m *ThreatModel) Start() (stop func()) {
 	}
 }
 
-const secondsPerMonth = 730 * 3600
+const secondsPerMonth = cost.HoursPerMonth * 3600
 
 // scheduleNext arms a self-rescheduling exponential event stream.
 func (m *ThreatModel) scheduleNext(name string, meanGapSec float64, fire func()) {
