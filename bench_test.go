@@ -123,7 +123,7 @@ func BenchmarkAppServerThroughput(b *testing.B) {
 	eng.Step() // boot
 	// The loop drains above 64 jobs, below the server's 256-job limit.
 	srv := lms.NewAppServer(eng, vm)
-	c := lms.NewCluster("b")
+	c := lms.NewCluster()
 	c.Add(srv)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -9,33 +9,33 @@ import (
 
 // Config configures a Datacenter.
 type Config struct {
-	// Name labels the datacenter in reports ("public-east", "campus-dc").
+	// Name labels the datacenter ("public", "private") and roots its
+	// random stream.
 	Name string
-	// Hosts is the number of physical hosts.
-	Hosts int
-	// HostCapacity is each host's resource capacity.
+	// Hosts is the number of physical hosts a private datacenter owns,
+	// each of HostCapacity. A public datacenter keeps none.
+	Hosts        int
 	HostCapacity Resources
-	// Placer chooses hosts for new VMs. Defaults to FirstFit.
-	Placer Placer
-	// MultiTenant enables noisy-neighbor interference: co-tenant load on
-	// shared hosts periodically steals CPU from placed VMs. Public clouds
-	// set this; private clouds do not.
-	MultiTenant bool
-	// InterferenceDist samples the fraction of CPU stolen per VM per
-	// resample interval when MultiTenant is set. Defaults to a mild
-	// LogNormal around 5%.
-	InterferenceDist sim.Dist
-	// InterferenceEvery is the resample period (default 5 minutes).
-	InterferenceEvery time.Duration
-	// Elastic datacenters (public clouds) add phantom hosts on demand, so
-	// provisioning never fails for capacity reasons; the institution pays
-	// per VM-hour. Non-elastic (private) datacenters return ErrNoCapacity
-	// when full — the paper's fixed-capacity drawback.
-	Elastic bool
+	// Public makes the datacenter a rented, multi-tenant public cloud:
+	// provisioning never fails for capacity (the institution pays per
+	// VM-hour), VMs land on provider hosts the model does not track, and
+	// co-tenants on those hosts steal CPU from every VM (noisy
+	// neighbors). A private datacenter places each VM on its lowest-ID
+	// healthy host with room and returns ErrNoCapacity when none has —
+	// the paper's fixed-capacity drawback — and its VMs run at full
+	// speed.
+	Public bool
 }
 
-// Datacenter owns a pool of hosts and manages the VM lifecycle on top of a
-// simulation engine.
+// interference samples the fraction of CPU co-tenants steal from a
+// public VM: a mild log-normal around 5%, drawn at boot and every
+// interferenceEvery after.
+var interference = sim.LogNormal(0.05, 0.8)
+
+const interferenceEvery = 5 * time.Minute
+
+// Datacenter manages the VM lifecycle on top of a simulation engine; a
+// private one also owns the hosts its VMs are placed on.
 type Datacenter struct {
 	cfg    Config
 	eng    *sim.Engine
@@ -47,23 +47,17 @@ type Datacenter struct {
 	vmHours float64 // accumulated at termination
 }
 
-// NewDatacenter builds a datacenter and, for multi-tenant configurations,
-// starts the periodic interference resampler on the engine.
+// NewDatacenter builds a datacenter and, for a public one, starts the
+// periodic interference resampler on the engine.
 func NewDatacenter(eng *sim.Engine, cfg Config) *Datacenter {
 	if eng == nil {
 		panic("cloud: NewDatacenter with nil engine")
 	}
-	if cfg.Hosts <= 0 {
+	if cfg.Public && cfg.Hosts != 0 {
+		panic("cloud: a public datacenter keeps no hosts")
+	}
+	if !cfg.Public && cfg.Hosts <= 0 {
 		panic("cloud: NewDatacenter needs at least one host")
-	}
-	if cfg.Placer == nil {
-		cfg.Placer = FirstFit{}
-	}
-	if cfg.InterferenceDist == nil {
-		cfg.InterferenceDist = sim.LogNormal(0.05, 0.8)
-	}
-	if cfg.InterferenceEvery <= 0 {
-		cfg.InterferenceEvery = 5 * time.Minute
 	}
 	dc := &Datacenter{
 		cfg: cfg,
@@ -74,32 +68,23 @@ func NewDatacenter(eng *sim.Engine, cfg Config) *Datacenter {
 	for i := 0; i < cfg.Hosts; i++ {
 		dc.hosts = append(dc.hosts, NewHost(i, cfg.HostCapacity))
 	}
-	if cfg.MultiTenant {
-		eng.Every(cfg.InterferenceEvery, cfg.Name+"/interference", dc.resampleInterference)
+	if cfg.Public {
+		eng.Every(interferenceEvery, cfg.Name+"/interference", dc.resampleInterference)
 	}
 	return dc
 }
 
-// Name returns the datacenter's configured name.
-func (dc *Datacenter) Name() string { return dc.cfg.Name }
-
 // Provision places and boots a VM of the given spec. The ready callback
-// (optional) fires when the VM finishes booting. If capacity is exhausted
-// and the datacenter is not elastic, it returns ErrNoCapacity.
+// (optional) fires when the VM finishes booting. A private datacenter
+// with no healthy host that has room returns ErrNoCapacity.
 func (dc *Datacenter) Provision(spec InstanceSpec, ready func(*VM)) (*VM, error) {
 	if !spec.Res.Valid() || spec.Res.IsZero() {
 		return nil, fmt.Errorf("cloud: provision %q with invalid resources %v", spec.Name, spec.Res)
 	}
-	host, err := dc.cfg.Placer.Place(spec.Res, dc.hosts)
-	if err != nil {
-		if !dc.cfg.Elastic {
-			return nil, fmt.Errorf("datacenter %s: %w", dc.cfg.Name, err)
-		}
-		// Elastic overflow: the provider brings another host online.
-		host = NewHost(len(dc.hosts), dc.cfg.HostCapacity)
-		dc.hosts = append(dc.hosts, host)
-		if !spec.Res.Fits(host.Capacity) {
-			return nil, fmt.Errorf("cloud: spec %q exceeds host capacity", spec.Name)
+	var host *Host
+	if !dc.cfg.Public {
+		if host = firstFit(spec.Res, dc.hosts); host == nil {
+			return nil, fmt.Errorf("datacenter %s: %w", dc.cfg.Name, ErrNoCapacity)
 		}
 	}
 	vm := &VM{
@@ -109,7 +94,9 @@ func (dc *Datacenter) Provision(spec InstanceSpec, ready func(*VM)) (*VM, error)
 		provisioned: dc.eng.Now(),
 	}
 	dc.nextID++
-	host.place(vm)
+	if host != nil {
+		host.place(vm)
+	}
 	dc.vms[vm.ID] = vm
 	boot := sim.Time(0)
 	if spec.BootDelay != nil {
@@ -120,8 +107,8 @@ func (dc *Datacenter) Provision(spec InstanceSpec, ready func(*VM)) (*VM, error)
 			return // terminated while booting
 		}
 		vm.state = VMRunning
-		if dc.cfg.MultiTenant {
-			vm.setInterference(dc.cfg.InterferenceDist.Sample(dc.rng))
+		if dc.cfg.Public {
+			vm.setInterference(interference.Sample(dc.rng))
 		}
 		if ready != nil {
 			ready(vm)
@@ -201,7 +188,7 @@ func (dc *Datacenter) RepairHost(id int) {
 func (dc *Datacenter) resampleInterference() {
 	for _, vm := range dc.RunningVMs() {
 		if vm.State() == VMRunning {
-			vm.setInterference(dc.cfg.InterferenceDist.Sample(dc.rng))
+			vm.setInterference(interference.Sample(dc.rng))
 		}
 	}
 }

@@ -25,18 +25,19 @@ func testSpec() InstanceSpec {
 	}
 }
 
-func newTestDC(eng *sim.Engine, hosts int, elastic bool) *Datacenter {
+// newTestDC builds a private datacenter with the given number of 8-CPU
+// hosts.
+func newTestDC(eng *sim.Engine, hosts int) *Datacenter {
 	return NewDatacenter(eng, Config{
 		Name:         "dc",
 		Hosts:        hosts,
 		HostCapacity: Resources{CPU: 8, Mem: 32, Disk: 200},
-		Elastic:      elastic,
 	})
 }
 
 func TestProvisionLifecycle(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dc := newTestDC(eng, 2, false)
+	dc := newTestDC(eng, 2)
 	var readyVM *VM
 	var readyAt sim.Time
 	vm, err := dc.Provision(testSpec(), func(v *VM) { readyVM, readyAt = v, eng.Now() })
@@ -67,7 +68,7 @@ func TestProvisionLifecycle(t *testing.T) {
 
 func TestProvisionFixedCapacityExhausts(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dc := newTestDC(eng, 1, false) // one host: 8 CPU => 4 VMs of 2 CPU
+	dc := newTestDC(eng, 1) // one host: 8 CPU => 4 VMs of 2 CPU
 	for i := 0; i < 4; i++ {
 		if _, err := dc.Provision(testSpec(), nil); err != nil {
 			t.Fatalf("VM %d: %v", i, err)
@@ -79,25 +80,54 @@ func TestProvisionFixedCapacityExhausts(t *testing.T) {
 	}
 }
 
-func TestProvisionElasticGrowsHosts(t *testing.T) {
+func TestProvisionPublicNeverRefuses(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dc := newTestDC(eng, 1, true)
+	dc := NewDatacenter(eng, Config{Name: "pub", Public: true})
+	huge := InstanceSpec{Name: "m.huge", Res: Resources{CPU: 1000, Mem: 4000, Disk: 1e6}}
 	for i := 0; i < 12; i++ {
-		if _, err := dc.Provision(testSpec(), nil); err != nil {
+		spec := testSpec()
+		if i%3 == 0 {
+			spec = huge
+		}
+		vm, err := dc.Provision(spec, nil)
+		if err != nil {
 			t.Fatalf("VM %d: %v", i, err)
 		}
+		if vm.Host() != nil {
+			t.Fatalf("VM %d placed on host %d; a public datacenter keeps no hosts", i, vm.Host().ID)
+		}
 	}
-	if len(dc.hosts) < 3 {
-		t.Fatalf("hosts = %d, want >= 3 after elastic growth", len(dc.hosts))
+	if len(dc.hosts) != 0 {
+		t.Fatalf("hosts = %d, want none", len(dc.hosts))
 	}
 	if len(dc.vms) != 12 {
 		t.Fatalf("running VMs = %d", len(dc.vms))
+	}
+	if dc.FailHost(0) != nil {
+		t.Fatal("FailHost on a public datacenter returned victims")
+	}
+}
+
+func TestNewDatacenterRejectsHostMismatch(t *testing.T) {
+	eng := sim.NewEngine(1)
+	for name, cfg := range map[string]Config{
+		"public with hosts": {Name: "pub", Public: true, Hosts: 1, HostCapacity: Resources{CPU: 8, Mem: 32, Disk: 200}},
+		"private, no hosts": {Name: "dc"},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			NewDatacenter(eng, cfg)
+		}()
 	}
 }
 
 func TestProvisionRejectsBadSpec(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dc := newTestDC(eng, 1, false)
+	dc := newTestDC(eng, 1)
 	if _, err := dc.Provision(InstanceSpec{Name: "empty"}, nil); err == nil {
 		t.Fatal("empty spec accepted")
 	}
@@ -105,7 +135,7 @@ func TestProvisionRejectsBadSpec(t *testing.T) {
 
 func TestTerminateWhileBootingSuppressesReady(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dc := newTestDC(eng, 1, false)
+	dc := newTestDC(eng, 1)
 	fired := false
 	vm, err := dc.Provision(testSpec(), func(*VM) { fired = true })
 	if err != nil {
@@ -122,7 +152,7 @@ func TestTerminateWhileBootingSuppressesReady(t *testing.T) {
 
 func TestVMHoursAccounting(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dc := newTestDC(eng, 2, false)
+	dc := newTestDC(eng, 2)
 	vm, err := dc.Provision(testSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -144,24 +174,30 @@ func TestVMHoursAccounting(t *testing.T) {
 
 func TestUtilizationTracksPlacement(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dc := newTestDC(eng, 2, false)
-	if dc.hosts[0].Utilization() != 0 || dc.hosts[1].Utilization() != 0 {
+	dc := newTestDC(eng, 2)
+	capacity := dc.hosts[0].Capacity
+	if dc.hosts[0].Free() != capacity || dc.hosts[1].Free() != capacity {
 		t.Fatal("fresh DC should be idle")
 	}
-	if _, err := dc.Provision(testSpec(), nil); err != nil { // 8 GB of 32 => mem dominant 0.25 on host 0
+	vm, err := dc.Provision(testSpec(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dc.hosts[0].Utilization(); math.Abs(got-0.25) > 1e-9 {
-		t.Fatalf("host 0 utilization = %v, want 0.25", got)
+	if got, want := dc.hosts[0].Free(), capacity.Sub(testSpec().Res); got != want {
+		t.Fatalf("host 0 free = %v, want %v", got, want)
 	}
-	if got := dc.hosts[1].Utilization(); got != 0 {
-		t.Fatalf("host 1 utilization = %v, want 0", got)
+	if got := dc.hosts[1].Free(); got != capacity {
+		t.Fatalf("host 1 free = %v, want all of %v", got, capacity)
+	}
+	dc.Terminate(vm)
+	if got := dc.hosts[0].Free(); got != capacity {
+		t.Fatalf("host 0 free after terminate = %v, want %v", got, capacity)
 	}
 }
 
 func TestFailHostTerminatesVictims(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dc := newTestDC(eng, 2, false)
+	dc := newTestDC(eng, 2)
 	var vms []*VM
 	for i := 0; i < 4; i++ {
 		vm, err := dc.Provision(testSpec(), nil)
@@ -198,7 +234,7 @@ func TestFailHostTerminatesVictims(t *testing.T) {
 
 func TestRepairHostRestoresCapacity(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dc := newTestDC(eng, 1, false)
+	dc := newTestDC(eng, 1)
 	if _, err := dc.Provision(testSpec(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +251,7 @@ func TestRepairHostRestoresCapacity(t *testing.T) {
 
 func TestMultiTenantInterference(t *testing.T) {
 	eng := sim.NewEngine(7)
-	dc := NewDatacenter(eng, Config{
-		Name:         "pub",
-		Hosts:        1,
-		HostCapacity: Resources{CPU: 64, Mem: 256, Disk: 2000},
-		MultiTenant:  true,
-		Elastic:      true,
-	})
+	dc := NewDatacenter(eng, Config{Name: "pub", Public: true})
 	vm, err := dc.Provision(testSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +267,7 @@ func TestMultiTenantInterference(t *testing.T) {
 
 func TestSingleTenantFullSpeed(t *testing.T) {
 	eng := sim.NewEngine(7)
-	dc := newTestDC(eng, 1, false)
+	dc := newTestDC(eng, 1)
 	vm, err := dc.Provision(testSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -251,13 +281,7 @@ func TestSingleTenantFullSpeed(t *testing.T) {
 func TestDatacenterDeterminism(t *testing.T) {
 	run := func() []float64 {
 		eng := sim.NewEngine(99)
-		dc := NewDatacenter(eng, Config{
-			Name:         "pub",
-			Hosts:        2,
-			HostCapacity: Resources{CPU: 16, Mem: 64, Disk: 500},
-			MultiTenant:  true,
-			Elastic:      true,
-		})
+		dc := NewDatacenter(eng, Config{Name: "pub", Public: true})
 		var vms []*VM
 		for i := 0; i < 6; i++ {
 			vm, err := dc.Provision(testSpec(), nil)

@@ -1,22 +1,25 @@
 // Package cloud models the infrastructure substrate of a deployment:
 // datacenters, physical hosts, virtual machines with a provisioning
-// lifecycle, placement strategies, and multi-tenant interference
-// ("noisy neighbors") for shared public-cloud hosts. It is the
-// mechanical layer under every deployment model the paper compares —
-// §IV.A's "quickest solution" public cloud is this package with
-// effectively unbounded hosts; §IV.B's capital-bound private cloud is
-// the same package with a fixed host fleet.
+// lifecycle, and multi-tenant interference ("noisy neighbors") on the
+// public cloud's shared hosts. It is the mechanical layer under every
+// deployment model the paper compares — §IV.A's "quickest solution"
+// public cloud is a datacenter that never runs out of room; §IV.B's
+// capital-bound private cloud is one with a fixed host fleet.
 //
 // Entry points:
 //
-//   - NewDatacenter(engine, Config) builds a Datacenter of Hosts on a
+//   - NewDatacenter(engine, Config) builds a Datacenter on a
 //     sim.Engine; Datacenter provisioning drives the VM lifecycle
 //     (VMState: provisioning → running → terminated) on the virtual
 //     clock, so public-cloud boot latency is a measurable quantity,
 //     not an assumption.
-//   - Placer decides which Host receives a VM: FirstFit, BestFit and
-//     Spread are provided; ErrNoCapacity is the full-fleet signal the
-//     private model surfaces during exam crowds.
+//   - Config.Public picks the model. A public datacenter keeps no
+//     hosts: it never refuses a VM, and co-tenants steal CPU from every
+//     VM it runs. A private datacenter owns Config.Hosts hosts, places
+//     each VM on the lowest-ID healthy host with room, and returns
+//     ErrNoCapacity when none has — the full-fleet signal the private
+//     model surfaces during exam crowds. Its hosts can fail and be
+//     repaired.
 //   - Resources / InstanceSpec describe CPU, memory and disk; the
 //     flavors a deployment runs, and how many of them fit a host, live
 //     in the deploy package.

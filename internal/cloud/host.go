@@ -28,9 +28,6 @@ func NewHost(id int, capacity Resources) *Host {
 // Free returns remaining capacity.
 func (h *Host) Free() Resources { return h.Capacity.Sub(h.allocated) }
 
-// Utilization returns the bottleneck utilization fraction in [0, 1].
-func (h *Host) Utilization() float64 { return h.allocated.Dominant(h.Capacity) }
-
 // CanFit reports whether a demand fits in the remaining capacity of a
 // healthy host.
 func (h *Host) CanFit(demand Resources) bool {

@@ -5,83 +5,14 @@ import "errors"
 // ErrNoCapacity is returned when no host can accommodate a VM demand.
 var ErrNoCapacity = errors.New("cloud: no host with sufficient capacity")
 
-// Placer chooses a host for a resource demand. Implementations must be
-// deterministic given the same host list and demand (ties broken by host
-// ID), which keeps simulations reproducible.
-type Placer interface {
-	// Place returns the chosen host or ErrNoCapacity.
-	Place(demand Resources, hosts []*Host) (*Host, error)
-	// Name identifies the strategy in reports.
-	Name() string
-}
-
-// FirstFit places on the lowest-ID host with room: fast, fragments little
-// under homogeneous demands, the classic default.
-type FirstFit struct{}
-
-// Place implements Placer.
-func (FirstFit) Place(demand Resources, hosts []*Host) (*Host, error) {
+// firstFit returns the lowest-ID healthy host with room for demand, or
+// nil when none has. With one VM shape it fills each host before it
+// opens the next, consolidating load onto few hosts.
+func firstFit(demand Resources, hosts []*Host) *Host {
 	for _, h := range hosts {
 		if h.CanFit(demand) {
-			return h, nil
+			return h
 		}
 	}
-	return nil, ErrNoCapacity
+	return nil
 }
-
-// Name implements Placer.
-func (FirstFit) Name() string { return "first-fit" }
-
-// BestFit places on the feasible host with the least remaining bottleneck
-// capacity, consolidating load onto few hosts (good for powering down
-// spares in a private cloud).
-type BestFit struct{}
-
-// Place implements Placer.
-func (BestFit) Place(demand Resources, hosts []*Host) (*Host, error) {
-	var best *Host
-	bestFree := 2.0
-	for _, h := range hosts {
-		if !h.CanFit(demand) {
-			continue
-		}
-		free := 1 - h.Utilization()
-		if free < bestFree || (free == bestFree && best != nil && h.ID < best.ID) {
-			best, bestFree = h, free
-		}
-	}
-	if best == nil {
-		return nil, ErrNoCapacity
-	}
-	return best, nil
-}
-
-// Name implements Placer.
-func (BestFit) Name() string { return "best-fit" }
-
-// Spread places on the feasible host with the most remaining bottleneck
-// capacity, spreading load to minimize interference and blast radius
-// (typical for latency-sensitive public-cloud tenants).
-type Spread struct{}
-
-// Place implements Placer.
-func (Spread) Place(demand Resources, hosts []*Host) (*Host, error) {
-	var best *Host
-	bestFree := -1.0
-	for _, h := range hosts {
-		if !h.CanFit(demand) {
-			continue
-		}
-		free := 1 - h.Utilization()
-		if free > bestFree || (free == bestFree && best != nil && h.ID < best.ID) {
-			best, bestFree = h, free
-		}
-	}
-	if best == nil {
-		return nil, ErrNoCapacity
-	}
-	return best, nil
-}
-
-// Name implements Placer.
-func (Spread) Name() string { return "spread" }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"elearncloud/internal/sim"
 )
 
 func hostsForPlacement() []*Host {
@@ -19,82 +21,65 @@ func hostsForPlacement() []*Host {
 
 func TestFirstFitPicksLowestID(t *testing.T) {
 	hs := hostsForPlacement()
-	h, err := FirstFit{}.Place(Resources{CPU: 1, Mem: 1, Disk: 1}, hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.ID != 0 {
-		t.Fatalf("FirstFit chose host %d, want 0", h.ID)
+	if h := firstFit(Resources{CPU: 1, Mem: 1, Disk: 1}, hs); h == nil || h.ID != 0 {
+		t.Fatalf("firstFit chose %v, want host 0", h)
 	}
 	// A demand that does not fit host 0 falls through to host 1.
-	h, err = FirstFit{}.Place(Resources{CPU: 4, Mem: 4, Disk: 4}, hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.ID != 1 {
-		t.Fatalf("FirstFit chose host %d, want 1", h.ID)
+	if h := firstFit(Resources{CPU: 4, Mem: 4, Disk: 4}, hs); h == nil || h.ID != 1 {
+		t.Fatalf("firstFit chose %v, want host 1", h)
 	}
 }
 
-func TestBestFitConsolidates(t *testing.T) {
-	hs := hostsForPlacement()
-	h, err := BestFit{}.Place(Resources{CPU: 1, Mem: 1, Disk: 1}, hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.ID != 0 {
-		t.Fatalf("BestFit chose host %d, want fullest feasible host 0", h.ID)
-	}
-}
-
-func TestSpreadPicksEmptiest(t *testing.T) {
-	hs := hostsForPlacement()
-	h, err := Spread{}.Place(Resources{CPU: 1, Mem: 1, Disk: 1}, hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.ID != 2 {
-		t.Fatalf("Spread chose host %d, want emptiest host 2", h.ID)
+// TestFirstFitConsolidates: with one VM shape, a private datacenter
+// fills each host before it opens the next.
+func TestFirstFitConsolidates(t *testing.T) {
+	eng := sim.NewEngine(1)
+	dc := newTestDC(eng, 3) // 8 CPU per host: 4 VMs of 2 CPU each
+	for i := 0; i < 10; i++ {
+		vm, err := dc.Provision(testSpec(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := i / 4; vm.Host().ID != want {
+			t.Fatalf("VM %d on host %d, want %d", i, vm.Host().ID, want)
+		}
 	}
 }
 
 func TestPlacersReportNoCapacity(t *testing.T) {
 	hs := hostsForPlacement()
-	huge := Resources{CPU: 100, Mem: 100, Disk: 100}
-	for _, p := range []Placer{FirstFit{}, BestFit{}, Spread{}} {
-		if _, err := p.Place(huge, hs); !errors.Is(err, ErrNoCapacity) {
-			t.Errorf("%s: err = %v, want ErrNoCapacity", p.Name(), err)
+	if h := firstFit(Resources{CPU: 100, Mem: 100, Disk: 100}, hs); h != nil {
+		t.Fatalf("firstFit placed an oversized demand on host %d", h.ID)
+	}
+	// A full private datacenter refuses with ErrNoCapacity.
+	eng := sim.NewEngine(1)
+	dc := newTestDC(eng, 2)
+	for i := 0; i < 8; i++ {
+		if _, err := dc.Provision(testSpec(), nil); err != nil {
+			t.Fatalf("VM %d: %v", i, err)
 		}
+	}
+	if _, err := dc.Provision(testSpec(), nil); !errors.Is(err, ErrNoCapacity) {
+		t.Fatalf("err = %v, want ErrNoCapacity", err)
 	}
 }
 
 func TestPlacersSkipFailedHosts(t *testing.T) {
 	hs := hostsForPlacement()
+	hs[0].failed = true
+	if h := firstFit(Resources{CPU: 1, Mem: 1, Disk: 1}, hs); h == nil || h.ID != 1 {
+		t.Fatalf("firstFit chose %v, want host 1 past the failed host 0", h)
+	}
+	hs[1].failed = true
 	hs[2].failed = true
-	h, err := Spread{}.Place(Resources{CPU: 1, Mem: 1, Disk: 1}, hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.ID == 2 {
-		t.Fatal("placed on a failed host")
+	if h := firstFit(Resources{CPU: 1, Mem: 1, Disk: 1}, hs); h != nil {
+		t.Fatalf("placed on failed host %d", h.ID)
 	}
 }
 
-func TestPlacerNames(t *testing.T) {
-	names := map[string]bool{}
-	for _, p := range []Placer{FirstFit{}, BestFit{}, Spread{}} {
-		names[p.Name()] = true
-	}
-	for _, want := range []string{"first-fit", "best-fit", "spread"} {
-		if !names[want] {
-			t.Errorf("missing placer name %q", want)
-		}
-	}
-}
-
-// Property: any host returned by any placer can actually fit the demand.
+// Property: any host first fit returns can actually fit the demand, and
+// no lower-ID host could.
 func TestPlacementFeasibilityProperty(t *testing.T) {
-	placers := []Placer{FirstFit{}, BestFit{}, Spread{}}
 	f := func(loads []uint8, dc, dm uint8) bool {
 		cap := Resources{CPU: 16, Mem: 64, Disk: 500}
 		var hs []*Host
@@ -105,22 +90,20 @@ func TestPlacementFeasibilityProperty(t *testing.T) {
 			h := NewHost(i, cap)
 			f := float64(l%100) / 100
 			h.allocated = Resources{CPU: cap.CPU * f, Mem: cap.Mem * f, Disk: cap.Disk * f}
+			h.failed = l >= 200
 			hs = append(hs, h)
 		}
-		if len(hs) == 0 {
-			return true
-		}
 		demand := Resources{CPU: float64(dc%16) + 1, Mem: float64(dm%64) + 1, Disk: 1}
-		for _, p := range placers {
-			h, err := p.Place(demand, hs)
-			if err != nil {
-				continue
+		h := firstFit(demand, hs)
+		for _, lower := range hs {
+			if h != nil && lower.ID == h.ID {
+				return h.CanFit(demand)
 			}
-			if !h.CanFit(demand) {
+			if lower.CanFit(demand) {
 				return false
 			}
 		}
-		return true
+		return h == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -48,21 +47,6 @@ func TestResourcesFlags(t *testing.T) {
 	}
 	if (Resources{CPU: -1}).Valid() {
 		t.Fatal("negative reported valid")
-	}
-}
-
-func TestResourcesDominant(t *testing.T) {
-	cap := Resources{CPU: 10, Mem: 100, Disk: 1000}
-	used := Resources{CPU: 5, Mem: 90, Disk: 100}
-	if got := used.Dominant(cap); math.Abs(got-0.9) > 1e-12 {
-		t.Fatalf("Dominant = %v, want 0.9 (memory bound)", got)
-	}
-	// Demand on a zero-capacity dimension saturates.
-	if got := (Resources{Disk: 1}).Dominant(Resources{CPU: 1, Mem: 1}); got != 1 {
-		t.Fatalf("zero-capacity Dominant = %v, want 1", got)
-	}
-	if got := (Resources{}).Dominant(cap); got != 0 {
-		t.Fatalf("empty Dominant = %v, want 0", got)
 	}
 }
 

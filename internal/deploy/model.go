@@ -113,23 +113,13 @@ func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
 	}
 	d := &Deployment{PublicSpec: publicSpec, PrivateSpec: privateSpec, Sizing: sz}
 	if spec.Kind == Public || spec.Kind == Hybrid {
-		d.PublicDC = cloud.NewDatacenter(eng, cloud.Config{
-			Name:         "public",
-			Hosts:        4, // grows elastically
-			HostCapacity: cloud.Resources{CPU: 32, Mem: 128, Disk: 4000},
-			Placer:       cloud.Spread{},
-			MultiTenant:  true,
-			Elastic:      true,
-		})
+		d.PublicDC = cloud.NewDatacenter(eng, cloud.Config{Name: "public", Public: true})
 	}
 	if d.PrivateHosts > 0 {
 		d.PrivateDC = cloud.NewDatacenter(eng, cloud.Config{
 			Name:         "private",
 			Hosts:        d.PrivateHosts,
 			HostCapacity: campusHost,
-			Placer:       cloud.BestFit{},
-			MultiTenant:  false,
-			Elastic:      false,
 		})
 	}
 	return d, nil

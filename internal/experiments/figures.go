@@ -293,7 +293,7 @@ func Figure6Security(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	err := pool.ForEach(len(specs), func(i int) error {
 		s := specs[i]
 		eng := sim.NewEngine(seed)
-		assets := lms.NewInventory(collegeStudents/25, collegeStudents, deploy.Place(s.kind, deploy.DefaultHybridPolicy()))
+		assets := lms.NewInventory(scenario.CoursesFor(collegeStudents), collegeStudents, deploy.Place(s.kind, deploy.DefaultHybridPolicy()))
 		m, err := security.NewThreatModel(eng, eng.Stream("threat"), s.cfg, assets)
 		if err != nil {
 			return err
@@ -325,7 +325,7 @@ func Figure7Lockin(seed uint64, _ *scenario.Pool) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"Figure 7: cost to bring the system back in-house vs lock-in index",
 		"lock-in index", "re-engineering", "egress", "total", "calendar time", "typical for")
-	assets := lms.NewInventory(collegeStudents/25, collegeStudents, lms.AllAt(lms.OnPublic))
+	assets := lms.NewInventory(scenario.CoursesFor(collegeStudents), collegeStudents, lms.AllAt(lms.OnPublic))
 	typical := map[float64]string{
 		deploy.Private.DefaultLockinIndex(): "private",
 		deploy.Hybrid.DefaultLockinIndex():  "hybrid",

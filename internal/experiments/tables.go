@@ -32,8 +32,8 @@ func Table1Merits(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	deskRun := runs.Result("desktop-steady")
 
 	// §III.6 improbability: annual sensitive-asset risk.
-	cloudAssets := lms.NewInventory(collegeStudents/25, collegeStudents, lms.AllAt(lms.OnPublic))
-	deskAssets := lms.NewInventory(collegeStudents/25, collegeStudents, lms.AllAt(lms.OnPrivate))
+	cloudAssets := lms.NewInventory(scenario.CoursesFor(collegeStudents), collegeStudents, lms.AllAt(lms.OnPublic))
+	deskAssets := lms.NewInventory(scenario.CoursesFor(collegeStudents), collegeStudents, lms.AllAt(lms.OnPrivate))
 	cloudRisk := security.ConfigFor(deploy.Public).AnnualSensitiveRisk(cloudAssets)
 	deskRisk := security.ConfigFor(deploy.Desktop).AnnualSensitiveRisk(deskAssets)
 
@@ -120,7 +120,7 @@ func Table2Risks(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	// Risk 2 — security: analytic annual sensitive risk.
 	risk := make(map[deploy.Kind]string)
 	for _, kind := range deploy.Kinds() {
-		assets := lms.NewInventory(collegeStudents/25, collegeStudents, deploy.Place(kind, deploy.DefaultHybridPolicy()))
+		assets := lms.NewInventory(scenario.CoursesFor(collegeStudents), collegeStudents, deploy.Place(kind, deploy.DefaultHybridPolicy()))
 		risk[kind] = fmt.Sprintf("%.2f/yr", security.ConfigFor(kind).AnnualSensitiveRisk(assets))
 	}
 	t.AddRow("security: sensitive-asset compromise rate",
@@ -129,7 +129,7 @@ func Table2Risks(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	// Risk 3 — portability: cost of leaving the current arrangement.
 	mig := make(map[deploy.Kind]string)
 	for _, kind := range deploy.Kinds() {
-		assets := lms.NewInventory(collegeStudents/25, collegeStudents, deploy.Place(kind, deploy.DefaultHybridPolicy()))
+		assets := lms.NewInventory(scenario.CoursesFor(collegeStudents), collegeStudents, deploy.Place(kind, deploy.DefaultHybridPolicy()))
 		plan, err := migrate.NewPlan(migrate.LockinProfile{
 			Index:      kind.DefaultLockinIndex(),
 			Components: 12,
@@ -210,13 +210,13 @@ func Table4HybridAblation(seed uint64, pool *scenario.Pool) (*metrics.Table, err
 		res := runs.Result(v.name)
 		// Risk grows with the share of sensitive traffic that ever
 		// touches the public side: approximate by realized violations.
-		assets := lms.NewInventory(desStudents/25, desStudents, lms.Placement{Sensitive: lms.OnPrivate, Other: lms.OnPublic})
+		assets := lms.NewInventory(scenario.CoursesFor(desStudents), desStudents, lms.Placement{Sensitive: lms.OnPrivate, Other: lms.OnPublic})
 		baseRisk := security.ConfigFor(deploy.Hybrid).AnnualSensitiveRisk(assets)
 		violShare := 0.0
 		if res.Served > 0 {
 			violShare = float64(res.PolicyViolations) / float64(res.Served)
 		}
-		pubAssets := lms.NewInventory(desStudents/25, desStudents, lms.AllAt(lms.OnPublic))
+		pubAssets := lms.NewInventory(scenario.CoursesFor(desStudents), desStudents, lms.AllAt(lms.OnPublic))
 		pubRisk := security.ConfigFor(deploy.Public).AnnualSensitiveRisk(pubAssets)
 		risk := baseRisk + violShare*(pubRisk-baseRisk)
 

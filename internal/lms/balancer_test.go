@@ -49,15 +49,12 @@ func scanLoad(c *Cluster) float64 {
 func TestBalancerMatchesScan(t *testing.T) {
 	eng := sim.NewEngine(1)
 	rng := sim.NewRNG(41)
-	dc := cloud.NewDatacenter(eng, cloud.Config{
-		Name: "t", Hosts: 4, Elastic: true,
-		HostCapacity: cloud.Resources{CPU: 64, Mem: 256, Disk: 2000},
-	})
+	dc := cloud.NewDatacenter(eng, cloud.Config{Name: "t", Public: true})
 	spec := cloud.InstanceSpec{
 		Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
 		BootDelay: sim.LogNormal(20, 0.6),
 	}
-	c := NewCluster("web")
+	c := NewCluster()
 	var members []*AppServer // the servers in c, in no particular order
 	add := func() {
 		vm, err := dc.Provision(spec, nil)

@@ -24,7 +24,6 @@ import (
 // terminated while the server is in the cluster and accepting: Remove,
 // Retire or Kill it first (the scenario fleet does).
 type Cluster struct {
-	name    string
 	servers []*AppServer
 
 	// Level k is a bitset of the positions of the accepting servers
@@ -47,12 +46,9 @@ type Cluster struct {
 }
 
 // NewCluster returns an empty cluster.
-func NewCluster(name string) *Cluster {
-	return &Cluster{name: name}
+func NewCluster() *Cluster {
+	return &Cluster{}
 }
-
-// Name returns the cluster's label.
-func (c *Cluster) Name() string { return c.name }
 
 // Add registers a server with the balancer. Panics on a nil server or
 // one already in a cluster.
@@ -187,7 +183,7 @@ func (c *Cluster) Load() float64 {
 // accepted or rejected, increments it exactly once. It is monotone by
 // construction, even while gracefully draining servers take their
 // unfinished jobs out of Active() — which is the contract
-// scale.ArrivalMeter consumers difference against.
+// scale.Target's Arrivals promises the growth fitter.
 func (c *Cluster) Arrivals() uint64 { return c.arrivals }
 
 // Submit routes a job to the accepting server with the fewest in-flight

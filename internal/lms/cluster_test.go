@@ -17,7 +17,7 @@ func bootCluster(t *testing.T, eng *sim.Engine, n, maxJobs int) (*Cluster, []*Ap
 		Hosts:        n,
 		HostCapacity: cloud.Resources{CPU: 16, Mem: 64, Disk: 500},
 	})
-	c := NewCluster("web")
+	c := NewCluster()
 	var servers []*AppServer
 	for i := 0; i < n; i++ {
 		vm, err := dc.Provision(cloud.InstanceSpec{
@@ -126,7 +126,7 @@ func TestClusterSkipsRetiredServers(t *testing.T) {
 }
 
 func TestClusterEmptyRejects(t *testing.T) {
-	c := NewCluster("empty")
+	c := NewCluster()
 	if c.Submit(1, nil) {
 		t.Fatal("empty cluster admitted a job")
 	}
@@ -155,7 +155,7 @@ func TestClusterCountsDrainedCompletions(t *testing.T) {
 	}
 }
 
-// TestClusterArrivalsMonotoneAcrossDrain pins the ArrivalMeter contract:
+// TestClusterArrivalsMonotoneAcrossDrain pins scale.Target's Arrivals contract:
 // Arrivals counts every Submit exactly once, accepted or rejected, and
 // a server removed from the cluster while draining, which takes its
 // in-flight job out of Active(), leaves the count unchanged.
@@ -184,5 +184,5 @@ func TestClusterAddNilPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewCluster("x").Add(nil)
+	NewCluster().Add(nil)
 }

@@ -1,23 +1,36 @@
 // Package scale provides the elasticity substrate: autoscaling
-// policies that grow and shrink an application-server fleet in
-// response to load. The paper credits cloud e-learning with "improved
-// performance" and the public model with being the "quickest
-// solution"; these scalers are the mechanism behind that claim, and
-// table5 ablates them against a fixed fleet through an exam flash
-// crowd (figure4 shows the utilization consequence of not scaling).
+// policies that grow and shrink an application-server fleet. The paper
+// credits cloud e-learning with "improved performance" and the public
+// model with being the "quickest solution"; these scalers are the
+// mechanism behind that claim, and table5 ablates them against a fixed
+// fleet through an exam flash crowd (figure4 shows the utilization
+// consequence of not scaling).
 //
-// Entry points: an Autoscaler observes a Target (the fleet's current
-// size and load — the scenario package's cluster satisfies it) and
-// decides the next fleet size. Three policies are provided; the
-// non-elastic baseline, a fleet sized once, runs no scaler at all:
+// Every scaler drives a Target (the fleet's size, load and arrival
+// count — the scenario package's fleet satisfies it) between a floor
+// and a ceiling, and its Start method runs it on a sim.Engine and
+// returns a stop function. The control-loop values are package
+// constants, one set per policy; constructors take only the target, the
+// fleet bounds and what the caller alone knows. Four policies are
+// provided; the non-elastic baseline, a fleet sized once, runs no
+// scaler at all:
 //
-//   - NewReactive — follow measured utilization up and down with
-//     configurable headroom and cooldown (ReactiveConfig).
-//   - NewScheduled — a clock-driven plan (capacity by time of day),
-//     the "we know when lectures are" policy.
-//   - NewPredictive — trend extrapolation with a reactive fallback
-//     (PredictiveConfig); it provisions ahead of the ramp but still
-//     overshoots a cliff-shaped crowd, which table5 makes visible.
+//   - NewReactive — follow measured load per server: scale out a step
+//     when it runs hot, at most once per cooldown, and in by one server
+//     when it runs cold.
+//   - NewPredictive — Holt trend extrapolation of total in-flight
+//     demand, provisioned a few minutes ahead; it boots ahead of a ramp
+//     but still overshoots a cliff-shaped crowd, which table5 makes
+//     visible. It has no fallback.
+//   - NewGrowthFit — fit the logistic and linear growth shapes online to
+//     the metered arrival rate and provision for the projection Lead
+//     ahead; until the fit stabilizes it runs the reactive loop
+//     verbatim.
+//   - NewPlanned — follow a plan of the fleet needed at each virtual
+//     time, provisioning for the largest need within a lead. The
+//     scenario runs it as the scheduled policy (a diurnal and calendar
+//     timetable with lead 0) and as the oracle (the true demand curve,
+//     Lead ahead).
 //
 // Scalers only decide sizes; provisioning latency and cost live in
 // cloud and cost.

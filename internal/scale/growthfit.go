@@ -1,10 +1,9 @@
 package scale
 
-// This file holds the forecasting policies: GrowthFit, which estimates
-// the enrollment/demand curve online from its own windowed arrival-rate
-// observations and provisions ahead of the projected cliff, and Oracle,
-// which is handed the true curve and provisions from it — the upper
-// bound any estimator can be judged against.
+// This file holds GrowthFit, which estimates the enrollment/demand curve
+// online from its own windowed arrival-rate observations and provisions
+// ahead of the projected cliff. The oracle it is judged against is a
+// Planned scaler handed the true curve.
 
 import (
 	"fmt"
@@ -93,20 +92,6 @@ func (f FitReport) String() string {
 	default:
 		return "no fit"
 	}
-}
-
-// ArrivalMeter is an optional Target refinement: a cumulative count of
-// request submissions at the fleet, accepted or rejected, counted once
-// at submission time. When the target provides it, GrowthFit differences
-// the counter into its rate observations — a signal that stays honest
-// under saturation, where Little's law on the in-flight count divides
-// queue depth by service time and overestimates the offered rate by the
-// queue length. The count must be monotone: implementations should keep
-// a dedicated counter rather than derive it from served/rejected/active
-// sums, which dip while retired servers drain their in-flight jobs.
-type ArrivalMeter interface {
-	// Arrivals returns the cumulative submission count (monotone).
-	Arrivals() uint64
 }
 
 // logisticCapGrid is the candidate-plateau search grid, as multiples of
@@ -248,41 +233,6 @@ const (
 	fitMaxResidual     = 0.15
 )
 
-// GrowthFitConfig parameterizes the growth-fitting scaler.
-type GrowthFitConfig struct {
-	// Interval between observations (default 1 minute).
-	Interval time.Duration
-	// Lead is how far ahead to provision — one VM boot plus a guard
-	// margin, so capacity is running before the projected demand lands
-	// (default 8 minutes).
-	Lead time.Duration
-	// MeanService converts observed in-flight demand to an arrival rate
-	// via Little's law, and a projected rate to servers through
-	// deploy.ServersForPeak (seconds; required, no useful default
-	// exists — zero panics in NewGrowthFit).
-	MeanService float64
-	// Min/Max fleet bounds.
-	Min, Max int
-	// Fallback parameterizes the reactive behavior used until the fit
-	// stabilizes; its Interval/Min/Max are overridden to match.
-	Fallback ReactiveConfig
-}
-
-func (c *GrowthFitConfig) defaults() {
-	if c.Interval <= 0 {
-		c.Interval = time.Minute
-	}
-	if c.Lead <= 0 {
-		c.Lead = 8 * time.Minute
-	}
-	if c.Min <= 0 {
-		c.Min = 1
-	}
-	c.Fallback.Interval = c.Interval
-	c.Fallback.Min = c.Min
-	c.Fallback.Max = c.Max
-}
-
 // GrowthFit estimates the demand curve online — least squares over a
 // window of its own arrival-rate observations against the logistic and
 // linear growth shapes, model chosen by residual — and provisions ahead
@@ -291,9 +241,9 @@ func (c *GrowthFitConfig) defaults() {
 // workload the models cannot describe costs nothing over the classic
 // control loop.
 type GrowthFit struct {
-	target   Target
-	cfg      GrowthFitConfig
-	fallback *Reactive
+	target      Target
+	meanService float64
+	fallback    *Reactive
 
 	times, rates []float64
 	lastCount    uint64
@@ -301,24 +251,23 @@ type GrowthFit struct {
 	stable       FitReport
 }
 
-// NewGrowthFit builds a growth-fitting scaler around target.
-func NewGrowthFit(target Target, cfg GrowthFitConfig) *GrowthFit {
+// NewGrowthFit builds a growth-fitting scaler that keeps target between
+// min and max servers (max <= 0: unbounded). meanService, the mean
+// request service time in seconds, converts a projected arrival rate to
+// servers through deploy.ServersForPeak; it must be positive.
+func NewGrowthFit(target Target, meanService float64, min, max int) *GrowthFit {
 	if target == nil {
 		panic("scale: NewGrowthFit with nil target")
 	}
-	if cfg.MeanService <= 0 {
-		panic("scale: NewGrowthFit needs a positive MeanService to convert load to arrival rate")
+	if meanService <= 0 {
+		panic("scale: NewGrowthFit needs a positive mean service time to convert a rate to servers")
 	}
-	cfg.defaults()
 	return &GrowthFit{
-		target:   target,
-		cfg:      cfg,
-		fallback: NewReactive(target, cfg.Fallback),
+		target:      target,
+		meanService: meanService,
+		fallback:    NewReactive(target, min, max),
 	}
 }
-
-// Name implements Autoscaler.
-func (g *GrowthFit) Name() string { return "growth-fit" }
 
 // Fit returns the current fit report (shape, parameters, residual) for
 // tests and experiment notes.
@@ -331,39 +280,29 @@ func (g *GrowthFit) Fit() FitReport { return g.fit }
 // Its Stable flag is false if no fit ever stabilized.
 func (g *GrowthFit) LastStable() FitReport { return g.stable }
 
-// Start implements Autoscaler. The observation timer follows the
-// (seed, job name) rule: all randomness it touches is the engine's,
-// rooted at the run seed, so results are byte-identical at any pool
-// width.
+// Start begins periodic control on the engine and returns a stop
+// function. The observation timer follows the (seed, job name) rule:
+// all randomness it touches is the engine's, rooted at the run seed, so
+// results are byte-identical at any pool width.
 func (g *GrowthFit) Start(eng *sim.Engine) func() {
-	return eng.Every(g.cfg.Interval, "scale/growthfit", func() { g.tick(eng) })
+	return eng.Every(loopInterval, "scale/growthfit", func() { g.tick(eng) })
 }
 
 // tick observes, refits, and either provisions from the projection or
 // falls back to the reactive step.
 func (g *GrowthFit) tick(eng *sim.Engine) {
-	// Observed arrival rate. A target that meters arrivals gives the
-	// exact offered rate over the last interval — rejections included, so
-	// the signal survives saturation. Bare targets fall back to Little's
-	// law (in-flight demand over mean service time), which is only honest
-	// while queues stay short.
-	var rate float64
-	if m, ok := g.target.(ArrivalMeter); ok {
-		count := m.Arrivals()
-		// The meter contract is monotone, but a dip must degrade to a
-		// zero-rate sample, not wrap the unsigned difference into a
-		// ~1.8e19 observation that poisons the whole fit window.
-		delta := int64(count - g.lastCount)
-		if delta < 0 {
-			delta = 0
-		}
-		rate = float64(delta) / sim.ToSeconds(g.cfg.Interval)
-		g.lastCount = count
-	} else {
-		demand := g.target.Load() * float64(maxInt(g.target.Desired(), 1))
-		rate = demand / g.cfg.MeanService
+	// The observed arrival rate is the exact offered rate over the last
+	// interval, rejections included, so the signal survives saturation.
+	// The meter is monotone, but a dip must degrade to a zero-rate
+	// sample, not wrap the unsigned difference into a ~1.8e19
+	// observation that poisons the whole fit window.
+	count := g.target.Arrivals()
+	delta := int64(count - g.lastCount)
+	if delta < 0 {
+		delta = 0
 	}
-	g.observe(sim.ToSeconds(eng.Now()), rate)
+	g.lastCount = count
+	g.observe(sim.ToSeconds(eng.Now()), float64(delta)/sim.ToSeconds(loopInterval))
 
 	g.fit = FitGrowth(g.times, g.rates)
 	g.fit.Stable = g.fit.Observations >= fitMinObservations &&
@@ -377,14 +316,14 @@ func (g *GrowthFit) tick(eng *sim.Engine) {
 	// Provision for the projected rate a lead ahead at deploy's target
 	// utilization. No headroom server on top: the utilization target is
 	// the headroom, and the lead has already paid for the boot.
-	projected := g.fit.Rate(sim.ToSeconds(eng.Now() + g.cfg.Lead))
-	want := clamp(deploy.ServersForPeak(projected, g.cfg.MeanService), g.cfg.Min, g.cfg.Max)
+	projected := g.fit.Rate(sim.ToSeconds(eng.Now() + Lead))
+	want := clamp(deploy.ServersForPeak(projected, g.meanService), g.fallback.min, g.fallback.max)
 	cur := g.target.Desired()
 	// The projection never fights observed saturation: if the fleet is
 	// already hot and the model says shrink or hold, the reactive step
 	// decides instead — the fit may be a good description of yesterday's
 	// window and still miss a storm the shapes cannot express.
-	if want <= cur && g.target.Load() > g.cfg.Fallback.UpThreshold {
+	if want <= cur && g.target.Load() > scaleOutLoad {
 		g.fallback.tick(eng)
 		return
 	}
@@ -401,67 +340,4 @@ func (g *GrowthFit) observe(t, rate float64) {
 		g.times = g.times[over:]
 		g.rates = g.rates[over:]
 	}
-}
-
-// Oracle is the scheduled-from-truth policy: it is handed the true
-// demand plan (the workload curve the generator will realize, storms
-// included) and provisions plan(now+lead), so capacity is booted before
-// the demand that needs it arrives. No estimator can beat it on average
-// — table12 uses it as the yardstick the growth fitter is judged
-// against.
-type Oracle struct {
-	target   Target
-	plan     func(at time.Duration) int
-	interval time.Duration
-	lead     time.Duration
-	min, max int
-}
-
-// NewOracle builds an oracle scaler. plan maps an absolute virtual time
-// to the fleet the true curve needs then; it must not be nil. Each tick
-// provisions for the largest need anywhere in [now, now+lead]: rises
-// are booted a lead early, while scale-in waits until the demand has
-// actually passed — looking only at plan(now+lead) would shed the fleet
-// a lead before the cliff's peak.
-func NewOracle(target Target, plan func(at time.Duration) int, interval, lead time.Duration, min, max int) *Oracle {
-	if target == nil || plan == nil {
-		panic("scale: NewOracle with nil target or plan")
-	}
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	if lead < 0 {
-		lead = 0
-	}
-	if min <= 0 {
-		min = 1
-	}
-	return &Oracle{target: target, plan: plan, interval: interval, lead: lead, min: min, max: max}
-}
-
-// Name implements Autoscaler.
-func (o *Oracle) Name() string { return "oracle" }
-
-// Start implements Autoscaler.
-func (o *Oracle) Start(eng *sim.Engine) func() {
-	return eng.Every(o.interval, "scale/oracle", func() {
-		need := 0
-		// Sample the plan across the lead window at interval granularity
-		// (endpoints included) and take the peak.
-		for at := eng.Now(); ; at += o.interval {
-			if at > eng.Now()+o.lead {
-				at = eng.Now() + o.lead
-			}
-			if n := o.plan(at); n > need {
-				need = n
-			}
-			if at >= eng.Now()+o.lead {
-				break
-			}
-		}
-		want := clamp(need, o.min, o.max)
-		if want != o.target.Desired() {
-			o.target.ScaleTo(want)
-		}
-	})
 }

@@ -12,8 +12,8 @@ import (
 
 // nhppRates Poisson-samples an arrival-count series from the growth
 // curve: rate(t) = curve.At(t)·perStudentHour/3600, binned per minute,
-// observed as counts/60s — exactly what an ArrivalMeter-backed fitter
-// sees. Deterministic per seed via the repo's splitmix64 RNG.
+// observed as counts/60s — exactly what the fitter sees from a
+// Target's arrival meter. Deterministic per seed via the repo's splitmix64 RNG.
 func nhppRates(seed uint64, g *workload.Growth, perStudentHour float64, bins int) (times, rates []float64) {
 	rng := sim.NewRNG(sim.SeedFor(seed, "growthfit/nhpp"))
 	for i := 0; i < bins; i++ {
@@ -166,9 +166,10 @@ func TestFitMidpointConvergesBeforeHalfCapacity(t *testing.T) {
 	}
 }
 
-// erraticScript is a load sequence no growth shape describes: bursts
+// erraticScript is a demand sequence no growth shape describes: bursts
 // alternating with idle, keeping the fit's relative residual far above
-// the stability threshold.
+// the stability threshold. Each entry is one minute's load per server;
+// the metered arrivals follow the same burst pattern.
 func erraticScript() []float64 {
 	rng := sim.NewRNG(sim.SeedFor(7, "growthfit/erratic"))
 	script := make([]float64, 64)
@@ -185,41 +186,50 @@ func erraticScript() []float64 {
 // TestGrowthFitFallbackByteIdentical pins the fallback contract: on a
 // workload the shapes cannot describe (residual stays above threshold)
 // GrowthFit must issue the exact ScaleTo sequence a plain Reactive
-// with the same knobs issues — not similar, identical.
+// with the same bounds issues — not similar, identical. The script
+// drives the meter too, so the fitter sees nonzero, erratic rates
+// rather than an empty window.
 func TestGrowthFitFallbackByteIdentical(t *testing.T) {
-	cfg := ReactiveConfig{
-		Interval: time.Minute, UpThreshold: 8, DownThreshold: 2,
-		Step: 2, Min: 1, Max: 40, Cooldown: 2 * time.Minute,
-	}
+	const min, max = 1, 40
 	script := erraticScript()
 
-	run := func(build func(tgt Target) Autoscaler) []int {
+	run := func(start func(tgt Target, eng *sim.Engine) func()) []int {
 		eng := sim.NewEngine(1)
 		tgt := &fakeTarget{desired: 3}
 		// The script drives the load per minute, as a fleet's state would;
 		// Load() itself is idempotent within a tick, matching the real
-		// Target contract (GrowthFit reads it twice per decision).
+		// Target contract (GrowthFit reads it twice per decision). The
+		// meter counts a minute of arrivals at 10 requests per second per
+		// unit of load.
 		i := 0
 		drive := eng.Every(time.Minute, "script", func() {
 			tgt.load = script[i%len(script)]
+			tgt.count += uint64(tgt.load * 600)
 			i++
 		})
 		defer drive()
-		s := build(tgt)
-		stop := s.Start(eng)
+		stop := start(tgt, eng)
 		defer stop()
 		eng.Run(3 * time.Hour)
 		return tgt.calls
 	}
 
-	reactive := run(func(tgt Target) Autoscaler { return NewReactive(tgt, cfg) })
-	growthfit := run(func(tgt Target) Autoscaler {
-		return NewGrowthFit(tgt, GrowthFitConfig{
-			Interval: cfg.Interval, MeanService: 0.1, Min: cfg.Min, Max: cfg.Max,
-			Fallback: cfg,
-		})
+	reactive := run(func(tgt Target, eng *sim.Engine) func() { return NewReactive(tgt, min, max).Start(eng) })
+	var g *GrowthFit
+	growthfit := run(func(tgt Target, eng *sim.Engine) func() {
+		g = NewGrowthFit(tgt, 0.1, min, max)
+		return g.Start(eng)
 	})
 
+	if len(reactive) == 0 {
+		t.Fatal("the script never moved the reactive loop")
+	}
+	if g.LastStable().Stable {
+		t.Fatalf("a fit stabilized on the erratic script: %v", g.LastStable())
+	}
+	if nonzero := len(g.rates) - countZero(g.rates); nonzero < len(g.rates)/4 {
+		t.Fatalf("fitter saw %d nonzero rates of %d, want the script's bursts", nonzero, len(g.rates))
+	}
 	if len(reactive) != len(growthfit) {
 		t.Fatalf("action counts differ: reactive %d, growth-fit %d", len(reactive), len(growthfit))
 	}
@@ -231,15 +241,15 @@ func TestGrowthFitFallbackByteIdentical(t *testing.T) {
 	}
 }
 
-// meteredTarget gives GrowthFit an ArrivalMeter whose counter follows a
-// deterministic rate function, for testing the metered observation
-// path without a cluster.
-type meteredTarget struct {
-	fakeTarget
-	count uint64
+func countZero(xs []float64) int {
+	n := 0
+	for _, x := range xs {
+		if x == 0 {
+			n++
+		}
+	}
+	return n
 }
-
-func (m *meteredTarget) Arrivals() uint64 { return m.count }
 
 // TestGrowthFitProvisionsAheadOfRamp drives the metered path: arrivals
 // accelerate along a linear ramp, and once the fit stabilizes the
@@ -247,13 +257,9 @@ func (m *meteredTarget) Arrivals() uint64 { return m.count }
 // more than the current rate needs.
 func TestGrowthFitProvisionsAheadOfRamp(t *testing.T) {
 	eng := sim.NewEngine(1)
-	tgt := &meteredTarget{}
-	tgt.desired = 1
+	tgt := &fakeTarget{desired: 1}
 	const meanSvc = 0.1
-	g := NewGrowthFit(tgt, GrowthFitConfig{
-		Interval: time.Minute, Lead: 10 * time.Minute, MeanService: meanSvc,
-		Min: 1, Max: 1000,
-	})
+	g := NewGrowthFit(tgt, meanSvc, 1, 1000)
 	stop := g.Start(eng)
 	defer stop()
 	// rate(t) = 10 + t/60 req/s: feed the counter just before each tick.
@@ -275,23 +281,17 @@ func TestGrowthFitProvisionsAheadOfRamp(t *testing.T) {
 	if g.LastStable().Shape != FitLinear {
 		t.Fatalf("LastStable = %+v, want the linear fit", g.LastStable())
 	}
-	if g.Name() != "growth-fit" {
-		t.Fatal("name wrong")
-	}
 }
 
 // TestGrowthFitClampsMeterDip pins the defensive clamp on the metered
-// path: the ArrivalMeter contract is monotone, but if a meter ever dips
+// path: the Arrivals contract is monotone, but if a meter ever dips
 // (the bug class: a counter derived from served+rejected+active sums
 // while servers drain), the unsigned difference must degrade to a zero
 // rate observation — not wrap to ~1.8e19 and poison the fit window.
 func TestGrowthFitClampsMeterDip(t *testing.T) {
 	eng := sim.NewEngine(1)
-	tgt := &meteredTarget{}
-	tgt.desired = 1
-	g := NewGrowthFit(tgt, GrowthFitConfig{
-		Interval: time.Minute, MeanService: 0.1, Min: 1, Max: 1000,
-	})
+	tgt := &fakeTarget{desired: 1}
+	g := NewGrowthFit(tgt, 0.1, 1, 1000)
 	stop := g.Start(eng)
 	defer stop()
 	// Grow the counter, then dip it mid-run (a scale-in drain), then
@@ -339,8 +339,7 @@ func TestOracleBootsBeforePlanRise(t *testing.T) {
 		}
 		return 2
 	}
-	o := NewOracle(tgt, plan, time.Minute, 5*time.Minute, 1, 0)
-	stop := o.Start(eng)
+	stop := NewPlanned(tgt, plan, time.Minute, 5*time.Minute, 1, 0).Start(eng)
 	defer stop()
 
 	eng.Run(26 * time.Minute)
@@ -356,9 +355,6 @@ func TestOracleBootsBeforePlanRise(t *testing.T) {
 	eng.Run(65 * time.Minute)
 	if tgt.desired != 2 {
 		t.Fatalf("desired at 65m = %d, want 2 after the plateau", tgt.desired)
-	}
-	if o.Name() != "oracle" {
-		t.Fatal("name wrong")
 	}
 }
 
@@ -382,9 +378,9 @@ func TestFitGrowthDegenerateInputs(t *testing.T) {
 
 func TestGrowthFitConstructorPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"nil target":      func() { NewGrowthFit(nil, GrowthFitConfig{MeanService: 0.1}) },
-		"no mean service": func() { NewGrowthFit(&fakeTarget{}, GrowthFitConfig{}) },
-		"oracle nil plan": func() { NewOracle(&fakeTarget{}, nil, 0, 0, 0, 0) },
+		"nil target":      func() { NewGrowthFit(nil, 0.1, 1, 0) },
+		"no mean service": func() { NewGrowthFit(&fakeTarget{}, 0, 1, 0) },
+		"oracle nil plan": func() { NewPlanned(&fakeTarget{}, nil, time.Minute, Lead, 1, 0) },
 	} {
 		func() {
 			defer func() {

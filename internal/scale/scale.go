@@ -19,16 +19,47 @@ type Target interface {
 	// Load returns the mean in-flight requests per accepting server —
 	// the utilization signal scalers act on.
 	Load() float64
+	// Arrivals returns the cumulative count of request submissions at
+	// the fleet, accepted or rejected, counted once at submission time.
+	// GrowthFit differences it into its rate observations: a signal that
+	// stays honest under saturation, where Little's law on the in-flight
+	// count would overestimate the offered rate by the queue length. The
+	// count must be monotone: keep a dedicated counter rather than derive
+	// it from served/rejected/active sums, which dip while retired
+	// servers drain their in-flight jobs.
+	Arrivals() uint64
 }
 
-// Autoscaler periodically adjusts a Target.
-type Autoscaler interface {
-	// Name identifies the policy in reports.
-	Name() string
-	// Start begins periodic control on the engine and returns a stop
-	// function.
-	Start(eng *sim.Engine) (stop func())
-}
+// loopInterval is how often the load-driven loops (reactive,
+// predictive, growth-fit) decide.
+const loopInterval = time.Minute
+
+// The reactive control loop, which is also growth-fit's fallback until
+// its fit stabilizes: scale out by scaleOutStep servers when the load
+// per server passes scaleOutLoad, at most once per scaleOutCooldown,
+// and in by one server below scaleInLoad. Both policies run this one
+// loop, so an unfittable workload costs growth-fit nothing over the
+// reactive scaler.
+const (
+	scaleOutLoad     = 6.0
+	scaleInLoad      = 1.5
+	scaleOutStep     = 4
+	scaleOutCooldown = 2 * time.Minute
+)
+
+// The predictive scaler provisions predictLead ahead (about one VM boot,
+// which is the point of predicting) at predictPerServer in-flight
+// requests per server.
+const (
+	predictLead      = 5 * time.Minute
+	predictPerServer = 4.0
+)
+
+// Lead is how far ahead growth-fit and the oracle provision: one VM boot
+// (the scenario runner's 3-minute boot grace covers the fleet's boot
+// distribution) plus a 5-minute guard, so capacity is accepting before
+// the demand that needs it lands.
+const Lead = 8 * time.Minute
 
 // clamp bounds n to [min, max] (max <= 0 means unbounded above).
 func clamp(n, min, max int) int {
@@ -41,70 +72,27 @@ func clamp(n, min, max int) int {
 	return n
 }
 
-// ReactiveConfig parameterizes the threshold scaler.
-type ReactiveConfig struct {
-	// Interval between control decisions (default 1 minute).
-	Interval time.Duration
-	// UpThreshold: scale out when Load exceeds it (default 8).
-	UpThreshold float64
-	// DownThreshold: scale in when Load falls below it (default 2).
-	DownThreshold float64
-	// Step servers added per scale-out (default 2); scale-in removes one
-	// server at a time (conservative, avoids oscillation).
-	Step int
-	// Min/Max fleet bounds (Min default 1; Max 0 = unbounded).
-	Min, Max int
-	// Cooldown after a scale-out before the next one (default 2m).
-	Cooldown time.Duration
-}
-
-func (c *ReactiveConfig) defaults() {
-	if c.Interval <= 0 {
-		c.Interval = time.Minute
-	}
-	if c.UpThreshold <= 0 {
-		c.UpThreshold = 8
-	}
-	if c.DownThreshold <= 0 {
-		c.DownThreshold = 2
-	}
-	if c.DownThreshold >= c.UpThreshold {
-		c.DownThreshold = c.UpThreshold / 4
-	}
-	if c.Step <= 0 {
-		c.Step = 2
-	}
-	if c.Min <= 0 {
-		c.Min = 1
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Minute
-	}
-}
-
 // Reactive is a threshold autoscaler: scale out fast when hot, scale in
 // slowly when cold — the classic public-cloud control loop.
 type Reactive struct {
 	target       Target
-	cfg          ReactiveConfig
+	min, max     int
 	lastScaleOut sim.Time
 }
 
-// NewReactive builds a reactive scaler around target.
-func NewReactive(target Target, cfg ReactiveConfig) *Reactive {
+// NewReactive builds a reactive scaler that keeps target between min
+// and max servers (max <= 0: unbounded).
+func NewReactive(target Target, min, max int) *Reactive {
 	if target == nil {
 		panic("scale: NewReactive with nil target")
 	}
-	cfg.defaults()
-	return &Reactive{target: target, cfg: cfg, lastScaleOut: -1 << 60}
+	return &Reactive{target: target, min: min, max: max, lastScaleOut: -1 << 60}
 }
 
-// Name implements Autoscaler.
-func (r *Reactive) Name() string { return "reactive" }
-
-// Start implements Autoscaler.
+// Start begins periodic control on the engine and returns a stop
+// function.
 func (r *Reactive) Start(eng *sim.Engine) func() {
-	return eng.Every(r.cfg.Interval, "scale/reactive", func() { r.tick(eng) })
+	return eng.Every(loopInterval, "scale/reactive", func() { r.tick(eng) })
 }
 
 // tick is one control decision. GrowthFit delegates here verbatim while
@@ -114,82 +102,63 @@ func (r *Reactive) tick(eng *sim.Engine) {
 	load := r.target.Load()
 	cur := r.target.Desired()
 	switch {
-	case load > r.cfg.UpThreshold:
-		if eng.Now()-r.lastScaleOut < r.cfg.Cooldown {
+	case load > scaleOutLoad:
+		if eng.Now()-r.lastScaleOut < scaleOutCooldown {
 			return
 		}
-		r.target.ScaleTo(clamp(cur+r.cfg.Step, r.cfg.Min, r.cfg.Max))
+		r.target.ScaleTo(clamp(cur+scaleOutStep, r.min, r.max))
 		r.lastScaleOut = eng.Now()
-	case load < r.cfg.DownThreshold && cur > r.cfg.Min:
-		r.target.ScaleTo(clamp(cur-1, r.cfg.Min, r.cfg.Max))
+	case load < scaleInLoad && cur > r.min:
+		r.target.ScaleTo(clamp(cur-1, r.min, r.max))
 	}
 }
 
-// Scheduled scales to a time-of-day plan: capacity follows the timetable
-// (lectures at 10:00, homework at 20:00) regardless of observed load.
-type Scheduled struct {
-	target Target
-	// plan maps a time-of-day to the desired fleet size.
-	plan     func(sinceMidnight time.Duration) int
-	interval time.Duration
-	min, max int
+// Planned provisions from a plan, the fleet size needed at each virtual
+// time, instead of from observed load. Each tick it scales to the
+// largest need anywhere in [now, now+lead], sampled at interval
+// granularity with both ends included: rises are booted a lead early,
+// while scale-in waits until the demand has actually passed (the need
+// at now+lead alone would shed the fleet a lead before a cliff's peak).
+// With lead 0 it samples the plan once, at now.
+type Planned struct {
+	target         Target
+	plan           func(at time.Duration) int
+	interval, lead time.Duration
+	min, max       int
 }
 
-// NewScheduled builds a plan-following scaler. plan must not be nil.
-func NewScheduled(target Target, plan func(sinceMidnight time.Duration) int, interval time.Duration, min, max int) *Scheduled {
+// NewPlanned builds a plan-following scaler. plan maps an absolute
+// virtual time to the fleet needed then; target and plan must not be
+// nil.
+func NewPlanned(target Target, plan func(at time.Duration) int, interval, lead time.Duration, min, max int) *Planned {
 	if target == nil || plan == nil {
-		panic("scale: NewScheduled with nil target or plan")
+		panic("scale: NewPlanned with nil target or plan")
 	}
-	if interval <= 0 {
-		interval = 5 * time.Minute
-	}
-	if min <= 0 {
-		min = 1
-	}
-	return &Scheduled{target: target, plan: plan, interval: interval, min: min, max: max}
+	return &Planned{target: target, plan: plan, interval: interval, lead: lead, min: min, max: max}
 }
 
-// Name implements Autoscaler.
-func (s *Scheduled) Name() string { return "scheduled" }
-
-// Start implements Autoscaler.
-func (s *Scheduled) Start(eng *sim.Engine) func() {
-	const day = 24 * time.Hour
-	return eng.Every(s.interval, "scale/scheduled", func() {
-		want := clamp(s.plan(eng.Now()%day), s.min, s.max)
-		if want != s.target.Desired() {
-			s.target.ScaleTo(want)
+// Start begins periodic control on the engine and returns a stop
+// function.
+func (p *Planned) Start(eng *sim.Engine) func() {
+	return eng.Every(p.interval, "scale/planned", func() {
+		end := eng.Now() + p.lead
+		need := 0
+		for at := eng.Now(); ; at += p.interval {
+			if at > end {
+				at = end
+			}
+			if n := p.plan(at); n > need {
+				need = n
+			}
+			if at >= end {
+				break
+			}
+		}
+		want := clamp(need, p.min, p.max)
+		if want != p.target.Desired() {
+			p.target.ScaleTo(want)
 		}
 	})
-}
-
-// PredictiveConfig parameterizes the forecasting scaler.
-type PredictiveConfig struct {
-	// Interval between observations (default 1 minute).
-	Interval time.Duration
-	// Lead is how far ahead to provision for (default 5 minutes — about
-	// one VM boot time ahead, which is the point of predicting).
-	Lead time.Duration
-	// PerServer is the in-flight requests one server should carry at the
-	// provisioning target (default 6).
-	PerServer float64
-	// Min/Max fleet bounds.
-	Min, Max int
-}
-
-func (c *PredictiveConfig) defaults() {
-	if c.Interval <= 0 {
-		c.Interval = time.Minute
-	}
-	if c.Lead <= 0 {
-		c.Lead = 5 * time.Minute
-	}
-	if c.PerServer <= 0 {
-		c.PerServer = 6
-	}
-	if c.Min <= 0 {
-		c.Min = 1
-	}
 }
 
 // Holt's smoothing constants for the predictive scaler's level and
@@ -200,37 +169,34 @@ const holtAlpha, holtBeta = 0.5, 0.2
 // exponential smoothing and provisions ahead of the trend, absorbing VM
 // boot latency.
 type Predictive struct {
-	target Target
-	cfg    PredictiveConfig
+	target   Target
+	min, max int
 
 	level, trend float64
 	initialized  bool
 }
 
-// NewPredictive builds a forecasting scaler around target.
-func NewPredictive(target Target, cfg PredictiveConfig) *Predictive {
+// NewPredictive builds a forecasting scaler that keeps target between
+// min and max servers (max <= 0: unbounded).
+func NewPredictive(target Target, min, max int) *Predictive {
 	if target == nil {
 		panic("scale: NewPredictive with nil target")
 	}
-	cfg.defaults()
-	return &Predictive{target: target, cfg: cfg}
+	return &Predictive{target: target, min: min, max: max}
 }
 
-// Name implements Autoscaler.
-func (p *Predictive) Name() string { return "predictive" }
-
-// Forecast returns the current demand forecast at the configured lead
-// (exported for tests and reports).
+// Forecast returns the current demand forecast predictLead ahead.
 func (p *Predictive) Forecast() float64 {
-	steps := float64(p.cfg.Lead) / float64(p.cfg.Interval)
+	steps := float64(predictLead) / float64(loopInterval)
 	return p.level + p.trend*steps
 }
 
-// Start implements Autoscaler.
+// Start begins periodic control on the engine and returns a stop
+// function.
 func (p *Predictive) Start(eng *sim.Engine) func() {
-	return eng.Every(p.cfg.Interval, "scale/predictive", func() {
+	return eng.Every(loopInterval, "scale/predictive", func() {
 		// Observed total demand: per-server load times fleet size.
-		observed := p.target.Load() * float64(maxInt(p.target.Desired(), 1))
+		observed := p.target.Load() * float64(max(p.target.Desired(), 1))
 		if !p.initialized {
 			p.level, p.trend, p.initialized = observed, 0, true
 			return
@@ -242,16 +208,9 @@ func (p *Predictive) Start(eng *sim.Engine) func() {
 		if forecast < 0 {
 			forecast = 0
 		}
-		want := clamp(int(math.Ceil(forecast/p.cfg.PerServer)), p.cfg.Min, p.cfg.Max)
+		want := clamp(int(math.Ceil(forecast/predictPerServer)), p.min, p.max)
 		if want != p.target.Desired() {
 			p.target.ScaleTo(want)
 		}
 	})
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

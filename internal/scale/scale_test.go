@@ -7,10 +7,12 @@ import (
 	"elearncloud/internal/sim"
 )
 
-// fakeTarget is a controllable Target for scaler tests.
+// fakeTarget is a controllable Target for scaler tests: its load and
+// arrival count are set by the test.
 type fakeTarget struct {
 	desired int
 	load    float64
+	count   uint64
 	calls   []int
 }
 
@@ -18,51 +20,63 @@ func (f *fakeTarget) Desired() int  { return f.desired }
 func (f *fakeTarget) Load() float64 { return f.load }
 func (f *fakeTarget) ScaleTo(n int) { f.desired = n; f.calls = append(f.calls, n) }
 
+func (f *fakeTarget) Arrivals() uint64 { return f.count }
+
+// TestReactiveScalesOutUnderLoad: load just above scaleOutLoad adds one
+// step of servers.
 func TestReactiveScalesOutUnderLoad(t *testing.T) {
 	eng := sim.NewEngine(1)
-	ft := &fakeTarget{desired: 2, load: 20}
-	r := NewReactive(ft, ReactiveConfig{Interval: time.Minute, UpThreshold: 8, Step: 2, Max: 10})
-	stop := r.Start(eng)
+	ft := &fakeTarget{desired: 2, load: 6.5}
+	stop := NewReactive(ft, 1, 10).Start(eng)
 	defer stop()
 	eng.Run(90 * time.Second)
-	if ft.desired != 4 {
-		t.Fatalf("desired = %d, want 4 after one scale-out", ft.desired)
+	if ft.desired != 6 {
+		t.Fatalf("desired = %d, want 6 after one scale-out of 4", ft.desired)
 	}
 }
 
+// TestReactiveCooldownLimitsScaleOuts: under sustained load the loop
+// scales out at most once per scaleOutCooldown, although it decides
+// every minute.
 func TestReactiveCooldownLimitsScaleOuts(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ft := &fakeTarget{desired: 2, load: 50}
-	r := NewReactive(ft, ReactiveConfig{
-		Interval: time.Minute, UpThreshold: 8, Step: 2, Cooldown: 10 * time.Minute, Max: 100,
-	})
-	stop := r.Start(eng)
+	stop := NewReactive(ft, 1, 100).Start(eng)
 	defer stop()
-	eng.Run(9 * time.Minute)
-	if len(ft.calls) != 1 {
-		t.Fatalf("scale-outs = %d, want 1 within cooldown", len(ft.calls))
+	eng.Run(5 * time.Minute)
+	// Decisions at 1m..5m: scale-outs at 1m, 3m and 5m only.
+	want := []int{6, 10, 14}
+	if len(ft.calls) != len(want) {
+		t.Fatalf("scale-outs = %v, want %v (one per cooldown)", ft.calls, want)
+	}
+	for i := range want {
+		if ft.calls[i] != want[i] {
+			t.Fatalf("scale-outs = %v, want %v", ft.calls, want)
+		}
 	}
 }
 
+// TestReactiveScalesInWhenCold: load just below scaleInLoad removes one
+// server per decision down to the floor, and no further.
 func TestReactiveScalesInWhenCold(t *testing.T) {
 	eng := sim.NewEngine(1)
-	ft := &fakeTarget{desired: 5, load: 0.5}
-	r := NewReactive(ft, ReactiveConfig{Interval: time.Minute, DownThreshold: 2, Min: 2})
-	stop := r.Start(eng)
+	ft := &fakeTarget{desired: 5, load: 1.4}
+	stop := NewReactive(ft, 2, 0).Start(eng)
 	defer stop()
 	eng.Run(10 * time.Minute)
 	if ft.desired != 2 {
-		t.Fatalf("desired = %d, want scale-in to Min=2", ft.desired)
+		t.Fatalf("desired = %d, want scale-in to the floor of 2", ft.desired)
+	}
+	if len(ft.calls) != 3 {
+		t.Fatalf("scale-ins = %v, want three steps of one", ft.calls)
 	}
 }
 
+// TestReactiveRespectsMax: scale-out clamps at the ceiling.
 func TestReactiveRespectsMax(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ft := &fakeTarget{desired: 3, load: 100}
-	r := NewReactive(ft, ReactiveConfig{
-		Interval: time.Minute, UpThreshold: 1, Step: 10, Max: 5, Cooldown: time.Minute,
-	})
-	stop := r.Start(eng)
+	stop := NewReactive(ft, 1, 5).Start(eng)
 	defer stop()
 	eng.Run(time.Hour)
 	if ft.desired != 5 {
@@ -70,29 +84,37 @@ func TestReactiveRespectsMax(t *testing.T) {
 	}
 }
 
+// TestReactiveIdleBandHolds: a load anywhere in [scaleInLoad,
+// scaleOutLoad] leaves the fleet alone — both thresholds included.
 func TestReactiveIdleBandHolds(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ft := &fakeTarget{desired: 3, load: 5} // between thresholds
-	r := NewReactive(ft, ReactiveConfig{Interval: time.Minute, UpThreshold: 8, DownThreshold: 2})
-	stop := r.Start(eng)
-	defer stop()
-	eng.Run(30 * time.Minute)
-	if len(ft.calls) != 0 {
-		t.Fatalf("scaler acted %d times in the dead band", len(ft.calls))
+	for _, load := range []float64{1.5, 3, 6} {
+		eng := sim.NewEngine(1)
+		ft := &fakeTarget{desired: 3, load: load}
+		stop := NewReactive(ft, 1, 0).Start(eng)
+		eng.Run(30 * time.Minute)
+		stop()
+		if len(ft.calls) != 0 {
+			t.Fatalf("load %g: scaler acted %d times in the dead band", load, len(ft.calls))
+		}
 	}
 }
 
+// TestScheduledFollowsPlan: with lead 0 a planned scaler follows its
+// plan at each tick, as the scheduled policy runs it.
 func TestScheduledFollowsPlan(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ft := &fakeTarget{desired: 1}
-	plan := func(tod time.Duration) int {
-		if tod >= 9*time.Hour && tod < 17*time.Hour {
+	plan := func(at time.Duration) int {
+		if at >= 9*time.Hour && at < 17*time.Hour {
 			return 8
 		}
 		return 2
 	}
-	s := NewScheduled(ft, plan, 30*time.Minute, 1, 0)
-	stop := s.Start(eng)
+	var seen []time.Duration
+	stop := NewPlanned(ft, func(at time.Duration) int {
+		seen = append(seen, at)
+		return plan(at)
+	}, 30*time.Minute, 0, 1, 0).Start(eng)
 	defer stop()
 	eng.Run(10 * time.Hour)
 	if ft.desired != 8 {
@@ -102,17 +124,18 @@ func TestScheduledFollowsPlan(t *testing.T) {
 	if ft.desired != 2 {
 		t.Fatalf("desired at 20:00 = %d, want 2", ft.desired)
 	}
-	if s.Name() != "scheduled" {
-		t.Fatal("name wrong")
+	// Lead 0: one plan sample per tick, at the tick's own time.
+	for i, at := range seen {
+		if want := time.Duration(i+1) * 30 * time.Minute; at != want {
+			t.Fatalf("sample %d at %v, want %v (one per tick, at now)", i, at, want)
+		}
 	}
 }
 
 func TestPredictiveTracksRamp(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ft := &fakeTarget{desired: 1, load: 1}
-	p := NewPredictive(ft, PredictiveConfig{
-		Interval: time.Minute, Lead: 5 * time.Minute, PerServer: 6, Max: 100,
-	})
+	p := NewPredictive(ft, 1, 100)
 	stop := p.Start(eng)
 	defer stop()
 	// Demand doubles every few minutes: per-server load stays high as the
@@ -127,18 +150,12 @@ func TestPredictiveTracksRamp(t *testing.T) {
 	if p.Forecast() <= 0 {
 		t.Fatal("forecast not positive under growth")
 	}
-	if p.Name() != "predictive" {
-		t.Fatal("name wrong")
-	}
 }
 
 func TestPredictiveScalesInAfterPeak(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ft := &fakeTarget{desired: 10, load: 12}
-	p := NewPredictive(ft, PredictiveConfig{
-		Interval: time.Minute, Lead: 2 * time.Minute, PerServer: 6, Min: 2, Max: 50,
-	})
-	stop := p.Start(eng)
+	stop := NewPredictive(ft, 2, 50).Start(eng)
 	defer stop()
 	eng.Schedule(5*time.Minute, "quiet", func() { ft.load = 0.1 })
 	eng.Run(time.Hour)
@@ -149,10 +166,10 @@ func TestPredictiveScalesInAfterPeak(t *testing.T) {
 
 func TestConstructorsPanicOnNil(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"reactive":        func() { NewReactive(nil, ReactiveConfig{}) },
-		"scheduled nil t": func() { NewScheduled(nil, func(time.Duration) int { return 1 }, 0, 0, 0) },
-		"scheduled nil p": func() { NewScheduled(&fakeTarget{}, nil, 0, 0, 0) },
-		"predictive":      func() { NewPredictive(nil, PredictiveConfig{}) },
+		"reactive":      func() { NewReactive(nil, 1, 0) },
+		"planned nil t": func() { NewPlanned(nil, func(time.Duration) int { return 1 }, time.Minute, 0, 1, 0) },
+		"planned nil p": func() { NewPlanned(&fakeTarget{}, nil, time.Minute, 0, 1, 0) },
+		"predictive":    func() { NewPredictive(nil, 1, 0) },
 	} {
 		func() {
 			defer func() {
@@ -162,19 +179,5 @@ func TestConstructorsPanicOnNil(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestReactiveConfigDefaults(t *testing.T) {
-	var cfg ReactiveConfig
-	cfg.defaults()
-	if cfg.Interval <= 0 || cfg.UpThreshold <= cfg.DownThreshold || cfg.Step <= 0 || cfg.Min < 1 {
-		t.Fatalf("bad defaults: %+v", cfg)
-	}
-	// Inverted thresholds are repaired.
-	cfg = ReactiveConfig{UpThreshold: 2, DownThreshold: 5}
-	cfg.defaults()
-	if cfg.DownThreshold >= cfg.UpThreshold {
-		t.Fatalf("thresholds not repaired: %+v", cfg)
 	}
 }

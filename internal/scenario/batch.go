@@ -60,9 +60,6 @@ func SeedFor(seed uint64, name string) uint64 { return sim.SeedFor(seed, name) }
 //     caller that has dispatched all its indices and is merely waiting
 //     for its helpers donates a token for the duration of the wait, so
 //     even the waiting goroutine's core stays busy (see ForEach).
-//
-// Acquire/Release are exported so side tasks can share the same global
-// concurrency cap; ForEach callers never need them.
 type Pool struct {
 	// tokens carries free helper tokens. Capacity exceeds the steady
 	// count (workers-1) so waiting callers can transiently donate their
@@ -86,10 +83,10 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Acquire blocks until a helper token is free or ctx is done, and
-// returns ctx.Err in the latter case. Every successful Acquire must be
-// paired with exactly one Release.
-func (p *Pool) Acquire(ctx context.Context) error {
+// acquire blocks until a helper token is free or ctx is done, and
+// returns ctx.Err in the latter case. Every successful acquire must be
+// paired with exactly one release.
+func (p *Pool) acquire(ctx context.Context) error {
 	select {
 	case <-p.tokens:
 		return nil
@@ -98,14 +95,14 @@ func (p *Pool) Acquire(ctx context.Context) error {
 	}
 }
 
-// Release returns a token taken by Acquire. Releasing
-// more tokens than were acquired corrupts the concurrency cap, so an
-// overfull pool panics.
-func (p *Pool) Release() {
+// release returns a token taken by acquire. Releasing more tokens than
+// were acquired corrupts the concurrency cap, so an overfull pool
+// panics.
+func (p *Pool) release() {
 	select {
 	case p.tokens <- struct{}{}:
 	default:
-		panic("scenario: Pool.Release without matching Acquire")
+		panic("scenario: Pool.release without matching acquire")
 	}
 }
 
@@ -182,18 +179,18 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 		go func() {
 			defer recruiter.Done()
 			for spawned.Load() < int64(n-1) && len(idx) > 0 {
-				if p.Acquire(ctx) != nil {
+				if p.acquire(ctx) != nil {
 					return
 				}
 				if ctx.Err() != nil || len(idx) == 0 {
-					p.Release() // token acquired after the work was gone
+					p.release() // token acquired after the work was gone
 					return
 				}
 				spawned.Add(1)
 				helpers.Add(1)
 				go func() {
 					defer helpers.Done()
-					defer p.Release()
+					defer p.release()
 					for i := range idx {
 						run(i)
 					}
@@ -218,7 +215,7 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 	}
 	helpers.Wait()
 	if donated {
-		_ = p.Acquire(context.Background())
+		_ = p.acquire(context.Background())
 	}
 	for _, err := range errs {
 		if err != nil {

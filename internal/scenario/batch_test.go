@@ -313,17 +313,17 @@ func TestPoolNestedBatchDeterminism(t *testing.T) {
 	}
 }
 
-// TestPoolAcquireRelease: the exported semaphore surface — a pool
-// holds exactly workers-1 helper tokens, context cancellation unblocks
-// Acquire, and tokens round-trip.
+// TestPoolAcquireRelease: the pool's semaphore — a pool holds exactly
+// workers-1 helper tokens, context cancellation unblocks acquire, and
+// tokens round-trip.
 func TestPoolAcquireRelease(t *testing.T) {
 	t.Parallel()
 	p := NewPool(3) // two helper tokens
 	ctx := context.Background()
-	if err := p.Acquire(ctx); err != nil {
+	if err := p.acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Acquire(ctx); err != nil {
+	if err := p.acquire(ctx); err != nil {
 		t.Fatal("second helper token not available:", err)
 	}
 	if n := len(p.tokens); n != 0 {
@@ -331,11 +331,11 @@ func TestPoolAcquireRelease(t *testing.T) {
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if err := p.Acquire(cancelled); err == nil {
-		t.Fatal("Acquire on an empty pool ignored context cancellation")
+	if err := p.acquire(cancelled); err == nil {
+		t.Fatal("acquire on an empty pool ignored context cancellation")
 	}
-	p.Release()
-	p.Release()
+	p.release()
+	p.release()
 	if p.workers != 3 {
 		t.Fatalf("workers = %d, want 3", p.workers)
 	}

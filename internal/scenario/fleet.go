@@ -51,7 +51,7 @@ func (f *fleet) Peak() int { return f.peak }
 // Load implements scale.Target.
 func (f *fleet) Load() float64 { return f.cluster.Load() }
 
-// Arrivals implements scale.ArrivalMeter: the cluster's dedicated
+// Arrivals implements scale.Target: the cluster's dedicated
 // submission counter. A derived Served()+Rejected()+Active() sum is NOT
 // monotone — retireOne drains servers gracefully, so Active() drops
 // before the drained jobs reach Served() — and a dip would wrap the

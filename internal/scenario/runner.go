@@ -202,8 +202,8 @@ func (e *engine) build() error {
 	e.windowHist = metrics.DefaultLatency()
 
 	// --- fleets ---------------------------------------------------------
-	e.pubCluster = lms.NewCluster("public")
-	e.privCluster = lms.NewCluster("private")
+	e.pubCluster = lms.NewCluster()
+	e.privCluster = lms.NewCluster()
 	if dep.PublicDC != nil {
 		maxPublic := cfg.MaxPublicServers
 		if maxPublic <= 0 {
@@ -229,14 +229,14 @@ func (e *engine) build() error {
 		// The bootstrap size is also the scale-in floor: production
 		// fleets never drain below their baseline, or the first spike
 		// after a quiet night pays the full boot lag.
-		scaler, stop, err := startScaler(eng, cfg, gen, meanSvc, e.pubFleet, initial, maxPublic, share)
+		stop, fit, err := startScaler(eng, cfg, gen, meanSvc, e.pubFleet, initial, maxPublic, share)
 		if err != nil {
 			return err
 		}
 		if stop != nil {
 			e.stops = append(e.stops, stop)
 		}
-		e.growthFit, _ = scaler.(*scale.GrowthFit)
+		e.growthFit = fit
 	}
 	if dep.PrivateDC != nil {
 		e.privFleet = newFleet(eng, dep.PrivateDC, e.privCluster, dep.PrivateSpec, 0)
@@ -582,38 +582,29 @@ func (e *engine) collect() (*Result, error) {
 	return res, nil
 }
 
-// reactivePolicy is the threshold control loop of the reactive scaler,
-// and growth-fit's fallback until its fit stabilizes: scale out 4
-// servers when the load per server passes 6, at most once per 2
-// minutes, and in by one below 1.5. Both policies read this one value,
-// so an unfittable workload costs growth-fit nothing over the reactive
-// loop. startScaler sets the fleet bounds.
-var reactivePolicy = scale.ReactiveConfig{
-	Interval:      time.Minute,
-	UpThreshold:   6,
-	DownThreshold: 1.5,
-	Step:          4,
-	Cooldown:      2 * time.Minute,
-}
-
 // startScaler attaches the configured autoscaler to the elastic fleet
-// and returns it plus its stop function (both nil for the fixed
-// policy). min is the scale-in floor (the bootstrap size); share scales
-// the scheduled/oracle plan's rate down to this shard's slice of the
+// and returns its stop function (nil for the fixed policy) and, under
+// the growth-fit policy, the scaler whose fit the result reports. min
+// is the scale-in floor (the bootstrap size); share scales the
+// scheduled/oracle plan's rate down to this shard's slice of the
 // population (exactly 1.0 for unsharded runs). gen is the run's own
 // workload generator.
-func startScaler(eng *sim.Engine, cfg Config, gen *workload.Generator, meanSvc float64, target scale.Target, min, maxPublic int, share float64) (scale.Autoscaler, func(), error) {
+func startScaler(eng *sim.Engine, cfg Config, gen *workload.Generator, meanSvc float64, target scale.Target, min, maxPublic int, share float64) (func(), *scale.GrowthFit, error) {
+	// planOf sizes the fleet for g's rate at an absolute virtual time.
+	planOf := func(g *workload.Generator) func(time.Duration) int {
+		return func(at time.Duration) int {
+			return deploy.ServersForPeak(g.Rate(at)*share, meanSvc) + 1
+		}
+	}
 	switch cfg.Scaler {
 	case ScalerReactive:
-		rc := reactivePolicy
-		rc.Min, rc.Max = min, maxPublic
-		s := scale.NewReactive(target, rc)
-		return s, s.Start(eng), nil
+		return scale.NewReactive(target, min, maxPublic).Start(eng), nil, nil
 	case ScalerScheduled:
-		// The timetable knows the diurnal/calendar shape but not flash
-		// crowds, enrollment growth or deadline storms — a scheduled
-		// exam surprise or a course going viral is exactly what it
-		// misses (table9's scheduled row shows the consequence).
+		// The timetable knows the diurnal and calendar shape but not
+		// flash crowds, enrollment growth or deadline storms — a
+		// scheduled exam surprise or a course going viral is exactly
+		// what it misses (table9's scheduled row shows the
+		// consequence).
 		planGen, err := workload.NewGenerator(workload.Config{
 			Students:          cfg.Students,
 			ReqPerStudentHour: cfg.ReqPerStudentHour,
@@ -623,42 +614,17 @@ func startScaler(eng *sim.Engine, cfg Config, gen *workload.Generator, meanSvc f
 		if err != nil {
 			return nil, nil, fmt.Errorf("scenario: scheduled scaler plan: %w", err)
 		}
-		plan := func(tod time.Duration) int {
-			return deploy.ServersForPeak(planGen.Rate(tod)*share, meanSvc) + 1
-		}
-		s := scale.NewScheduled(target, plan, 5*time.Minute, 1, maxPublic)
-		return s, s.Start(eng), nil
+		return scale.NewPlanned(target, planOf(planGen), 5*time.Minute, 0, 1, maxPublic).Start(eng), nil, nil
 	case ScalerPredictive:
-		s := scale.NewPredictive(target, scale.PredictiveConfig{
-			Interval:  time.Minute,
-			Lead:      5 * time.Minute,
-			PerServer: 4,
-			Min:       min,
-			Max:       maxPublic,
-		})
-		return s, s.Start(eng), nil
+		return scale.NewPredictive(target, min, maxPublic).Start(eng), nil, nil
 	case ScalerGrowthFit:
-		// Lead = one VM boot (bootGrace covers the fleet's boot
-		// distribution) plus a 5-minute guard, so projected capacity is
-		// accepting before the projected demand lands.
-		s := scale.NewGrowthFit(target, scale.GrowthFitConfig{
-			Interval:    time.Minute,
-			Lead:        bootGrace + 5*time.Minute,
-			MeanService: meanSvc,
-			Min:         min,
-			Max:         maxPublic,
-			Fallback:    reactivePolicy,
-		})
-		return s, s.Start(eng), nil
+		s := scale.NewGrowthFit(target, meanSvc, min, maxPublic)
+		return s.Start(eng), s, nil
 	case ScalerOracle:
 		// The oracle is scheduled from the true curve: the full
 		// generator, growth and storms included — everything the
 		// scheduled policy's timetable deliberately cannot see.
-		plan := func(at time.Duration) int {
-			return deploy.ServersForPeak(gen.Rate(at)*share, meanSvc) + 1
-		}
-		s := scale.NewOracle(target, plan, time.Minute, bootGrace+5*time.Minute, min, maxPublic)
-		return s, s.Start(eng), nil
+		return scale.NewPlanned(target, planOf(gen), time.Minute, scale.Lead, min, maxPublic).Start(eng), nil, nil
 	default:
 		return nil, nil, nil
 	}

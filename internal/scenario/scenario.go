@@ -27,8 +27,8 @@ const (
 	// stabilizes.
 	ScalerGrowthFit
 	// ScalerOracle provisions from the true workload curve, storms
-	// included (scale.Oracle) — the yardstick forecasting policies are
-	// judged against.
+	// included (a scale.Planned a lead ahead) — the yardstick
+	// forecasting policies are judged against.
 	ScalerOracle
 )
 

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"elearncloud/internal/deploy"
+	"elearncloud/internal/lms"
 	"elearncloud/internal/network"
+	"elearncloud/internal/sim"
 	"elearncloud/internal/workload"
 )
 
@@ -380,6 +382,62 @@ func TestRunScheduledAndPredictiveScalers(t *testing.T) {
 		if res.PeakServers < 1 {
 			t.Fatalf("%v: no servers", sk)
 		}
+	}
+}
+
+// planTarget is a scale.Target that only records the fleet size a
+// scaler asks for.
+type planTarget struct{ n int }
+
+func (p *planTarget) Desired() int     { return p.n }
+func (p *planTarget) ScaleTo(n int)    { p.n = n }
+func (p *planTarget) Load() float64    { return 0 }
+func (p *planTarget) Arrivals() uint64 { return 0 }
+
+// TestScheduledPlanReadsCalendarWeek: the scheduled timetable sizes the
+// fleet for the calendar week the run is in, not for week 0 forever.
+// 3,000 students at 30 requests per hour on a flat day, a quiet week
+// (x0.1) then an exam week (x2.0): one hour into the exam week the
+// scheduled scaler must run the exam week's fleet.
+func TestScheduledPlanReadsCalendarWeek(t *testing.T) {
+	const week = 7 * 24 * time.Hour
+	cfg := Config{
+		Kind:              deploy.Public,
+		Students:          3000,
+		ReqPerStudentHour: 30,
+		Duration:          2 * week,
+		Diurnal:           workload.FlatDiurnal(),
+		Calendar: workload.NewCalendar([]workload.Week{
+			{Kind: workload.Teaching, Mult: 0.1},
+			{Kind: workload.Exams, Mult: 2.0},
+		}),
+		Scaler: ScalerScheduled,
+	}
+	if err := cfg.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := genFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meanSvc := lms.TeachingMix().MeanService(lms.DefaultCatalog())
+	eng := sim.NewEngine(1)
+	if err := eng.Import(sim.State{Now: week}); err != nil {
+		t.Fatal(err)
+	}
+	tgt := &planTarget{n: 1}
+	if _, _, err := startScaler(eng, cfg, gen, meanSvc, tgt, 1, 100, 1); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(week + time.Hour)
+	const base = 3000 * 30 / 3600.0 // requests per second before the calendar
+	quiet := deploy.ServersForPeak(base*0.1, meanSvc) + 1
+	exam := deploy.ServersForPeak(base*2.0, meanSvc) + 1
+	if quiet == exam {
+		t.Fatalf("the weeks need the same fleet (%d); the probe cannot tell them apart", exam)
+	}
+	if tgt.n != exam {
+		t.Fatalf("scheduled fleet one hour into the exam week = %d, want %d (the quiet week's is %d)", tgt.n, exam, quiet)
 	}
 }
 
