@@ -184,7 +184,8 @@ func BenchmarkFluidSemester(b *testing.B) {
 	sem := workload.StandardSemester()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := scenario.FluidRun(scenario.Config{
+		res, err := scenario.Run(scenario.Config{
+			Fidelity: scenario.FidelityFluid,
 			Seed:     benchSeed,
 			Kind:     deploy.Hybrid,
 			Students: 2000,

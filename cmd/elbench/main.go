@@ -4,32 +4,30 @@
 // Usage:
 //
 //	elbench [-seed N] [-id table3] [-csv] [-parallel N]
-//	elbench -id table10 -shards 8       # render a sharded variant at an explicit shard count
-//	elbench -id table11 -fidelity des   # render a fidelity variant (auto|fluid|des)
+//	elbench -id table10 -shards 8       # render table10 at one Config.Shards
+//	elbench -id table11 -fidelity des   # render table11 at one Config.Fidelity (auto|fluid|des)
 //	elbench -list                       # print experiment ids and titles, run nothing
 //	elbench -verify [-golden DIR]       # diff artifacts against the golden store
 //	elbench -update [-golden DIR]       # regenerate the golden store
 //	elbench -id table11 -cpuprofile cpu.prof -memprofile mem.prof
 //
 // With -id, only the named experiment runs; with -csv the table is
-// emitted as CSV instead of aligned text. -shards renders the -id
-// experiment's shards-parameterized variant (experiments.ShardedVariant)
-// at an explicit shard count — the knob CI's scale lane turns to pin
-// that a fixed-shard-count artifact is byte-identical across -parallel
-// values. It is plain-text/CSV only: the golden store pins the registry
-// defaults. -fidelity renders the -id experiment's
-// fidelity-parameterized variant (experiments.FidelityVariant): auto is
-// the registry-default hybrid comparison, fluid and des force one
-// model. -shards cannot combine with -fidelity fluid — the fluid model
-// has no event loop to shard — and the two flags never compose anyway
-// (no experiment registers both variants). -parallel is a true global
-// concurrency cap: one work-conserving scenario.Pool is shared by the
-// across-experiments loop and every experiment's internal scenario
-// batch, so any job from any experiment claims a core the moment one
-// frees (default: one worker per CPU). Output is byte-identical for
-// every -parallel value: experiments print in registry order, each
-// scenario job's randomness is fixed at submission by its config and
-// seed, and batch results are collected in submission order.
+// emitted as CSV instead of aligned text. -shards and -fidelity pin
+// the -id experiment's runs to one Config.Shards or one
+// Config.Fidelity (experiments.Experiment.At): table10 takes a shard
+// count, the knob CI's scale lane turns to pin that a fixed-shard-count
+// artifact is byte-identical across -parallel values, and table11 a
+// fidelity, where auto is the registry-default hybrid comparison and
+// fluid and des force one model. The two do not combine, and both are
+// plain-text/CSV only: the golden store pins the registry defaults.
+// -parallel is a true global concurrency cap: one work-conserving
+// scenario.Pool is shared by the across-experiments loop and every
+// experiment's internal scenario batch, so any job from any experiment
+// claims a core the moment one frees (default: one worker per CPU).
+// Output is byte-identical for every -parallel value: experiments print
+// in registry order, each scenario job's randomness is fixed at
+// submission by its config and seed, and batch results are collected
+// in submission order.
 //
 // elbench generates and verifies artifacts only; it takes no timings.
 // The performance record is bench/elperf (bash bench/run.sh, see
@@ -59,7 +57,6 @@ import (
 	"strings"
 
 	"elearncloud/internal/experiments"
-	"elearncloud/internal/metrics"
 	"elearncloud/internal/profiling"
 	"elearncloud/internal/scenario"
 )
@@ -93,9 +90,9 @@ func run(args []string, w io.Writer) error {
 	tagFilter := fs.String("tag", "",
 		"with -list: only print experiments carrying this tag (leading @ optional; unknown tags are an error)")
 	shards := fs.Int("shards", 0,
-		"with -id: render the experiment's sharded variant at this shard count (the CI scale lane's knob)")
+		"with -id: render the experiment at this Config.Shards (table10; the CI scale lane's knob)")
 	fidelity := fs.String("fidelity", "",
-		"with -id: render the experiment's fidelity variant (auto, fluid or des)")
+		"with -id: render the experiment at this Config.Fidelity (table11; auto, fluid or des)")
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the artifact generation to this file")
 	memProf := fs.String("memprofile", "", "write an allocation profile of the artifact generation to this file")
 	if err := fs.Parse(args); err != nil {
@@ -119,36 +116,17 @@ func run(args []string, w io.Writer) error {
 	if *tagFilter != "" && !*listMode {
 		return fmt.Errorf("-tag filters the registry listing and only applies with -list")
 	}
-	// -shards renders a one-off artifact at an explicit shard count; the
-	// golden store pins the registry defaults, so it is plain-text/CSV
-	// only and needs a single named experiment.
-	if *shards != 0 {
-		if *shards < 0 {
-			return fmt.Errorf("-shards %d: shard count must be positive", *shards)
-		}
-		if modes > 0 {
-			return fmt.Errorf("-shards does not combine with -verify, -update or -list")
-		}
-		if *id == "" {
-			return fmt.Errorf("-shards needs -id naming the experiment to render")
-		}
+	// -shards and -fidelity render a one-off artifact; the golden store
+	// pins the registry defaults, so each is plain-text/CSV only and
+	// needs a single named experiment.
+	if (*shards != 0 || *fidelity != "") && (modes > 0 || *id == "") {
+		return fmt.Errorf("-shards and -fidelity need -id and do not combine with -verify, -update or -list")
 	}
-	// -fidelity follows -shards' one-off-artifact policy, and the two
-	// knobs never compose: shards parameterize an event loop, and the
-	// fluid model in particular has none to shard.
-	if *fidelity != "" {
-		if *shards != 0 {
-			if *fidelity == experiments.FidelityFluid {
-				return fmt.Errorf("-shards does not combine with -fidelity fluid: the fluid model has no event loop to shard")
-			}
-			return fmt.Errorf("-shards and -fidelity are separate variants and do not combine")
-		}
-		if modes > 0 {
-			return fmt.Errorf("-fidelity does not combine with -verify, -update or -list")
-		}
-		if *id == "" {
-			return fmt.Errorf("-fidelity needs -id naming the experiment to render")
-		}
+	fid, ok := map[string]scenario.Fidelity{
+		"": 0, "des": scenario.FidelityDES, "fluid": scenario.FidelityFluid, "auto": scenario.FidelityAuto,
+	}[*fidelity]
+	if !ok {
+		return fmt.Errorf("unknown fidelity %q (want auto, fluid or des)", *fidelity)
 	}
 	if *listMode {
 		// Pure registry enumeration: nothing is simulated, so the
@@ -202,25 +180,8 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *shards > 0 {
-			runAt, ok := experiments.ShardedVariant(e.ID)
-			if !ok {
-				return fmt.Errorf("experiment %s has no sharded variant (see experiments.ShardedVariant)", e.ID)
-			}
-			n := *shards
-			e.Run = func(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
-				return runAt(seed, pool, n)
-			}
-		}
-		if *fidelity != "" {
-			runAt, ok := experiments.FidelityVariant(e.ID)
-			if !ok {
-				return fmt.Errorf("experiment %s has no fidelity variant (see experiments.FidelityVariant)", e.ID)
-			}
-			f := *fidelity
-			e.Run = func(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
-				return runAt(seed, pool, f)
-			}
+		if e, err = e.At(*shards, fid); err != nil {
+			return err
 		}
 		list = []experiments.Experiment{e}
 	} else {

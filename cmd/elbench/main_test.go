@@ -150,18 +150,18 @@ func TestRunParallelByteIdentity(t *testing.T) {
 
 // TestRunFidelityFlagValidation pins the -fidelity flag's conflict
 // rules alongside the other mode-exclusivity checks: it needs -id, it
-// follows -shards' one-off-artifact policy, and -shards with -fidelity
-// fluid in particular is a category error (no event loop to shard).
+// follows -shards' one-off-artifact policy, and it does not combine
+// with -shards, at any fidelity.
 func TestRunFidelityFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 		want string
 	}{
-		{"no id", []string{"-fidelity", "des"}, "-fidelity needs -id"},
-		{"with mode", []string{"-id", "table11", "-fidelity", "des", "-update"}, "does not combine"},
-		{"with verify", []string{"-id", "table11", "-fidelity", "auto", "-verify"}, "does not combine"},
-		{"shards+fluid", []string{"-id", "table11", "-fidelity", "fluid", "-shards", "4"}, "no event loop to shard"},
+		{"no id", []string{"-fidelity", "des"}, "need -id"},
+		{"with mode", []string{"-id", "table11", "-fidelity", "des", "-update"}, "do not combine with -verify"},
+		{"with verify", []string{"-id", "table11", "-fidelity", "auto", "-verify"}, "do not combine with -verify"},
+		{"shards+fluid", []string{"-id", "table11", "-fidelity", "fluid", "-shards", "4"}, "do not combine"},
 		{"shards+des", []string{"-id", "table11", "-fidelity", "des", "-shards", "4"}, "do not combine"},
 		{"no variant", []string{"-id", "table5", "-fidelity", "des"}, "no fidelity variant"},
 	}

@@ -38,7 +38,8 @@ func main() {
 	fmt.Println("\nthe 10-week course under each deployment model (fluid fidelity):")
 	tbl := metrics.NewTable("", "model", "$/student/mo", "VM-hours", "peak servers", "private util")
 	for _, kind := range []deploy.Kind{deploy.Public, deploy.Private, deploy.Hybrid} {
-		res, err := scenario.FluidRun(scenario.Config{
+		res, err := scenario.Run(scenario.Config{
+			Fidelity:          scenario.FidelityFluid,
 			Seed:              1,
 			Kind:              kind,
 			Growth:            growth,

@@ -22,7 +22,8 @@ func main() {
 	tbl := metrics.NewTable("", "model", "$/student/mo", "VM-hours", "peak servers",
 		"private util", "egress GB", "semester total")
 	for _, kind := range []deploy.Kind{deploy.Public, deploy.Private, deploy.Hybrid, deploy.Desktop} {
-		res, err := scenario.FluidRun(scenario.Config{
+		res, err := scenario.Run(scenario.Config{
+			Fidelity: scenario.FidelityFluid,
 			Seed:     1,
 			Kind:     kind,
 			Students: 2000,

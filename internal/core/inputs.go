@@ -92,7 +92,8 @@ func MeasureInputs(cfg MeasureConfig) (*Inputs, error) {
 	// declare them as named jobs and fan them out on the batch runner.
 	batch := scenario.NewBatch(cfg.Seed)
 	for _, kind := range deploy.Kinds() {
-		batch.AddFluid("fluid/"+kind.String(), scenario.Config{
+		batch.Add("fluid/"+kind.String(), scenario.Config{
+			Fidelity: scenario.FidelityFluid,
 			Seed:     cfg.Seed,
 			Kind:     kind,
 			Students: cfg.Students,

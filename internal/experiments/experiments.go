@@ -56,6 +56,7 @@ func steadyTeaching(seed uint64, kind deploy.Kind) scenario.Config {
 func semester(seed uint64, kind deploy.Kind, students int) scenario.Config {
 	sem := workload.StandardSemester()
 	return scenario.Config{
+		Fidelity: scenario.FidelityFluid,
 		Seed:     seed,
 		Kind:     kind,
 		Students: students,

@@ -48,11 +48,11 @@ func Figure8CDN(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	populations := []int{200, 600, 2000, 5000, 20000}
 	batch := scenario.NewBatch(seed)
 	for _, n := range populations {
-		batch.AddFluid(fmt.Sprintf("public/%d", n), semester(seed, deploy.Public, n))
+		batch.Add(fmt.Sprintf("public/%d", n), semester(seed, deploy.Public, n))
 		cfgCDN := semester(seed, deploy.Public, n)
 		cfgCDN.EnableCDN = true
-		batch.AddFluid(fmt.Sprintf("public-cdn/%d", n), cfgCDN)
-		batch.AddFluid(fmt.Sprintf("private/%d", n), semester(seed, deploy.Private, n))
+		batch.Add(fmt.Sprintf("public-cdn/%d", n), cfgCDN)
+		batch.Add(fmt.Sprintf("private/%d", n), semester(seed, deploy.Private, n))
 	}
 	runs, err := batch.RunOn(pool)
 	if err != nil {
@@ -99,7 +99,7 @@ func Figure8CDN(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 // over a standard semester — the purchase-mix design decision the
 // public-cost model leaves open (see ARCHITECTURE.md).
 func Table8PurchaseMix(seed uint64, _ *scenario.Pool) (*metrics.Table, error) {
-	res, err := scenario.FluidRun(semester(seed, deploy.Public, collegeStudents))
+	res, err := scenario.Run(semester(seed, deploy.Public, collegeStudents))
 	if err != nil {
 		return nil, err
 	}

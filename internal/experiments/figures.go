@@ -108,7 +108,7 @@ func Figure3CostCrossover(seed uint64, pool *scenario.Pool) (*metrics.Table, err
 	batch := scenario.NewBatch(seed)
 	for _, n := range populations {
 		for _, kind := range allKinds {
-			batch.AddFluid(fmt.Sprintf("%d/%s", n, kind), semester(seed, kind, n))
+			batch.Add(fmt.Sprintf("%d/%s", n, kind), semester(seed, kind, n))
 		}
 	}
 	runs, err := batch.RunOn(pool)
@@ -150,8 +150,8 @@ func Figure3CostCrossover(seed uint64, pool *scenario.Pool) (*metrics.Table, err
 // semester.
 func Figure4Utilization(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	runs, err := scenario.NewBatch(seed).
-		AddFluid("private-semester", semester(seed, deploy.Private, collegeStudents)).
-		AddFluid("public-semester", semester(seed, deploy.Public, collegeStudents)).
+		Add("private-semester", semester(seed, deploy.Private, collegeStudents)).
+		Add("public-semester", semester(seed, deploy.Public, collegeStudents)).
 		RunOn(pool)
 	if err != nil {
 		return nil, err

@@ -11,20 +11,13 @@ import (
 )
 
 // This file holds the hybrid-fidelity experiment: table9's 10-week
-// 50k→500k MOOC course re-run under scenario.HybridRun, which
+// 50k→500k MOOC course re-run at scenario.FidelityAuto, which
 // integrates the quiet weeks with the fluid model and drops into
 // request-level DES only inside the course's burst windows (a launch
 // join spike and two assignment deadline storms). The table puts the
 // hybrid artifact next to the whole-horizon fluid run and a pure-DES
 // spot-check of one planned window, so the agreement error and the
 // event-count speedup are both in the committed golden.
-
-// table11Fidelities are the `elbench -fidelity` values.
-const (
-	FidelityAuto  = "auto"
-	FidelityFluid = "fluid"
-	FidelityDES   = "des"
-)
 
 // moocStormCourse is table9's course with the bursts that force DES
 // windows: a live launch session early in week 1 and assignment
@@ -34,6 +27,7 @@ const (
 func moocStormCourse(seed uint64) scenario.Config {
 	day := 24 * time.Hour
 	cfg := moocCourse(scenario.SeedFor(seed, "hybrid/course"), deploy.Public)
+	cfg.Fidelity = scenario.FidelityAuto
 	cfg.Scaler = scenario.ScalerReactive
 	cfg.Joins = []workload.JoinStorm{{
 		Start: 2*day + 18*time.Hour, Window: 30 * time.Minute, PeakMult: 5,
@@ -54,16 +48,16 @@ func moocStormCourse(seed uint64) scenario.Config {
 // Table11HybridCourse renders the default artifact: hybrid vs fluid vs
 // a DES spot-check window on the storm-augmented MOOC course.
 func Table11HybridCourse(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
-	return Table11HybridCourseAt(seed, pool, FidelityAuto)
+	return table11At(seed, pool, scenario.FidelityAuto)
 }
 
-// Table11HybridCourseAt renders the course at one explicit fidelity —
-// the `elbench -fidelity` entry point. "auto" is the full three-row
-// comparison; "fluid" renders the flow-level row alone; "des" renders
+// table11At renders the course at one fidelity, the knob
+// Experiment.At turns. FidelityAuto is the full three-row comparison;
+// FidelityFluid renders the flow-level row alone; FidelityDES renders
 // the pure request-level spot-check window alone (the whole 10-week
 // horizon is not feasible at full DES — that asymmetry is the point of
 // the experiment).
-func Table11HybridCourseAt(seed uint64, pool *scenario.Pool, fidelity string) (*metrics.Table, error) {
+func table11At(seed uint64, pool *scenario.Pool, fidelity scenario.Fidelity) (*metrics.Table, error) {
 	cfg := moocStormCourse(seed)
 	plan, err := scenario.PlanFidelity(cfg)
 	if err != nil {
@@ -79,29 +73,22 @@ func Table11HybridCourseAt(seed uint64, pool *scenario.Pool, fidelity string) (*
 		"configuration", "plan", "peak servers", "VM-hours", "$/st/mo", "p95", "served", "events")
 
 	var hybrid, fluid, spot *scenario.Result
-
-	switch fidelity {
-	case FidelityAuto:
-		if hybrid, err = scenario.HybridRun(cfg, pool); err != nil {
+	if fidelity == scenario.FidelityAuto {
+		if hybrid, err = pool.Run(cfg); err != nil {
 			return nil, fmt.Errorf("table11 hybrid: %w", err)
 		}
-		if fluid, err = scenario.FluidRun(cfg); err != nil {
+	}
+	if fidelity != scenario.FidelityDES {
+		flow := cfg
+		flow.Fidelity = scenario.FidelityFluid
+		if fluid, err = pool.Run(flow); err != nil {
 			return nil, fmt.Errorf("table11 fluid: %w", err)
 		}
+	}
+	if fidelity != scenario.FidelityFluid {
 		if spot, err = scenario.HybridSpotCheck(cfg, pool, 0); err != nil {
 			return nil, fmt.Errorf("table11 spot-check: %w", err)
 		}
-	case FidelityFluid:
-		if fluid, err = scenario.FluidRun(cfg); err != nil {
-			return nil, fmt.Errorf("table11 fluid: %w", err)
-		}
-	case FidelityDES:
-		if spot, err = scenario.HybridSpotCheck(cfg, pool, 0); err != nil {
-			return nil, fmt.Errorf("table11 spot-check: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("experiments: unknown fidelity %q (want %s, %s or %s)",
-			fidelity, FidelityAuto, FidelityFluid, FidelityDES)
 	}
 
 	if hybrid != nil {
@@ -166,15 +153,4 @@ func Table11HybridCourseAt(seed uint64, pool *scenario.Pool, fidelity string) (*
 func fmtDay(d time.Duration) string {
 	day := 24 * time.Hour
 	return fmt.Sprintf("day%d %02d:%02d", d/day, d%day/time.Hour, d%time.Hour/time.Minute)
-}
-
-// FidelityVariant returns experiment id's fidelity-parameterized
-// runner, or ok=false when the experiment has no fidelity switch.
-// cmd/elbench maps its -fidelity flag through this.
-func FidelityVariant(id string) (func(seed uint64, pool *scenario.Pool, fidelity string) (*metrics.Table, error), bool) {
-	switch id {
-	case "table11":
-		return Table11HybridCourseAt, true
-	}
-	return nil, false
 }

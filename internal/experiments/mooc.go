@@ -36,6 +36,7 @@ const moocCourseWeeks = 10
 func moocCourse(seed uint64, kind deploy.Kind) scenario.Config {
 	week := 7 * 24 * time.Hour
 	return scenario.Config{
+		Fidelity:          scenario.FidelityFluid,
 		Seed:              seed,
 		Kind:              kind,
 		Growth:            workload.LogisticGrowth(moocStudentsStart, moocStudentsCap, 4*week),
@@ -78,7 +79,7 @@ func Table9GrowthModels(seed uint64, pool *scenario.Pool) (*metrics.Table, error
 	}
 	batch := scenario.NewBatch(seed)
 	for _, kind := range kinds {
-		batch.AddFluid("course/"+kind.String(), moocCourse(seed, kind))
+		batch.Add("course/"+kind.String(), moocCourse(seed, kind))
 	}
 	for _, sk := range scalers {
 		batch.Add("ramp/"+sk.String(), onboardingRamp(seed, sk))

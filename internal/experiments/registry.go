@@ -102,6 +102,30 @@ func (e Experiment) HasTag(tag string) bool {
 	return false
 }
 
+// At returns e with its runs pinned to one Config.Shards (table10's
+// ramp) or one Config.Fidelity (table11's course), as elbench's
+// -shards and -fidelity set them. A zero knob keeps the registry
+// default; the two do not combine, and no other experiment takes one.
+func (e Experiment) At(shards int, fidelity scenario.Fidelity) (Experiment, error) {
+	switch {
+	case shards != 0 && fidelity != 0:
+		return e, fmt.Errorf("experiments: a shard count and a fidelity do not combine")
+	case shards != 0 && e.ID == "table10":
+		e.Run = func(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
+			return tableForShards(seed, pool, []int{shards})
+		}
+	case fidelity != 0 && e.ID == "table11":
+		e.Run = func(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
+			return table11At(seed, pool, fidelity)
+		}
+	case shards != 0:
+		return e, fmt.Errorf("experiments: %s has no sharded variant", e.ID)
+	case fidelity != 0:
+		return e, fmt.Errorf("experiments: %s has no fidelity variant", e.ID)
+	}
+	return e, nil
+}
+
 // Find returns the experiment with the given ID.
 func Find(id string) (Experiment, error) {
 	for _, e := range All() {

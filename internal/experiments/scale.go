@@ -14,10 +14,10 @@ import (
 // This file holds the scale experiment: the onboarding ramp of table9,
 // but at 10^5 students in full request-level DES — the regime the
 // paper's elasticity argument actually lives in, runnable natively now
-// that scenario.ShardedRun splits the event loop across per-shard
-// engines. The table compares shard counts on the identical scenario
-// seed, so the rows differ only by the documented fleet-split
-// approximation, never by workload.
+// that Config.Shards splits the event loop across per-shard engines.
+// The table compares shard counts on the identical scenario seed, so
+// the rows differ only by the documented fleet-split approximation,
+// never by workload.
 
 // scaleStudentsStart/Cap bound the table10 ramp: a 10k-seat launch
 // climbing to 10^5 enrolled students while the course runs.
@@ -46,32 +46,12 @@ func scaleRamp(seed uint64) scenario.Config {
 
 // Table10ShardedRamp renders the default artifact: the 10^5-student
 // onboarding ramp at shards=1 and shards=8. The shards=1 row is the
-// direct engine — ShardedRun with one shard is Run — and the shards=8
-// row is the same workload split across eight engines.
+// direct engine and the shards=8 row is the same workload split across
+// eight engines. Experiment.At renders one explicit shard count, the
+// knob the CI scale lane turns to pin that a fixed-K merged artifact is
+// byte-identical across -parallel values.
 func Table10ShardedRamp(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	return tableForShards(seed, pool, []int{1, 8})
-}
-
-// Table10ShardedRampAt renders the ramp at one explicit shard count —
-// the `elbench -shards` entry point the CI scale lane drives to pin
-// that a fixed-K merged artifact is byte-identical across -parallel
-// values.
-func Table10ShardedRampAt(seed uint64, pool *scenario.Pool, shards int) (*metrics.Table, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("experiments: table10 shards = %d, need >= 1", shards)
-	}
-	return tableForShards(seed, pool, []int{shards})
-}
-
-// ShardedVariant returns experiment id's shards-parameterized runner,
-// or ok=false when the experiment has no sharded path. cmd/elbench maps
-// its -shards flag through this.
-func ShardedVariant(id string) (func(seed uint64, pool *scenario.Pool, shards int) (*metrics.Table, error), bool) {
-	switch id {
-	case "table10":
-		return Table10ShardedRampAt, true
-	}
-	return nil, false
 }
 
 func tableForShards(seed uint64, pool *scenario.Pool, shardCounts []int) (*metrics.Table, error) {
@@ -81,7 +61,7 @@ func tableForShards(seed uint64, pool *scenario.Pool, shardCounts []int) (*metri
 	for _, shards := range shardCounts {
 		cfg := scaleRamp(seed)
 		cfg.Shards = shards
-		res, err := scenario.ShardedRun(cfg, pool)
+		res, err := pool.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("table10 shards=%d: %w", shards, err)
 		}

@@ -18,8 +18,8 @@ import (
 // e-learning against the on-premise desktop baseline.
 func Table1Merits(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	runs, err := scenario.NewBatch(seed).
-		AddFluid("cloud-semester", semester(seed, deploy.Public, collegeStudents)).
-		AddFluid("desktop-semester", semester(seed, deploy.Desktop, collegeStudents)).
+		Add("cloud-semester", semester(seed, deploy.Public, collegeStudents)).
+		Add("desktop-semester", semester(seed, deploy.Desktop, collegeStudents)).
 		Add("cloud-steady", steadyTeaching(seed, deploy.Public)).
 		Add("desktop-steady", steadyTeaching(seed, deploy.Desktop)).
 		RunOn(pool)

@@ -174,7 +174,7 @@ func randomSuperposition(r *sim.RNG) *workload.DiurnalProfile {
 // LAST, after all other choices, so the field rides on top of
 // previously minimized case seeds without disturbing their earlier
 // draws: most cases stay single-engine (Shards=0 exercises the direct
-// path and the ShardedRun identity), the rest split across 2-4 per-
+// path and the one-shard identity), the rest split across 2-4 per-
 // shard engines.
 func pickShards(r *sim.RNG) int {
 	if r.Bernoulli(0.3) {

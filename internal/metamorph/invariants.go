@@ -149,6 +149,12 @@ func desFeasible(cfg scenario.Config) bool {
 	return pop*req*horizonOf(cfg).Hours() <= 1.5e6
 }
 
+// atFidelity returns cfg set to run at fidelity f.
+func atFidelity(cfg scenario.Config, f scenario.Fidelity) scenario.Config {
+	cfg.Fidelity = f
+	return cfg
+}
+
 // --- generator-level (Lite) invariants --------------------------------
 
 // checkGrowthMonotone: an enrollment curve never shrinks and never
@@ -317,11 +323,13 @@ func checkSuperposeBound(_ scenario.Config, caseSeed uint64) (*Violation, string
 // checkParallelDeterminism: the same config run directly, and run as a
 // batch job on a 4-worker shared pool racing filler jobs, must produce
 // byte-identical results — the repo's central determinism contract,
-// here enforced on configs nobody hand-wrote.
+// here enforced on configs nobody hand-wrote. Both runs use the one
+// direct engine; shard-determinism owns the drawn Shards.
 func checkParallelDeterminism(cfg scenario.Config, caseSeed uint64) (*Violation, string) {
 	if !desFeasible(cfg) {
 		return nil, "config above the request-level budget"
 	}
+	cfg.Shards = 0
 	direct, err := scenario.Run(cfg)
 	if err != nil {
 		return &Violation{"parallel-determinism", "direct run failed: " + err.Error()}, ""
@@ -381,7 +389,8 @@ func splitLines(s string) []string {
 // make P95 latency meaningfully worse. More capacity never hurts. The
 // comparison carries a small tolerance because the two runs consume
 // their service/transfer streams in different completion orders, which
-// legitimately moves the quantile by a few percent.
+// legitimately moves the quantile by a few percent. Both runs use the
+// one direct engine.
 func checkCapacityMonotone(cfg scenario.Config, _ uint64) (*Violation, string) {
 	if cfg.Kind != deploy.Public && cfg.Kind != deploy.Hybrid {
 		return nil, "no elastic side to cap"
@@ -395,6 +404,7 @@ func checkCapacityMonotone(cfg scenario.Config, _ uint64) (*Violation, string) {
 	}
 	need := deploy.ServersForPeak(gen.MaxRate(), lms.TeachingMix().MeanService(lms.DefaultCatalog()))
 
+	cfg.Shards = 0
 	tight := cfg
 	tight.MaxPublicServers = max(2, need/3)
 	roomy := cfg
@@ -431,6 +441,7 @@ func checkCapacityMonotone(cfg scenario.Config, _ uint64) (*Violation, string) {
 // egress volume and compute consumption, and exactly on the capex-side
 // facts (host count). The brackets mirror crossfidelity_test.go's
 // hand-picked cases, so a fuzzed divergence means a real regime gap.
+// The request-level side is the one direct engine.
 func checkCrossFidelity(cfg scenario.Config, _ uint64) (*Violation, string) {
 	if cfg.Kind == deploy.Desktop {
 		return nil, "desktop has no fleet to cross-check"
@@ -460,11 +471,12 @@ func checkCrossFidelity(cfg scenario.Config, _ uint64) (*Violation, string) {
 		}
 	}
 
+	cfg.Shards = 0
 	des, err := scenario.Run(cfg)
 	if err != nil {
 		return &Violation{"cross-fidelity", "request-level run failed: " + err.Error()}, ""
 	}
-	fluid, err := scenario.FluidRun(cfg)
+	fluid, err := scenario.Run(atFidelity(cfg, scenario.FidelityFluid))
 	if err != nil {
 		return &Violation{"cross-fidelity", "fluid run failed: " + err.Error()}, ""
 	}
@@ -534,8 +546,7 @@ func checkCrossFidelity(cfg scenario.Config, _ uint64) (*Violation, string) {
 
 // checkShardDeterminism: the sharded execution path must preserve both
 // the determinism contract and the physics. For single-shard configs,
-// ShardedRun is byte-identical to the direct run — the full sharding
-// machinery executes with every share multiplier exactly 1.0. For
+// a one-shard run on a pool is byte-identical to the direct run. For
 // multi-shard configs, the merged result is a pure function of
 // (config, seed, K): byte-identical whatever the pool width; and the
 // documented fleet-split approximation must stay within tolerance of
@@ -551,7 +562,7 @@ func checkShardDeterminism(cfg scenario.Config, _ uint64) (*Violation, string) {
 		if err != nil {
 			return &Violation{"shard-determinism", "direct run failed: " + err.Error()}, ""
 		}
-		sharded, err := scenario.ShardedRun(one, scenario.NewPool(2))
+		sharded, err := scenario.NewPool(2).Run(one)
 		if err != nil {
 			return &Violation{"shard-determinism", "single-shard run failed: " + err.Error()}, ""
 		}
@@ -562,11 +573,11 @@ func checkShardDeterminism(cfg scenario.Config, _ uint64) (*Violation, string) {
 		return nil, ""
 	}
 
-	serial, err := scenario.ShardedRun(cfg, scenario.NewPool(1))
+	serial, err := scenario.NewPool(1).Run(cfg)
 	if err != nil {
 		return &Violation{"shard-determinism", "sharded run failed: " + err.Error()}, ""
 	}
-	pooled, err := scenario.ShardedRun(cfg, scenario.NewPool(4))
+	pooled, err := scenario.NewPool(4).Run(cfg)
 	if err != nil {
 		return &Violation{"shard-determinism", "pooled sharded run failed: " + err.Error()}, ""
 	}
@@ -611,21 +622,22 @@ func checkShardDeterminism(cfg scenario.Config, _ uint64) (*Violation, string) {
 
 // --- hybrid-fidelity invariants ---------------------------------------
 
-// checkHybridDeterminism: HybridRun's stitched result is a pure
-// function of (config, seed, plan) — byte-identical whatever the pool
-// width, for any generated config, windows sharded or not. This is the
-// hybrid analogue of shard-determinism's worker-independence clause;
-// the empty-plan == FluidRun identity and the per-window conservation
-// law are pinned by internal/scenario's property tests.
+// checkHybridDeterminism: an auto-fidelity run's stitched result is a
+// pure function of (config, seed, plan) — byte-identical whatever the
+// pool width, for any generated config, windows sharded or not. This is
+// the hybrid analogue of shard-determinism's worker-independence
+// clause; the empty-plan == fluid-run identity and the per-window
+// conservation law are pinned by internal/scenario's property tests.
 func checkHybridDeterminism(cfg scenario.Config, _ uint64) (*Violation, string) {
 	if !desFeasible(cfg) {
 		return nil, "config above the request-level budget"
 	}
-	serial, err := scenario.HybridRun(cfg, scenario.NewPool(1))
+	cfg = atFidelity(cfg, scenario.FidelityAuto)
+	serial, err := scenario.NewPool(1).Run(cfg)
 	if err != nil {
 		return &Violation{"hybrid-determinism", "serial hybrid run failed: " + err.Error()}, ""
 	}
-	pooled, err := scenario.HybridRun(cfg, scenario.NewPool(4))
+	pooled, err := scenario.NewPool(4).Run(cfg)
 	if err != nil {
 		return &Violation{"hybrid-determinism", "pooled hybrid run failed: " + err.Error()}, ""
 	}
@@ -638,11 +650,11 @@ func checkHybridDeterminism(cfg scenario.Config, _ uint64) (*Violation, string) 
 
 // checkHybridAgreement: on regimes where the fidelity seams are the
 // only approximation — no outages, no threat model, no exam mix shifts
-// in fluid time — HybridRun must track the whole-horizon request-level
-// run within documented bands: exactly on the capex-side facts, within
-// tolerance on served mass, egress and public compute. Shards are
-// zeroed on both sides so the comparison isolates the seam error from
-// the sharded engine's separately-bounded split-fleet drift
+// in fluid time — an auto-fidelity run must track the whole-horizon
+// request-level run within documented bands: exactly on the capex-side
+// facts, within tolerance on served mass, egress and public compute.
+// Shards are zeroed on both sides so the comparison isolates the seam
+// error from the sharded engine's separately-bounded split-fleet drift
 // (shard-determinism owns that band).
 func checkHybridAgreement(cfg scenario.Config, _ uint64) (*Violation, string) {
 	if cfg.Kind == deploy.Desktop {
@@ -690,7 +702,7 @@ func checkHybridAgreement(cfg scenario.Config, _ uint64) (*Violation, string) {
 	if err != nil {
 		return &Violation{"hybrid-agreement", "request-level run failed: " + err.Error()}, ""
 	}
-	hyb, err := scenario.HybridRun(un, scenario.NewPool(2))
+	hyb, err := scenario.NewPool(2).Run(atFidelity(un, scenario.FidelityAuto))
 	if err != nil {
 		return &Violation{"hybrid-agreement", "hybrid run failed: " + err.Error()}, ""
 	}
@@ -858,6 +870,7 @@ func checkSeedBand(cfg scenario.Config, caseSeed uint64) (*Violation, string) {
 	for i := 0; i < bandSeeds; i++ {
 		sub := cfg
 		sub.Seed = sim.SeedFor(caseSeed, fmt.Sprintf("metamorph/band/%d", i))
+		sub.Shards = 0 // the one direct engine
 		r, err := scenario.Run(sub)
 		if err != nil {
 			return &Violation{"seed-band", fmt.Sprintf("des run at band seed %d failed: %v", i, err)}, ""
@@ -882,8 +895,8 @@ func checkSeedBand(cfg scenario.Config, caseSeed uint64) (*Violation, string) {
 		return v, ""
 	}
 
-	// Hybrid path: same statistic through HybridRun, when the planner
-	// opens windows (an empty plan is the FluidRun identity — nothing
+	// Hybrid path: same statistic at FidelityAuto, when the planner
+	// opens windows (an empty plan is the fluid-run identity — nothing
 	// request-level left to band).
 	if cfg.Kind == deploy.Desktop {
 		return nil, ""
@@ -897,9 +910,9 @@ func checkSeedBand(cfg scenario.Config, caseSeed uint64) (*Violation, string) {
 	vmhs, egs = vmhs[:0], egs[:0]
 	maxOffline = 0
 	for i := 0; i < bandSeeds; i++ {
-		sub := cfg
+		sub := atFidelity(cfg, scenario.FidelityAuto)
 		sub.Seed = sim.SeedFor(caseSeed, fmt.Sprintf("metamorph/band/%d", i))
-		r, err := scenario.HybridRun(sub, pool)
+		r, err := pool.Run(sub)
 		if err != nil {
 			return &Violation{"seed-band", fmt.Sprintf("hybrid run at band seed %d failed: %v", i, err)}, ""
 		}

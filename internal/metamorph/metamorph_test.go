@@ -89,8 +89,8 @@ func TestCaseSeedDerivation(t *testing.T) {
 
 // TestGeneratedConfigsAreValid: every family's configs pass the
 // workload generator's and the scenario runner's validation across a
-// spread of seeds. Fluid-scale configs are validated via FluidRun;
-// DES-scale ones must build a generator cleanly.
+// spread of seeds. Every config is validated by a fluid run; DES-scale
+// ones must build a generator cleanly.
 func TestGeneratedConfigsAreValid(t *testing.T) {
 	n := 40
 	if testing.Short() {
@@ -104,8 +104,8 @@ func TestGeneratedConfigsAreValid(t *testing.T) {
 					f.Name, i, err, strings.Join(DescribeConfig(c.Cfg), "\n"))
 			}
 			if c.Cfg.Kind != deploy.Desktop {
-				if _, err := scenario.FluidRun(c.Cfg); err != nil {
-					t.Errorf("%s case %d: FluidRun rejected config: %v", f.Name, i, err)
+				if _, err := scenario.Run(atFidelity(c.Cfg, scenario.FidelityFluid)); err != nil {
+					t.Errorf("%s case %d: fluid run rejected config: %v", f.Name, i, err)
 				}
 			}
 		}

@@ -11,8 +11,10 @@ import (
 )
 
 // This file is the deterministic parallel batch runner. Experiments
-// declare their scenario sets as named jobs and a shared worker pool
-// fans them out across goroutines. Determinism contract:
+// declare their scenario sets as named jobs, each a Config that
+// Pool.Run runs at its own Fidelity, and a shared worker pool fans the
+// jobs out across goroutines, together with each run's own fan-out
+// (shard engines, hybrid windows). Determinism contract:
 //
 //   - A job's randomness is fixed when the job is declared: its RNG
 //     streams are rooted at its own Config.Seed, which the caller sets
@@ -22,8 +24,8 @@ import (
 //     — ever reaches a job's RNG. (Two jobs given identical configs and
 //     the same explicit seed are identical runs; distinct names
 //     decorrelate only derived seeds.)
-//   - Jobs share no mutable state: every Run/FluidRun builds its own
-//     engine, fleets, topology and metrics.
+//   - Jobs share no mutable state: every run builds its own engines,
+//     fleets, topology and metrics.
 //   - Results are collected in submission order and errors propagate
 //     first-submitted-first, regardless of which worker ran a job or in
 //     what order jobs finished.
@@ -42,11 +44,11 @@ func SeedFor(seed uint64, name string) uint64 { return sim.SeedFor(seed, name) }
 
 // Pool is a shared, work-conserving worker pool: a weighted semaphore
 // whose tokens span every batch and ForEach that runs on it, however
-// deeply they nest. The goroutine that calls ForEach (or RunAll /
-// Batch.RunOn) is itself the first worker and needs no token; each
-// helper goroutine is recruited with one token, and a pool of workers
-// holds workers-1 helper tokens, so global concurrency never exceeds
-// workers no matter how many levels share the pool.
+// deeply they nest. The goroutine that calls ForEach (or Batch.RunOn,
+// or a Run that fans out) is itself the first worker and needs no
+// token; each helper goroutine is recruited with one token, and a pool
+// of workers holds workers-1 helper tokens, so global concurrency never
+// exceeds workers no matter how many levels share the pool.
 //
 // Two properties follow from "callers always run their own jobs
 // inline":
@@ -225,67 +227,17 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// Job is one named, independent scenario execution within a batch.
-type Job struct {
-	// Name identifies the job; names must be unique within a batch
-	// because they key result lookup and seed derivation.
-	Name string
-	// Cfg is the scenario under test. A zero Cfg.Seed is replaced by
-	// SeedFor(batch seed, Name) when the job runs through a Batch.
-	Cfg Config
-	// Fluid selects the flow-level FluidRun instead of the request-level
-	// Run.
-	Fluid bool
+// job is one named, independent scenario run within a batch.
+type job struct {
+	name string
+	cfg  Config
 }
 
-// JobResult pairs a job name with its outcome at the job's fidelity.
-type JobResult struct {
-	Name string
-	Res  *Result
-}
-
-// RunAll executes jobs on the pool and returns their results in
-// submission order. If any job fails, the error of the first-submitted
-// failing job is returned (wrapped with its name) and the results are
-// discarded. The pool never affects the results — only how fast they
-// arrive.
-func (p *Pool) RunAll(jobs []Job) ([]JobResult, error) {
-	seen := make(map[string]bool, len(jobs))
-	for _, j := range jobs {
-		if j.Name == "" {
-			return nil, fmt.Errorf("scenario: batch job with empty name")
-		}
-		if seen[j.Name] {
-			return nil, fmt.Errorf("scenario: duplicate batch job %q", j.Name)
-		}
-		seen[j.Name] = true
-	}
-	out := make([]JobResult, len(jobs))
-	err := p.ForEach(len(jobs), func(i int) error {
-		j := jobs[i]
-		out[i].Name = j.Name
-		run := Run
-		if j.Fluid {
-			run = FluidRun
-		}
-		r, err := run(j.Cfg)
-		if err != nil {
-			return fmt.Errorf("job %q: %w", j.Name, err)
-		}
-		out[i].Res = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Batch accumulates named jobs and runs them through Pool.RunAll. The zero
-// value is not usable; construct with NewBatch.
+// Batch accumulates named jobs and runs them on a Pool. The zero value
+// is not usable; construct with NewBatch.
 type Batch struct {
 	seed uint64
-	jobs []Job
+	jobs []job
 }
 
 // NewBatch returns an empty batch. seed is the root for derived job
@@ -293,47 +245,57 @@ type Batch struct {
 // SeedFor(seed, job name).
 func NewBatch(seed uint64) *Batch { return &Batch{seed: seed} }
 
-// Add queues a request-level (DES) job and returns the batch for
-// chaining.
+// Add queues a job that runs cfg at its Config.Fidelity, and returns
+// the batch for chaining. Names must be unique within a batch, because
+// they key result lookup and seed derivation.
 func (b *Batch) Add(name string, cfg Config) *Batch {
-	return b.add(name, cfg, false)
-}
-
-// AddFluid queues a flow-level job and returns the batch for chaining.
-func (b *Batch) AddFluid(name string, cfg Config) *Batch {
-	return b.add(name, cfg, true)
-}
-
-func (b *Batch) add(name string, cfg Config, fluid bool) *Batch {
 	if cfg.Seed == 0 {
 		cfg.Seed = SeedFor(b.seed, name)
 	}
-	b.jobs = append(b.jobs, Job{Name: name, Cfg: cfg, Fluid: fluid})
+	b.jobs = append(b.jobs, job{name: name, cfg: cfg})
 	return b
 }
 
-// RunOn executes every queued job on the shared pool and returns the
-// collected results. This is how nested batches stay work-conserving:
-// an experiment handed the suite-wide pool runs its jobs on the same
-// tokens the across-experiments loop uses, so a core freed by any level
-// is claimed by any other. A nil pool means a one-off DefaultWorkers
-// pool.
+// RunOn runs every queued job through p.Run, in submission order. An
+// empty or duplicate name fails before any job runs; otherwise the
+// first-submitted failing job's error, wrapped with its name, is
+// returned. The pool never affects the results, only how fast they
+// arrive: an experiment handed the suite-wide pool runs its jobs (and
+// their shard engines and hybrid windows) on the same tokens as every
+// other level. A nil pool means one DefaultWorkers pool for the batch.
 func (b *Batch) RunOn(p *Pool) (*BatchResults, error) {
-	ordered, err := p.RunAll(b.jobs)
+	byName := make(map[string]int, len(b.jobs))
+	for i, j := range b.jobs {
+		if j.name == "" {
+			return nil, fmt.Errorf("scenario: batch job with empty name")
+		}
+		if _, dup := byName[j.name]; dup {
+			return nil, fmt.Errorf("scenario: duplicate batch job %q", j.name)
+		}
+		byName[j.name] = i
+	}
+	if p == nil {
+		p = NewPool(0)
+	}
+	results := make([]*Result, len(b.jobs))
+	err := p.ForEach(len(b.jobs), func(i int) error {
+		r, err := p.Run(b.jobs[i].cfg)
+		if err != nil {
+			return fmt.Errorf("job %q: %w", b.jobs[i].name, err)
+		}
+		results[i] = r
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	byName := make(map[string]int, len(ordered))
-	for i, r := range ordered {
-		byName[r.Name] = i
-	}
-	return &BatchResults{ordered: ordered, byName: byName}, nil
+	return &BatchResults{results: results, byName: byName}, nil
 }
 
 // BatchResults holds a batch's outcomes, addressable by submission order
 // or by job name.
 type BatchResults struct {
-	ordered []JobResult
+	results []*Result
 	byName  map[string]int
 }
 
@@ -345,5 +307,5 @@ func (r *BatchResults) Result(name string) *Result {
 	if !ok {
 		panic(fmt.Sprintf("scenario: no batch job named %q", name))
 	}
-	return r.ordered[i].Res
+	return r.results[i]
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -43,58 +44,124 @@ func fingerprint(r *Result) string {
 	return b.String()
 }
 
-// TestRunAllWorkerCountInvariant is the heart of the determinism
+// batchOf queues jobs on a fresh batch, in order.
+func batchOf(jobs ...job) *Batch {
+	b := NewBatch(1)
+	for _, j := range jobs {
+		b.Add(j.name, j.cfg)
+	}
+	return b
+}
+
+// at returns cfg set to run at fidelity f.
+func at(cfg Config, f Fidelity) Config {
+	cfg.Fidelity = f
+	return cfg
+}
+
+// TestBatchWorkerCountDeterminism is the heart of the determinism
 // contract: the same jobs produce byte-identical results whether run
 // serially or on a pool, in every collection slot.
-func TestRunAllWorkerCountInvariant(t *testing.T) {
+func TestBatchWorkerCountDeterminism(t *testing.T) {
 	t.Parallel()
-	jobs := []Job{
-		{Name: "public", Cfg: smallCfg(11, deploy.Public)},
-		{Name: "private", Cfg: smallCfg(11, deploy.Private)},
-		{Name: "hybrid", Cfg: smallCfg(11, deploy.Hybrid)},
-		{Name: "public-fluid", Cfg: smallCfg(11, deploy.Public), Fluid: true},
-		{Name: "desktop", Cfg: smallCfg(11, deploy.Desktop)},
-	}
-	serial, err := NewPool(1).RunAll(jobs)
+	b := batchOf(
+		job{"public", smallCfg(11, deploy.Public)},
+		job{"private", smallCfg(11, deploy.Private)},
+		job{"hybrid", smallCfg(11, deploy.Hybrid)},
+		job{"public-fluid", at(smallCfg(11, deploy.Public), FidelityFluid)},
+		job{"desktop", smallCfg(11, deploy.Desktop)},
+	)
+	serial, err := b.RunOn(NewPool(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
-		par, err := NewPool(workers).RunAll(jobs)
+		par, err := b.RunOn(NewPool(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(par), len(serial))
+		if len(par.results) != len(serial.results) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(par.results), len(serial.results))
 		}
-		for i := range serial {
-			if par[i].Name != serial[i].Name {
-				t.Fatalf("workers=%d: slot %d holds %q, want %q (submission order broken)",
-					workers, i, par[i].Name, serial[i].Name)
+		for i, j := range b.jobs {
+			if par.Result(j.name) != par.results[i] {
+				t.Fatalf("workers=%d: %q does not name slot %d (submission order broken)", workers, j.name, i)
 			}
-			got, want := fingerprint(par[i].Res), fingerprint(serial[i].Res)
+			got, want := fingerprint(par.results[i]), fingerprint(serial.results[i])
 			if got != want {
-				t.Fatalf("workers=%d job %q diverged:\n got %s\nwant %s",
-					workers, serial[i].Name, got, want)
+				t.Fatalf("workers=%d job %q diverged:\n got %s\nwant %s", workers, j.name, got, want)
 			}
 		}
 	}
 }
 
-// TestRunAllFirstErrorWins: the reported error is the first-submitted
+// TestBatchMixedFidelityDeterminism: one batch mixing every fidelity —
+// DES, fluid, auto with real burst windows, and sharded DES and auto
+// runs whose engines fan out on the batch's own pool — is identical
+// field for field on pools of 1 and 4 workers, and each job ran at its
+// own fidelity.
+func TestBatchMixedFidelityDeterminism(t *testing.T) {
+	t.Parallel()
+	storm := stormyCfg(17)
+	storm.Students = 300
+	sharded := smallCfg(11, deploy.Hybrid)
+	sharded.Shards = 3
+	shardedStorm := storm
+	shardedStorm.Shards = 2
+	b := batchOf(
+		job{"des", smallCfg(11, deploy.Public)},
+		job{"fluid", at(smallCfg(11, deploy.Public), FidelityFluid)},
+		job{"auto", at(storm, FidelityAuto)},
+		job{"sharded", sharded},
+		job{"auto-sharded", at(shardedStorm, FidelityAuto)},
+	)
+	serial, err := b.RunOn(NewPool(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := b.RunOn(NewPool(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range b.jobs {
+		if !reflect.DeepEqual(serial.results[i], pooled.results[i]) {
+			t.Fatalf("job %q differs between 1 and 4 workers:\n 1: %s\n 4: %s",
+				j.name, fingerprint(serial.results[i]), fingerprint(pooled.results[i]))
+		}
+	}
+	if r := serial.Result("des"); r.Events == 0 || r.FluidSimHours != 0 || r.Shards != 0 {
+		t.Errorf("des job: %d events, %v fluid hours, %d shards", r.Events, r.FluidSimHours, r.Shards)
+	}
+	if r := serial.Result("fluid"); r.Events != 0 || r.FluidSimHours != r.Duration.Hours() {
+		t.Errorf("fluid job: %d events, %v fluid hours", r.Events, r.FluidSimHours)
+	}
+	for _, name := range []string{"auto", "auto-sharded"} {
+		if r := serial.Result(name); r.DESSimHours == 0 || r.FluidSimHours == 0 {
+			t.Errorf("%s job: %v DES hours, %v fluid hours, want both", name, r.DESSimHours, r.FluidSimHours)
+		}
+	}
+	if r := serial.Result("sharded"); r.Shards != 3 || len(r.ShardEvents) != 3 {
+		t.Errorf("sharded job: Shards = %d, ShardEvents = %v", r.Shards, r.ShardEvents)
+	}
+	if a, s := serial.Result("auto"), serial.Result("auto-sharded"); a.Events == s.Events {
+		t.Errorf("auto windows ignored Shards: %d events either way", a.Events)
+	}
+}
+
+// TestBatchFirstErrorWins: the reported error is the first-submitted
 // failure, not whichever worker failed first.
-func TestRunAllFirstErrorWins(t *testing.T) {
+func TestBatchFirstErrorWins(t *testing.T) {
 	t.Parallel()
 	bad := smallCfg(11, deploy.Public)
 	bad.Students = 0 // invalid: Run rejects it
-	jobs := []Job{
-		{Name: "ok-0", Cfg: smallCfg(11, deploy.Public)},
-		{Name: "bad-1", Cfg: bad},
-		{Name: "ok-2", Cfg: smallCfg(11, deploy.Private)},
-		{Name: "bad-3", Cfg: bad},
-	}
+	b := batchOf(
+		job{"ok-0", smallCfg(11, deploy.Public)},
+		job{"bad-1", bad},
+		job{"ok-2", smallCfg(11, deploy.Private)},
+		job{"bad-3", bad},
+	)
 	for _, workers := range []int{1, 4} {
-		_, err := NewPool(workers).RunAll(jobs)
+		_, err := b.RunOn(NewPool(workers))
 		if err == nil {
 			t.Fatalf("workers=%d: invalid job accepted", workers)
 		}
@@ -104,18 +171,18 @@ func TestRunAllFirstErrorWins(t *testing.T) {
 	}
 }
 
-// TestRunAllRejectsBadNames: empty and duplicate names break result
+// TestBatchRejectsBadNames: empty and duplicate names break result
 // addressing and seed derivation, so the batch refuses them up front.
-func TestRunAllRejectsBadNames(t *testing.T) {
+func TestBatchRejectsBadNames(t *testing.T) {
 	t.Parallel()
-	if _, err := NewPool(1).RunAll([]Job{{Name: "", Cfg: smallCfg(1, deploy.Public)}}); err == nil {
+	if _, err := batchOf(job{"", smallCfg(1, deploy.Public)}).RunOn(NewPool(1)); err == nil {
 		t.Fatal("empty job name accepted")
 	}
-	dup := []Job{
-		{Name: "x", Cfg: smallCfg(1, deploy.Public)},
-		{Name: "x", Cfg: smallCfg(1, deploy.Private)},
-	}
-	if _, err := NewPool(4).RunAll(dup); err == nil {
+	dup := batchOf(
+		job{"x", smallCfg(1, deploy.Public)},
+		job{"x", smallCfg(1, deploy.Private)},
+	)
+	if _, err := dup.RunOn(NewPool(4)); err == nil {
 		t.Fatal("duplicate job name accepted")
 	}
 }
@@ -129,16 +196,16 @@ func TestBatchSeedDerivation(t *testing.T) {
 	if len(b.jobs) != 2 {
 		t.Fatalf("jobs = %d", len(b.jobs))
 	}
-	if got, want := b.jobs[0].Cfg.Seed, SeedFor(7, "a"); got != want {
+	if got, want := b.jobs[0].cfg.Seed, SeedFor(7, "a"); got != want {
 		t.Fatalf("derived seed = %d, want SeedFor(7, a) = %d", got, want)
 	}
-	if b.jobs[0].Cfg.Seed == b.jobs[1].Cfg.Seed {
+	if b.jobs[0].cfg.Seed == b.jobs[1].cfg.Seed {
 		t.Fatal("distinct job names derived the same seed")
 	}
 	explicit := smallCfg(42, deploy.Public)
 	b2 := NewBatch(7).Add("a", explicit)
-	if b2.jobs[0].Cfg.Seed != 42 {
-		t.Fatalf("explicit seed overwritten: %d", b2.jobs[0].Cfg.Seed)
+	if b2.jobs[0].cfg.Seed != 42 {
+		t.Fatalf("explicit seed overwritten: %d", b2.jobs[0].cfg.Seed)
 	}
 }
 
@@ -149,7 +216,7 @@ func TestBatchResultLookup(t *testing.T) {
 	cfg := smallCfg(11, deploy.Public)
 	b := NewBatch(11).
 		Add("des", cfg).
-		AddFluid("fluid", cfg)
+		Add("fluid", at(cfg, FidelityFluid))
 	res, err := b.RunOn(NewPool(2))
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +230,8 @@ func TestBatchResultLookup(t *testing.T) {
 	if fluid := res.Result("fluid"); fluid.FluidSimHours != cfg.Duration.Hours() || fluid.Events != 0 {
 		t.Fatalf("fluid job ran at the wrong fidelity: %v fluid hours, %d events", fluid.FluidSimHours, fluid.Events)
 	}
-	if len(res.ordered) != 2 || res.ordered[0].Name != "des" {
-		t.Fatalf("submission order wrong: %+v", res.ordered)
+	if len(res.results) != 2 || res.results[0] != res.Result("des") {
+		t.Fatalf("submission order wrong: %d results", len(res.results))
 	}
 	expectPanic(t, func() { res.Result("missing") })
 }
@@ -269,29 +336,29 @@ func TestPoolWorkConservingHandoff(t *testing.T) {
 // result relative to the fully serial path, for any worker count.
 func TestPoolNestedBatchDeterminism(t *testing.T) {
 	t.Parallel()
-	groups := [][]Job{
-		{
-			{Name: "public", Cfg: smallCfg(11, deploy.Public)},
-			{Name: "private", Cfg: smallCfg(11, deploy.Private)},
-		},
-		{
-			{Name: "hybrid", Cfg: smallCfg(11, deploy.Hybrid)},
-			{Name: "desktop", Cfg: smallCfg(11, deploy.Desktop)},
-			{Name: "public-fluid", Cfg: smallCfg(11, deploy.Public), Fluid: true},
-		},
+	groups := []*Batch{
+		batchOf(
+			job{"public", smallCfg(11, deploy.Public)},
+			job{"private", smallCfg(11, deploy.Private)},
+		),
+		batchOf(
+			job{"hybrid", smallCfg(11, deploy.Hybrid)},
+			job{"desktop", smallCfg(11, deploy.Desktop)},
+			job{"public-fluid", at(smallCfg(11, deploy.Public), FidelityFluid)},
+		),
 	}
 	render := func(workers int) []string {
 		t.Helper()
 		p := NewPool(workers)
 		out := make([]string, len(groups))
 		err := p.ForEach(len(groups), func(g int) error {
-			res, err := p.RunAll(groups[g]) // nested on the same pool
+			res, err := groups[g].RunOn(p) // nested on the same pool
 			if err != nil {
 				return err
 			}
 			var b strings.Builder
-			for _, r := range res {
-				fmt.Fprintf(&b, "%s: %s\n", r.Name, fingerprint(r.Res))
+			for i, j := range groups[g].jobs {
+				fmt.Fprintf(&b, "%s: %s\n", j.name, fingerprint(res.results[i]))
 			}
 			out[g] = b.String()
 			return nil

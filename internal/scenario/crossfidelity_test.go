@@ -27,7 +27,7 @@ func TestFluidTracksDESConsumption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fluid, err := FluidRun(cfg)
+	fluid, err := Run(at(cfg, FidelityFluid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFluidTracksDESRandomConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}
-		fluid, err := FluidRun(cfg)
+		fluid, err := Run(at(cfg, FidelityFluid))
 		if err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}
@@ -147,7 +147,7 @@ func TestFluidTracksDESPrivateSizing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fluid, err := FluidRun(cfg)
+		fluid, err := Run(at(cfg, FidelityFluid))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

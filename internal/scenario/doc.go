@@ -1,25 +1,30 @@
 // Package scenario binds every substrate into end-to-end experiments: a
 // deployment model serving the e-learning workload over a network, with
-// autoscaling, sessions, threats and cost accounting. It has four entry
-// points, all returning one Result type:
+// autoscaling, sessions, threats and cost accounting. It has one entry
+// point, Pool.Run (Run is Pool.Run on a nil pool), which defaults a
+// Config, runs it at its Config.Fidelity and bills the Result once:
 //
-//   - Run: full request-level discrete-event simulation, for experiments
-//     where latency distributions and overload behavior matter (exam
-//     spikes, network outages). Horizons of hours to a few days.
-//   - FluidRun: a flow-level approximation that steps the arrival-rate
-//     curve and integrates capacity, utilization and cost, for
-//     semester-scale TCO and utilization studies where per-request
+//   - FidelityDES (the default): full request-level discrete-event
+//     simulation, for experiments where latency distributions and
+//     overload behavior matter (exam spikes, network outages). Horizons
+//     of hours to a few days. Config.Shards splits the engine into K
+//     per-shard engines on the pool (sharded.go); K ≤ 1 is one engine.
+//   - FidelityFluid: a flow-level approximation that steps the
+//     arrival-rate curve and integrates capacity, utilization and cost,
+//     for semester-scale TCO and utilization studies where per-request
 //     queueing is irrelevant. Its Result has no latency samples.
-//   - ShardedRun: Run split across K per-shard engines on the pool
-//     (sharded.go); K ≤ 1 is Run itself.
-//   - HybridRun: fluid integration through the quiet stretches and
-//     request-level windows through the bursts, stitched at the seams
-//     (hybrid.go).
+//   - FidelityAuto: fluid integration through the quiet stretches and
+//     request-level windows (sharded like FidelityDES) through the
+//     bursts, stitched at the seams (hybrid.go).
+//
+// PlanFidelity reports the windows FidelityAuto would open, and
+// HybridSpotCheck runs one of them alone: the one run path besides
+// Pool.Run, because it runs one window of a plan rather than a config.
 //
 // Every request-level path runs through one function, runEngine in
 // runner.go, and every fleet size, host count and asset placement comes
-// from internal/deploy's one rule. All four are deterministic given
-// (seed, config).
+// from internal/deploy's one rule. Every fidelity is deterministic
+// given (seed, config).
 //
 // The package also hosts the deterministic parallel batch runner
 // (batch.go): experiments declare independent scenario executions as

@@ -11,16 +11,16 @@ import (
 	"elearncloud/internal/workload"
 )
 
-// fluidStep is the integration step for FluidRun — and the grid the
+// fluidStep is the integration step of a fluid run — and the grid the
 // hybrid fidelity planner aligns its DES windows to, so a hybrid run's
-// fluid segments step through exactly the instants a full FluidRun
-// would, in the same order, accumulating the same floats.
+// fluid segments step through exactly the instants a whole-horizon
+// fluid run would, in the same order, accumulating the same floats.
 const fluidStep = 5 * time.Minute
 
 // fluidModel is the flow-level integrator's fixed state: everything
 // derived from the config once, so integration can be applied to the
-// whole horizon (FluidRun) or resumed segment by segment around DES
-// windows (HybridRun) with identical arithmetic.
+// whole horizon (FidelityFluid) or resumed segment by segment around
+// DES windows (FidelityAuto) with identical arithmetic.
 type fluidModel struct {
 	cfg         Config // defaulted
 	gen         *workload.Generator
@@ -118,7 +118,7 @@ func (m *fluidModel) newAccum() *fluidAccum {
 // horizon's quiet segments in time order with fluidStep-aligned
 // boundaries, visits the same instants with the same accumulation
 // order — the float-determinism property the empty-plan hybrid test
-// pins against FluidRun.
+// pins against a fluid run.
 func (m *fluidModel) integrate(acc *fluidAccum, from, to time.Duration) {
 	res := acc.res
 	stepHours := fluidStep.Hours()
@@ -160,16 +160,12 @@ func (m *fluidModel) integrate(acc *fluidAccum, from, to time.Duration) {
 	}
 }
 
-// FluidRun integrates the arrival-rate curve into capacity, utilization
-// and cost. Use it for semester- and year-scale questions (Figures 3-4);
-// use Run when latency distributions matter, and HybridRun when only
-// the bursty windows do. The flow model has no requests, so the
-// Result's Latency, Utilization and P95Series are empty; its
-// FluidSimHours is the horizon.
-func FluidRun(cfg Config) (*Result, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
+// runFluid integrates a defaulted cfg's arrival-rate curve into
+// capacity, utilization and consumption over the whole horizon
+// (FidelityFluid). The flow model has no requests, so the Result's
+// Latency, Utilization and P95Series are empty; its FluidSimHours is
+// the horizon.
+func runFluid(cfg Config) (*Result, error) {
 	m, err := newFluidModel(cfg)
 	if err != nil {
 		return nil, err
@@ -194,8 +190,5 @@ func FluidRun(cfg Config) (*Result, error) {
 	res.FluidSimHours = cfg.Duration.Hours()
 	// The flow model assumes the last mile is up.
 	res.NetAvailability = 1
-	if err := res.bill(cfg); err != nil {
-		return nil, err
-	}
 	return res, nil
 }

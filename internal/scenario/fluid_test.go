@@ -9,6 +9,7 @@ import (
 
 func fluidCfg(kind deploy.Kind, students int) Config {
 	return Config{
+		Fidelity:          FidelityFluid,
 		Seed:              1,
 		Kind:              kind,
 		Students:          students,
@@ -19,11 +20,11 @@ func fluidCfg(kind deploy.Kind, students int) Config {
 }
 
 func TestFluidSemesterShapes(t *testing.T) {
-	pub, err := FluidRun(fluidCfg(deploy.Public, 2000))
+	pub, err := Run(fluidCfg(deploy.Public, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	priv, err := FluidRun(fluidCfg(deploy.Private, 2000))
+	priv, err := Run(fluidCfg(deploy.Private, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +58,11 @@ func TestFluidSemesterShapes(t *testing.T) {
 }
 
 func TestFluidHybridBetween(t *testing.T) {
-	pub, err := FluidRun(fluidCfg(deploy.Public, 2000))
+	pub, err := Run(fluidCfg(deploy.Public, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := FluidRun(fluidCfg(deploy.Hybrid, 2000))
+	hyb, err := Run(fluidCfg(deploy.Hybrid, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,11 @@ func TestFluidHybridBetween(t *testing.T) {
 func TestFluidCostCrossover(t *testing.T) {
 	// Small school: public wins. Big university: private wins. This is
 	// the Figure 3 crossover in miniature.
-	smallPub, err := FluidRun(fluidCfg(deploy.Public, 200))
+	smallPub, err := Run(fluidCfg(deploy.Public, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	smallPriv, err := FluidRun(fluidCfg(deploy.Private, 200))
+	smallPriv, err := Run(fluidCfg(deploy.Private, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +92,11 @@ func TestFluidCostCrossover(t *testing.T) {
 		t.Fatalf("small scale: public %v >= private %v",
 			smallPub.Cost.Total(), smallPriv.Cost.Total())
 	}
-	bigPub, err := FluidRun(fluidCfg(deploy.Public, 20000))
+	bigPub, err := Run(fluidCfg(deploy.Public, 20000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigPriv, err := FluidRun(fluidCfg(deploy.Private, 20000))
+	bigPriv, err := Run(fluidCfg(deploy.Private, 20000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestFluidCostCrossover(t *testing.T) {
 }
 
 func TestFluidDesktop(t *testing.T) {
-	res, err := FluidRun(fluidCfg(deploy.Desktop, 1000))
+	res, err := Run(fluidCfg(deploy.Desktop, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +120,11 @@ func TestFluidDesktop(t *testing.T) {
 }
 
 func TestFluidCostPerStudentScaleEconomies(t *testing.T) {
-	small, err := FluidRun(fluidCfg(deploy.Private, 500))
+	small, err := Run(fluidCfg(deploy.Private, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := FluidRun(fluidCfg(deploy.Private, 10000))
+	big, err := Run(fluidCfg(deploy.Private, 10000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,23 +135,20 @@ func TestFluidCostPerStudentScaleEconomies(t *testing.T) {
 }
 
 func TestFluidValidation(t *testing.T) {
-	if _, err := FluidRun(Config{}); err == nil {
+	if _, err := Run(Config{Fidelity: FidelityFluid}); err == nil {
 		t.Fatal("zero config accepted")
 	}
 	for _, bad := range badEnumCfgs() {
-		expectErrorNaming(t, "FluidRun", bad.cfg, func(c Config) error {
-			_, err := FluidRun(c)
-			return err
-		}, bad.value)
+		expectErrorNaming(t, "fluid", bad.cfg, runAt(FidelityFluid), bad.value)
 	}
 }
 
 func TestFluidDeterminism(t *testing.T) {
-	a, err := FluidRun(fluidCfg(deploy.Hybrid, 1500))
+	a, err := Run(fluidCfg(deploy.Hybrid, 1500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FluidRun(fluidCfg(deploy.Hybrid, 1500))
+	b, err := Run(fluidCfg(deploy.Hybrid, 1500))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ package scenario
 //     multiplier bound reaches Config.HybridIntensity, padded by
 //     Config.HybridGuard on each side and aligned to the fluid
 //     integration grid (fluidStep), so fluid segments accumulate floats
-//     in exactly FluidRun's order. The plan is a pure function of the
+//     in exactly a fluid run's order. The plan is a pure function of the
 //     config — no RNG — so every worker count produces the same plan.
 //   - Each DES window runs as an ordinary pool job with RNG streams
 //     rooted at SeedFor(seed, "hybrid/<window>"), riding the sharded
@@ -37,9 +37,9 @@ package scenario
 // boundary property tests in hybrid_test.go pin the conservation
 // identity Arrivals == Served + Rejected + Offline + KilledJobs +
 // CarriedOut inside every window, VM-hour additivity across seams, the
-// exact-FluidRun identity for empty plans, and the cross-fidelity band
-// for all-DES plans; the hybrid metamorph family fuzzes the agreement
-// against Run.
+// exact fluid-run identity for empty plans, and the cross-fidelity
+// band for all-DES plans; the hybrid metamorph family fuzzes the
+// agreement against the request-level run.
 
 import (
 	"fmt"
@@ -101,8 +101,8 @@ func (m *fluidModel) desWindows() []desWindow {
 	return des
 }
 
-// PlanFidelity runs only the planner: the partition HybridRun would
-// execute for cfg. Deterministic — no RNG is consulted.
+// PlanFidelity runs only the planner: the partition a FidelityAuto run
+// of cfg would execute. Deterministic — no RNG is consulted.
 func PlanFidelity(cfg Config) (*FidelityPlan, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -116,22 +116,26 @@ func PlanFidelity(cfg Config) (*FidelityPlan, error) {
 	}, nil
 }
 
-// HybridRun executes cfg at automatic fidelity: fluid integration
-// through quiet stretches, request-level DES (honoring Config.Shards)
-// inside burst windows, state stitched across each boundary. The
-// result is a pure function of (config, seed, plan) at any -parallel.
-// A nil pool runs windows on a one-off DefaultWorkers pool.
-//
-// Compared to Run, the Result's Latency, P95Series and Utilization
-// cover only the DES windows — the storm regimes, which are the ones
-// with latency worth measuring — while Served, VM-hours, egress and
-// Cost cover the whole horizon. Shards/ShardEvents stay zero (window
-// shard layouts are per-window; FluidSimHours/DESSimHours record the
-// fidelity split instead).
+// HybridRun is pool.Run(cfg) at FidelityAuto. It stays only because
+// bench's elperf calls it by name; set Config.Fidelity instead.
 func HybridRun(cfg Config, pool *Pool) (*Result, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
+	cfg.Fidelity = FidelityAuto
+	return pool.Run(cfg)
+}
+
+// runHybrid runs a defaulted cfg at automatic fidelity: fluid
+// integration through quiet stretches, request-level DES (honoring
+// Config.Shards) inside burst windows, state stitched across each
+// boundary. The result is a pure function of (config, seed, plan) at
+// any -parallel.
+//
+// Compared to FidelityDES, the Result's Latency, P95Series and
+// Utilization cover only the DES windows — the storm regimes, which
+// are the ones with latency worth measuring — while Served, VM-hours,
+// egress and Cost cover the whole horizon. Shards/ShardEvents stay zero
+// (window shard layouts are per-window; FluidSimHours/DESSimHours
+// record the fidelity split instead).
+func runHybrid(cfg Config, pool *Pool) (*Result, error) {
 	m, err := newFluidModel(cfg)
 	if err != nil {
 		return nil, err
@@ -139,7 +143,7 @@ func HybridRun(cfg Config, pool *Pool) (*Result, error) {
 	des := m.desWindows()
 
 	// Fluid integration over the quiet segments, in time order — the
-	// same instants a full FluidRun visits, minus the windows.
+	// same instants a whole-horizon fluid run visits, minus the windows.
 	acc := m.newAccum()
 	cursor := time.Duration(0)
 	for i := range des {
@@ -163,11 +167,12 @@ func HybridRun(cfg Config, pool *Pool) (*Result, error) {
 		}
 	}
 
-	return stitchHybrid(cfg, m, acc, des, results)
+	return stitchHybrid(cfg, m, acc, des, results), nil
 }
 
-// runHybridWindow executes one planned DES window with the seed and
-// host-failure gating HybridRun applies, honoring cfg.Shards.
+// runHybridWindow executes one planned DES window of a defaulted cfg
+// with the seed and host-failure gating runHybrid applies, honoring
+// cfg.Shards.
 func runHybridWindow(cfg Config, pool *Pool, w desWindow) (*Result, error) {
 	sub := cfg
 	sub.Seed = SeedFor(cfg.Seed, fmt.Sprintf("hybrid/%d", w.index))
@@ -179,10 +184,12 @@ func runHybridWindow(cfg Config, pool *Pool, w desWindow) (*Result, error) {
 }
 
 // HybridSpotCheck runs window i of cfg's fidelity plan alone, exactly
-// as HybridRun would run it — same seed, same warm-start state, same
-// shard layout — and returns its standalone Result. It is the honesty
-// probe: a pure request-level measurement of one burst window that the
-// hybrid artifact can be checked against (table11's spot-check row).
+// as a FidelityAuto run would run it — same seed, same warm-start
+// state, same shard layout — and returns its standalone, unbilled
+// Result. It is the honesty probe: a pure request-level measurement of
+// one burst window that the hybrid artifact can be checked against
+// (table11's spot-check row). It is the one run path besides Pool.Run,
+// because it runs one window of a plan rather than a config.
 func HybridSpotCheck(cfg Config, pool *Pool, i int) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -201,7 +208,7 @@ func HybridSpotCheck(cfg Config, pool *Pool, i int) (*Result, error) {
 // stitchHybrid assembles the fluid accumulators and the window results
 // into one whole-horizon Result, folding in window-index order so
 // every float reduction has one fixed evaluation order.
-func stitchHybrid(cfg Config, m *fluidModel, acc *fluidAccum, des []desWindow, wins []*Result) (*Result, error) {
+func stitchHybrid(cfg Config, m *fluidModel, acc *fluidAccum, des []desWindow, wins []*Result) *Result {
 	f := acc.res
 	res := &Result{
 		Kind:          cfg.Kind,
@@ -269,11 +276,7 @@ func stitchHybrid(cfg Config, m *fluidModel, acc *fluidAccum, des []desWindow, w
 	res.Servers = mergeByTime("servers", append([]*metrics.TimeSeries{f.Servers}, winServers...))
 	res.Utilization = mergeByTime("load-per-server", winUtil)
 	res.P95Series = mergeByTime("p95-window", winP95)
-
-	if err := res.bill(cfg); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res
 }
 
 // mergeByTime k-way-merges time-ordered series into one, preserving

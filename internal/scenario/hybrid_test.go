@@ -144,7 +144,7 @@ func TestHybridWindowSeamConservation(t *testing.T) {
 // metered consumption, and the fidelity split partitions the horizon.
 func TestHybridStitchIsAdditive(t *testing.T) {
 	cfg := stormyCfg(5)
-	res, err := HybridRun(cfg, NewPool(2))
+	res, err := NewPool(2).Run(at(cfg, FidelityAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +203,9 @@ func TestHybridStitchIsAdditive(t *testing.T) {
 }
 
 // A config with no storms, joins or crowds plans zero DES windows, and
-// the hybrid path must then equal FluidRun exactly — same floats, same
-// bill — because the fluid segments step through the same instants in
-// the same order.
+// the hybrid path must then equal a fluid run exactly — same floats,
+// same bill — because the fluid segments step through the same
+// instants in the same order.
 func TestHybridEmptyPlanMatchesFluidExactly(t *testing.T) {
 	for _, kind := range []deploy.Kind{deploy.Public, deploy.Hybrid, deploy.Private} {
 		cfg := Config{
@@ -223,11 +223,11 @@ func TestHybridEmptyPlanMatchesFluidExactly(t *testing.T) {
 		if len(plan.Windows) != 0 {
 			t.Fatalf("%v: quiet config planned %d DES windows", kind, len(plan.Windows))
 		}
-		h, err := HybridRun(cfg, nil)
+		h, err := Run(at(cfg, FidelityAuto))
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := FluidRun(cfg)
+		f, err := Run(at(cfg, FidelityFluid))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestHybridAllDESPlanTracksRun(t *testing.T) {
 		t.Fatalf("intensity 1 should plan one horizon-wide window, got %+v", plan.Windows)
 	}
 
-	h, err := HybridRun(cfg, nil)
+	h, err := Run(at(cfg, FidelityAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestHybridAllDESPlanTracksRun(t *testing.T) {
 // fluid level just before the boundary.
 func TestHybridWarmFleetContinuity(t *testing.T) {
 	cfg := stormyCfg(13)
-	res, err := HybridRun(cfg, nil)
+	res, err := Run(at(cfg, FidelityAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,17 +349,18 @@ func TestHybridWarmFleetContinuity(t *testing.T) {
 	}
 }
 
-// HybridRun's output must be a pure function of (config, seed, plan):
-// identical at any pool parallelism and with sharded windows.
+// An auto-fidelity run's output must be a pure function of (config,
+// seed, plan): identical at any pool parallelism and with sharded
+// windows.
 func TestHybridDeterminismAcrossParallel(t *testing.T) {
-	cfg := stormyCfg(17)
+	cfg := at(stormyCfg(17), FidelityAuto)
 	cfg.Shards = 2 // windows honor Config.Shards
 
-	a, err := HybridRun(cfg, NewPool(1))
+	a, err := NewPool(1).Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := HybridRun(cfg, NewPool(4))
+	b, err := NewPool(4).Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,14 +24,41 @@ const bootGrace = 3 * time.Minute
 // desktopSlowdown models aging lab PCs versus a provisioned server core.
 const desktopSlowdown = 1.4
 
-// Run executes a full request-level simulation of cfg and returns the
-// measured Result.
-func Run(cfg Config) (*Result, error) {
+// Run executes cfg at its Config.Fidelity and returns the measured,
+// billed Result. It is the package's one run path: it defaults cfg,
+// runs the request-level engine (split into Config.Shards engines),
+// the fluid model or the hybrid of the two, and bills the Result once.
+// The run's fan-out (shard engines, hybrid windows) rides p, which
+// changes how fast the Result arrives, never what it is. A nil p is a
+// one-off DefaultWorkers pool, made only when the run fans out.
+func (p *Pool) Run(cfg Config) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	return runEngine(cfg, nil, nil)
+	if p == nil && (cfg.Fidelity == FidelityAuto || cfg.Fidelity == FidelityDES && cfg.Shards > 1) {
+		p = NewPool(0)
+	}
+	var res *Result
+	var err error
+	switch cfg.Fidelity {
+	case FidelityFluid:
+		res, err = runFluid(cfg)
+	case FidelityAuto:
+		res, err = runHybrid(cfg, p)
+	default:
+		res, err = shardedRun(cfg, p, nil)
+	}
+	if err == nil {
+		err = res.bill(cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
+
+// Run is Pool.Run on a nil pool.
+func Run(cfg Config) (*Result, error) { return (*Pool)(nil).Run(cfg) }
 
 // genFor builds the workload generator for a defaulted config.
 func genFor(cfg Config) (*workload.Generator, error) {
@@ -147,7 +174,7 @@ func runEngine(cfg Config, sh *shard, win *desWindow) (*Result, error) {
 	for _, stop := range e.stops {
 		stop()
 	}
-	return e.collect()
+	return e.collect(), nil
 }
 
 // build wires the deployment, network, fleets, autoscaler, CDN,
@@ -156,10 +183,10 @@ func runEngine(cfg Config, sh *shard, win *desWindow) (*Result, error) {
 func (e *engine) build() error {
 	cfg, eng, sh, win := e.cfg, e.eng, e.sh, e.win
 	// startAt/endAt delimit this engine's slice of the horizon: the
-	// whole run on the direct path, one DES window under HybridRun. The
-	// clock warp makes every absolute-time consumer (calendar lookups,
-	// diurnal shapes, scheduled scalers, the sampler) see true virtual
-	// time without knowing about windows.
+	// whole run on the direct path, one DES window under FidelityAuto.
+	// The clock warp makes every absolute-time consumer (calendar
+	// lookups, diurnal shapes, scheduled scalers, the sampler) see true
+	// virtual time without knowing about windows.
 	startAt := time.Duration(0)
 	e.endAt = cfg.Duration
 	if win != nil {
@@ -177,7 +204,7 @@ func (e *engine) build() error {
 	}
 	// A shard's fleet absorbs only its share of the peak; capacity is
 	// split proportionally to shard population (the documented
-	// approximation — see ShardedRun). Unsharded, the share is 1.
+	// approximation — see sharded.go). Unsharded, the share is 1.
 	share := 1.0
 	if sh != nil {
 		share = sh.share
@@ -519,10 +546,10 @@ func (e *engine) sample() {
 	e.windowHist.Reset()
 }
 
-// collect reads the substrates' ledgers into the Result, then bills a
-// direct run or, inside a hybrid window, records what the window
-// carries out. A shard is not billed: the merge bills the whole run.
-func (e *engine) collect() (*Result, error) {
+// collect reads the substrates' ledgers into the Result and, inside a
+// hybrid window, records what the window carries out. Pool.Run bills
+// the whole run.
+func (e *engine) collect() *Result {
 	res, dep := e.res, e.dep
 	if dep.PublicDC != nil {
 		res.VMHoursPublic = dep.PublicDC.VMHours()
@@ -568,18 +595,12 @@ func (e *engine) collect() (*Result, error) {
 		res.Fit = &fit
 	}
 
-	switch {
-	case e.win != nil:
+	if e.win != nil {
 		// The requests still in flight at the closing seam are handed
-		// back to the fluid side; billing happens once at the hybrid
-		// level, over the whole horizon, not per window.
+		// back to the fluid side.
 		res.CarriedOut = max(0, e.liveReqs)
-	case e.sh == nil:
-		if err := res.bill(e.cfg); err != nil {
-			return nil, err
-		}
 	}
-	return res, nil
+	return res
 }
 
 // startScaler attaches the configured autoscaler to the elastic fleet
@@ -631,10 +652,11 @@ func startScaler(eng *sim.Engine, cfg Config, gen *workload.Generator, meanSvc f
 }
 
 // bill prices r's measured consumption — public VM-hours, egress and
-// CDN gigabytes, owned hosts — into its itemized Cost, for every run
-// path. Storage is billed on cfg's asset inventory, built here and
-// dropped after: shards split load, not content, so a merged run bills
-// storage (and desktop seats) once, not K times.
+// CDN gigabytes, owned hosts — into its itemized Cost; Pool.Run calls
+// it once per run, at every fidelity. Storage is billed on cfg's asset
+// inventory, built here and dropped after: shards split load, not
+// content, so a merged run bills storage (and desktop seats) once, not
+// K times.
 func (r *Result) bill(cfg Config) error {
 	months := cfg.Duration.Hours() / cost.HoursPerMonth
 	u := cost.Usage{Months: months}

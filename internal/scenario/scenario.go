@@ -52,6 +52,19 @@ func (k ScalerKind) String() string {
 	}
 }
 
+// Fidelity selects how Pool.Run simulates a run's horizon: every
+// request (FidelityDES, the default), the flow-level fluid model
+// (FidelityFluid), or the fluid model through the quiet stretches and
+// request-level windows through the bursts (FidelityAuto, hybrid.go).
+type Fidelity int
+
+// Fidelities.
+const (
+	FidelityDES Fidelity = iota + 1
+	FidelityFluid
+	FidelityAuto
+)
+
 // Config describes one experiment.
 type Config struct {
 	// Seed drives all randomness; same seed + config = same result.
@@ -114,20 +127,24 @@ type Config struct {
 	// MaxPublicServers caps elastic growth (default 0: derived from peak
 	// sizing × 4).
 	MaxPublicServers int
-	// Shards splits a ShardedRun into this many per-shard engines
-	// (default 0 and 1 both mean the direct engine; negative is an
-	// error). Run ignores it; see ShardedRun for the partitioning and
-	// merge semantics. HybridRun's DES windows honor it too: each
-	// window runs as a K-shard merge.
+	// Fidelity picks how Pool.Run simulates the horizon (default
+	// FidelityDES).
+	Fidelity Fidelity
+	// Shards splits every DES engine the run has into this many
+	// per-shard engines on the pool: the whole horizon under
+	// FidelityDES, each burst window under FidelityAuto (default 0 and
+	// 1 both mean one engine; negative, or more shards than students,
+	// is an error). A fluid run has no engine and ignores it. See
+	// sharded.go for the partitioning and merge semantics.
 	Shards int
 	// HybridIntensity is the fidelity planner's burst threshold: an
 	// envelope segment whose crowd/storm/join multiplier bound reaches
-	// this factor drops into request-level DES under HybridRun (default
-	// 1.5). Run, ShardedRun and FluidRun ignore it.
+	// this factor drops into request-level DES under FidelityAuto
+	// (default 1.5). The other fidelities ignore it.
 	HybridIntensity float64
 	// HybridGuard pads each DES window by this margin on both sides, so
 	// warm-started fleets boot and settle on quiet traffic before the
-	// burst hits (default 10m). Only HybridRun reads it.
+	// burst hits (default 10m). Only FidelityAuto reads it.
 	HybridGuard time.Duration
 }
 
@@ -144,6 +161,12 @@ func (c *Config) defaults() error {
 	if c.Scaler < ScalerFixed || c.Scaler > ScalerOracle {
 		return fmt.Errorf("scenario: Scaler = %v, need fixed, reactive, scheduled, predictive, growth-fit or oracle", c.Scaler)
 	}
+	if c.Fidelity == 0 {
+		c.Fidelity = FidelityDES
+	}
+	if c.Fidelity < FidelityDES || c.Fidelity > FidelityAuto {
+		return fmt.Errorf("scenario: Fidelity = %d, need FidelityDES, FidelityFluid or FidelityAuto", c.Fidelity)
+	}
 	if c.Shards < 0 {
 		return fmt.Errorf("scenario: Shards = %d, need >= 0", c.Shards)
 	}
@@ -152,6 +175,10 @@ func (c *Config) defaults() error {
 	}
 	if c.Students <= 0 {
 		return fmt.Errorf("scenario: Students = %d, need > 0", c.Students)
+	}
+	// An empty shard would still build and bill its floor fleet.
+	if c.Shards > c.Students {
+		return fmt.Errorf("scenario: Shards = %d, need at most Students = %d", c.Shards, c.Students)
 	}
 	if c.ReqPerStudentHour == 0 {
 		c.ReqPerStudentHour = 50
@@ -223,7 +250,7 @@ type Result struct {
 
 	// Servers tracks fleet size over time; Utilization tracks offered
 	// load over capacity; P95Series tracks the rolling per-minute P95
-	// latency (Figure 2's y-axis). A FluidRun leaves Latency,
+	// latency (Figure 2's y-axis). A fluid run leaves Latency,
 	// Utilization and P95Series empty: the flow model has no requests.
 	Servers     *metrics.TimeSeries
 	Utilization *metrics.TimeSeries
@@ -232,7 +259,7 @@ type Result struct {
 	PeakServers int
 
 	// MeanPrivateUtil, OfferedRequests, Rate and ServerRankHours are
-	// the flow model's outputs; only FluidRun sets them.
+	// the flow model's outputs; only FidelityFluid sets them.
 	//
 	// MeanPrivateUtil is the average fraction of the private fleet doing
 	// useful work — §IV.B's underutilization argument made measurable.
@@ -285,24 +312,25 @@ type Result struct {
 	// boundary (the queue mass the fluid model predicts is in flight),
 	// and real requests still in flight when the window closes (handed
 	// back to the fluid side as served mass). Both stay zero outside
-	// HybridRun windows.
+	// FidelityAuto.
 	CarriedIn, CarriedOut int
 
 	// Events counts DES events the engine executed (summed across
 	// shards for a merged sharded run).
 	Events uint64
-	// Shards is the shard count of a ShardedRun merge; it stays zero
-	// for direct runs, which a single-shard ShardedRun is. ShardEvents,
-	// set only when Shards >= 2, holds per-shard event counts in
-	// shard-index order.
+	// Shards is the shard count of a merged FidelityDES run
+	// (Config.Shards >= 2); it stays zero for a one-engine run and under
+	// FidelityAuto, whose windows merge one by one. ShardEvents, set
+	// only when Shards >= 2, holds per-shard event counts in shard-index
+	// order.
 	Shards      int
 	ShardEvents []uint64
 
 	// FluidSimHours and DESSimHours split the simulated horizon by
 	// fidelity: hours integrated by the fluid model versus hours
 	// simulated at request level. Their sum is the full horizon under
-	// HybridRun; FluidRun sets FluidSimHours to the horizon, and Run and
-	// ShardedRun leave both zero.
+	// FidelityAuto; FidelityFluid sets FluidSimHours to the horizon, and
+	// FidelityDES leaves both zero.
 	FluidSimHours float64
 	DESSimHours   float64
 

@@ -489,10 +489,10 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("negative rate accepted")
 	}
 	entries := map[string]func(Config) error{
-		"Run":        func(c Config) error { _, err := Run(c); return err },
-		"FluidRun":   func(c Config) error { _, err := FluidRun(c); return err },
-		"HybridRun":  func(c Config) error { _, err := HybridRun(c, NewPool(1)); return err },
-		"ShardedRun": func(c Config) error { _, err := ShardedRun(c, NewPool(1)); return err },
+		"Run":   func(c Config) error { _, err := Run(c); return err },
+		"des":   runAt(FidelityDES),
+		"fluid": runAt(FidelityFluid),
+		"auto":  runAt(FidelityAuto),
 		"PlanFidelity": func(c Config) error {
 			_, err := PlanFidelity(c)
 			return err
@@ -502,6 +502,18 @@ func TestRunValidation(t *testing.T) {
 		for name, run := range entries {
 			expectErrorNaming(t, name, bad.cfg, run, bad.value)
 		}
+	}
+}
+
+// runAt runs a config on a one-worker pool at fidelity f, unless the
+// config names a fidelity of its own.
+func runAt(f Fidelity) func(Config) error {
+	return func(c Config) error {
+		if c.Fidelity == 0 {
+			c.Fidelity = f
+		}
+		_, err := NewPool(1).Run(c)
+		return err
 	}
 }
 
@@ -533,7 +545,9 @@ func badEnumCfgs() []badEnum {
 	return []badEnum{
 		{with(func(c *Config) { c.Kind = deploy.Kind(9) }), "Kind(9)"},
 		{with(func(c *Config) { c.Scaler = ScalerKind(42) }), "ScalerKind(42)"},
+		{with(func(c *Config) { c.Fidelity = 7 }), "Fidelity = 7"},
 		{with(func(c *Config) { c.Shards = -3 }), "-3"},
+		{with(func(c *Config) { c.Shards = 101 }), "Shards = 101"},
 		{access(func(a *network.AccessProfile) { a.Mbps = 0 }), "Mbps = 0"},
 		{access(func(a *network.AccessProfile) { a.LatencyMean = 0 }), "LatencyMean = 0"},
 		{access(func(a *network.AccessProfile) { a.LatencySigma = -1 }), "LatencySigma = -1"},

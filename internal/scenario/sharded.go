@@ -41,8 +41,8 @@ import (
 // and the merge bills the whole run once, so storage is not charged K
 // times.
 //
-// Shards ≤ 1 is not a sharded run: ShardedRun hands it to the direct
-// engine, so it is Run. The golden table10 shards=1 row and
+// Shards ≤ 1 is not a sharded run: shardedRun hands it to the one
+// direct engine. The golden table10 shards=1 row and
 // TestShardedOneEqualsRun pin this.
 
 // shard is one slice of a K ≥ 2 sharded run: the shard's view of the
@@ -52,22 +52,13 @@ type shard struct {
 	share float64
 }
 
-// ShardedRun executes cfg as cfg.Shards per-shard engines on the pool
-// and merges the results deterministically in shard-index order. Shards
-// of 0 or 1 runs the direct engine (it is Run). A nil pool runs on a
-// one-off DefaultWorkers pool.
-func ShardedRun(cfg Config, pool *Pool) (*Result, error) {
-	return shardedRun(cfg, pool, nil)
-}
-
-// shardedRun is ShardedRun with an optional hybrid DES window: every
-// shard engine is confined to the window's span, so HybridRun's
-// windows honor Config.Shards with the same partition, seeds and merge
-// as a whole-horizon sharded run.
+// shardedRun runs a defaulted cfg's request-level engine: one engine
+// when cfg.Shards ≤ 1, else cfg.Shards per-shard engines on the pool,
+// merged deterministically in shard-index order. A non-nil win confines
+// every engine to that hybrid DES window, so FidelityAuto's windows
+// honor Config.Shards with the same partition, seeds and merge as a
+// whole-horizon run.
 func shardedRun(cfg Config, pool *Pool, win *desWindow) (*Result, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
 	if cfg.Shards <= 1 {
 		return runEngine(cfg, nil, win)
 	}
@@ -102,7 +93,7 @@ func shardedRun(cfg Config, pool *Pool, win *desWindow) (*Result, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return mergeShards(cfg, results, win != nil)
+	return mergeShards(results)
 }
 
 // shardSlice splits a tracked-resource count of total across K shards:
@@ -118,10 +109,8 @@ func shardSlice(total, k, shards int) int {
 // mergeShards folds per-shard results into one Result, iterating in
 // shard-index order everywhere so every float reduction has one fixed
 // evaluation order — the VMHours lesson: sums over shards must never
-// depend on completion order. window marks a hybrid DES-window merge,
-// which skips billing (the hybrid stitcher bills once over the whole
-// horizon).
-func mergeShards(cfg Config, shards []*Result, window bool) (*Result, error) {
+// depend on completion order.
+func mergeShards(shards []*Result) (*Result, error) {
 	base := shards[0]
 	res := &Result{
 		Kind:     base.Kind,
@@ -206,14 +195,5 @@ func mergeShards(cfg Config, shards []*Result, window bool) (*Result, error) {
 		}
 		return sum / float64(len(vals))
 	}, p95...)
-
-	// A hybrid window merge stops here: the stitcher bills the
-	// assembled horizon once.
-	if window {
-		return res, nil
-	}
-	if err := res.bill(cfg); err != nil {
-		return nil, err
-	}
 	return res, nil
 }

@@ -45,12 +45,10 @@ func shardedTestConfigs() map[string]Config {
 	}
 }
 
-// TestShardedOneEqualsRun pins the non-tautological identity at the
-// heart of the sharded path: a single-shard ShardedRun executes the
-// full sharding machinery — shard context, share-scaled sizing, member
-// user picks — and must still be byte-identical to the direct Run,
-// because every share multiplier is exactly 1.0 and the member list is
-// the identity.
+// TestShardedOneEqualsRun pins the identity at the heart of the
+// sharded path: Shards of 0 or 1 on an explicit pool runs the one
+// direct engine, so it is byte-identical to Run of the unsharded
+// config — a pool adds no fan-out, no merge and no second bill.
 func TestShardedOneEqualsRun(t *testing.T) {
 	for name, cfg := range shardedTestConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -62,12 +60,12 @@ func TestShardedOneEqualsRun(t *testing.T) {
 			for _, shards := range []int{0, 1} {
 				scfg := cfg
 				scfg.Shards = shards
-				sharded, err := ShardedRun(scfg, NewPool(2))
+				sharded, err := NewPool(2).Run(scfg)
 				if err != nil {
-					t.Fatalf("ShardedRun(shards=%d): %v", shards, err)
+					t.Fatalf("Pool.Run(shards=%d): %v", shards, err)
 				}
 				if !reflect.DeepEqual(direct, sharded) {
-					t.Fatalf("ShardedRun(shards=%d) differs from Run:\ndirect:  %+v\nsharded: %+v",
+					t.Fatalf("Pool.Run(shards=%d) differs from Run:\ndirect:  %+v\nsharded: %+v",
 						shards, direct, sharded)
 				}
 			}
@@ -84,14 +82,14 @@ func TestShardedOneEqualsRun(t *testing.T) {
 func TestShardedWorkerIndependent(t *testing.T) {
 	cfg := shardedTestConfigs()["public-growth"]
 	cfg.Shards = 4
-	ref, err := ShardedRun(cfg, NewPool(1))
+	ref, err := NewPool(1).Run(cfg)
 	if err != nil {
-		t.Fatalf("ShardedRun(workers=1): %v", err)
+		t.Fatalf("Pool.Run(workers=1): %v", err)
 	}
 	for _, workers := range []int{2, 4, 7} {
-		got, err := ShardedRun(cfg, NewPool(workers))
+		got, err := NewPool(workers).Run(cfg)
 		if err != nil {
-			t.Fatalf("ShardedRun(workers=%d): %v", workers, err)
+			t.Fatalf("Pool.Run(workers=%d): %v", workers, err)
 		}
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("workers=%d merged result differs from serial reference", workers)
@@ -122,9 +120,9 @@ func TestShardedMergeSanity(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	cfg.Shards = 4
-	sharded, err := ShardedRun(cfg, NewPool(2))
+	sharded, err := NewPool(2).Run(cfg)
 	if err != nil {
-		t.Fatalf("ShardedRun: %v", err)
+		t.Fatalf("Pool.Run: %v", err)
 	}
 	dServed, sServed := float64(direct.Served), float64(sharded.Served)
 	if sServed < 0.8*dServed || sServed > 1.25*dServed {
@@ -141,5 +139,27 @@ func TestShardedMergeSanity(t *testing.T) {
 	if sharded.Cost.Storage != direct.Cost.Storage {
 		t.Fatalf("storage billed per shard: direct %v, sharded %v",
 			direct.Cost.Storage, sharded.Cost.Storage)
+	}
+}
+
+// TestRunHonorsShards: Run, Pool.Run on a nil pool, splits a DES run
+// into Config.Shards engines on a pool of its own, with the result an
+// explicit pool gives.
+func TestRunHonorsShards(t *testing.T) {
+	cfg := shardedTestConfigs()["public-growth"]
+	cfg.Shards = 2
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got.Shards != 2 || len(got.ShardEvents) != 2 {
+		t.Fatalf("Run ignored Shards = 2: Shards=%d ShardEvents=%v", got.Shards, got.ShardEvents)
+	}
+	want, err := NewPool(1).Run(cfg)
+	if err != nil {
+		t.Fatalf("Pool.Run: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Run and Pool.Run of the same sharded config differ")
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // This file partitions a generator's student population into K shards
-// so a DES run can execute as K independent engines (scenario.ShardedRun)
-// whose superposed arrival process is distribution-identical to the
-// unsharded one.
+// so a DES run can execute as K independent engines (scenario's
+// Config.Shards) whose superposed arrival process is
+// distribution-identical to the unsharded one.
 //
 // The construction thins the NHPP: user u belongs to shard ShardOf(u, K)
 // (a stable hash, so membership never depends on K ordering or run
