@@ -41,7 +41,7 @@ func run(args []string, w io.Writer) error {
 		students = fs.Int("students", 1000, "student population")
 		hours    = fs.Float64("hours", 6, "simulated hours")
 		access   = fs.String("access", "urban-broadband", "access profile: campus-lan|urban-broadband|rural-dsl")
-		scaler   = fs.String("scaler", "reactive", "autoscaler: fixed|reactive|scheduled|predictive")
+		scaler   = fs.String("scaler", "reactive", "autoscaler: fixed|reactive|scheduled|predictive|growth-fit|oracle")
 		exam     = fs.Bool("exam", false, "inject a 10x exam flash crowd mid-run")
 		threats  = fs.Bool("threats", false, "enable the security threat model")
 		useCDN   = fs.Bool("cdn", false, "serve video through an edge CDN")
@@ -89,16 +89,12 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown access profile %q", *access)
 	}
-	switch *scaler {
-	case "fixed":
-		cfg.Scaler = scenario.ScalerFixed
-	case "reactive":
-		cfg.Scaler = scenario.ScalerReactive
-	case "scheduled":
-		cfg.Scaler = scenario.ScalerScheduled
-	case "predictive":
-		cfg.Scaler = scenario.ScalerPredictive
-	default:
+	for k := scenario.ScalerFixed; k <= scenario.ScalerOracle; k++ {
+		if k.String() == *scaler {
+			cfg.Scaler = k
+		}
+	}
+	if cfg.Scaler == 0 {
 		return fmt.Errorf("unknown scaler %q", *scaler)
 	}
 	if *exam {

@@ -37,6 +37,21 @@ func TestRunTinyScenarioSucceeds(t *testing.T) {
 	}
 }
 
+// TestRunScalerNames: -scaler takes every policy by the name its
+// ScalerKind prints, and the result line echoes it.
+func TestRunScalerNames(t *testing.T) {
+	for _, name := range []string{"fixed", "reactive", "scheduled", "predictive", "growth-fit", "oracle"} {
+		var out bytes.Buffer
+		err := run([]string{"-students", "50", "-hours", "0.25", "-scaler", name, "-seed", "3"}, &out)
+		if err != nil {
+			t.Fatalf("-scaler %s: %v", name, err)
+		}
+		if want := "scaler=" + name + " "; !strings.Contains(out.String(), want) {
+			t.Errorf("-scaler %s: output lacks %q:\n%s", name, want, out.String())
+		}
+	}
+}
+
 func TestRunExamAndCDNFlags(t *testing.T) {
 	err := run([]string{
 		"-model", "public", "-students", "50", "-hours", "0.5",

@@ -369,11 +369,13 @@ func TestTable7FederationShape(t *testing.T) {
 }
 
 // TestTable12ForecastAcceptance pins the experiment's claims at the
-// golden seed: growth-fit must beat reactive on BOTH rejected mass and
-// $ per served request through the deadline storm, land within 15% of
-// the oracle's VM-hours, and the oracle must hold the best tail. These
-// are the relations the table exists to demonstrate — if a change
-// breaks one, the experiment's story is gone even if the run succeeds.
+// golden seed: each forecaster, predictive and growth-fit, must beat
+// reactive on BOTH rejected mass and $ per served request through the
+// deadline storm and bill at most 1.25x the oracle's VM-hours;
+// growth-fit must also land within 15% of them, and the oracle must
+// hold the best tail. These are the relations the table exists to
+// demonstrate — if a change breaks one, the experiment's story is gone
+// even if the run succeeds.
 func TestTable12ForecastAcceptance(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -397,11 +399,17 @@ func TestTable12ForecastAcceptance(t *testing.T) {
 		}
 	}
 	gf, re, or := byPolicy["growth-fit"], byPolicy["reactive"], byPolicy["oracle"]
-	if gf.rejected >= re.rejected {
-		t.Errorf("growth-fit rejected %v, not under reactive's %v:\n%s", gf.rejected, re.rejected, tbl)
-	}
-	if gf.perServed >= re.perServed {
-		t.Errorf("growth-fit $/1k served %v, not under reactive's %v:\n%s", gf.perServed, re.perServed, tbl)
+	for _, name := range []string{"predictive", "growth-fit"} {
+		f := byPolicy[name]
+		if f.rejected >= re.rejected {
+			t.Errorf("%s rejected %v, not under reactive's %v:\n%s", name, f.rejected, re.rejected, tbl)
+		}
+		if f.perServed >= re.perServed {
+			t.Errorf("%s $/1k served %v, not under reactive's %v:\n%s", name, f.perServed, re.perServed, tbl)
+		}
+		if f.vmHours > 1.25*or.vmHours {
+			t.Errorf("%s VM-hours %v, above 1.25x the oracle's %v:\n%s", name, f.vmHours, or.vmHours, tbl)
+		}
 	}
 	if diff := math.Abs(gf.vmHours-or.vmHours) / or.vmHours; diff > 0.15 {
 		t.Errorf("growth-fit VM-hours %v vs oracle %v — %.1f%% apart, want <= 15%%:\n%s",

@@ -27,11 +27,11 @@ func table12Policies() []scenario.ScalerKind {
 }
 
 // Table12ForecastPolicies runs figure10's deadline storm — join spike,
-// procrastination ramp, submission cliff — under reactive, predictive
-// (Holt), growth-fit and oracle scaling, and reports what each policy
-// paid and what it dropped. Reactive and oracle bracket the achievable
-// range; the forecasters land in between, and the gap to the oracle is
-// the price of having to learn the curve online.
+// procrastination ramp, submission cliff — under reactive, predictive,
+// growth-fit and oracle scaling, and reports what each policy paid and
+// what it dropped. Reactive and oracle bracket the achievable range.
+// Both forecasters meter arrivals and size through deploy.ServersForPeak;
+// they differ only in the forecast.
 func Table12ForecastPolicies(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	batch := scenario.NewBatch(seed)
 	for _, sk := range table12Policies() {
@@ -71,6 +71,7 @@ func Table12ForecastPolicies(seed uint64, pool *scenario.Pool) (*metrics.Table, 
 
 	t.AddNote("seed=%d; identical storm in every row: %d students at 50 req/student-h, join spike x6 at 00:30, 90m procrastination ramp to x10 at the 02:30 deadline",
 		seed, desStudents)
+	t.AddNote("predictive and growth-fit both meter the arrival rate and size their forecast a boot-time ahead through deploy.ServersForPeak; they differ only in the forecast: Holt's level and trend, or a fitted growth curve")
 	t.AddNote("growth-fit final fit: %s", fitNote)
 	t.AddNote("oracle provisions from the true rate curve a boot-time ahead — the ceiling any online forecaster is chasing; reactive is the floor that only moves after the queue hurts")
 	return t, nil

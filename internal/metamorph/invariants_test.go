@@ -20,7 +20,7 @@ func TestInvariantsRegistry(t *testing.T) {
 		"growth-monotone", "envelope-bound", "superpose-bound",
 		"parallel-determinism", "capacity-monotone", "cross-fidelity",
 		"shard-determinism", "hybrid-determinism", "hybrid-agreement",
-		"advisor", "seed-band",
+		"advisor", "policy-sanity", "seed-band",
 	}
 	invs := Invariants()
 	if len(invs) != len(want) {
@@ -448,6 +448,52 @@ func TestCrossFidelitySpikeRegression(t *testing.T) {
 		c := FindFamilyOrDie(t, fam).Case(seed)
 		if v, _ := checkCrossFidelity(c.Cfg, c.Seed); v != nil {
 			t.Errorf("%s seed=%#x: %s", fam, seed, v.Detail)
+		}
+	}
+}
+
+// TestPolicySanitySkips: policy-sanity covers storm-free public and
+// hybrid days only, and says why it skips the rest.
+func TestPolicySanitySkips(t *testing.T) {
+	base := scenario.Config{Kind: deploy.Public, Students: 400, Duration: 2 * time.Hour}
+	for name, mutate := range map[string]func(*scenario.Config){
+		"private": func(c *scenario.Config) { c.Kind = deploy.Private },
+		"desktop": func(c *scenario.Config) { c.Kind = deploy.Desktop },
+		"too big": func(c *scenario.Config) { c.Duration = 24 * time.Hour },
+		"storm": func(c *scenario.Config) {
+			c.Storms = []workload.DeadlineStorm{{Deadline: time.Hour, Ramp: 30 * time.Minute, PeakMult: 4}}
+		},
+		"join": func(c *scenario.Config) {
+			c.Joins = []workload.JoinStorm{{Start: time.Hour, Window: 10 * time.Minute, PeakMult: 4}}
+		},
+	} {
+		cfg := base
+		mutate(&cfg)
+		if v, skip := checkPolicySanity(cfg, 1); v != nil || skip == "" {
+			t.Errorf("%s: violation %v, skip %q; want a stated skip", name, v, skip)
+		}
+	}
+}
+
+// TestPolicySanityRegression pins the campus cases the first
+// policy-sanity sweep (run seed 1) found: while the predictive scaler
+// smoothed in-flight work, which admission control caps at 256 jobs
+// per server, it swung between its floor and its cap. It rejected
+// 31.1% of arrivals at 1.34x the oracle's VM-hours on the first case
+// and 24.4% at 1.84x on the second. On the metered arrival rate both
+// cases pass.
+func TestPolicySanityRegression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs request-level scenarios")
+	}
+	for _, seed := range []uint64{0xc6e55512914632ba, 0x5593667449a13d3f} {
+		c := FindFamilyOrDie(t, "campus").Case(seed)
+		v, skip := checkPolicySanity(c.Cfg, c.Seed)
+		if skip != "" {
+			t.Fatalf("campus seed=%#x: skipped (%s); the case must stay in scope", seed, skip)
+		}
+		if v != nil {
+			t.Errorf("campus seed=%#x: %s", seed, v.Detail)
 		}
 	}
 }

@@ -18,14 +18,13 @@
 //   - NewReactive — follow measured load per server: scale out a step
 //     when it runs hot, at most once per cooldown, and in by one server
 //     when it runs cold.
-//   - NewPredictive — Holt trend extrapolation of total in-flight
-//     demand, provisioned a few minutes ahead; it boots ahead of a ramp
-//     but still overshoots a cliff-shaped crowd, which table5 makes
-//     visible. It has no fallback.
+//   - NewPredictive — Holt trend extrapolation of the metered arrival
+//     rate, sized Lead ahead through deploy.ServersForPeak; it boots
+//     ahead of a ramp and has no fallback.
 //   - NewGrowthFit — fit the logistic and linear growth shapes online to
-//     the metered arrival rate and provision for the projection Lead
-//     ahead; until the fit stabilizes it runs the reactive loop
-//     verbatim.
+//     the same metered arrival rate and provision for the projection
+//     Lead ahead, sized the same way; until the fit stabilizes it runs
+//     the reactive loop verbatim.
 //   - NewPlanned — follow a plan of the fleet needed at each virtual
 //     time, provisioning for the largest need within a lead. The
 //     scenario runs it as the scheduled policy (a diurnal and calendar

@@ -245,8 +245,8 @@ type GrowthFit struct {
 	meanService float64
 	fallback    *Reactive
 
+	meter        meter
 	times, rates []float64
-	lastCount    uint64
 	fit          FitReport
 	stable       FitReport
 }
@@ -291,18 +291,7 @@ func (g *GrowthFit) Start(eng *sim.Engine) func() {
 // tick observes, refits, and either provisions from the projection or
 // falls back to the reactive step.
 func (g *GrowthFit) tick(eng *sim.Engine) {
-	// The observed arrival rate is the exact offered rate over the last
-	// interval, rejections included, so the signal survives saturation.
-	// The meter is monotone, but a dip must degrade to a zero-rate
-	// sample, not wrap the unsigned difference into a ~1.8e19
-	// observation that poisons the whole fit window.
-	count := g.target.Arrivals()
-	delta := int64(count - g.lastCount)
-	if delta < 0 {
-		delta = 0
-	}
-	g.lastCount = count
-	g.observe(sim.ToSeconds(eng.Now()), float64(delta)/sim.ToSeconds(loopInterval))
+	g.observe(sim.ToSeconds(eng.Now()), g.meter.rate(g.target))
 
 	g.fit = FitGrowth(g.times, g.rates)
 	g.fit.Stable = g.fit.Observations >= fitMinObservations &&

@@ -283,29 +283,40 @@ func TestGrowthFitProvisionsAheadOfRamp(t *testing.T) {
 	}
 }
 
-// TestGrowthFitClampsMeterDip pins the defensive clamp on the metered
-// path: the Arrivals contract is monotone, but if a meter ever dips
-// (the bug class: a counter derived from served+rejected+active sums
-// while servers drain), the unsigned difference must degrade to a zero
-// rate observation — not wrap to ~1.8e19 and poison the fit window.
+// TestGrowthFitClampsMeterDip pins the defensive clamp on the meter
+// both forecasters read: the Arrivals contract is monotone, but if a
+// meter ever dips (the bug class: a counter derived from
+// served+rejected+active sums while servers drain), the unsigned
+// difference must degrade to a zero rate observation — not wrap to
+// ~1.8e19, poison growth-fit's fit window and size predictive's fleet
+// to its cap.
 func TestGrowthFitClampsMeterDip(t *testing.T) {
-	eng := sim.NewEngine(1)
-	tgt := &fakeTarget{desired: 1}
-	g := NewGrowthFit(tgt, 0.1, 1, 1000)
-	stop := g.Start(eng)
-	defer stop()
 	// Grow the counter, then dip it mid-run (a scale-in drain), then
 	// resume growing.
 	counts := []uint64{600, 1200, 1800, 1500, 2100, 2700}
-	i := 0
-	feed := eng.Every(time.Minute, "feed", func() {
-		if i < len(counts) {
-			tgt.count = counts[i]
-			i++
-		}
+	const maxServers = 1000
+	run := func(start func(tgt Target, eng *sim.Engine) func()) *fakeTarget {
+		eng := sim.NewEngine(1)
+		tgt := &fakeTarget{desired: 1}
+		stop := start(tgt, eng)
+		defer stop()
+		i := 0
+		feed := eng.Every(time.Minute, "feed", func() {
+			if i < len(counts) {
+				tgt.count = counts[i]
+				i++
+			}
+		})
+		defer feed()
+		eng.Run(time.Duration(len(counts)) * time.Minute)
+		return tgt
+	}
+
+	var g *GrowthFit
+	run(func(tgt Target, eng *sim.Engine) func() {
+		g = NewGrowthFit(tgt, 0.1, 1, maxServers)
+		return g.Start(eng)
 	})
-	defer feed()
-	eng.Run(time.Duration(len(counts)) * time.Minute)
 	for j, r := range g.rates {
 		if r < 0 || r > 1e6 {
 			t.Fatalf("rate observation %d = %g; a meter dip wrapped the unsigned delta", j, r)
@@ -313,6 +324,20 @@ func TestGrowthFitClampsMeterDip(t *testing.T) {
 	}
 	if min := minFloat(g.rates); min != 0 {
 		t.Fatalf("dip tick observed rate %g, want clamped 0", min)
+	}
+
+	var p *Predictive
+	tgt := run(func(tgt Target, eng *sim.Engine) func() {
+		p = NewPredictive(tgt, 0.1, 1, maxServers)
+		return p.Start(eng)
+	})
+	if f := p.Forecast(); math.Abs(f) > 1e6 {
+		t.Fatalf("predictive forecast %g req/s; a meter dip wrapped the unsigned delta", f)
+	}
+	for _, n := range tgt.calls {
+		if n >= maxServers {
+			t.Fatalf("predictive scaled to %d (scale calls %v); a meter dip sized the fleet to its cap", n, tgt.calls)
+		}
 	}
 }
 

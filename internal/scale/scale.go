@@ -1,9 +1,9 @@
 package scale
 
 import (
-	"math"
 	"time"
 
+	"elearncloud/internal/deploy"
 	"elearncloud/internal/sim"
 )
 
@@ -17,20 +17,19 @@ type Target interface {
 	// capacity limits (a private datacenter may be full).
 	ScaleTo(n int)
 	// Load returns the mean in-flight requests per accepting server —
-	// the utilization signal scalers act on.
+	// the utilization signal the reactive loop acts on.
 	Load() float64
 	// Arrivals returns the cumulative count of request submissions at
 	// the fleet, accepted or rejected, counted once at submission time.
-	// GrowthFit differences it into its rate observations: a signal that
-	// stays honest under saturation, where Little's law on the in-flight
-	// count would overestimate the offered rate by the queue length. The
-	// count must be monotone: keep a dedicated counter rather than derive
-	// it from served/rejected/active sums, which dip while retired
-	// servers drain their in-flight jobs.
+	// Both forecasters difference it into their demand signal, which
+	// stays honest under saturation, where admission control caps the
+	// in-flight count. The count must be monotone: keep a dedicated
+	// counter rather than derive it from served/rejected/active sums,
+	// which dip while retired servers drain their in-flight jobs.
 	Arrivals() uint64
 }
 
-// loopInterval is how often the load-driven loops (reactive,
+// loopInterval is how often the load- and rate-driven loops (reactive,
 // predictive, growth-fit) decide.
 const loopInterval = time.Minute
 
@@ -47,19 +46,28 @@ const (
 	scaleOutCooldown = 2 * time.Minute
 )
 
-// The predictive scaler provisions predictLead ahead (about one VM boot,
-// which is the point of predicting) at predictPerServer in-flight
-// requests per server.
-const (
-	predictLead      = 5 * time.Minute
-	predictPerServer = 4.0
-)
-
-// Lead is how far ahead growth-fit and the oracle provision: one VM boot
-// (the scenario runner's 3-minute boot grace covers the fleet's boot
-// distribution) plus a 5-minute guard, so capacity is accepting before
-// the demand that needs it lands.
+// Lead is how far ahead the forecasters and the oracle provision: one
+// VM boot (the scenario runner's 3-minute boot grace covers the fleet's
+// boot distribution) plus a 5-minute guard, so capacity is accepting
+// before the demand that needs it lands.
 const Lead = 8 * time.Minute
+
+// meter differences a Target's arrival count into the offered rate over
+// the last loop tick, rejections included: the one demand signal of
+// both forecasters. A dip in the monotone count reads as a zero rate,
+// not as an unsigned difference wrapped to ~1.8e19.
+type meter struct{ lastCount uint64 }
+
+// rate returns the requests per second since the previous read.
+func (m *meter) rate(t Target) float64 {
+	count := t.Arrivals()
+	delta := int64(count - m.lastCount)
+	if delta < 0 {
+		delta = 0
+	}
+	m.lastCount = count
+	return float64(delta) / sim.ToSeconds(loopInterval)
+}
 
 // clamp bounds n to [min, max] (max <= 0 means unbounded above).
 func clamp(n, min, max int) int {
@@ -165,29 +173,35 @@ func (p *Planned) Start(eng *sim.Engine) func() {
 // trend.
 const holtAlpha, holtBeta = 0.5, 0.2
 
-// Predictive forecasts total in-flight demand with Holt's linear
-// exponential smoothing and provisions ahead of the trend, absorbing VM
-// boot latency.
+// Predictive forecasts the metered arrival rate with Holt's linear
+// exponential smoothing and sizes the forecast Lead ahead as GrowthFit
+// sizes its projection; the two differ only in the forecast.
 type Predictive struct {
-	target   Target
-	min, max int
+	target      Target
+	meanService float64
+	min, max    int
 
+	meter        meter
 	level, trend float64
 	initialized  bool
 }
 
 // NewPredictive builds a forecasting scaler that keeps target between
-// min and max servers (max <= 0: unbounded).
-func NewPredictive(target Target, min, max int) *Predictive {
+// min and max servers (max <= 0: unbounded); meanService converts the
+// forecast rate to servers, as in NewGrowthFit.
+func NewPredictive(target Target, meanService float64, min, max int) *Predictive {
 	if target == nil {
 		panic("scale: NewPredictive with nil target")
 	}
-	return &Predictive{target: target, min: min, max: max}
+	if meanService <= 0 {
+		panic("scale: NewPredictive needs a positive mean service time to convert a rate to servers")
+	}
+	return &Predictive{target: target, meanService: meanService, min: min, max: max}
 }
 
-// Forecast returns the current demand forecast predictLead ahead.
+// Forecast returns the arrival-rate forecast Lead ahead, in requests/s.
 func (p *Predictive) Forecast() float64 {
-	steps := float64(predictLead) / float64(loopInterval)
+	steps := float64(Lead) / float64(loopInterval)
 	return p.level + p.trend*steps
 }
 
@@ -195,8 +209,7 @@ func (p *Predictive) Forecast() float64 {
 // function.
 func (p *Predictive) Start(eng *sim.Engine) func() {
 	return eng.Every(loopInterval, "scale/predictive", func() {
-		// Observed total demand: per-server load times fleet size.
-		observed := p.target.Load() * float64(max(p.target.Desired(), 1))
+		observed := p.meter.rate(p.target)
 		if !p.initialized {
 			p.level, p.trend, p.initialized = observed, 0, true
 			return
@@ -204,11 +217,7 @@ func (p *Predictive) Start(eng *sim.Engine) func() {
 		prevLevel := p.level
 		p.level = holtAlpha*observed + (1-holtAlpha)*(p.level+p.trend)
 		p.trend = holtBeta*(p.level-prevLevel) + (1-holtBeta)*p.trend
-		forecast := p.Forecast()
-		if forecast < 0 {
-			forecast = 0
-		}
-		want := clamp(int(math.Ceil(forecast/predictPerServer)), p.min, p.max)
+		want := clamp(deploy.ServersForPeak(p.Forecast(), p.meanService), p.min, p.max)
 		if want != p.target.Desired() {
 			p.target.ScaleTo(want)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"elearncloud/internal/deploy"
 	"elearncloud/internal/sim"
 )
 
@@ -132,44 +133,93 @@ func TestScheduledFollowsPlan(t *testing.T) {
 	}
 }
 
+// rampThenCliff is a metered demand that rises for 40 minutes, 10 to 50
+// requests per second, and then drops to a trickle of 1.
+func rampThenCliff(now time.Duration) float64 {
+	if now <= 40*time.Minute {
+		return 10 + now.Minutes()
+	}
+	return 1
+}
+
+// feedRate advances ft's arrival meter by a minute of rate(now) before
+// each scaler tick: call it before starting the scaler, so the feed's
+// timer fires first at equal times.
+func feedRate(eng *sim.Engine, ft *fakeTarget, rate func(time.Duration) float64) func() {
+	return eng.Every(time.Minute, "feed", func() {
+		ft.count += uint64(rate(eng.Now()) * 60)
+	})
+}
+
+// TestPredictiveTracksRamp: on a rising metered rate the Holt trend
+// provisions for the rate a Lead ahead, strictly more servers than the
+// current rate needs.
 func TestPredictiveTracksRamp(t *testing.T) {
+	const meanSvc = 0.3
 	eng := sim.NewEngine(1)
-	ft := &fakeTarget{desired: 1, load: 1}
-	p := NewPredictive(ft, 1, 100)
+	ft := &fakeTarget{desired: 1}
+	stopFeed := feedRate(eng, ft, rampThenCliff)
+	defer stopFeed()
+	p := NewPredictive(ft, meanSvc, 1, 100)
 	stop := p.Start(eng)
 	defer stop()
-	// Demand doubles every few minutes: per-server load stays high as the
-	// fake target's load does not decrease with more servers, modeling a
-	// steep ramp.
-	rampStop := eng.Every(time.Minute, "ramp", func() { ft.load *= 1.5 })
-	defer rampStop()
-	eng.Run(30 * time.Minute)
-	if ft.desired <= 1 {
-		t.Fatalf("predictive never scaled out (desired=%d)", ft.desired)
+	eng.Run(40 * time.Minute)
+	nowNeed := deploy.ServersForPeak(rampThenCliff(eng.Now()), meanSvc)
+	if ft.desired <= nowNeed {
+		t.Fatalf("desired = %d, want > %d (provisioned ahead of the ramp)", ft.desired, nowNeed)
 	}
-	if p.Forecast() <= 0 {
-		t.Fatal("forecast not positive under growth")
+	if f := p.Forecast(); f <= rampThenCliff(eng.Now()) {
+		t.Fatalf("forecast %.2f req/s not above the current rate under growth", f)
 	}
 }
 
+// TestPredictiveScalesInAfterPeak: once the metered rate falls off its
+// cliff, the fleet returns to its floor.
 func TestPredictiveScalesInAfterPeak(t *testing.T) {
 	eng := sim.NewEngine(1)
-	ft := &fakeTarget{desired: 10, load: 12}
-	stop := NewPredictive(ft, 2, 50).Start(eng)
+	ft := &fakeTarget{desired: 2}
+	stopFeed := feedRate(eng, ft, rampThenCliff)
+	defer stopFeed()
+	stop := NewPredictive(ft, 0.3, 2, 50).Start(eng)
 	defer stop()
-	eng.Schedule(5*time.Minute, "quiet", func() { ft.load = 0.1 })
+	eng.Run(40 * time.Minute)
+	peak := ft.desired
 	eng.Run(time.Hour)
-	if ft.desired > 3 {
-		t.Fatalf("desired = %d, want scale-in toward Min after load vanished", ft.desired)
+	if peak <= 20 || ft.desired != 2 {
+		t.Fatalf("desired = %d at the peak and %d after the cliff, want > 20 and the floor of 2", peak, ft.desired)
+	}
+}
+
+// TestPredictiveIgnoresSaturatedLoad: the demand signal is the metered
+// rate, not in-flight work. With load pinned at the 256-job admission
+// cap and a constant rate, the fleet settles at the rate's
+// deploy.ServersForPeak size and holds it, rather than climbing to its
+// cap on a load that more servers would never lower.
+func TestPredictiveIgnoresSaturatedLoad(t *testing.T) {
+	const rate, meanSvc, min, max = 20.0, 0.3, 2, 100
+	want := deploy.ServersForPeak(rate, meanSvc)
+	if want <= min || want >= max {
+		t.Fatalf("ServersForPeak(%g, %g) = %d, want strictly inside [%d, %d]", rate, meanSvc, want, min, max)
+	}
+	eng := sim.NewEngine(1)
+	ft := &fakeTarget{desired: min, load: 256}
+	stopFeed := feedRate(eng, ft, func(time.Duration) float64 { return rate })
+	defer stopFeed()
+	stop := NewPredictive(ft, meanSvc, min, max).Start(eng)
+	defer stop()
+	eng.Run(2 * time.Hour)
+	if len(ft.calls) != 1 || ft.desired != want {
+		t.Fatalf("scale calls = %v, want one ScaleTo(%d) held for two hours", ft.calls, want)
 	}
 }
 
 func TestConstructorsPanicOnNil(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"reactive":      func() { NewReactive(nil, 1, 0) },
-		"planned nil t": func() { NewPlanned(nil, func(time.Duration) int { return 1 }, time.Minute, 0, 1, 0) },
-		"planned nil p": func() { NewPlanned(&fakeTarget{}, nil, time.Minute, 0, 1, 0) },
-		"predictive":    func() { NewPredictive(nil, 1, 0) },
+		"reactive":       func() { NewReactive(nil, 1, 0) },
+		"planned nil t":  func() { NewPlanned(nil, func(time.Duration) int { return 1 }, time.Minute, 0, 1, 0) },
+		"planned nil p":  func() { NewPlanned(&fakeTarget{}, nil, time.Minute, 0, 1, 0) },
+		"predictive":     func() { NewPredictive(nil, 0.1, 1, 0) },
+		"predictive svc": func() { NewPredictive(&fakeTarget{}, 0, 1, 0) },
 	} {
 		func() {
 			defer func() {

@@ -637,7 +637,7 @@ func startScaler(eng *sim.Engine, cfg Config, gen *workload.Generator, meanSvc f
 		}
 		return scale.NewPlanned(target, planOf(planGen), 5*time.Minute, 0, 1, maxPublic).Start(eng), nil, nil
 	case ScalerPredictive:
-		return scale.NewPredictive(target, min, maxPublic).Start(eng), nil, nil
+		return scale.NewPredictive(target, meanSvc, min, maxPublic).Start(eng), nil, nil
 	case ScalerGrowthFit:
 		s := scale.NewGrowthFit(target, meanSvc, min, maxPublic)
 		return s.Start(eng), s, nil
