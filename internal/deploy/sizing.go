@@ -3,6 +3,7 @@ package deploy
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"elearncloud/internal/cloud"
 	"elearncloud/internal/sim"
@@ -20,6 +21,10 @@ var publicSpec = cloud.InstanceSpec{
 	Res:       cloud.Resources{CPU: 4, Mem: 7.5, Disk: 850},
 	BootDelay: sim.LogNormal(100, 0.3),
 }
+
+// PublicBoot is the public flavor's mean boot delay: how long a
+// flow-level fleet's new server takes to start serving.
+func PublicBoot() time.Duration { return sim.Seconds(publicSpec.BootDelay.Mean()) }
 
 // privateSpec is the VM carved out of a campus host. It has the rented
 // flavor's shape, so comparisons are apples-to-apples, and boots faster:

@@ -132,7 +132,7 @@ func table11At(seed uint64, pool *scenario.Pool, fidelity scenario.Fidelity) (*m
 	if hybrid != nil && fluid != nil {
 		servedDelta := (float64(hybrid.Served) - fluid.OfferedRequests) / fluid.OfferedRequests
 		vmRatio := hybrid.VMHoursPublic / fluid.VMHoursPublic
-		t.AddNote("agreement vs fluid: served mass %+.3f%%, VM-hours ratio %.3f (bands: the DES windows admit, reject and carry real requests where the fluid model assumes all offered load completes at idealized capacity)",
+		t.AddNote("agreement vs fluid: served mass %+.3f%%, VM-hours ratio %.3f (bands: both run one autoscaled fleet; the DES windows admit, reject and carry real requests where the fluid model assumes all offered load completes)",
 			servedDelta*100, vmRatio)
 	}
 	if hybrid != nil && spot != nil && spot.Arrivals > 0 {

@@ -159,15 +159,16 @@ func (m *Mix) MeanPayload(cat *Catalog) float64 {
 	return acc / total
 }
 
-// PayloadShare returns the fraction of the mix's delivered bytes that a
-// single class accounts for (weight × mean payload over the total). The
-// CDN cost model uses it to split video traffic from the rest.
-func (m *Mix) PayloadShare(cat *Catalog, class Class) float64 {
+// PayloadShare returns the fraction of the mix's delivered bytes
+// (weight × mean payload over the total) on the classes in reports.
+// The fluid model splits bytes by it: video to the CDN, sensitive
+// classes to a hybrid's private side.
+func (m *Mix) PayloadShare(cat *Catalog, in func(Class) bool) float64 {
 	var total, classBytes float64
 	for i, c := range m.classes {
 		b := m.weights[i] * cat.Spec(c).Payload.Mean()
 		total += b
-		if c == class {
+		if in(c) {
 			classBytes += b
 		}
 	}

@@ -110,12 +110,12 @@ func (h *jobHeap) pop() *psJob {
 	return top
 }
 
-// admissionLimit bounds a server's concurrently admitted requests (its
-// thread pool).
-const admissionLimit = 256
+// AdmissionLimit bounds a server's concurrently admitted requests (its
+// thread pool): the most in-flight jobs a saturated server holds.
+const AdmissionLimit = 256
 
 // NewAppServer attaches a server to a VM, admitting up to
-// admissionLimit concurrent requests.
+// AdmissionLimit concurrent requests.
 func NewAppServer(eng *sim.Engine, vm *cloud.VM) *AppServer {
 	if eng == nil || vm == nil {
 		panic("lms: NewAppServer with nil engine or vm")
@@ -123,7 +123,7 @@ func NewAppServer(eng *sim.Engine, vm *cloud.VM) *AppServer {
 	s := &AppServer{
 		eng:        eng,
 		vm:         vm,
-		maxJobs:    admissionLimit,
+		maxJobs:    AdmissionLimit,
 		lastUpdate: eng.Now(),
 		lastSpeed:  vm.SpeedFactor(),
 		filed:      -1,

@@ -135,7 +135,7 @@ func pickKind(r *sim.RNG) deploy.Kind {
 	}
 }
 
-// pickScaler draws an elasticity policy.
+// pickScaler draws an elasticity policy (widenScaler adds the rest).
 func pickScaler(r *sim.RNG) scenario.ScalerKind {
 	return []scenario.ScalerKind{
 		scenario.ScalerFixed, scenario.ScalerReactive,
@@ -181,6 +181,19 @@ func pickShards(r *sim.RNG) int {
 		return between(r, 2, 4)
 	}
 	return 0
+}
+
+// widenScaler redraws a third of the cases' policy as growth-fit or
+// the oracle, so every invariant sees both. Families that draw a policy
+// draw this after pickShards, for the reason pickShards is drawn last.
+func widenScaler(r *sim.RNG, sk scenario.ScalerKind) scenario.ScalerKind {
+	switch r.Intn(6) {
+	case 0:
+		return scenario.ScalerGrowthFit
+	case 1:
+		return scenario.ScalerOracle
+	}
+	return sk
 }
 
 // randomCrowd draws an exam flash crowd inside the horizon.
@@ -245,6 +258,7 @@ func genCampus(r *sim.RNG) scenario.Config {
 		cfg.EnableCDN = true
 	}
 	cfg.Shards = pickShards(r)
+	cfg.Scaler = widenScaler(r, cfg.Scaler)
 	return cfg
 }
 
@@ -276,6 +290,7 @@ func genMOOC(r *sim.RNG) scenario.Config {
 				cfg.Duration*time.Duration(between(r, 40, 75))/100)
 		}
 		cfg.Shards = pickShards(r)
+		cfg.Scaler = widenScaler(r, cfg.Scaler)
 		return cfg
 	}
 	cfg.Duration = time.Duration(between(r, 2, 3)) * time.Hour
@@ -293,6 +308,7 @@ func genMOOC(r *sim.RNG) scenario.Config {
 		cfg.Storms = append(cfg.Storms, randomDeadlineStorm(r, cfg.Duration))
 	}
 	cfg.Shards = pickShards(r)
+	cfg.Scaler = widenScaler(r, cfg.Scaler)
 	return cfg
 }
 
@@ -321,6 +337,7 @@ func genStorm(r *sim.RNG) scenario.Config {
 		cfg.Joins = append(cfg.Joins, randomJoinStorm(r, cfg.Duration))
 	}
 	cfg.Shards = pickShards(r)
+	cfg.Scaler = widenScaler(r, cfg.Scaler)
 	return cfg
 }
 
@@ -362,6 +379,7 @@ func genHybrid(r *sim.RNG) scenario.Config {
 		cfg.HybridGuard = betweenMin(r, 5, 20)
 	}
 	cfg.Shards = pickShards(r)
+	cfg.Scaler = widenScaler(r, cfg.Scaler)
 	return cfg
 }
 

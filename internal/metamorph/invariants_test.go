@@ -177,7 +177,6 @@ func TestHybridAgreementSkips(t *testing.T) {
 		"short":        func(c *scenario.Config) { c.Duration = time.Hour },
 		"host-failure": func(c *scenario.Config) { c.HostFailureAt = time.Hour },
 		"threats":      func(c *scenario.Config) { c.EnableThreats = true },
-		"exam-storm":   func(c *scenario.Config) { c.Storms[0].ExamTraffic = true },
 		"empty-plan":   func(c *scenario.Config) { c.Storms = nil },
 	} {
 		cfg := base
@@ -190,6 +189,17 @@ func TestHybridAgreementSkips(t *testing.T) {
 		if skip == "" {
 			t.Errorf("%s: expected a skip reason", name)
 		}
+	}
+	// The fluid stretches run the exam mix in force, so an exam storm
+	// is compared, not skipped.
+	if testing.Short() {
+		return
+	}
+	exam := base
+	exam.Storms = []workload.DeadlineStorm{base.Storms[0]}
+	exam.Storms[0].ExamTraffic = true
+	if v, skip := checkHybridAgreement(exam, 1); v != nil || skip != "" {
+		t.Errorf("exam-storm: violation %v, skip %q; want a clean comparison", v, skip)
 	}
 }
 
@@ -213,22 +223,34 @@ func TestHybridAgreementHolds(t *testing.T) {
 	}
 }
 
-// TestHybridAgreementRetentionRegression pins the seeds this PR's
-// first hybrid-family sweep (run seed 1) minimized: small hybrid
-// deployments whose private side absorbs the base load, leaving a
-// public fleet of 1-2 servers that the DES's reactive scaler holds for
-// the whole horizon while the hybrid's fluid stretches run it at zero —
-// VM-hours ratios of 0.20-0.27 from whole-server quantization, not a
-// stitching bug. The both-sides-over-5-VM-hours gate must classify
-// them as explained without skipping the exact capex/host clauses.
+// TestHybridAgreementRetentionRegression pins the seeds the first
+// hybrid-family sweep (run seed 1) minimized: small hybrid deployments
+// whose fluid stretches gave the private side the base load and ran
+// the public side at zero servers, while the DES's scaler held its
+// floor for the whole horizon — hybrid/DES public VM-hours of 0.200 and
+// 0.271. With one routing rule and one fleet model the hybrid run
+// tracks the DES, and the full invariant passes.
 func TestHybridAgreementRetentionRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs request-level scenarios")
 	}
 	for _, seed := range []uint64{0xc699da707374f890, 0x57e3ea30f79965d6} {
 		c := FindFamilyOrDie(t, "hybrid").Case(seed)
-		if v, _ := checkHybridAgreement(c.Cfg, c.Seed); v != nil {
-			t.Errorf("hybrid seed=%#x: %s", seed, v.Detail)
+		cfg := c.Cfg
+		cfg.Shards = 0
+		des, err := scenario.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hyb, err := scenario.NewPool(2).Run(atFidelity(cfg, scenario.FidelityAuto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ratio := hyb.VMHoursPublic / des.VMHoursPublic; ratio < 0.8 || ratio > 1.25 {
+			t.Errorf("hybrid seed=%#x: public VM-hours hybrid/DES = %.3f outside [0.8,1.25]", seed, ratio)
+		}
+		if v, skip := checkHybridAgreement(c.Cfg, c.Seed); v != nil || skip != "" {
+			t.Errorf("hybrid seed=%#x: violation %v, skip %q", seed, v, skip)
 		}
 	}
 }
@@ -411,9 +433,6 @@ func TestCrossFidelitySkips(t *testing.T) {
 		"desktop":      func(c *scenario.Config) { c.Kind = deploy.Desktop },
 		"short":        func(c *scenario.Config) { c.Duration = time.Hour },
 		"host-failure": func(c *scenario.Config) { c.HostFailureAt = time.Hour },
-		"exam-crowd": func(c *scenario.Config) {
-			c.Crowds = []workload.FlashCrowd{{Start: time.Hour, End: 2 * time.Hour, Mult: 3, ExamTraffic: true}}
-		},
 	} {
 		cfg := base
 		mutate(&cfg)
@@ -425,29 +444,56 @@ func TestCrossFidelitySkips(t *testing.T) {
 			t.Errorf("%s: expected a skip reason", name)
 		}
 	}
+	// Each fluid tick reads the mix in force, so an exam crowd is
+	// compared, not skipped.
+	if testing.Short() {
+		return
+	}
+	exam := base
+	exam.Crowds = []workload.FlashCrowd{{Start: time.Hour, End: 2 * time.Hour, Mult: 3, ExamTraffic: true}}
+	if v, skip := checkCrossFidelity(exam, 1); v != nil || skip != "" {
+		t.Errorf("exam-crowd: violation %v, skip %q; want a clean comparison", v, skip)
+	}
 }
 
-// TestCrossFidelitySpikeRegression pins the seeds the first fuzz sweep
-// (run seed 2) minimized: small stacked-storm configs where the
-// memoryless fluid fleet undercounts the reactive scaler's held
-// capacity by 9-20x. The spikiness gate must classify them as
-// explained (no violation) without skipping the whole invariant's
-// capex/host clauses.
+// TestCrossFidelitySpikeRegression pins the seeds the first fuzz
+// sweeps found. While the fluid fleet sized each step from the rate
+// alone, ignoring the scaler, storm 0x28f0f41a83af80e7 (a double storm
+// and a join spike under the predictive scaler) read DES/fluid public
+// VM-hours of 20.43, and campus 0xfb3abd4466c9728c (a hybrid with two
+// exam crowds under the scheduled scaler) read 13.71. Run by the DES's
+// own control loop, both read inside the band, and the full invariant
+// passes. Chaos 0x743912ad8faad72c, a rural-DSL hybrid whose outages
+// starve the DES of arrivals the fluid model serves (egress ratio
+// 0.59), stays out of the consumption clauses through the offline-share
+// condition.
 func TestCrossFidelitySpikeRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs request-level scenarios")
 	}
 	for fam, seed := range map[string]uint64{
-		"storm":  0x28f0f41a83af80e7, // 215-student double storm, ratio was 20.4x
-		"campus": 0xfb3abd4466c9728c, // 351-student hybrid crowd, ratio was 13.7x
-		// Run-seed-3 find: rural-DSL hybrid whose last-mile outages
-		// starve the DES of arrivals the fluid model still integrates
-		// (egress ratio was 0.65); the offline-share gate explains it.
-		"chaos": 0x743912ad8faad72c,
+		"storm":  0x28f0f41a83af80e7,
+		"campus": 0xfb3abd4466c9728c,
+		"chaos":  0x743912ad8faad72c,
 	} {
 		c := FindFamilyOrDie(t, fam).Case(seed)
-		if v, _ := checkCrossFidelity(c.Cfg, c.Seed); v != nil {
-			t.Errorf("%s seed=%#x: %s", fam, seed, v.Detail)
+		if fam != "chaos" {
+			cfg := c.Cfg
+			cfg.Shards = 0
+			des, err := scenario.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fluid, err := scenario.Run(atFidelity(cfg, scenario.FidelityFluid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ratio := des.VMHoursPublic / fluid.VMHoursPublic; ratio < 0.8 || ratio > 1.25 {
+				t.Errorf("%s seed=%#x: public VM-hours DES/fluid = %.3f outside [0.8,1.25]", fam, seed, ratio)
+			}
+		}
+		if v, skip := checkCrossFidelity(c.Cfg, c.Seed); v != nil || skip != "" {
+			t.Errorf("%s seed=%#x: violation %v, skip %q", fam, seed, v, skip)
 		}
 	}
 }

@@ -285,7 +285,7 @@ func (g *GrowthFit) LastStable() FitReport { return g.stable }
 // all randomness it touches is the engine's, rooted at the run seed, so
 // results are byte-identical at any pool width.
 func (g *GrowthFit) Start(eng *sim.Engine) func() {
-	return eng.Every(loopInterval, "scale/growthfit", func() { g.tick(eng) })
+	return eng.Every(LoopInterval, "scale/growthfit", func() { g.tick(eng) })
 }
 
 // tick observes, refits, and either provisions from the projection or

@@ -29,9 +29,10 @@ type Target interface {
 	Arrivals() uint64
 }
 
-// loopInterval is how often the load- and rate-driven loops (reactive,
-// predictive, growth-fit) decide.
-const loopInterval = time.Minute
+// LoopInterval is how often the load- and rate-driven loops (reactive,
+// predictive, growth-fit) decide, and the step of the fluid model whose
+// fleet they drive.
+const LoopInterval = time.Minute
 
 // The reactive control loop, which is also growth-fit's fallback until
 // its fit stabilizes: scale out by scaleOutStep servers when the load
@@ -66,7 +67,7 @@ func (m *meter) rate(t Target) float64 {
 		delta = 0
 	}
 	m.lastCount = count
-	return float64(delta) / sim.ToSeconds(loopInterval)
+	return float64(delta) / sim.ToSeconds(LoopInterval)
 }
 
 // clamp bounds n to [min, max] (max <= 0 means unbounded above).
@@ -100,7 +101,7 @@ func NewReactive(target Target, min, max int) *Reactive {
 // Start begins periodic control on the engine and returns a stop
 // function.
 func (r *Reactive) Start(eng *sim.Engine) func() {
-	return eng.Every(loopInterval, "scale/reactive", func() { r.tick(eng) })
+	return eng.Every(LoopInterval, "scale/reactive", func() { r.tick(eng) })
 }
 
 // tick is one control decision. GrowthFit delegates here verbatim while
@@ -201,14 +202,14 @@ func NewPredictive(target Target, meanService float64, min, max int) *Predictive
 
 // Forecast returns the arrival-rate forecast Lead ahead, in requests/s.
 func (p *Predictive) Forecast() float64 {
-	steps := float64(Lead) / float64(loopInterval)
+	steps := float64(Lead) / float64(LoopInterval)
 	return p.level + p.trend*steps
 }
 
 // Start begins periodic control on the engine and returns a stop
 // function.
 func (p *Predictive) Start(eng *sim.Engine) func() {
-	return eng.Every(loopInterval, "scale/predictive", func() {
+	return eng.Every(LoopInterval, "scale/predictive", func() {
 		observed := p.meter.rate(p.target)
 		if !p.initialized {
 			p.level, p.trend, p.initialized = observed, 0, true

@@ -40,16 +40,40 @@ func TestFluidTracksDESConsumption(t *testing.T) {
 			des.EgressGB, fluid.EgressGB, ratio)
 	}
 
-	// VM-hours: the fluid model sizes to instantaneous need; the DES
-	// carries a reactive floor and booting VMs, so it consumes more but
-	// within a small factor.
-	if des.VMHoursPublic < fluid.VMHoursPublic {
-		t.Fatalf("DES VM-hours %.1f below idealized fluid %.1f",
-			des.VMHoursPublic, fluid.VMHoursPublic)
+	// VM-hours: the same reactive scaler drives both fleets, so they
+	// consume alike.
+	if ratio := des.VMHoursPublic / fluid.VMHoursPublic; ratio < 0.8 || ratio > 1.25 {
+		t.Fatalf("VM-hours diverged: DES %.1f vs fluid %.1f (ratio %.2f outside [0.8,1.25])",
+			des.VMHoursPublic, fluid.VMHoursPublic, ratio)
 	}
-	if des.VMHoursPublic > fluid.VMHoursPublic*6 {
-		t.Fatalf("DES VM-hours %.1f more than 6x fluid %.1f — fidelities drifted",
-			des.VMHoursPublic, fluid.VMHoursPublic)
+}
+
+// A fixed fleet is the same fleet at both fidelities: the shared
+// bounds size it and nothing scales it, so it bills the same public
+// VM-hours exactly, on a public and on a hybrid deployment. Bytes
+// split by each side's payload share, with all video public, so the
+// hybrid's egress tracks the DES's too.
+func TestFluidMatchesDESFixedFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two request-level days")
+	}
+	for _, kind := range []deploy.Kind{deploy.Public, deploy.Hybrid} {
+		cfg := Config{Seed: 1, Kind: kind, Students: 2000, Duration: 24 * time.Hour, Scaler: ScalerFixed}
+		des, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fluid, err := Run(at(cfg, FidelityFluid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if des.VMHoursPublic != fluid.VMHoursPublic {
+			t.Errorf("%v: public VM-hours DES %v vs fluid %v, want equal", kind, des.VMHoursPublic, fluid.VMHoursPublic)
+		}
+		if ratio := des.EgressGB / fluid.EgressGB; ratio < 0.95 || ratio > 1.05 {
+			t.Errorf("%v: egress ratio DES/fluid %.3f outside [0.95,1.05] (DES %.1f GB, fluid %.1f GB)",
+				kind, ratio, des.EgressGB, fluid.EgressGB)
+		}
 	}
 }
 
@@ -104,16 +128,11 @@ func TestFluidTracksDESRandomConfigs(t *testing.T) {
 					i, cfg.Kind, cfg.Students, ratio, des.EgressGB, fluid.EgressGB)
 			}
 		}
-		// Elastic consumption: idealized fluid is a floor, reactive
-		// retention and booting VMs a bounded ceiling.
-		if fluid.VMHoursPublic > 1 {
-			if des.VMHoursPublic < fluid.VMHoursPublic*0.95 {
-				t.Errorf("config %d (%v): DES VM-hours %.1f below idealized fluid %.1f",
-					i, cfg.Kind, des.VMHoursPublic, fluid.VMHoursPublic)
-			}
-			if des.VMHoursPublic > fluid.VMHoursPublic*6 {
-				t.Errorf("config %d (%v): DES VM-hours %.1f more than 6x fluid %.1f — fidelities drifted",
-					i, cfg.Kind, des.VMHoursPublic, fluid.VMHoursPublic)
+		// Elastic consumption: one scaler drives both fleets.
+		if cfg.Kind != deploy.Private {
+			if ratio := des.VMHoursPublic / fluid.VMHoursPublic; ratio < 0.8 || ratio > 1.25 {
+				t.Errorf("config %d (%v): VM-hours ratio DES/fluid %.3f outside [0.8,1.25] (DES %.1f, fluid %.1f)",
+					i, cfg.Kind, ratio, des.VMHoursPublic, fluid.VMHoursPublic)
 			}
 		}
 	}

@@ -9,10 +9,13 @@
 //     overload behavior matter (exam spikes, network outages). Horizons
 //     of hours to a few days. Config.Shards splits the engine into K
 //     per-shard engines on the pool (sharded.go); K ≤ 1 is one engine.
-//   - FidelityFluid: a flow-level approximation that steps the
-//     arrival-rate curve and integrates capacity, utilization and cost,
-//     for semester-scale TCO and utilization studies where per-request
-//     queueing is irrelevant. Its Result has no latency samples.
+//   - FidelityFluid: a flow-level model that steps the arrival-rate
+//     curve a minute at a time through the same fleets, for
+//     semester-scale TCO and utilization studies where per-request
+//     queueing is irrelevant. The configured autoscaler drives its
+//     public fleet on an engine of its own, with the same bounds, boot
+//     lag, request mix and routing as a request-level run (fluid.go).
+//     Its Result has no latency samples.
 //   - FidelityAuto: fluid integration through the quiet stretches and
 //     request-level windows (sharded like FidelityDES) through the
 //     bursts, stitched at the seams (hybrid.go).

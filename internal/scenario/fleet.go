@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"sort"
+
 	"elearncloud/internal/cloud"
+	"elearncloud/internal/deploy"
 	"elearncloud/internal/lms"
 	"elearncloud/internal/scale"
 	"elearncloud/internal/sim"
@@ -127,3 +130,53 @@ func (f *fleet) FailHost(hostID int) {
 	}
 	f.entries = kept
 }
+
+// fluidFleet is the fluid model's public fleet: a scale.Target that
+// startScaler drives exactly as it drives a request-level fleet, whose
+// servers are boot instants and whose load is an M/G/1
+// processor-sharing occupancy rather than a queue.
+type fluidFleet struct {
+	eng *sim.Engine
+	max int
+	// ready holds each server's first serving instant, oldest first.
+	ready []sim.Time
+	// rate is the arrival rate routed to the fleet (req/s) and meanSvc
+	// its mean service demand (s), both set each fluid tick; arrivals
+	// is the rate integrated through the current tick.
+	rate, meanSvc, arrivals float64
+}
+
+// Desired implements scale.Target: servers including booting ones.
+func (f *fluidFleet) Desired() int { return len(f.ready) }
+
+// ScaleTo implements scale.Target, clamping n to [0, max]. A new
+// server serves after the public flavor's mean boot; scale-in drops the
+// newest servers, so booting ones go first.
+func (f *fluidFleet) ScaleTo(n int) {
+	n = min(max(n, 0), f.max)
+	for len(f.ready) < n {
+		f.ready = append(f.ready, f.eng.Now()+deploy.PublicBoot())
+	}
+	f.ready = f.ready[:n]
+}
+
+// Load implements scale.Target: the mean jobs in service per live
+// server, ρ/(1−ρ) at utilization ρ, up to the admission limit a
+// saturated server holds. With no live server it is 0, as
+// Cluster.Load's is.
+func (f *fluidFleet) Load() float64 {
+	now := f.eng.Now()
+	live := sort.Search(len(f.ready), func(i int) bool { return f.ready[i] > now })
+	if live == 0 {
+		return 0
+	}
+	rho := f.rate * f.meanSvc / float64(live)
+	if rho >= 1 {
+		return lms.AdmissionLimit
+	}
+	return min(rho/(1-rho), lms.AdmissionLimit)
+}
+
+// Arrivals implements scale.Target: the routed rate integrated through
+// the current tick, which never decreases.
+func (f *fluidFleet) Arrivals() uint64 { return uint64(f.arrivals) }

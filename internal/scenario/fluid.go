@@ -1,184 +1,214 @@
 package scenario
 
 import (
-	"math"
 	"time"
 
 	"elearncloud/internal/cdn"
 	"elearncloud/internal/deploy"
 	"elearncloud/internal/lms"
 	"elearncloud/internal/metrics"
+	"elearncloud/internal/scale"
+	"elearncloud/internal/sim"
 	"elearncloud/internal/workload"
 )
 
-// fluidStep is the integration step of a fluid run — and the grid the
-// hybrid fidelity planner aligns its DES windows to, so a hybrid run's
-// fluid segments step through exactly the instants a whole-horizon
-// fluid run would, in the same order, accumulating the same floats.
+// fluidStep is the grid of a fluid run's series, and the grid the
+// hybrid fidelity planner aligns its DES windows to.
 const fluidStep = 5 * time.Minute
 
-// fluidModel is the flow-level integrator's fixed state: everything
-// derived from the config once, so integration can be applied to the
-// whole horizon (FidelityFluid) or resumed segment by segment around
-// DES windows (FidelityAuto) with identical arithmetic.
+// fluidTick is the fluid model's integration step: the autoscalers'
+// loop interval, so the fluid fleet sees every decision its scaler
+// makes.
+const fluidTick = scale.LoopInterval
+
+// fluidModel is the flow-level model of one run. It steps the
+// arrival-rate curve one tick at a time through the fleets a
+// request-level run builds: the fixed private fleet, and a public
+// fluidFleet on an engine of its own that the configured autoscaler
+// drives as it drives a request-level fleet. Each tick routes the mix
+// in force as the request-level engine routes requests. A whole-horizon
+// run (FidelityFluid) accrues every tick; a hybrid run (FidelityAuto)
+// accrues outside its DES windows only, while its fleet keeps running
+// through them.
 type fluidModel struct {
-	cfg         Config // defaulted
-	gen         *workload.Generator
-	meanSvc     float64
-	meanPayload float64
+	cfg     Config // defaulted
+	gen     *workload.Generator
+	meanSvc float64 // the teaching mix's, which fleets are sized by
 	// size is deploy's capacity plan for the run: the same fixed
 	// private fleet and owned hosts a request-level run builds.
 	size deploy.Sizing
-	// pubShare is the fraction of served bytes leaving the public cloud.
-	pubShare float64
-	// videoByteShare and cdnHit parameterize the analytic CDN split.
-	videoByteShare float64
-	cdnHit         float64
+	// cdnHit is the analytic edge hit ratio (zero with the CDN off).
+	cdnHit float64
+	mixes  []fluidMix
+
+	eng   *sim.Engine
+	fleet *fluidFleet // the public side, empty without one
+	// at is the next tick to step; the engine has run through it.
+	at  time.Duration
+	res *Result
+	// ticks counts the accrued ticks, and sizeTicks[n] those at which
+	// the public fleet held n servers.
+	ticks                            int64
+	sizeTicks                        []int64
+	egressBytes, cdnBytes, utilAccum float64
 }
 
-// newFluidModel derives the integrator's fixed state from a defaulted
-// config.
+// fluidMix is what a tick reads from a request mix, routed as the
+// request-level engine routes it.
+type fluidMix struct {
+	mix                  *lms.Mix
+	meanSvc, meanPayload float64
+	// pubReqs and pubBytes are the shares of requests and bytes the
+	// public side serves (a hybrid keeps the sensitive classes
+	// in-house); cdnBytes is the video chunks' share of bytes, all
+	// public, when the CDN serves them.
+	pubReqs, pubBytes, cdnBytes float64
+}
+
+// newFluidModel builds the model of a defaulted config, its public
+// fleet bootstrapped and its autoscaler started.
 func newFluidModel(cfg Config) (*fluidModel, error) {
-	cat, teaching := lms.DefaultCatalog(), lms.TeachingMix()
 	gen, err := genFor(cfg)
 	if err != nil {
 		return nil, err
 	}
+	eng := sim.NewEngine(cfg.Seed)
 	m := &fluidModel{
-		cfg:         cfg,
-		gen:         gen,
-		meanSvc:     teaching.MeanService(cat),
-		meanPayload: teaching.MeanPayload(cat),
-		pubShare:    1.0,
+		cfg:     cfg,
+		gen:     gen,
+		meanSvc: lms.TeachingMix().MeanService(lms.DefaultCatalog()),
+		eng:     eng,
+		fleet:   &fluidFleet{eng: eng},
+		res: &Result{
+			Kind:     cfg.Kind,
+			Scaler:   cfg.Scaler,
+			Duration: cfg.Duration,
+			Rate:     metrics.NewTimeSeries("rate-rps"),
+			Servers:  metrics.NewTimeSeries("servers"),
+		},
 	}
 	if m.size, err = deploy.Size(specFor(cfg, gen.MaxRate(), m.meanSvc)); err != nil {
 		return nil, err
 	}
-	switch cfg.Kind {
-	case deploy.Private, deploy.Desktop:
-		m.pubShare = 0
-	case deploy.Hybrid:
-		// Sensitive traffic stays in-house; the rest serves publicly.
-		m.pubShare = 1 - teaching.SensitiveShare(cat)
-	}
+	steps := int((cfg.Duration + fluidStep - 1) / fluidStep)
+	m.res.Rate.Grow(steps)
+	m.res.Servers.Grow(steps)
 	if cfg.EnableCDN {
-		m.videoByteShare = teaching.PayloadShare(cat, lms.VideoChunk)
 		cdnCfg := cdn.DefaultConfig(CoursesFor(cfg.Students))
 		m.cdnHit = cdn.AnalyticHitRatio(cdnCfg.CatalogObjects, cdnCfg.CacheObjects, cdnCfg.ZipfS)
+	}
+	if cfg.Kind == deploy.Public || cfg.Kind == deploy.Hybrid {
+		initial, maxPublic := publicBounds(cfg, m.size)
+		m.fleet.max = maxPublic
+		m.fleet.ScaleTo(initial)
+		if _, _, err := startScaler(eng, cfg, gen, m.meanSvc, m.fleet, initial, maxPublic, 1); err != nil {
+			return nil, err
+		}
 	}
 	return m, nil
 }
 
-// split divides a server need between the public and private sides:
-// the fixed private fleet is always on, and the public side carries
-// the rest (all of it without a private side; none of it on a
-// private-only or desktop deployment).
-func (m *fluidModel) split(needed int) (pub, priv int) {
-	priv = m.size.PrivateServers
+// mixAt returns the routed form of the request mix in force at t.
+func (m *fluidModel) mixAt(t time.Duration) fluidMix {
+	mix := m.gen.MixAt(t)
+	for _, fm := range m.mixes {
+		if fm.mix == mix {
+			return fm
+		}
+	}
+	cat := lms.DefaultCatalog()
+	fm := fluidMix{mix: mix, meanSvc: mix.MeanService(cat), meanPayload: mix.MeanPayload(cat)}
 	switch m.cfg.Kind {
-	case deploy.Public, deploy.Hybrid:
-		pub = max(0, needed-priv)
+	case deploy.Public:
+		fm.pubReqs, fm.pubBytes = 1, 1
+	case deploy.Hybrid:
+		fm.pubReqs = 1 - mix.SensitiveShare(cat)
+		fm.pubBytes = 1 - mix.PayloadShare(cat, func(c lms.Class) bool { return cat.Spec(c).Sensitive })
 	}
-	return pub, priv
-}
-
-// fluidAccum carries the integration state across segments: the result
-// being built plus the scalar accumulators that only finalize once the
-// whole horizon is covered.
-type fluidAccum struct {
-	res         *Result
-	egressBytes float64
-	cdnBytes    float64
-	utilAccum   float64
-	steps       int
-	// hours is the total span integrated so far (the fluid side of a
-	// hybrid run's fidelity split).
-	hours float64
-}
-
-// newAccum starts an empty accumulator for one integration pass. Its
-// series are sized for one sample per fluid step of the horizon, the
-// most any sequence of integrate calls adds.
-func (m *fluidModel) newAccum() *fluidAccum {
-	steps := int((m.cfg.Duration + fluidStep - 1) / fluidStep)
-	res := &Result{
-		Kind:     m.cfg.Kind,
-		Scaler:   m.cfg.Scaler,
-		Duration: m.cfg.Duration,
-		Rate:     metrics.NewTimeSeries("rate-rps"),
-		Servers:  metrics.NewTimeSeries("servers"),
+	if m.cfg.EnableCDN && fm.pubBytes > 0 {
+		fm.cdnBytes = mix.PayloadShare(cat, func(c lms.Class) bool { return c == lms.VideoChunk })
 	}
-	res.Rate.Grow(steps)
-	res.Servers.Grow(steps)
-	return &fluidAccum{res: res}
+	m.mixes = append(m.mixes, fm)
+	return fm
 }
 
-// integrate steps the flow model over [from, to), accumulating into
-// acc. Calling it once over the whole horizon, or repeatedly over the
-// horizon's quiet segments in time order with fluidStep-aligned
-// boundaries, visits the same instants with the same accumulation
-// order — the float-determinism property the empty-plan hybrid test
-// pins against a fluid run.
-func (m *fluidModel) integrate(acc *fluidAccum, from, to time.Duration) {
-	res := acc.res
-	stepHours := fluidStep.Hours()
-	privServers := m.size.PrivateServers
-	for t := from; t < to; t += fluidStep {
-		rate := m.gen.Rate(t)
-		needed := deploy.ServersForPeak(rate, m.meanSvc)
+// integrate steps the model from its clock up to to, accruing the
+// ticks at or after from. The engine runs to each next tick, so the
+// scaler's decisions due then land before the tick is stepped (and
+// the engine never runs to 0, which would mean no horizon).
+func (m *fluidModel) integrate(from, to time.Duration) {
+	for ; m.at < to; m.at += fluidTick {
+		m.step(m.at, m.at >= from)
+		m.eng.Run(m.at + fluidTick)
+	}
+}
 
-		pub, priv := m.split(needed)
-		res.VMHoursPublic += float64(pub) * stepHours
-		res.VMHoursPrivate += float64(priv) * stepHours
-		for k := 0; k < pub; k++ {
-			if k >= len(res.ServerRankHours) {
-				res.ServerRankHours = append(res.ServerRankHours, 0)
-			}
-			res.ServerRankHours[k] += stepHours
-		}
-		if total := pub + priv; total > res.PeakServers {
-			res.PeakServers = total
-		}
-		if privServers > 0 {
-			busyPriv := math.Min(float64(needed), float64(privServers))
-			acc.utilAccum += busyPriv / float64(privServers)
-			acc.steps++
-		}
-		res.OfferedRequests += rate * fluidStep.Seconds()
-		publicBytes := rate * fluidStep.Seconds() * m.meanPayload * m.pubShare
-		if m.cfg.EnableCDN {
-			video := publicBytes * m.videoByteShare
-			acc.cdnBytes += video
-			acc.egressBytes += (publicBytes - video) + video*(1-m.cdnHit)
-		} else {
-			acc.egressBytes += publicBytes
-		}
-
+// step routes tick t's arrivals to the public fleet and, when accrue
+// is set, adds the tick to the run's consumption.
+func (m *fluidModel) step(t time.Duration, accrue bool) {
+	rate, mix, f := m.gen.Rate(t), m.mixAt(t), m.fleet
+	f.rate, f.meanSvc = rate*mix.pubReqs, mix.meanSvc
+	f.arrivals += f.rate * fluidTick.Seconds()
+	if !accrue {
+		return
+	}
+	res, pub, priv := m.res, f.Desired(), m.size.PrivateServers
+	m.ticks++
+	for len(m.sizeTicks) <= pub {
+		m.sizeTicks = append(m.sizeTicks, 0)
+	}
+	m.sizeTicks[pub]++
+	res.PeakServers = max(res.PeakServers, pub+priv)
+	if priv > 0 {
+		busy := deploy.ServersForPeak(rate*(1-mix.pubReqs), mix.meanSvc)
+		m.utilAccum += float64(min(busy, priv)) / float64(priv)
+	}
+	offered := rate * fluidTick.Seconds()
+	res.OfferedRequests += offered
+	bytes := offered * mix.meanPayload
+	video := bytes * mix.cdnBytes
+	m.cdnBytes += video
+	m.egressBytes += bytes*mix.pubBytes - video*m.cdnHit
+	if t%fluidStep == 0 {
 		res.Rate.Add(t, rate)
 		res.Servers.Add(t, float64(pub+priv))
-		acc.hours += stepHours
 	}
 }
 
-// runFluid integrates a defaulted cfg's arrival-rate curve into
-// capacity, utilization and consumption over the whole horizon
-// (FidelityFluid). The flow model has no requests, so the Result's
-// Latency, Utilization and P95Series are empty; its FluidSimHours is
-// the horizon.
+// finish writes the accrued totals into the result and returns it.
+// Each tick count becomes hours in one correctly rounded division, so a
+// fleet held for whole hours bills them exactly.
+func (m *fluidModel) finish() *Result {
+	res := m.res
+	perHour := float64(time.Hour / fluidTick)
+	var vmTicks, above int64
+	res.ServerRankHours = make([]float64, max(0, len(m.sizeTicks)-1))
+	for n := len(m.sizeTicks) - 1; n > 0; n-- {
+		above += m.sizeTicks[n]
+		vmTicks += int64(n) * m.sizeTicks[n]
+		res.ServerRankHours[n-1] = float64(above) / perHour
+	}
+	res.VMHoursPublic = float64(vmTicks) / perHour
+	res.VMHoursPrivate = float64(int64(m.size.PrivateServers)*m.ticks) / perHour
+	res.FluidSimHours = float64(m.ticks) / perHour
+	res.MeanPrivateUtil = m.utilAccum / float64(max(m.ticks, 1)) // 0 without a private side
+	res.EgressGB = m.egressBytes / 1e9
+	res.CDNGB = m.cdnBytes / 1e9
+	res.PrivateHosts = m.size.PrivateHosts
+	return res
+}
+
+// runFluid runs a defaulted cfg through the fluid model over the whole
+// horizon (FidelityFluid). The flow model has no requests, so the
+// Result's Latency, Utilization and P95Series are empty, and Events
+// stays zero: it counts request-level events only.
 func runFluid(cfg Config) (*Result, error) {
 	m, err := newFluidModel(cfg)
 	if err != nil {
 		return nil, err
 	}
-	acc := m.newAccum()
-	m.integrate(acc, 0, cfg.Duration)
-
-	res := acc.res
-	if acc.steps > 0 {
-		res.MeanPrivateUtil = acc.utilAccum / float64(acc.steps)
-	}
-	res.EgressGB = acc.egressBytes / 1e9
-	res.CDNGB = acc.cdnBytes / 1e9
+	m.integrate(0, cfg.Duration)
+	res := m.finish()
 	res.CDNHitRatio = m.cdnHit
 	downsampleTo := max(fluidStep, cfg.Duration/500) // keep figure series plottable
 	res.Rate = res.Rate.Downsample(downsampleTo)
@@ -186,8 +216,6 @@ func runFluid(cfg Config) (*Result, error) {
 	res.Latency = metrics.DefaultLatency()
 	res.Utilization = metrics.NewTimeSeries("load-per-server")
 	res.P95Series = metrics.NewTimeSeries("p95-window")
-	res.PrivateHosts = m.size.PrivateHosts
-	res.FluidSimHours = cfg.Duration.Hours()
 	// The flow model assumes the last mile is up.
 	res.NetAvailability = 1
 	return res, nil

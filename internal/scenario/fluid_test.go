@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"elearncloud/internal/deploy"
+	"elearncloud/internal/lms"
+	"elearncloud/internal/sim"
 	"elearncloud/internal/workload"
 )
 
@@ -154,5 +158,59 @@ func TestFluidDeterminism(t *testing.T) {
 	}
 	if a.VMHoursPublic != b.VMHoursPublic || a.Cost.Total() != b.Cost.Total() {
 		t.Fatal("fluid run not deterministic")
+	}
+}
+
+// The fluid fleet is the scale.Target the fluid model's autoscaler
+// drives: a server serves only after its boot, scale-in drops the
+// newest servers first, a saturated fleet reads the admission limit,
+// and the arrival count never falls.
+func TestFluidFleet(t *testing.T) {
+	eng := sim.NewEngine(1)
+	f := &fluidFleet{eng: eng, max: 3, rate: 100, meanSvc: 0.01}
+	f.ScaleTo(1)
+	if f.Load() != 0 {
+		t.Fatalf("load %v while the only server boots, want 0 (no capacity)", f.Load())
+	}
+	eng.Run(deploy.PublicBoot() - 1)
+	if f.Load() != 0 {
+		t.Fatal("server served before its boot ended")
+	}
+	eng.Run(deploy.PublicBoot())
+	if f.Load() != lms.AdmissionLimit {
+		t.Fatalf("load %v at ρ = 1, want the admission limit %d", f.Load(), lms.AdmissionLimit)
+	}
+	f.ScaleTo(5) // clamps to max
+	if f.Desired() != 3 {
+		t.Fatalf("desired %d, want the cap 3", f.Desired())
+	}
+	eng.Run(2 * deploy.PublicBoot())
+	if got, want := f.Load(), (1.0/3)/(1-1.0/3); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("load %v with three live servers, want ρ/(1−ρ) = %v", got, want)
+	}
+	f.ScaleTo(2)
+	if len(f.ready) != 2 || f.ready[0] != deploy.PublicBoot() {
+		t.Fatalf("scale-in kept %v, want the oldest server first", f.ready)
+	}
+
+	cfg := Config{Kind: deploy.Public, Students: 500, Duration: 2 * time.Hour}
+	if err := cfg.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := newFluidModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last uint64
+	for to := fluidTick; to <= cfg.Duration; to += fluidTick {
+		m.integrate(0, to)
+		if got := m.fleet.Arrivals(); got < last {
+			t.Fatalf("arrivals fell from %d to %d at %v", last, got, to)
+		} else {
+			last = got
+		}
+	}
+	if last == 0 {
+		t.Fatal("the fleet metered no arrivals")
 	}
 }

@@ -8,9 +8,8 @@ package scenario
 //   - The planner asks the workload for its burst windows
 //     (workload.BurstWindows): envelope segments whose crowd/storm/join
 //     multiplier bound reaches Config.HybridIntensity, padded by
-//     Config.HybridGuard on each side and aligned to the fluid
-//     integration grid (fluidStep), so fluid segments accumulate floats
-//     in exactly a fluid run's order. The plan is a pure function of the
+//     Config.HybridGuard on each side and aligned to the grid of the
+//     fluid series (fluidStep). The plan is a pure function of the
 //     config — no RNG — so every worker count produces the same plan.
 //   - Each DES window runs as an ordinary pool job with RNG streams
 //     rooted at SeedFor(seed, "hybrid/<window>"), riding the sharded
@@ -18,16 +17,17 @@ package scenario
 //     merged output is a pure function of (config, seed, plan) at any
 //     -parallel.
 //   - Stitching, fluid→DES: the engine clock warps to the window start
-//     (sim.Import), the elastic fleet warm-starts at the fluid model's
-//     server count, the queue is seeded with round(rate·meanService)
-//     synthetic in-flight jobs (Little's law), and the CDN edge is
-//     pre-warmed with popularity-sampled objects. Arrivals begin after
-//     bootGrace, inside the guard margin, exactly like a direct run's
-//     opening.
+//     (sim.Import), the elastic fleet opens at the fluid fleet's size
+//     at that instant (the fluid model runs the same autoscaler over
+//     the whole horizon, windows included), the queue is seeded with
+//     round(rate·meanService) synthetic in-flight jobs (Little's law),
+//     and the CDN edge is pre-warmed with popularity-sampled objects.
+//     Arrivals begin after bootGrace, inside the guard margin, exactly
+//     like a direct run's opening.
 //   - Stitching, DES→fluid: requests still in flight at the window's
 //     close (CarriedOut) are handed back as served mass — the fluid
-//     model assumes all offered load completes — and capacity
-//     integration resumes on the next grid instant.
+//     model assumes all offered load completes — and the fluid model,
+//     whose fleet ran through the window, accrues again from its end.
 //
 // Error sources at a seam, each bounded and tested: the bootGrace
 // arrival gap at a window opening (≤ bootGrace × quiet rate requests,
@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"elearncloud/internal/cdn"
-	"elearncloud/internal/deploy"
 	"elearncloud/internal/metrics"
 	"elearncloud/internal/workload"
 )
@@ -58,8 +57,8 @@ import (
 type desWindow struct {
 	index      int
 	start, end time.Duration
-	// initServers is the public fleet the fluid model runs at the
-	// window's opening instant (pre-share; shards scale it down).
+	// initServers is the fluid fleet's Desired at the window's opening
+	// instant (pre-share; shards scale it down).
 	initServers int
 	// backlog is the in-flight request count to seed (Little's law at
 	// the opening instant, pre-share).
@@ -77,8 +76,9 @@ type FidelityPlan struct {
 	Windows []workload.BurstWindow
 }
 
-// desWindows runs the planner and derives each window's warm-start
-// state from the fluid model at the window's opening instant.
+// desWindows runs the planner, then the fluid model over the whole
+// horizon, accruing outside the windows only, and derives each window's
+// warm-start state from the model at the window's opening instant.
 func (m *fluidModel) desWindows() []desWindow {
 	cfg := m.cfg
 	wins := m.gen.BurstWindows(cfg.Duration, cfg.HybridIntensity, cfg.HybridGuard, fluidStep)
@@ -87,17 +87,20 @@ func (m *fluidModel) desWindows() []desWindow {
 		cdnWarm = 3 * cdn.DefaultConfig(CoursesFor(cfg.Students)).CacheObjects
 	}
 	des := make([]desWindow, len(wins))
+	from := time.Duration(0)
 	for i, w := range wins {
-		pub, _ := m.split(deploy.ServersForPeak(m.gen.Rate(w.Start), m.meanSvc))
+		m.integrate(from, w.Start)
 		des[i] = desWindow{
 			index:       i,
 			start:       w.Start,
 			end:         w.End,
-			initServers: pub,
+			initServers: m.fleet.Desired(),
 			backlog:     int(math.Round(m.gen.Rate(w.Start) * m.meanSvc)),
 			cdnWarm:     cdnWarm,
 		}
+		from = w.End
 	}
+	m.integrate(from, cfg.Duration)
 	return des
 }
 
@@ -142,16 +145,6 @@ func runHybrid(cfg Config, pool *Pool) (*Result, error) {
 	}
 	des := m.desWindows()
 
-	// Fluid integration over the quiet segments, in time order — the
-	// same instants a whole-horizon fluid run visits, minus the windows.
-	acc := m.newAccum()
-	cursor := time.Duration(0)
-	for i := range des {
-		m.integrate(acc, cursor, des[i].start)
-		cursor = des[i].end
-	}
-	m.integrate(acc, cursor, cfg.Duration)
-
 	// DES windows as ordinary pool jobs, seeded per window.
 	results := make([]*Result, len(des))
 	if len(des) > 0 {
@@ -167,7 +160,7 @@ func runHybrid(cfg Config, pool *Pool) (*Result, error) {
 		}
 	}
 
-	return stitchHybrid(cfg, m, acc, des, results), nil
+	return stitchHybrid(cfg, m, des, results), nil
 }
 
 // runHybridWindow executes one planned DES window of a defaulted cfg
@@ -208,21 +201,21 @@ func HybridSpotCheck(cfg Config, pool *Pool, i int) (*Result, error) {
 // stitchHybrid assembles the fluid accumulators and the window results
 // into one whole-horizon Result, folding in window-index order so
 // every float reduction has one fixed evaluation order.
-func stitchHybrid(cfg Config, m *fluidModel, acc *fluidAccum, des []desWindow, wins []*Result) *Result {
-	f := acc.res
+func stitchHybrid(cfg Config, m *fluidModel, des []desWindow, wins []*Result) *Result {
+	f := m.finish()
 	res := &Result{
 		Kind:          cfg.Kind,
 		Scaler:        cfg.Scaler,
 		Duration:      cfg.Duration,
 		Latency:       metrics.DefaultLatency(),
-		PrivateHosts:  m.size.PrivateHosts,
-		FluidSimHours: acc.hours,
+		PrivateHosts:  f.PrivateHosts,
+		FluidSimHours: f.FluidSimHours,
 		// Fluid-side totals first; windows fold in below.
 		VMHoursPublic:  f.VMHoursPublic,
 		VMHoursPrivate: f.VMHoursPrivate,
 		PeakServers:    f.PeakServers,
-		EgressGB:       acc.egressBytes / 1e9,
-		CDNGB:          acc.cdnBytes / 1e9,
+		EgressGB:       f.EgressGB,
+		CDNGB:          f.CDNGB,
 		Served:         uint64(math.Round(f.OfferedRequests)),
 	}
 	fluidCDNGB := res.CDNGB

@@ -8,6 +8,7 @@ import (
 
 	"elearncloud/internal/deploy"
 	"elearncloud/internal/metrics"
+	"elearncloud/internal/sim"
 	"elearncloud/internal/workload"
 )
 
@@ -156,16 +157,10 @@ func TestHybridStitchIsAdditive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The planning pass accrues the fluid side alone, over the quiet
+	// segments.
 	des := m.desWindows()
-
-	// Recompute the fluid side alone over the quiet segments.
-	acc := m.newAccum()
-	cursor := time.Duration(0)
-	for _, w := range des {
-		m.integrate(acc, cursor, w.start)
-		cursor = w.end
-	}
-	m.integrate(acc, cursor, cfg.Duration)
+	fluid := m.finish()
 
 	// Re-run each window alone.
 	var winPub, winPriv, winEgress float64
@@ -184,13 +179,13 @@ func TestHybridStitchIsAdditive(t *testing.T) {
 		desHours += (w.end - w.start).Hours()
 	}
 
-	if got, want := res.VMHoursPublic, acc.res.VMHoursPublic+winPub; math.Abs(got-want) > 1e-6 {
-		t.Errorf("public VM-hours not additive across seams: stitched %.6f vs fluid %.6f + windows %.6f", got, acc.res.VMHoursPublic, winPub)
+	if got, want := res.VMHoursPublic, fluid.VMHoursPublic+winPub; math.Abs(got-want) > 1e-6 {
+		t.Errorf("public VM-hours not additive across seams: stitched %.6f vs fluid %.6f + windows %.6f", got, fluid.VMHoursPublic, winPub)
 	}
-	if got, want := res.VMHoursPrivate, acc.res.VMHoursPrivate+winPriv; math.Abs(got-want) > 1e-6 {
+	if got, want := res.VMHoursPrivate, fluid.VMHoursPrivate+winPriv; math.Abs(got-want) > 1e-6 {
 		t.Errorf("private VM-hours not additive: stitched %.6f vs %.6f", got, want)
 	}
-	if got, want := res.EgressGB, acc.egressBytes/1e9+winEgress; math.Abs(got-want) > 1e-9 {
+	if got, want := res.EgressGB, fluid.EgressGB+winEgress; math.Abs(got-want) > 1e-9 {
 		t.Errorf("egress not additive: stitched %.6f vs %.6f", got, want)
 	}
 	if math.Abs(res.FluidSimHours+res.DESSimHours-cfg.Duration.Hours()) > 1e-9 {
@@ -307,44 +302,38 @@ func TestHybridAllDESPlanTracksRun(t *testing.T) {
 	}
 }
 
-// The stitched fleet-size series must be continuous at every fluid→DES
-// seam: the window's first sample starts from the warm-started fleet,
-// not from a cold bootstrap, so it stays within a small band of the
-// fluid level just before the boundary.
+// Every fluid→DES seam hands the window the fleet the fluid model was
+// running: the window's request-level fleet opens at the fluid fleet's
+// Desired at the window's start, which a whole-horizon fluid pass
+// reaches at the same instant.
 func TestHybridWarmFleetContinuity(t *testing.T) {
 	cfg := stormyCfg(13)
-	res, err := Run(at(cfg, FidelityAuto))
+	if err := cfg.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := newFluidModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanFidelity(cfg)
-	if err != nil {
-		t.Fatal(err)
+	wins := m.desWindows()
+	if len(wins) == 0 {
+		t.Fatal("stormy config planned no DES windows")
 	}
-	pts := res.Servers.Points()
-	for _, w := range plan.Windows {
-		if w.Start == 0 {
-			continue // no fluid side before a window at the origin
+	for _, w := range wins {
+		fluid, err := newFluidModel(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var before, first float64
-		var haveFirst bool
-		for _, p := range pts {
-			if p.At < w.Start {
-				before = p.Value
-			} else if !haveFirst {
-				first = p.Value
-				haveFirst = true
-				break
-			}
+		fluid.integrate(0, w.start)
+		if got := fluid.fleet.Desired(); got != w.initServers {
+			t.Errorf("window at %v: planned warm fleet %d, fluid fleet holds %d", w.start, w.initServers, got)
 		}
-		if !haveFirst {
-			t.Fatalf("no samples inside window starting %v", w.Start)
+		e := &engine{cfg: cfg, eng: sim.NewEngine(cfg.Seed), win: &w}
+		if err := e.build(); err != nil {
+			t.Fatal(err)
 		}
-		if before <= 0 {
-			t.Fatalf("no fluid level before window at %v", w.Start)
-		}
-		if first < 0.5*before || first > 3*before {
-			t.Errorf("fleet discontinuous at %v seam: fluid %.0f servers, window opens at %.0f", w.Start, before, first)
+		if got := e.pubFleet.Desired(); got != w.initServers {
+			t.Errorf("window at %v opens at %d servers, fluid fleet held %d", w.start, got, w.initServers)
 		}
 	}
 }

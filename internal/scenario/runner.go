@@ -232,30 +232,16 @@ func (e *engine) build() error {
 	e.pubCluster = lms.NewCluster()
 	e.privCluster = lms.NewCluster()
 	if dep.PublicDC != nil {
-		maxPublic := cfg.MaxPublicServers
-		if maxPublic <= 0 {
-			maxPublic = dep.ServersAtPeak * 4
-		}
+		initial, maxPublic := publicBounds(cfg, dep.Sizing)
 		e.pubFleet = newFleet(eng, dep.PublicDC, e.pubCluster, dep.PublicSpec, maxPublic)
-		// The public side is sized for the peak the fixed private fleet
-		// does not carry.
-		initial := max(1, dep.ServersAtPeak-dep.PrivateServers)
-		if cfg.Scaler != ScalerFixed {
-			initial = max(2, (initial+3)/4)
-		}
-		// A hybrid DES window warm-starts at the fleet the fluid model
-		// was running when the window opened (its share of it, under
-		// sharding) — the boundary-stitch that spares the scaler from
-		// re-climbing out of the bootstrap floor mid-horizon. The floor
-		// itself is unchanged: the scaler may still scale in to it.
+		// A hybrid DES window opens at the fleet the fluid model was
+		// running when the window opened (its share of it, under
+		// sharding): the same autoscaler ran it up to that instant.
 		warm := initial
-		if win != nil && cfg.Scaler != ScalerFixed {
-			warm = min(maxPublic, max(initial, int(math.Ceil(float64(win.initServers)*share))))
+		if win != nil {
+			warm = int(math.Ceil(float64(win.initServers) * share))
 		}
 		e.pubFleet.ScaleTo(warm)
-		// The bootstrap size is also the scale-in floor: production
-		// fleets never drain below their baseline, or the first spike
-		// after a quiet night pays the full boot lag.
 		stop, fit, err := startScaler(eng, cfg, gen, meanSvc, e.pubFleet, initial, maxPublic, share)
 		if err != nil {
 			return err
@@ -601,6 +587,25 @@ func (e *engine) collect() *Result {
 		res.CarriedOut = max(0, e.liveReqs)
 	}
 	return res
+}
+
+// publicBounds returns a defaulted cfg's public fleet bounds, which
+// both fidelities share: the bootstrap size, sized for the peak the
+// fixed private fleet does not carry (a quarter of it, at least 2,
+// under an autoscaler), and the cap, Config.MaxPublicServers or four
+// times the peak fleet. The bootstrap size is also the scale-in floor:
+// production fleets never drain below their baseline, or the first
+// spike after a quiet night pays the full boot lag.
+func publicBounds(cfg Config, sz deploy.Sizing) (initial, maxPublic int) {
+	maxPublic = cfg.MaxPublicServers
+	if maxPublic <= 0 {
+		maxPublic = sz.ServersAtPeak * 4
+	}
+	initial = max(1, sz.ServersAtPeak-sz.PrivateServers)
+	if cfg.Scaler != ScalerFixed {
+		initial = max(2, (initial+3)/4)
+	}
+	return initial, maxPublic
 }
 
 // startScaler attaches the configured autoscaler to the elastic fleet

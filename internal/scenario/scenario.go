@@ -134,8 +134,8 @@ type Config struct {
 	// per-shard engines on the pool: the whole horizon under
 	// FidelityDES, each burst window under FidelityAuto (default 0 and
 	// 1 both mean one engine; negative, or more shards than students,
-	// is an error). A fluid run has no engine and ignores it. See
-	// sharded.go for the partitioning and merge semantics.
+	// is an error). The fluid model ignores it. See sharded.go for
+	// the partitioning and merge semantics.
 	Shards int
 	// HybridIntensity is the fidelity planner's burst threshold: an
 	// envelope segment whose crowd/storm/join multiplier bound reaches
