@@ -16,9 +16,6 @@ import (
 // difference between "now" and the last successful save is what a
 // disconnect destroys.
 type Session struct {
-	// UserID identifies the learner.
-	UserID int
-
 	lastSave  sim.Time
 	lostWork  time.Duration
 	connected bool
@@ -26,8 +23,8 @@ type Session struct {
 
 // NewSession starts a session at virtual time now, in the connected
 // state, with a savepoint taken at start.
-func NewSession(userID int, now sim.Time) *Session {
-	return &Session{UserID: userID, lastSave: now, connected: true}
+func NewSession(now sim.Time) *Session {
+	return &Session{lastSave: now, connected: true}
 }
 
 // LostWork returns the cumulative work destroyed by disconnects.

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSessionAutosaveAndLostWork(t *testing.T) {
-	s := NewSession(1, 0)
+	s := NewSession(0)
 	if !s.connected {
 		t.Fatal("new session must be connected")
 	}
@@ -24,7 +24,7 @@ func TestSessionAutosaveAndLostWork(t *testing.T) {
 }
 
 func TestSessionAutosaveWhileDisconnectedFails(t *testing.T) {
-	s := NewSession(1, 0)
+	s := NewSession(0)
 	s.Disconnect(time.Minute)
 	if s.Autosave(2 * time.Minute) {
 		t.Fatal("autosave succeeded while disconnected")
@@ -32,7 +32,7 @@ func TestSessionAutosaveWhileDisconnectedFails(t *testing.T) {
 }
 
 func TestSessionReconnectResetsSavepoint(t *testing.T) {
-	s := NewSession(1, 0)
+	s := NewSession(0)
 	s.Disconnect(10 * time.Minute) // loses 10m
 	s.Reconnect(12 * time.Minute)
 	if !s.connected {
@@ -52,7 +52,7 @@ func TestSessionReconnectResetsSavepoint(t *testing.T) {
 }
 
 func TestSessionDoubleTransitionsAreNoOps(t *testing.T) {
-	s := NewSession(1, 0)
+	s := NewSession(0)
 	s.Disconnect(time.Minute)
 	if lost := s.Disconnect(2 * time.Minute); lost != 0 {
 		t.Fatalf("double disconnect lost %v", lost)
@@ -65,7 +65,7 @@ func TestSessionDoubleTransitionsAreNoOps(t *testing.T) {
 }
 
 func TestSessionUnsavedWorkNeverNegative(t *testing.T) {
-	s := NewSession(1, 10*time.Minute)
+	s := NewSession(10 * time.Minute)
 	if got := s.UnsavedWork(5 * time.Minute); got != 0 {
 		t.Fatalf("UnsavedWork before start = %v", got)
 	}

@@ -521,9 +521,11 @@ func offlineShare(r *scenario.Result) float64 {
 // the determinism contract and the physics. For single-shard configs,
 // a one-shard run on a pool is byte-identical to the direct run. For
 // multi-shard configs, the merged result is a pure function of
-// (config, seed, K): byte-identical whatever the pool width; and the
-// documented fleet-split approximation must stay within tolerance of
-// the unsharded engine on delivered volume and tail latency.
+// (config, seed, K): byte-identical whatever the pool width; the shards
+// share the unsharded engine's access line, so its disconnects,
+// availability and lost work come out exactly; and the documented
+// fleet-split approximation must stay within tolerance of the unsharded
+// engine on delivered volume and tail latency.
 func checkShardDeterminism(cfg scenario.Config, _ uint64) (*Violation, string) {
 	if !desFeasible(cfg) {
 		return nil, "config above the request-level budget"
@@ -572,6 +574,15 @@ func checkShardDeterminism(cfg scenario.Config, _ uint64) (*Violation, string) {
 	direct, err := scenario.Run(un)
 	if err != nil {
 		return &Violation{"shard-determinism", "unsharded run failed: " + err.Error()}, ""
+	}
+	// One institution has one access line: its outages, and the work
+	// they destroy across the tracked sessions, do not depend on K.
+	if serial.Disconnects != direct.Disconnects || serial.NetAvailability != direct.NetAvailability ||
+		serial.LostWork != direct.LostWork {
+		return &Violation{"shard-determinism",
+			fmt.Sprintf("shards=%d access line: %d disconnects, availability %v, lost work %v; unsharded %d, %v, %v",
+				cfg.Shards, serial.Disconnects, serial.NetAvailability, serial.LostWork,
+				direct.Disconnects, direct.NetAvailability, direct.LostWork)}, ""
 	}
 	// Poisson splitting makes the superposed arrival process identical
 	// in distribution, so delivered volume must land close; the split

@@ -146,6 +146,34 @@ func TestShardDeterminismHolds(t *testing.T) {
 	}
 }
 
+// TestShardDeterminismAccessLineRegression pins two cases the
+// access-line clause of shard-determinism failed on while each shard
+// engine drew last-mile outages of its own: at shards=4, chaos
+// 0x7276a0aed8c16965 merged 1 disconnect and 0.894 availability where
+// the unsharded run had none, and hybrid 0xdb977617ffbc6cf2 merged none
+// against the unsharded run's 1 disconnect and 3h21m of lost work.
+func TestShardDeterminismAccessLineRegression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs request-level scenarios")
+	}
+	for _, tc := range []struct {
+		family string
+		seed   uint64
+	}{{"chaos", 0x7276a0aed8c16965}, {"hybrid", 0xdb977617ffbc6cf2}} {
+		c := FindFamilyOrDie(t, tc.family).Case(tc.seed)
+		if c.Cfg.Shards < 2 {
+			t.Fatalf("%s seed=%#x: Shards = %d; the case must stay sharded", tc.family, tc.seed, c.Cfg.Shards)
+		}
+		v, skip := checkShardDeterminism(c.Cfg, c.Seed)
+		if skip != "" {
+			t.Fatalf("%s seed=%#x: skipped (%s); the case must stay in scope", tc.family, tc.seed, skip)
+		}
+		if v != nil {
+			t.Errorf("%s seed=%#x: %s", tc.family, tc.seed, v.Detail)
+		}
+	}
+}
+
 // TestHybridDeterminismHolds: the hybrid runner's worker-independence
 // on a generated storm-laden case, sharded and not.
 func TestHybridDeterminismHolds(t *testing.T) {

@@ -16,9 +16,11 @@
 //   - AccessProfile presets (CampusLAN, UrbanBroadband, RuralDSL) name
 //     the three last-mile situations the experiments sweep; cmd/elsim
 //     exposes them as -access.
-//   - BuildTopology(engine, profile) assembles the user→datacenter
-//     Topology for a scenario run from Links (NewLink: latency
-//     distribution + bandwidth) joined into Paths (NewPath).
+//   - BuildTopology(engine, profile, seed) assembles the
+//     user→datacenter Topology for a scenario run from Links (NewLink:
+//     latency distribution + bandwidth) joined into Paths (NewPath);
+//     seed roots the last mile's outages, so the engines of one run
+//     share them.
 //   - NewFailureProcess(engine, rng, mtbf, mttr) drives a link's
 //     up/down process on the virtual clock; a link with no process
 //     attached never fails.

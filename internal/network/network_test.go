@@ -78,7 +78,7 @@ func TestDedicatedLinkIgnoresConcurrency(t *testing.T) {
 
 func TestBuildTopologyLastMileIsDedicated(t *testing.T) {
 	eng := sim.NewEngine(1)
-	topo := BuildTopology(eng, UrbanBroadband)
+	topo := BuildTopology(eng, UrbanBroadband, 1)
 	if !topo.LastMile.Dedicated {
 		t.Fatal("last mile must be per-subscriber")
 	}
@@ -181,8 +181,8 @@ func TestBuildTopologyLANvsWAN(t *testing.T) {
 	eng := sim.NewEngine(17)
 	rng := eng.Stream("probe")
 
-	lan := BuildTopology(eng, CampusLAN)
-	wan := BuildTopology(eng, RuralDSL)
+	lan := BuildTopology(eng, CampusLAN, 17)
+	wan := BuildTopology(eng, RuralDSL, 17)
 
 	// LAN to campus must be much faster than rural to cloud.
 	lanLat := avgLatency(lan.ToCampus, rng, 200)

@@ -85,10 +85,11 @@ type Topology struct {
 //	client --last-mile--> campus core                           (ToCampus)
 //
 // For the CampusLAN profile the last mile *is* the campus network, so
-// ToCampus skips the backbone and never fails.
-func BuildTopology(eng *sim.Engine, access AccessProfile) *Topology {
-	rng := eng.Stream("network/" + access.Name)
-
+// ToCampus skips the backbone and never fails. seed roots the last
+// mile's outage process, so engines that together model one region
+// pass one seed and see one outage timeline. An engine that passes its
+// own seed draws the stream eng.Stream("network/<name>") would.
+func BuildTopology(eng *sim.Engine, access AccessProfile, seed uint64) *Topology {
 	lastMile := NewLink("last-mile/"+access.Name,
 		sim.LogNormal(access.LatencyMean, access.LatencySigma), access.Mbps)
 	// The last mile stands for every user's own access line: bandwidth
@@ -96,7 +97,8 @@ func BuildTopology(eng *sim.Engine, access AccessProfile) *Topology {
 	// region at once.
 	lastMile.Dedicated = true
 	if access.MTBF > 0 && access.MTTR > 0 {
-		lastMile.AttachFailure(NewFailureProcess(eng, rng.Stream("fail"), access.MTBF, access.MTTR))
+		fail := sim.NewRNG(seed).Stream("network/" + access.Name).Stream("fail")
+		lastMile.AttachFailure(NewFailureProcess(eng, fail, access.MTBF, access.MTTR))
 	}
 
 	backbone := NewLink("internet-backbone",

@@ -8,7 +8,9 @@
 //     simulation, for experiments where latency distributions and
 //     overload behavior matter (exam spikes, network outages). Horizons
 //     of hours to a few days. Config.Shards splits the engine into K
-//     per-shard engines on the pool (sharded.go); K ≤ 1 is one engine.
+//     per-shard engines on the pool, each the run at its share of the
+//     demand behind one shared access line (sharded.go); K ≤ 1 is one
+//     engine.
 //   - FidelityFluid: a flow-level model that steps the arrival-rate
 //     curve a minute at a time through the same fleets, for
 //     semester-scale TCO and utilization studies where per-request

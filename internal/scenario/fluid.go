@@ -101,7 +101,7 @@ func newFluidModel(cfg Config) (*fluidModel, error) {
 		initial, maxPublic := publicBounds(cfg, m.size)
 		m.fleet.max = maxPublic
 		m.fleet.ScaleTo(initial)
-		if _, _, err := startScaler(eng, cfg, gen, m.meanSvc, m.fleet, initial, maxPublic, 1); err != nil {
+		if _, _, err := startScaler(eng, cfg, gen, m.meanSvc, m.fleet, initial, maxPublic); err != nil {
 			return nil, err
 		}
 	}

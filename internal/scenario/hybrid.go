@@ -58,10 +58,10 @@ type desWindow struct {
 	index      int
 	start, end time.Duration
 	// initServers is the fluid fleet's Desired at the window's opening
-	// instant (pre-share; shards scale it down).
+	// instant (the whole run's; shardOf scales it to a shard's share).
 	initServers int
 	// backlog is the in-flight request count to seed (Little's law at
-	// the opening instant, pre-share).
+	// the opening instant; shardOf scales it like initServers).
 	backlog int
 	// cdnWarm is how many popularity-sampled objects to pre-load into
 	// the edge cache (zero when the CDN is off).

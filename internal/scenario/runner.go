@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"elearncloud/internal/cdn"
@@ -95,10 +94,10 @@ func assetsFor(cfg Config) lms.Inventory {
 type engine struct {
 	cfg Config
 	eng *sim.Engine
-	// sh, when non-nil, makes the run one shard of a sharded run; win,
-	// when non-nil, confines it to one hybrid DES window.
-	sh  *shard
+	// win, when non-nil, confines the run to one hybrid DES window.
 	win *desWindow
+	// lineSeed roots the access line's outages (network.BuildTopology).
+	lineSeed uint64
 	// endAt is where the run stops: the horizon, or the window's end.
 	endAt time.Duration
 
@@ -158,15 +157,14 @@ type request struct {
 // pump and the periodic processes, the engine runs, and collect reads
 // the ledgers back.
 //
-// sh, when non-nil, makes the engine one shard of a K ≥ 2 sharded run:
-// it draws only the shard's users and scales every rate and sizing
-// input by the shard's share. win, when non-nil, restricts the engine
-// to one hybrid DES window: the clock is warped to the window's start,
-// the fleet warm-started at the fluid model's size, the queue seeded
-// with synthetic backlog, and the run cut off at the window's end (see
-// hybrid.go for the stitching rules).
-func runEngine(cfg Config, sh *shard, win *desWindow) (*Result, error) {
-	e := &engine{cfg: cfg, eng: sim.NewEngine(cfg.Seed), sh: sh, win: win}
+// win, when non-nil, restricts the engine to one hybrid DES window: the
+// clock is warped to the window's start, the fleet warm-started at the
+// fluid model's size, the queue seeded with synthetic backlog, and the
+// run cut off at the window's end (see hybrid.go for the stitching
+// rules). lineSeed roots the access line's outages: cfg.Seed for a
+// direct engine, the run's seed for each shard of a sharded one.
+func runEngine(cfg Config, win *desWindow, lineSeed uint64) (*Result, error) {
+	e := &engine{cfg: cfg, eng: sim.NewEngine(cfg.Seed), win: win, lineSeed: lineSeed}
 	if err := e.build(); err != nil {
 		return nil, err
 	}
@@ -181,7 +179,7 @@ func runEngine(cfg Config, sh *shard, win *desWindow) (*Result, error) {
 // sessions, failures and threats onto the engine and schedules the
 // first arrival.
 func (e *engine) build() error {
-	cfg, eng, sh, win := e.cfg, e.eng, e.sh, e.win
+	cfg, eng, win := e.cfg, e.eng, e.win
 	// startAt/endAt delimit this engine's slice of the horizon: the
 	// whole run on the direct path, one DES window under FidelityAuto.
 	// The clock warp makes every absolute-time consumer (calendar
@@ -202,19 +200,12 @@ func (e *engine) build() error {
 	if err != nil {
 		return err
 	}
-	// A shard's fleet absorbs only its share of the peak; capacity is
-	// split proportionally to shard population (the documented
-	// approximation — see sharded.go). Unsharded, the share is 1.
-	share := 1.0
-	if sh != nil {
-		share = sh.share
-	}
-	dep, err := deploy.Build(eng, specFor(cfg, gen.MaxRate()*share, meanSvc))
+	dep, err := deploy.Build(eng, specFor(cfg, gen.MaxRate(), meanSvc))
 	if err != nil {
 		return err
 	}
 	e.dep = dep
-	e.topo = network.BuildTopology(eng, cfg.Access)
+	e.topo = network.BuildTopology(eng, cfg.Access, e.lineSeed)
 
 	e.res = &Result{
 		Kind:         cfg.Kind,
@@ -235,14 +226,14 @@ func (e *engine) build() error {
 		initial, maxPublic := publicBounds(cfg, dep.Sizing)
 		e.pubFleet = newFleet(eng, dep.PublicDC, e.pubCluster, dep.PublicSpec, maxPublic)
 		// A hybrid DES window opens at the fleet the fluid model was
-		// running when the window opened (its share of it, under
-		// sharding): the same autoscaler ran it up to that instant.
+		// running when the window opened: the same autoscaler ran it up
+		// to that instant.
 		warm := initial
 		if win != nil {
-			warm = int(math.Ceil(float64(win.initServers) * share))
+			warm = win.initServers
 		}
 		e.pubFleet.ScaleTo(warm)
-		stop, fit, err := startScaler(eng, cfg, gen, meanSvc, e.pubFleet, initial, maxPublic, share)
+		stop, fit, err := startScaler(eng, cfg, gen, meanSvc, e.pubFleet, initial, maxPublic)
 		if err != nil {
 			return err
 		}
@@ -272,12 +263,7 @@ func (e *engine) build() error {
 
 	// --- arrivals ------------------------------------------------------------
 	e.svcRNG, e.payRNG, e.netRNG = eng.Stream("service"), eng.Stream("payload"), eng.Stream("net")
-	streamStart := startAt + bootGrace
-	if sh != nil {
-		e.stream = sh.gen.Stream(eng.Stream("workload"), streamStart)
-	} else {
-		e.stream = gen.Stream(eng.Stream("workload"), streamStart)
-	}
+	e.stream = gen.Stream(eng.Stream("workload"), startAt+bootGrace)
 	e.arriveFn = e.arrive
 	e.pump()
 
@@ -290,13 +276,12 @@ func (e *engine) build() error {
 	// fluid state instead of empty.
 	backlogDone := func(bool) {} // shared no-op completion for synthetic jobs
 	if win != nil && cfg.Kind != deploy.Desktop {
-		n := int(math.Round(float64(win.backlog) * share))
 		backlogCluster := e.pubCluster
 		if cfg.Kind == deploy.Private || dep.PublicDC == nil {
 			backlogCluster = e.privCluster
 		}
 		eng.ScheduleAt(startAt+bootGrace, "hybrid-backlog", func() {
-			for i := 0; i < n; i++ {
+			for i := 0; i < win.backlog; i++ {
 				if backlogCluster.Submit(meanSvc, backlogDone) {
 					e.res.CarriedIn++
 				}
@@ -308,7 +293,7 @@ func (e *engine) build() error {
 	if cfg.Kind != deploy.Desktop {
 		e.sessions = make([]*lms.Session, cfg.TrackedSessions)
 		for i := range e.sessions {
-			e.sessions[i] = lms.NewSession(i, 0)
+			e.sessions[i] = lms.NewSession(0)
 		}
 		e.stops = append(e.stops, eng.Every(cfg.AutosaveEvery, "autosave", func() {
 			for _, s := range e.sessions {
@@ -611,15 +596,13 @@ func publicBounds(cfg Config, sz deploy.Sizing) (initial, maxPublic int) {
 // startScaler attaches the configured autoscaler to the elastic fleet
 // and returns its stop function (nil for the fixed policy) and, under
 // the growth-fit policy, the scaler whose fit the result reports. min
-// is the scale-in floor (the bootstrap size); share scales the
-// scheduled/oracle plan's rate down to this shard's slice of the
-// population (exactly 1.0 for unsharded runs). gen is the run's own
+// is the scale-in floor (the bootstrap size). gen is the run's own
 // workload generator.
-func startScaler(eng *sim.Engine, cfg Config, gen *workload.Generator, meanSvc float64, target scale.Target, min, maxPublic int, share float64) (func(), *scale.GrowthFit, error) {
+func startScaler(eng *sim.Engine, cfg Config, gen *workload.Generator, meanSvc float64, target scale.Target, min, maxPublic int) (func(), *scale.GrowthFit, error) {
 	// planOf sizes the fleet for g's rate at an absolute virtual time.
 	planOf := func(g *workload.Generator) func(time.Duration) int {
 		return func(at time.Duration) int {
-			return deploy.ServersForPeak(g.Rate(at)*share, meanSvc) + 1
+			return deploy.ServersForPeak(g.Rate(at), meanSvc) + 1
 		}
 	}
 	switch cfg.Scaler {

@@ -135,7 +135,7 @@ type Config struct {
 	// FidelityDES, each burst window under FidelityAuto (default 0 and
 	// 1 both mean one engine; negative, or more shards than students,
 	// is an error). The fluid model ignores it. See sharded.go for
-	// the partitioning and merge semantics.
+	// the shares and merge semantics.
 	Shards int
 	// HybridIntensity is the fidelity planner's burst threshold: an
 	// envelope segment whose crowd/storm/join multiplier bound reaches

@@ -426,7 +426,7 @@ func TestScheduledPlanReadsCalendarWeek(t *testing.T) {
 		t.Fatal(err)
 	}
 	tgt := &planTarget{n: 1}
-	if _, _, err := startScaler(eng, cfg, gen, meanSvc, tgt, 1, 100, 1); err != nil {
+	if _, _, err := startScaler(eng, cfg, gen, meanSvc, tgt, 1, 100); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(week + time.Hour)

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"elearncloud/internal/metrics"
-	"elearncloud/internal/workload"
 )
 
 // This file shards a DES run into K per-shard engines so runs at
@@ -14,77 +13,56 @@ import (
 //
 // The construction:
 //
-//   - Students are partitioned by a stable hash of user ID
-//     (workload.ShardOf), so membership is a pure function of (user, K).
+//   - Shard k is the run at its share of the demand: the same config
+//     with ReqPerStudentHour scaled by share_k = shardSlice(Students,
+//     k, K) / Students. Splitting a Poisson process with constant
+//     probabilities yields independent Poisson processes whose rates
+//     sum to the original, so the K shard processes together are the
+//     unsharded NHPP. The shard's own generator carries its share into
+//     the fleet's sizing and the scheduled and oracle plans, and a
+//     hybrid window's warm fleet and backlog are scaled to it here.
 //   - Shard k's RNG streams are rooted at SeedFor(seed, "shard/<k>") —
 //     the same (seed, job name) rule every batch job follows — so the
 //     merged output is a pure function of (config, seed, K), independent
 //     of worker count and scheduling.
-//   - Each shard draws arrivals from the full NHPP envelope thinned by
-//     its share of the active population; superposing the shard
-//     processes reproduces the unsharded arrival distribution exactly
-//     (Poisson splitting).
+//   - The shards share one access line: every shard roots its last-mile
+//     outages at the seed shardedRun was called with, so they see the
+//     outages the unsharded engine would, and the merge reads the
+//     disconnects and availability of shard 0.
 //   - Shards execute as ordinary Pool jobs, so -parallel remains the
 //     one global concurrency cap: K=8 with -parallel 2 runs two shard
 //     engines at a time on the same tokens every batch shares.
 //
-// The approximation: fleet and autoscaler state stays per-shard, with
-// capacity split proportionally to shard population (CapShare). The
-// merged run therefore models K fleets of ~N/K servers instead of one
-// fleet of N. Pooling effects make the split fleet slightly worse at
-// absorbing load imbalance between shards — by Erlang-C reasoning the
-// error shrinks as per-shard fleets grow, and the shard-determinism
-// metamorph invariant bounds the realized P95 drift against the
-// unsharded engine on overlap-regime configs. Scalar consumption
-// (VM-hours, egress, served counts) is unaffected by the split beyond
-// that queueing drift. Owned hosts add up across the shards' fleets,
-// and the merge bills the whole run once, so storage is not charged K
-// times.
+// The approximation: fleet and autoscaler state stays per-shard, each
+// fleet sized for its shard's share of the demand. The merged run
+// therefore models K fleets of ~N/K servers instead of one fleet of N.
+// Pooling effects make the split fleet slightly worse at absorbing load
+// imbalance between shards — by Erlang-C reasoning the error shrinks as
+// per-shard fleets grow, and the shard-determinism metamorph invariant
+// bounds the realized P95 drift against the unsharded engine on
+// overlap-regime configs. Scalar consumption (VM-hours, egress, served
+// counts) is unaffected by the split beyond that queueing drift. Owned
+// hosts add up across the shards' fleets, and the merge bills the whole
+// run once, so storage is not charged K times.
 //
 // Shards ≤ 1 is not a sharded run: shardedRun hands it to the one
 // direct engine. The golden table10 shards=1 row and
 // TestShardedOneEqualsRun pin this.
 
-// shard is one slice of a K ≥ 2 sharded run: the shard's view of the
-// population and its share of the fleet (workload.Sharding.CapShare).
-type shard struct {
-	gen   *workload.ShardGen
-	share float64
-}
-
 // shardedRun runs a defaulted cfg's request-level engine: one engine
 // when cfg.Shards ≤ 1, else cfg.Shards per-shard engines on the pool,
 // merged deterministically in shard-index order. A non-nil win confines
 // every engine to that hybrid DES window, so FidelityAuto's windows
-// honor Config.Shards with the same partition, seeds and merge as a
+// honor Config.Shards with the same shares, seeds and merge as a
 // whole-horizon run.
 func shardedRun(cfg Config, pool *Pool, win *desWindow) (*Result, error) {
 	if cfg.Shards <= 1 {
-		return runEngine(cfg, nil, win)
+		return runEngine(cfg, win, cfg.Seed)
 	}
-	gen, err := genFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	shards := cfg.Shards
-	sh := gen.ShardBy(shards)
-	results := make([]*Result, shards)
-	if err := pool.ForEach(shards, func(k int) error {
-		sub := cfg
-		sub.Shards = 0
-		sub.Seed = SeedFor(cfg.Seed, fmt.Sprintf("shard/%d", k))
-		sub.TrackedSessions = shardSlice(cfg.TrackedSessions, k, shards)
-		if cfg.MaxPublicServers > 0 {
-			sub.MaxPublicServers = max(1, int(math.Ceil(sh.CapShare(k)*float64(cfg.MaxPublicServers))))
-		}
-		// Singleton processes — the threat environment and the injected
-		// host failure — run on shard 0 only, not once per shard: the
-		// scenario models one institution, not K.
-		if k > 0 {
-			sub.EnableThreats = false
-			sub.HostFailureAt = 0
-		}
-		r, err := runEngine(sub, &shard{gen: sh.Shard(k), share: sh.CapShare(k)}, win)
+	results := make([]*Result, cfg.Shards)
+	if err := pool.ForEach(cfg.Shards, func(k int) error {
+		sub, subWin := shardOf(cfg, win, k)
+		r, err := runEngine(sub, subWin, cfg.Seed)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", k, err)
 		}
@@ -96,14 +74,40 @@ func shardedRun(cfg Config, pool *Pool, win *desWindow) (*Result, error) {
 	return mergeShards(results)
 }
 
-// shardSlice splits a tracked-resource count of total across K shards:
-// shard k gets its contiguous slice, every shard at least one.
-func shardSlice(total, k, shards int) int {
-	n := total*(k+1)/shards - total*k/shards
-	if n < 1 {
-		n = 1
+// shardOf returns shard k's config and window (nil when win is): cfg at
+// share_k of the demand, with its slice of the tracked sessions and of
+// a configured public cap, and win's warm fleet (ceiling) and backlog
+// (rounded) scaled to share_k.
+func shardOf(cfg Config, win *desWindow, k int) (Config, *desWindow) {
+	share := float64(shardSlice(cfg.Students, k, cfg.Shards)) / float64(cfg.Students)
+	sub := cfg
+	sub.Shards = 0
+	sub.Seed = SeedFor(cfg.Seed, fmt.Sprintf("shard/%d", k))
+	sub.ReqPerStudentHour = cfg.ReqPerStudentHour * share
+	sub.TrackedSessions = shardSlice(cfg.TrackedSessions, k, cfg.Shards)
+	if cfg.MaxPublicServers > 0 {
+		sub.MaxPublicServers = max(1, int(math.Ceil(share*float64(cfg.MaxPublicServers))))
 	}
-	return n
+	// Singleton processes — the threat environment and the injected
+	// host failure — run on shard 0 only, not once per shard: the
+	// scenario models one institution, not K.
+	if k > 0 {
+		sub.EnableThreats = false
+		sub.HostFailureAt = 0
+	}
+	if win == nil {
+		return sub, nil
+	}
+	w := *win
+	w.initServers = int(math.Ceil(float64(win.initServers) * share))
+	w.backlog = int(math.Round(float64(win.backlog) * share))
+	return sub, &w
+}
+
+// shardSlice splits a count of total across K shards: shard k gets its
+// contiguous slice, and the slices add up to total.
+func shardSlice(total, k, shards int) int {
+	return total*(k+1)/shards - total*k/shards
 }
 
 // mergeShards folds per-shard results into one Result, iterating in
@@ -127,8 +131,10 @@ func mergeShards(shards []*Result) (*Result, error) {
 		res.PrivateHosts += r.PrivateHosts
 		res.ShardEvents = append(res.ShardEvents, r.Events)
 	}
-	// Hit ratio weighted by delivered bytes; availability as the mean of
-	// the shards' independent last-mile processes.
+	// The shards share one access line, so its outages count once.
+	res.Disconnects = base.Disconnects
+	res.NetAvailability = base.NetAvailability
+	// Hit ratio weighted by delivered bytes.
 	if res.CDNGB > 0 {
 		var hitW float64
 		for _, r := range shards {
@@ -136,11 +142,6 @@ func mergeShards(shards []*Result) (*Result, error) {
 		}
 		res.CDNHitRatio = hitW / res.CDNGB
 	}
-	var avail float64
-	for _, r := range shards {
-		avail += r.NetAvailability
-	}
-	res.NetAvailability = avail / float64(len(shards))
 
 	// Series sample on the same minute cadence over the same horizon in
 	// every shard, so they align point-wise: fleet sizes add, utilization

@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"elearncloud/internal/deploy"
+	"elearncloud/internal/network"
 	"elearncloud/internal/workload"
 )
 
@@ -161,5 +163,130 @@ func TestRunHonorsShards(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("Run and Pool.Run of the same sharded config differ")
+	}
+}
+
+// TestShardSliceSumsToTotal: a count splits into slices that add up to
+// it, every slice at least zero, so K shards follow exactly the tracked
+// sessions configured, even when there are fewer sessions than shards.
+func TestShardSliceSumsToTotal(t *testing.T) {
+	for shards := 1; shards <= 20; shards++ {
+		for total := 0; total <= 100; total++ {
+			sum := 0
+			for k := 0; k < shards; k++ {
+				n := shardSlice(total, k, shards)
+				if n < 0 {
+					t.Fatalf("shardSlice(%d, %d, %d) = %d", total, k, shards, n)
+				}
+				sum += n
+			}
+			if sum != total {
+				t.Fatalf("%d shards of %d sum to %d", shards, total, sum)
+			}
+		}
+	}
+}
+
+// TestShardRateSuperposition: shard k runs the config at its share of
+// the demand, so the shard generators' rates and bounds add up to the
+// unsharded ones, and each shard of a hybrid window opens at its share
+// of the window's warm fleet (ceiling) and backlog (rounded).
+func TestShardRateSuperposition(t *testing.T) {
+	cfg := Config{
+		Seed:   11,
+		Kind:   deploy.Public,
+		Growth: workload.LinearGrowth(200, 1001, 2*time.Hour),
+		Storms: []workload.DeadlineStorm{{
+			Deadline: 3 * time.Hour, Ramp: time.Hour, PeakMult: 4, Tau: 20 * time.Minute,
+		}},
+		Duration: 4 * time.Hour,
+		Scaler:   ScalerFixed,
+		// A cap well above the window's warm fleet, so the shard caps
+		// (a quarter each) do not clamp it.
+		MaxPublicServers: 400,
+	}
+	if err := cfg.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := genFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*want }
+	for _, shards := range []int{2, 3, 8} {
+		sharded := cfg
+		sharded.Shards = shards
+		gens := make([]*workload.Generator, shards)
+		maxRate := 0.0
+		for k := range gens {
+			sub, _ := shardOf(sharded, nil, k)
+			if gens[k], err = genFor(sub); err != nil {
+				t.Fatal(err)
+			}
+			maxRate += gens[k].MaxRate()
+		}
+		if want := gen.MaxRate(); !near(maxRate, want) {
+			t.Fatalf("K=%d: shard MaxRates sum to %v, unsharded %v", shards, maxRate, want)
+		}
+		for at := time.Duration(0); at <= cfg.Duration; at += 7 * time.Minute {
+			rate := 0.0
+			for _, g := range gens {
+				rate += g.Rate(at)
+			}
+			if want := gen.Rate(at); !near(rate, want) {
+				t.Fatalf("K=%d t=%v: shard rates sum to %v, unsharded %v", shards, at, rate, want)
+			}
+		}
+	}
+
+	// A 4-shard window over unequal shares (1001 students: 250, 250,
+	// 250 and 251), so the warm fleet splits 9 + 9 + 9 + 10.
+	cfg.Shards = 4
+	win := desWindow{start: 2 * time.Hour, end: 2*time.Hour + 10*time.Minute, initServers: 36, backlog: 41}
+	for k := 0; k < cfg.Shards; k++ {
+		share := float64(shardSlice(cfg.Students, k, cfg.Shards)) / float64(cfg.Students)
+		sub, w := shardOf(cfg, &win, k)
+		r, err := runEngine(sub, w, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The fixed fleet holds its opening size through the window.
+		if got, want := r.Servers.Points()[0].Value, math.Ceil(36*share); got != want {
+			t.Errorf("shard %d opened at %v servers, want ceil(36 x %.4f) = %v", k, got, share, want)
+		}
+		if got, want := float64(r.CarriedIn), math.Round(41*share); got != want {
+			t.Errorf("shard %d seeded %v backlog jobs, want round(41 x %.4f) = %v", k, got, share, want)
+		}
+	}
+}
+
+// TestShardsShareOneAccessLine: a sharded run models one institution
+// behind one access line, so a rural-DSL week reads the unsharded run's
+// disconnects, availability and lost work at every shard count.
+func TestShardsShareOneAccessLine(t *testing.T) {
+	cfg := Config{
+		Seed:     7,
+		Students: 200,
+		Access:   network.RuralDSL,
+		Duration: 7 * 24 * time.Hour,
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Disconnects == 0 || want.LostWork == 0 {
+		t.Fatalf("the week has no outage to share: %d disconnects, %v lost", want.Disconnects, want.LostWork)
+	}
+	for _, shards := range []int{2, 4, 8} {
+		cfg.Shards = shards
+		got, err := NewPool(2).Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Disconnects != want.Disconnects || got.NetAvailability != want.NetAvailability || got.LostWork != want.LostWork {
+			t.Errorf("shards=%d: %d disconnects, availability %v, lost work %v; unsharded %d, %v, %v",
+				shards, got.Disconnects, got.NetAvailability, got.LostWork,
+				want.Disconnects, want.NetAvailability, want.LostWork)
+		}
 	}
 }

@@ -10,8 +10,7 @@ import (
 )
 
 // The references below are the per-call formulas the per-segment
-// envelope and the population-reusing stream replace: every factor is
-// recomputed at every query. The tests compare the new code against
+// envelope replaces: every factor is recomputed at every query. The tests compare the new code against
 // them with ==, so a reordered float product or a stale cached factor
 // fails.
 
@@ -77,59 +76,6 @@ func refRate(g *Generator, t time.Duration) float64 {
 		rate *= j.MultAt(t)
 	}
 	return rate
-}
-
-// refUsers is the active user-ID range with the growth curve evaluated
-// again.
-func refUsers(g *Generator, t time.Duration) int {
-	if g.cfg.Growth == nil {
-		return g.cfg.Students
-	}
-	n := int(math.Ceil(g.cfg.Growth.At(t)))
-	if n < 1 {
-		n = 1
-	}
-	if n > g.cfg.Students {
-		n = g.cfg.Students
-	}
-	return n
-}
-
-// refShardEnvelope is a shard's envelope with the active members at the
-// segment end counted again at every query.
-func refShardEnvelope(sg *ShardGen) sim.EnvelopeFunc {
-	g := sg.g
-	base := refEnvelope(g)
-	return func(t sim.Time) (float64, sim.Time) {
-		max, until := base(t)
-		share := float64(sg.active(refUsers(g, until))) / float64(refUsers(g, t))
-		return max * math.Min(1, share), until
-	}
-}
-
-// refShardStream is a shard's arrival stream as it was wired before the
-// stream reused the population: the shard's rate, envelope and user
-// pick each evaluate the growth curve themselves.
-func refShardStream(sg *ShardGen, rng *sim.RNG, start time.Duration) func(horizon time.Duration) (Arrival, bool) {
-	g := sg.g
-	env := refShardEnvelope(sg)
-	rate := func(t sim.Time) float64 {
-		n := refUsers(g, t)
-		return refRate(g, t) * (float64(sg.active(n)) / float64(n))
-	}
-	proc := sim.NewNHPPEnvelope(rng.Stream("arrivals"), rate, env, start)
-	classRNG, userRNG := rng.Stream("classes"), rng.Stream("users")
-	return func(horizon time.Duration) (Arrival, bool) {
-		t, ok := proc.Next(horizon)
-		if !ok {
-			return Arrival{}, false
-		}
-		return Arrival{
-			At:     t,
-			Class:  g.MixAt(t).Sample(classRNG),
-			UserID: sg.members[userRNG.Intn(sg.active(refUsers(g, t)))],
-		}, true
-	}
 }
 
 // envelopeShapes covers every factor the per-segment envelope caches or
@@ -248,50 +194,6 @@ func TestEnvelopeMatchesPerCallFormulas(t *testing.T) {
 	}
 }
 
-// TestShardEnvelopeMatchesPerCallFormula: a shard's envelope, which
-// counts the segment end's active members once per segment, returns
-// exactly the per-call formula's bound and segment end for every shard
-// at K = 1, 3 and 8, queried in increasing and in random order.
-func TestShardEnvelopeMatchesPerCallFormula(t *testing.T) {
-	for name, cfg := range envelopeShapes() {
-		t.Run(name, func(t *testing.T) {
-			g, err := NewGenerator(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := sim.NewRNG(37)
-			increasing := queryTimes(g, 0, horizonOf(name), rng)
-			random := append([]time.Duration(nil), increasing...)
-			for i := len(random) - 1; i > 0; i-- {
-				j := rng.Intn(i + 1)
-				random[i], random[j] = random[j], random[i]
-			}
-			orders := []struct {
-				name string
-				ts   []time.Duration
-			}{{"increasing", increasing}, {"random", random}}
-			for _, k := range []int{1, 3, 8} {
-				sh := g.ShardBy(k)
-				for i := 0; i < k; i++ {
-					sg := sh.Shard(i)
-					ref := refShardEnvelope(sg)
-					for _, order := range orders {
-						env := sg.Envelope()
-						for _, at := range order.ts {
-							max, until := env(at)
-							wantMax, wantUntil := ref(at)
-							if max != wantMax || until != wantUntil {
-								t.Fatalf("K=%d shard %d, %s order, t=%v: envelope (%v, %v), per-call formula (%v, %v)",
-									k, i, order.name, at, max, until, wantMax, wantUntil)
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestSegmentFactorsMatchPerCallFormulas: BurstWindows reads the
 // segment factors over a segment cut short at the horizon; the burst
 // multiplier and the bound there equal the per-call formulas too.
@@ -317,9 +219,8 @@ func TestSegmentFactorsMatchPerCallFormulas(t *testing.T) {
 	}
 }
 
-// TestRateAtMatchesRateAndPopulation: the one rate function returns the
-// per-call rate and the population at t, and the user range derived
-// from that population is the one the growth curve gives again.
+// TestRateAtMatchesRateAndPopulation: the rate at t is the per-call
+// formula's, which scales the population at t.
 func TestRateAtMatchesRateAndPopulation(t *testing.T) {
 	for name, cfg := range envelopeShapes() {
 		g, err := NewGenerator(cfg)
@@ -327,23 +228,15 @@ func TestRateAtMatchesRateAndPopulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, at := range queryTimes(g, 0, horizonOf(name), sim.NewRNG(17)) {
-			rate, pop := g.rateAt(at)
-			if want := refRate(g, at); rate != want || g.Rate(at) != want {
-				t.Fatalf("%s t=%v: rateAt %v, Rate %v, per-call %v", name, at, rate, g.Rate(at), want)
-			}
-			if pop != g.Population(at) {
-				t.Fatalf("%s t=%v: population %v, want %v", name, at, pop, g.Population(at))
-			}
-			if got, want := g.usersOf(pop), refUsers(g, at); got != want {
-				t.Fatalf("%s t=%v: users %d, per-call %d", name, at, got, want)
+			if got, want := g.Rate(at), refRate(g, at); got != want {
+				t.Fatalf("%s t=%v: Rate %v, per-call %v", name, at, got, want)
 			}
 		}
 	}
 }
 
 // TestStreamMatchesPerCallReference: a stream (and Generate, which
-// drives one) emits exactly the arrivals of the per-call wiring, user
-// IDs included; so does a shard's stream, at K=1 and K=3.
+// drives one) emits exactly the arrivals of the per-call wiring.
 func TestStreamMatchesPerCallReference(t *testing.T) {
 	for name, cfg := range envelopeShapes() {
 		t.Run(name, func(t *testing.T) {
@@ -363,37 +256,19 @@ func TestStreamMatchesPerCallReference(t *testing.T) {
 				proc := sim.NewNHPPEnvelope(rng.Stream("arrivals"), func(t sim.Time) float64 {
 					return refRate(g, t)
 				}, refEnvelope(g), start)
-				classRNG, userRNG := rng.Stream("classes"), rng.Stream("users")
+				classRNG := rng.Stream("classes")
 				var out []Arrival
 				for {
 					at, ok := proc.Next(horizon)
 					if !ok {
 						return out
 					}
-					out = append(out, Arrival{At: at, Class: g.MixAt(at).Sample(classRNG), UserID: userRNG.Intn(refUsers(g, at))})
+					out = append(out, Arrival{At: at, Class: g.MixAt(at).Sample(classRNG)})
 				}
 			}()
 			var got []Arrival
 			g.Generate(sim.NewRNG(23), start, horizon, func(a Arrival) { got = append(got, a) })
 			sameArrivals(t, "Generate", got, ref)
-
-			for _, k := range []int{1, 3} {
-				sh := g.ShardBy(k)
-				for i := 0; i < k; i++ {
-					sg := sh.Shard(i)
-					next := refShardStream(sg, sim.NewRNG(29), start)
-					var want []Arrival
-					for a, ok := next(horizon); ok; a, ok = next(horizon) {
-						want = append(want, a)
-					}
-					var have []Arrival
-					s := sg.Stream(sim.NewRNG(29), start)
-					for a, ok := s.Next(horizon); ok; a, ok = s.Next(horizon) {
-						have = append(have, a)
-					}
-					sameArrivals(t, "shard stream", have, want)
-				}
-			}
 		})
 	}
 }

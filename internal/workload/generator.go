@@ -15,15 +15,13 @@ type Arrival struct {
 	At time.Duration
 	// Class is the LMS request class.
 	Class lms.Class
-	// UserID identifies the issuing student in [0, Students).
-	UserID int
 }
 
 // Config parameterizes a Generator.
 type Config struct {
 	// Students is the active population size. With Growth set it is the
-	// user-ID space instead: zero derives it from Growth.Max(), and an
-	// explicit value must be at least that capacity.
+	// population's bound instead: zero derives it from Growth.Max(), and
+	// an explicit value must be at least that capacity.
 	Students int
 	// Growth optionally makes the active population a curve (MOOC
 	// enrollment): the instantaneous rate scales with Growth.At(t)
@@ -100,40 +98,10 @@ func (g *Generator) Population(t time.Duration) float64 {
 	return float64(g.cfg.Students)
 }
 
-// usersOf returns the user-ID range of an active population pop: at
-// least 1, and at most Students.
-func (g *Generator) usersOf(pop float64) int {
-	if g.cfg.Growth == nil {
-		return g.cfg.Students
-	}
-	n := int(math.Ceil(pop))
-	if n < 1 {
-		n = 1
-	}
-	if n > g.cfg.Students {
-		n = g.cfg.Students
-	}
-	return n
-}
-
-// users returns the user-ID range active at t, at least 1.
-func (g *Generator) users(t time.Duration) int {
-	return g.usersOf(g.Population(t))
-}
-
 // Rate returns the instantaneous aggregate arrival rate (req/s) at t.
 func (g *Generator) Rate(t time.Duration) float64 {
-	rate, _ := g.rateAt(t)
-	return rate
-}
-
-// rateAt returns the instantaneous aggregate arrival rate (req/s) at t
-// and the active population it scaled, so a caller that also needs the
-// population at t does not compute it twice.
-func (g *Generator) rateAt(t time.Duration) (rate, pop float64) {
-	pop = g.Population(t)
-	base := pop * g.cfg.ReqPerStudentHour / 3600
-	rate = base * g.cfg.Diurnal.At(t)
+	base := g.Population(t) * g.cfg.ReqPerStudentHour / 3600
+	rate := base * g.cfg.Diurnal.At(t)
 	if g.cfg.Calendar != nil {
 		rate *= g.cfg.Calendar.WeekAt(t).Mult
 	}
@@ -148,7 +116,7 @@ func (g *Generator) rateAt(t time.Duration) (rate, pop float64) {
 	for _, j := range g.cfg.Joins {
 		rate *= j.MultAt(t)
 	}
-	return rate, pop
+	return rate
 }
 
 // MaxRate returns a global upper bound on Rate over any horizon. It
@@ -397,44 +365,15 @@ type ArrivalStream struct {
 	gen      *Generator
 	proc     *sim.NHPP
 	classRNG *sim.RNG
-	userRNG  *sim.RNG
-	// rateAt is the stream's rate and the population it scaled: the
-	// generator's, or a shard's.
-	rateAt func(t time.Duration) (rate, pop float64)
-	// shard, for one shard's stream, holds the users it draws from;
-	// nil draws from the whole active population.
-	shard *ShardGen
-	// pop is the population at the last rate evaluation. The sampler
-	// evaluates the rate last at the candidate it accepts, so once Next
-	// has an arrival, pop is the population at the arrival's time.
-	pop float64
 }
 
 // Stream returns a lazy arrival stream starting at start.
 func (g *Generator) Stream(rng *sim.RNG, start time.Duration) *ArrivalStream {
-	return newStream(g, g.rateAt, g.Envelope(), nil, rng, start)
-}
-
-// newStream wires an arrival stream over rateAt and env: shard's when
-// shard is non-nil, the whole generator's otherwise.
-func newStream(g *Generator, rateAt func(time.Duration) (float64, float64), env sim.EnvelopeFunc, shard *ShardGen, rng *sim.RNG, start time.Duration) *ArrivalStream {
-	s := &ArrivalStream{
+	return &ArrivalStream{
 		gen:      g,
+		proc:     sim.NewNHPPEnvelope(rng.Stream("arrivals"), g.Rate, g.Envelope(), start),
 		classRNG: rng.Stream("classes"),
-		userRNG:  rng.Stream("users"),
-		rateAt:   rateAt,
-		shard:    shard,
 	}
-	s.proc = sim.NewNHPPEnvelope(rng.Stream("arrivals"), s.rate, env, start)
-	return s
-}
-
-// rate is the sampler's rate function: it records the population it
-// scaled for the user draw.
-func (s *ArrivalStream) rate(t time.Duration) float64 {
-	r, pop := s.rateAt(t)
-	s.pop = pop
-	return r
 }
 
 // Next returns the next arrival at or before horizon, or ok=false. An
@@ -444,23 +383,7 @@ func (s *ArrivalStream) Next(horizon time.Duration) (Arrival, bool) {
 	if !ok {
 		return Arrival{}, false
 	}
-	return Arrival{
-		At:     t,
-		Class:  s.gen.MixAt(t).Sample(s.classRNG),
-		UserID: s.user(),
-	}, true
-}
-
-// user draws the arrival's user uniformly from the population active at
-// its time: the whole user-ID range, or a shard's members below it. At
-// K=1 members[i] == i, so a shard draw consumes the RNG and yields the
-// same value as the unsharded one.
-func (s *ArrivalStream) user() int {
-	n := s.gen.usersOf(s.pop)
-	if s.shard == nil {
-		return s.userRNG.Intn(n)
-	}
-	return s.shard.members[s.userRNG.Intn(s.shard.active(n))]
+	return Arrival{At: t, Class: s.gen.MixAt(t).Sample(s.classRNG)}, true
 }
 
 // Thinning reports the stream's sampler efficiency so far: candidate

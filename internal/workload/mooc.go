@@ -91,8 +91,8 @@ func (g *Growth) At(t time.Duration) float64 {
 }
 
 // Max returns the curve's supremum — the capacity (logistic) or final
-// (linear) population. It bounds every At value and sizes the user-ID
-// space when Config.Students is derived.
+// (linear) population. It bounds every At value and is Config.Students
+// when that is derived.
 func (g *Growth) Max() float64 { return g.final }
 
 // String renders the curve for experiment notes.
