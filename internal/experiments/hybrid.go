@@ -109,7 +109,7 @@ func table11At(seed uint64, pool *scenario.Pool, fidelity scenario.Fidelity) (*m
 			fmt.Sprintf("%.0f", fluid.VMHoursPublic),
 			fmt.Sprintf("%.2f", fluid.CostPerStudentMonth(moocStudentsCap)),
 			"-",
-			fmt.Sprintf("%.0f", fluid.OfferedRequests),
+			fmt.Sprintf("%d", fluid.Served),
 			"0")
 	}
 	if spot != nil {
@@ -130,7 +130,7 @@ func table11At(seed uint64, pool *scenario.Pool, fidelity scenario.Fidelity) (*m
 		t.AddNote("planned DES window [%s, %s) — peak envelope bound %.0f rps", fmtDay(w.Start), fmtDay(w.End), w.PeakBound)
 	}
 	if hybrid != nil && fluid != nil {
-		servedDelta := (float64(hybrid.Served) - fluid.OfferedRequests) / fluid.OfferedRequests
+		servedDelta := (float64(hybrid.Served) - float64(fluid.Served)) / float64(fluid.Served)
 		vmRatio := hybrid.VMHoursPublic / fluid.VMHoursPublic
 		t.AddNote("agreement vs fluid: served mass %+.3f%%, VM-hours ratio %.3f (bands: both run one autoscaled fleet; the DES windows admit, reject and carry real requests where the fluid model assumes all offered load completes)",
 			servedDelta*100, vmRatio)
@@ -141,10 +141,9 @@ func table11At(seed uint64, pool *scenario.Pool, fidelity scenario.Fidelity) (*m
 		// the whole horizon's offered mass, estimates what full-horizon
 		// DES would cost.
 		perReq := float64(spot.Events) / float64(spot.Arrivals)
-		estFull := perReq * float64(hybrid.Served+hybrid.Rejected+hybrid.Offline)
+		estFull := perReq * float64(hybrid.Arrivals)
 		t.AddNote("speedup proxy: full-horizon DES at the spot-check's %.1f events/request over %d offered requests ≈ %.2g events; the hybrid executed %d — %.0fx fewer",
-			perReq, hybrid.Served+hybrid.Rejected+hybrid.Offline, estFull, hybrid.Events,
-			estFull/float64(hybrid.Events))
+			perReq, hybrid.Arrivals, estFull, hybrid.Events, estFull/float64(hybrid.Events))
 	}
 	return t, nil
 }

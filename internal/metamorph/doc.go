@@ -17,8 +17,8 @@
 //     generated arrivals never exceed the workload Envelope() bound;
 //     results are byte-identical whatever pool parallelism ran them;
 //     superposed timezones never exceed the bounds of their parts; and
-//     the fluid and request-level fidelities agree within tolerance on
-//     overlapping regimes.
+//     the fluid and auto fidelities agree with one request-level run
+//     within tolerance on overlapping regimes.
 //   - Minimize is the shrinker: on a violation it halves the horizon,
 //     drops storm windows and reduces students — re-running the failing
 //     invariant at every step — until no transformation keeps the

@@ -24,6 +24,7 @@ func Fingerprint(r *scenario.Result) string {
 	fmt.Fprintf(&b, "kind=%v scaler=%v duration=%v\n", r.Kind, r.Scaler, r.Duration)
 	fmt.Fprintf(&b, "served=%d rejected=%d offline=%d violations=%d killed=%d\n",
 		r.Served, r.Rejected, r.Offline, r.PolicyViolations, r.KilledJobs)
+	fmt.Fprintf(&b, "arrivals=%d inFlight=%d carriedIn=%d\n", r.Arrivals, r.InFlight, r.CarriedIn)
 	fmt.Fprintf(&b, "latency.count=%d\n", r.Latency.Count())
 	line("latency.sum", r.Latency.Sum())
 	line("latency.p50", r.Latency.P50())
@@ -41,6 +42,8 @@ func Fingerprint(r *scenario.Result) string {
 		r.Breaches, r.SensitiveExposures, r.DataLossEvents)
 	line("bytesLost", r.BytesLost)
 	fmt.Fprintf(&b, "events=%d shards=%d shardEvents=%v\n", r.Events, r.Shards, r.ShardEvents)
+	line("fluidSimHours", r.FluidSimHours)
+	line("desSimHours", r.DESSimHours)
 	fmt.Fprintf(&b, "cost=%+v\n", r.Cost)
 	fmt.Fprintf(&b, "servers=%s\n", seriesSig(r.Servers))
 	fmt.Fprintf(&b, "utilization=%s\n", seriesSig(r.Utilization))

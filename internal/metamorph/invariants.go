@@ -74,10 +74,9 @@ func Invariants() []Invariant {
 		{Name: "superpose-bound", Lite: true, Check: checkSuperposeBound},
 		{Name: "parallel-determinism", Check: checkParallelDeterminism},
 		{Name: "capacity-monotone", Check: checkCapacityMonotone},
-		{Name: "cross-fidelity", Check: checkCrossFidelity},
+		{Name: "fidelity-agreement", Check: checkFidelityAgreement},
 		{Name: "shard-determinism", Check: checkShardDeterminism},
 		{Name: "hybrid-determinism", Check: checkHybridDeterminism},
-		{Name: "hybrid-agreement", Check: checkHybridAgreement},
 		{Name: "advisor", Check: checkAdvisor},
 		{Name: "policy-sanity", Check: checkPolicySanity},
 		{Name: "seed-band", Band: true, Check: checkSeedBand},
@@ -136,9 +135,12 @@ func workloadConfig(cfg scenario.Config) workload.Config {
 // desFeasible bounds the configs the request-level invariants run:
 // expected arrivals must fit an interactive fuzz budget.
 func desFeasible(cfg scenario.Config) bool {
-	if horizonOf(cfg) > 8*time.Hour {
-		return false
-	}
+	return horizonOf(cfg) <= 8*time.Hour && offeredBound(cfg) <= 1.5e6
+}
+
+// offeredBound bounds cfg's offered requests: its largest population
+// at its per-student rate over the whole horizon.
+func offeredBound(cfg scenario.Config) float64 {
 	pop := float64(cfg.Students)
 	if cfg.Growth != nil {
 		pop = cfg.Growth.Max()
@@ -147,7 +149,7 @@ func desFeasible(cfg scenario.Config) bool {
 	if req == 0 {
 		req = 50
 	}
-	return pop*req*horizonOf(cfg).Hours() <= 1.5e6
+	return pop * req * horizonOf(cfg).Hours()
 }
 
 // atFidelity returns cfg set to run at fidelity f.
@@ -436,52 +438,66 @@ func checkCapacityMonotone(cfg scenario.Config, _ uint64) (*Violation, string) {
 	return nil, ""
 }
 
-// checkCrossFidelity: the request-level and flow-level runs share one
-// fleet model (the same autoscaler drives both fleets, through the same
-// bounds, routing and mix rule), so they must agree within tolerance on
-// egress volume and public compute, and exactly on the capex-side
-// facts (host count). What the fluid model leaves out stays out: host
-// failures, last-mile outages, the CDN's cold start, and horizons under
-// 3h, where saturation the fluid model does not reject dominates (storm
-// seed 0xfd07a95cec2c0c7a, 2h: 47% rejected, egress ratio 0.74). The
-// request-level side is the one direct engine.
-func checkCrossFidelity(cfg scenario.Config, _ uint64) (*Violation, string) {
-	if cfg.Kind == deploy.Desktop {
-		return nil, "desktop has no fleet to cross-check"
+// checkFidelityAgreement: the three fidelities share one fleet model
+// (the same autoscaler drives every fleet, through the same bounds,
+// routing and mix rule), so the fluid run, and the auto run where the
+// planner opens windows, must track the unsharded request-level run,
+// which runs once as the reference for both: exactly on the capex-side
+// facts (host count), within tolerance on egress and public compute,
+// and for the auto run on served mass too. What the fluid model leaves
+// out stays out (agreementScope, autoScope): host failures, last-mile
+// outages, the CDN's cold start, horizons under 3h, where saturation
+// the fluid model does not reject dominates (storm seed
+// 0xfd07a95cec2c0c7a, 2h: 47% rejected, egress ratio 0.74), and, for
+// the auto run alone, the threat model.
+func checkFidelityAgreement(cfg scenario.Config, _ uint64) (*Violation, string) {
+	if skip := agreementScope(cfg); skip != "" {
+		return nil, skip
 	}
-	if !desFeasible(cfg) {
-		return nil, "config above the request-level budget"
-	}
-	if horizonOf(cfg) < 3*time.Hour {
-		return nil, "horizon under 3h: saturation outweighs the offered load"
-	}
-	if cfg.HostFailureAt > 0 {
-		return nil, "fluid model does not inject host failures"
-	}
-
 	cfg.Shards = 0
-	des, err := scenario.Run(cfg)
+	autoSkip, err := autoScope(cfg)
 	if err != nil {
-		return &Violation{"cross-fidelity", "request-level run failed: " + err.Error()}, ""
+		return &Violation{"fidelity-agreement", "planner failed: " + err.Error()}, ""
+	}
+	des, err := scenario.Run(atFidelity(cfg, scenario.FidelityDES))
+	if err != nil {
+		return &Violation{"fidelity-agreement", "request-level run failed: " + err.Error()}, ""
 	}
 	fluid, err := scenario.Run(atFidelity(cfg, scenario.FidelityFluid))
 	if err != nil {
-		return &Violation{"cross-fidelity", "fluid run failed: " + err.Error()}, ""
+		return &Violation{"fidelity-agreement", "fluid run failed: " + err.Error()}, ""
+	}
+	var auto *scenario.Result
+	if autoSkip == "" {
+		if auto, err = scenario.NewPool(2).Run(atFidelity(cfg, scenario.FidelityAuto)); err != nil {
+			return &Violation{"fidelity-agreement", "auto run failed: " + err.Error()}, ""
+		}
 	}
 
-	if des.PrivateHosts != fluid.PrivateHosts {
-		return &Violation{"cross-fidelity",
-			fmt.Sprintf("private hosts differ: DES %d vs fluid %d", des.PrivateHosts, fluid.PrivateHosts)}, ""
+	// Capex-side facts are seed-free deterministic functions of the
+	// config, so they must agree exactly.
+	for _, r := range []struct {
+		name string
+		res  *scenario.Result
+	}{{"fluid", fluid}, {"auto", auto}} {
+		if r.res == nil {
+			continue
+		}
+		if r.res.PrivateHosts != des.PrivateHosts {
+			return &Violation{"fidelity-agreement",
+				fmt.Sprintf("private hosts differ: %s %d vs DES %d", r.name, r.res.PrivateHosts, des.PrivateHosts)}, ""
+		}
+		if math.Abs(r.res.Cost.Capex-des.Cost.Capex) > 1e-6 {
+			return &Violation{"fidelity-agreement",
+				fmt.Sprintf("capex differs: %s %.4f vs DES %.4f", r.name, r.res.Cost.Capex, des.Cost.Capex)}, ""
+		}
 	}
-	if math.Abs(des.Cost.Capex-fluid.Cost.Capex) > 1e-6 {
-		return &Violation{"cross-fidelity",
-			fmt.Sprintf("capex differs: DES %.4f vs fluid %.4f", des.Cost.Capex, fluid.Cost.Capex)}, ""
-	}
-	// Both consumption clauses need the last mile up: the fluid model
-	// has no network-failure process, while the request-level runner
-	// counts every arrival during an access outage as Offline (seed
+
+	// The volume clauses need the last mile up: the fluid stretches have
+	// no network-failure process, while the request-level runner counts
+	// every arrival during an access outage as Offline (seed
 	// 0x743912ad8faad72c minimizes to a 54-student rural-DSL hybrid at
-	// egress ratio 0.65). The egress clause also needs the CDN off: the
+	// egress ratio 0.65). The egress clauses also need the CDN off: the
 	// fluid model prices misses at the steady-state analytic Zipf hit
 	// ratio while the request-level LRU starts cold (seed
 	// 0xe7d7a42389866a63 minimizes to a 56-student hybrid+CDN case at
@@ -489,23 +505,89 @@ func checkCrossFidelity(cfg scenario.Config, _ uint64) (*Violation, string) {
 	if offlineShare(des) > 0.01 {
 		return nil, ""
 	}
+	elastic := cfg.Kind == deploy.Public || cfg.Kind == deploy.Hybrid
 	if !cfg.EnableCDN && fluid.EgressGB > 0.02 {
 		ratio := des.EgressGB / fluid.EgressGB
 		if ratio < 0.75 || ratio > 1.30 {
-			return &Violation{"cross-fidelity",
+			return &Violation{"fidelity-agreement",
 				fmt.Sprintf("egress ratio DES/fluid = %.3f (DES %.3f GB, fluid %.3f GB) outside [0.75,1.30]",
 					ratio, des.EgressGB, fluid.EgressGB)}, ""
 		}
 	}
-	if cfg.Kind == deploy.Public || cfg.Kind == deploy.Hybrid {
+	if elastic {
 		ratio := des.VMHoursPublic / fluid.VMHoursPublic
 		if ratio < 0.8 || ratio > 1.25 {
-			return &Violation{"cross-fidelity",
+			return &Violation{"fidelity-agreement",
 				fmt.Sprintf("public VM-hours ratio DES/fluid = %.3f (DES %.2f, fluid %.2f) outside [0.8,1.25]",
 					ratio, des.VMHoursPublic, fluid.VMHoursPublic)}, ""
 		}
 	}
+	if auto == nil || des.Served == 0 {
+		return nil, ""
+	}
+	// Served mass: the seams lose at most the bootGrace gaps and the
+	// backlog/carry approximations, and the fluid stretches assume all
+	// offered load completes where the DES rejects at saturation.
+	ratio := float64(auto.Served) / float64(des.Served)
+	if ratio < 0.85 || ratio > 1.15 {
+		return &Violation{"fidelity-agreement",
+			fmt.Sprintf("served ratio auto/DES = %.3f (auto %d, DES %d) outside [0.85,1.15]",
+				ratio, auto.Served, des.Served)}, ""
+	}
+	if !cfg.EnableCDN && des.EgressGB > 0.02 {
+		ratio := auto.EgressGB / des.EgressGB
+		if ratio < 0.80 || ratio > 1.25 {
+			return &Violation{"fidelity-agreement",
+				fmt.Sprintf("egress ratio auto/DES = %.3f (auto %.3f GB, DES %.3f GB) outside [0.80,1.25]",
+					ratio, auto.EgressGB, des.EgressGB)}, ""
+		}
+	}
+	// Public compute: the fluid stretches run the DES's own autoscaler
+	// and hand each window the fleet it was running, so the seams are
+	// the only gap.
+	if elastic {
+		ratio := auto.VMHoursPublic / des.VMHoursPublic
+		if ratio < 0.8 || ratio > 1.25 {
+			return &Violation{"fidelity-agreement",
+				fmt.Sprintf("public VM-hours ratio auto/DES = %.3f (auto %.2f, DES %.2f) outside [0.8,1.25]",
+					ratio, auto.VMHoursPublic, des.VMHoursPublic)}, ""
+		}
+	}
 	return nil, ""
+}
+
+// agreementScope returns why fidelity-agreement does not apply to cfg
+// at all, or "".
+func agreementScope(cfg scenario.Config) string {
+	switch {
+	case cfg.Kind == deploy.Desktop:
+		return "desktop has no fleet to cross-check"
+	case !desFeasible(cfg):
+		return "config above the request-level budget"
+	case horizonOf(cfg) < 3*time.Hour:
+		return "horizon under 3h: saturation outweighs the offered load"
+	case cfg.HostFailureAt > 0:
+		return "the fluid model does not inject host failures"
+	}
+	return ""
+}
+
+// autoScope returns why fidelity-agreement compares no auto run for
+// cfg, or "": the threat model is whole-horizon in DES but
+// window-local in an auto run, and an auto run whose plan opens no
+// window is the fluid run.
+func autoScope(cfg scenario.Config) (string, error) {
+	if cfg.EnableThreats {
+		return "the threat model is whole-horizon in DES but window-local in an auto run", nil
+	}
+	plan, err := scenario.PlanFidelity(cfg)
+	if err != nil {
+		return "", err
+	}
+	if len(plan.Windows) == 0 {
+		return "planner opened no DES windows: the auto run is the fluid run", nil
+	}
+	return "", nil
 }
 
 // offlineShare is the fraction of a run's delivered or offline
@@ -610,8 +692,9 @@ func checkShardDeterminism(cfg scenario.Config, _ uint64) (*Violation, string) {
 // pure function of (config, seed, plan) — byte-identical whatever the
 // pool width, for any generated config, windows sharded or not. This is
 // the hybrid analogue of shard-determinism's worker-independence
-// clause; the empty-plan == fluid-run identity and the per-window
-// conservation law are pinned by internal/scenario's property tests.
+// clause; Pool.Run audits every Result's conservation law, and the
+// empty-plan identity holds by construction (a fluid run is the auto
+// path with no windows).
 func checkHybridDeterminism(cfg scenario.Config, _ uint64) (*Violation, string) {
 	if !desFeasible(cfg) {
 		return nil, "config above the request-level budget"
@@ -628,98 +711,6 @@ func checkHybridDeterminism(cfg scenario.Config, _ uint64) (*Violation, string) 
 	if got, want := Fingerprint(pooled), Fingerprint(serial); got != want {
 		return &Violation{"hybrid-determinism",
 			"hybrid result depends on worker count:\n" + diffLine(want, got)}, ""
-	}
-	return nil, ""
-}
-
-// checkHybridAgreement: on regimes where the fidelity seams are the
-// only approximation — no outages, no threat model — an auto-fidelity
-// run must track the whole-horizon request-level run within documented
-// bands: exactly on the capex-side facts, within tolerance on served
-// mass, egress and public compute. Shards are zeroed on both sides so
-// the comparison isolates the seam error from the sharded engine's
-// separately-bounded split-fleet drift (shard-determinism owns that
-// band).
-func checkHybridAgreement(cfg scenario.Config, _ uint64) (*Violation, string) {
-	if cfg.Kind == deploy.Desktop {
-		return nil, "desktop has no fleet to cross-check"
-	}
-	if !desFeasible(cfg) {
-		return nil, "config above the request-level budget"
-	}
-	if horizonOf(cfg) < 3*time.Hour {
-		return nil, "horizon under 3h: saturation outweighs the offered load"
-	}
-	if cfg.HostFailureAt > 0 {
-		return nil, "a host failure's blast radius would span fidelity seams"
-	}
-	if cfg.EnableThreats {
-		return nil, "the threat model is whole-horizon in DES but window-local in hybrid"
-	}
-
-	un := cfg
-	un.Shards = 0
-	plan, err := scenario.PlanFidelity(un)
-	if err != nil {
-		return &Violation{"hybrid-agreement", "planner failed: " + err.Error()}, ""
-	}
-	if len(plan.Windows) == 0 {
-		return nil, "planner opened no DES windows (cross-fidelity owns the all-fluid regime)"
-	}
-
-	des, err := scenario.Run(un)
-	if err != nil {
-		return &Violation{"hybrid-agreement", "request-level run failed: " + err.Error()}, ""
-	}
-	hyb, err := scenario.NewPool(2).Run(atFidelity(un, scenario.FidelityAuto))
-	if err != nil {
-		return &Violation{"hybrid-agreement", "hybrid run failed: " + err.Error()}, ""
-	}
-
-	// Capex-side facts are seed-free deterministic functions of the
-	// config, so they must agree exactly.
-	if hyb.PrivateHosts != des.PrivateHosts {
-		return &Violation{"hybrid-agreement",
-			fmt.Sprintf("private hosts differ: hybrid %d vs DES %d", hyb.PrivateHosts, des.PrivateHosts)}, ""
-	}
-	if math.Abs(hyb.Cost.Capex-des.Cost.Capex) > 1e-6 {
-		return &Violation{"hybrid-agreement",
-			fmt.Sprintf("capex differs: hybrid %.4f vs DES %.4f", hyb.Cost.Capex, des.Cost.Capex)}, ""
-	}
-
-	// The fluid stretches assume the last mile is up, so the volume
-	// clauses need the DES's offline share negligible — same caveat as
-	// cross-fidelity (seed 0x743912ad8faad72c's rural-DSL lineage).
-	if offlineShare(des) > 0.01 || des.Served == 0 {
-		return nil, ""
-	}
-	// Served mass: the seams lose at most the bootGrace gaps and the
-	// backlog/carry approximations, and the fluid stretches assume all
-	// offered load completes where the DES rejects at saturation.
-	ratio := float64(hyb.Served) / float64(des.Served)
-	if ratio < 0.85 || ratio > 1.15 {
-		return &Violation{"hybrid-agreement",
-			fmt.Sprintf("served ratio hybrid/DES = %.3f (hybrid %d, DES %d) outside [0.85,1.15]",
-				ratio, hyb.Served, des.Served)}, ""
-	}
-	if !cfg.EnableCDN && des.EgressGB > 0.02 {
-		ratio := hyb.EgressGB / des.EgressGB
-		if ratio < 0.80 || ratio > 1.25 {
-			return &Violation{"hybrid-agreement",
-				fmt.Sprintf("egress ratio hybrid/DES = %.3f (hybrid %.3f GB, DES %.3f GB) outside [0.80,1.25]",
-					ratio, hyb.EgressGB, des.EgressGB)}, ""
-		}
-	}
-	// Public compute: the fluid stretches run the DES's own autoscaler
-	// and hand each window the fleet it was running, so the seams are
-	// the only gap.
-	if cfg.Kind == deploy.Public || cfg.Kind == deploy.Hybrid {
-		ratio := hyb.VMHoursPublic / des.VMHoursPublic
-		if ratio < 0.8 || ratio > 1.25 {
-			return &Violation{"hybrid-agreement",
-				fmt.Sprintf("public VM-hours ratio hybrid/DES = %.3f (hybrid %.2f, DES %.2f) outside [0.8,1.25]",
-					ratio, hyb.VMHoursPublic, des.VMHoursPublic)}, ""
-		}
 	}
 	return nil, ""
 }
@@ -848,18 +839,7 @@ const (
 // path applies), so the per-run budget sits an order of magnitude
 // below desFeasible's.
 func bandFeasible(cfg scenario.Config) bool {
-	if horizonOf(cfg) > 4*time.Hour {
-		return false
-	}
-	pop := float64(cfg.Students)
-	if cfg.Growth != nil {
-		pop = cfg.Growth.Max()
-	}
-	req := cfg.ReqPerStudentHour
-	if req == 0 {
-		req = 50
-	}
-	return pop*req*horizonOf(cfg).Hours() <= 1.2e5
+	return horizonOf(cfg) <= 4*time.Hour && offeredBound(cfg) <= 1.2e5
 }
 
 // checkSeedBand: the physics must be statistically stable in the seed.
@@ -875,79 +855,54 @@ func checkSeedBand(cfg scenario.Config, caseSeed uint64) (*Violation, string) {
 	if !bandFeasible(cfg) {
 		return nil, "config above the cross-seed statistical budget"
 	}
-
-	fracs := make([]float64, 0, bandSeeds)
-	p95s := make([]float64, 0, bandSeeds)
-	vmhs := make([]float64, 0, bandSeeds)
-	egs := make([]float64, 0, bandSeeds)
-	maxOffline := 0.0
-	for i := 0; i < bandSeeds; i++ {
-		sub := cfg
-		sub.Seed = sim.SeedFor(caseSeed, fmt.Sprintf("metamorph/band/%d", i))
-		sub.Shards = 0 // the one direct engine
-		r, err := scenario.Run(sub)
-		if err != nil {
-			return &Violation{"seed-band", fmt.Sprintf("des run at band seed %d failed: %v", i, err)}, ""
+	type path struct {
+		name string
+		fid  scenario.Fidelity
+	}
+	paths := []path{{"des", scenario.FidelityDES}}
+	// The hybrid path applies when the planner opens windows (an empty
+	// plan is the fluid run — nothing request-level left to band).
+	if cfg.Kind != deploy.Desktop {
+		if plan, err := scenario.PlanFidelity(cfg); err == nil && len(plan.Windows) > 0 {
+			paths = append(paths, path{"hybrid", scenario.FidelityAuto})
 		}
-		total := r.Served + r.Rejected + r.Offline
-		if total == 0 {
-			return nil, "no arrivals to measure"
-		}
-		fracs = append(fracs, float64(r.Served)/float64(total))
-		p95s = append(p95s, r.Latency.P95())
-		vmhs = append(vmhs, r.VMHoursPublic+r.VMHoursPrivate)
-		egs = append(egs, r.EgressGB)
-		maxOffline = math.Max(maxOffline, float64(r.Offline)/float64(total))
-	}
-	if reason := bandRegime("des", fracs, p95s, maxOffline); reason != "" {
-		return nil, reason
-	}
-	if v := bandViolation("des", fracs, p95s); v != nil {
-		return v, ""
-	}
-	if v := bandResourceViolation("des", vmhs, egs); v != nil {
-		return v, ""
-	}
-
-	// Hybrid path: same statistic at FidelityAuto, when the planner
-	// opens windows (an empty plan is the fluid-run identity — nothing
-	// request-level left to band).
-	if cfg.Kind == deploy.Desktop {
-		return nil, ""
-	}
-	plan, err := scenario.PlanFidelity(cfg)
-	if err != nil || len(plan.Windows) == 0 {
-		return nil, ""
 	}
 	pool := scenario.NewPool(2)
-	fracs, p95s = fracs[:0], p95s[:0]
-	vmhs, egs = vmhs[:0], egs[:0]
-	maxOffline = 0
-	for i := 0; i < bandSeeds; i++ {
-		sub := atFidelity(cfg, scenario.FidelityAuto)
-		sub.Seed = sim.SeedFor(caseSeed, fmt.Sprintf("metamorph/band/%d", i))
-		r, err := pool.Run(sub)
-		if err != nil {
-			return &Violation{"seed-band", fmt.Sprintf("hybrid run at band seed %d failed: %v", i, err)}, ""
+	for _, p := range paths {
+		fracs := make([]float64, 0, bandSeeds)
+		p95s := make([]float64, 0, bandSeeds)
+		vmhs := make([]float64, 0, bandSeeds)
+		egs := make([]float64, 0, bandSeeds)
+		maxOffline := 0.0
+		for i := 0; i < bandSeeds; i++ {
+			sub := atFidelity(cfg, p.fid)
+			sub.Seed = sim.SeedFor(caseSeed, fmt.Sprintf("metamorph/band/%d", i))
+			if p.fid == scenario.FidelityDES {
+				sub.Shards = 0 // the one direct engine; windows keep the case's shards
+			}
+			r, err := pool.Run(sub)
+			if err != nil {
+				return &Violation{"seed-band", fmt.Sprintf("%s run at band seed %d failed: %v", p.name, i, err)}, ""
+			}
+			total := r.Served + r.Rejected + r.Offline
+			if total == 0 {
+				return nil, "no arrivals to measure"
+			}
+			fracs = append(fracs, float64(r.Served)/float64(total))
+			p95s = append(p95s, r.Latency.P95())
+			vmhs = append(vmhs, r.VMHoursPublic+r.VMHoursPrivate)
+			egs = append(egs, r.EgressGB)
+			maxOffline = math.Max(maxOffline, float64(r.Offline)/float64(total))
 		}
-		total := r.Served + r.Rejected + r.Offline
-		if total == 0 {
-			return nil, "no arrivals to measure"
+		if reason := bandRegime(p.name, fracs, p95s, maxOffline); reason != "" {
+			return nil, reason
 		}
-		fracs = append(fracs, float64(r.Served)/float64(total))
-		p95s = append(p95s, r.Latency.P95())
-		vmhs = append(vmhs, r.VMHoursPublic+r.VMHoursPrivate)
-		egs = append(egs, r.EgressGB)
-		maxOffline = math.Max(maxOffline, float64(r.Offline)/float64(total))
-	}
-	if reason := bandRegime("hybrid", fracs, p95s, maxOffline); reason != "" {
-		return nil, reason
-	}
-	if v := bandViolation("hybrid", fracs, p95s); v != nil {
-		return v, ""
-	}
-	if v := bandResourceViolation("hybrid", vmhs, egs); v != nil {
-		return v, ""
+		if v := bandViolation(p.name, fracs, p95s); v != nil {
+			return v, ""
+		}
+		if v := bandResourceViolation(p.name, vmhs, egs); v != nil {
+			return v, ""
+		}
 	}
 	return nil, ""
 }

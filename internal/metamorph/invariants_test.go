@@ -18,8 +18,8 @@ import (
 func TestInvariantsRegistry(t *testing.T) {
 	want := []string{
 		"growth-monotone", "envelope-bound", "superpose-bound",
-		"parallel-determinism", "capacity-monotone", "cross-fidelity",
-		"shard-determinism", "hybrid-determinism", "hybrid-agreement",
+		"parallel-determinism", "capacity-monotone", "fidelity-agreement",
+		"shard-determinism", "hybrid-determinism",
 		"advisor", "policy-sanity", "seed-band",
 	}
 	invs := Invariants()
@@ -188,98 +188,6 @@ func TestHybridDeterminismHolds(t *testing.T) {
 	c.Cfg.Shards = 3
 	if v, skip := checkHybridDeterminism(c.Cfg, c.Seed); skip != "" || v != nil {
 		t.Errorf("sharded windows: violation %v skip %q", v, skip)
-	}
-}
-
-// TestHybridAgreementSkips: the regimes the seam comparison does not
-// cover are skipped with a stated reason, not silently passed.
-func TestHybridAgreementSkips(t *testing.T) {
-	base := scenario.Config{
-		Students: 400, Duration: 4 * time.Hour,
-		Storms: []workload.DeadlineStorm{
-			{Deadline: 2 * time.Hour, Ramp: time.Hour, PeakMult: 6},
-		},
-	}
-	for name, mutate := range map[string]func(*scenario.Config){
-		"desktop":      func(c *scenario.Config) { c.Kind = deploy.Desktop },
-		"short":        func(c *scenario.Config) { c.Duration = time.Hour },
-		"host-failure": func(c *scenario.Config) { c.HostFailureAt = time.Hour },
-		"threats":      func(c *scenario.Config) { c.EnableThreats = true },
-		"empty-plan":   func(c *scenario.Config) { c.Storms = nil },
-	} {
-		cfg := base
-		cfg.Storms = append([]workload.DeadlineStorm(nil), base.Storms...)
-		mutate(&cfg)
-		v, skip := checkHybridAgreement(cfg, 1)
-		if v != nil {
-			t.Errorf("%s: unexpected violation %v", name, v)
-		}
-		if skip == "" {
-			t.Errorf("%s: expected a skip reason", name)
-		}
-	}
-	// The fluid stretches run the exam mix in force, so an exam storm
-	// is compared, not skipped.
-	if testing.Short() {
-		return
-	}
-	exam := base
-	exam.Storms = []workload.DeadlineStorm{base.Storms[0]}
-	exam.Storms[0].ExamTraffic = true
-	if v, skip := checkHybridAgreement(exam, 1); v != nil || skip != "" {
-		t.Errorf("exam-storm: violation %v, skip %q; want a clean comparison", v, skip)
-	}
-}
-
-// TestHybridAgreementHolds: a generated hybrid-family case inside the
-// covered regime tracks the whole-horizon DES within the bands.
-func TestHybridAgreementHolds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs request-level scenarios")
-	}
-	cfg := scenario.Config{
-		Kind: deploy.Public, Students: 500, ReqPerStudentHour: 30,
-		Duration: 4 * time.Hour, Diurnal: workload.FlatDiurnal(),
-		Scaler: scenario.ScalerReactive,
-		Storms: []workload.DeadlineStorm{
-			{Deadline: 150 * time.Minute, Ramp: 80 * time.Minute, PeakMult: 6},
-		},
-		Seed: 0x5eed,
-	}
-	if v, skip := checkHybridAgreement(cfg, 0x5eed); skip != "" || v != nil {
-		t.Errorf("hybrid-agreement: violation %v skip %q", v, skip)
-	}
-}
-
-// TestHybridAgreementRetentionRegression pins the seeds the first
-// hybrid-family sweep (run seed 1) minimized: small hybrid deployments
-// whose fluid stretches gave the private side the base load and ran
-// the public side at zero servers, while the DES's scaler held its
-// floor for the whole horizon — hybrid/DES public VM-hours of 0.200 and
-// 0.271. With one routing rule and one fleet model the hybrid run
-// tracks the DES, and the full invariant passes.
-func TestHybridAgreementRetentionRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs request-level scenarios")
-	}
-	for _, seed := range []uint64{0xc699da707374f890, 0x57e3ea30f79965d6} {
-		c := FindFamilyOrDie(t, "hybrid").Case(seed)
-		cfg := c.Cfg
-		cfg.Shards = 0
-		des, err := scenario.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hyb, err := scenario.NewPool(2).Run(atFidelity(cfg, scenario.FidelityAuto))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ratio := hyb.VMHoursPublic / des.VMHoursPublic; ratio < 0.8 || ratio > 1.25 {
-			t.Errorf("hybrid seed=%#x: public VM-hours hybrid/DES = %.3f outside [0.8,1.25]", seed, ratio)
-		}
-		if v, skip := checkHybridAgreement(c.Cfg, c.Seed); v != nil || skip != "" {
-			t.Errorf("hybrid seed=%#x: violation %v, skip %q", seed, v, skip)
-		}
 	}
 }
 
@@ -453,18 +361,32 @@ func TestDesFeasible(t *testing.T) {
 	}
 }
 
-// TestCrossFidelitySkips: the regimes the fluid model does not cover
-// are skipped with a stated reason, not silently passed.
+// stormyBase is a public storm day inside the fidelity-agreement
+// regime; mutateStormy copies it and applies mutate.
+var stormyBase = scenario.Config{
+	Students: 400, Duration: 4 * time.Hour,
+	Storms: []workload.DeadlineStorm{
+		{Deadline: 2 * time.Hour, Ramp: time.Hour, PeakMult: 6},
+	},
+}
+
+func mutateStormy(mutate func(*scenario.Config)) scenario.Config {
+	cfg := stormyBase
+	cfg.Storms = append([]workload.DeadlineStorm(nil), stormyBase.Storms...)
+	mutate(&cfg)
+	return cfg
+}
+
+// TestCrossFidelitySkips: the regimes the fluid comparison of
+// fidelity-agreement does not cover are skipped with a stated reason,
+// not silently passed. Threats and an empty plan leave it standing.
 func TestCrossFidelitySkips(t *testing.T) {
-	base := scenario.Config{Students: 400, Duration: 4 * time.Hour}
 	for name, mutate := range map[string]func(*scenario.Config){
 		"desktop":      func(c *scenario.Config) { c.Kind = deploy.Desktop },
 		"short":        func(c *scenario.Config) { c.Duration = time.Hour },
 		"host-failure": func(c *scenario.Config) { c.HostFailureAt = time.Hour },
 	} {
-		cfg := base
-		mutate(&cfg)
-		v, skip := checkCrossFidelity(cfg, 1)
+		v, skip := checkFidelityAgreement(mutateStormy(mutate), 1)
 		if v != nil {
 			t.Errorf("%s: unexpected violation %v", name, v)
 		}
@@ -472,15 +394,71 @@ func TestCrossFidelitySkips(t *testing.T) {
 			t.Errorf("%s: expected a skip reason", name)
 		}
 	}
+	for name, mutate := range map[string]func(*scenario.Config){
+		"threats":    func(c *scenario.Config) { c.EnableThreats = true },
+		"empty-plan": func(c *scenario.Config) { c.Storms = nil },
+	} {
+		if skip := agreementScope(mutateStormy(mutate)); skip != "" {
+			t.Errorf("%s: the fluid comparison skipped (%s)", name, skip)
+		}
+	}
 	// Each fluid tick reads the mix in force, so an exam crowd is
 	// compared, not skipped.
 	if testing.Short() {
 		return
 	}
-	exam := base
-	exam.Crowds = []workload.FlashCrowd{{Start: time.Hour, End: 2 * time.Hour, Mult: 3, ExamTraffic: true}}
-	if v, skip := checkCrossFidelity(exam, 1); v != nil || skip != "" {
+	exam := mutateStormy(func(c *scenario.Config) {
+		c.Storms = nil
+		c.Crowds = []workload.FlashCrowd{{Start: time.Hour, End: 2 * time.Hour, Mult: 3, ExamTraffic: true}}
+	})
+	if v, skip := checkFidelityAgreement(exam, 1); v != nil || skip != "" {
 		t.Errorf("exam-crowd: violation %v, skip %q; want a clean comparison", v, skip)
+	}
+}
+
+// TestHybridAgreementSkips: the auto (hybrid) comparison of
+// fidelity-agreement covers a planned storm day and skips threats and
+// an empty plan with a stated reason.
+func TestHybridAgreementSkips(t *testing.T) {
+	for name, mutate := range map[string]func(*scenario.Config){
+		"threats":    func(c *scenario.Config) { c.EnableThreats = true },
+		"empty-plan": func(c *scenario.Config) { c.Storms = nil },
+	} {
+		if skip, err := autoScope(mutateStormy(mutate)); err != nil || skip == "" {
+			t.Errorf("%s: auto comparison skip %q, error %v; want a skip reason", name, skip, err)
+		}
+	}
+	if skip, err := autoScope(stormyBase); err != nil || skip != "" {
+		t.Errorf("stormy base: auto comparison skip %q, error %v; want it compared", skip, err)
+	}
+	// The fluid stretches run the exam mix in force, so an exam storm
+	// is compared, not skipped.
+	if testing.Short() {
+		return
+	}
+	exam := mutateStormy(func(c *scenario.Config) { c.Storms[0].ExamTraffic = true })
+	if v, skip := checkFidelityAgreement(exam, 1); v != nil || skip != "" {
+		t.Errorf("exam-storm: violation %v, skip %q; want a clean comparison", v, skip)
+	}
+}
+
+// TestFidelityAgreementHolds: a storm case inside the covered regime
+// tracks the whole-horizon DES at both fluid fidelities.
+func TestFidelityAgreementHolds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs request-level scenarios")
+	}
+	cfg := scenario.Config{
+		Kind: deploy.Public, Students: 500, ReqPerStudentHour: 30,
+		Duration: 4 * time.Hour, Diurnal: workload.FlatDiurnal(),
+		Scaler: scenario.ScalerReactive,
+		Storms: []workload.DeadlineStorm{
+			{Deadline: 150 * time.Minute, Ramp: 80 * time.Minute, PeakMult: 6},
+		},
+		Seed: 0x5eed,
+	}
+	if v, skip := checkFidelityAgreement(cfg, 0x5eed); skip != "" || v != nil {
+		t.Errorf("fidelity-agreement: violation %v skip %q", v, skip)
 	}
 }
 
@@ -490,38 +468,64 @@ func TestCrossFidelitySkips(t *testing.T) {
 // and a join spike under the predictive scaler) read DES/fluid public
 // VM-hours of 20.43, and campus 0xfb3abd4466c9728c (a hybrid with two
 // exam crowds under the scheduled scaler) read 13.71. Run by the DES's
-// own control loop, both read inside the band, and the full invariant
-// passes. Chaos 0x743912ad8faad72c, a rural-DSL hybrid whose outages
-// starve the DES of arrivals the fluid model serves (egress ratio
-// 0.59), stays out of the consumption clauses through the offline-share
-// condition.
+// own control loop, both read inside the bands. Chaos
+// 0x743912ad8faad72c, a rural-DSL hybrid whose outages starve the DES
+// of arrivals the fluid model serves (egress ratio 0.59), stays out of
+// the volume clauses through the offline-share condition.
 func TestCrossFidelitySpikeRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs request-level scenarios")
 	}
-	for fam, seed := range map[string]uint64{
-		"storm":  0x28f0f41a83af80e7,
-		"campus": 0xfb3abd4466c9728c,
-		"chaos":  0x743912ad8faad72c,
-	} {
-		c := FindFamilyOrDie(t, fam).Case(seed)
-		if fam != "chaos" {
-			cfg := c.Cfg
-			cfg.Shards = 0
-			des, err := scenario.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fluid, err := scenario.Run(atFidelity(cfg, scenario.FidelityFluid))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ratio := des.VMHoursPublic / fluid.VMHoursPublic; ratio < 0.8 || ratio > 1.25 {
-				t.Errorf("%s seed=%#x: public VM-hours DES/fluid = %.3f outside [0.8,1.25]", fam, seed, ratio)
-			}
+	checkAgreementSeeds(t, []agreementSeed{
+		{"storm", 0x28f0f41a83af80e7},
+		{"campus", 0xfb3abd4466c9728c},
+		{"chaos", 0x743912ad8faad72c},
+	})
+}
+
+// TestHybridAgreementRetentionRegression pins the seeds the first
+// hybrid-family sweep (run seed 1) minimized: small hybrid deployments
+// whose fluid stretches gave the private side the base load and ran
+// the public side at zero servers, while the DES's scaler held its
+// floor for the whole horizon — auto/DES public VM-hours of 0.200 and
+// 0.271. With one routing rule and one fleet model both read inside
+// the bands.
+func TestHybridAgreementRetentionRegression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs request-level scenarios")
+	}
+	checkAgreementSeeds(t, []agreementSeed{
+		{"hybrid", 0xc699da707374f890},
+		{"hybrid", 0x57e3ea30f79965d6},
+	})
+}
+
+type agreementSeed struct {
+	family string
+	seed   uint64
+}
+
+// checkAgreementSeeds runs fidelity-agreement on each generated case and,
+// outside the chaos family, checks that the DES stays online enough for
+// the VM-hours clauses those seeds broke to be compared at all.
+func checkAgreementSeeds(t *testing.T, seeds []agreementSeed) {
+	t.Helper()
+	for _, c := range seeds {
+		cs := FindFamilyOrDie(t, c.family).Case(c.seed)
+		if v, skip := checkFidelityAgreement(cs.Cfg, cs.Seed); v != nil || skip != "" {
+			t.Errorf("%s seed=%#x: violation %v, skip %q", c.family, c.seed, v, skip)
 		}
-		if v, skip := checkCrossFidelity(c.Cfg, c.Seed); v != nil || skip != "" {
-			t.Errorf("%s seed=%#x: violation %v, skip %q", fam, seed, v, skip)
+		if c.family == "chaos" {
+			continue
+		}
+		cfg := cs.Cfg
+		cfg.Shards = 0
+		des, err := scenario.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if share := offlineShare(des); share > 0.01 {
+			t.Errorf("%s seed=%#x: offline share %.3f exempts the volume clauses", c.family, c.seed, share)
 		}
 	}
 }

@@ -170,4 +170,18 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	if Fingerprint(a) == Fingerprint(c) {
 		t.Error("different seeds produced identical fingerprints")
 	}
+	// Each ledger line names its own field.
+	for field, mutate := range map[string]func(*scenario.Result){
+		"arrivals=":      func(r *scenario.Result) { r.Arrivals++ },
+		"inFlight=":      func(r *scenario.Result) { r.InFlight++ },
+		"carriedIn=":     func(r *scenario.Result) { r.CarriedIn++ },
+		"fluidSimHours=": func(r *scenario.Result) { r.FluidSimHours++ },
+		"desSimHours=":   func(r *scenario.Result) { r.DESSimHours++ },
+	} {
+		m := *a
+		mutate(&m)
+		if d := diffLine(Fingerprint(a), Fingerprint(&m)); !strings.Contains(d, field) {
+			t.Errorf("%s changed, fingerprint diff %q does not name it", field, d)
+		}
+	}
 }

@@ -124,9 +124,9 @@ type Availability struct {
 	downTotal time.Duration
 }
 
-// NewAvailability returns a tracker that is initially up from time zero.
-func NewAvailability() *Availability {
-	return &Availability{up: true}
+// NewAvailability returns a tracker that is up from time start.
+func NewAvailability(start time.Duration) *Availability {
+	return &Availability{up: true, since: start}
 }
 
 // SetState records a state transition at virtual time t. Repeated calls

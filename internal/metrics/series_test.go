@@ -86,7 +86,7 @@ func TestTimeSeriesPointsIsCopy(t *testing.T) {
 }
 
 func TestAvailability(t *testing.T) {
-	a := NewAvailability()
+	a := NewAvailability(0)
 	a.SetState(10*time.Second, false) // up 10s
 	a.SetState(15*time.Second, true)  // down 5s
 	a.Finish(20 * time.Second)        // up 5s more
@@ -99,7 +99,7 @@ func TestAvailability(t *testing.T) {
 }
 
 func TestAvailabilityRepeatedStateIgnored(t *testing.T) {
-	a := NewAvailability()
+	a := NewAvailability(0)
 	a.SetState(time.Second, true) // already up: no-op
 	a.SetState(2*time.Second, false)
 	a.SetState(3*time.Second, false) // already down: no-op
@@ -110,7 +110,7 @@ func TestAvailabilityRepeatedStateIgnored(t *testing.T) {
 }
 
 func TestAvailabilityAllUp(t *testing.T) {
-	a := NewAvailability().Finish(time.Hour)
+	a := NewAvailability(0).Finish(time.Hour)
 	if a.Ratio() != 1 {
 		t.Fatal("untouched tracker must be fully available")
 	}

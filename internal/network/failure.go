@@ -23,7 +23,8 @@ type FailureProcess struct {
 }
 
 // NewFailureProcess starts a process that is up at creation and schedules
-// its first failure. mtbf and mttr are in seconds and must be positive.
+// its first failure; its availability counts from eng's clock at
+// creation. mtbf and mttr are in seconds and must be positive.
 func NewFailureProcess(eng *sim.Engine, rng *sim.RNG, mtbf, mttr float64) *FailureProcess {
 	if eng == nil || rng == nil {
 		panic("network: NewFailureProcess with nil engine or rng")
@@ -37,7 +38,7 @@ func NewFailureProcess(eng *sim.Engine, rng *sim.RNG, mtbf, mttr float64) *Failu
 		mtbf:  mtbf,
 		mttr:  mttr,
 		up:    true,
-		avail: metrics.NewAvailability(),
+		avail: metrics.NewAvailability(eng.Now()),
 	}
 	f.scheduleTransition()
 	return f

@@ -84,7 +84,7 @@ func TestFluidMatchesDESFixedFleet(t *testing.T) {
 // domains overlap. The configs deliberately stay in the overlap regime —
 // flat diurnal, no storms, reliable access — where divergence would mean
 // the models drifted, not that a documented divergence regime fired
-// (internal/metamorph's cross-fidelity invariant handles those).
+// (internal/metamorph's fidelity-agreement invariant handles those).
 func TestFluidTracksDESRandomConfigs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three request-level scenarios")

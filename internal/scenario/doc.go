@@ -2,7 +2,8 @@
 // deployment model serving the e-learning workload over a network, with
 // autoscaling, sessions, threats and cost accounting. It has one entry
 // point, Pool.Run (Run is Pool.Run on a nil pool), which defaults a
-// Config, runs it at its Config.Fidelity and bills the Result once:
+// Config, runs it at its Config.Fidelity, bills the Result once and
+// audits its request ledger (Result.Audit):
 //
 //   - FidelityDES (the default): full request-level discrete-event
 //     simulation, for experiments where latency distributions and
@@ -17,7 +18,8 @@
 //     queueing is irrelevant. The configured autoscaler drives its
 //     public fleet on an engine of its own, with the same bounds, boot
 //     lag, request mix and routing as a request-level run (fluid.go).
-//     Its Result has no latency samples.
+//     Its Result has no latency samples. It is the FidelityAuto path
+//     with no windows.
 //   - FidelityAuto: fluid integration through the quiet stretches and
 //     request-level windows (sharded like FidelityDES) through the
 //     bursts, stitched at the seams (hybrid.go).

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"time"
 
 	"elearncloud/internal/cdn"
@@ -48,9 +49,10 @@ type fluidModel struct {
 	res *Result
 	// ticks counts the accrued ticks, and sizeTicks[n] those at which
 	// the public fleet held n servers.
-	ticks                            int64
-	sizeTicks                        []int64
-	egressBytes, cdnBytes, utilAccum float64
+	ticks     int64
+	sizeTicks []int64
+	// offered is the accrued arrival mass ∫rate·dt.
+	offered, egressBytes, cdnBytes, utilAccum float64
 }
 
 // fluidMix is what a tick reads from a request mix, routed as the
@@ -80,11 +82,14 @@ func newFluidModel(cfg Config) (*fluidModel, error) {
 		eng:     eng,
 		fleet:   &fluidFleet{eng: eng},
 		res: &Result{
-			Kind:     cfg.Kind,
-			Scaler:   cfg.Scaler,
-			Duration: cfg.Duration,
-			Rate:     metrics.NewTimeSeries("rate-rps"),
-			Servers:  metrics.NewTimeSeries("servers"),
+			Kind:        cfg.Kind,
+			Scaler:      cfg.Scaler,
+			Duration:    cfg.Duration,
+			Latency:     metrics.DefaultLatency(),
+			Rate:        metrics.NewTimeSeries("rate-rps"),
+			Servers:     metrics.NewTimeSeries("servers"),
+			Utilization: metrics.NewTimeSeries("load-per-server"),
+			P95Series:   metrics.NewTimeSeries("p95-window"),
 		},
 	}
 	if m.size, err = deploy.Size(specFor(cfg, gen.MaxRate(), m.meanSvc)); err != nil {
@@ -164,7 +169,7 @@ func (m *fluidModel) step(t time.Duration, accrue bool) {
 		m.utilAccum += float64(min(busy, priv)) / float64(priv)
 	}
 	offered := rate * fluidTick.Seconds()
-	res.OfferedRequests += offered
+	m.offered += offered
 	bytes := offered * mix.meanPayload
 	video := bytes * mix.cdnBytes
 	m.cdnBytes += video
@@ -177,9 +182,16 @@ func (m *fluidModel) step(t time.Duration, accrue bool) {
 
 // finish writes the accrued totals into the result and returns it.
 // Each tick count becomes hours in one correctly rounded division, so a
-// fleet held for whole hours bills them exactly.
+// fleet held for whole hours bills them exactly. The flow model has no
+// requests: the offered mass, rounded, counts arrived and served, and
+// Latency, Utilization, P95Series and Events stay empty. It assumes
+// the last mile is up.
 func (m *fluidModel) finish() *Result {
 	res := m.res
+	res.Arrivals = uint64(math.Round(m.offered))
+	res.Served = res.Arrivals
+	res.NetAvailability = 1
+	res.CDNHitRatio = m.cdnHit
 	perHour := float64(time.Hour / fluidTick)
 	var vmTicks, above int64
 	res.ServerRankHours = make([]float64, max(0, len(m.sizeTicks)-1))
@@ -196,27 +208,4 @@ func (m *fluidModel) finish() *Result {
 	res.CDNGB = m.cdnBytes / 1e9
 	res.PrivateHosts = m.size.PrivateHosts
 	return res
-}
-
-// runFluid runs a defaulted cfg through the fluid model over the whole
-// horizon (FidelityFluid). The flow model has no requests, so the
-// Result's Latency, Utilization and P95Series are empty, and Events
-// stays zero: it counts request-level events only.
-func runFluid(cfg Config) (*Result, error) {
-	m, err := newFluidModel(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.integrate(0, cfg.Duration)
-	res := m.finish()
-	res.CDNHitRatio = m.cdnHit
-	downsampleTo := max(fluidStep, cfg.Duration/500) // keep figure series plottable
-	res.Rate = res.Rate.Downsample(downsampleTo)
-	res.Servers = res.Servers.Downsample(downsampleTo)
-	res.Latency = metrics.DefaultLatency()
-	res.Utilization = metrics.NewTimeSeries("load-per-server")
-	res.P95Series = metrics.NewTimeSeries("p95-window")
-	// The flow model assumes the last mile is up.
-	res.NetAvailability = 1
-	return res, nil
 }

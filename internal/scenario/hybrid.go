@@ -1,9 +1,10 @@
 package scenario
 
-// This file is the auto-fidelity hybrid runner: the fluid model
-// integrates the quiet stretches of the horizon, request-level DES
-// simulates the bursty windows, and the seams are stitched under
-// documented rules. The construction:
+// This file is the fluid run path: the fluid model integrates the
+// horizon, and at FidelityAuto request-level DES simulates the bursty
+// windows in it, with the seams stitched under documented rules. A
+// FidelityFluid run is the same path with no windows, so it equals an
+// empty-plan auto run on every field by construction. The construction:
 //
 //   - The planner asks the workload for its burst windows
 //     (workload.BurstWindows): envelope segments whose crowd/storm/join
@@ -22,10 +23,11 @@ package scenario
 //     the whole horizon, windows included), the queue is seeded with
 //     round(rate·meanService) synthetic in-flight jobs (Little's law),
 //     and the CDN edge is pre-warmed with popularity-sampled objects.
-//     Arrivals begin after bootGrace, inside the guard margin, exactly
-//     like a direct run's opening.
+//     The window's sessions and last-mile availability start at its
+//     opening. Arrivals begin after bootGrace, inside the guard margin,
+//     exactly like a direct run's opening.
 //   - Stitching, DES→fluid: requests still in flight at the window's
-//     close (CarriedOut) are handed back as served mass — the fluid
+//     close (its InFlight) are handed back as served mass — the fluid
 //     model assumes all offered load completes — and the fluid model,
 //     whose fleet ran through the window, accrues again from its end.
 //
@@ -33,13 +35,12 @@ package scenario
 // arrival gap at a window opening (≤ bootGrace × quiet rate requests,
 // guard-protected so the gap is quiet); the synthetic backlog's mean
 // service approximation; and the in-flight handoff at close (≈ rate ×
-// meanService requests counted served without latency samples). The
-// boundary property tests in hybrid_test.go pin the conservation
-// identity Arrivals == Served + Rejected + Offline + KilledJobs +
-// CarriedOut inside every window, VM-hour additivity across seams, the
-// exact fluid-run identity for empty plans, and the cross-fidelity
-// band for all-DES plans; the hybrid metamorph family fuzzes the
-// agreement against the request-level run.
+// meanService requests counted served without latency samples). Every
+// window's Result, and the stitched one, passes Result.Audit; the
+// boundary property tests in hybrid_test.go pin VM-hour additivity
+// across seams and the agreement band for all-DES plans, and the
+// metamorph fidelity-agreement invariant fuzzes the fluid and auto runs
+// against the request-level run.
 
 import (
 	"fmt"
@@ -76,12 +77,17 @@ type FidelityPlan struct {
 	Windows []workload.BurstWindow
 }
 
-// desWindows runs the planner, then the fluid model over the whole
-// horizon, accruing outside the windows only, and derives each window's
-// warm-start state from the model at the window's opening instant.
-func (m *fluidModel) desWindows() []desWindow {
+// burstWindows is the planner: the DES windows of a defaulted cfg
+// whose workload is gen.
+func burstWindows(cfg Config, gen *workload.Generator) []workload.BurstWindow {
+	return gen.BurstWindows(cfg.Duration, cfg.HybridIntensity, cfg.HybridGuard, fluidStep)
+}
+
+// desWindows runs the fluid model over the whole horizon, accruing
+// outside wins only, and derives each window's warm-start state from
+// the model at the window's opening instant.
+func (m *fluidModel) desWindows(wins []workload.BurstWindow) []desWindow {
 	cfg := m.cfg
-	wins := m.gen.BurstWindows(cfg.Duration, cfg.HybridIntensity, cfg.HybridGuard, fluidStep)
 	cdnWarm := 0
 	if cfg.EnableCDN {
 		cdnWarm = 3 * cdn.DefaultConfig(CoursesFor(cfg.Students)).CacheObjects
@@ -105,7 +111,8 @@ func (m *fluidModel) desWindows() []desWindow {
 }
 
 // PlanFidelity runs only the planner: the partition a FidelityAuto run
-// of cfg would execute. Deterministic — no RNG is consulted.
+// of cfg would execute, whatever cfg's own fidelity. Deterministic — no
+// RNG is consulted.
 func PlanFidelity(cfg Config) (*FidelityPlan, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -114,9 +121,7 @@ func PlanFidelity(cfg Config) (*FidelityPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FidelityPlan{
-		Windows: gen.BurstWindows(cfg.Duration, cfg.HybridIntensity, cfg.HybridGuard, fluidStep),
-	}, nil
+	return &FidelityPlan{Windows: burstWindows(cfg, gen)}, nil
 }
 
 // HybridRun is pool.Run(cfg) at FidelityAuto. It stays only because
@@ -126,11 +131,11 @@ func HybridRun(cfg Config, pool *Pool) (*Result, error) {
 	return pool.Run(cfg)
 }
 
-// runHybrid runs a defaulted cfg at automatic fidelity: fluid
-// integration through quiet stretches, request-level DES (honoring
-// Config.Shards) inside burst windows, state stitched across each
-// boundary. The result is a pure function of (config, seed, plan) at
-// any -parallel.
+// runHybrid runs a defaulted cfg through the fluid model: over the
+// whole horizon at FidelityFluid, and at FidelityAuto with
+// request-level DES (honoring Config.Shards) inside the planner's burst
+// windows, state stitched across each boundary. The result is a pure
+// function of (config, seed, plan) at any -parallel.
 //
 // Compared to FidelityDES, the Result's Latency, P95Series and
 // Utilization cover only the DES windows — the storm regimes, which
@@ -143,7 +148,11 @@ func runHybrid(cfg Config, pool *Pool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	des := m.desWindows()
+	var plan []workload.BurstWindow
+	if cfg.Fidelity == FidelityAuto {
+		plan = burstWindows(cfg, m.gen)
+	}
+	des := m.desWindows(plan)
 
 	// DES windows as ordinary pool jobs, seeded per window.
 	results := make([]*Result, len(des))
@@ -160,7 +169,7 @@ func runHybrid(cfg Config, pool *Pool) (*Result, error) {
 		}
 	}
 
-	return stitchHybrid(cfg, m, des, results), nil
+	return stitchHybrid(m, des, results), nil
 }
 
 // runHybridWindow executes one planned DES window of a defaulted cfg
@@ -178,11 +187,12 @@ func runHybridWindow(cfg Config, pool *Pool, w desWindow) (*Result, error) {
 
 // HybridSpotCheck runs window i of cfg's fidelity plan alone, exactly
 // as a FidelityAuto run would run it — same seed, same warm-start
-// state, same shard layout — and returns its standalone, unbilled
-// Result. It is the honesty probe: a pure request-level measurement of
-// one burst window that the hybrid artifact can be checked against
-// (table11's spot-check row). It is the one run path besides Pool.Run,
-// because it runs one window of a plan rather than a config.
+// state, same shard layout — and returns its standalone, unbilled,
+// audited Result. It plans whatever cfg's own fidelity. It is the
+// honesty probe: a pure request-level measurement of one burst window
+// that the hybrid artifact can be checked against (table11's
+// spot-check row). It is the one run path besides Pool.Run, because it
+// runs one window of a plan rather than a config.
 func HybridSpotCheck(cfg Config, pool *Pool, i int) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -191,45 +201,47 @@ func HybridSpotCheck(cfg Config, pool *Pool, i int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	des := m.desWindows()
+	des := m.desWindows(burstWindows(cfg, m.gen))
 	if i < 0 || i >= len(des) {
 		return nil, fmt.Errorf("scenario: spot-check window %d of a %d-window plan", i, len(des))
 	}
-	return runHybridWindow(cfg, pool, des[i])
+	res, err := runHybridWindow(cfg, pool, des[i])
+	if err != nil {
+		return nil, err
+	}
+	if err := res.Audit(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// stitchHybrid assembles the fluid accumulators and the window results
-// into one whole-horizon Result, folding in window-index order so
-// every float reduction has one fixed evaluation order.
-func stitchHybrid(cfg Config, m *fluidModel, des []desWindow, wins []*Result) *Result {
-	f := m.finish()
-	res := &Result{
-		Kind:          cfg.Kind,
-		Scaler:        cfg.Scaler,
-		Duration:      cfg.Duration,
-		Latency:       metrics.DefaultLatency(),
-		PrivateHosts:  f.PrivateHosts,
-		FluidSimHours: f.FluidSimHours,
-		// Fluid-side totals first; windows fold in below.
-		VMHoursPublic:  f.VMHoursPublic,
-		VMHoursPrivate: f.VMHoursPrivate,
-		PeakServers:    f.PeakServers,
-		EgressGB:       f.EgressGB,
-		CDNGB:          f.CDNGB,
-		Served:         uint64(math.Round(f.OfferedRequests)),
+// stitchHybrid folds the window results into the fluid model's own
+// Result, in window-index order so every float reduction has one fixed
+// evaluation order. With no windows it is the fluid Result as finish
+// leaves it.
+func stitchHybrid(m *fluidModel, des []desWindow, wins []*Result) *Result {
+	res := m.finish()
+	if len(wins) == 0 {
+		return res
 	}
 	fluidCDNGB := res.CDNGB
-
+	var upHours float64
 	for i, r := range wins {
 		res.add(r)
-		// A window's in-flight handoff joins the served mass: the fluid
-		// side it returns to assumes all offered load completes.
-		res.Served += r.Served + uint64(r.CarriedOut)
 		// Windows and fluid segments are disjoint in time: the peak is
 		// the largest of theirs.
 		res.PeakServers = max(res.PeakServers, r.PeakServers)
-		res.DESSimHours += (des[i].end - des[i].start).Hours()
+		hours := (des[i].end - des[i].start).Hours()
+		res.DESSimHours += hours
+		upHours += r.NetAvailability * hours
 	}
+	// The windows' in-flight requests join the served mass: the fluid
+	// side they return to assumes all offered load completes.
+	res.Served += uint64(res.InFlight)
+	res.InFlight = 0
+	// Last-mile availability is only simulated inside windows, so it is
+	// theirs, weighted by their lengths.
+	res.NetAvailability = upHours / res.DESSimHours
 
 	// Edge hit ratio: byte-weighted blend of the fluid segments'
 	// analytic ratio and the windows' realized ratios.
@@ -239,36 +251,23 @@ func stitchHybrid(cfg Config, m *fluidModel, des []desWindow, wins []*Result) *R
 			hitW += r.CDNHitRatio * r.CDNGB
 		}
 		res.CDNHitRatio = hitW / res.CDNGB
-	} else if cfg.EnableCDN {
-		res.CDNHitRatio = m.cdnHit
-	}
-
-	// Last-mile availability is only simulated inside windows; the
-	// fluid model assumes the line is up.
-	res.NetAvailability = 1
-	if len(wins) > 0 {
-		var avail float64
-		for _, r := range wins {
-			avail += r.NetAvailability
-		}
-		res.NetAvailability = avail / float64(len(wins))
 	}
 
 	// Fleet-size series: fluid grid samples merged with the windows'
 	// minute samples, in time order (spans are disjoint by plan).
 	// Utilization and the P95 window series exist only at request
 	// level, so they concatenate the windows' samples.
-	winServers := make([]*metrics.TimeSeries, 0, len(wins))
-	winUtil := make([]*metrics.TimeSeries, 0, len(wins))
-	winP95 := make([]*metrics.TimeSeries, 0, len(wins))
+	servers := []*metrics.TimeSeries{res.Servers}
+	util := make([]*metrics.TimeSeries, 0, len(wins))
+	p95 := make([]*metrics.TimeSeries, 0, len(wins))
 	for _, r := range wins {
-		winServers = append(winServers, r.Servers)
-		winUtil = append(winUtil, r.Utilization)
-		winP95 = append(winP95, r.P95Series)
+		servers = append(servers, r.Servers)
+		util = append(util, r.Utilization)
+		p95 = append(p95, r.P95Series)
 	}
-	res.Servers = mergeByTime("servers", append([]*metrics.TimeSeries{f.Servers}, winServers...))
-	res.Utilization = mergeByTime("load-per-server", winUtil)
-	res.P95Series = mergeByTime("p95-window", winP95)
+	res.Servers = mergeByTime("servers", servers)
+	res.Utilization = mergeByTime("load-per-server", util)
+	res.P95Series = mergeByTime("p95-window", p95)
 	return res
 }
 

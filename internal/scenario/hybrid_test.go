@@ -8,6 +8,7 @@ import (
 
 	"elearncloud/internal/deploy"
 	"elearncloud/internal/metrics"
+	"elearncloud/internal/network"
 	"elearncloud/internal/sim"
 	"elearncloud/internal/workload"
 )
@@ -70,20 +71,19 @@ func TestHybridPlanIsPureAndAligned(t *testing.T) {
 // Every DES window must conserve requests across its seams: nothing is
 // created or destroyed at a boundary, so arrivals inside the window
 // are exactly the requests that completed, were rejected, were lost
-// offline, were killed by a host failure, or were carried out still in
-// flight. The identity is a genuine cross-check because CarriedOut
-// comes from an independent in-flight counter (admissions minus
-// completions and kills), not from rearranging the same tallies.
+// offline, were killed by a host failure, or were still in flight at
+// its close — the identity Result.Audit checks. It is a genuine
+// cross-check because InFlight comes from an independent in-flight
+// counter (admissions minus completions and kills), not from
+// rearranging the same tallies.
 func TestHybridWindowSeamConservation(t *testing.T) {
 	conserved := func(label string, r *Result) {
 		t.Helper()
 		if r.Arrivals == 0 {
 			t.Fatalf("%s: no arrivals", label)
 		}
-		got := r.Served + r.Rejected + r.Offline + uint64(r.KilledJobs) + uint64(r.CarriedOut)
-		if got != r.Arrivals {
-			t.Errorf("%s: conservation broken: %d arrivals vs %d served + %d rejected + %d offline + %d killed + %d carried-out = %d",
-				label, r.Arrivals, r.Served, r.Rejected, r.Offline, r.KilledJobs, r.CarriedOut, got)
+		if err := r.Audit(); err != nil {
+			t.Errorf("%s: %v", label, err)
 		}
 	}
 
@@ -95,8 +95,9 @@ func TestHybridWindowSeamConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wins := m.desWindows(burstWindows(cfg, m.gen))
 	for _, shards := range []int{1, 3} {
-		for _, w := range m.desWindows() {
+		for _, w := range wins {
 			w := w
 			sub := cfg
 			sub.Shards = shards
@@ -126,7 +127,7 @@ func TestHybridWindowSeamConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := pm.desWindows()[0]
+	w := pm.desWindows(burstWindows(priv, pm.gen))[0]
 	if priv.HostFailureAt < w.start || priv.HostFailureAt >= w.end {
 		t.Fatalf("private window 0 [%v, %v) does not hold the host failure at %v", w.start, w.end, priv.HostFailureAt)
 	}
@@ -137,6 +138,61 @@ func TestHybridWindowSeamConservation(t *testing.T) {
 	conserved("private host-failure window", r)
 	if r.KilledJobs == 0 {
 		t.Error("private host-failure window killed no request")
+	}
+}
+
+// A window's ledgers start at its opening: its tracked session saves
+// from the window's start, so a disconnect destroys at most the work
+// since the last autosave, and the last mile's availability is the
+// share of the window's own time the line was up. The probe opens a
+// 20-minute window at hour 30 on a line that fails every 10 minutes
+// on average; an observer on the line measures the downtime.
+func TestHybridWindowLedgersStartAtOpening(t *testing.T) {
+	access := network.RuralDSL
+	access.MTBF, access.MTTR = 600, 60
+	win := desWindow{start: 30 * time.Hour, end: 30*time.Hour + 20*time.Minute, initServers: 2}
+	disconnects := 0
+	for seed := uint64(1); seed <= 6; seed++ {
+		cfg := Config{
+			Seed: seed, Kind: deploy.Public, Students: 200, Duration: 31 * time.Hour,
+			Diurnal: workload.FlatDiurnal(), Access: access, TrackedSessions: 1,
+		}
+		if err := cfg.defaults(); err != nil {
+			t.Fatal(err)
+		}
+		e := &engine{cfg: cfg, eng: sim.NewEngine(cfg.Seed), win: &win, lineSeed: cfg.Seed}
+		if err := e.build(); err != nil {
+			t.Fatal(err)
+		}
+		var down, downSince time.Duration
+		e.topo.LastMile.Failure().OnChange(func(up bool) {
+			if up {
+				down += e.eng.Now() - downSince
+			} else {
+				downSince = e.eng.Now()
+			}
+		})
+		e.eng.Run(e.endAt)
+		if !e.topo.LastMile.Up() {
+			down += e.endAt - downSince
+		}
+		for _, stop := range e.stops {
+			stop()
+		}
+		r := e.collect()
+		disconnects += r.Disconnects
+		if limit := time.Duration(r.Disconnects) * cfg.AutosaveEvery; r.LostWork > limit {
+			t.Errorf("seed %d: lost %v of work in %d disconnects, more than one autosave interval each (%v)",
+				seed, r.LostWork, r.Disconnects, limit)
+		}
+		want := 1 - float64(down)/float64(win.end-win.start)
+		if math.Abs(r.NetAvailability-want) > 1e-12 {
+			t.Errorf("seed %d: availability %v, want %v (%v down in the %v window)",
+				seed, r.NetAvailability, want, down, win.end-win.start)
+		}
+	}
+	if disconnects == 0 {
+		t.Fatal("no seed disconnected: the probe checks nothing")
 	}
 }
 
@@ -159,7 +215,7 @@ func TestHybridStitchIsAdditive(t *testing.T) {
 	}
 	// The planning pass accrues the fluid side alone, over the quiet
 	// segments.
-	des := m.desWindows()
+	des := m.desWindows(burstWindows(cfg, m.gen))
 	fluid := m.finish()
 
 	// Re-run each window alone.
@@ -197,62 +253,9 @@ func TestHybridStitchIsAdditive(t *testing.T) {
 	}
 }
 
-// A config with no storms, joins or crowds plans zero DES windows, and
-// the hybrid path must then equal a fluid run exactly — same floats,
-// same bill — because the fluid segments step through the same
-// instants in the same order.
-func TestHybridEmptyPlanMatchesFluidExactly(t *testing.T) {
-	for _, kind := range []deploy.Kind{deploy.Public, deploy.Hybrid, deploy.Private} {
-		cfg := Config{
-			Seed:              9,
-			Kind:              kind,
-			Students:          1200,
-			ReqPerStudentHour: 40,
-			Duration:          12 * time.Hour,
-			EnableCDN:         kind != deploy.Private,
-		}
-		plan, err := PlanFidelity(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plan.Windows) != 0 {
-			t.Fatalf("%v: quiet config planned %d DES windows", kind, len(plan.Windows))
-		}
-		h, err := Run(at(cfg, FidelityAuto))
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := Run(at(cfg, FidelityFluid))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.VMHoursPublic != f.VMHoursPublic || h.VMHoursPrivate != f.VMHoursPrivate {
-			t.Errorf("%v: VM-hours diverged: hybrid %.6f/%.6f vs fluid %.6f/%.6f",
-				kind, h.VMHoursPublic, h.VMHoursPrivate, f.VMHoursPublic, f.VMHoursPrivate)
-		}
-		if h.EgressGB != f.EgressGB || h.CDNGB != f.CDNGB {
-			t.Errorf("%v: bytes diverged: hybrid %.6f/%.6f vs fluid %.6f/%.6f",
-				kind, h.EgressGB, h.CDNGB, f.EgressGB, f.CDNGB)
-		}
-		if h.PeakServers != f.PeakServers || h.PrivateHosts != f.PrivateHosts {
-			t.Errorf("%v: sizing diverged: hybrid %d/%d vs fluid %d/%d",
-				kind, h.PeakServers, h.PrivateHosts, f.PeakServers, f.PrivateHosts)
-		}
-		if h.Cost != f.Cost {
-			t.Errorf("%v: bill diverged: hybrid %+v vs fluid %+v", kind, h.Cost, f.Cost)
-		}
-		if want := uint64(math.Round(f.OfferedRequests)); h.Served != want {
-			t.Errorf("%v: served %d != rounded fluid offered mass %d", kind, h.Served, want)
-		}
-		if h.Events != 0 || h.DESSimHours != 0 {
-			t.Errorf("%v: empty plan ran DES anyway: %d events, %.2f DES hours", kind, h.Events, h.DESSimHours)
-		}
-	}
-}
-
 // The degenerate plan at the other extreme — an intensity threshold of
 // 1 classifies every segment as a burst, so one DES window covers the
-// whole horizon — must agree with plain Run within the cross-fidelity
+// whole horizon — must agree with plain Run within the fidelity-agreement
 // band: the only seams left are the horizon's own edges, so the hybrid
 // path is a request-level simulation with a warm-started fleet and a
 // bootGrace arrival gap.
@@ -315,7 +318,7 @@ func TestHybridWarmFleetContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wins := m.desWindows()
+	wins := m.desWindows(burstWindows(cfg, m.gen))
 	if len(wins) == 0 {
 		t.Fatal("stormy config planned no DES windows")
 	}
@@ -355,7 +358,7 @@ func TestHybridDeterminismAcrossParallel(t *testing.T) {
 	}
 	if a.Served != b.Served || a.Rejected != b.Rejected || a.Offline != b.Offline ||
 		a.Arrivals != b.Arrivals || a.Events != b.Events ||
-		a.CarriedIn != b.CarriedIn || a.CarriedOut != b.CarriedOut {
+		a.CarriedIn != b.CarriedIn || a.InFlight != b.InFlight {
 		t.Fatalf("counters diverged across parallelism: %+v vs %+v", a, b)
 	}
 	for _, pair := range [][2]float64{

@@ -24,12 +24,14 @@ const bootGrace = 3 * time.Minute
 const desktopSlowdown = 1.4
 
 // Run executes cfg at its Config.Fidelity and returns the measured,
-// billed Result. It is the package's one run path: it defaults cfg,
-// runs the request-level engine (split into Config.Shards engines),
-// the fluid model or the hybrid of the two, and bills the Result once.
-// The run's fan-out (shard engines, hybrid windows) rides p, which
-// changes how fast the Result arrives, never what it is. A nil p is a
-// one-off DefaultWorkers pool, made only when the run fans out.
+// billed, audited Result. It is the package's one run path: it
+// defaults cfg, runs the request-level engine (split into
+// Config.Shards engines) or the fluid model with its DES windows
+// (none at FidelityFluid), bills the Result once and returns the
+// error of its Audit. The run's fan-out (shard engines, hybrid
+// windows) rides p, which changes how fast the Result arrives, never
+// what it is. A nil p is a one-off DefaultWorkers pool, made only when
+// the run fans out.
 func (p *Pool) Run(cfg Config) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -39,16 +41,16 @@ func (p *Pool) Run(cfg Config) (*Result, error) {
 	}
 	var res *Result
 	var err error
-	switch cfg.Fidelity {
-	case FidelityFluid:
-		res, err = runFluid(cfg)
-	case FidelityAuto:
-		res, err = runHybrid(cfg, p)
-	default:
+	if cfg.Fidelity == FidelityDES {
 		res, err = shardedRun(cfg, p, nil)
+	} else {
+		res, err = runHybrid(cfg, p)
 	}
 	if err == nil {
 		err = res.bill(cfg)
+	}
+	if err == nil {
+		err = res.Audit()
 	}
 	if err != nil {
 		return nil, err
@@ -101,14 +103,14 @@ type engine struct {
 	// endAt is where the run stops: the horizon, or the window's end.
 	endAt time.Duration
 
-	cat      *lms.Catalog
-	dep      *deploy.Deployment
-	topo     *network.Topology
-	stream   *workload.ArrivalStream
-	edge     *cdn.Edge
-	threat   *security.ThreatModel
-	sessions []*lms.Session
-	stops    []func()
+	cat     *lms.Catalog
+	dep     *deploy.Deployment
+	topo    *network.Topology
+	stream  *workload.ArrivalStream
+	edge    *cdn.Edge
+	threat  *security.ThreatModel
+	session *lms.Session // stands for every tracked session
+	stops   []func()
 
 	pubCluster, privCluster *lms.Cluster
 	pubFleet, privFleet     *fleet
@@ -127,10 +129,10 @@ type engine struct {
 	windowHist  *metrics.Histogram
 	egressBytes float64
 	// liveReqs counts real requests admitted to a cluster that have
-	// neither been delivered nor killed — the queue mass a hybrid window
-	// hands back across its closing seam (CarriedOut). It is maintained
-	// independently of the outcome counters so the seam conservation
-	// identity is a genuine cross-check, not an echo.
+	// neither been delivered nor killed — the Result's InFlight, which
+	// a hybrid window hands back across its closing seam. It is
+	// maintained independently of the outcome counters so Audit's
+	// conservation identity is a genuine cross-check, not an echo.
 	liveReqs int
 }
 
@@ -140,7 +142,7 @@ type engine struct {
 // a request allocates nothing on its way through the engine. A record
 // returns to the pool when admission is refused, when its response is
 // delivered, or when a host failure kills it; one still in flight when
-// a hybrid window closes is dropped with the window's engine.
+// the engine stops is dropped with it.
 type request struct {
 	e       *engine
 	path    *network.Path
@@ -290,29 +292,22 @@ func (e *engine) build() error {
 	}
 
 	// --- sessions and lost work ------------------------------------------
+	// Every tracked session shares the access line and the autosave
+	// timer, so one session, started at the engine's start, stands for
+	// all of them; collect scales its loss by Config.TrackedSessions.
 	if cfg.Kind != deploy.Desktop {
-		e.sessions = make([]*lms.Session, cfg.TrackedSessions)
-		for i := range e.sessions {
-			e.sessions[i] = lms.NewSession(0)
-		}
+		e.session = lms.NewSession(startAt)
 		e.stops = append(e.stops, eng.Every(cfg.AutosaveEvery, "autosave", func() {
-			for _, s := range e.sessions {
-				s.Autosave(eng.Now())
-			}
+			e.session.Autosave(eng.Now())
 		}))
 		if fp := e.topo.LastMile.Failure(); fp != nil {
 			fp.OnChange(func(up bool) {
-				now := eng.Now()
 				if up {
-					for _, s := range e.sessions {
-						s.Reconnect(now)
-					}
+					e.session.Reconnect(eng.Now())
 					return
 				}
 				e.res.Disconnects++
-				for _, s := range e.sessions {
-					s.Disconnect(now)
-				}
+				e.session.Disconnect(eng.Now())
 			})
 		}
 	}
@@ -517,9 +512,8 @@ func (e *engine) sample() {
 	e.windowHist.Reset()
 }
 
-// collect reads the substrates' ledgers into the Result and, inside a
-// hybrid window, records what the window carries out. Pool.Run bills
-// the whole run.
+// collect reads the substrates' ledgers into the Result. Pool.Run
+// bills the whole run.
 func (e *engine) collect() *Result {
 	res, dep := e.res, e.dep
 	if dep.PublicDC != nil {
@@ -540,8 +534,8 @@ func (e *engine) collect() *Result {
 		res.CDNGB = e.edge.ServedGB()
 		res.CDNHitRatio = e.edge.Cache().HitRatio()
 	}
-	for _, s := range e.sessions {
-		res.LostWork += s.LostWork()
+	if e.session != nil {
+		res.LostWork = e.session.LostWork() * time.Duration(e.cfg.TrackedSessions)
 	}
 	res.NetAvailability = 1
 	if fp := e.topo.LastMile.Failure(); fp != nil {
@@ -565,12 +559,7 @@ func (e *engine) collect() *Result {
 		}
 		res.Fit = &fit
 	}
-
-	if e.win != nil {
-		// The requests still in flight at the closing seam are handed
-		// back to the fluid side.
-		res.CarriedOut = max(0, e.liveReqs)
-	}
+	res.InFlight = e.liveReqs
 	return res
 }
 

@@ -121,8 +121,9 @@ type Config struct {
 	HostRecoveryAfter time.Duration
 	// AutosaveEvery is the cloud LMS autosave interval (default 5m).
 	AutosaveEvery time.Duration
-	// TrackedSessions is how many user sessions to follow for lost-work
-	// accounting (default 50).
+	// TrackedSessions is how many user sessions lose their unsaved work
+	// to each disconnect (default 50). They share the access line and
+	// the autosave timer, so one session stands for them all.
 	TrackedSessions int
 	// MaxPublicServers caps elastic growth (default 0: derived from peak
 	// sizing × 4).
@@ -258,21 +259,21 @@ type Result struct {
 	// PeakServers is the largest fleet observed.
 	PeakServers int
 
-	// MeanPrivateUtil, OfferedRequests, Rate and ServerRankHours are
-	// the flow model's outputs; only FidelityFluid sets them.
+	// MeanPrivateUtil, Rate and ServerRankHours are the fluid
+	// stretches' outputs: the whole horizon under FidelityFluid, the
+	// stretches outside the DES windows under FidelityAuto, and unset
+	// under FidelityDES.
 	//
 	// MeanPrivateUtil is the average fraction of the private fleet doing
 	// useful work — §IV.B's underutilization argument made measurable.
 	MeanPrivateUtil float64
-	// OfferedRequests is the integrated arrival mass ∫rate·dt over the
-	// horizon — the requests the flow model assumes are all served.
-	OfferedRequests float64
-	// Rate is the arrival-rate curve (req/s), downsampled for figures.
+	// Rate is the arrival-rate curve (req/s) on the fluid model's
+	// 5-minute grid.
 	Rate *metrics.TimeSeries
 	// ServerRankHours is the fleet's utilization duration curve:
 	// element k holds how many hours the (k+1)-th public server was
-	// running over the horizon. It feeds the reserved-instance
-	// purchase-mix optimization (Table 8).
+	// running. It feeds the reserved-instance purchase-mix optimization
+	// (Table 8).
 	ServerRankHours []float64
 
 	// VMHoursPublic / VMHoursPrivate are compute consumption by side.
@@ -303,17 +304,21 @@ type Result struct {
 	DataLossEvents     int
 	BytesLost          float64
 
-	// Arrivals counts generated request arrivals before routing — the
-	// left-hand side of the seam conservation identity
-	// Arrivals == Served + Rejected + Offline + KilledJobs + CarriedOut.
+	// Arrivals counts request arrivals before routing — the left-hand
+	// side of the conservation identity Audit checks,
+	// Arrivals == Served + Rejected + Offline + KilledJobs + InFlight.
+	// A fluid stretch reports its offered mass ∫rate·dt, rounded, as
+	// both arrived and served: the flow model serves all offered load.
 	Arrivals uint64
-	// CarriedIn and CarriedOut are a hybrid DES window's seam state:
-	// synthetic backlog requests injected at the window's opening
-	// boundary (the queue mass the fluid model predicts is in flight),
-	// and real requests still in flight when the window closes (handed
-	// back to the fluid side as served mass). Both stay zero outside
-	// FidelityAuto.
-	CarriedIn, CarriedOut int
+	// InFlight counts real requests a DES engine admitted that had
+	// neither been delivered nor killed when it stopped. A hybrid
+	// stitch hands its windows' in-flight requests back to the fluid
+	// side as served, so a FidelityAuto run reports none.
+	InFlight int
+	// CarriedIn counts the synthetic backlog requests a hybrid DES
+	// window injected at its opening seam (the queue mass the fluid
+	// model predicts is in flight); it stays zero outside FidelityAuto.
+	CarriedIn int
 
 	// Events counts DES events the engine executed (summed across
 	// shards for a merged sharded run).
@@ -361,12 +366,27 @@ func (r *Result) CostPerStudentMonth(students int) float64 {
 	return cost.PerStudentMonth(r.Cost, students, months)
 }
 
+// Audit checks r's request ledger: every arrival was served, rejected,
+// lost offline, killed by a host failure or is still in flight, and
+// none of those counts is negative. Pool.Run returns its error.
+func (r *Result) Audit() error {
+	if r.KilledJobs < 0 || r.InFlight < 0 {
+		return fmt.Errorf("scenario: negative ledger count: %d killed, %d in flight", r.KilledJobs, r.InFlight)
+	}
+	if settled := r.Served + r.Rejected + r.Offline + uint64(r.KilledJobs) + uint64(r.InFlight); settled != r.Arrivals {
+		return fmt.Errorf("scenario: unbalanced ledger: %d arrivals vs %d served + %d rejected + %d offline + %d killed + %d in flight = %d",
+			r.Arrivals, r.Served, r.Rejected, r.Offline, r.KilledJobs, r.InFlight, settled)
+	}
+	return nil
+}
+
 // add folds o's additive outcomes into r, in call order, so a float sum
 // over parts has one fixed evaluation order. It is the fold a shard
-// merge and a hybrid stitch share; Served, PeakServers, PrivateHosts
-// and the ratios follow each caller's own rule.
+// merge and a hybrid stitch share; PeakServers, PrivateHosts and the
+// ratios follow each caller's own rule.
 func (r *Result) add(o *Result) {
 	r.Latency.Merge(o.Latency)
+	r.Served += o.Served
 	r.Rejected += o.Rejected
 	r.Offline += o.Offline
 	r.PolicyViolations += o.PolicyViolations
@@ -382,7 +402,7 @@ func (r *Result) add(o *Result) {
 	r.DataLossEvents += o.DataLossEvents
 	r.BytesLost += o.BytesLost
 	r.Arrivals += o.Arrivals
+	r.InFlight += o.InFlight
 	r.CarriedIn += o.CarriedIn
-	r.CarriedOut += o.CarriedOut
 	r.Events += o.Events
 }

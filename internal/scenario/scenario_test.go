@@ -609,3 +609,32 @@ func TestErrorRate(t *testing.T) {
 		t.Fatal("empty ErrorRate != 0")
 	}
 }
+
+// Audit accepts a balanced ledger and rejects one that loses or
+// invents a request.
+func TestAuditUnbalanced(t *testing.T) {
+	balanced := Result{Arrivals: 10, Served: 5, Rejected: 2, Offline: 1, KilledJobs: 1, InFlight: 1}
+	if err := balanced.Audit(); err != nil {
+		t.Fatalf("balanced ledger: %v", err)
+	}
+	for name, served := range map[string]uint64{"lost": 4, "invented": 6} {
+		r := balanced
+		r.Served = served
+		if err := r.Audit(); err == nil || !strings.Contains(err.Error(), "unbalanced") {
+			t.Errorf("%s request: Audit = %v, want an unbalanced-ledger error", name, err)
+		}
+	}
+}
+
+// Audit rejects a negative count even where the unsigned sum wraps
+// around to balance.
+func TestAuditNegativeInFlight(t *testing.T) {
+	for name, r := range map[string]Result{
+		"in flight": {Arrivals: 10, Served: 11, InFlight: -1},
+		"killed":    {Arrivals: 10, Served: 11, KilledJobs: -1},
+	} {
+		if err := r.Audit(); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("negative %s: Audit = %v, want a negative-count error", name, err)
+		}
+	}
+}

@@ -27,8 +27,9 @@ import (
 //     of worker count and scheduling.
 //   - The shards share one access line: every shard roots its last-mile
 //     outages at the seed shardedRun was called with, so they see the
-//     outages the unsharded engine would, and the merge reads the
-//     disconnects and availability of shard 0.
+//     outages the unsharded engine would. Every shard tracks the full
+//     Config.TrackedSessions, and the merge reads the disconnects,
+//     availability and lost work of shard 0.
 //   - Shards execute as ordinary Pool jobs, so -parallel remains the
 //     one global concurrency cap: K=8 with -parallel 2 runs two shard
 //     engines at a time on the same tokens every batch shares.
@@ -75,16 +76,14 @@ func shardedRun(cfg Config, pool *Pool, win *desWindow) (*Result, error) {
 }
 
 // shardOf returns shard k's config and window (nil when win is): cfg at
-// share_k of the demand, with its slice of the tracked sessions and of
-// a configured public cap, and win's warm fleet (ceiling) and backlog
-// (rounded) scaled to share_k.
+// share_k of the demand, with its slice of a configured public cap, and
+// win's warm fleet (ceiling) and backlog (rounded) scaled to share_k.
 func shardOf(cfg Config, win *desWindow, k int) (Config, *desWindow) {
 	share := float64(shardSlice(cfg.Students, k, cfg.Shards)) / float64(cfg.Students)
 	sub := cfg
 	sub.Shards = 0
 	sub.Seed = SeedFor(cfg.Seed, fmt.Sprintf("shard/%d", k))
 	sub.ReqPerStudentHour = cfg.ReqPerStudentHour * share
-	sub.TrackedSessions = shardSlice(cfg.TrackedSessions, k, cfg.Shards)
 	if cfg.MaxPublicServers > 0 {
 		sub.MaxPublicServers = max(1, int(math.Ceil(share*float64(cfg.MaxPublicServers))))
 	}
@@ -125,15 +124,16 @@ func mergeShards(shards []*Result) (*Result, error) {
 	}
 	for _, r := range shards {
 		res.add(r)
-		res.Served += r.Served
 		// Fleets and owned hosts are per shard, so they add up.
 		res.PeakServers += r.PeakServers
 		res.PrivateHosts += r.PrivateHosts
 		res.ShardEvents = append(res.ShardEvents, r.Events)
 	}
-	// The shards share one access line, so its outages count once.
+	// The shards share one access line, so its outages, and the work
+	// they destroy, count once.
 	res.Disconnects = base.Disconnects
 	res.NetAvailability = base.NetAvailability
+	res.LostWork = base.LostWork
 	// Hit ratio weighted by delivered bytes.
 	if res.CDNGB > 0 {
 		var hitW float64
