@@ -93,15 +93,21 @@ func (cat *Catalog) Spec(c Class) ClassSpec {
 type Mix struct {
 	classes []Class
 	weights []float64
+	// cum holds the running sums of weights, summed in order as
+	// sim.RNG.Pick sums them, so Sample draws Pick's class.
+	cum []float64
 }
 
 // NewMix builds a mix from class weights; weights need not sum to one.
 func NewMix(weights map[Class]float64) *Mix {
 	m := &Mix{}
+	total := 0.0
 	for c := Login; c <= ForumPost; c++ {
 		if w, ok := weights[c]; ok && w > 0 {
+			total += w
 			m.classes = append(m.classes, c)
 			m.weights = append(m.weights, w)
+			m.cum = append(m.cum, total)
 		}
 	}
 	if len(m.classes) == 0 {
@@ -126,9 +132,17 @@ func ExamMix() *Mix {
 	})
 }
 
-// Sample draws a class according to the weights.
+// Sample draws a class according to the weights: the class
+// rng.Pick(weights) picks, from the same single draw, without
+// re-summing the weights.
 func (m *Mix) Sample(rng *sim.RNG) Class {
-	return m.classes[rng.Pick(m.weights)]
+	u := rng.Float64() * m.cum[len(m.cum)-1]
+	for i, c := range m.cum {
+		if u < c {
+			return m.classes[i]
+		}
+	}
+	return m.classes[len(m.classes)-1]
 }
 
 // MeanService returns the weight-averaged mean CPU demand (seconds) of

@@ -67,6 +67,22 @@ func TestMixSampleFollowsWeights(t *testing.T) {
 	}
 }
 
+// TestMixSampleIsPick: Sample draws exactly the class sim.RNG.Pick
+// draws over the mix's weights, draw for draw, on both standard mixes
+// and on weights whose running sums round.
+func TestMixSampleIsPick(t *testing.T) {
+	for _, m := range []*Mix{TeachingMix(), ExamMix(), NewMix(map[Class]float64{
+		Login: 0.1, PageView: 0.7, VideoChunk: 0.2, QuizFetch: 1e-17, Upload: 1.0 / 3, ForumPost: 1e16,
+	})} {
+		a, b := sim.NewRNG(9), sim.NewRNG(9)
+		for i := 0; i < 100000; i++ {
+			if got, want := m.Sample(a), m.classes[b.Pick(m.weights)]; got != want {
+				t.Fatalf("draw %d: Sample = %v, Pick = %v", i, got, want)
+			}
+		}
+	}
+}
+
 func TestMixPanicsWithNoWeights(t *testing.T) {
 	defer func() {
 		if recover() == nil {

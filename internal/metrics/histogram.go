@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Histogram records float64 observations (typically latencies in seconds)
@@ -15,6 +16,7 @@ type Histogram struct {
 	min     float64 // smallest representable observation
 	growth  float64 // bucket width growth factor (>1)
 	logG    float64
+	cells   *bucketCells // bucket lookup table; nil computes every bucket
 	counts  []uint64
 	under   uint64 // observations below min
 	total   uint64
@@ -41,8 +43,79 @@ func NewHistogram(min, growth float64) *Histogram {
 }
 
 // DefaultLatency returns a histogram tuned for request latencies: 100 µs
-// floor with 5% bucket growth.
-func DefaultLatency() *Histogram { return NewHistogram(100e-6, 1.05) }
+// floor with 5% bucket growth. Its buckets are looked up in a table
+// the first call builds.
+func DefaultLatency() *Histogram {
+	h := NewHistogram(100e-6, 1.05)
+	latencyCells.once.Do(func() { latencyCells.cells = newBucketCells(h) })
+	h.cells = latencyCells.cells
+	return h
+}
+
+// latencyCells is DefaultLatency's bucket table.
+var latencyCells struct {
+	once  sync.Once
+	cells *bucketCells
+}
+
+// cellBits is how many leading bits of a float64 name its cell: sign,
+// exponent and the top 5 mantissa bits, so a cell is 1/32 of a binade.
+// A cell spans at most a factor 33/32, less than any growth factor of
+// 1.05 or more, so it holds at most one bucket edge.
+const cellBits = 1 + 11 + 5
+
+// tableCells is how many cells a bucket table holds: 32 binades.
+const tableCells = 32 << 5
+
+// bucketCells maps a value to its bucket through the cell its bits
+// name: the bucket of the cell's values below the cell's edge, plus
+// one from the edge on. The edges are found by bisection on the
+// logarithm formula, so a lookup returns exactly what the formula
+// does. It covers 32 binades from min's cell; bucket computes values
+// beyond them. The table takes 10 KB.
+type bucketCells struct {
+	first uint64 // the cell of min
+	edge  [tableCells]float64
+	base  [tableCells]uint16
+}
+
+// newBucketCells builds h's bucket table, for a growth factor of 1.05
+// or more.
+func newBucketCells(h *Histogram) *bucketCells {
+	c := &bucketCells{first: math.Float64bits(h.min) >> (64 - cellBits)}
+	for i := range c.edge {
+		lo := math.Float64bits(h.min)
+		if i > 0 {
+			lo = (c.first + uint64(i)) << (64 - cellBits)
+		}
+		hi := (c.first+uint64(i)+1)<<(64-cellBits) - 1 // the cell's largest value
+		b := h.logBucket(math.Float64frombits(lo))
+		c.base[i] = uint16(b)
+		c.edge[i] = math.Inf(1)
+		if h.logBucket(math.Float64frombits(hi)) == b {
+			continue
+		}
+		// Start from 2^16 ulps either side of the exact edge when they
+		// bracket the formula's, as they do unless the cell ends first.
+		near := math.Float64bits(h.min * math.Pow(h.growth, float64(b+1)))
+		if l := near - 1<<16; l > lo && h.logBucket(math.Float64frombits(l)) == b {
+			lo = l
+		}
+		if r := near + 1<<16; r < hi && h.logBucket(math.Float64frombits(r)) != b {
+			hi = r
+		}
+		for hi-lo > 1 { // logBucket(lo) == b < logBucket(hi)
+			mid := lo + (hi-lo)/2
+			if h.logBucket(math.Float64frombits(mid)) == b {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		c.edge[i] = math.Float64frombits(hi)
+	}
+	return c
+}
 
 // maxBuckets bounds the bucket array so that pathological observations
 // (e.g. 1e300 seconds) cannot exhaust memory; anything beyond the last
@@ -76,6 +149,19 @@ func (h *Histogram) bucket(v float64) int {
 	if v < h.min {
 		return -1
 	}
+	if c := h.cells; c != nil {
+		if i := math.Float64bits(v)>>(64-cellBits) - c.first; i < tableCells {
+			if v >= c.edge[i] {
+				return int(c.base[i]) + 1
+			}
+			return int(c.base[i])
+		}
+	}
+	return h.logBucket(v)
+}
+
+// logBucket computes the bucket index of v >= min from its logarithm.
+func (h *Histogram) logBucket(v float64) int {
 	idx := int(math.Log(v/h.min) / h.logG)
 	if idx < 0 {
 		idx = 0

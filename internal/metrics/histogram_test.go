@@ -3,8 +3,10 @@ package metrics
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"elearncloud/internal/sim"
 )
@@ -246,5 +248,81 @@ func TestExactQuantile(t *testing.T) {
 	// Input must not be reordered.
 	if samples[0] != 5 {
 		t.Fatal("ExactQuantile mutated input")
+	}
+}
+
+// TestBucketCellsMatchLogarithm: DefaultLatency's bucket table returns
+// the logarithm formula's bucket on 10^7 log-spaced values from half
+// the floor to 2^40 times it (past the table's 32 binades, where the
+// formula answers), and within 4,096 ulps either side of every edge.
+// The table stays under 16 KB.
+func TestBucketCellsMatchLogarithm(t *testing.T) {
+	h := DefaultLatency()
+	c := h.cells
+	if c == nil || c != DefaultLatency().cells {
+		t.Fatal("DefaultLatency histograms do not share one bucket table")
+	}
+	if size := unsafe.Sizeof(*c); size > 16<<10 {
+		t.Fatalf("bucket table takes %d bytes, want <= 16 KB", size)
+	}
+	want := func(v float64) int {
+		if v < h.min {
+			return -1
+		}
+		return h.logBucket(v)
+	}
+	const n = 10_000_000
+	for i := 0; i < n; i++ {
+		v := h.min * math.Exp2(-1+41*float64(i)/n)
+		if got := h.bucket(v); got != want(v) {
+			t.Fatalf("bucket(%v) = %d, formula %d", v, got, want(v))
+		}
+	}
+	edges := 0
+	for _, e := range c.edge {
+		if math.IsInf(e, 1) {
+			continue
+		}
+		edges++
+		for b := math.Float64bits(e) - 4096; b <= math.Float64bits(e)+4096; b++ {
+			if v := math.Float64frombits(b); h.bucket(v) != want(v) {
+				t.Fatalf("bucket(%v) = %d, formula %d (edge %v)", v, h.bucket(v), want(v), e)
+			}
+		}
+	}
+	// 32 binades of 5% buckets: 32 ln 2 / ln 1.05 edges.
+	if edges != 454 {
+		t.Fatalf("bucket table holds %d edges, want 454", edges)
+	}
+}
+
+// TestDefaultLatencyConcurrent: DefaultLatency histograms that
+// goroutines build and fill at once, as a pool's runs do, share one
+// bucket table and count exactly as a histogram without it.
+func TestDefaultLatencyConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	got := make([]*Histogram, 4)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := sim.NewRNG(uint64(g) + 1)
+			got[g] = DefaultLatency()
+			for i := 0; i < 10000; i++ {
+				got[g].Observe(rng.LogNormal(-3, 2))
+			}
+		}()
+	}
+	wg.Wait()
+	for g, h := range got {
+		rng := sim.NewRNG(uint64(g) + 1)
+		want := NewHistogram(100e-6, 1.05)
+		for i := 0; i < 10000; i++ {
+			want.Observe(rng.LogNormal(-3, 2))
+		}
+		if h.cells == nil || h.cells != got[0].cells || !reflect.DeepEqual(h.counts, want.counts) || h.under != want.under {
+			t.Fatalf("goroutine %d: table %p (goroutine 0: %p), counts %v under %d, want %v under %d",
+				g, h.cells, got[0].cells, h.counts, h.under, want.counts, want.under)
+		}
 	}
 }

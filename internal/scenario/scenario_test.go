@@ -568,6 +568,14 @@ func badEnumCfgs() []badEnum {
 		{with(func(c *Config) {
 			c.Joins = []workload.JoinStorm{{Start: 5 * time.Minute, Window: 5 * time.Minute, PeakMult: nan}}
 		}), "PeakMult = NaN"},
+		// Storms a few nanoseconds long, whose derived e-folding time
+		// (Window/4, Ramp/3) truncates to zero.
+		{with(func(c *Config) {
+			c.Joins = []workload.JoinStorm{{Start: 5 * time.Minute, Window: 1, PeakMult: 3}}
+		}), "window 1ns"},
+		{with(func(c *Config) {
+			c.Storms = []workload.DeadlineStorm{{Deadline: 15 * time.Minute, Ramp: 2, PeakMult: 3}}
+		}), "ramp 2ns"},
 	}
 }
 

@@ -25,6 +25,14 @@ const MaxTime = Time(math.MaxInt64)
 // close to the local rate everywhere.
 type EnvelopeFunc func(t Time) (max float64, until Time)
 
+// BracketFunc reports a bracket lo <= rate(t) <= hi around the rate at
+// a candidate time t, where rate is the RateFunc it travels with. The
+// bracket must hold for the rate as computed, rounding included: the
+// sampler settles a candidate from it without evaluating the rate, so a
+// bracket that misses the rate changes which candidates are accepted.
+// A trivial bracket (0, +Inf) settles nothing.
+type BracketFunc func(t Time) (lo, hi float64)
+
 // ConstantEnvelope wraps a single global bound as an EnvelopeFunc.
 func ConstantEnvelope(max float64) EnvelopeFunc {
 	return func(Time) (float64, Time) { return max, MaxTime }
@@ -36,21 +44,30 @@ func ConstantEnvelope(max float64) EnvelopeFunc {
 // rate(t)/bound. With a piecewise envelope the candidate process
 // restarts at each segment boundary (valid by memorylessness), so the
 // bound tracks the local rate instead of the global peak.
+//
+// Each candidate's acceptance is a squeeze: the uniform u is compared
+// with the bracket's lo/bound and hi/bound first, and the rate is
+// evaluated only when u falls between them. The rate draws no
+// randomness and the bracket holds the rate, so the squeeze accepts
+// exactly the candidates that comparing u with rate(t)/bound would.
 type NHPP struct {
-	rng  *RNG
-	rate RateFunc
-	env  EnvelopeFunc
-	now  Time
+	rng     *RNG
+	rate    RateFunc
+	env     EnvelopeFunc
+	bracket BracketFunc
+	now     Time
 
-	proposed uint64
-	accepted uint64
+	proposed  uint64
+	accepted  uint64
+	evaluated uint64
 }
 
 // NewNHPPEnvelope builds a generator whose thinning bound is the
-// piecewise-constant envelope env. Each env segment's max must be a true
-// upper bound on rate over that segment (violations silently
+// piecewise-constant envelope env and whose acceptance test is
+// squeezed by bracket. Each env segment's max must be a true upper
+// bound on rate over that segment (violations silently
 // under-generate); segments must advance (until > t) or Next panics.
-func NewNHPPEnvelope(rng *RNG, rate RateFunc, env EnvelopeFunc, start Time) *NHPP {
+func NewNHPPEnvelope(rng *RNG, rate RateFunc, env EnvelopeFunc, bracket BracketFunc, start Time) *NHPP {
 	if rng == nil {
 		panic("sim: NewNHPPEnvelope with nil rng")
 	}
@@ -60,21 +77,25 @@ func NewNHPPEnvelope(rng *RNG, rate RateFunc, env EnvelopeFunc, start Time) *NHP
 	if env == nil {
 		panic("sim: NewNHPPEnvelope with nil envelope")
 	}
-	return &NHPP{rng: rng, rate: rate, env: env, now: start}
+	if bracket == nil {
+		panic("sim: NewNHPPEnvelope with nil bracket")
+	}
+	return &NHPP{rng: rng, rate: rate, env: env, bracket: bracket, now: start}
 }
 
 // Next returns the next arrival time strictly after the previous one, or
 // ok=false if no arrival occurs at or before horizon: the bound is
-// closed, so an arrival may fall exactly at horizon. Next evaluates the
-// rate at each candidate it proposes, and the last evaluation before it
-// returns an arrival is at the arrival's own time.
+// closed, so an arrival may fall exactly at horizon. Next draws each
+// candidate's acceptance uniform before it consults the bracket, and
+// evaluates the rate only at the candidates the bracket leaves
+// undecided.
 func (p *NHPP) Next(horizon Time) (t Time, ok bool) {
 	for {
-		max, until := p.env(p.now)
+		bound, until := p.env(p.now)
 		if until <= p.now {
 			panic("sim: envelope segment does not advance past its query time")
 		}
-		if max <= 0 {
+		if bound <= 0 {
 			// Silent segment: skip it whole, consuming no randomness.
 			if until > horizon {
 				return 0, false
@@ -82,7 +103,7 @@ func (p *NHPP) Next(horizon Time) (t Time, ok bool) {
 			p.now = until
 			continue
 		}
-		cand := p.now + Seconds(p.rng.Exp(1/max))
+		cand := p.now + Seconds(p.rng.Exp(1/bound))
 		if cand >= until {
 			// The candidate crossed into the next segment, where the
 			// bound differs. By memorylessness the candidate process can
@@ -98,26 +119,40 @@ func (p *NHPP) Next(horizon Time) (t Time, ok bool) {
 			return 0, false
 		}
 		p.proposed++
-		r := p.rate(p.now)
-		if r < 0 {
-			r = 0
+		u := p.rng.Float64()
+		lo, hi := p.bracket(p.now)
+		// Each test settles a candidate only when it holds, so a NaN
+		// bound settles nothing.
+		if !(u < lo/bound) {
+			if u >= hi/bound {
+				continue
+			}
+			// The bracket leaves u undecided: compare it with the rate,
+			// clamped to [0, bound].
+			p.evaluated++
+			r := p.rate(p.now)
+			if r < 0 {
+				r = 0
+			}
+			if r > bound {
+				r = bound
+			}
+			if !(u < r/bound) {
+				continue
+			}
 		}
-		if r > max {
-			r = max
-		}
-		if p.rng.Float64() < r/max {
-			p.accepted++
-			return p.now, true
-		}
+		p.accepted++
+		return p.now, true
 	}
 }
 
-// Proposed returns how many candidate arrivals have been drawn (thinning
-// attempts, boundary restarts excluded).
-func (p *NHPP) Proposed() uint64 { return p.proposed }
-
-// Accepted returns how many candidates survived thinning — the arrivals
-// actually emitted. Accepted/Proposed is the thinning acceptance rate;
-// a low rate means the envelope is far above the typical rate and the
-// generator burns candidates.
-func (p *NHPP) Accepted() uint64 { return p.accepted }
+// Counts returns how many candidate arrivals have been drawn (thinning
+// attempts, boundary restarts excluded), how many were accepted — the
+// arrivals actually emitted — and at how many the rate was evaluated.
+// accepted/proposed is the thinning acceptance rate: a low rate means
+// the envelope is far above the typical rate and the generator burns
+// candidates. evaluated/proposed is the share of candidates the
+// bracket left undecided.
+func (p *NHPP) Counts() (proposed, accepted, evaluated uint64) {
+	return p.proposed, p.accepted, p.evaluated
+}

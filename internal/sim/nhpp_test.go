@@ -6,10 +6,14 @@ import (
 	"time"
 )
 
+// noBracket is the trivial bracket: it settles no candidate, so the
+// sampler evaluates the rate at every one.
+func noBracket(Time) (float64, float64) { return 0, math.Inf(1) }
+
 func TestNHPPHomogeneousRateMatchesExpectation(t *testing.T) {
 	r := NewRNG(51)
 	const rate = 10.0 // arrivals/s
-	p := NewNHPPEnvelope(r, func(Time) float64 { return rate }, ConstantEnvelope(rate), 0)
+	p := NewNHPPEnvelope(r, func(Time) float64 { return rate }, ConstantEnvelope(rate), noBracket, 0)
 	horizon := 1000 * time.Second
 	n := generate(p, horizon, func(Time) {})
 	want := rate * ToSeconds(horizon)
@@ -20,7 +24,7 @@ func TestNHPPHomogeneousRateMatchesExpectation(t *testing.T) {
 
 func TestNHPPArrivalsStrictlyIncreaseAndRespectHorizon(t *testing.T) {
 	r := NewRNG(53)
-	p := NewNHPPEnvelope(r, func(t Time) float64 { return 5 + 4*math.Sin(ToSeconds(t)/100) }, ConstantEnvelope(10), 0)
+	p := NewNHPPEnvelope(r, func(t Time) float64 { return 5 + 4*math.Sin(ToSeconds(t)/100) }, ConstantEnvelope(10), noBracket, 0)
 	horizon := 500 * time.Second
 	last := Time(-1)
 	generate(p, horizon, func(at Time) {
@@ -45,7 +49,7 @@ func TestNHPPTracksTimeVaryingRate(t *testing.T) {
 		}
 		return 2
 	}
-	p := NewNHPPEnvelope(r, rate, ConstantEnvelope(20), 0)
+	p := NewNHPPEnvelope(r, rate, ConstantEnvelope(20), noBracket, 0)
 	var first, second int
 	generate(p, 2*half, func(at Time) {
 		if at < half {
@@ -69,7 +73,7 @@ func TestNHPPZeroRatePeriodsProduceNoArrivals(t *testing.T) {
 			return 10
 		}
 		return 0
-	}, ConstantEnvelope(10), 0)
+	}, ConstantEnvelope(10), noBracket, 0)
 	generate(p, 300*time.Second, func(at Time) {
 		if !active(at) {
 			t.Fatalf("arrival at %v outside active window", at)
@@ -80,7 +84,7 @@ func TestNHPPZeroRatePeriodsProduceNoArrivals(t *testing.T) {
 func TestNHPPDeterminism(t *testing.T) {
 	gen := func() []Time {
 		r := NewRNG(61)
-		p := NewNHPPEnvelope(r, func(Time) float64 { return 3 }, ConstantEnvelope(3), 0)
+		p := NewNHPPEnvelope(r, func(Time) float64 { return 3 }, ConstantEnvelope(3), noBracket, 0)
 		var out []Time
 		generate(p, 100*time.Second, func(at Time) { out = append(out, at) })
 		return out
@@ -100,11 +104,12 @@ func TestNHPPPanics(t *testing.T) {
 	r := NewRNG(1)
 	rate := func(Time) float64 { return 1 }
 	for name, fn := range map[string]func(){
-		"nil rng":      func() { NewNHPPEnvelope(nil, rate, ConstantEnvelope(1), 0) },
-		"nil rate":     func() { NewNHPPEnvelope(r, nil, ConstantEnvelope(1), 0) },
-		"nil envelope": func() { NewNHPPEnvelope(r, rate, nil, 0) },
+		"nil rng":      func() { NewNHPPEnvelope(nil, rate, ConstantEnvelope(1), noBracket, 0) },
+		"nil rate":     func() { NewNHPPEnvelope(r, nil, ConstantEnvelope(1), noBracket, 0) },
+		"nil envelope": func() { NewNHPPEnvelope(r, rate, nil, noBracket, 0) },
+		"nil bracket":  func() { NewNHPPEnvelope(r, rate, ConstantEnvelope(1), nil, 0) },
 		"stuck envelope": func() {
-			p := NewNHPPEnvelope(NewRNG(1), rate, func(t Time) (float64, Time) { return 1, t }, 0)
+			p := NewNHPPEnvelope(NewRNG(1), rate, func(t Time) (float64, Time) { return 1, t }, noBracket, 0)
 			p.Next(time.Second)
 		},
 	} {
@@ -144,7 +149,7 @@ func TestNHPPEnvelopeTracksPiecewiseRate(t *testing.T) {
 		}
 		return 2
 	}
-	p := NewNHPPEnvelope(r, rate, stepEnvelope(half), 0)
+	p := NewNHPPEnvelope(r, rate, stepEnvelope(half), noBracket, 0)
 	var first, second int
 	generate(p, 2*half, func(at Time) {
 		if at < half {
@@ -157,9 +162,9 @@ func TestNHPPEnvelopeTracksPiecewiseRate(t *testing.T) {
 	if ratio < 8 || ratio > 12 {
 		t.Fatalf("ratio = %v, want ~10 (first=%d second=%d)", ratio, first, second)
 	}
-	if p.Proposed() == 0 || p.Accepted() != p.Proposed() {
+	if proposed, accepted, _ := p.Counts(); proposed == 0 || accepted != proposed {
 		t.Fatalf("tight envelope should accept every candidate: accepted %d of %d",
-			p.Accepted(), p.Proposed())
+			accepted, proposed)
 	}
 }
 
@@ -169,7 +174,7 @@ func TestNHPPEnvelopeSilentSegmentsSkipWithoutRandomness(t *testing.T) {
 	// identical to the stream that skipped it.
 	gen := func(env EnvelopeFunc, start Time) []Time {
 		r := NewRNG(59)
-		p := NewNHPPEnvelope(r, func(Time) float64 { return 5 }, env, start)
+		p := NewNHPPEnvelope(r, func(Time) float64 { return 5 }, env, noBracket, start)
 		var out []Time
 		generate(p, 200*time.Second, func(at Time) { out = append(out, at) })
 		return out
@@ -206,7 +211,7 @@ func TestNHPPEnvelopeDeterminism(t *testing.T) {
 				return 18
 			}
 			return 1.5
-		}, stepEnvelope(500*time.Second), 0)
+		}, stepEnvelope(500*time.Second), noBracket, 0)
 		var out []Time
 		generate(p, 1000*time.Second, func(at Time) { out = append(out, at) })
 		return out
@@ -218,6 +223,52 @@ func TestNHPPEnvelopeDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("diverged at %d", i)
+		}
+	}
+}
+
+// TestNHPPBracketSettlesCandidatesExactly: a bracket changes how many
+// rates the sampler evaluates, never which candidates it accepts. A
+// tight bracket around a smooth rate settles almost every candidate, a
+// loose one few, and a bracket that is the rate itself (lo == hi)
+// settles every one; all three emit the trivial bracket's arrivals.
+func TestNHPPBracketSettlesCandidatesExactly(t *testing.T) {
+	rate := func(t Time) float64 { return 5 + 4*math.Sin(ToSeconds(t)/100) }
+	gen := func(bracket BracketFunc) ([]Time, uint64, uint64) {
+		p := NewNHPPEnvelope(NewRNG(67), rate, ConstantEnvelope(10), bracket, 0)
+		var out []Time
+		generate(p, 2000*time.Second, func(at Time) { out = append(out, at) })
+		proposed, _, evaluated := p.Counts()
+		return out, proposed, evaluated
+	}
+	want, proposed, evaluated := gen(noBracket)
+	if evaluated != proposed {
+		t.Fatalf("trivial bracket evaluated %d rates for %d candidates", evaluated, proposed)
+	}
+	for _, c := range []struct {
+		name    string
+		bracket BracketFunc
+		// maxShare bounds the share of candidates evaluated.
+		maxShare float64
+	}{
+		// 0.008 wide under a bound of 10: 0.08% of candidates undecided.
+		{"tight", func(t Time) (float64, float64) { return rate(t) - 0.004, rate(t) + 0.004 }, 0.002},
+		{"loose", func(Time) (float64, float64) { return 1, 9 }, 0.81},
+		{"exact", func(t Time) (float64, float64) { return rate(t), rate(t) }, 0},
+	} {
+		got, gotProposed, gotEvaluated := gen(c.bracket)
+		if len(got) != len(want) || gotProposed != proposed {
+			t.Fatalf("%s: %d arrivals of %d candidates, trivial bracket %d of %d",
+				c.name, len(got), gotProposed, len(want), proposed)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: arrival %d at %v, trivial bracket %v", c.name, i, got[i], want[i])
+			}
+		}
+		if share := float64(gotEvaluated) / float64(gotProposed); share > c.maxShare {
+			t.Errorf("%s: evaluated %d rates for %d candidates (%.4f), want <= %v",
+				c.name, gotEvaluated, gotProposed, share, c.maxShare)
 		}
 	}
 }

@@ -30,4 +30,13 @@
 //     on those nonstationary shapes (BenchmarkMOOCAcceptance pins the
 //     acceptance rate at 10^5 students); table9, figure10 and
 //     examples/mooc consume them.
+//
+// An ArrivalStream's sampler squeezes each thinning decision between
+// two bounds on the rate before it evaluates Rate: rate cells of at
+// most a minute, built as candidates reach them, bracket the rate by
+// the product of every factor's extremes over the cell. A candidate
+// is settled from the bracket unless its acceptance draw falls between
+// the bounds, which on the benchmark workloads happens for under 1% of
+// candidates. The bracket holds for Rate as computed, so the stream is
+// exactly the one evaluating Rate at every candidate would draw.
 package workload

@@ -255,7 +255,7 @@ func TestStreamMatchesPerCallReference(t *testing.T) {
 				rng := sim.NewRNG(23)
 				proc := sim.NewNHPPEnvelope(rng.Stream("arrivals"), func(t sim.Time) float64 {
 					return refRate(g, t)
-				}, refEnvelope(g), start)
+				}, refEnvelope(g), noBracket, start)
 				classRNG := rng.Stream("classes")
 				var out []Arrival
 				for {

@@ -325,7 +325,7 @@ func (g *Generator) segment(t, until time.Duration) envSegment {
 // for t in seg: the quiet bound (population, diurnal shape and
 // calendar) scaled by the burst multiplier bound.
 func (g *Generator) segmentBound(seg *envSegment, t time.Duration) float64 {
-	quiet := seg.base * math.Max(g.cfg.Diurnal.At(t), seg.diurnalEnd) * seg.week
+	quiet := seg.base * max(g.cfg.Diurnal.At(t), seg.diurnalEnd) * seg.week
 	return quiet * g.burstMult(seg, t)
 }
 
@@ -340,6 +340,98 @@ func (g *Generator) burstMult(seg *envSegment, t time.Duration) float64 {
 		mult *= j.MaxOn(t, seg.until)
 	}
 	return mult
+}
+
+// rateCell brackets the rate over a cell [start, until) of at most a
+// minute: lo <= Rate(t) <= hi for every t in it.
+type rateCell struct {
+	start, until time.Duration
+	lo, hi       float64
+}
+
+const (
+	// cellSlack widens every bracket by this relative margin. The
+	// bracket must hold for Rate as computed, while the factors'
+	// extremes bound it in exact arithmetic; Rate's rounding and exp's
+	// each stray from the exact value by a few ulps, some 1e-15
+	// relative, far inside the slack.
+	cellSlack = 1e-9
+	// cellGap is the widest bracket a cell keeps, relative to its upper
+	// bound: about the share of the cell's candidates whose rate is
+	// evaluated. A wider cell is halved, down to cellMin. A minute of a
+	// join spike's decay or of an early enrollment ramp moves the rate
+	// by 10%.
+	cellGap = 0.01
+	cellMin = time.Second
+)
+
+// bracket returns the squeeze the stream's sampler tests each
+// candidate against before it evaluates Rate. The returned function
+// keeps the cell of its last query and builds the next one when a
+// query leaves it, so cells are built only where candidates fall. Each
+// call returns its own function; one function must not be shared
+// across goroutines.
+func (g *Generator) bracket() sim.BracketFunc {
+	var c rateCell // zero: [0, 0) holds no query
+	return func(t sim.Time) (float64, float64) {
+		if t < c.start || t >= c.until {
+			c = g.cell(t)
+		}
+		return c.lo, c.hi
+	}
+}
+
+// cell returns the cell starting at t: the envelope segment from t,
+// clipped to the next minute mark, then halved while its bracket is
+// wider than cellGap.
+func (g *Generator) cell(t time.Duration) rateCell {
+	c := rateCell{start: t, until: min(g.segmentEnd(t), t-t%time.Minute+time.Minute)}
+	for {
+		c.lo, c.hi = g.bracketOn(t, c.until)
+		if c.hi-c.lo <= cellGap*c.hi || c.until-t <= cellMin {
+			return c
+		}
+		c.until = t + (c.until-t)/2
+	}
+}
+
+// bracketOn brackets the rate over [t, until), a stretch of one
+// envelope segment. No segment straddles an hour mark or a crowd,
+// storm or join edge (segmentEnd), so across it the calendar week and
+// every window's active state hold, the diurnal shape is linear, the
+// population grows, a deadline storm builds up and a join storm
+// decays: each factor's minimum and maximum sit at the two ends. lo
+// and hi multiply them in Rate's order.
+func (g *Generator) bracketOn(t, until time.Duration) (lo, hi float64) {
+	lo = g.Population(t) * g.cfg.ReqPerStudentHour / 3600
+	hi = g.Population(until) * g.cfg.ReqPerStudentHour / 3600
+	d0, d1 := g.cfg.Diurnal.At(t), g.cfg.Diurnal.At(until)
+	lo *= min(d0, d1)
+	hi *= max(d0, d1)
+	if g.cfg.Calendar != nil {
+		week := g.cfg.Calendar.WeekAt(t).Mult
+		lo *= week
+		hi *= week
+	}
+	for _, c := range g.cfg.Crowds {
+		if c.Active(t) {
+			lo *= c.Mult
+			hi *= c.Mult
+		}
+	}
+	for _, s := range g.cfg.Storms {
+		if s.Active(t) {
+			lo *= s.shape(t)
+			hi *= s.shape(until)
+		}
+	}
+	for _, j := range g.cfg.Joins {
+		if j.Active(t) {
+			lo *= j.shape(until)
+			hi *= j.shape(t)
+		}
+	}
+	return lo * (1 - cellSlack), hi * (1 + cellSlack)
 }
 
 // Generate produces arrivals on [start, horizon] in time order, invoking
@@ -371,7 +463,7 @@ type ArrivalStream struct {
 func (g *Generator) Stream(rng *sim.RNG, start time.Duration) *ArrivalStream {
 	return &ArrivalStream{
 		gen:      g,
-		proc:     sim.NewNHPPEnvelope(rng.Stream("arrivals"), g.Rate, g.Envelope(), start),
+		proc:     sim.NewNHPPEnvelope(rng.Stream("arrivals"), g.Rate, g.Envelope(), g.bracket(), start),
 		classRNG: rng.Stream("classes"),
 	}
 }
@@ -391,5 +483,14 @@ func (s *ArrivalStream) Next(horizon time.Duration) (Arrival, bool) {
 // piecewise envelope hugs the rate; the MOOC shapes are benchmarked to
 // stay at or above ~50% (see BenchmarkMOOCAcceptance).
 func (s *ArrivalStream) Thinning() (proposed, accepted uint64) {
-	return s.proc.Proposed(), s.proc.Accepted()
+	proposed, accepted, _ = s.proc.Counts()
+	return proposed, accepted
+}
+
+// rateEvaluations reports at how many of the candidates proposed so far
+// the sampler evaluated Rate: those whose acceptance uniform fell
+// between the bracket's two bounds.
+func (s *ArrivalStream) rateEvaluations() uint64 {
+	_, _, evaluated := s.proc.Counts()
+	return evaluated
 }

@@ -212,6 +212,12 @@ func (s DeadlineStorm) MultAt(t time.Duration) float64 {
 	if !s.Active(t) {
 		return 1
 	}
+	return s.shape(t)
+}
+
+// shape returns the build-up's value at t, ignoring the window:
+// increasing in t, and PeakMult at the deadline.
+func (s DeadlineStorm) shape(t time.Duration) float64 {
 	return 1 + (s.PeakMult-1)*math.Exp(-(s.Deadline-t).Seconds()/s.tau().Seconds())
 }
 
@@ -231,7 +237,7 @@ func (s DeadlineStorm) MaxOn(t0, t1 time.Duration) float64 {
 	}
 	// Limit value approaching hi from below; at hi == Deadline this is
 	// PeakMult, a valid (if momentarily loose) bound across the cliff.
-	return 1 + (s.PeakMult-1)*math.Exp(-(s.Deadline-hi).Seconds()/s.tau().Seconds())
+	return s.shape(hi)
 }
 
 // sanity validates a storm definition.
@@ -247,6 +253,9 @@ func (s DeadlineStorm) sanity() error {
 	}
 	if s.Tau < 0 {
 		return fmt.Errorf("workload: deadline storm tau %v must not be negative", s.Tau)
+	}
+	if s.tau() == 0 {
+		return fmt.Errorf("workload: deadline storm ramp %v is too short to derive a tau (Ramp/3 is 0); set Tau", s.Ramp)
 	}
 	return nil
 }
@@ -290,6 +299,12 @@ func (j JoinStorm) MultAt(t time.Duration) float64 {
 	if !j.Active(t) {
 		return 1
 	}
+	return j.shape(t)
+}
+
+// shape returns the spike's value at t, ignoring the window: PeakMult
+// at Start, decreasing after it.
+func (j JoinStorm) shape(t time.Duration) float64 {
 	return 1 + (j.PeakMult-1)*math.Exp(-(t-j.Start).Seconds()/j.decay().Seconds())
 }
 
@@ -307,7 +322,7 @@ func (j JoinStorm) MaxOn(t0, t1 time.Duration) float64 {
 	if hi <= lo {
 		return 1
 	}
-	return 1 + (j.PeakMult-1)*math.Exp(-(lo-j.Start).Seconds()/j.decay().Seconds())
+	return j.shape(lo)
 }
 
 // sanity validates a join storm definition.
@@ -323,6 +338,9 @@ func (j JoinStorm) sanity() error {
 	}
 	if j.Decay < 0 {
 		return fmt.Errorf("workload: join storm decay %v must not be negative", j.Decay)
+	}
+	if j.decay() == 0 {
+		return fmt.Errorf("workload: join storm window %v is too short to derive a decay (Window/4 is 0); set Decay", j.Window)
 	}
 	return nil
 }

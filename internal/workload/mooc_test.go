@@ -197,6 +197,9 @@ func TestMOOCConfigValidation(t *testing.T) {
 		{Students: 10, ReqPerStudentHour: 1, Joins: []JoinStorm{{Start: 0, Window: 0, PeakMult: 2}}},
 		{Students: 10, ReqPerStudentHour: 1, Joins: []JoinStorm{{Start: -time.Minute, Window: time.Hour, PeakMult: 2}}},
 		{Students: 10, ReqPerStudentHour: 1, Joins: []JoinStorm{{Start: 0, Window: time.Hour, PeakMult: 0.9}}},
+		// Derived e-folding times that truncate to zero.
+		{Students: 10, ReqPerStudentHour: 1, Storms: []DeadlineStorm{{Deadline: time.Hour, Ramp: 2, PeakMult: 2}}},
+		{Students: 10, ReqPerStudentHour: 1, Joins: []JoinStorm{{Start: 0, Window: 3, PeakMult: 2}}},
 		// Students below the growth capacity.
 		{Students: 100, ReqPerStudentHour: 1, Growth: LinearGrowth(50, 500, time.Hour)},
 	}
@@ -204,6 +207,14 @@ func TestMOOCConfigValidation(t *testing.T) {
 		if _, err := NewGenerator(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+	// The same nanosecond storms with explicit e-folding times are
+	// valid.
+	if _, err := NewGenerator(Config{Students: 10, ReqPerStudentHour: 1,
+		Storms: []DeadlineStorm{{Deadline: time.Hour, Ramp: 2, PeakMult: 2, Tau: 1}},
+		Joins:  []JoinStorm{{Start: 0, Window: 3, PeakMult: 2, Decay: 1}},
+	}); err != nil {
+		t.Fatal(err)
 	}
 	// Zero Students is derived from the growth capacity.
 	g, err := NewGenerator(Config{ReqPerStudentHour: 1, Growth: LinearGrowth(50, 500, time.Hour)})
