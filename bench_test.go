@@ -116,7 +116,7 @@ func BenchmarkAppServerThroughput(b *testing.B) {
 	})
 	vm, err := dc.Provision(cloud.InstanceSpec{
 		Name: "m", Res: cloud.Resources{CPU: 4, Mem: 8, Disk: 100},
-	}, nil)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,9 +1,16 @@
 package elearncloud_test
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -183,4 +190,102 @@ func TestCheckDocsAnalyzerCrossCheck(t *testing.T) {
 	if !strings.Contains(out, "mapdisorder") || !strings.Contains(out, "does not register") {
 		t.Fatalf("unknown-analyzer failure does not name the analyzer:\n%s", out)
 	}
+}
+
+// TestDocsNameDeclaredIdentifiers: every `pkg.Ident` that ARCHITECTURE.md,
+// README.md, docs/*.md or an internal package's doc.go names, for pkg an
+// internal package, is a function, method, type, variable or constant
+// that package's non-test code declares, so a rename or deletion cannot
+// leave a document naming API that is gone. bench/ has its own module
+// and documents and is not checked.
+func TestDocsNameDeclaredIdentifiers(t *testing.T) {
+	decls := internalDecls(t)
+	docs := []string{"ARCHITECTURE.md", "README.md"}
+	for _, pattern := range []string{"docs/*.md", "internal/*/doc.go"} {
+		matches, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, matches...)
+	}
+	refs := 0
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, stale := undeclaredRefs(string(text), decls)
+		refs += n
+		for _, ref := range stale {
+			t.Errorf("%s names %s, which package %s does not declare", doc, ref, strings.Split(ref, ".")[0])
+		}
+	}
+	t.Logf("%d pkg.Ident references in %d documents", refs, len(docs))
+	// The documents name dozens of identifiers; finding few means the
+	// scan, not the documents, is broken.
+	if refs < 50 {
+		t.Fatalf("found %d pkg.Ident references in %d documents, want at least 50", refs, len(docs))
+	}
+	// A name that is gone, such as lms.NewAssetStore, is caught.
+	if _, stale := undeclaredRefs("`lms.NewAssetStore` and `lms.NewInventory`", decls); len(stale) != 1 || stale[0] != "lms.NewAssetStore" {
+		t.Errorf("stale references in a probe naming lms.NewAssetStore and lms.NewInventory: %v, want [lms.NewAssetStore]", stale)
+	}
+}
+
+// internalDecls maps each package under internal/ to the identifiers
+// its non-test Go files declare at package level, methods included.
+func internalDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("internal", "*", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := filepath.Base(filepath.Dir(file))
+		if decls[pkg] == nil {
+			decls[pkg] = map[string]bool{}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				decls[pkg][d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						decls[pkg][spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							decls[pkg][name.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return decls
+}
+
+// undeclaredRefs counts the exported `pkg.Ident` references in text
+// whose pkg is an internal package, and returns those its package does
+// not declare.
+func undeclaredRefs(text string, decls map[string]map[string]bool) (refs int, stale []string) {
+	names := slices.Sorted(maps.Keys(decls))
+	ref := regexp.MustCompile(fmt.Sprintf(`\b(%s)\.([A-Z][A-Za-z0-9_]*)`, strings.Join(names, "|")))
+	for _, m := range ref.FindAllStringSubmatch(text, -1) {
+		refs++
+		if !decls[m[1]][m[2]] {
+			stale = append(stale, m[1]+"."+m[2])
+		}
+	}
+	return refs, stale
 }

@@ -25,11 +25,10 @@ func main() {
 		"re-engineering", "egress", "calendar time", "downtime")
 
 	for _, kind := range []deploy.Kind{deploy.Public, deploy.Hybrid} {
-		assets := lms.NewInventory(80, 2000, deploy.Place(kind, deploy.DefaultHybridPolicy()))
+		assets := lms.NewInventory(80, 2000, deploy.Place(kind))
 		plan, err := migrate.NewPlan(migrate.LockinProfile{
-			Index:      kind.DefaultLockinIndex(),
-			Components: 12,
-			DataBytes:  assets.BytesAt(lms.OnPublic),
+			Index:     kind.DefaultLockinIndex(),
+			DataBytes: assets.BytesAt(lms.OnPublic),
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -1,76 +1,35 @@
 package cdn
 
-import (
-	"fmt"
-	"math"
+import "elearncloud/internal/sim"
 
-	"elearncloud/internal/sim"
-)
+// segmentsPerCourse is how many distinct video segments one course's
+// semester of lectures holds.
+const segmentsPerCourse = 200
 
-// Config describes an edge deployment for a course-video catalog.
-type Config struct {
-	// CatalogObjects is the number of distinct video segments across
-	// all courses.
-	CatalogObjects int
-	// ObjectBytes is the mean segment size.
-	ObjectBytes float64
-	// CacheObjects is the edge cache capacity in objects.
-	CacheObjects int
-	// ZipfS is the popularity skew (≈1 for course content: everyone
-	// watches this week's lectures).
-	ZipfS float64
+// sizes returns the video catalog of an institution teaching courses
+// courses (at least one) and the edge cache's capacity, a quarter of
+// it, both in segments.
+func sizes(courses int) (catalog, cache int) {
+	catalog = max(courses, 1) * segmentsPerCourse
+	return catalog, catalog / 4
 }
 
-// DefaultConfig sizes a CDN for an institution's course catalog: one
-// semester's videos, an edge cache holding a quarter of them.
-func DefaultConfig(courses int) Config {
-	if courses < 1 {
-		courses = 1
-	}
-	catalog := courses * 200 // ~200 segments per course
-	return Config{
-		CatalogObjects: catalog,
-		ObjectBytes:    2e6,
-		CacheObjects:   catalog / 4,
-		ZipfS:          1.0,
-	}
+// AnalyticHitRatio returns the steady-state hit ratio of the edge
+// NewEdge builds for courses courses: a cache holding the K most
+// popular of N segments under Zipf(1) popularity (everyone watches
+// this week's lectures) hits H_K/H_N of requests, with H the harmonic
+// number. This is the ideal (LFU) ratio; LRU under Zipf(1) tracks it
+// closely.
+func AnalyticHitRatio(courses int) float64 {
+	catalog, cache := sizes(courses)
+	return harmonic(cache) / harmonic(catalog)
 }
 
-// Validate rejects unusable configurations.
-func (c Config) Validate() error {
-	if c.CatalogObjects <= 0 {
-		return fmt.Errorf("cdn: catalog must be positive")
-	}
-	if c.CacheObjects < 0 {
-		return fmt.Errorf("cdn: negative cache size")
-	}
-	if c.ZipfS <= 0 {
-		return fmt.Errorf("cdn: Zipf exponent must be positive")
-	}
-	if c.ObjectBytes <= 0 {
-		return fmt.Errorf("cdn: object size must be positive")
-	}
-	return nil
-}
-
-// AnalyticHitRatio returns the steady-state hit ratio of a cache that
-// holds the K most popular of N objects under Zipf(s) popularity:
-// H_K(s)/H_N(s) with H the generalized harmonic number. This is the
-// ideal (LFU) ratio; LRU under Zipf tracks it closely for s near 1.
-func AnalyticHitRatio(catalogN, cacheK int, s float64) float64 {
-	if catalogN <= 0 || cacheK <= 0 {
-		return 0
-	}
-	if cacheK >= catalogN {
-		return 1
-	}
-	return harmonic(cacheK, s) / harmonic(catalogN, s)
-}
-
-func harmonic(n int, s float64) float64 {
+// harmonic returns the harmonic number H_n, summed from 1/1 up.
+func harmonic(n int) float64 {
 	sum := 0.0
 	for i := 1; i <= n; i++ {
-		sum += 1 / math.Pow(float64(i), s)
+		sum += 1 / float64(i)
 	}
 	return sum
 }
@@ -205,10 +164,9 @@ func (c *Cache) evict() *lruNode {
 	return lru
 }
 
-// Edge binds a Config, a Cache and a popularity sampler into the object
-// the scenario consults per video request.
+// Edge binds a Cache and a popularity sampler into the object the
+// scenario consults per video request.
 type Edge struct {
-	cfg   Config
 	cache *Cache
 	zipf  *sim.ZipfGen
 
@@ -216,44 +174,36 @@ type Edge struct {
 	originBytes float64 // miss bytes fetched from the origin (egress)
 }
 
-// NewEdge builds an edge for cfg; rng drives popularity sampling.
-func NewEdge(cfg Config, rng *sim.RNG) (*Edge, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Edge{
-		cfg:   cfg,
-		cache: NewCache(cfg.CacheObjects),
-		zipf:  sim.NewZipfGen(rng, cfg.CatalogObjects, cfg.ZipfS),
-	}, nil
+// NewEdge builds the edge for an institution teaching courses courses:
+// one semester's video catalog, a quarter of it cached at the edge.
+// rng drives popularity sampling.
+func NewEdge(courses int, rng *sim.RNG) *Edge {
+	catalog, cache := sizes(courses)
+	return &Edge{cache: NewCache(cache), zipf: sim.NewZipfGen(rng, catalog)}
 }
 
 // Cache exposes the underlying cache for inspection.
 func (e *Edge) Cache() *Cache { return e.cache }
 
-// Warm pre-populates the cache with n popularity-sampled objects
-// without touching the hit/miss counters, approximating the steady
-// state an edge reaches after serving traffic for a while. A hybrid
-// run calls it when a DES window opens mid-horizon, so the window
-// starts from the warm cache the fluid model's analytic hit ratio
-// assumed rather than from an empty (all-miss) edge. Sampling draws
-// from the edge's popularity stream, so warming is deterministic for a
-// given (seed, n) and the warmed set skews toward the objects real
-// traffic would have cached.
-func (e *Edge) Warm(n int) {
-	for i := 0; i < n; i++ {
+// Warm pre-populates the cache with three capacities' worth of
+// popularity-sampled objects without touching the hit/miss counters,
+// approximating the steady state an edge reaches after serving traffic
+// for a while. A hybrid run calls it when a DES window opens
+// mid-horizon, so the window starts from the warm cache the fluid
+// model's analytic hit ratio assumed rather than from an empty
+// (all-miss) edge. Sampling draws from the edge's popularity stream,
+// so warming is deterministic for a given seed and the warmed set
+// skews toward the objects real traffic would have cached.
+func (e *Edge) Warm() {
+	for i := 0; i < 3*e.cache.capacity; i++ {
 		e.cache.Touch(e.zipf.Sample())
 	}
 }
 
-// Serve resolves one video request of the given size: a popular object
-// is sampled, the cache consulted, and byte accounting updated. It
-// reports whether the request hit the edge. Non-positive sizes fall back
-// to the configured mean object size.
+// Serve resolves one video request of the given size in bytes: a
+// popular object is sampled, the cache consulted, and byte accounting
+// updated. It reports whether the request hit the edge.
 func (e *Edge) Serve(bytes float64) (hit bool) {
-	if bytes <= 0 {
-		bytes = e.cfg.ObjectBytes
-	}
 	id := e.zipf.Sample()
 	hit = e.cache.Access(id)
 	e.servedBytes += bytes

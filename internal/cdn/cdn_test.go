@@ -81,41 +81,37 @@ func TestCacheCapacityInvariant(t *testing.T) {
 }
 
 func TestAnalyticHitRatioProperties(t *testing.T) {
-	if got := AnalyticHitRatio(100, 100, 1); got != 1 {
-		t.Fatalf("full cache ratio = %v", got)
+	if got := harmonic(1); got != 1 {
+		t.Fatalf("H_1 = %v", got)
 	}
-	if got := AnalyticHitRatio(100, 0, 1); got != 0 {
-		t.Fatalf("empty cache ratio = %v", got)
-	}
-	// Monotone in cache size.
+	// A quarter of a growing catalog holds a growing share of Zipf(1)
+	// demand, always below the whole.
 	prev := 0.0
-	for _, k := range []int{1, 5, 10, 25, 50, 75, 100} {
-		r := AnalyticHitRatio(100, k, 1)
-		if r < prev {
-			t.Fatalf("hit ratio not monotone at K=%d", k)
+	for _, courses := range []int{1, 5, 10, 40, 80, 400} {
+		r := AnalyticHitRatio(courses)
+		if r <= prev || r >= 1 {
+			t.Fatalf("hit ratio %v at %d courses, after %v: want increasing, below 1", r, courses, prev)
 		}
 		prev = r
 	}
-	// Zipf(1), K=N/4: the top quarter carries well over half the mass.
-	if r := AnalyticHitRatio(1000, 250, 1); r < 0.7 {
+	// Zipf(1), K=N/4 of N=1000: the top quarter carries well over half
+	// the mass.
+	if r := AnalyticHitRatio(5); r < 0.7 {
 		t.Fatalf("quarter cache ratio = %v, want > 0.7", r)
 	}
 }
 
+// videoBytes is the segment size the edge tests serve.
+const videoBytes = 2e6
+
 func TestLRUSimulatedMatchesAnalytic(t *testing.T) {
-	cfg := Config{
-		CatalogObjects: 1000, ObjectBytes: 2e6, CacheObjects: 250,
-		ZipfS: 1.0,
-	}
-	edge, err := NewEdge(cfg, sim.NewRNG(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	const courses = 5 // catalog 1000, cache 250
+	edge := NewEdge(courses, sim.NewRNG(7))
 	const n = 200000
 	for i := 0; i < n; i++ {
-		edge.Serve(0)
+		edge.Serve(videoBytes)
 	}
-	analytic := AnalyticHitRatio(cfg.CatalogObjects, cfg.CacheObjects, cfg.ZipfS)
+	analytic := AnalyticHitRatio(courses)
 	got := edge.Cache().HitRatio()
 	// LRU under Zipf(1) tracks ideal LFU within a few points.
 	if math.Abs(got-analytic) > 0.08 {
@@ -124,62 +120,40 @@ func TestLRUSimulatedMatchesAnalytic(t *testing.T) {
 }
 
 func TestEdgeAccounting(t *testing.T) {
-	cfg := Config{
-		CatalogObjects: 100, ObjectBytes: 1e6, CacheObjects: 100, // everything fits
-		ZipfS: 1.0,
-	}
-	edge, err := NewEdge(cfg, sim.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	edge := NewEdge(1, sim.NewRNG(3)) // catalog 200, cache 50
+	hits := 0
 	for i := 0; i < 10000; i++ {
-		edge.Serve(0)
+		if edge.Serve(videoBytes) {
+			hits++
+		}
 	}
-	if edge.ServedGB() <= 0 {
-		t.Fatal("no served bytes")
+	if got, want := edge.ServedGB(), 10000*videoBytes/1e9; got != want {
+		t.Fatalf("ServedGB %v, want every request's bytes %v", got, want)
 	}
-	// With a cache that fits the catalog, origin traffic is bounded by
-	// cold misses: at most catalog * objectBytes.
-	maxOrigin := float64(cfg.CatalogObjects) * cfg.ObjectBytes / 1e9
-	if edge.OriginGB() > maxOrigin {
-		t.Fatalf("OriginGB %v exceeds cold-miss bound %v", edge.OriginGB(), maxOrigin)
+	if got, want := edge.OriginGB(), float64(10000-hits)*videoBytes/1e9; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("OriginGB %v, want the %d misses' bytes %v", got, 10000-hits, want)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{CatalogObjects: 0, ObjectBytes: 1, ZipfS: 1},
-		{CatalogObjects: 10, CacheObjects: -1, ObjectBytes: 1, ZipfS: 1},
-		{CatalogObjects: 10, ObjectBytes: 1, ZipfS: 0},
-		{CatalogObjects: 10, ObjectBytes: 0, ZipfS: 1},
-	}
-	for i, cfg := range bad {
-		if cfg.Validate() == nil {
-			t.Errorf("case %d validated", i)
+	// A course count below one sizes the edge for one course.
+	for _, courses := range []int{0, -3} {
+		catalog, cache := sizes(courses)
+		if catalog != segmentsPerCourse || cache != segmentsPerCourse/4 {
+			t.Fatalf("%d courses: catalog %d, cache %d; want one course's %d, %d",
+				courses, catalog, cache, segmentsPerCourse, segmentsPerCourse/4)
 		}
 	}
-	if err := DefaultConfig(80).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if DefaultConfig(0).CatalogObjects <= 0 {
-		t.Fatal("zero-course default broken")
-	}
-}
-
-func TestNewEdgeRejectsBadConfig(t *testing.T) {
-	if _, err := NewEdge(Config{}, sim.NewRNG(1)); err == nil {
-		t.Fatal("bad config accepted")
+	if catalog, cache := sizes(80); catalog != 16000 || cache != 4000 {
+		t.Fatalf("80 courses: catalog %d, cache %d; want 16000, 4000", catalog, cache)
 	}
 }
 
 func TestEdgeDeterminism(t *testing.T) {
 	run := func() (float64, float64) {
-		edge, err := NewEdge(DefaultConfig(40), sim.NewRNG(11))
-		if err != nil {
-			t.Fatal(err)
-		}
+		edge := NewEdge(40, sim.NewRNG(11))
 		for i := 0; i < 50000; i++ {
-			edge.Serve(0)
+			edge.Serve(videoBytes)
 		}
 		return edge.ServedGB(), edge.Cache().HitRatio()
 	}

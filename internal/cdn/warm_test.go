@@ -54,25 +54,22 @@ func TestTouchRespectsCapacity(t *testing.T) {
 }
 
 func TestWarmApproachesAnalyticHitRatio(t *testing.T) {
-	cfg := DefaultConfig(10) // catalog 2000, cache 500
-	edge, err := NewEdge(cfg, sim.NewRNG(42))
-	if err != nil {
-		t.Fatalf("NewEdge: %v", err)
-	}
-	edge.Warm(3 * cfg.CacheObjects)
+	const courses = 10 // catalog 2000, cache 500
+	edge := NewEdge(courses, sim.NewRNG(42))
+	edge.Warm()
 	if edge.Cache().hits != 0 || edge.Cache().misses != 0 {
 		t.Fatal("Warm polluted the hit/miss counters")
 	}
-	if len(edge.Cache().entries) != cfg.CacheObjects {
-		t.Fatalf("warm cache holds %d of %d", len(edge.Cache().entries), cfg.CacheObjects)
+	if len(edge.Cache().entries) != 500 {
+		t.Fatalf("warm cache holds %d of 500", len(edge.Cache().entries))
 	}
 	// A warmed edge's early hit ratio should sit near the analytic
 	// steady state rather than near zero (the cold-start regime the
 	// chaos fuzzer pinned as a divergence seed).
 	for i := 0; i < 5000; i++ {
-		edge.Serve(0)
+		edge.Serve(videoBytes)
 	}
-	want := AnalyticHitRatio(cfg.CatalogObjects, cfg.CacheObjects, cfg.ZipfS)
+	want := AnalyticHitRatio(courses)
 	got := edge.Cache().HitRatio()
 	if got < want-0.1 {
 		t.Fatalf("warmed hit ratio %.3f far below analytic %.3f", got, want)
@@ -81,16 +78,13 @@ func TestWarmApproachesAnalyticHitRatio(t *testing.T) {
 
 func TestWarmDeterminism(t *testing.T) {
 	build := func() *Edge {
-		e, err := NewEdge(DefaultConfig(5), sim.NewRNG(7))
-		if err != nil {
-			t.Fatalf("NewEdge: %v", err)
-		}
-		e.Warm(100)
+		e := NewEdge(5, sim.NewRNG(7))
+		e.Warm()
 		return e
 	}
 	a, b := build(), build()
 	for i := 0; i < 1000; i++ {
-		if a.Serve(0) != b.Serve(0) {
+		if a.Serve(videoBytes) != b.Serve(videoBytes) {
 			t.Fatalf("warmed edges diverge at request %d", i)
 		}
 	}

@@ -74,10 +74,11 @@ func NewDatacenter(eng *sim.Engine, cfg Config) *Datacenter {
 	return dc
 }
 
-// Provision places and boots a VM of the given spec. The ready callback
-// (optional) fires when the VM finishes booting. A private datacenter
-// with no healthy host that has room returns ErrNoCapacity.
-func (dc *Datacenter) Provision(spec InstanceSpec, ready func(*VM)) (*VM, error) {
+// Provision places a VM of the given spec and boots it: the VM is
+// running once its boot delay has passed, unless it was terminated
+// first. A private datacenter with no healthy host that has room
+// returns ErrNoCapacity.
+func (dc *Datacenter) Provision(spec InstanceSpec) (*VM, error) {
 	if !spec.Res.Valid() || spec.Res.IsZero() {
 		return nil, fmt.Errorf("cloud: provision %q with invalid resources %v", spec.Name, spec.Res)
 	}
@@ -109,9 +110,6 @@ func (dc *Datacenter) Provision(spec InstanceSpec, ready func(*VM)) (*VM, error)
 		vm.state = VMRunning
 		if dc.cfg.Public {
 			vm.setInterference(interference.Sample(dc.rng))
-		}
-		if ready != nil {
-			ready(vm)
 		}
 	})
 	return vm, nil

@@ -38,24 +38,21 @@ func newTestDC(eng *sim.Engine, hosts int) *Datacenter {
 func TestProvisionLifecycle(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 2)
-	var readyVM *VM
-	var readyAt sim.Time
-	vm, err := dc.Provision(testSpec(), func(v *VM) { readyVM, readyAt = v, eng.Now() })
+	vm, err := dc.Provision(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vm.State() != VMProvisioning {
 		t.Fatalf("state = %v, want provisioning", vm.State())
 	}
-	eng.Run(2 * time.Minute)
-	if readyVM != vm {
-		t.Fatal("ready callback did not fire with the VM")
+	// The 60 s boot ends at 1m: the VM is still booting just before.
+	eng.Run(time.Minute - 1)
+	if vm.State() != VMProvisioning {
+		t.Fatalf("state = %v before the boot delay ends, want provisioning", vm.State())
 	}
+	eng.Run(time.Minute)
 	if vm.State() != VMRunning {
-		t.Fatalf("state = %v, want running", vm.State())
-	}
-	if readyAt != time.Minute {
-		t.Fatalf("ready at %v, want 1m", readyAt)
+		t.Fatalf("state = %v at 1m, want running", vm.State())
 	}
 	dc.Terminate(vm)
 	if vm.State() != VMTerminated {
@@ -70,11 +67,11 @@ func TestProvisionFixedCapacityExhausts(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 1) // one host: 8 CPU => 4 VMs of 2 CPU
 	for i := 0; i < 4; i++ {
-		if _, err := dc.Provision(testSpec(), nil); err != nil {
+		if _, err := dc.Provision(testSpec()); err != nil {
 			t.Fatalf("VM %d: %v", i, err)
 		}
 	}
-	_, err := dc.Provision(testSpec(), nil)
+	_, err := dc.Provision(testSpec())
 	if !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("err = %v, want ErrNoCapacity", err)
 	}
@@ -89,7 +86,7 @@ func TestProvisionPublicNeverRefuses(t *testing.T) {
 		if i%3 == 0 {
 			spec = huge
 		}
-		vm, err := dc.Provision(spec, nil)
+		vm, err := dc.Provision(spec)
 		if err != nil {
 			t.Fatalf("VM %d: %v", i, err)
 		}
@@ -128,7 +125,7 @@ func TestNewDatacenterRejectsHostMismatch(t *testing.T) {
 func TestProvisionRejectsBadSpec(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 1)
-	if _, err := dc.Provision(InstanceSpec{Name: "empty"}, nil); err == nil {
+	if _, err := dc.Provision(InstanceSpec{Name: "empty"}); err == nil {
 		t.Fatal("empty spec accepted")
 	}
 }
@@ -136,15 +133,14 @@ func TestProvisionRejectsBadSpec(t *testing.T) {
 func TestTerminateWhileBootingSuppressesReady(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 1)
-	fired := false
-	vm, err := dc.Provision(testSpec(), func(*VM) { fired = true })
+	vm, err := dc.Provision(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Schedule(10*time.Second, "kill", func() { dc.Terminate(vm) })
 	eng.Run(5 * time.Minute)
-	if fired {
-		t.Fatal("ready fired for a VM terminated mid-boot")
+	if vm.State() != VMTerminated {
+		t.Fatalf("state = %v after the boot delay of a VM terminated mid-boot, want terminated", vm.State())
 	}
 	// Double-terminate is a no-op.
 	dc.Terminate(vm)
@@ -153,7 +149,7 @@ func TestTerminateWhileBootingSuppressesReady(t *testing.T) {
 func TestVMHoursAccounting(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 2)
-	vm, err := dc.Provision(testSpec(), nil)
+	vm, err := dc.Provision(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +159,7 @@ func TestVMHoursAccounting(t *testing.T) {
 		t.Fatalf("VMHours = %v, want 2", got)
 	}
 	// A still-running VM accrues hours up to now.
-	if _, err := dc.Provision(testSpec(), nil); err != nil {
+	if _, err := dc.Provision(testSpec()); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(4 * time.Hour)
@@ -179,7 +175,7 @@ func TestUtilizationTracksPlacement(t *testing.T) {
 	if dc.hosts[0].Free() != capacity || dc.hosts[1].Free() != capacity {
 		t.Fatal("fresh DC should be idle")
 	}
-	vm, err := dc.Provision(testSpec(), nil)
+	vm, err := dc.Provision(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +196,7 @@ func TestFailHostTerminatesVictims(t *testing.T) {
 	dc := newTestDC(eng, 2)
 	var vms []*VM
 	for i := 0; i < 4; i++ {
-		vm, err := dc.Provision(testSpec(), nil)
+		vm, err := dc.Provision(testSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +216,7 @@ func TestFailHostTerminatesVictims(t *testing.T) {
 		t.Fatal("host not marked failed")
 	}
 	// New provisions avoid the failed host.
-	vm, err := dc.Provision(testSpec(), nil)
+	vm, err := dc.Provision(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,15 +231,15 @@ func TestFailHostTerminatesVictims(t *testing.T) {
 func TestRepairHostRestoresCapacity(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 1)
-	if _, err := dc.Provision(testSpec(), nil); err != nil {
+	if _, err := dc.Provision(testSpec()); err != nil {
 		t.Fatal(err)
 	}
 	dc.FailHost(0)
-	if _, err := dc.Provision(testSpec(), nil); err == nil {
+	if _, err := dc.Provision(testSpec()); err == nil {
 		t.Fatal("provisioned on failed host")
 	}
 	dc.RepairHost(0)
-	if _, err := dc.Provision(testSpec(), nil); err != nil {
+	if _, err := dc.Provision(testSpec()); err != nil {
 		t.Fatalf("repaired host rejected provision: %v", err)
 	}
 	dc.RepairHost(42) // out of range: no-op
@@ -252,7 +248,7 @@ func TestRepairHostRestoresCapacity(t *testing.T) {
 func TestMultiTenantInterference(t *testing.T) {
 	eng := sim.NewEngine(7)
 	dc := NewDatacenter(eng, Config{Name: "pub", Public: true})
-	vm, err := dc.Provision(testSpec(), nil)
+	vm, err := dc.Provision(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +264,7 @@ func TestMultiTenantInterference(t *testing.T) {
 func TestSingleTenantFullSpeed(t *testing.T) {
 	eng := sim.NewEngine(7)
 	dc := newTestDC(eng, 1)
-	vm, err := dc.Provision(testSpec(), nil)
+	vm, err := dc.Provision(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +280,7 @@ func TestDatacenterDeterminism(t *testing.T) {
 		dc := NewDatacenter(eng, Config{Name: "pub", Public: true})
 		var vms []*VM
 		for i := 0; i < 6; i++ {
-			vm, err := dc.Provision(testSpec(), nil)
+			vm, err := dc.Provision(testSpec())
 			if err != nil {
 				t.Fatal(err)
 			}

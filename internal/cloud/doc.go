@@ -9,10 +9,11 @@
 // Entry points:
 //
 //   - NewDatacenter(engine, Config) builds a Datacenter on a
-//     sim.Engine; Datacenter provisioning drives the VM lifecycle
-//     (VMState: provisioning → running → terminated) on the virtual
-//     clock, so public-cloud boot latency is a measurable quantity,
-//     not an assumption.
+//     sim.Engine; Provision(spec) drives the VM lifecycle (VMState:
+//     provisioning → running → terminated) on the virtual clock, so
+//     public-cloud boot latency is a measurable quantity, not an
+//     assumption. A VM announces nothing when it boots: whoever needs
+//     to know reads its State.
 //   - Config.Public picks the model. A public datacenter keeps no
 //     hosts: it never refuses a VM, and co-tenants steal CPU from every
 //     VM it runs. A private datacenter owns Config.Hosts hosts, places

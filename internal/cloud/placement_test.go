@@ -36,7 +36,7 @@ func TestFirstFitConsolidates(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 3) // 8 CPU per host: 4 VMs of 2 CPU each
 	for i := 0; i < 10; i++ {
-		vm, err := dc.Provision(testSpec(), nil)
+		vm, err := dc.Provision(testSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,11 +55,11 @@ func TestPlacersReportNoCapacity(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 2)
 	for i := 0; i < 8; i++ {
-		if _, err := dc.Provision(testSpec(), nil); err != nil {
+		if _, err := dc.Provision(testSpec()); err != nil {
 			t.Fatalf("VM %d: %v", i, err)
 		}
 	}
-	if _, err := dc.Provision(testSpec(), nil); !errors.Is(err, ErrNoCapacity) {
+	if _, err := dc.Provision(testSpec()); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("err = %v, want ErrNoCapacity", err)
 	}
 }

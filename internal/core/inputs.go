@@ -140,14 +140,13 @@ func MeasureInputs(cfg MeasureConfig) (*Inputs, error) {
 		in.ExamErrorRate[kind] = exam.ErrorRate()
 
 		// Security: analytic risk for the model's asset placement.
-		assets := lms.NewInventory(scenario.CoursesFor(cfg.Students), cfg.Students, deploy.Place(kind, deploy.DefaultHybridPolicy()))
+		assets := lms.NewInventory(scenario.CoursesFor(cfg.Students), cfg.Students, deploy.Place(kind))
 		in.AnnualSensitiveRisk[kind] = security.ConfigFor(kind).AnnualSensitiveRisk(assets)
 
 		// Portability: cost of leaving.
 		plan, err := migrate.NewPlan(migrate.LockinProfile{
-			Index:      kind.DefaultLockinIndex(),
-			Components: 12,
-			DataBytes:  assets.BytesAt(lms.OnPublic) + 0.2*assets.BytesAt(lms.OnPrivate),
+			Index:     kind.DefaultLockinIndex(),
+			DataBytes: assets.BytesAt(lms.OnPublic) + 0.2*assets.BytesAt(lms.OnPrivate),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: migrate %v: %w", kind, err)

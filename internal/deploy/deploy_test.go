@@ -110,7 +110,7 @@ func TestPrivateFleetCapacityMatchesPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < d.ServersAtPeak; i++ {
-		if _, err := d.PrivateDC.Provision(d.PrivateSpec, nil); err != nil {
+		if _, err := d.PrivateDC.Provision(d.PrivateSpec); err != nil {
 			t.Fatalf("server %d/%d did not fit the planned hosts: %v",
 				i+1, d.ServersAtPeak, err)
 		}
@@ -119,8 +119,8 @@ func TestPrivateFleetCapacityMatchesPlan(t *testing.T) {
 
 // placed returns a 500-student, 20-course asset inventory under kind's
 // placement.
-func placed(kind Kind, policy HybridPolicy) lms.Inventory {
-	return lms.NewInventory(20, 500, Place(kind, policy))
+func placed(kind Kind) lms.Inventory {
+	return lms.NewInventory(20, 500, Place(kind))
 }
 
 func baseSpec(kind Kind) Spec {
@@ -140,7 +140,7 @@ func TestBuildPublic(t *testing.T) {
 	if d.PublicDC == nil || d.PrivateDC != nil {
 		t.Fatal("public deployment shape wrong")
 	}
-	if placed(Public, HybridPolicy{}).Count(lms.OnPrivate) != 0 {
+	if placed(Public).Count(lms.OnPrivate) != 0 {
 		t.Fatal("public deployment left assets in-house")
 	}
 	if d.ServersAtPeak != 3 { // 50*0.03/0.6 = 2.5 -> 3
@@ -157,7 +157,7 @@ func TestBuildPrivate(t *testing.T) {
 	if d.PrivateDC == nil || d.PublicDC != nil {
 		t.Fatal("private deployment shape wrong")
 	}
-	if placed(Private, HybridPolicy{}).Count(lms.OnPublic) != 0 {
+	if placed(Private).Count(lms.OnPublic) != 0 {
 		t.Fatal("private deployment put assets on public cloud")
 	}
 	if d.PrivateHosts < 1 {
@@ -167,7 +167,7 @@ func TestBuildPrivate(t *testing.T) {
 	vmSpec := d.PrivateSpec
 	var provisioned int
 	for {
-		if _, err := d.PrivateDC.Provision(vmSpec, nil); err != nil {
+		if _, err := d.PrivateDC.Provision(vmSpec); err != nil {
 			break
 		}
 		provisioned++
@@ -192,24 +192,12 @@ func TestBuildHybrid(t *testing.T) {
 		t.Fatal("hybrid needs both sides")
 	}
 	// Sensitive assets pinned in-house, bulk content public.
-	assets := placed(Hybrid, spec.Policy)
+	assets := placed(Hybrid)
 	if assets.SensitiveCount(lms.OnPublic) != 0 {
 		t.Fatal("hybrid leaked sensitive assets to public")
 	}
 	if assets.Count(lms.OnPublic) == 0 {
 		t.Fatal("hybrid placed nothing on public side")
-	}
-}
-
-func TestBuildHybridWithoutPinning(t *testing.T) {
-	eng := sim.NewEngine(1)
-	spec := baseSpec(Hybrid)
-	spec.Policy = HybridPolicy{SensitivePrivate: false, PrivateBaseShare: 0.3}
-	if _, err := Build(eng, spec); err != nil {
-		t.Fatal(err)
-	}
-	if placed(Hybrid, spec.Policy).SensitiveCount(lms.OnPublic) == 0 {
-		t.Fatal("unpinned hybrid should place sensitive assets publicly")
 	}
 }
 
@@ -266,7 +254,7 @@ func TestHybridPrivateSizedToShare(t *testing.T) {
 	}
 	half := baseSpec(Hybrid)
 	half.ExpectedPeakRPS = 400
-	half.Policy = HybridPolicy{SensitivePrivate: true, PrivateBaseShare: 0.5}
+	half.Policy = HybridPolicy{PrivateBaseShare: 0.5}
 	dHalf, err := Build(sim.NewEngine(1), half)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +279,7 @@ func TestSizeMatchesBuild(t *testing.T) {
 	for _, kind := range []Kind{Public, Private, Hybrid, Desktop} {
 		spec := baseSpec(kind)
 		spec.ExpectedPeakRPS = 400 // 400*0.03/0.6 = 20 servers
-		spec.Policy = HybridPolicy{SensitivePrivate: true, PrivateBaseShare: 0.25}
+		spec.Policy = HybridPolicy{PrivateBaseShare: 0.25}
 		sz, err := Size(spec)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)

@@ -21,10 +21,11 @@
 //     that Kind gets, with the rented m.large flavor on the public side
 //     and a VM of the same shape on campus hosts. Run paths, bills and
 //     the federation study all size through Size.
-//   - Place(kind, policy) says where a model keeps its assets.
-//     DefaultHybridPolicy is §IV.C's "distribution of units": which
-//     request classes stay on the private side and which burst to
-//     public, the policy table4 ablates.
+//   - Place(kind) says where a model keeps its assets; a hybrid
+//     always keeps its sensitive ones in-house. HybridPolicy is §IV.C's
+//     "distribution of units": the share of steady capacity that stays
+//     on the private side while the rest and every burst go public,
+//     the policy table4 ablates (DefaultHybridPolicy keeps half).
 //
 // Prices live in package cost: its 2013 price book prices the rented
 // flavor, its egress and storage at list prices.

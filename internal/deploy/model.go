@@ -9,21 +9,18 @@ import (
 )
 
 // HybridPolicy is the paper's §IV.C "distribution of units between these
-// models": which side holds sensitive assets and how much steady capacity
-// stays in-house.
+// models": how much steady capacity stays in-house. Sensitive assets
+// (exam questions, grades) always stay in-house too (see Place), the
+// policy the paper's security argument assumes.
 type HybridPolicy struct {
-	// SensitivePrivate pins exam questions and grades to the private
-	// side. This is the policy the paper's security argument assumes.
-	SensitivePrivate bool
 	// PrivateBaseShare is the fraction of steady-state capacity served
 	// from the private side; the remainder — and all burst — goes public.
 	PrivateBaseShare float64
 }
 
-// DefaultHybridPolicy pins sensitive data private and serves half the
-// steady load in-house.
+// DefaultHybridPolicy serves half the steady load in-house.
 func DefaultHybridPolicy() HybridPolicy {
-	return HybridPolicy{SensitivePrivate: true, PrivateBaseShare: 0.5}
+	return HybridPolicy{PrivateBaseShare: 0.5}
 }
 
 // Validate checks policy ranges.
@@ -82,17 +79,13 @@ type Sizing struct {
 // Place returns where a deployment of kind keeps its assets: all on the
 // public cloud for Public; all in-house for Private and for Desktop
 // (locally installed software on campus machines); for Hybrid, the
-// sensitive assets in-house when policy pins them and everything else
-// public.
-func Place(kind Kind, policy HybridPolicy) lms.Placement {
+// sensitive assets in-house and everything else public.
+func Place(kind Kind) lms.Placement {
 	switch kind {
 	case Public:
 		return lms.AllAt(lms.OnPublic)
 	case Hybrid:
-		if policy.SensitivePrivate {
-			return lms.Placement{Sensitive: lms.OnPrivate, Other: lms.OnPublic}
-		}
-		return lms.AllAt(lms.OnPublic)
+		return lms.Placement{Sensitive: lms.OnPrivate, Other: lms.OnPublic}
 	default: // Private, Desktop
 		return lms.AllAt(lms.OnPrivate)
 	}

@@ -293,8 +293,8 @@ func Figure6Security(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	err := pool.ForEach(len(specs), func(i int) error {
 		s := specs[i]
 		eng := sim.NewEngine(seed)
-		assets := lms.NewInventory(scenario.CoursesFor(collegeStudents), collegeStudents, deploy.Place(s.kind, deploy.DefaultHybridPolicy()))
-		m, err := security.NewThreatModel(eng, eng.Stream("threat"), s.cfg, assets)
+		assets := lms.NewInventory(scenario.CoursesFor(collegeStudents), collegeStudents, deploy.Place(s.kind))
+		m, err := security.NewThreatModel(eng, s.cfg, assets)
 		if err != nil {
 			return err
 		}
@@ -333,7 +333,7 @@ func Figure7Lockin(seed uint64, _ *scenario.Pool) (*metrics.Table, error) {
 	}
 	for _, idx := range []float64{0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0} {
 		plan, err := migrate.NewPlan(migrate.LockinProfile{
-			Index: idx, Components: 12, DataBytes: assets.BytesAt(lms.OnPublic),
+			Index: idx, DataBytes: assets.BytesAt(lms.OnPublic),
 		})
 		if err != nil {
 			return nil, err

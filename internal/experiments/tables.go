@@ -120,7 +120,7 @@ func Table2Risks(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	// Risk 2 — security: analytic annual sensitive risk.
 	risk := make(map[deploy.Kind]string)
 	for _, kind := range deploy.Kinds() {
-		assets := lms.NewInventory(scenario.CoursesFor(collegeStudents), collegeStudents, deploy.Place(kind, deploy.DefaultHybridPolicy()))
+		assets := lms.NewInventory(scenario.CoursesFor(collegeStudents), collegeStudents, deploy.Place(kind))
 		risk[kind] = fmt.Sprintf("%.2f/yr", security.ConfigFor(kind).AnnualSensitiveRisk(assets))
 	}
 	t.AddRow("security: sensitive-asset compromise rate",
@@ -129,11 +129,10 @@ func Table2Risks(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	// Risk 3 — portability: cost of leaving the current arrangement.
 	mig := make(map[deploy.Kind]string)
 	for _, kind := range deploy.Kinds() {
-		assets := lms.NewInventory(scenario.CoursesFor(collegeStudents), collegeStudents, deploy.Place(kind, deploy.DefaultHybridPolicy()))
+		assets := lms.NewInventory(scenario.CoursesFor(collegeStudents), collegeStudents, deploy.Place(kind))
 		plan, err := migrate.NewPlan(migrate.LockinProfile{
-			Index:      kind.DefaultLockinIndex(),
-			Components: 12,
-			DataBytes:  assets.BytesAt(lms.OnPublic) + 0.2*assets.BytesAt(lms.OnPrivate),
+			Index:     kind.DefaultLockinIndex(),
+			DataBytes: assets.BytesAt(lms.OnPublic) + 0.2*assets.BytesAt(lms.OnPrivate),
 		})
 		if err != nil {
 			return nil, err
@@ -198,7 +197,7 @@ func Table4HybridAblation(seed uint64, pool *scenario.Pool) (*metrics.Table, err
 	batch := scenario.NewBatch(seed)
 	for _, v := range variants {
 		cfg := examDay(seed, deploy.Hybrid, scenario.ScalerReactive)
-		cfg.HybridPolicy = deploy.HybridPolicy{SensitivePrivate: true, PrivateBaseShare: v.share}
+		cfg.HybridPolicy = &deploy.HybridPolicy{PrivateBaseShare: v.share}
 		cfg.StrictPinning = v.strict
 		batch.Add(v.name, cfg)
 	}
@@ -210,7 +209,7 @@ func Table4HybridAblation(seed uint64, pool *scenario.Pool) (*metrics.Table, err
 		res := runs.Result(v.name)
 		// Risk grows with the share of sensitive traffic that ever
 		// touches the public side: approximate by realized violations.
-		assets := lms.NewInventory(scenario.CoursesFor(desStudents), desStudents, lms.Placement{Sensitive: lms.OnPrivate, Other: lms.OnPublic})
+		assets := lms.NewInventory(scenario.CoursesFor(desStudents), desStudents, deploy.Place(deploy.Hybrid))
 		baseRisk := security.ConfigFor(deploy.Hybrid).AnnualSensitiveRisk(assets)
 		violShare := 0.0
 		if res.Served > 0 {

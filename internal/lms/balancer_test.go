@@ -41,11 +41,12 @@ func scanLoad(c *Cluster) float64 {
 
 // TestBalancerMatchesScan drives a cluster through a seeded random
 // sequence of Add (VMs that boot after a random delay), Remove,
-// Submit, job completions, Retire, Kill and VMs terminated while
-// booting, with server counts crossing the 64-position word boundary
-// and admission limits small enough to saturate. Every Submit must pick
-// the server the scan picks, or reject when the scan finds none, and
-// Load must equal the scan's value throughout.
+// Submit bursts, job completions, Retire, Kill and VMs terminated
+// while booting, with server counts crossing the 64-position word
+// boundary and bursts large enough to fill every server to the
+// admission limit. Every Submit must pick the server the scan picks, or
+// reject when the scan finds none, and Load must equal the scan's value
+// throughout.
 func TestBalancerMatchesScan(t *testing.T) {
 	eng := sim.NewEngine(1)
 	rng := sim.NewRNG(41)
@@ -57,12 +58,11 @@ func TestBalancerMatchesScan(t *testing.T) {
 	c := NewCluster()
 	var members []*AppServer // the servers in c, in no particular order
 	add := func() {
-		vm, err := dc.Provision(spec, nil)
+		vm, err := dc.Provision(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := NewAppServer(eng, vm)
-		s.maxJobs = 2 + rng.Intn(6)
 		c.Add(s)
 		members = append(members, s)
 	}
@@ -81,24 +81,26 @@ func TestBalancerMatchesScan(t *testing.T) {
 		}
 		switch op := rng.Intn(100); {
 		case op < 55:
-			want := scanPick(c)
-			var before int
-			if want != nil {
-				before = want.Active()
-			}
-			total := c.Active()
-			ok := c.Submit(rng.Float64()*20, nil)
-			switch {
-			case want == nil && ok:
-				t.Fatalf("step %d: Submit admitted a job the scan rejects", step)
-			case want == nil:
-				rejects++
-			case !ok:
-				t.Fatalf("step %d: Submit rejected a job the scan admits", step)
-			case want.Active() != before+1 || c.Active() != total+1:
-				t.Fatalf("step %d: Submit did not pick the scan's server (position %d)", step, want.pos)
-			default:
-				picks++
+			for n := 1 + rng.Intn(64); n > 0; n-- {
+				want := scanPick(c)
+				var before int
+				if want != nil {
+					before = want.Active()
+				}
+				total := c.Active()
+				ok := c.Submit(rng.Float64()*20, nil)
+				switch {
+				case want == nil && ok:
+					t.Fatalf("step %d: Submit admitted a job the scan rejects", step)
+				case want == nil:
+					rejects++
+				case !ok:
+					t.Fatalf("step %d: Submit rejected a job the scan admits", step)
+				case want.Active() != before+1 || c.Active() != total+1:
+					t.Fatalf("step %d: Submit did not pick the scan's server (position %d)", step, want.pos)
+				default:
+					picks++
+				}
 			}
 		case op < 80:
 			eng.Run(eng.Now() + time.Duration(rng.Intn(int(time.Second))))

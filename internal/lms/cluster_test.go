@@ -10,7 +10,7 @@ import (
 )
 
 // bootCluster builds a cluster of n single-VM servers.
-func bootCluster(t *testing.T, eng *sim.Engine, n, maxJobs int) (*Cluster, []*AppServer) {
+func bootCluster(t *testing.T, eng *sim.Engine, n int) (*Cluster, []*AppServer) {
 	t.Helper()
 	dc := cloud.NewDatacenter(eng, cloud.Config{
 		Name:         "t",
@@ -22,14 +22,11 @@ func bootCluster(t *testing.T, eng *sim.Engine, n, maxJobs int) (*Cluster, []*Ap
 	for i := 0; i < n; i++ {
 		vm, err := dc.Provision(cloud.InstanceSpec{
 			Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
-		}, nil)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := NewAppServer(eng, vm)
-		if maxJobs > 0 {
-			s.maxJobs = maxJobs
-		}
 		servers = append(servers, s)
 		c.Add(s)
 	}
@@ -39,7 +36,7 @@ func bootCluster(t *testing.T, eng *sim.Engine, n, maxJobs int) (*Cluster, []*Ap
 
 func TestClusterRoutesToLeastLoaded(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c, servers := bootCluster(t, eng, 2, 0)
+	c, servers := bootCluster(t, eng, 2)
 	c.Submit(10, nil) // server 0
 	c.Submit(10, nil) // server 1 (least-loaded)
 	c.Submit(10, nil) // back to server 0 (tie -> earliest)
@@ -50,9 +47,11 @@ func TestClusterRoutesToLeastLoaded(t *testing.T) {
 
 func TestClusterRejectsWhenSaturated(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c, _ := bootCluster(t, eng, 2, 1)
-	if !c.Submit(10, nil) || !c.Submit(10, nil) {
-		t.Fatal("cluster rejected within capacity")
+	c, _ := bootCluster(t, eng, 2)
+	for i := 0; i < 2*AdmissionLimit; i++ {
+		if !c.Submit(10, nil) {
+			t.Fatalf("cluster rejected job %d within capacity", i+1)
+		}
 	}
 	if c.Submit(10, nil) {
 		t.Fatal("cluster admitted past capacity")
@@ -61,7 +60,7 @@ func TestClusterRejectsWhenSaturated(t *testing.T) {
 
 func TestClusterServedCount(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c, _ := bootCluster(t, eng, 2, 0)
+	c, _ := bootCluster(t, eng, 2)
 	served := 0
 	for i := 0; i < 6; i++ {
 		if !c.Submit(0.01, func(ok bool) {
@@ -83,7 +82,7 @@ func TestClusterServedCount(t *testing.T) {
 
 func TestClusterLoadSignal(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c, _ := bootCluster(t, eng, 2, 0)
+	c, _ := bootCluster(t, eng, 2)
 	if c.Load() != 0 {
 		t.Fatalf("idle Load = %v", c.Load())
 	}
@@ -97,7 +96,7 @@ func TestClusterLoadSignal(t *testing.T) {
 
 func TestClusterRemove(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c, servers := bootCluster(t, eng, 2, 0)
+	c, servers := bootCluster(t, eng, 2)
 	c.Remove(servers[0])
 	if len(c.servers) != 1 {
 		t.Fatalf("servers = %d", len(c.servers))
@@ -114,7 +113,7 @@ func TestClusterRemove(t *testing.T) {
 
 func TestClusterSkipsRetiredServers(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c, servers := bootCluster(t, eng, 2, 0)
+	c, servers := bootCluster(t, eng, 2)
 	servers[0].Retire(nil)
 	c.Submit(10, nil)
 	if servers[0].Active() != 0 {
@@ -139,7 +138,7 @@ func TestClusterEmptyRejects(t *testing.T) {
 // job's done callback still reports it served.
 func TestClusterCountsDrainedCompletions(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c, servers := bootCluster(t, eng, 2, 0)
+	c, servers := bootCluster(t, eng, 2)
 	served := 0
 	for i := 0; i < 2; i++ {
 		c.Submit(1, func(ok bool) {
@@ -161,20 +160,22 @@ func TestClusterCountsDrainedCompletions(t *testing.T) {
 // in-flight job out of Active(), leaves the count unchanged.
 func TestClusterArrivalsMonotoneAcrossDrain(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c, servers := bootCluster(t, eng, 2, 1)
-	for i := 0; i < 3; i++ {
-		c.Submit(10, nil) // 2 accepted (capacity 1 each), 1 rejected
+	c, servers := bootCluster(t, eng, 2)
+	const n = 2*AdmissionLimit + 1 // fills both servers, and one rejected
+	for i := 0; i < n; i++ {
+		c.Submit(10, nil)
 	}
-	if c.Arrivals() != 3 {
-		t.Fatalf("Arrivals = %d, want 3 (accepted and rejected both count)", c.Arrivals())
+	if c.Arrivals() != n {
+		t.Fatalf("Arrivals = %d, want %d (accepted and rejected both count)", c.Arrivals(), n)
 	}
-	// Graceful drain: the server leaves the cluster with a job in flight.
+	// Graceful drain: the server leaves the cluster with its jobs in
+	// flight.
 	c.Remove(servers[0])
-	if c.Active() != 1 {
-		t.Fatalf("Active = %d after removing a busy server, want 1", c.Active())
+	if c.Active() != AdmissionLimit {
+		t.Fatalf("Active = %d after removing a full server, want %d", c.Active(), AdmissionLimit)
 	}
-	if c.Arrivals() != 3 {
-		t.Fatalf("Arrivals = %d after drain, want 3 (monotone)", c.Arrivals())
+	if c.Arrivals() != n {
+		t.Fatalf("Arrivals = %d after drain, want %d (monotone)", c.Arrivals(), n)
 	}
 }
 

@@ -20,7 +20,6 @@ type AppServer struct {
 	eng *sim.Engine
 	vm  *cloud.VM
 
-	maxJobs int // admission limit; further arrivals are rejected
 	jobs    jobHeap
 	nextJob int
 
@@ -123,7 +122,6 @@ func NewAppServer(eng *sim.Engine, vm *cloud.VM) *AppServer {
 	s := &AppServer{
 		eng:        eng,
 		vm:         vm,
-		maxJobs:    AdmissionLimit,
 		lastUpdate: eng.Now(),
 		lastSpeed:  vm.SpeedFactor(),
 		filed:      -1,
@@ -137,7 +135,7 @@ func (s *AppServer) Active() int { return len(s.jobs) }
 
 // Accepting reports whether a new job would be admitted right now.
 func (s *AppServer) Accepting() bool {
-	return !s.retired && s.vm.State() == cloud.VMRunning && len(s.jobs) < s.maxJobs
+	return !s.retired && s.vm.State() == cloud.VMRunning && len(s.jobs) < AdmissionLimit
 }
 
 // submit admits a job with the given CPU service demand (seconds at

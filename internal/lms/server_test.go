@@ -13,7 +13,7 @@ import (
 )
 
 // bootServer provisions one running VM with an app server on it.
-func bootServer(t *testing.T, eng *sim.Engine, maxJobs int) *AppServer {
+func bootServer(t *testing.T, eng *sim.Engine) *AppServer {
 	t.Helper()
 	dc := cloud.NewDatacenter(eng, cloud.Config{
 		Name:         "t",
@@ -22,7 +22,7 @@ func bootServer(t *testing.T, eng *sim.Engine, maxJobs int) *AppServer {
 	})
 	vm, err := dc.Provision(cloud.InstanceSpec{
 		Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +33,7 @@ func bootServer(t *testing.T, eng *sim.Engine, maxJobs int) *AppServer {
 			t.Fatal("no boot event pending")
 		}
 	}
-	s := NewAppServer(eng, vm)
-	if maxJobs > 0 {
-		s.maxJobs = maxJobs
-	}
-	return s
+	return NewAppServer(eng, vm)
 }
 
 // offer submits a job the way Cluster.Submit does: only to a server
@@ -59,7 +55,7 @@ func (d fixed) String() string          { return fmt.Sprintf("fixed(%g)", float6
 
 func TestSingleJobTakesServiceTime(t *testing.T) {
 	eng := sim.NewEngine(1)
-	s := bootServer(t, eng, 0)
+	s := bootServer(t, eng)
 	var doneAt sim.Time
 	served := 0
 	if !offer(s, 2.0, func(ok bool) {
@@ -81,7 +77,7 @@ func TestSingleJobTakesServiceTime(t *testing.T) {
 
 func TestProcessorSharingSlowsConcurrentJobs(t *testing.T) {
 	eng := sim.NewEngine(1)
-	s := bootServer(t, eng, 0)
+	s := bootServer(t, eng)
 	var t1, t2 sim.Time
 	offer(s, 1.0, func(bool) { t1 = eng.Now() })
 	offer(s, 1.0, func(bool) { t2 = eng.Now() })
@@ -94,7 +90,7 @@ func TestProcessorSharingSlowsConcurrentJobs(t *testing.T) {
 
 func TestProcessorSharingShortJobOverlap(t *testing.T) {
 	eng := sim.NewEngine(1)
-	s := bootServer(t, eng, 0)
+	s := bootServer(t, eng)
 	var shortDone, longDone sim.Time
 	offer(s, 3.0, func(bool) { longDone = eng.Now() })
 	eng.Schedule(time.Second, "short", func() {
@@ -115,21 +111,23 @@ func TestProcessorSharingShortJobOverlap(t *testing.T) {
 
 func TestAdmissionLimitRejects(t *testing.T) {
 	eng := sim.NewEngine(1)
-	s := bootServer(t, eng, 2)
-	if !offer(s, 10, nil) || !offer(s, 10, nil) {
-		t.Fatal("first two jobs rejected")
+	s := bootServer(t, eng)
+	for i := 0; i < AdmissionLimit; i++ {
+		if !offer(s, 10, nil) {
+			t.Fatalf("job %d of %d rejected", i+1, AdmissionLimit)
+		}
 	}
 	if offer(s, 10, nil) {
-		t.Fatal("third job admitted past limit")
+		t.Fatal("job admitted past the limit")
 	}
-	if s.Active() != 2 {
-		t.Fatalf("Active = %d", s.Active())
+	if s.Active() != AdmissionLimit {
+		t.Fatalf("Active = %d, want %d", s.Active(), AdmissionLimit)
 	}
 }
 
 func TestRetireDrainsThenSignalsIdle(t *testing.T) {
 	eng := sim.NewEngine(1)
-	s := bootServer(t, eng, 0)
+	s := bootServer(t, eng)
 	offer(s, 1.0, nil)
 	idleAt := sim.Time(-1)
 	s.Retire(func() { idleAt = eng.Now() })
@@ -144,7 +142,7 @@ func TestRetireDrainsThenSignalsIdle(t *testing.T) {
 
 func TestRetireIdleServerSignalsImmediately(t *testing.T) {
 	eng := sim.NewEngine(1)
-	s := bootServer(t, eng, 0)
+	s := bootServer(t, eng)
 	called := false
 	s.Retire(func() { called = true })
 	if !called {
@@ -154,7 +152,7 @@ func TestRetireIdleServerSignalsImmediately(t *testing.T) {
 
 func TestKillAbortsJobs(t *testing.T) {
 	eng := sim.NewEngine(1)
-	s := bootServer(t, eng, 0)
+	s := bootServer(t, eng)
 	completed, handedBack := false, 0
 	offer(s, 1.0, func(served bool) {
 		if served {
@@ -184,7 +182,7 @@ func TestInterferenceSlowsService(t *testing.T) {
 	dc := cloud.NewDatacenter(eng, cloud.Config{Name: "pub", Public: true})
 	vm, err := dc.Provision(cloud.InstanceSpec{
 		Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,22 +216,25 @@ func TestServerJobConservationProperty(t *testing.T) {
 		})
 		vm, err := dc.Provision(cloud.InstanceSpec{
 			Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
-		}, nil)
+		})
 		if err != nil {
 			return false
 		}
 		eng.Step() // boot
 		s := NewAppServer(eng, vm)
-		s.maxJobs = 8
 		accepted, served := 0, 0
 		done := func(ok bool) {
 			if ok {
 				served++
 			}
 		}
+		// Eight jobs per demand, so long inputs reach the admission
+		// limit and see rejections.
 		for _, d := range demands {
-			if offer(s, float64(d%50)/100+0.01, done) {
-				accepted++
+			for range 8 {
+				if offer(s, float64(d%50)/100+0.01, done) {
+					accepted++
+				}
 			}
 			// Let some work drain between submissions.
 			if d%3 == 0 {
@@ -263,7 +264,7 @@ func TestSubmitToUnbootedVMRejected(t *testing.T) {
 	vm, err := dc.Provision(cloud.InstanceSpec{
 		Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
 		BootDelay: fixed(120),
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

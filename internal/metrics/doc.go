@@ -6,10 +6,10 @@
 //
 // Entry points:
 //
-//   - Histogram (NewHistogram; DefaultLatency for the standard
-//     request-latency bucketing) records samples into geometric
-//     buckets and answers Summarize → Summary (P50/P95/P99/Max — the
-//     figure2 columns); ExactQuantile is the unbucketed reference the
+//   - Histogram (DefaultLatency) records request latencies into one
+//     fixed set of geometric buckets, 5% wide from a 100 µs floor, and
+//     answers Summarize → Summary (P50/P95/P99/Max — the figure2
+//     columns); ExactQuantile is the unbucketed reference the
 //     histogram's tests check its quantiles against.
 //   - TimeSeries (of Point) and Availability accumulate the windowed
 //     and uptime views a scenario run reports.

@@ -7,49 +7,38 @@ import (
 	"sync"
 )
 
-// Histogram records float64 observations (typically latencies in seconds)
-// in exponentially sized buckets, supporting approximate quantiles with a
-// bounded relative error set by the bucket growth factor.
+// Histogram records float64 observations (latencies in seconds) in
+// exponentially sized buckets: from a 100 µs floor, each bucket's upper
+// bound is 5% above its lower one, so a quantile is within 5% of the
+// exact value.
 //
-// The zero value is not usable; construct with NewHistogram.
+// The zero value is not usable; construct with DefaultLatency.
 type Histogram struct {
-	min     float64 // smallest representable observation
-	growth  float64 // bucket width growth factor (>1)
-	logG    float64
-	cells   *bucketCells // bucket lookup table; nil computes every bucket
+	cells   *bucketCells // the bucket lookup table
 	counts  []uint64
-	under   uint64 // observations below min
+	under   uint64 // observations below latencyFloor
 	total   uint64
 	sum     float64
 	maxSeen float64
 	minSeen float64
 }
 
-// NewHistogram returns a histogram covering [min, +inf) with buckets whose
-// upper bounds grow by factor growth (e.g. 1.1 for <=10% quantile error).
-func NewHistogram(min, growth float64) *Histogram {
-	if min <= 0 {
-		panic("metrics: NewHistogram min must be positive")
-	}
-	if growth <= 1 {
-		panic("metrics: NewHistogram growth must exceed 1")
-	}
-	return &Histogram{
-		min:     min,
-		growth:  growth,
-		logG:    math.Log(growth),
-		minSeen: math.Inf(1),
-	}
-}
+// latencyFloor is the smallest latency a bucket holds, and
+// latencyGrowth the factor by which each bucket's bounds grow.
+const (
+	latencyFloor  float64 = 100e-6
+	latencyGrowth float64 = 1.05
+)
 
-// DefaultLatency returns a histogram tuned for request latencies: 100 µs
-// floor with 5% bucket growth. Its buckets are looked up in a table
-// the first call builds.
+// logGrowth is the logarithm of latencyGrowth, which logBucket divides
+// by.
+var logGrowth = math.Log(latencyGrowth)
+
+// DefaultLatency returns an empty request-latency histogram. Its
+// buckets are looked up in a table the first call builds.
 func DefaultLatency() *Histogram {
-	h := NewHistogram(100e-6, 1.05)
-	latencyCells.once.Do(func() { latencyCells.cells = newBucketCells(h) })
-	h.cells = latencyCells.cells
-	return h
+	latencyCells.once.Do(func() { latencyCells.cells = newBucketCells() })
+	return &Histogram{cells: latencyCells.cells, minSeen: math.Inf(1)}
 }
 
 // latencyCells is DefaultLatency's bucket table.
@@ -60,8 +49,8 @@ var latencyCells struct {
 
 // cellBits is how many leading bits of a float64 name its cell: sign,
 // exponent and the top 5 mantissa bits, so a cell is 1/32 of a binade.
-// A cell spans at most a factor 33/32, less than any growth factor of
-// 1.05 or more, so it holds at most one bucket edge.
+// A cell spans at most a factor 33/32, less than latencyGrowth, so it
+// holds at most one bucket edge.
 const cellBits = 1 + 11 + 5
 
 // tableCells is how many cells a bucket table holds: 32 binades.
@@ -71,42 +60,41 @@ const tableCells = 32 << 5
 // name: the bucket of the cell's values below the cell's edge, plus
 // one from the edge on. The edges are found by bisection on the
 // logarithm formula, so a lookup returns exactly what the formula
-// does. It covers 32 binades from min's cell; bucket computes values
-// beyond them. The table takes 10 KB.
+// does. It covers 32 binades from latencyFloor's cell; bucket computes
+// values beyond them. The table takes 10 KB.
 type bucketCells struct {
-	first uint64 // the cell of min
+	first uint64 // the cell of latencyFloor
 	edge  [tableCells]float64
 	base  [tableCells]uint16
 }
 
-// newBucketCells builds h's bucket table, for a growth factor of 1.05
-// or more.
-func newBucketCells(h *Histogram) *bucketCells {
-	c := &bucketCells{first: math.Float64bits(h.min) >> (64 - cellBits)}
+// newBucketCells builds the bucket table.
+func newBucketCells() *bucketCells {
+	c := &bucketCells{first: math.Float64bits(latencyFloor) >> (64 - cellBits)}
 	for i := range c.edge {
-		lo := math.Float64bits(h.min)
+		lo := math.Float64bits(latencyFloor)
 		if i > 0 {
 			lo = (c.first + uint64(i)) << (64 - cellBits)
 		}
 		hi := (c.first+uint64(i)+1)<<(64-cellBits) - 1 // the cell's largest value
-		b := h.logBucket(math.Float64frombits(lo))
+		b := logBucket(math.Float64frombits(lo))
 		c.base[i] = uint16(b)
 		c.edge[i] = math.Inf(1)
-		if h.logBucket(math.Float64frombits(hi)) == b {
+		if logBucket(math.Float64frombits(hi)) == b {
 			continue
 		}
 		// Start from 2^16 ulps either side of the exact edge when they
 		// bracket the formula's, as they do unless the cell ends first.
-		near := math.Float64bits(h.min * math.Pow(h.growth, float64(b+1)))
-		if l := near - 1<<16; l > lo && h.logBucket(math.Float64frombits(l)) == b {
+		near := math.Float64bits(latencyFloor * math.Pow(latencyGrowth, float64(b+1)))
+		if l := near - 1<<16; l > lo && logBucket(math.Float64frombits(l)) == b {
 			lo = l
 		}
-		if r := near + 1<<16; r < hi && h.logBucket(math.Float64frombits(r)) != b {
+		if r := near + 1<<16; r < hi && logBucket(math.Float64frombits(r)) != b {
 			hi = r
 		}
 		for hi-lo > 1 { // logBucket(lo) == b < logBucket(hi)
 			mid := lo + (hi-lo)/2
-			if h.logBucket(math.Float64frombits(mid)) == b {
+			if logBucket(math.Float64frombits(mid)) == b {
 				lo = mid
 			} else {
 				hi = mid
@@ -124,16 +112,10 @@ const maxBuckets = 1 << 14
 
 // Observe records one observation in h and in each histogram of also,
 // computing its bucket once: a run's latency histogram and its
-// per-minute window see every delivery. Every histogram in also must
-// share h's min and growth; Observe panics otherwise. Negative, NaN and
-// +Inf values are ignored (they indicate a caller bug but must not
-// corrupt the histogram).
+// per-minute window see every delivery. Negative, NaN and +Inf values
+// are ignored (they indicate a caller bug but must not corrupt the
+// histogram).
 func (h *Histogram) Observe(v float64, also ...*Histogram) {
-	for _, w := range also {
-		if h.min != w.min || h.growth != w.growth {
-			panic("metrics: Observe into differently configured histograms")
-		}
-	}
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 		return
 	}
@@ -144,25 +126,25 @@ func (h *Histogram) Observe(v float64, also ...*Histogram) {
 	}
 }
 
-// bucket returns v's bucket index, or -1 below min.
+// bucket returns v's bucket index, or -1 below latencyFloor.
 func (h *Histogram) bucket(v float64) int {
-	if v < h.min {
+	if v < latencyFloor {
 		return -1
 	}
-	if c := h.cells; c != nil {
-		if i := math.Float64bits(v)>>(64-cellBits) - c.first; i < tableCells {
-			if v >= c.edge[i] {
-				return int(c.base[i]) + 1
-			}
-			return int(c.base[i])
+	c := h.cells
+	if i := math.Float64bits(v)>>(64-cellBits) - c.first; i < tableCells {
+		if v >= c.edge[i] {
+			return int(c.base[i]) + 1
 		}
+		return int(c.base[i])
 	}
-	return h.logBucket(v)
+	return logBucket(v)
 }
 
-// logBucket computes the bucket index of v >= min from its logarithm.
-func (h *Histogram) logBucket(v float64) int {
-	idx := int(math.Log(v/h.min) / h.logG)
+// logBucket computes the bucket index of v >= latencyFloor from its
+// logarithm.
+func logBucket(v float64) int {
+	idx := int(math.Log(v/latencyFloor) / logGrowth)
 	if idx < 0 {
 		idx = 0
 	}
@@ -218,7 +200,7 @@ func (h *Histogram) Max() float64 {
 
 // Quantile returns the approximate q-quantile (q in [0,1]). The result is
 // the upper bound of the bucket containing the target rank, so it
-// overestimates by at most the growth factor. Returns 0 with no
+// overestimates by at most latencyGrowth. Returns 0 with no
 // observations.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.total == 0 {
@@ -235,13 +217,13 @@ func (h *Histogram) Quantile(q float64) float64 {
 		rank = h.total - 1
 	}
 	if rank < h.under {
-		return h.min
+		return latencyFloor
 	}
 	cum := h.under
 	for i, c := range h.counts {
 		cum += c
 		if rank < cum {
-			ub := h.min * math.Pow(h.growth, float64(i+1))
+			ub := latencyFloor * math.Pow(latencyGrowth, float64(i+1))
 			if ub > h.maxSeen {
 				ub = h.maxSeen
 			}
@@ -260,14 +242,10 @@ func (h *Histogram) P95() float64 { return h.Quantile(0.95) }
 // P99 returns the 99th percentile.
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
 
-// Merge adds all observations from other into h. Both histograms must
-// share min and growth; Merge panics otherwise.
+// Merge adds all observations from other into h.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil {
 		return
-	}
-	if h.min != other.min || h.growth != other.growth {
-		panic("metrics: Merge of differently configured histograms")
 	}
 	if len(other.counts) > len(h.counts) {
 		grown := make([]uint64, len(other.counts))
@@ -288,7 +266,7 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset clears all recorded observations, keeping the configuration.
+// Reset clears all recorded observations.
 func (h *Histogram) Reset() {
 	for i := range h.counts {
 		h.counts[i] = 0

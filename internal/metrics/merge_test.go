@@ -106,17 +106,6 @@ func TestHistogramMergeMatchesDirect(t *testing.T) {
 	sameDigest(t, "split-vs-direct", direct, merged, 1e-9)
 }
 
-// TestHistogramMergeConfigMismatch checks differently configured
-// histograms refuse to merge instead of silently mixing bucket layouts.
-func TestHistogramMergeConfigMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Merge of differently configured histograms did not panic")
-		}
-	}()
-	DefaultLatency().Merge(NewHistogram(1e-3, 1.1))
-}
-
 // TestMergeSeries checks point-wise combination and alignment
 // enforcement.
 func TestMergeSeries(t *testing.T) {

@@ -15,7 +15,7 @@
 // end-to-end).
 //
 // Entry points: describe where the institution stands as a
-// LockinProfile (proprietary components, data volume, lock-in index);
+// LockinProfile (lock-in index and data volume);
 // NewPlan validates it and prices it at the 2013 consulting, bandwidth
 // and egress prices into a Plan, and Execute runs the Plan on a
 // sim.Engine — the phases advance on the virtual clock and the done

@@ -16,9 +16,6 @@ type LockinProfile struct {
 	// proprietary interfaces (deploy.Kind.DefaultLockinIndex provides
 	// per-model defaults).
 	Index float64
-	// Components is the number of deployable system components (LMS
-	// core, video pipeline, auth, grade book, forums, ...).
-	Components int
 	// DataBytes is the volume held at the provider that must move.
 	DataBytes float64
 }
@@ -28,14 +25,16 @@ func (p LockinProfile) Validate() error {
 	if p.Index < 0 || p.Index > 1 {
 		return fmt.Errorf("migrate: lock-in index %v outside [0,1]", p.Index)
 	}
-	if p.Components <= 0 {
-		return fmt.Errorf("migrate: components = %d, need > 0", p.Components)
-	}
 	if p.DataBytes < 0 {
 		return fmt.Errorf("migrate: negative data volume")
 	}
 	return nil
 }
+
+// systemComponents is the number of deployable components of an
+// e-learning system (LMS core, video pipeline, auth, grade book,
+// forums, ...), the units a migration ports.
+const systemComponents = 12
 
 // Migration prices: 2013-era consulting figures, a component port is
 // about three person-weeks at ~$4k/week. The provider's egress price is
@@ -58,7 +57,7 @@ const (
 // Plan is a priced migration.
 type Plan struct {
 	// ComponentsToPort is how many components need re-engineering
-	// (lock-in index × component count, rounded up).
+	// (lock-in index × systemComponents, rounded up).
 	ComponentsToPort int
 	// ReengineerUSD is the porting bill including testing.
 	ReengineerUSD float64
@@ -90,7 +89,7 @@ func NewPlan(profile LockinProfile) (Plan, error) {
 	if err := profile.Validate(); err != nil {
 		return Plan{}, err
 	}
-	ports := int(math.Ceil(profile.Index * float64(profile.Components)))
+	ports := int(math.Ceil(profile.Index * systemComponents))
 	reeng := float64(ports) * reengineerUSDPerComponent * (1 + testingFraction)
 
 	gb := profile.DataBytes / 1e9

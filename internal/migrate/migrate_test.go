@@ -10,7 +10,7 @@ import (
 )
 
 func TestPlanScalesWithLockin(t *testing.T) {
-	base := LockinProfile{Components: 10, DataBytes: 500e9}
+	base := LockinProfile{DataBytes: 500e9}
 
 	var prev float64 = -1
 	for _, idx := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
@@ -28,15 +28,16 @@ func TestPlanScalesWithLockin(t *testing.T) {
 }
 
 func TestPlanComponents(t *testing.T) {
-	plan, err := NewPlan(LockinProfile{Index: 0.7, Components: 10, DataBytes: 100e9})
+	plan, err := NewPlan(LockinProfile{Index: 0.7, DataBytes: 100e9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.ComponentsToPort != 7 {
-		t.Fatalf("ComponentsToPort = %d, want 7", plan.ComponentsToPort)
+	// 0.7 of the 12 components, rounded up.
+	if plan.ComponentsToPort != 9 {
+		t.Fatalf("ComponentsToPort = %d, want 9", plan.ComponentsToPort)
 	}
-	// 7 ports * 12000 * 1.35 testing.
-	want := 7 * 12000 * 1.35
+	// 9 ports * 12000 * 1.35 testing.
+	want := 9 * 12000 * 1.35
 	if math.Abs(plan.ReengineerUSD-want) > 1e-6 {
 		t.Fatalf("ReengineerUSD = %v, want %v", plan.ReengineerUSD, want)
 	}
@@ -69,9 +70,8 @@ func TestPaperOrderingPublicWorstHybridBetter(t *testing.T) {
 	// dependence; private barely locks in. Same data volume for fairness.
 	costFor := func(k deploy.Kind) float64 {
 		plan, err := NewPlan(LockinProfile{
-			Index:      k.DefaultLockinIndex(),
-			Components: 12,
-			DataBytes:  1e12,
+			Index:     k.DefaultLockinIndex(),
+			DataBytes: 1e12,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -86,10 +86,9 @@ func TestPaperOrderingPublicWorstHybridBetter(t *testing.T) {
 
 func TestPlanValidation(t *testing.T) {
 	bad := []LockinProfile{
-		{Index: -0.1, Components: 5},
-		{Index: 1.1, Components: 5},
-		{Index: 0.5, Components: 0},
-		{Index: 0.5, Components: 5, DataBytes: -1},
+		{Index: -0.1},
+		{Index: 1.1},
+		{Index: 0.5, DataBytes: -1},
 	}
 	for i, p := range bad {
 		if _, err := NewPlan(p); err == nil {
@@ -100,7 +99,7 @@ func TestPlanValidation(t *testing.T) {
 
 func TestExecuteFiresAtCalendarTime(t *testing.T) {
 	eng := sim.NewEngine(1)
-	plan, err := NewPlan(LockinProfile{Index: 0.5, Components: 4, DataBytes: 10e9})
+	plan, err := NewPlan(LockinProfile{Index: 0.5, DataBytes: 10e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +128,7 @@ func TestExecuteNilEnginePanics(t *testing.T) {
 }
 
 func TestZeroLockinStillPaysEgressAndCutover(t *testing.T) {
-	plan, err := NewPlan(LockinProfile{Index: 0, Components: 10, DataBytes: 1e12})
+	plan, err := NewPlan(LockinProfile{Index: 0, DataBytes: 1e12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,8 +140,7 @@ func TestFluidTracksDESRandomConfigs(t *testing.T) {
 
 // Both fidelities must size the fixed fleet and place the assets by
 // deploy's one rule, so the private model's host count and the hybrid's
-// storage bill agree exactly — including a hybrid whose policy leaves
-// sensitive assets public.
+// storage bill agree exactly.
 func TestFluidTracksDESPrivateSizing(t *testing.T) {
 	cases := map[string]Config{
 		"private": {
@@ -152,13 +151,13 @@ func TestFluidTracksDESPrivateSizing(t *testing.T) {
 			Duration:          6 * time.Hour,
 			Diurnal:           workload.FlatDiurnal(),
 		},
-		"hybrid-unpinned": {
+		"hybrid": {
 			Seed:              23,
 			Kind:              deploy.Hybrid,
 			Students:          200,
 			ReqPerStudentHour: 50,
 			Duration:          24 * time.Hour,
-			HybridPolicy:      deploy.HybridPolicy{SensitivePrivate: false, PrivateBaseShare: 0.5},
+			HybridPolicy:      &deploy.HybridPolicy{PrivateBaseShare: 0.5},
 		},
 	}
 	for name, cfg := range cases {

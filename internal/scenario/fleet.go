@@ -74,7 +74,7 @@ func (f *fleet) ScaleTo(n int) {
 		n = f.max
 	}
 	for len(f.entries) < n {
-		vm, err := f.dc.Provision(f.spec, nil)
+		vm, err := f.dc.Provision(f.spec)
 		if err != nil {
 			return // datacenter full: fixed capacity reached
 		}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -99,8 +100,7 @@ func newFluidModel(cfg Config) (*fluidModel, error) {
 	m.res.Rate.Grow(steps)
 	m.res.Servers.Grow(steps)
 	if cfg.EnableCDN {
-		cdnCfg := cdn.DefaultConfig(CoursesFor(cfg.Students))
-		m.cdnHit = cdn.AnalyticHitRatio(cdnCfg.CatalogObjects, cdnCfg.CacheObjects, cdnCfg.ZipfS)
+		m.cdnHit = cdn.AnalyticHitRatio(CoursesFor(cfg.Students))
 	}
 	if cfg.Kind == deploy.Public || cfg.Kind == deploy.Hybrid {
 		initial, maxPublic := publicBounds(cfg, m.size)
@@ -185,8 +185,17 @@ func (m *fluidModel) step(t time.Duration, accrue bool) {
 // fleet held for whole hours bills them exactly. The flow model has no
 // requests: the offered mass, rounded, counts arrived and served, and
 // Latency, Utilization, P95Series and Events stay empty. It assumes
-// the last mile is up.
-func (m *fluidModel) finish() *Result {
+// the last mile is up. An offered mass, egress or CDN byte count that
+// is not a finite number >= 0 is an error: rounded into the ledger, a
+// NaN or infinite mass would read as 2^63 requests arrived and served,
+// which balances.
+func (m *fluidModel) finish() (*Result, error) {
+	for _, x := range [...]float64{m.offered, m.egressBytes, m.cdnBytes} {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return nil, fmt.Errorf("scenario: fluid model accrued %v requests, %v egress bytes and %v CDN bytes, need finite values >= 0",
+				m.offered, m.egressBytes, m.cdnBytes)
+		}
+	}
 	res := m.res
 	res.Arrivals = uint64(math.Round(m.offered))
 	res.Served = res.Arrivals
@@ -207,5 +216,5 @@ func (m *fluidModel) finish() *Result {
 	res.EgressGB = m.egressBytes / 1e9
 	res.CDNGB = m.cdnBytes / 1e9
 	res.PrivateHosts = m.size.PrivateHosts
-	return res
+	return res, nil
 }

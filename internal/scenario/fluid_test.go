@@ -214,3 +214,66 @@ func TestFluidFleet(t *testing.T) {
 		t.Fatal("the fleet metered no arrivals")
 	}
 }
+
+// A fluid ledger whose accrued mass is not a finite number >= 0 is an
+// error, not a Result: rounded into the ledger, a NaN or infinite
+// offered mass reads as 2^63 requests arrived and served, which Audit
+// balances. A NaN diurnal hour brings a NaN rate into the fluid model
+// through Config; the unit cases put each bad value into each of the
+// model's accrued totals.
+func TestFluidLedgerRejectsNonFiniteMass(t *testing.T) {
+	hours := [24]float64{}
+	for i := range hours {
+		hours[i] = 1
+	}
+	hours[3] = math.NaN()
+	cfg := Config{
+		Seed:              1,
+		Kind:              deploy.Public,
+		Students:          500,
+		ReqPerStudentHour: 50,
+		Duration:          6 * time.Hour,
+		Diurnal:           workload.NewDiurnalProfile(hours),
+		EnableCDN:         true,
+	}
+	for _, f := range []Fidelity{FidelityFluid, FidelityAuto} {
+		if res, err := Run(at(cfg, f)); err == nil {
+			t.Errorf("Fidelity %d run with a NaN diurnal hour: no error, %d arrivals, %d served", f, res.Arrivals, res.Served)
+		}
+	}
+
+	cfg.Diurnal = workload.FlatDiurnal()
+	if err := cfg.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	totals := []struct {
+		name string
+		at   func(*fluidModel) *float64
+	}{
+		{"offered", func(m *fluidModel) *float64 { return &m.offered }},
+		{"egress bytes", func(m *fluidModel) *float64 { return &m.egressBytes }},
+		{"CDN bytes", func(m *fluidModel) *float64 { return &m.cdnBytes }},
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for _, total := range totals {
+			m, err := newFluidModel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.integrate(0, cfg.Duration)
+			*total.at(m) = bad
+			if res, err := m.finish(); err == nil {
+				t.Errorf("%s = %v: finish returned %d arrivals, %d served, %v egress GB, %v CDN GB",
+					total.name, bad, res.Arrivals, res.Served, res.EgressGB, res.CDNGB)
+			}
+		}
+	}
+	m, err := newFluidModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.integrate(0, cfg.Duration)
+	if _, err := m.finish(); err != nil {
+		t.Fatalf("a finite ledger: %v", err)
+	}
+}

@@ -47,7 +47,6 @@ import (
 	"math"
 	"time"
 
-	"elearncloud/internal/cdn"
 	"elearncloud/internal/metrics"
 	"elearncloud/internal/workload"
 )
@@ -64,9 +63,6 @@ type desWindow struct {
 	// backlog is the in-flight request count to seed (Little's law at
 	// the opening instant; shardOf scales it like initServers).
 	backlog int
-	// cdnWarm is how many popularity-sampled objects to pre-load into
-	// the edge cache (zero when the CDN is off).
-	cdnWarm int
 }
 
 // FidelityPlan is the hybrid planner's partition of the horizon: the
@@ -87,11 +83,6 @@ func burstWindows(cfg Config, gen *workload.Generator) []workload.BurstWindow {
 // outside wins only, and derives each window's warm-start state from
 // the model at the window's opening instant.
 func (m *fluidModel) desWindows(wins []workload.BurstWindow) []desWindow {
-	cfg := m.cfg
-	cdnWarm := 0
-	if cfg.EnableCDN {
-		cdnWarm = 3 * cdn.DefaultConfig(CoursesFor(cfg.Students)).CacheObjects
-	}
 	des := make([]desWindow, len(wins))
 	from := time.Duration(0)
 	for i, w := range wins {
@@ -102,11 +93,10 @@ func (m *fluidModel) desWindows(wins []workload.BurstWindow) []desWindow {
 			end:         w.End,
 			initServers: m.fleet.Desired(),
 			backlog:     int(math.Round(m.gen.Rate(w.Start) * m.meanSvc)),
-			cdnWarm:     cdnWarm,
 		}
 		from = w.End
 	}
-	m.integrate(from, cfg.Duration)
+	m.integrate(from, m.cfg.Duration)
 	return des
 }
 
@@ -169,19 +159,16 @@ func runHybrid(cfg Config, pool *Pool) (*Result, error) {
 		}
 	}
 
-	return stitchHybrid(m, des, results), nil
+	return stitchHybrid(m, des, results)
 }
 
 // runHybridWindow executes one planned DES window of a defaulted cfg
-// with the seed and host-failure gating runHybrid applies, honoring
-// cfg.Shards.
+// with the seed runHybrid applies, honoring cfg.Shards. A host failure
+// outside the window never fires in it: the engine schedules only a
+// failure inside its own slice of the horizon.
 func runHybridWindow(cfg Config, pool *Pool, w desWindow) (*Result, error) {
 	sub := cfg
 	sub.Seed = SeedFor(cfg.Seed, fmt.Sprintf("hybrid/%d", w.index))
-	if sub.HostFailureAt > 0 &&
-		(sub.HostFailureAt < w.start || sub.HostFailureAt >= w.end) {
-		sub.HostFailureAt = 0 // failure falls in fluid time, not this window
-	}
 	return shardedRun(sub, pool, &w)
 }
 
@@ -218,11 +205,11 @@ func HybridSpotCheck(cfg Config, pool *Pool, i int) (*Result, error) {
 // stitchHybrid folds the window results into the fluid model's own
 // Result, in window-index order so every float reduction has one fixed
 // evaluation order. With no windows it is the fluid Result as finish
-// leaves it.
-func stitchHybrid(m *fluidModel, des []desWindow, wins []*Result) *Result {
-	res := m.finish()
-	if len(wins) == 0 {
-		return res
+// leaves it, or finish's error.
+func stitchHybrid(m *fluidModel, des []desWindow, wins []*Result) (*Result, error) {
+	res, err := m.finish()
+	if err != nil || len(wins) == 0 {
+		return res, err
 	}
 	fluidCDNGB := res.CDNGB
 	var upHours float64
@@ -268,7 +255,7 @@ func stitchHybrid(m *fluidModel, des []desWindow, wins []*Result) *Result {
 	res.Servers = mergeByTime("servers", servers)
 	res.Utilization = mergeByTime("load-per-server", util)
 	res.P95Series = mergeByTime("p95-window", p95)
-	return res
+	return res, nil
 }
 
 // mergeByTime k-way-merges time-ordered series into one, preserving

@@ -216,7 +216,10 @@ func TestHybridStitchIsAdditive(t *testing.T) {
 	// The planning pass accrues the fluid side alone, over the quiet
 	// segments.
 	des := m.desWindows(burstWindows(cfg, m.gen))
-	fluid := m.finish()
+	fluid, err := m.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Re-run each window alone.
 	var winPub, winPriv, winEgress float64

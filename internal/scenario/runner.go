@@ -78,17 +78,20 @@ func genFor(cfg Config) (*workload.Generator, error) {
 // specFor is the deployment of a defaulted cfg whose fleet absorbs
 // peakRPS requests per second of meanSvc seconds of work each.
 func specFor(cfg Config, peakRPS, meanSvc float64) deploy.Spec {
-	return deploy.Spec{
+	spec := deploy.Spec{
 		Kind:            cfg.Kind,
 		ExpectedPeakRPS: peakRPS,
 		MeanServiceSec:  meanSvc,
-		Policy:          cfg.HybridPolicy,
 	}
+	if cfg.HybridPolicy != nil {
+		spec.Policy = *cfg.HybridPolicy
+	}
+	return spec
 }
 
 // assetsFor is cfg's asset inventory under deploy's placement rule.
 func assetsFor(cfg Config) lms.Inventory {
-	return lms.NewInventory(CoursesFor(cfg.Students), cfg.Students, deploy.Place(cfg.Kind, cfg.HybridPolicy))
+	return lms.NewInventory(CoursesFor(cfg.Students), cfg.Students, deploy.Place(cfg.Kind))
 }
 
 // engine is one request-level run: the substrates build wires, the
@@ -251,15 +254,12 @@ func (e *engine) build() error {
 
 	// --- CDN ---------------------------------------------------------------
 	if cfg.EnableCDN && dep.PublicDC != nil {
-		e.edge, err = cdn.NewEdge(cdn.DefaultConfig(CoursesFor(cfg.Students)), eng.Stream("cdn"))
-		if err != nil {
-			return err
-		}
+		e.edge = cdn.NewEdge(CoursesFor(cfg.Students), eng.Stream("cdn"))
 		if win != nil {
 			// Mid-horizon windows see the cache warmth the fluid model's
 			// analytic hit ratio assumed, not a cold (all-miss) edge —
 			// the cold-CDN divergence regime PR 7's fuzzer pinned.
-			e.edge.Warm(win.cdnWarm)
+			e.edge.Warm()
 		}
 	}
 
@@ -332,7 +332,7 @@ func (e *engine) build() error {
 
 	// --- threats ----------------------------------------------------------
 	if cfg.EnableThreats {
-		e.threat, err = security.NewThreatModel(eng, eng.Stream("threat"), security.ConfigFor(cfg.Kind), assetsFor(cfg))
+		e.threat, err = security.NewThreatModel(eng, security.ConfigFor(cfg.Kind), assetsFor(cfg))
 		if err != nil {
 			return err
 		}

@@ -101,9 +101,11 @@ type Config struct {
 	// Scaler picks the elasticity policy for the elastic side (default
 	// reactive for public/hybrid; private is always a fixed fleet).
 	Scaler ScalerKind
-	// HybridPolicy configures the hybrid split (default: sensitive
-	// pinned private, half the steady capacity in-house).
-	HybridPolicy deploy.HybridPolicy
+	// HybridPolicy configures the hybrid split. Nil picks
+	// deploy.DefaultHybridPolicy for a hybrid, half the steady capacity
+	// in-house; a policy with a PrivateBaseShare of 0 keeps the one
+	// private server every hybrid has.
+	HybridPolicy *deploy.HybridPolicy
 	// StrictPinning keeps sensitive requests on the private side even
 	// when it saturates; relaxed pinning bursts them to public and
 	// counts the policy violations (Table 4 ablation).
@@ -196,11 +198,14 @@ func (c *Config) defaults() error {
 	if c.Duration <= 0 {
 		c.Duration = 6 * time.Hour
 	}
-	if c.Kind == deploy.Hybrid && c.HybridPolicy == (deploy.HybridPolicy{}) {
-		c.HybridPolicy = deploy.DefaultHybridPolicy()
+	if c.Kind == deploy.Hybrid && c.HybridPolicy == nil {
+		p := deploy.DefaultHybridPolicy()
+		c.HybridPolicy = &p
 	}
-	if err := c.HybridPolicy.Validate(); err != nil {
-		return fmt.Errorf("scenario: %w", err)
+	if c.HybridPolicy != nil {
+		if err := c.HybridPolicy.Validate(); err != nil {
+			return fmt.Errorf("scenario: %w", err)
+		}
 	}
 	if c.AutosaveEvery <= 0 {
 		c.AutosaveEvery = 5 * time.Minute

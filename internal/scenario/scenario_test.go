@@ -449,7 +449,7 @@ func TestRunStrictVsRelaxedPinning(t *testing.T) {
 		ReqPerStudentHour: 50,
 		Duration:          2 * time.Hour,
 		Diurnal:           workload.FlatDiurnal(),
-		HybridPolicy:      deploy.HybridPolicy{SensitivePrivate: true, PrivateBaseShare: 0.25},
+		HybridPolicy:      &deploy.HybridPolicy{PrivateBaseShare: 0.25},
 		Crowds: []workload.FlashCrowd{{
 			Start: 30 * time.Minute, End: 90 * time.Minute, Mult: 10, ExamTraffic: true,
 		}},
@@ -476,6 +476,36 @@ func TestRunStrictVsRelaxedPinning(t *testing.T) {
 	// user-visible errors.
 	if rRes.ErrorRate() >= sRes.ErrorRate() {
 		t.Fatalf("relaxed errors %v >= strict %v", rRes.ErrorRate(), sRes.ErrorRate())
+	}
+}
+
+// An explicit hybrid PrivateBaseShare of 0 keeps the one private
+// server every hybrid has; only a nil policy takes the default half.
+func TestHybridExplicitZeroPrivateShare(t *testing.T) {
+	base := Config{
+		Fidelity:          FidelityFluid,
+		Seed:              1,
+		Kind:              deploy.Hybrid,
+		Students:          20000,
+		ReqPerStudentHour: 50,
+		Duration:          24 * time.Hour,
+	}
+	run := func(policy *deploy.HybridPolicy) *Result {
+		t.Helper()
+		cfg := base
+		cfg.HybridPolicy = policy
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if got, want := run(&deploy.HybridPolicy{PrivateBaseShare: 0}).VMHoursPrivate, base.Duration.Hours(); got != want {
+		t.Errorf("share 0: %v private VM-hours, want one server's %v", got, want)
+	}
+	def, half := run(nil), run(&deploy.HybridPolicy{PrivateBaseShare: 0.5})
+	if def.VMHoursPrivate <= base.Duration.Hours() || def.VMHoursPrivate != half.VMHoursPrivate {
+		t.Errorf("nil policy: %v private VM-hours, want the half share's %v, above one server's", def.VMHoursPrivate, half.VMHoursPrivate)
 	}
 }
 
@@ -557,7 +587,7 @@ func badEnumCfgs() []badEnum {
 		{with(func(c *Config) { c.ReqPerStudentHour = math.Inf(1) }), "ReqPerStudentHour = +Inf"},
 		{with(func(c *Config) { c.HybridIntensity = nan }), "HybridIntensity = NaN"},
 		{with(func(c *Config) {
-			c.Kind, c.HybridPolicy = deploy.Hybrid, deploy.HybridPolicy{SensitivePrivate: true, PrivateBaseShare: nan}
+			c.Kind, c.HybridPolicy = deploy.Hybrid, &deploy.HybridPolicy{PrivateBaseShare: nan}
 		}), "PrivateBaseShare NaN"},
 		{with(func(c *Config) {
 			c.Crowds = []workload.FlashCrowd{{Start: 5 * time.Minute, End: 10 * time.Minute, Mult: nan}}

@@ -17,8 +17,8 @@
 //
 // Entry points: ConfigFor(kind) yields the per-deployment-model threat
 // Config (attack surface and backup posture differ by model;
-// DefaultConfig is the neutral base). NewThreatModel(engine, rng,
-// config, assets) arms the model against an lms.Inventory on the
+// DefaultConfig is the neutral base). NewThreatModel(engine, config,
+// assets) arms the model against an lms.Inventory on the
 // simulation clock; it emits Incidents (IncidentKind: breach,
 // exposure, data loss) that the scenario run counts and the artifacts
 // aggregate. scenario.Config.EnableThreats is the usual switch.

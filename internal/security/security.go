@@ -62,14 +62,16 @@ type Config struct {
 	PrivateBreachProb float64
 	// PhysicalMTBFYears is the mean time between physically destructive
 	// events (fire, flood, theft, disk-array loss) for the on-premise
-	// unit.
+	// unit. Each destroys damageLossFraction of the locally stored
+	// bytes.
 	PhysicalMTBFYears float64
-	// DamageLossFraction is the fraction of locally stored bytes a
-	// physical event destroys.
-	DamageLossFraction float64
 	// OffsiteBackup eliminates data loss (but not the incident itself).
 	OffsiteBackup bool
 }
+
+// damageLossFraction is the fraction of locally stored bytes a
+// physical event destroys.
+const damageLossFraction float64 = 0.3
 
 // DefaultConfig returns the baseline threat environment used by the
 // experiments.
@@ -79,7 +81,6 @@ func DefaultConfig() Config {
 		PublicBreachProb:   0.020,
 		PrivateBreachProb:  0.004,
 		PhysicalMTBFYears:  15,
-		DamageLossFraction: 0.3,
 	}
 }
 
@@ -92,8 +93,8 @@ func (c Config) Validate() error {
 		c.PrivateBreachProb < 0 || c.PrivateBreachProb > 1 {
 		return fmt.Errorf("security: breach probabilities outside [0,1]")
 	}
-	if c.PhysicalMTBFYears < 0 || c.DamageLossFraction < 0 || c.DamageLossFraction > 1 {
-		return fmt.Errorf("security: bad physical damage parameters")
+	if c.PhysicalMTBFYears < 0 {
+		return fmt.Errorf("security: negative physical damage MTBF")
 	}
 	return nil
 }
@@ -128,15 +129,16 @@ type ThreatModel struct {
 	stops     []func()
 }
 
-// NewThreatModel validates cfg and builds a model over the assets.
-func NewThreatModel(eng *sim.Engine, rng *sim.RNG, cfg Config, assets lms.Inventory) (*ThreatModel, error) {
-	if eng == nil || rng == nil {
-		return nil, fmt.Errorf("security: nil engine or rng")
+// NewThreatModel validates cfg and builds a model over the assets. It
+// draws from the engine's "threat" stream.
+func NewThreatModel(eng *sim.Engine, cfg Config, assets lms.Inventory) (*ThreatModel, error) {
+	if eng == nil {
+		return nil, fmt.Errorf("security: nil engine")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &ThreatModel{eng: eng, rng: rng, cfg: cfg, assets: assets}, nil
+	return &ThreatModel{eng: eng, rng: eng.Stream("threat"), cfg: cfg, assets: assets}, nil
 }
 
 // Start schedules the attack and damage processes; the returned stop
@@ -217,7 +219,7 @@ func (m *ThreatModel) physicalDamage() {
 	lost := 0.0
 	sensitive := m.assets.SensitiveCount(lms.OnPrivate)
 	if !m.cfg.OffsiteBackup {
-		lost = m.assets.BytesAt(lms.OnPrivate) * m.cfg.DamageLossFraction
+		lost = m.assets.BytesAt(lms.OnPrivate) * damageLossFraction
 	} else {
 		sensitive = 0 // backed up: nothing is gone
 	}
@@ -279,7 +281,7 @@ func (c Config) AnnualSensitiveRisk(assets lms.Inventory) float64 {
 	risk := attacksPerYear * (c.PublicBreachProb*assets.SensitiveShare(lms.OnPublic) +
 		c.PrivateBreachProb*assets.SensitiveShare(lms.OnPrivate))
 	if c.PhysicalMTBFYears > 0 && !c.OffsiteBackup {
-		risk += (1 / c.PhysicalMTBFYears) * assets.SensitiveShare(lms.OnPrivate) * c.DamageLossFraction
+		risk += (1 / c.PhysicalMTBFYears) * assets.SensitiveShare(lms.OnPrivate) * damageLossFraction
 	}
 	return risk
 }

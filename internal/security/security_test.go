@@ -15,7 +15,7 @@ const simYears = 40 // long horizon to tighten stochastic estimates
 func runThreat(t *testing.T, cfg Config, place lms.Placement) *ThreatModel {
 	t.Helper()
 	eng := sim.NewEngine(77)
-	m, err := NewThreatModel(eng, eng.Stream("threat"), cfg, lms.NewInventory(20, 500, place))
+	m, err := NewThreatModel(eng, cfg, lms.NewInventory(20, 500, place))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,6 @@ func TestConfigValidation(t *testing.T) {
 		{PublicBreachProb: 2},
 		{PrivateBreachProb: -0.1},
 		{PhysicalMTBFYears: -1},
-		{DamageLossFraction: 1.5},
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {
@@ -110,13 +109,9 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestNewThreatModelNilArgs(t *testing.T) {
-	eng := sim.NewEngine(1)
 	assets := lms.NewInventory(1, 1, lms.AllAt(lms.OnPrivate))
-	if _, err := NewThreatModel(nil, eng.Stream("x"), DefaultConfig(), assets); err == nil {
+	if _, err := NewThreatModel(nil, DefaultConfig(), assets); err == nil {
 		t.Fatal("nil engine accepted")
-	}
-	if _, err := NewThreatModel(eng, nil, DefaultConfig(), assets); err == nil {
-		t.Fatal("nil rng accepted")
 	}
 }
 
@@ -134,7 +129,7 @@ func TestConfigForDesktopIsRiskier(t *testing.T) {
 func TestStopHaltsProcesses(t *testing.T) {
 	eng := sim.NewEngine(5)
 	assets := lms.NewInventory(5, 50, lms.AllAt(lms.OnPublic))
-	m, err := NewThreatModel(eng, eng.Stream("threat"), DefaultConfig(), assets)
+	m, err := NewThreatModel(eng, DefaultConfig(), assets)
 	if err != nil {
 		t.Fatal(err)
 	}

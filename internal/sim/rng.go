@@ -142,22 +142,23 @@ func (r *RNG) Pareto(alpha, xm float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// ZipfGen samples from a Zipf distribution over [1, n] with exponent s,
-// precomputing the normalization so repeated draws are O(log n).
+// ZipfGen samples from a Zipf distribution over [1, n] with exponent 1,
+// the popularity of course videos, precomputing the normalization so
+// repeated draws are O(log n).
 type ZipfGen struct {
 	rng *RNG
 	cdf []float64
 }
 
-// NewZipfGen builds a Zipf sampler. It panics if n <= 0 or s <= 0.
-func NewZipfGen(rng *RNG, n int, s float64) *ZipfGen {
-	if n <= 0 || s <= 0 {
-		panic("sim: NewZipfGen with non-positive parameter")
+// NewZipfGen builds a Zipf sampler over [1, n]. It panics if n <= 0.
+func NewZipfGen(rng *RNG, n int) *ZipfGen {
+	if n <= 0 {
+		panic("sim: NewZipfGen with non-positive n")
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
 	for i := 1; i <= n; i++ {
-		sum += 1 / math.Pow(float64(i), s)
+		sum += 1 / float64(i)
 		cdf[i-1] = sum
 	}
 	for i := range cdf {

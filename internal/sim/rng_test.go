@@ -150,7 +150,7 @@ func TestParetoTailAndMin(t *testing.T) {
 
 func TestZipfRangeAndSkew(t *testing.T) {
 	r := NewRNG(37)
-	g := NewZipfGen(r, 100, 1.0)
+	g := NewZipfGen(r, 100)
 	counts := make([]int, 101)
 	const n = 100000
 	for i := 0; i < n; i++ {
