@@ -110,13 +110,8 @@ func BenchmarkHistogramObserve(b *testing.B) {
 // one server, submitted through a one-server cluster.
 func BenchmarkAppServerThroughput(b *testing.B) {
 	eng := sim.NewEngine(1)
-	dc := cloud.NewDatacenter(eng, cloud.Config{
-		Name: "b", Hosts: 1,
-		HostCapacity: cloud.Resources{CPU: 64, Mem: 256, Disk: 4000},
-	})
-	vm, err := dc.Provision(cloud.InstanceSpec{
-		Name: "m", Res: cloud.Resources{CPU: 4, Mem: 8, Disk: 100},
-	})
+	dc := cloud.NewDatacenter(eng, cloud.Config{Name: "b", Hosts: 1})
+	vm, err := dc.Provision()
 	if err != nil {
 		b.Fatal(err)
 	}

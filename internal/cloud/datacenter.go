@@ -13,17 +13,19 @@ type Config struct {
 	// random stream.
 	Name string
 	// Hosts is the number of physical hosts a private datacenter owns,
-	// each of HostCapacity. A public datacenter keeps none.
-	Hosts        int
-	HostCapacity Resources
+	// each of VMsPerHost slots. A public datacenter keeps none.
+	Hosts int
+	// BootDelay is the provisioning-to-running latency of every VM the
+	// datacenter provisions, in seconds. Nil means instant boot.
+	BootDelay sim.Dist
 	// Public makes the datacenter a rented, multi-tenant public cloud:
 	// provisioning never fails for capacity (the institution pays per
 	// VM-hour), VMs land on provider hosts the model does not track, and
 	// co-tenants on those hosts steal CPU from every VM (noisy
 	// neighbors). A private datacenter places each VM on its lowest-ID
-	// healthy host with room and returns ErrNoCapacity when none has —
-	// the paper's fixed-capacity drawback — and its VMs run at full
-	// speed.
+	// healthy host with a free slot and returns ErrNoCapacity when none
+	// has — the paper's fixed-capacity drawback — and its VMs run at
+	// full speed.
 	Public bool
 }
 
@@ -66,7 +68,7 @@ func NewDatacenter(eng *sim.Engine, cfg Config) *Datacenter {
 		vms: make(map[int]*VM),
 	}
 	for i := 0; i < cfg.Hosts; i++ {
-		dc.hosts = append(dc.hosts, NewHost(i, cfg.HostCapacity))
+		dc.hosts = append(dc.hosts, NewHost(i))
 	}
 	if cfg.Public {
 		eng.Every(interferenceEvery, cfg.Name+"/interference", dc.resampleInterference)
@@ -74,23 +76,19 @@ func NewDatacenter(eng *sim.Engine, cfg Config) *Datacenter {
 	return dc
 }
 
-// Provision places a VM of the given spec and boots it: the VM is
-// running once its boot delay has passed, unless it was terminated
-// first. A private datacenter with no healthy host that has room
-// returns ErrNoCapacity.
-func (dc *Datacenter) Provision(spec InstanceSpec) (*VM, error) {
-	if !spec.Res.Valid() || spec.Res.IsZero() {
-		return nil, fmt.Errorf("cloud: provision %q with invalid resources %v", spec.Name, spec.Res)
-	}
+// Provision places a VM and boots it: the VM is running once its boot
+// delay has passed, unless it was terminated first. A private
+// datacenter with no healthy host that has a free slot returns
+// ErrNoCapacity.
+func (dc *Datacenter) Provision() (*VM, error) {
 	var host *Host
 	if !dc.cfg.Public {
-		if host = firstFit(spec.Res, dc.hosts); host == nil {
+		if host = firstFit(dc.hosts); host == nil {
 			return nil, fmt.Errorf("datacenter %s: %w", dc.cfg.Name, ErrNoCapacity)
 		}
 	}
 	vm := &VM{
 		ID:          dc.nextID,
-		Spec:        spec,
 		state:       VMProvisioning,
 		provisioned: dc.eng.Now(),
 	}
@@ -100,8 +98,8 @@ func (dc *Datacenter) Provision(spec InstanceSpec) (*VM, error) {
 	}
 	dc.vms[vm.ID] = vm
 	boot := sim.Time(0)
-	if spec.BootDelay != nil {
-		boot = sim.Seconds(spec.BootDelay.Sample(dc.rng))
+	if dc.cfg.BootDelay != nil {
+		boot = sim.Seconds(dc.cfg.BootDelay.Sample(dc.rng))
 	}
 	dc.eng.Schedule(boot, dc.cfg.Name+"/boot", func() {
 		if vm.state != VMProvisioning {

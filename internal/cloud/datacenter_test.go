@@ -17,28 +17,21 @@ func (d fixed) Sample(*sim.RNG) float64 { return float64(d) }
 func (d fixed) Mean() float64           { return float64(d) }
 func (d fixed) String() string          { return fmt.Sprintf("fixed(%g)", float64(d)) }
 
-func testSpec() InstanceSpec {
-	return InstanceSpec{
-		Name:      "m.test",
-		Res:       Resources{CPU: 2, Mem: 8, Disk: 50},
-		BootDelay: fixed(60), // 60s boot
-	}
+// newTestDC builds a private datacenter with the given number of hosts,
+// whose VMs boot in 60 s.
+func newTestDC(eng *sim.Engine, hosts int) *Datacenter {
+	return NewDatacenter(eng, Config{Name: "dc", Hosts: hosts, BootDelay: fixed(60)})
 }
 
-// newTestDC builds a private datacenter with the given number of 8-CPU
-// hosts.
-func newTestDC(eng *sim.Engine, hosts int) *Datacenter {
-	return NewDatacenter(eng, Config{
-		Name:         "dc",
-		Hosts:        hosts,
-		HostCapacity: Resources{CPU: 8, Mem: 32, Disk: 200},
-	})
+// newPublicDC builds a public datacenter whose VMs boot in 60 s.
+func newPublicDC(eng *sim.Engine) *Datacenter {
+	return NewDatacenter(eng, Config{Name: "pub", Public: true, BootDelay: fixed(60)})
 }
 
 func TestProvisionLifecycle(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 2)
-	vm, err := dc.Provision(testSpec())
+	vm, err := dc.Provision()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +58,13 @@ func TestProvisionLifecycle(t *testing.T) {
 
 func TestProvisionFixedCapacityExhausts(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dc := newTestDC(eng, 1) // one host: 8 CPU => 4 VMs of 2 CPU
-	for i := 0; i < 4; i++ {
-		if _, err := dc.Provision(testSpec()); err != nil {
+	dc := newTestDC(eng, 1) // one host: VMsPerHost slots
+	for i := 0; i < VMsPerHost; i++ {
+		if _, err := dc.Provision(); err != nil {
 			t.Fatalf("VM %d: %v", i, err)
 		}
 	}
-	_, err := dc.Provision(testSpec())
+	_, err := dc.Provision()
 	if !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("err = %v, want ErrNoCapacity", err)
 	}
@@ -79,14 +72,9 @@ func TestProvisionFixedCapacityExhausts(t *testing.T) {
 
 func TestProvisionPublicNeverRefuses(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dc := NewDatacenter(eng, Config{Name: "pub", Public: true})
-	huge := InstanceSpec{Name: "m.huge", Res: Resources{CPU: 1000, Mem: 4000, Disk: 1e6}}
+	dc := newPublicDC(eng)
 	for i := 0; i < 12; i++ {
-		spec := testSpec()
-		if i%3 == 0 {
-			spec = huge
-		}
-		vm, err := dc.Provision(spec)
+		vm, err := dc.Provision()
 		if err != nil {
 			t.Fatalf("VM %d: %v", i, err)
 		}
@@ -108,7 +96,7 @@ func TestProvisionPublicNeverRefuses(t *testing.T) {
 func TestNewDatacenterRejectsHostMismatch(t *testing.T) {
 	eng := sim.NewEngine(1)
 	for name, cfg := range map[string]Config{
-		"public with hosts": {Name: "pub", Public: true, Hosts: 1, HostCapacity: Resources{CPU: 8, Mem: 32, Disk: 200}},
+		"public with hosts": {Name: "pub", Public: true, Hosts: 1},
 		"private, no hosts": {Name: "dc"},
 	} {
 		func() {
@@ -122,18 +110,10 @@ func TestNewDatacenterRejectsHostMismatch(t *testing.T) {
 	}
 }
 
-func TestProvisionRejectsBadSpec(t *testing.T) {
-	eng := sim.NewEngine(1)
-	dc := newTestDC(eng, 1)
-	if _, err := dc.Provision(InstanceSpec{Name: "empty"}); err == nil {
-		t.Fatal("empty spec accepted")
-	}
-}
-
 func TestTerminateWhileBootingSuppressesReady(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 1)
-	vm, err := dc.Provision(testSpec())
+	vm, err := dc.Provision()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +129,7 @@ func TestTerminateWhileBootingSuppressesReady(t *testing.T) {
 func TestVMHoursAccounting(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 2)
-	vm, err := dc.Provision(testSpec())
+	vm, err := dc.Provision()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +139,7 @@ func TestVMHoursAccounting(t *testing.T) {
 		t.Fatalf("VMHours = %v, want 2", got)
 	}
 	// A still-running VM accrues hours up to now.
-	if _, err := dc.Provision(testSpec()); err != nil {
+	if _, err := dc.Provision(); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(4 * time.Hour)
@@ -171,23 +151,23 @@ func TestVMHoursAccounting(t *testing.T) {
 func TestUtilizationTracksPlacement(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 2)
-	capacity := dc.hosts[0].Capacity
-	if dc.hosts[0].Free() != capacity || dc.hosts[1].Free() != capacity {
+	used := func() [2]int { return [2]int{len(dc.hosts[0].vms), len(dc.hosts[1].vms)} }
+	if used() != [2]int{} {
 		t.Fatal("fresh DC should be idle")
 	}
-	vm, err := dc.Provision(testSpec())
+	vm, err := dc.Provision()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := dc.hosts[0].Free(), capacity.Sub(testSpec().Res); got != want {
-		t.Fatalf("host 0 free = %v, want %v", got, want)
-	}
-	if got := dc.hosts[1].Free(); got != capacity {
-		t.Fatalf("host 1 free = %v, want all of %v", got, capacity)
+	if got := used(); got != [2]int{1, 0} {
+		t.Fatalf("slots used = %v, want [1 0]", got)
 	}
 	dc.Terminate(vm)
-	if got := dc.hosts[0].Free(); got != capacity {
-		t.Fatalf("host 0 free after terminate = %v, want %v", got, capacity)
+	if got := used(); got != [2]int{} {
+		t.Fatalf("slots used after terminate = %v, want none", got)
+	}
+	if vm.Host() != nil {
+		t.Fatalf("terminated VM still on host %d", vm.Host().ID)
 	}
 }
 
@@ -196,7 +176,7 @@ func TestFailHostTerminatesVictims(t *testing.T) {
 	dc := newTestDC(eng, 2)
 	var vms []*VM
 	for i := 0; i < 4; i++ {
-		vm, err := dc.Provision(testSpec())
+		vm, err := dc.Provision()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +196,7 @@ func TestFailHostTerminatesVictims(t *testing.T) {
 		t.Fatal("host not marked failed")
 	}
 	// New provisions avoid the failed host.
-	vm, err := dc.Provision(testSpec())
+	vm, err := dc.Provision()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,15 +211,15 @@ func TestFailHostTerminatesVictims(t *testing.T) {
 func TestRepairHostRestoresCapacity(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 1)
-	if _, err := dc.Provision(testSpec()); err != nil {
+	if _, err := dc.Provision(); err != nil {
 		t.Fatal(err)
 	}
 	dc.FailHost(0)
-	if _, err := dc.Provision(testSpec()); err == nil {
+	if _, err := dc.Provision(); err == nil {
 		t.Fatal("provisioned on failed host")
 	}
 	dc.RepairHost(0)
-	if _, err := dc.Provision(testSpec()); err != nil {
+	if _, err := dc.Provision(); err != nil {
 		t.Fatalf("repaired host rejected provision: %v", err)
 	}
 	dc.RepairHost(42) // out of range: no-op
@@ -247,8 +227,8 @@ func TestRepairHostRestoresCapacity(t *testing.T) {
 
 func TestMultiTenantInterference(t *testing.T) {
 	eng := sim.NewEngine(7)
-	dc := NewDatacenter(eng, Config{Name: "pub", Public: true})
-	vm, err := dc.Provision(testSpec())
+	dc := newPublicDC(eng)
+	vm, err := dc.Provision()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +244,7 @@ func TestMultiTenantInterference(t *testing.T) {
 func TestSingleTenantFullSpeed(t *testing.T) {
 	eng := sim.NewEngine(7)
 	dc := newTestDC(eng, 1)
-	vm, err := dc.Provision(testSpec())
+	vm, err := dc.Provision()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,10 +257,10 @@ func TestSingleTenantFullSpeed(t *testing.T) {
 func TestDatacenterDeterminism(t *testing.T) {
 	run := func() []float64 {
 		eng := sim.NewEngine(99)
-		dc := NewDatacenter(eng, Config{Name: "pub", Public: true})
+		dc := newPublicDC(eng)
 		var vms []*VM
 		for i := 0; i < 6; i++ {
-			vm, err := dc.Provision(testSpec())
+			vm, err := dc.Provision()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -313,10 +293,11 @@ func TestVMStateString(t *testing.T) {
 }
 
 func TestHostReleaseUnknownVMIsNoOp(t *testing.T) {
-	h := NewHost(0, Resources{CPU: 4, Mem: 4, Disk: 4})
-	vm := &VM{ID: 7, Spec: InstanceSpec{Res: Resources{CPU: 1, Mem: 1, Disk: 1}}}
-	h.release(vm) // not placed: must not corrupt accounting
-	if !h.allocated.IsZero() {
-		t.Fatal("release of unknown VM changed allocation")
+	h := NewHost(0)
+	placed := &VM{ID: 1}
+	h.place(placed)
+	h.release(&VM{ID: 7}) // not placed: must not free a slot
+	if len(h.vms) != 1 || placed.Host() != h {
+		t.Fatalf("release of unknown VM changed the host: %d VMs", len(h.vms))
 	}
 }

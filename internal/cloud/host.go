@@ -1,56 +1,43 @@
 package cloud
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
-// Host is one physical machine in a datacenter.
+// VMsPerHost is how many VMs one owned host carries. Every private VM
+// has m.large's shape (4 CPU, 7.5 GB, 850 GB) and every campus host 16
+// CPU, 64 GB and 8,000 GB, so CPU sets the count: memory would allow 8
+// and disk 9.
+const VMsPerHost = 4
+
+// Host is one physical machine in a private datacenter: VMsPerHost VM
+// slots that it loses together when it fails.
 type Host struct {
 	// ID is unique within a Datacenter.
 	ID int
-	// Capacity is the host's total resources.
-	Capacity Resources
 
-	allocated Resources
-	vms       map[int]*VM
-	failed    bool
+	vms    map[int]*VM
+	failed bool
 }
 
-// NewHost returns an empty host with the given capacity.
-func NewHost(id int, capacity Resources) *Host {
-	if !capacity.Valid() || capacity.IsZero() {
-		panic(fmt.Sprintf("cloud: NewHost with invalid capacity %v", capacity))
-	}
-	return &Host{ID: id, Capacity: capacity, vms: make(map[int]*VM)}
+// NewHost returns an empty, healthy host.
+func NewHost(id int) *Host {
+	return &Host{ID: id, vms: make(map[int]*VM)}
 }
 
-// Free returns remaining capacity.
-func (h *Host) Free() Resources { return h.Capacity.Sub(h.allocated) }
+// hasRoom reports whether the host is healthy and has a free slot.
+func (h *Host) hasRoom() bool { return !h.failed && len(h.vms) < VMsPerHost }
 
-// CanFit reports whether a demand fits in the remaining capacity of a
-// healthy host.
-func (h *Host) CanFit(demand Resources) bool {
-	return !h.failed && demand.Fits(h.Free())
-}
-
-// place reserves resources for vm. Caller must have checked CanFit.
+// place puts vm in a slot. Caller must have checked hasRoom.
 func (h *Host) place(vm *VM) {
-	h.allocated = h.allocated.Add(vm.Spec.Res)
 	h.vms[vm.ID] = vm
 	vm.host = h
 }
 
-// release frees the resources held by vm.
+// release frees the slot held by vm.
 func (h *Host) release(vm *VM) {
 	if _, ok := h.vms[vm.ID]; !ok {
 		return
 	}
 	delete(h.vms, vm.ID)
-	h.allocated = h.allocated.Sub(vm.Spec.Res)
-	if !h.allocated.Valid() {
-		panic(fmt.Sprintf("cloud: host %d allocation went negative: %v", h.ID, h.allocated))
-	}
 	vm.host = nil
 }
 

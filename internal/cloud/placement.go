@@ -2,15 +2,15 @@ package cloud
 
 import "errors"
 
-// ErrNoCapacity is returned when no host can accommodate a VM demand.
+// ErrNoCapacity is returned when no host has a free VM slot.
 var ErrNoCapacity = errors.New("cloud: no host with sufficient capacity")
 
-// firstFit returns the lowest-ID healthy host with room for demand, or
-// nil when none has. With one VM shape it fills each host before it
-// opens the next, consolidating load onto few hosts.
-func firstFit(demand Resources, hosts []*Host) *Host {
+// firstFit returns the lowest-ID healthy host with a free slot, or nil
+// when none has. It fills each host before it opens the next,
+// consolidating load onto few hosts.
+func firstFit(hosts []*Host) *Host {
 	for _, h := range hosts {
-		if h.CanFit(demand) {
+		if h.hasRoom() {
 			return h
 		}
 	}

@@ -8,39 +8,48 @@ import (
 	"elearncloud/internal/sim"
 )
 
+// fill places n VMs on h, numbering them from *next.
+func fill(h *Host, n int, next *int) {
+	for i := 0; i < n; i++ {
+		h.place(&VM{ID: *next})
+		*next++
+	}
+}
+
+// hostsForPlacement returns three hosts: host 0 with one free slot,
+// host 1 with VMsPerHost-1 free, host 2 empty.
 func hostsForPlacement() []*Host {
-	cap := Resources{CPU: 8, Mem: 32, Disk: 200}
-	hs := []*Host{NewHost(0, cap), NewHost(1, cap), NewHost(2, cap)}
-	// Host 0: 75% full. Host 1: 25% full. Host 2: empty.
-	h0vm := &VM{ID: 100, Spec: InstanceSpec{Res: Resources{CPU: 6, Mem: 6, Disk: 6}}}
-	h1vm := &VM{ID: 101, Spec: InstanceSpec{Res: Resources{CPU: 2, Mem: 2, Disk: 2}}}
-	hs[0].place(h0vm)
-	hs[1].place(h1vm)
+	hs := []*Host{NewHost(0), NewHost(1), NewHost(2)}
+	next := 100
+	fill(hs[0], VMsPerHost-1, &next)
+	fill(hs[1], 1, &next)
 	return hs
 }
 
 func TestFirstFitPicksLowestID(t *testing.T) {
 	hs := hostsForPlacement()
-	if h := firstFit(Resources{CPU: 1, Mem: 1, Disk: 1}, hs); h == nil || h.ID != 0 {
+	if h := firstFit(hs); h == nil || h.ID != 0 {
 		t.Fatalf("firstFit chose %v, want host 0", h)
 	}
-	// A demand that does not fit host 0 falls through to host 1.
-	if h := firstFit(Resources{CPU: 4, Mem: 4, Disk: 4}, hs); h == nil || h.ID != 1 {
+	// Once host 0's last slot is taken, the VM falls through to host 1.
+	next := 200
+	fill(hs[0], 1, &next)
+	if h := firstFit(hs); h == nil || h.ID != 1 {
 		t.Fatalf("firstFit chose %v, want host 1", h)
 	}
 }
 
-// TestFirstFitConsolidates: with one VM shape, a private datacenter
-// fills each host before it opens the next.
+// TestFirstFitConsolidates: a private datacenter fills each host before
+// it opens the next.
 func TestFirstFitConsolidates(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dc := newTestDC(eng, 3) // 8 CPU per host: 4 VMs of 2 CPU each
+	dc := newTestDC(eng, 3)
 	for i := 0; i < 10; i++ {
-		vm, err := dc.Provision(testSpec())
+		vm, err := dc.Provision()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := i / 4; vm.Host().ID != want {
+		if want := i / VMsPerHost; vm.Host().ID != want {
 			t.Fatalf("VM %d on host %d, want %d", i, vm.Host().ID, want)
 		}
 	}
@@ -48,18 +57,22 @@ func TestFirstFitConsolidates(t *testing.T) {
 
 func TestPlacersReportNoCapacity(t *testing.T) {
 	hs := hostsForPlacement()
-	if h := firstFit(Resources{CPU: 100, Mem: 100, Disk: 100}, hs); h != nil {
-		t.Fatalf("firstFit placed an oversized demand on host %d", h.ID)
+	next := 200
+	fill(hs[0], 1, &next)
+	fill(hs[1], VMsPerHost-1, &next)
+	fill(hs[2], VMsPerHost, &next)
+	if h := firstFit(hs); h != nil {
+		t.Fatalf("firstFit placed a VM on full host %d", h.ID)
 	}
 	// A full private datacenter refuses with ErrNoCapacity.
 	eng := sim.NewEngine(1)
 	dc := newTestDC(eng, 2)
-	for i := 0; i < 8; i++ {
-		if _, err := dc.Provision(testSpec()); err != nil {
+	for i := 0; i < 2*VMsPerHost; i++ {
+		if _, err := dc.Provision(); err != nil {
 			t.Fatalf("VM %d: %v", i, err)
 		}
 	}
-	if _, err := dc.Provision(testSpec()); !errors.Is(err, ErrNoCapacity) {
+	if _, err := dc.Provision(); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("err = %v, want ErrNoCapacity", err)
 	}
 }
@@ -67,43 +80,39 @@ func TestPlacersReportNoCapacity(t *testing.T) {
 func TestPlacersSkipFailedHosts(t *testing.T) {
 	hs := hostsForPlacement()
 	hs[0].failed = true
-	if h := firstFit(Resources{CPU: 1, Mem: 1, Disk: 1}, hs); h == nil || h.ID != 1 {
+	if h := firstFit(hs); h == nil || h.ID != 1 {
 		t.Fatalf("firstFit chose %v, want host 1 past the failed host 0", h)
 	}
 	hs[1].failed = true
 	hs[2].failed = true
-	if h := firstFit(Resources{CPU: 1, Mem: 1, Disk: 1}, hs); h != nil {
+	if h := firstFit(hs); h != nil {
 		t.Fatalf("placed on failed host %d", h.ID)
 	}
 }
 
-// Property: any host first fit returns can actually fit the demand, and
-// no lower-ID host could.
+// Property: first fit returns the lowest-ID healthy host with a free
+// slot, and nil when every host is failed or full.
 func TestPlacementFeasibilityProperty(t *testing.T) {
-	f := func(loads []uint8, dc, dm uint8) bool {
-		cap := Resources{CPU: 16, Mem: 64, Disk: 500}
+	f := func(loads []uint8) bool {
 		var hs []*Host
+		next := 0
 		for i, l := range loads {
 			if i >= 8 {
 				break
 			}
-			h := NewHost(i, cap)
-			f := float64(l%100) / 100
-			h.allocated = Resources{CPU: cap.CPU * f, Mem: cap.Mem * f, Disk: cap.Disk * f}
+			h := NewHost(i)
+			fill(h, int(l)%(VMsPerHost+1), &next)
 			h.failed = l >= 200
 			hs = append(hs, h)
 		}
-		demand := Resources{CPU: float64(dc%16) + 1, Mem: float64(dm%64) + 1, Disk: 1}
-		h := firstFit(demand, hs)
-		for _, lower := range hs {
-			if h != nil && lower.ID == h.ID {
-				return h.CanFit(demand)
-			}
-			if lower.CanFit(demand) {
-				return false
+		var want *Host
+		for _, h := range hs {
+			if !h.failed && len(h.vms) < VMsPerHost {
+				want = h
+				break
 			}
 		}
-		return h == nil
+		return firstFit(hs) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -30,25 +30,10 @@ func (s VMState) String() string {
 	}
 }
 
-// InstanceSpec describes a VM flavor to provision. Prices live in the
-// deploy/cost packages; the cloud package needs only sizing and boot
-// behavior.
-type InstanceSpec struct {
-	// Name identifies the flavor (e.g. "m.large").
-	Name string
-	// Res is the resource demand the VM places on its host.
-	Res Resources
-	// BootDelay is the provisioning-to-running latency distribution, in
-	// seconds. Nil means instant boot.
-	BootDelay sim.Dist
-}
-
 // VM is one provisioned virtual machine.
 type VM struct {
 	// ID is unique within a Datacenter.
 	ID int
-	// Spec is the flavor this VM was provisioned from.
-	Spec InstanceSpec
 
 	state        VMState
 	host         *Host

@@ -3,6 +3,7 @@ package deploy
 import (
 	"math"
 	"testing"
+	"time"
 
 	"elearncloud/internal/cloud"
 	"elearncloud/internal/lms"
@@ -37,28 +38,30 @@ func TestLockinOrdering(t *testing.T) {
 	}
 }
 
-// TestRentedFlavor: the one public flavor is m.large, with a real
-// resource footprint and a boot delay, and private hosts carve VMs of
-// the same shape.
+// TestRentedFlavor: the rented m.large boots in 100 s on average, a VM
+// carved out of a campus host boots faster, and on neither side does a
+// VM serve the instant it is provisioned.
 func TestRentedFlavor(t *testing.T) {
-	d, err := Build(sim.NewEngine(1), baseSpec(Hybrid))
+	eng := sim.NewEngine(1)
+	d, err := Build(eng, baseSpec(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, priv := d.PublicSpec, d.PrivateSpec
-	if pub.Name != "m.large" || pub.Res.CPU != 4 {
-		t.Fatalf("rented flavor = %s %v, want m.large with 4 cores", pub.Name, pub.Res)
+	if PublicBoot() != 100*time.Second {
+		t.Fatalf("PublicBoot = %v, want 100s", PublicBoot())
 	}
-	for _, spec := range []cloud.InstanceSpec{pub, priv} {
-		if spec.Res.IsZero() || !spec.Res.Valid() {
-			t.Errorf("%s: bad resources %v", spec.Name, spec.Res)
-		}
-		if spec.BootDelay == nil {
-			t.Errorf("%s: nil boot delay", spec.Name)
-		}
+	if !(privateBoot.Mean() < publicBoot.Mean()) {
+		t.Fatalf("private boot %v is not faster than the rented flavor's %v", privateBoot, publicBoot)
 	}
-	if priv.Res != pub.Res {
-		t.Errorf("private VM %v differs from the rented flavor %v", priv.Res, pub.Res)
+	for _, dc := range []*cloud.Datacenter{d.PublicDC, d.PrivateDC} {
+		vm, err := dc.Provision()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run(eng.Now() + time.Second)
+		if vm.State() != cloud.VMProvisioning {
+			t.Errorf("VM %v one second after provisioning, want still booting", vm.State())
+		}
 	}
 }
 
@@ -80,27 +83,8 @@ func TestServersForPeak(t *testing.T) {
 	}
 }
 
-func TestVMsPerHost(t *testing.T) {
-	host := cloud.Resources{CPU: 16, Mem: 64, Disk: 8000}
-	tests := []struct {
-		vm   cloud.Resources
-		want int
-	}{
-		{cloud.Resources{CPU: 4, Mem: 7.5, Disk: 850}, 4},   // CPU-bound
-		{cloud.Resources{CPU: 1, Mem: 32, Disk: 10}, 2},     // memory-bound
-		{cloud.Resources{CPU: 1, Mem: 1, Disk: 4000}, 2},    // disk-bound
-		{cloud.Resources{CPU: 32, Mem: 1, Disk: 1}, 1},      // bigger than host
-		{cloud.Resources{CPU: 0, Mem: 0, Disk: 0}, 1 << 20}, // degenerate
-	}
-	for _, tt := range tests {
-		if got := vmsPerHost(host, tt.vm); got != tt.want {
-			t.Errorf("vmsPerHost(%v) = %d, want %d", tt.vm, got, tt.want)
-		}
-	}
-}
-
 // Sizing regression: the private fleet deploy.Build plans must actually
-// fit on the hosts it allocates — for every dimension, not just CPU.
+// fit on the hosts it allocates.
 func TestPrivateFleetCapacityMatchesPlan(t *testing.T) {
 	eng := sim.NewEngine(1)
 	spec := baseSpec(Private)
@@ -110,7 +94,7 @@ func TestPrivateFleetCapacityMatchesPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < d.ServersAtPeak; i++ {
-		if _, err := d.PrivateDC.Provision(d.PrivateSpec); err != nil {
+		if _, err := d.PrivateDC.Provision(); err != nil {
 			t.Fatalf("server %d/%d did not fit the planned hosts: %v",
 				i+1, d.ServersAtPeak, err)
 		}
@@ -164,10 +148,9 @@ func TestBuildPrivate(t *testing.T) {
 		t.Fatal("no private hosts sized")
 	}
 	// Fixed capacity: the DC must not be elastic.
-	vmSpec := d.PrivateSpec
 	var provisioned int
 	for {
-		if _, err := d.PrivateDC.Provision(vmSpec); err != nil {
+		if _, err := d.PrivateDC.Provision(); err != nil {
 			break
 		}
 		provisioned++

@@ -2,9 +2,9 @@
 // compares — public, private and hybrid — plus the on-premise desktop
 // baseline its Section III merits are measured against. It is the one
 // place that knows how a deployment is sized: the 60% utilization
-// target, the one rented flavor, the campus host shape, the hybrid
-// "distribution of units" policy, and a builder that turns a
-// declarative Spec into running datacenters on a simulation engine.
+// target, each side's boot delay, the hybrid "distribution of units"
+// policy, and a builder that turns a declarative Spec into running
+// datacenters on a simulation engine.
 //
 // Entry points:
 //
@@ -18,9 +18,10 @@
 //   - Size(Spec) works out a deployment's capacity plan (peak servers,
 //     fixed private fleet, owned hosts) without an engine; Build(engine,
 //     Spec) provisions that plan as the cloud.Datacenter set a model of
-//     that Kind gets, with the rented m.large flavor on the public side
-//     and a VM of the same shape on campus hosts. Run paths, bills and
-//     the federation study all size through Size.
+//     that Kind gets. Every VM has the rented m.large flavor's shape,
+//     so owned hosts are cloud.VMsPerHost slots each; a campus VM boots
+//     faster than a rented one (PublicBoot is the rented mean). Run
+//     paths, bills and the federation study all size through Size.
 //   - Place(kind) says where a model keeps its assets; a hybrid
 //     always keeps its sensitive ones in-house. HybridPolicy is §IV.C's
 //     "distribution of units": the share of steady capacity that stays

@@ -45,8 +45,8 @@ type Spec struct {
 	Policy HybridPolicy
 }
 
-// Deployment is a built deployment: datacenters on an engine, the VM
-// flavors each side runs, and the capacity plan they were built for.
+// Deployment is a built deployment: datacenters on an engine and the
+// capacity plan they were built for.
 type Deployment struct {
 	// PublicDC is the rented, elastic, multi-tenant side (nil for
 	// private-only and desktop).
@@ -54,9 +54,6 @@ type Deployment struct {
 	// PrivateDC is the owned, fixed-capacity side (nil for public-only
 	// and desktop).
 	PrivateDC *cloud.Datacenter
-	// PublicSpec is the flavor the public side rents; PrivateSpec is the
-	// VM carved out of private hosts.
-	PublicSpec, PrivateSpec cloud.InstanceSpec
 	// Sizing is the capacity plan the datacenters were built for.
 	Sizing
 }
@@ -104,16 +101,12 @@ func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Deployment{PublicSpec: publicSpec, PrivateSpec: privateSpec, Sizing: sz}
+	d := &Deployment{Sizing: sz}
 	if spec.Kind == Public || spec.Kind == Hybrid {
-		d.PublicDC = cloud.NewDatacenter(eng, cloud.Config{Name: "public", Public: true})
+		d.PublicDC = cloud.NewDatacenter(eng, cloud.Config{Name: "public", Public: true, BootDelay: publicBoot})
 	}
 	if d.PrivateHosts > 0 {
-		d.PrivateDC = cloud.NewDatacenter(eng, cloud.Config{
-			Name:         "private",
-			Hosts:        d.PrivateHosts,
-			HostCapacity: campusHost,
-		})
+		d.PrivateDC = cloud.NewDatacenter(eng, cloud.Config{Name: "private", Hosts: d.PrivateHosts, BootDelay: privateBoot})
 	}
 	return d, nil
 }

@@ -50,15 +50,11 @@ func scanLoad(c *Cluster) float64 {
 func TestBalancerMatchesScan(t *testing.T) {
 	eng := sim.NewEngine(1)
 	rng := sim.NewRNG(41)
-	dc := cloud.NewDatacenter(eng, cloud.Config{Name: "t", Public: true})
-	spec := cloud.InstanceSpec{
-		Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
-		BootDelay: sim.LogNormal(20, 0.6),
-	}
+	dc := cloud.NewDatacenter(eng, cloud.Config{Name: "t", Public: true, BootDelay: sim.LogNormal(20, 0.6)})
 	c := NewCluster()
 	var members []*AppServer // the servers in c, in no particular order
 	add := func() {
-		vm, err := dc.Provision(spec)
+		vm, err := dc.Provision()
 		if err != nil {
 			t.Fatal(err)
 		}

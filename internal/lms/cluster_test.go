@@ -12,17 +12,11 @@ import (
 // bootCluster builds a cluster of n single-VM servers.
 func bootCluster(t *testing.T, eng *sim.Engine, n int) (*Cluster, []*AppServer) {
 	t.Helper()
-	dc := cloud.NewDatacenter(eng, cloud.Config{
-		Name:         "t",
-		Hosts:        n,
-		HostCapacity: cloud.Resources{CPU: 16, Mem: 64, Disk: 500},
-	})
+	dc := cloud.NewDatacenter(eng, cloud.Config{Name: "t", Hosts: n})
 	c := NewCluster()
 	var servers []*AppServer
 	for i := 0; i < n; i++ {
-		vm, err := dc.Provision(cloud.InstanceSpec{
-			Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
-		})
+		vm, err := dc.Provision()
 		if err != nil {
 			t.Fatal(err)
 		}

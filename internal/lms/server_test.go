@@ -15,14 +15,8 @@ import (
 // bootServer provisions one running VM with an app server on it.
 func bootServer(t *testing.T, eng *sim.Engine) *AppServer {
 	t.Helper()
-	dc := cloud.NewDatacenter(eng, cloud.Config{
-		Name:         "t",
-		Hosts:        1,
-		HostCapacity: cloud.Resources{CPU: 16, Mem: 64, Disk: 500},
-	})
-	vm, err := dc.Provision(cloud.InstanceSpec{
-		Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
-	})
+	dc := cloud.NewDatacenter(eng, cloud.Config{Name: "t", Hosts: 1})
+	vm, err := dc.Provision()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +174,7 @@ func TestKillAbortsJobs(t *testing.T) {
 func TestInterferenceSlowsService(t *testing.T) {
 	eng := sim.NewEngine(21)
 	dc := cloud.NewDatacenter(eng, cloud.Config{Name: "pub", Public: true})
-	vm, err := dc.Provision(cloud.InstanceSpec{
-		Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
-	})
+	vm, err := dc.Provision()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +202,8 @@ func TestInterferenceSlowsService(t *testing.T) {
 func TestServerJobConservationProperty(t *testing.T) {
 	f := func(demands []uint8, killAfter uint8) bool {
 		eng := sim.NewEngine(uint64(killAfter) + 1)
-		dc := cloud.NewDatacenter(eng, cloud.Config{
-			Name: "p", Hosts: 1,
-			HostCapacity: cloud.Resources{CPU: 16, Mem: 64, Disk: 500},
-		})
-		vm, err := dc.Provision(cloud.InstanceSpec{
-			Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
-		})
+		dc := cloud.NewDatacenter(eng, cloud.Config{Name: "p", Hosts: 1})
+		vm, err := dc.Provision()
 		if err != nil {
 			return false
 		}
@@ -256,15 +243,8 @@ func TestServerJobConservationProperty(t *testing.T) {
 
 func TestSubmitToUnbootedVMRejected(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dc := cloud.NewDatacenter(eng, cloud.Config{
-		Name:         "t",
-		Hosts:        1,
-		HostCapacity: cloud.Resources{CPU: 16, Mem: 64, Disk: 500},
-	})
-	vm, err := dc.Provision(cloud.InstanceSpec{
-		Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
-		BootDelay: fixed(120),
-	})
+	dc := cloud.NewDatacenter(eng, cloud.Config{Name: "t", Hosts: 1, BootDelay: fixed(120)})
+	vm, err := dc.Provision()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,13 @@
 //   - Invariants() is the metamorphic property suite CheckCase runs each
 //     generated config through: more capacity never raises P95;
 //     generated arrivals never exceed the workload Envelope() bound;
-//     results are byte-identical whatever pool parallelism ran them;
-//     superposed timezones never exceed the bounds of their parts; and
-//     the fluid and auto fidelities agree with one request-level run
-//     within tolerance on overlapping regimes.
+//     one determinism invariant runs the case at DES and auto fidelity
+//     on a one-worker pool and again as jobs of a shared four-worker
+//     batch, byte-identical both ways, with a sharded case's access
+//     line, volume and tail held against its unsharded run; superposed
+//     timezones never exceed the bounds of their parts; and the fluid
+//     and auto fidelities agree with one request-level run within
+//     tolerance on overlapping regimes.
 //   - Minimize is the shrinker: on a violation it halves the horizon,
 //     drops storm windows and reduces students — re-running the failing
 //     invariant at every step — until no transformation keeps the

@@ -72,11 +72,9 @@ func Invariants() []Invariant {
 		{Name: "growth-monotone", Lite: true, Check: checkGrowthMonotone},
 		{Name: "envelope-bound", Lite: true, Check: checkEnvelopeBound},
 		{Name: "superpose-bound", Lite: true, Check: checkSuperposeBound},
-		{Name: "parallel-determinism", Check: checkParallelDeterminism},
+		{Name: "determinism", Check: checkDeterminism},
 		{Name: "capacity-monotone", Check: checkCapacityMonotone},
 		{Name: "fidelity-agreement", Check: checkFidelityAgreement},
-		{Name: "shard-determinism", Check: checkShardDeterminism},
-		{Name: "hybrid-determinism", Check: checkHybridDeterminism},
 		{Name: "advisor", Check: checkAdvisor},
 		{Name: "policy-sanity", Check: checkPolicySanity},
 		{Name: "seed-band", Band: true, Check: checkSeedBand},
@@ -323,41 +321,109 @@ func checkSuperposeBound(_ scenario.Config, caseSeed uint64) (*Violation, string
 
 // --- request-level invariants -----------------------------------------
 
-// checkParallelDeterminism: the same config run directly, and run as a
-// batch job on a 4-worker shared pool racing filler jobs, must produce
-// byte-identical results — the repo's central determinism contract,
-// here enforced on configs nobody hand-wrote. Both runs use the one
-// direct engine; shard-determinism owns the drawn Shards.
-func checkParallelDeterminism(cfg scenario.Config, caseSeed uint64) (*Violation, string) {
+// checkDeterminism: a run is a pure function of its config and seed —
+// the repo's central determinism contract, here enforced on configs
+// nobody hand-wrote. The case runs at FidelityDES and at FidelityAuto,
+// each at its own Shards, on a one-worker pool: the references. Both
+// configs run again as jobs of one batch on a 4-worker pool, racing
+// two filler jobs for its tokens, so worker hand-offs and
+// completion-order effects would surface if any existed; every pooled
+// fingerprint must match its reference. The same batch runs the
+// sharding companion: an unsharded case at one shard, which must equal
+// the direct run, and a sharded case unsharded, the reference for
+// shardPhysics.
+func checkDeterminism(cfg scenario.Config, caseSeed uint64) (*Violation, string) {
 	if !desFeasible(cfg) {
 		return nil, "config above the request-level budget"
 	}
-	cfg.Shards = 0
-	direct, err := scenario.Run(cfg)
+	des, auto := atFidelity(cfg, scenario.FidelityDES), atFidelity(cfg, scenario.FidelityAuto)
+	companion := des
+	companion.Shards = 0
+	if cfg.Shards == 0 {
+		companion.Shards = 1
+	}
+	serial := scenario.NewPool(1)
+	refDES, err := serial.Run(des)
 	if err != nil {
-		return &Violation{"parallel-determinism", "direct run failed: " + err.Error()}, ""
+		return &Violation{"determinism", "serial DES run failed: " + err.Error()}, ""
+	}
+	refAuto, err := serial.Run(auto)
+	if err != nil {
+		return &Violation{"determinism", "serial auto run failed: " + err.Error()}, ""
 	}
 
-	// Filler jobs create real pool contention so worker hand-offs and
-	// completion-order effects would surface if any existed.
 	filler := scenario.Config{
 		Kind: deploy.Public, Students: 60, Duration: 30 * time.Minute,
 		Diurnal: workload.FlatDiurnal(),
 	}
 	batch := scenario.NewBatch(sim.SeedFor(caseSeed, "metamorph/batch")).
-		Add("case", cfg).
+		Add("des", des).
+		Add("auto", auto).
+		Add("companion", companion).
 		Add("filler-a", filler).
 		Add("filler-b", filler)
 	res, err := batch.RunOn(scenario.NewPool(4))
 	if err != nil {
-		return &Violation{"parallel-determinism", "pooled run failed: " + err.Error()}, ""
+		return &Violation{"determinism", "pooled batch failed: " + err.Error()}, ""
 	}
-	got, want := Fingerprint(res.Result("case")), Fingerprint(direct)
-	if got != want {
-		return &Violation{"parallel-determinism",
-			"pooled result differs from direct run:\n" + diffLine(want, got)}, ""
+	for _, r := range []struct {
+		job string
+		ref *scenario.Result
+	}{{"des", refDES}, {"auto", refAuto}} {
+		if got, want := Fingerprint(res.Result(r.job)), Fingerprint(r.ref); got != want {
+			return &Violation{"determinism",
+				fmt.Sprintf("shards=%d %s result depends on the pool:\n%s", cfg.Shards, r.job, diffLine(want, got))}, ""
+		}
 	}
-	return nil, ""
+	if cfg.Shards < 2 {
+		if got, want := Fingerprint(res.Result("companion")), Fingerprint(refDES); got != want {
+			return &Violation{"determinism",
+				fmt.Sprintf("shards=%d result differs from shards=%d:\n%s", companion.Shards, cfg.Shards, diffLine(want, got))}, ""
+		}
+		return nil, ""
+	}
+	return shardPhysics(cfg, refDES, res.Result("companion")), ""
+}
+
+// shardPhysics checks a sharded DES result against the unsharded run
+// of the same config. The shards share the unsharded engine's access
+// line, so its disconnects, availability and lost work come out
+// exactly; the documented fleet-split approximation must stay within
+// tolerance on delivered volume and tail latency. Outage and threat
+// scenarios are exempt — their singleton processes run on shard 0 only
+// (the scenario models one institution), so their blast radius is
+// deliberately 1/K of the unsharded run's.
+func shardPhysics(cfg scenario.Config, sharded, direct *scenario.Result) *Violation {
+	if cfg.HostFailureAt > 0 || cfg.EnableThreats {
+		return nil
+	}
+	// One institution has one access line: its outages, and the work
+	// they destroy across the tracked sessions, do not depend on K.
+	if sharded.Disconnects != direct.Disconnects || sharded.NetAvailability != direct.NetAvailability ||
+		sharded.LostWork != direct.LostWork {
+		return &Violation{"determinism",
+			fmt.Sprintf("shards=%d access line: %d disconnects, availability %v, lost work %v; unsharded %d, %v, %v",
+				cfg.Shards, sharded.Disconnects, sharded.NetAvailability, sharded.LostWork,
+				direct.Disconnects, direct.NetAvailability, direct.LostWork)}
+	}
+	// Poisson splitting makes the superposed arrival process identical
+	// in distribution, so delivered volume must land close; the split
+	// fleet's Erlang penalty (and its per-shard scale-up floors) may
+	// legitimately move the tail, so P95 gets a generous one-sided band —
+	// table10 measures ~3x drift at 10^5 students on saturated reactive
+	// fleets.
+	dServed, sServed := float64(direct.Served), float64(sharded.Served)
+	if dServed > 0 && (sServed < 0.6*dServed || sServed > 1.4*dServed) {
+		return &Violation{"determinism",
+			fmt.Sprintf("shards=%d served %d vs unsharded %d: outside [0.6,1.4]x",
+				cfg.Shards, sharded.Served, direct.Served)}
+	}
+	if p, q := sharded.Latency.P95(), direct.Latency.P95(); p > q*6+0.5 {
+		return &Violation{"determinism",
+			fmt.Sprintf("shards=%d P95 %.3fs vs unsharded %.3fs: split-fleet drift beyond 6x+0.5s",
+				cfg.Shards, p, q)}
+	}
+	return nil
 }
 
 // diffLine returns the first line where two fingerprints diverge.
@@ -365,7 +431,7 @@ func diffLine(a, b string) string {
 	al, bl := splitLines(a), splitLines(b)
 	for i := 0; i < len(al) && i < len(bl); i++ {
 		if al[i] != bl[i] {
-			return fmt.Sprintf("direct: %s\npooled: %s", al[i], bl[i])
+			return fmt.Sprintf("serial: %s\npooled: %s", al[i], bl[i])
 		}
 	}
 	return fmt.Sprintf("fingerprint lengths differ: %d vs %d lines", len(al), len(bl))
@@ -597,122 +663,6 @@ func offlineShare(r *scenario.Result) float64 {
 		return float64(r.Offline) / total
 	}
 	return 0
-}
-
-// checkShardDeterminism: the sharded execution path must preserve both
-// the determinism contract and the physics. For single-shard configs,
-// a one-shard run on a pool is byte-identical to the direct run. For
-// multi-shard configs, the merged result is a pure function of
-// (config, seed, K): byte-identical whatever the pool width; the shards
-// share the unsharded engine's access line, so its disconnects,
-// availability and lost work come out exactly; and the documented
-// fleet-split approximation must stay within tolerance of the unsharded
-// engine on delivered volume and tail latency.
-func checkShardDeterminism(cfg scenario.Config, _ uint64) (*Violation, string) {
-	if !desFeasible(cfg) {
-		return nil, "config above the request-level budget"
-	}
-	if cfg.Shards < 2 {
-		one := cfg
-		one.Shards = 1
-		direct, err := scenario.Run(cfg)
-		if err != nil {
-			return &Violation{"shard-determinism", "direct run failed: " + err.Error()}, ""
-		}
-		sharded, err := scenario.NewPool(2).Run(one)
-		if err != nil {
-			return &Violation{"shard-determinism", "single-shard run failed: " + err.Error()}, ""
-		}
-		if got, want := Fingerprint(sharded), Fingerprint(direct); got != want {
-			return &Violation{"shard-determinism",
-				"single-shard result differs from direct run:\n" + diffLine(want, got)}, ""
-		}
-		return nil, ""
-	}
-
-	serial, err := scenario.NewPool(1).Run(cfg)
-	if err != nil {
-		return &Violation{"shard-determinism", "sharded run failed: " + err.Error()}, ""
-	}
-	pooled, err := scenario.NewPool(4).Run(cfg)
-	if err != nil {
-		return &Violation{"shard-determinism", "pooled sharded run failed: " + err.Error()}, ""
-	}
-	if got, want := Fingerprint(pooled), Fingerprint(serial); got != want {
-		return &Violation{"shard-determinism",
-			fmt.Sprintf("shards=%d merged result depends on worker count:\n%s",
-				cfg.Shards, diffLine(want, got))}, ""
-	}
-
-	// Physics clause: compare against the unsharded engine. Outage and
-	// threat scenarios are exempt — their singleton processes run on
-	// shard 0 only (the scenario models one institution), so their blast
-	// radius is deliberately 1/K of the unsharded run's.
-	if cfg.HostFailureAt > 0 || cfg.EnableThreats {
-		return nil, ""
-	}
-	un := cfg
-	un.Shards = 0
-	direct, err := scenario.Run(un)
-	if err != nil {
-		return &Violation{"shard-determinism", "unsharded run failed: " + err.Error()}, ""
-	}
-	// One institution has one access line: its outages, and the work
-	// they destroy across the tracked sessions, do not depend on K.
-	if serial.Disconnects != direct.Disconnects || serial.NetAvailability != direct.NetAvailability ||
-		serial.LostWork != direct.LostWork {
-		return &Violation{"shard-determinism",
-			fmt.Sprintf("shards=%d access line: %d disconnects, availability %v, lost work %v; unsharded %d, %v, %v",
-				cfg.Shards, serial.Disconnects, serial.NetAvailability, serial.LostWork,
-				direct.Disconnects, direct.NetAvailability, direct.LostWork)}, ""
-	}
-	// Poisson splitting makes the superposed arrival process identical
-	// in distribution, so delivered volume must land close; the split
-	// fleet's Erlang penalty (and its per-shard scale-up floors) may
-	// legitimately move the tail, so P95 gets a generous one-sided band —
-	// table10 measures ~3x drift at 10^5 students on saturated reactive
-	// fleets.
-	dServed, sServed := float64(direct.Served), float64(serial.Served)
-	if dServed > 0 && (sServed < 0.6*dServed || sServed > 1.4*dServed) {
-		return &Violation{"shard-determinism",
-			fmt.Sprintf("shards=%d served %d vs unsharded %d: outside [0.6,1.4]x",
-				cfg.Shards, serial.Served, direct.Served)}, ""
-	}
-	if p, q := serial.Latency.P95(), direct.Latency.P95(); p > q*6+0.5 {
-		return &Violation{"shard-determinism",
-			fmt.Sprintf("shards=%d P95 %.3fs vs unsharded %.3fs: split-fleet drift beyond 6x+0.5s",
-				cfg.Shards, p, q)}, ""
-	}
-	return nil, ""
-}
-
-// --- hybrid-fidelity invariants ---------------------------------------
-
-// checkHybridDeterminism: an auto-fidelity run's stitched result is a
-// pure function of (config, seed, plan) — byte-identical whatever the
-// pool width, for any generated config, windows sharded or not. This is
-// the hybrid analogue of shard-determinism's worker-independence
-// clause; Pool.Run audits every Result's conservation law, and the
-// empty-plan identity holds by construction (a fluid run is the auto
-// path with no windows).
-func checkHybridDeterminism(cfg scenario.Config, _ uint64) (*Violation, string) {
-	if !desFeasible(cfg) {
-		return nil, "config above the request-level budget"
-	}
-	cfg = atFidelity(cfg, scenario.FidelityAuto)
-	serial, err := scenario.NewPool(1).Run(cfg)
-	if err != nil {
-		return &Violation{"hybrid-determinism", "serial hybrid run failed: " + err.Error()}, ""
-	}
-	pooled, err := scenario.NewPool(4).Run(cfg)
-	if err != nil {
-		return &Violation{"hybrid-determinism", "pooled hybrid run failed: " + err.Error()}, ""
-	}
-	if got, want := Fingerprint(pooled), Fingerprint(serial); got != want {
-		return &Violation{"hybrid-determinism",
-			"hybrid result depends on worker count:\n" + diffLine(want, got)}, ""
-	}
-	return nil, ""
 }
 
 // checkPolicySanity: on a public or hybrid day with no deadline storm

@@ -18,8 +18,7 @@ import (
 func TestInvariantsRegistry(t *testing.T) {
 	want := []string{
 		"growth-monotone", "envelope-bound", "superpose-bound",
-		"parallel-determinism", "capacity-monotone", "fidelity-agreement",
-		"shard-determinism", "hybrid-determinism",
+		"determinism", "capacity-monotone", "fidelity-agreement",
 		"advisor", "policy-sanity", "seed-band",
 	}
 	invs := Invariants()
@@ -116,38 +115,36 @@ func TestSuperposeBoundHolds(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminismHolds on one real generated case per family
-// (the full pooled comparison; the fuzz lane covers breadth).
-func TestParallelDeterminismHolds(t *testing.T) {
+// holdsDeterminism runs the determinism invariant on generated case
+// index of family at each shard count; the fuzz lane covers breadth.
+func holdsDeterminism(t *testing.T, family string, index int, shards ...int) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("runs request-level scenarios")
 	}
-	c := FindFamilyOrDie(t, "campus").Case(CaseSeed(9, "campus", 1))
-	if v, skip := checkParallelDeterminism(c.Cfg, c.Seed); skip != "" || v != nil {
-		t.Errorf("parallel-determinism: violation %v skip %q", v, skip)
+	c := FindFamilyOrDie(t, family).Case(CaseSeed(9, family, index))
+	for _, n := range shards {
+		c.Cfg.Shards = n
+		if v, skip := checkDeterminism(c.Cfg, c.Seed); skip != "" || v != nil {
+			t.Errorf("%s shards=%d: violation %v skip %q", family, n, v, skip)
+		}
 	}
 }
 
-// TestShardDeterminismHolds exercises both branches of the invariant on
-// generated cases: single-shard identity on a campus case, and the
-// worker-independence + physics clause on a case forced to 3 shards.
-func TestShardDeterminismHolds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs request-level scenarios")
-	}
-	c := FindFamilyOrDie(t, "campus").Case(CaseSeed(9, "campus", 2))
-	c.Cfg.Shards = 0
-	if v, skip := checkShardDeterminism(c.Cfg, c.Seed); skip != "" || v != nil {
-		t.Errorf("single-shard identity: violation %v skip %q", v, skip)
-	}
-	c.Cfg.Shards = 3
-	if v, skip := checkShardDeterminism(c.Cfg, c.Seed); skip != "" || v != nil {
-		t.Errorf("multi-shard: violation %v skip %q", v, skip)
-	}
-}
+// TestParallelDeterminismHolds: an unsharded campus case matches its
+// single-worker reference in the pooled batch, and at Shards = 1.
+func TestParallelDeterminismHolds(t *testing.T) { holdsDeterminism(t, "campus", 2, 0) }
+
+// TestShardDeterminismHolds: the same campus case forced to 3 shards is
+// worker-independent and within the physics clause of its unsharded run.
+func TestShardDeterminismHolds(t *testing.T) { holdsDeterminism(t, "campus", 2, 3) }
+
+// TestHybridDeterminismHolds: a storm-laden hybrid case whose auto run
+// opens DES windows, unsharded and at 3 shards.
+func TestHybridDeterminismHolds(t *testing.T) { holdsDeterminism(t, "hybrid", 0, 0, 3) }
 
 // TestShardDeterminismAccessLineRegression pins two cases the
-// access-line clause of shard-determinism failed on while each shard
+// access-line clause of the sharding physics failed on while each shard
 // engine drew last-mile outages of its own: at shards=4, chaos
 // 0x7276a0aed8c16965 merged 1 disconnect and 0.894 availability where
 // the unsharded run had none, and hybrid 0xdb977617ffbc6cf2 merged none
@@ -164,30 +161,13 @@ func TestShardDeterminismAccessLineRegression(t *testing.T) {
 		if c.Cfg.Shards < 2 {
 			t.Fatalf("%s seed=%#x: Shards = %d; the case must stay sharded", tc.family, tc.seed, c.Cfg.Shards)
 		}
-		v, skip := checkShardDeterminism(c.Cfg, c.Seed)
+		v, skip := checkDeterminism(c.Cfg, c.Seed)
 		if skip != "" {
 			t.Fatalf("%s seed=%#x: skipped (%s); the case must stay in scope", tc.family, tc.seed, skip)
 		}
 		if v != nil {
 			t.Errorf("%s seed=%#x: %s", tc.family, tc.seed, v.Detail)
 		}
-	}
-}
-
-// TestHybridDeterminismHolds: the hybrid runner's worker-independence
-// on a generated storm-laden case, sharded and not.
-func TestHybridDeterminismHolds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs request-level scenarios")
-	}
-	c := FindFamilyOrDie(t, "hybrid").Case(CaseSeed(9, "hybrid", 0))
-	c.Cfg.Shards = 0
-	if v, skip := checkHybridDeterminism(c.Cfg, c.Seed); skip != "" || v != nil {
-		t.Errorf("unsharded: violation %v skip %q", v, skip)
-	}
-	c.Cfg.Shards = 3
-	if v, skip := checkHybridDeterminism(c.Cfg, c.Seed); skip != "" || v != nil {
-		t.Errorf("sharded windows: violation %v skip %q", v, skip)
 	}
 }
 

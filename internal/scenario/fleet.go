@@ -27,7 +27,6 @@ type fleet struct {
 	eng     *sim.Engine
 	dc      *cloud.Datacenter
 	cluster *lms.Cluster
-	spec    cloud.InstanceSpec
 	max     int // 0 = unbounded
 
 	entries []*serverEntry
@@ -37,11 +36,11 @@ type fleet struct {
 var _ scale.Target = (*fleet)(nil)
 
 // newFleet wires a fleet; max bounds ScaleTo (0 = unbounded).
-func newFleet(eng *sim.Engine, dc *cloud.Datacenter, cluster *lms.Cluster, spec cloud.InstanceSpec, max int) *fleet {
+func newFleet(eng *sim.Engine, dc *cloud.Datacenter, cluster *lms.Cluster, max int) *fleet {
 	if eng == nil || dc == nil || cluster == nil {
 		panic("scenario: newFleet with nil dependency")
 	}
-	return &fleet{eng: eng, dc: dc, cluster: cluster, spec: spec, max: max}
+	return &fleet{eng: eng, dc: dc, cluster: cluster, max: max}
 }
 
 // Desired implements scale.Target: current fleet size including booting
@@ -74,7 +73,7 @@ func (f *fleet) ScaleTo(n int) {
 		n = f.max
 	}
 	for len(f.entries) < n {
-		vm, err := f.dc.Provision(f.spec)
+		vm, err := f.dc.Provision()
 		if err != nil {
 			return // datacenter full: fixed capacity reached
 		}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -215,34 +216,62 @@ func TestFluidFleet(t *testing.T) {
 	}
 }
 
+// A diurnal hour or calendar week whose multiplier is not a finite
+// number >= 0 fails the run at every fidelity, with an error naming the
+// hour or the week. The thinning sampler rejects every candidate whose
+// rate is NaN, so a NaN hour once dropped the demand around it from a
+// DES run that still balanced its ledger (500 students, 6 h flat day:
+// 99,045 arrivals where 148,802 were offered), and a NaN week dropped
+// all of it.
+func TestNonFiniteMultipliersFailTheRun(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+		hours := [24]float64{}
+		for i := range hours {
+			hours[i] = 1
+		}
+		hours[3] = bad
+		day := Config{
+			Seed:              1,
+			Kind:              deploy.Public,
+			Students:          500,
+			ReqPerStudentHour: 50,
+			Duration:          6 * time.Hour,
+			Diurnal:           workload.NewDiurnalProfile(hours),
+		}
+		week := day
+		week.Diurnal = workload.FlatDiurnal()
+		week.Calendar = workload.NewCalendar([]workload.Week{{Kind: workload.Teaching, Mult: bad}})
+		for _, tc := range []struct {
+			cfg  Config
+			name string
+		}{{day, "hour 3"}, {week, "week 0"}} {
+			for _, f := range []Fidelity{FidelityDES, FidelityFluid, FidelityAuto} {
+				res, err := Run(at(tc.cfg, f))
+				if err == nil {
+					t.Errorf("%s = %v, Fidelity %d: no error, %d arrivals, %d served", tc.name, bad, f, res.Arrivals, res.Served)
+				} else if !strings.Contains(err.Error(), tc.name) {
+					t.Errorf("%s = %v, Fidelity %d: error %q does not name %s", tc.name, bad, f, err, tc.name)
+				}
+			}
+		}
+	}
+}
+
 // A fluid ledger whose accrued mass is not a finite number >= 0 is an
 // error, not a Result: rounded into the ledger, a NaN or infinite
 // offered mass reads as 2^63 requests arrived and served, which Audit
-// balances. A NaN diurnal hour brings a NaN rate into the fluid model
-// through Config; the unit cases put each bad value into each of the
-// model's accrued totals.
+// balances. The unit cases put each bad value into each of the model's
+// accrued totals.
 func TestFluidLedgerRejectsNonFiniteMass(t *testing.T) {
-	hours := [24]float64{}
-	for i := range hours {
-		hours[i] = 1
-	}
-	hours[3] = math.NaN()
 	cfg := Config{
 		Seed:              1,
 		Kind:              deploy.Public,
 		Students:          500,
 		ReqPerStudentHour: 50,
 		Duration:          6 * time.Hour,
-		Diurnal:           workload.NewDiurnalProfile(hours),
+		Diurnal:           workload.FlatDiurnal(),
 		EnableCDN:         true,
 	}
-	for _, f := range []Fidelity{FidelityFluid, FidelityAuto} {
-		if res, err := Run(at(cfg, f)); err == nil {
-			t.Errorf("Fidelity %d run with a NaN diurnal hour: no error, %d arrivals, %d served", f, res.Arrivals, res.Served)
-		}
-	}
-
-	cfg.Diurnal = workload.FlatDiurnal()
 	if err := cfg.defaults(); err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,12 @@ package scenario
 //     merged output is a pure function of (config, seed, plan) at any
 //     -parallel.
 //   - Stitching, fluid→DES: the engine clock warps to the window start
-//     (sim.Import), the elastic fleet opens at the fluid fleet's size
-//     at that instant (the fluid model runs the same autoscaler over
-//     the whole horizon, windows included), the queue is seeded with
-//     round(rate·meanService) synthetic in-flight jobs (Little's law),
-//     and the CDN edge is pre-warmed with popularity-sampled objects.
+//     (sim's Engine.StartAt), the elastic fleet opens at the fluid
+//     fleet's size at that instant (the fluid model runs the same
+//     autoscaler over the whole horizon, windows included), the queue
+//     is seeded with round(rate·meanService) synthetic in-flight jobs
+//     (Little's law), and the CDN edge is pre-warmed with
+//     popularity-sampled objects.
 //     The window's sessions and last-mile availability start at its
 //     opening. Arrivals begin after bootGrace, inside the guard margin,
 //     exactly like a direct run's opening.

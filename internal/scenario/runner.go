@@ -194,7 +194,7 @@ func (e *engine) build() error {
 	e.endAt = cfg.Duration
 	if win != nil {
 		startAt, e.endAt = win.start, win.end
-		if err := eng.Import(sim.State{Now: startAt}); err != nil {
+		if err := eng.StartAt(startAt); err != nil {
 			return err
 		}
 	}
@@ -229,7 +229,7 @@ func (e *engine) build() error {
 	e.privCluster = lms.NewCluster()
 	if dep.PublicDC != nil {
 		initial, maxPublic := publicBounds(cfg, dep.Sizing)
-		e.pubFleet = newFleet(eng, dep.PublicDC, e.pubCluster, dep.PublicSpec, maxPublic)
+		e.pubFleet = newFleet(eng, dep.PublicDC, e.pubCluster, maxPublic)
 		// A hybrid DES window opens at the fleet the fluid model was
 		// running when the window opened: the same autoscaler ran it up
 		// to that instant.
@@ -248,7 +248,7 @@ func (e *engine) build() error {
 		e.growthFit = fit
 	}
 	if dep.PrivateDC != nil {
-		e.privFleet = newFleet(eng, dep.PrivateDC, e.privCluster, dep.PrivateSpec, 0)
+		e.privFleet = newFleet(eng, dep.PrivateDC, e.privCluster, 0)
 		e.privFleet.ScaleTo(dep.PrivateServers) // fixed fleet, sized up front
 	}
 

@@ -422,7 +422,7 @@ func TestScheduledPlanReadsCalendarWeek(t *testing.T) {
 	}
 	meanSvc := lms.TeachingMix().MeanService(lms.DefaultCatalog())
 	eng := sim.NewEngine(1)
-	if err := eng.Import(sim.State{Now: week}); err != nil {
+	if err := eng.StartAt(week); err != nil {
 		t.Fatal(err)
 	}
 	tgt := &planTarget{n: 1}

@@ -39,7 +39,7 @@ import (
 // therefore models K fleets of ~N/K servers instead of one fleet of N.
 // Pooling effects make the split fleet slightly worse at absorbing load
 // imbalance between shards — by Erlang-C reasoning the error shrinks as
-// per-shard fleets grow, and the shard-determinism metamorph invariant
+// per-shard fleets grow, and the metamorph determinism invariant
 // bounds the realized P95 drift against the unsharded engine on
 // overlap-regime configs. Scalar consumption (VM-hours, egress, served
 // counts) is unaffected by the split beyond that queueing drift. Owned

@@ -361,34 +361,26 @@ func (e *Engine) Every(period Time, name string, fn func()) (stop func()) {
 	}
 }
 
-// State is a portable engine snapshot for warm-starting: the minimal
-// kernel state a hybrid-fidelity run must carry across a fluid⇄DES
-// boundary. Domain state (fleets, queues, caches) lives above the
-// kernel and is re-materialized by the scenario layer; the kernel's
-// only contribution to the stitch is the virtual clock, so State is
-// deliberately small and copyable.
-type State struct {
-	// Now is the virtual clock position the importing engine starts at.
-	Now Time
-}
-
-// Import warps a fresh engine to state s, so a DES window opening
+// StartAt warps a fresh engine's clock to t, so a DES window opening
 // mid-horizon sees the true virtual time — absolute-time schedules
 // (ScheduleAt, calendar lookups) then land where the fluid model left
-// off instead of being clamped to zero.
+// off instead of being clamped to zero. The clock is the only kernel
+// state a hybrid-fidelity run carries across a fluid⇄DES boundary;
+// domain state (fleets, queues, caches) is re-materialized by the
+// scenario layer.
 //
-// Import is only valid on a pristine engine: nothing scheduled (in the
-// heap or the slot), nothing fired, clock at zero. Importing into an
-// engine that already has history would silently reorder its (At, seq)
+// StartAt is only valid on a pristine engine: nothing scheduled (in the
+// heap or the slot), nothing fired, clock at zero. Warping an engine
+// that already has history would silently reorder its (At, seq)
 // stream, so that is an error rather than a best-effort warp.
-func (e *Engine) Import(s State) error {
-	if s.Now < 0 {
-		return fmt.Errorf("sim: Import with negative clock %v", s.Now)
+func (e *Engine) StartAt(t Time) error {
+	if t < 0 {
+		return fmt.Errorf("sim: StartAt with negative clock %v", t)
 	}
 	if e.now != 0 || e.nextSeq != 0 || e.fired != 0 || len(e.queue) != 0 || e.slotted {
-		return errors.New("sim: Import into a non-fresh engine (events scheduled, fired, or clock moved)")
+		return errors.New("sim: StartAt on a non-fresh engine (events scheduled, fired, or clock moved)")
 	}
-	e.now = s.Now
+	e.now = t
 	return nil
 }
 

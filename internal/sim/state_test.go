@@ -5,16 +5,16 @@ import (
 	"time"
 )
 
-func TestImportWarpsFreshEngineClock(t *testing.T) {
+func TestStartAtWarpsFreshEngineClock(t *testing.T) {
 	e := NewEngine(1)
-	if err := e.Import(State{Now: 90 * time.Minute}); err != nil {
-		t.Fatalf("Import: %v", err)
+	if err := e.StartAt(90 * time.Minute); err != nil {
+		t.Fatalf("StartAt: %v", err)
 	}
 	if e.Now() != 90*time.Minute {
 		t.Fatalf("Now = %v, want 90m", e.Now())
 	}
 	// Absolute schedules land relative to the warped clock: a past
-	// ScheduleAt clamps to the imported time, not to zero.
+	// ScheduleAt clamps to the start time, not to zero.
 	var firedAt Time
 	e.ScheduleAt(10*time.Minute, "past", func() { firedAt = e.Now() })
 	e.Run(2 * time.Hour)
@@ -26,54 +26,54 @@ func TestImportWarpsFreshEngineClock(t *testing.T) {
 	}
 }
 
-func TestImportRejectsNonFreshEngine(t *testing.T) {
-	st := State{Now: time.Hour}
+func TestStartAtRejectsNonFreshEngine(t *testing.T) {
+	const st = time.Hour
 
 	scheduled := NewEngine(1)
 	scheduled.Schedule(time.Second, "pending", func() {})
-	if err := scheduled.Import(st); err == nil {
-		t.Fatal("Import into engine with pending events succeeded")
+	if err := scheduled.StartAt(st); err == nil {
+		t.Fatal("StartAt on engine with pending events succeeded")
 	}
 
 	ran := NewEngine(1)
 	ran.Schedule(time.Second, "fired", func() {})
 	ran.Run(0)
-	if err := ran.Import(st); err == nil {
-		t.Fatal("Import into engine with history succeeded")
+	if err := ran.StartAt(st); err == nil {
+		t.Fatal("StartAt on engine with history succeeded")
 	}
 
 	slotted := NewEngine(1)
 	slotted.ScheduleSlot(time.Second, "arrival", func() {})
-	if err := slotted.Import(st); err == nil {
-		t.Fatal("Import into engine with a pending slot event succeeded")
+	if err := slotted.StartAt(st); err == nil {
+		t.Fatal("StartAt on engine with a pending slot event succeeded")
 	}
 
 	warped := NewEngine(1)
-	if err := warped.Import(st); err != nil {
-		t.Fatalf("first Import: %v", err)
+	if err := warped.StartAt(st); err != nil {
+		t.Fatalf("first StartAt: %v", err)
 	}
-	if err := warped.Import(st); err == nil {
-		t.Fatal("second Import into already-warped engine succeeded")
+	if err := warped.StartAt(st); err == nil {
+		t.Fatal("second StartAt on already-warped engine succeeded")
 	}
 }
 
-func TestImportRejectsNegativeClock(t *testing.T) {
+func TestStartAtRejectsNegativeClock(t *testing.T) {
 	e := NewEngine(1)
-	if err := e.Import(State{Now: -time.Second}); err == nil {
-		t.Fatal("Import with negative clock succeeded")
+	if err := e.StartAt(-time.Second); err == nil {
+		t.Fatal("StartAt with negative clock succeeded")
 	}
 }
 
-func TestImportDeterminismMatchesOffsetRun(t *testing.T) {
+func TestStartAtDeterminismMatchesOffsetRun(t *testing.T) {
 	// A warped engine behaves exactly like a zero-based engine whose
 	// schedule is shifted: same seed, same relative delays, same
-	// event count, clocks offset by the import.
+	// event count, clocks offset by the start time.
 	const offset = 3 * time.Hour
 	run := func(base Time) (fired uint64, last Time) {
 		e := NewEngine(99)
 		if base > 0 {
-			if err := e.Import(State{Now: base}); err != nil {
-				t.Fatalf("Import: %v", err)
+			if err := e.StartAt(base); err != nil {
+				t.Fatalf("StartAt: %v", err)
 			}
 		}
 		var step func()

@@ -11,7 +11,9 @@
 //     DiurnalProfile (CampusDiurnal, FlatDiurnal, or a custom
 //     NewDiurnalProfile), the Calendar week kind, and any FlashCrowd
 //     windows, and yields an ArrivalStream of Arrivals classified by
-//     the lms Mix.
+//     the lms Mix. It is the one gate on those shapes: a diurnal hour
+//     or calendar week whose multiplier is not a finite number >= 0,
+//     or a crowd, storm or join out of range, is an error naming it.
 //   - StandardSemester() is the 18-week Calendar (NewCalendar of Weeks
 //     for custom terms) behind the semester-scale studies; WeekKind
 //     distinguishes teaching, exam and vacation load.

@@ -68,6 +68,16 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if !(cfg.ReqPerStudentHour > 0) || math.IsInf(cfg.ReqPerStudentHour, 1) {
 		return nil, fmt.Errorf("workload: ReqPerStudentHour = %v, need a finite value > 0", cfg.ReqPerStudentHour)
 	}
+	if cfg.Diurnal != nil {
+		if err := cfg.Diurnal.sanity(); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.Calendar != nil {
+		if err := cfg.Calendar.sanity(); err != nil {
+			return nil, err
+		}
+	}
 	for _, c := range cfg.Crowds {
 		if err := c.sanity(); err != nil {
 			return nil, err

@@ -12,14 +12,21 @@ type DiurnalProfile struct {
 	hours [24]float64
 }
 
-// NewDiurnalProfile validates and wraps 24 hourly multipliers.
+// NewDiurnalProfile wraps 24 hourly multipliers. NewGenerator rejects
+// a profile with a multiplier that is not a finite number >= 0.
 func NewDiurnalProfile(hours [24]float64) *DiurnalProfile {
-	for i, h := range hours {
-		if h < 0 {
-			panic(fmt.Sprintf("workload: negative multiplier %v at hour %d", h, i))
+	return &DiurnalProfile{hours: hours}
+}
+
+// sanity returns an error naming the first hour whose multiplier is
+// not a finite number >= 0.
+func (p *DiurnalProfile) sanity() error {
+	for i, h := range p.hours {
+		if !(h >= 0) || math.IsInf(h, 1) {
+			return fmt.Errorf("workload: diurnal multiplier %v at hour %d, need a finite value >= 0", h, i)
 		}
 	}
-	return &DiurnalProfile{hours: hours}
+	return nil
 }
 
 // CampusDiurnal is the default academic day: near-silence overnight, a
@@ -116,16 +123,24 @@ type Calendar struct {
 }
 
 // NewCalendar wraps a week sequence; at least one week is required.
+// NewGenerator rejects a calendar with a multiplier that is not a
+// finite number >= 0.
 func NewCalendar(weeks []Week) *Calendar {
 	if len(weeks) == 0 {
 		panic("workload: NewCalendar with no weeks")
 	}
-	for i, w := range weeks {
-		if w.Mult < 0 {
-			panic(fmt.Sprintf("workload: week %d has negative multiplier", i))
+	return &Calendar{weeks: append([]Week(nil), weeks...)}
+}
+
+// sanity returns an error naming the first week whose multiplier is
+// not a finite number >= 0.
+func (c *Calendar) sanity() error {
+	for i, w := range c.weeks {
+		if !(w.Mult >= 0) || math.IsInf(w.Mult, 1) {
+			return fmt.Errorf("workload: calendar multiplier %v at week %d, need a finite value >= 0", w.Mult, i)
 		}
 	}
-	return &Calendar{weeks: append([]Week(nil), weeks...)}
+	return nil
 }
 
 // StandardSemester is an 18-week term: orientation, 6 teaching weeks, a

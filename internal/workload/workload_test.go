@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,15 +41,16 @@ func TestDiurnalShapeSane(t *testing.T) {
 	}
 }
 
+// TestDiurnalNegativePanics: a negative hour is a configuration error,
+// not a panic: NewDiurnalProfile takes the array and NewGenerator
+// rejects it with an error naming the hour.
 func TestDiurnalNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
 	var h [24]float64
 	h[5] = -1
-	NewDiurnalProfile(h)
+	if _, err := NewGenerator(Config{Students: 10, ReqPerStudentHour: 60, Diurnal: NewDiurnalProfile(h)}); err == nil ||
+		!strings.Contains(err.Error(), "hour 5") {
+		t.Fatalf("negative hour 5: err = %v", err)
+	}
 }
 
 func TestStandardSemesterStructure(t *testing.T) {
@@ -82,19 +84,12 @@ func TestStandardSemesterStructure(t *testing.T) {
 }
 
 func TestCalendarPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"empty":    func() { NewCalendar(nil) },
-		"negative": func() { NewCalendar([]Week{{Kind: Teaching, Mult: -1}}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("empty calendar: no panic")
+		}
+	}()
+	NewCalendar(nil)
 }
 
 func TestWeekKindString(t *testing.T) {
@@ -122,6 +117,12 @@ func TestGeneratorValidation(t *testing.T) {
 		Crowds: []FlashCrowd{{Start: 0, End: time.Hour, Mult: 0}},
 	}); err == nil {
 		t.Fatal("zero crowd multiplier accepted")
+	}
+	if _, err := NewGenerator(Config{
+		Students: 10, ReqPerStudentHour: 60,
+		Calendar: NewCalendar([]Week{{Kind: Teaching, Mult: 1}, {Kind: Teaching, Mult: -1}}),
+	}); err == nil || !strings.Contains(err.Error(), "week 1") {
+		t.Fatalf("negative week 1: err = %v", err)
 	}
 }
 
